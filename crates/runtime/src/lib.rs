@@ -28,8 +28,9 @@ pub use adaptive::{AdaptiveManager, Thresholds};
 pub use dataflow::{DataflowKind, StepBreakdown};
 pub use memory::MemoryModel;
 pub use scheduler::{
-    BatchState, CompletedRequest, CrashedWork, FairConfig, HandoffRecord, PreemptionPolicy,
-    QueueDiscipline, Request, RestorableRequest, ScheduleReport, Scheduler, SchedulerConfig,
+    Admission, BatchState, CompletedRequest, CrashedWork, FairConfig, HandoffRecord,
+    PreemptionPolicy, QueueDiscipline, Request, RestorableRequest, ScheduleReport, Scheduler,
+    SchedulerConfig,
 };
 pub use serving::{MemoryPolicy, ServingSim, StepCache, SystemKind, ThroughputReport, Workload};
 // The role enum lives beside the fleet model in `spec_hwsim`; re-export

@@ -389,6 +389,38 @@ pub struct CrashedWork {
     pub checkpointed: Vec<RestorableRequest>,
 }
 
+/// How a request enters an engine's wait queue — the input of
+/// [`BatchState::push_traced`].
+#[derive(Debug, Clone, Copy)]
+pub enum Admission {
+    /// A fresh arrival, stamped at its own arrival: nothing produced
+    /// yet, so admission into the batch charges a prefill.
+    Fresh(Request),
+    /// A checkpoint rescued from a crashed engine (cluster failover),
+    /// restamped to `at` for the destination's arrival-order contract:
+    /// admission into the batch charges the Eq.-6 KV re-transfer — a
+    /// restore, not a fresh prefill.
+    Restored {
+        /// The rescued request with its decode progress.
+        checkpoint: RestorableRequest,
+        /// When it reaches this engine.
+        at: f64,
+    },
+    /// A delivered prefill handoff whose KV the interconnect already
+    /// placed on this engine: admission into the batch charges nothing —
+    /// the cluster priced the whole hop, GPUDirect-style, when it
+    /// delayed delivery by the link time — and emits
+    /// [`EventKind::Restored`] rather than a fresh admission. A later
+    /// preemption moves the KV host-side, so re-restores pay PCIe like
+    /// any checkpoint.
+    Preloaded {
+        /// The handed-off request with its first-token history.
+        handoff: RestorableRequest,
+        /// When its KV finished arriving.
+        at: f64,
+    },
+}
+
 /// The incremental state of one continuous-batching engine: per-tenant
 /// wait queues, running batch, completions and the local clock.
 ///
@@ -464,9 +496,8 @@ impl BatchState {
     /// Sets the engine's role. `Unified` runs the whole request
     /// lifecycle (the default, bit-identical to the pre-role
     /// scheduler); `Prefill` retires each request at its first token
-    /// into a [`HandoffRecord`]; `Decode` admits delivered handoffs via
-    /// [`BatchState::push_preloaded`] and runs the remaining
-    /// iterations.
+    /// into a [`HandoffRecord`]; `Decode` admits delivered handoffs
+    /// ([`Admission::Preloaded`]) and runs the remaining iterations.
     pub fn set_role(&mut self, role: ReplicaRole) {
         self.role = role;
     }
@@ -544,108 +575,6 @@ impl BatchState {
         out
     }
 
-    /// Re-enqueues a checkpoint rescued from a crashed engine (cluster
-    /// failover): the entry keeps its produced tokens and timing
-    /// history, so its admission charges the Eq.-6 KV re-transfer — a
-    /// restore, not a fresh prefill. `arrival` restamps the request for
-    /// the destination's arrival-order contract; the caller owns mapping
-    /// latency metrics back to the original arrival.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `arrival` precedes a previously pushed request.
-    pub fn push_restorable<S: TelemetrySink>(
-        &mut self,
-        restorable: RestorableRequest,
-        arrival: f64,
-        sink: &mut S,
-    ) {
-        let mut req = restorable.request;
-        req.arrival = arrival;
-        assert!(
-            req.arrival >= self.last_arrival,
-            "requests must be pushed in arrival order ({} after {})",
-            req.arrival,
-            self.last_arrival
-        );
-        self.last_arrival = req.arrival;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.queues
-            .entry(req.tenant)
-            .or_default()
-            .queue
-            .push_back(QueueEntry {
-                req,
-                seq,
-                produced: restorable.produced,
-                start: restorable.start,
-                first_token: restorable.first_token,
-                preemptions: restorable.preemptions,
-                preloaded: false,
-            });
-        emit(
-            sink,
-            req.arrival,
-            EventKind::Enqueued {
-                request: req.id as u64,
-                tenant: req.tenant,
-            },
-        );
-    }
-
-    /// Re-enqueues a delivered prefill handoff whose KV the
-    /// interconnect already placed on this engine
-    /// ([`BatchState::push_restorable`] with `preloaded` set): its
-    /// admission charges nothing — the cluster priced the whole hop,
-    /// GPUDirect-style, when it delayed delivery by the link time — and
-    /// emits [`EventKind::Restored`] rather than a fresh admission. A
-    /// later preemption clears the flag, so re-restores pay PCIe like
-    /// any checkpoint.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `arrival` precedes a previously pushed request.
-    pub fn push_preloaded<S: TelemetrySink>(
-        &mut self,
-        restorable: RestorableRequest,
-        arrival: f64,
-        sink: &mut S,
-    ) {
-        let mut req = restorable.request;
-        req.arrival = arrival;
-        assert!(
-            req.arrival >= self.last_arrival,
-            "requests must be pushed in arrival order ({} after {})",
-            req.arrival,
-            self.last_arrival
-        );
-        self.last_arrival = req.arrival;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.queues
-            .entry(req.tenant)
-            .or_default()
-            .queue
-            .push_back(QueueEntry {
-                req,
-                seq,
-                produced: restorable.produced,
-                start: restorable.start,
-                first_token: restorable.first_token,
-                preemptions: restorable.preemptions,
-                preloaded: true,
-            });
-        emit(
-            sink,
-            req.arrival,
-            EventKind::Enqueued {
-                request: req.id as u64,
-                tenant: req.tenant,
-            },
-        );
-    }
-
     /// Enqueues an arrived request on its tenant's queue.
     ///
     /// # Panics
@@ -653,17 +582,38 @@ impl BatchState {
     /// Panics if `req` arrives earlier than a previously pushed request
     /// (arrivals must be fed in nondecreasing order).
     pub fn push(&mut self, req: Request) {
-        self.push_traced(req, &mut NullSink);
+        self.push_traced(Admission::Fresh(req), &mut NullSink);
     }
 
-    /// [`BatchState::push`] with telemetry: emits
-    /// [`EventKind::Enqueued`] stamped at the request's arrival time.
+    /// The one way work enters the wait queue: enqueues `admission` on
+    /// its tenant's queue, stamped at its [`Admission`]'s instant, and
+    /// emits [`EventKind::Enqueued`] there. Re-entries keep their
+    /// produced tokens and timing history; the caller owns mapping
+    /// latency metrics back to the original arrival.
     ///
     /// # Panics
     ///
-    /// Panics if `req` arrives earlier than a previously pushed request
-    /// (arrivals must be fed in nondecreasing order).
-    pub fn push_traced<S: TelemetrySink>(&mut self, req: Request, sink: &mut S) {
+    /// Panics if the admission's instant precedes a previously pushed
+    /// request (work must be fed in nondecreasing order).
+    pub fn push_traced<S: TelemetrySink>(&mut self, admission: Admission, sink: &mut S) {
+        let (history, at, preloaded) = match admission {
+            Admission::Fresh(request) => {
+                let fresh = RestorableRequest {
+                    request,
+                    produced: 0,
+                    start: None,
+                    first_token: None,
+                    preemptions: 0,
+                };
+                (fresh, request.arrival, false)
+            }
+            Admission::Restored { checkpoint, at } => (checkpoint, at, false),
+            Admission::Preloaded { handoff, at } => (handoff, at, true),
+        };
+        let req = Request {
+            arrival: at,
+            ..history.request
+        };
         assert!(
             req.arrival >= self.last_arrival,
             "requests must be pushed in arrival order ({} after {})",
@@ -680,11 +630,11 @@ impl BatchState {
             .push_back(QueueEntry {
                 req,
                 seq,
-                produced: 0,
-                start: None,
-                first_token: None,
-                preemptions: 0,
-                preloaded: false,
+                produced: history.produced,
+                start: history.start,
+                first_token: history.first_token,
+                preemptions: history.preemptions,
+                preloaded,
             });
         emit(
             sink,
@@ -856,7 +806,7 @@ impl Scheduler {
         );
         let mut state = BatchState::new();
         for req in requests {
-            state.push_traced(*req, sink);
+            state.push_traced(Admission::Fresh(*req), sink);
         }
         let mut cache = StepCache::new();
         while state.has_work() {
@@ -1754,6 +1704,7 @@ mod tests {
 
     #[test]
     fn preloaded_handoffs_admit_free_and_keep_timing_history() {
+        use spec_telemetry::RecordingSink;
         let s = Scheduler::new(sim(), SystemKind::SpeContext, SchedulerConfig::default());
         // Produce one handoff on a prefill engine.
         let mut prefill = BatchState::new();
@@ -1764,30 +1715,99 @@ mod tests {
             s.step(&mut prefill, &mut cache);
         }
         let handoff = prefill.take_handoffs().pop().expect("one handoff");
+        let (history, at) = (handoff.restorable, handoff.emitted);
+        let fresh = Request::new(7, 3, 2048, 64, 0.25);
 
-        // Admit it preloaded on one decode engine and as a plain
-        // restorable (PCIe-charged) on another: the preloaded engine
-        // must finish strictly earlier, by exactly the restore time.
-        let run = |preloaded: bool| {
+        // The three ways in, through the one entry: what lands on the
+        // queue, what is announced, and where each engine finishes.
+        // (admission, stamp, produced, first token kept, preloaded)
+        let cases = [
+            (Admission::Fresh(fresh), 0.25, 0, None, false),
+            (
+                Admission::Restored {
+                    checkpoint: history,
+                    at,
+                },
+                at,
+                1,
+                history.first_token,
+                false,
+            ),
+            (
+                Admission::Preloaded {
+                    handoff: history,
+                    at,
+                },
+                at,
+                1,
+                history.first_token,
+                true,
+            ),
+        ];
+        let mut finished = Vec::new();
+        for (admission, stamp, produced, first_token, preloaded) in cases {
             let mut state = BatchState::new();
             state.set_role(ReplicaRole::Decode);
-            if preloaded {
-                state.push_preloaded(handoff.restorable, handoff.emitted, &mut NullSink);
+            let mut sink = RecordingSink::new();
+            state.push_traced(admission, &mut sink);
+            let id = if produced == 0 {
+                fresh.id
             } else {
-                state.push_restorable(handoff.restorable, handoff.emitted, &mut NullSink);
-            }
+                history.request.id
+            };
+            let tenant = if produced == 0 {
+                fresh.tenant
+            } else {
+                history.request.tenant
+            };
+            let entry = *state.queues[&tenant].queue.back().expect("one entry");
+            assert_eq!(entry.req.id, id);
+            assert_eq!(entry.req.arrival, stamp, "restamped to the admission");
+            assert_eq!(
+                (entry.seq, entry.produced, entry.preemptions),
+                (0, produced, 0)
+            );
+            assert_eq!(
+                entry.start,
+                if produced == 0 { None } else { history.start }
+            );
+            assert_eq!(entry.first_token, first_token);
+            assert_eq!(entry.preloaded, preloaded);
+            assert_eq!(
+                sink.events(),
+                [Event {
+                    tick: seconds_to_ticks(stamp),
+                    replica: 0,
+                    kind: EventKind::Enqueued {
+                        request: id as u64,
+                        tenant,
+                    },
+                }]
+            );
+            // The arrival-order contract holds for every way in.
+            let mut late = state.clone();
+            let early = Request::new(9, 0, 128, 8, stamp - 0.125);
+            let refused = std::panic::catch_unwind(move || late.push(early));
+            assert!(refused.is_err(), "out-of-order push must panic");
+
             let mut cache = StepCache::new();
             while state.has_work() {
                 s.step(&mut state, &mut cache);
             }
-            state.completed()[0]
-        };
-        let free = run(true);
-        let paid = run(false);
-        assert_eq!(free.first_token, handoff.restorable.first_token.unwrap());
+            finished.push(state.completed()[0]);
+        }
+        // Preloaded against PCIe-charged restore of the same handoff: the
+        // preloaded engine finishes strictly earlier.
+        let (paid, free) = (finished[1], finished[2]);
+        assert_eq!(free.first_token, history.first_token.unwrap());
+        assert_eq!(paid.first_token, free.first_token);
         assert_eq!(free.request.output_len, 64);
         assert!(free.finish < paid.finish, "preloaded admission is free");
         assert_eq!(free.preemptions, 0);
+        assert!(
+            finished[0].first_token > fresh.arrival,
+            "a fresh request pays prefill"
+        );
     }
 
     #[test]

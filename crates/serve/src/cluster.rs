@@ -1,29 +1,67 @@
-//! The cluster event loop.
+//! The cluster event kernel.
 //!
-//! A [`Cluster`] owns N [`Replica`]s and a routing policy.
-//! [`Cluster::run_source`] pulls from a streaming
-//! [`ArrivalSource`] one request at a time — a million-request trace is
-//! never materialized. For *open-loop* sources, before each arrival it
-//! advances every replica's engine to the arrival instant (replicas run
-//! independently — a decode iteration may overshoot, exactly as on a
-//! real engine), takes an autoscaling decision on queue depth, snapshots
-//! the fleet, routes the request, and finally drains all replicas.
+//! A [`Cluster`] owns N [`Replica`]s and one routing policy per stage.
+//! Every `run*` entry point is the same private loop, whose body is
+//! *next event → advance the fleet to its instant → apply it*:
+//!
+//! * **Events** come from three lazy places: the [`ArrivalSource`]
+//!   (peeked and popped one request at a time — a million-request trace
+//!   is never materialized), the [`FaultPlan`]'s injector, and one
+//!   time-ordered queue of what the run itself scheduled: retries
+//!   waiting out their backoff and prefill→decode handoffs on the
+//!   interconnect. The earliest wins; at equal instants a fault applies
+//!   before a retry re-enters, a retry before a handoff is delivered,
+//!   and all of them before a fresh arrival — retries in scheduling
+//!   order, handoffs by request id.
+//! * **Advance, then apply**, for every event alike. Each replica first
+//!   runs its engine up to the event's instant (a decode iteration may
+//!   overshoot, exactly as on a real engine), and every handoff whose
+//!   transfer finished by then is delivered. So a crash tears out what
+//!   its replica held *at the crash instant*, and a restored checkpoint,
+//!   a retry or an arrival is placed by the fleet's load at that
+//!   instant. With no event left but work remaining the instant is ∞:
+//!   the fleet runs dry.
+//! * **The source picks how to advance — and nothing else.** An
+//!   open-loop source cannot be influenced by the fleet, so replicas
+//!   advance in bulk, fanned out over the worker pool. A
+//!   [closed-loop](ArrivalSource::closed_loop) source releases a
+//!   session's next turn when its previous response completes, possibly
+//!   *before* the event just peeked; there the kernel steps the
+//!   lowest-clock replica by one scheduler decision, feeds completions
+//!   (in `(finish, id)` order) and refusals back into the source, and
+//!   peeks again. Either way replicas only touch their own state
+//!   between events and every event applies on the serial path, so
+//!   reports and telemetry are identical at any `SPEC_THREADS`.
+//! * **Routing** snapshots the fleet and folds it down to the stage's
+//!   candidates before asking the stage's policy. Role is a hard
+//!   filter — arrivals and retries never start on a decode-only
+//!   replica, handoffs only land on decode replicas — and health a soft
+//!   one: health-aware plans eject down, straggling and probation
+//!   replicas unless that would leave the stage no candidate.
+//!
 //! Because replicas are driven through the runtime scheduler's own
 //! micro-steps, a 1-replica cluster reproduces `Scheduler::run`
 //! bit-for-bit, which pins the whole subsystem to the single-node
-//! Table-3 ground truth. ([`Cluster::run`] is the same loop over a
-//! pre-materialized slice.)
+//! Table-3 ground truth; an all-`Unified` fleet never schedules a
+//! handoff and an empty plan never injects a fault, so both walk the
+//! plain arrival sequence.
 //!
-//! *Closed-loop* sources need finer event interleaving — a session's
-//! next request departs only after its previous response — so the loop
-//! micro-steps the laggard replica one scheduler decision at a time,
-//! feeding completions (and rejections) back into the source between
-//! steps in a deterministic `(finish, id)` order. That path is serial by
-//! construction, so closed-loop runs are `SPEC_THREADS`-invariant for
-//! free.
+//! Recovery under a [`FaultPlan`]: a crash tears out the replica's
+//! in-flight work — requests with decode progress surface as host-side
+//! checkpoints and restore onto the healthiest surviving replica
+//! (paying the Eq.-6 KV re-transfer there) unless the plan's
+//! `kv_loss_prob` draw fails; everything else re-enters the router
+//! after capped exponential backoff with seeded jitter. Every
+//! crash-driven re-entry (retry *or* migration) consumes one unit of the
+//! request's retry budget, so a request bouncing between crashing
+//! replicas always terminates; an exhausted budget dead-letters the
+//! request, attributed per tenant in the SLO report. Arrivals are shed
+//! at the plan's tenant-weighted watermark before routing. A closed-loop
+//! source hears of shed and dead-lettered turns through `on_reject`, so
+//! their sessions end instead of waiting forever.
 
 use crate::arrivals::{ArrivalSource, ClusterRequest, SliceSource};
-use crate::faults::{FaultAction, FaultEvent, FaultLedger, FaultPlan, FaultRun, FaultSummary};
+use crate::faults::{FaultAction, FaultEvent, FaultInjector, FaultPlan, FaultSummary};
 use crate::replica::Replica;
 use crate::router::{ReplicaSnapshot, RoutePolicy, RouterKind};
 use crate::slo::{self, CostReport, SloReport, SloSpec};
@@ -31,12 +69,14 @@ use serde::{Deserialize, Serialize};
 use spec_hwsim::{DeviceSpec, FleetSlot, LinkSpec, ReplicaRole};
 use spec_model::ModelConfig;
 use spec_runtime::{
-    CompletedRequest, HandoffRecord, ScheduleReport, SchedulerConfig, ServingSim, SystemKind,
+    Admission, CompletedRequest, HandoffRecord, Request, ScheduleReport, SchedulerConfig,
+    ServingSim, SystemKind,
 };
 use spec_telemetry::{
     merge_streams, seconds_to_ticks, Event, EventKind, RecordingSink, TelemetrySink,
 };
-use std::collections::HashMap;
+use spec_tensor::SimRng;
+use std::collections::{BTreeMap, HashMap};
 
 /// Queue-depth-driven scale-up/down.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -215,39 +255,22 @@ pub struct ClusterReport {
     pub cost: CostReport,
 }
 
-/// A fleet of serving replicas behind a router.
+/// A fleet of serving replicas behind a router. Holds only what
+/// outlives a run — the engines, the policies, and the autoscaler's
+/// parking and billing state; everything one run accumulates lives in
+/// the kernel's run-local state.
 pub struct Cluster {
     replicas: Vec<Replica>,
     router: Box<dyn RoutePolicy>,
     cfg: ClusterConfig,
     peak_active: usize,
-    /// Cluster-scope event buffer (routing and autoscaling decisions);
-    /// `None` = untraced. Only the serial routing path writes here, so
-    /// its stream is deterministic at any `SPEC_THREADS`.
-    telemetry: Option<RecordingSink>,
-    /// Set for the duration of a health-aware faulted run: non-healthy
-    /// replicas are folded out of routing candidate sets.
-    health_aware: bool,
-    /// Whether any replica runs a split role — the single gate on every
-    /// disaggregation code path, so an all-`Unified` fleet walks exactly
-    /// the pre-disaggregation event sequence.
+    /// Whether any replica runs a split role.
     two_stage: bool,
     /// Stage-2 router picking decode targets at handoff-delivery time.
     decode_router: Box<dyn RoutePolicy>,
     /// The interconnect pricing prefill→decode hops and cold-start
     /// warmup transfers.
     link: LinkSpec,
-    /// Handoffs on the wire, kept sorted by `(ready, request id)`.
-    pending_handoffs: Vec<PendingHandoff>,
-    /// Request id → session, so stage-2 routing of a handoff sees the
-    /// same session key stage 1 saw (populated on split fleets only).
-    sessions: HashMap<usize, u64>,
-    /// Request id → original arrival, for handed-off requests whose
-    /// engine-side arrival was restamped to the delivery instant (the
-    /// report patches latency metrics back to first submission).
-    origins: HashMap<usize, f64>,
-    /// Interconnect traffic accounting.
-    handoffs: HandoffSummary,
     /// Billing: when each replica's current active window opened
     /// (`None` = parked, not billing).
     active_since: Vec<Option<f64>>,
@@ -255,14 +278,216 @@ pub struct Cluster {
     billed_s: Vec<f64>,
 }
 
-/// One prefill→decode handoff in flight on the interconnect.
+/// What can wake the kernel. Declaration order is the tie rule at equal
+/// instants: a fault applies before a retry re-enters, a retry before a
+/// handoff is delivered, and all of them before a fresh arrival.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum EventClass {
+    Fault,
+    Retry,
+    Handoff,
+    Arrival,
+}
+
+/// Where one event sorts on the run's timeline: instant, then class,
+/// then the class's own first-in-first-out rule (`tie` is the retry's
+/// scheduling sequence number or the handoff's request id).
 #[derive(Debug, Clone, Copy)]
-struct PendingHandoff {
-    /// Delivery instant: emission + link transfer time.
-    ready: f64,
-    /// Seconds the hop spends on the wire.
-    transfer_s: f64,
-    record: HandoffRecord,
+struct EventKey {
+    at: f64,
+    class: EventClass,
+    tie: u64,
+}
+
+impl EventKey {
+    /// The key of a generator's next event (`tie` is moot there: a
+    /// generator yields one candidate at a time).
+    fn of(at: f64, class: EventClass) -> Self {
+        Self { at, class, tie: 0 }
+    }
+}
+
+impl Ord for EventKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.at
+            .total_cmp(&other.at)
+            .then(self.class.cmp(&other.class))
+            .then(self.tie.cmp(&other.tie))
+    }
+}
+
+impl PartialOrd for EventKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for EventKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for EventKey {}
+
+/// An event the run itself scheduled (faults and arrivals stay in their
+/// lazy generators).
+#[derive(Debug, Clone, Copy)]
+enum Scheduled {
+    /// A crash-lost request waiting out its backoff.
+    Retry(Request),
+    /// A prefill→decode handoff on the interconnect.
+    Handoff(HandoffRecord),
+}
+
+/// Everything one run accumulates: the fault timeline, the queue of
+/// scheduled events, per-request bookkeeping for re-entries, and the
+/// counters and streams the report is built from.
+struct Run<'p> {
+    plan: &'p FaultPlan,
+    injector: FaultInjector,
+    /// Backoff-jitter and migration-loss draws, taken on the serial
+    /// event path in event order.
+    rng: SimRng,
+    /// Retries and handoffs in flight, in firing order.
+    scheduled: BTreeMap<EventKey, Scheduled>,
+    next_seq: u64,
+    /// Request id → crash-driven re-entries consumed so far.
+    attempts: HashMap<usize, u32>,
+    /// Request id → session, so a re-entry (retry or stage-2 routing of
+    /// a handoff) sees the session key its first routing saw.
+    sessions: HashMap<usize, u64>,
+    /// Request id → original arrival, recorded the first time a request
+    /// is restamped (retried, migrated or handed off), so the report's
+    /// latency metrics span from first submission.
+    origins: HashMap<usize, f64>,
+    dead_by_tenant: BTreeMap<u32, usize>,
+    shed_by_tenant: BTreeMap<u32, usize>,
+    retries_by_tenant: BTreeMap<u32, usize>,
+    faults: FaultSummary,
+    handoffs: HandoffSummary,
+    /// `(arrival_time, fleet outstanding)` after each routing decision.
+    queue_depth: Vec<(f64, usize)>,
+    /// Shed and dead-lettered requests the source has not been told
+    /// about yet (a closed-loop source ends their sessions).
+    refused: Vec<Request>,
+    /// Cluster-scope event buffer (routing, scaling, fault lifecycle);
+    /// `None` = untraced. Only the serial event path writes here, so its
+    /// stream is deterministic at any `SPEC_THREADS`.
+    sink: Option<RecordingSink>,
+}
+
+impl<'p> Run<'p> {
+    fn new(plan: &'p FaultPlan, replicas: usize, arrivals: usize, traced: bool) -> Self {
+        Self {
+            plan,
+            injector: FaultInjector::new(plan, replicas),
+            rng: SimRng::seed(plan.seed).fork(0xFA17),
+            scheduled: BTreeMap::new(),
+            next_seq: 0,
+            attempts: HashMap::new(),
+            sessions: HashMap::new(),
+            origins: HashMap::new(),
+            dead_by_tenant: BTreeMap::new(),
+            shed_by_tenant: BTreeMap::new(),
+            retries_by_tenant: BTreeMap::new(),
+            faults: FaultSummary::default(),
+            handoffs: HandoffSummary::default(),
+            queue_depth: Vec::with_capacity(arrivals),
+            refused: Vec::new(),
+            sink: traced.then(RecordingSink::new),
+        }
+    }
+
+    /// Records a cluster-scope decision into the cluster event buffer.
+    fn emit(&mut self, now: f64, replica: usize, kind: EventKind) {
+        if let Some(sink) = &mut self.sink {
+            sink.emit(Event {
+                tick: seconds_to_ticks(now),
+                replica: replica as u32,
+                kind,
+            });
+        }
+    }
+
+    /// `req` as it re-enters routing at `at`, under its original session.
+    fn reentry(&self, req: Request, at: f64) -> ClusterRequest {
+        ClusterRequest {
+            request: Request { arrival: at, ..req },
+            session: self.sessions.get(&req.id).copied().unwrap_or(req.id as u64),
+        }
+    }
+
+    /// Consumes one unit of `req`'s retry budget. Returns the attempt
+    /// number (1-based), or `None` when the budget is exhausted — the
+    /// caller must dead-letter.
+    fn consume_attempt(&mut self, req: &Request) -> Option<u32> {
+        self.origins.entry(req.id).or_insert(req.arrival);
+        let used = self.attempts.entry(req.id).or_insert(0);
+        if *used >= self.plan.retry.max_attempts {
+            return None;
+        }
+        *used += 1;
+        Some(*used)
+    }
+
+    /// Schedules `req`'s re-entry after backoff (the caller has already
+    /// consumed the attempt).
+    fn retry(&mut self, req: Request, now: f64, origin: usize, attempt: u32) {
+        let key = EventKey {
+            at: now + self.plan.retry.backoff(attempt, &mut self.rng),
+            class: EventClass::Retry,
+            tie: self.next_seq,
+        };
+        self.next_seq += 1;
+        self.scheduled.insert(key, Scheduled::Retry(req));
+        self.faults.retries += 1;
+        *self.retries_by_tenant.entry(req.tenant).or_insert(0) += 1;
+        let (request, tenant) = (req.id as u64, req.tenant);
+        let kind = EventKind::RetryScheduled {
+            request,
+            tenant,
+            attempt,
+        };
+        self.emit(now, origin, kind);
+    }
+
+    /// Gives up on a request whose retry budget ran out.
+    fn dead_letter(&mut self, req: Request, now: f64, origin: usize) {
+        self.faults.dead_lettered += 1;
+        *self.dead_by_tenant.entry(req.tenant).or_insert(0) += 1;
+        self.refused.push(req);
+        let (request, tenant) = (req.id as u64, req.tenant);
+        self.emit(now, origin, EventKind::DeadLettered { request, tenant });
+    }
+
+    /// Drops a fresh arrival at the plan's overload watermark.
+    fn shed(&mut self, req: Request, now: f64) {
+        self.faults.shed += 1;
+        *self.shed_by_tenant.entry(req.tenant).or_insert(0) += 1;
+        self.refused.push(req);
+        let (request, tenant) = (req.id as u64, req.tenant);
+        self.emit(now, 0, EventKind::RequestShed { request, tenant });
+    }
+
+    /// Sends one crash-torn request through the retry path: consume
+    /// budget, then schedule with backoff or dead-letter.
+    fn bounce(&mut self, req: Request, now: f64, origin: usize) {
+        match self.consume_attempt(&req) {
+            Some(attempt) => self.retry(req, now, origin, attempt),
+            None => self.dead_letter(req, now, origin),
+        }
+    }
+
+    /// The per-tenant dispositions in `slo::evaluate_faulted` form.
+    fn outcomes(&self) -> slo::FaultOutcomes {
+        let list = |m: &BTreeMap<u32, usize>| m.iter().map(|(&t, &n)| (t, n)).collect();
+        slo::FaultOutcomes {
+            dead_lettered: list(&self.dead_by_tenant),
+            shed: list(&self.shed_by_tenant),
+            retries: list(&self.retries_by_tenant),
+        }
+    }
 }
 
 impl Cluster {
@@ -303,15 +528,9 @@ impl Cluster {
             router,
             cfg,
             peak_active,
-            telemetry: None,
-            health_aware: false,
             two_stage: false,
             decode_router: disagg.decode_router.build(),
             link: disagg.link,
-            pending_handoffs: Vec::new(),
-            sessions: HashMap::new(),
-            origins: HashMap::new(),
-            handoffs: HandoffSummary::default(),
             active_since,
             billed_s,
         }
@@ -396,9 +615,8 @@ impl Cluster {
         self.router.name()
     }
 
-    /// Runs an arrival-ordered trace to completion under `slo` — the
-    /// same event loop as [`Cluster::run_source`] over a
-    /// pre-materialized slice.
+    /// Runs an arrival-ordered trace to completion under `slo`: the
+    /// kernel over a pre-materialized slice, no faults, untraced.
     ///
     /// # Panics
     ///
@@ -407,40 +625,186 @@ impl Cluster {
         self.run_source(&mut SliceSource::new(trace), slo)
     }
 
-    /// Runs a streaming [`ArrivalSource`] to completion under `slo`.
-    ///
-    /// Open-loop sources walk the exact event sequence [`Cluster::run`]
-    /// always walked (advance fleet → autoscale → snapshot → route →
-    /// push, then drain), so existing traces replay bit-for-bit and a
-    /// 1-replica cluster still reproduces `Scheduler::run`. Closed-loop
-    /// sources get the fine-grained path: micro-step the laggard
-    /// replica, feed completions back, re-peek — so a completion can
-    /// release a session's next turn before the fleet moves past it.
-    ///
-    /// Untraced (the [`Cluster::run_source_traced`] instrumentation
-    /// compiles down to no-ops on this path), so existing reports stay
-    /// bit-identical.
+    /// Runs a streaming [`ArrivalSource`] — open- or closed-loop — to
+    /// completion under `slo`: the kernel under the empty fault plan.
     pub fn run_source<S: ArrivalSource + ?Sized>(
         &mut self,
         source: &mut S,
         slo: &SloSpec,
     ) -> ClusterReport {
-        let mut queue_depth = Vec::with_capacity(source.remaining_hint().unwrap_or(0));
-        if source.closed_loop() {
-            assert!(
-                !self.two_stage,
-                "disaggregated fleets drive open-loop sources (closed-loop \
-                 handoff pumping is not wired)"
-            );
-            self.run_closed_loop(source, &mut queue_depth);
-        } else {
-            while let Some(cr) = source.next_request() {
-                self.advance_delivering(cr.request.arrival);
-                self.route_arrived(&cr, &mut queue_depth);
+        self.run_faulted(source, slo, &FaultPlan::none())
+    }
+
+    /// [`Cluster::run`], also returning the telemetry stream.
+    pub fn run_traced(
+        &mut self,
+        trace: &[ClusterRequest],
+        slo: &SloSpec,
+    ) -> (ClusterReport, Vec<Event>) {
+        self.run_source_traced(&mut SliceSource::new(trace), slo)
+    }
+
+    /// [`Cluster::run_source`], also returning the telemetry stream.
+    pub fn run_source_traced<S: ArrivalSource + ?Sized>(
+        &mut self,
+        source: &mut S,
+        slo: &SloSpec,
+    ) -> (ClusterReport, Vec<Event>) {
+        self.run_faulted_traced(source, slo, &FaultPlan::none())
+    }
+
+    /// [`Cluster::run`] under a [`FaultPlan`].
+    pub fn run_fault_plan(
+        &mut self,
+        trace: &[ClusterRequest],
+        slo: &SloSpec,
+        plan: &FaultPlan,
+    ) -> ClusterReport {
+        self.run_faulted(&mut SliceSource::new(trace), slo, plan)
+    }
+
+    /// [`Cluster::run_fault_plan`], also returning the telemetry stream.
+    pub fn run_fault_plan_traced(
+        &mut self,
+        trace: &[ClusterRequest],
+        slo: &SloSpec,
+        plan: &FaultPlan,
+    ) -> (ClusterReport, Vec<Event>) {
+        self.run_faulted_traced(&mut SliceSource::new(trace), slo, plan)
+    }
+
+    /// Runs a streaming source under a [`FaultPlan`]: the kernel,
+    /// untraced. The recovery semantics the plan's knobs select are
+    /// documented on [`FaultPlan`] and in the module docs.
+    pub fn run_faulted<S: ArrivalSource + ?Sized>(
+        &mut self,
+        source: &mut S,
+        slo: &SloSpec,
+        plan: &FaultPlan,
+    ) -> ClusterReport {
+        self.kernel(source, slo, plan, false).0
+    }
+
+    /// [`Cluster::run_faulted`], also returning the telemetry stream:
+    /// every replica's own buffer and the cluster-scope buffer (routing,
+    /// scaling, fault lifecycle), merged on `(tick, stream)` with the
+    /// cluster stream first — so at equal ticks a routing decision sorts
+    /// before the engine's reaction to it — and per-stream emission
+    /// order preserved.
+    pub fn run_faulted_traced<S: ArrivalSource + ?Sized>(
+        &mut self,
+        source: &mut S,
+        slo: &SloSpec,
+        plan: &FaultPlan,
+    ) -> (ClusterReport, Vec<Event>) {
+        self.kernel(source, slo, plan, true)
+    }
+
+    /// The cluster event kernel: the one loop behind every `run*` name,
+    /// implementing the rule in the module docs.
+    fn kernel<S: ArrivalSource + ?Sized>(
+        &mut self,
+        source: &mut S,
+        slo: &SloSpec,
+        plan: &FaultPlan,
+        traced: bool,
+    ) -> (ClusterReport, Vec<Event>) {
+        let arrivals = source.remaining_hint().unwrap_or(0);
+        let mut run = Run::new(plan, self.replicas.len(), arrivals, traced);
+        if traced {
+            for (i, rep) in self.replicas.iter_mut().enumerate() {
+                rep.enable_telemetry(i as u32);
             }
         }
-        self.drain_delivering();
-        self.report(queue_depth, slo)
+        let closed = source.closed_loop();
+        let mut fed_back = vec![(0, 0); self.replicas.len()];
+        loop {
+            if closed {
+                self.flush_feedback(source, &mut fed_back);
+            }
+            // A closed-loop step may have emitted handoffs: queue them
+            // before peeking.
+            self.collect_handoffs(&mut run);
+            let fault = run.injector.peek_time();
+            let arrival = source.peek_arrival();
+            let next = fault
+                .map(|at| EventKey::of(at, EventClass::Fault))
+                .into_iter()
+                .chain(run.scheduled.keys().next().copied())
+                .chain(arrival.map(|at| EventKey::of(at, EventClass::Arrival)))
+                .min();
+            // Advance the fleet to the event's instant, or until it runs
+            // dry when no event is left.
+            let t = next.map_or(f64::INFINITY, |k| k.at);
+            if closed {
+                // A completion may release a turn that departs before
+                // `t`: step the laggard once, feed back, peek again.
+                if let Some(i) = self.laggard_below(t) {
+                    self.replicas[i].step_once();
+                    continue;
+                }
+            } else {
+                self.advance_all(t);
+            }
+            // The pump half of the advance: handoffs whose transfer
+            // finished by the event — those the advance just emitted
+            // included — come on board, stamped at their own delivery
+            // instants, before it applies.
+            self.collect_handoffs(&mut run);
+            if let Some(next) = next {
+                self.deliver_due(next, &mut run);
+            }
+            // A fault timeline never ends (MTBF draws forever), so faults
+            // alone do not keep a run alive.
+            if arrival.is_none()
+                && run.scheduled.is_empty()
+                && !self.replicas.iter().any(Replica::has_work)
+            {
+                break;
+            }
+            match next.map(|k| k.class) {
+                // Nothing left to apply: the fleet ran dry (what that
+                // emitted is collected), or the pump delivered the handoff.
+                None | Some(EventClass::Handoff) => {}
+                Some(EventClass::Fault) => {
+                    let ev = run.injector.pop().expect("peeked fault vanished");
+                    self.apply_fault(ev, &mut run);
+                }
+                Some(EventClass::Retry) => {
+                    let Some((key, Scheduled::Retry(req))) = run.scheduled.pop_first() else {
+                        unreachable!("peeked retry vanished");
+                    };
+                    // Re-entries skip shedding (their admission already
+                    // happened) and emit no second `Arrived`.
+                    let cr = run.reentry(req, key.at);
+                    self.route(&cr, false, &mut run);
+                }
+                Some(EventClass::Arrival) => {
+                    let cr = source.next_request().expect("peeked arrival vanished");
+                    run.sessions.insert(cr.request.id, cr.session);
+                    let overloaded = plan.shed.as_ref().is_some_and(|shed| {
+                        let outstanding: usize =
+                            self.replicas.iter().map(Replica::outstanding).sum();
+                        outstanding >= shed.threshold(cr.request.tenant)
+                    });
+                    if overloaded {
+                        run.shed(cr.request, t);
+                    } else {
+                        self.route(&cr, true, &mut run);
+                    }
+                }
+            }
+            for req in run.refused.drain(..) {
+                source.on_reject(&req);
+            }
+        }
+        let mut streams = Vec::new();
+        if let Some(sink) = run.sink.take() {
+            // Cluster-scope stream first, replica streams in fleet order.
+            streams.push(sink.into_events());
+            streams.extend(self.replicas.iter_mut().map(Replica::take_telemetry));
+        }
+        (self.report(run, slo), merge_streams(streams))
     }
 
     /// Advances every replica's engine to `t`. Replicas run
@@ -461,535 +825,174 @@ impl Cluster {
         }
     }
 
-    /// Runs every replica's remaining work to completion (crashed
-    /// replicas stay frozen; the fault loop restarts them first).
-    fn drain_all(&mut self) {
-        if self.replicas.iter().filter(|r| r.has_work()).count() > 1 {
-            spec_parallel::par_for_each_mut(&mut self.replicas, |_, rep| rep.drain());
-        } else {
-            for rep in &mut self.replicas {
-                rep.drain();
-            }
-        }
+    /// The lowest-clock replica that can step and is strictly behind `t`
+    /// (ties to the lowest index), or `None` when the whole fleet has
+    /// caught up.
+    fn laggard_below(&self, t: f64) -> Option<usize> {
+        (0..self.replicas.len())
+            .filter(|&i| {
+                let rep = &self.replicas[i];
+                rep.has_work() && !rep.is_down() && rep.now() < t
+            })
+            .min_by(|&a, &b| {
+                self.replicas[a]
+                    .now()
+                    .total_cmp(&self.replicas[b].now())
+                    .then(a.cmp(&b))
+            })
     }
 
-    /// [`Cluster::advance_all`] with the prefill→decode handoff pump:
-    /// the fleet advances to each delivery instant on the way to `t` in
-    /// order, the handoff is admitted on its stage-2-routed decode
-    /// target, and the advance resumes — so a decode engine never steps
-    /// past the instant its KV came on board. Degenerates to a plain
-    /// `advance_all` (no pump state touched) on unified fleets.
-    fn advance_delivering(&mut self, t: f64) {
-        if !self.two_stage {
-            self.advance_all(t);
-            return;
+    /// Feeds completions and rejections the source has not seen yet back
+    /// into it, completions in `(finish, id)` order so the stream is
+    /// deterministic regardless of replica interleaving. `fed_back`
+    /// counts, per replica, the completions and rejections already fed.
+    fn flush_feedback<S: ArrivalSource + ?Sized>(
+        &self,
+        source: &mut S,
+        fed_back: &mut [(usize, usize)],
+    ) {
+        let mut fresh: Vec<CompletedRequest> = Vec::new();
+        for (rep, (done, _)) in self.replicas.iter().zip(fed_back.iter_mut()) {
+            fresh.extend_from_slice(&rep.completed()[*done..]);
+            *done = rep.completed().len();
         }
-        loop {
-            self.collect_handoffs();
-            match self.next_ready().filter(|&r| r <= t) {
-                Some(r) => {
-                    self.advance_all(r);
-                    self.collect_handoffs();
-                    self.deliver_ready(r);
-                }
-                None => {
-                    self.advance_all(t);
-                    // Advancing to `t` may itself have emitted handoffs
-                    // whose transfer completes before `t`; deliver those
-                    // too (delivery pushes work but never steps engines,
-                    // so no further handoffs can appear).
-                    self.collect_handoffs();
-                    self.deliver_ready(t);
-                    break;
-                }
+        fresh.sort_by(|a, b| {
+            a.finish
+                .total_cmp(&b.finish)
+                .then(a.request.id.cmp(&b.request.id))
+        });
+        for done in &fresh {
+            source.on_complete(done);
+        }
+        for (rep, (_, rejected)) in self.replicas.iter().zip(fed_back.iter_mut()) {
+            for req in &rep.rejected_requests()[*rejected..] {
+                source.on_reject(req);
             }
-        }
-    }
-
-    /// [`Cluster::drain_all`] with the handoff pump: alternates draining
-    /// the fleet with delivering completed transfers until no work and
-    /// no in-flight handoffs remain. Plain `drain_all` on unified
-    /// fleets.
-    fn drain_delivering(&mut self) {
-        if !self.two_stage {
-            self.drain_all();
-            return;
-        }
-        loop {
-            self.collect_handoffs();
-            if let Some(r) = self.next_ready() {
-                self.advance_all(r);
-                self.collect_handoffs();
-                self.deliver_ready(r);
-            } else if self.replicas.iter().any(Replica::has_work) {
-                self.drain_all();
-            } else {
-                break;
-            }
+            *rejected = rep.rejected();
         }
     }
 
     /// Moves freshly emitted handoff records from prefill engines onto
-    /// the interconnect, stamping each with its delivery instant.
-    fn collect_handoffs(&mut self) {
-        if !self.two_stage {
-            return;
-        }
-        for i in 0..self.replicas.len() {
-            if !self.replicas[i].has_handoffs() {
-                continue;
-            }
-            for record in self.replicas[i].take_handoffs() {
-                let transfer_s = self.link.time(record.kv_bytes);
-                self.pending_handoffs.push(PendingHandoff {
-                    ready: record.emitted + transfer_s,
-                    transfer_s,
-                    record,
-                });
-            }
-        }
-        self.pending_handoffs.sort_by(|a, b| {
-            a.ready
-                .partial_cmp(&b.ready)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(
-                    a.record
-                        .restorable
-                        .request
-                        .id
-                        .cmp(&b.record.restorable.request.id),
-                )
-        });
-    }
-
-    /// The earliest in-flight handoff's delivery instant.
-    fn next_ready(&self) -> Option<f64> {
-        self.pending_handoffs.first().map(|p| p.ready)
-    }
-
-    /// Delivers every handoff whose transfer completed by `t`, in
-    /// `(ready, id)` order — so each decode replica sees nondecreasing
-    /// arrival stamps.
-    fn deliver_ready(&mut self, t: f64) {
-        while self.pending_handoffs.first().is_some_and(|p| p.ready <= t) {
-            let p = self.pending_handoffs.remove(0);
-            self.deliver_one(p);
-        }
-    }
-
-    /// Stage-2 routing: picks the decode target for one delivered
-    /// handoff and admits it there, preloaded (the link already priced
-    /// the hop). Health folding composes on top exactly as in stage 1.
-    fn deliver_one(&mut self, p: PendingHandoff) {
-        let req = p.record.restorable.request;
-        let session = self.sessions.get(&req.id).copied().unwrap_or(req.id as u64);
-        let cr = ClusterRequest {
-            request: spec_runtime::Request {
-                arrival: p.ready,
-                ..req
-            },
-            session,
-        };
-        let mut snapshots: Vec<ReplicaSnapshot> = self
-            .replicas
-            .iter()
-            .enumerate()
-            .map(|(i, r)| r.snapshot(i))
-            .collect();
-        for snap in &mut snapshots {
-            if self.replicas[snap.index].role() != ReplicaRole::Decode
-                || (self.health_aware && !snap.health.routable())
-            {
-                snap.active = false;
-            }
-        }
-        let idx = self.decode_router.route(&cr, &snapshots);
-        assert!(
-            idx < snapshots.len() && (snapshots[idx].active || snapshots.iter().all(|s| !s.active)),
-            "decode router {} picked an unavailable replica {idx}",
-            self.decode_router.name()
-        );
-        // Latency metrics must span from first submission; remember the
-        // original arrival before the engine-side restamp to `ready`.
-        self.origins.entry(req.id).or_insert(req.arrival);
-        self.replicas[idx].push_preloaded(p.record.restorable, p.ready);
-        self.handoffs.count += 1;
-        self.handoffs.bytes += p.record.kv_bytes;
-        self.handoffs.transfer_s += p.transfer_s;
-        self.emit_cluster_event(
-            p.ready,
-            idx,
-            EventKind::HandoffDelivered {
-                request: req.id as u64,
-                tenant: req.tenant,
-                bytes: p.record.kv_bytes as u64,
-            },
-        );
-    }
-
-    /// [`Cluster::run`] with request-lifecycle telemetry: runs the trace
-    /// while recording, then returns the merged event stream.
-    pub fn run_traced(
-        &mut self,
-        trace: &[ClusterRequest],
-        slo: &SloSpec,
-    ) -> (ClusterReport, Vec<Event>) {
-        self.run_source_traced(&mut SliceSource::new(trace), slo)
-    }
-
-    /// [`Cluster::run_source`] with request-lifecycle telemetry.
-    ///
-    /// Every replica records into its own tagged buffer (events stamped
-    /// with the replica index) and the cluster's routing/scaling
-    /// decisions into a cluster-scope buffer; afterwards the streams are
-    /// merged on `(tick, stream)` with per-stream emission order
-    /// preserved. Replica micro-stepping between arrivals only mutates
-    /// per-replica state, and the cluster buffer is only written on the
-    /// serial routing path, so the merged stream — like the report — is
-    /// identical at any `SPEC_THREADS`.
-    pub fn run_source_traced<S: ArrivalSource + ?Sized>(
-        &mut self,
-        source: &mut S,
-        slo: &SloSpec,
-    ) -> (ClusterReport, Vec<Event>) {
-        self.telemetry = Some(RecordingSink::new());
-        for (i, rep) in self.replicas.iter_mut().enumerate() {
-            rep.enable_telemetry(i as u32);
-        }
-        let report = self.run_source(source, slo);
-        // Cluster-scope stream first so that at equal ticks the routing
-        // decision (Arrived, scale events) sorts before the engine's
-        // reaction to it, replica streams in fleet order after.
-        let mut streams = Vec::with_capacity(self.replicas.len() + 1);
-        streams.push(
-            self.telemetry
-                .take()
-                .map(RecordingSink::into_events)
-                .unwrap_or_default(),
-        );
+    /// the interconnect, each scheduled for its delivery instant:
+    /// emission plus the link's transfer time for its resident bytes.
+    /// (Only prefill-role engines ever emit one.)
+    fn collect_handoffs(&mut self, run: &mut Run) {
         for rep in &mut self.replicas {
-            streams.push(rep.take_telemetry());
+            for record in rep.take_handoffs() {
+                let key = EventKey {
+                    at: record.emitted + self.link.time(record.kv_bytes),
+                    class: EventClass::Handoff,
+                    tie: record.restorable.request.id as u64,
+                };
+                run.scheduled.insert(key, Scheduled::Handoff(record));
+            }
         }
-        (report, merge_streams(streams))
     }
 
-    /// [`Cluster::run`] under a [`FaultPlan`] — the same trace walked
-    /// while the plan's crash/straggler timeline perturbs the fleet.
-    pub fn run_fault_plan(
-        &mut self,
-        trace: &[ClusterRequest],
-        slo: &SloSpec,
-        plan: &FaultPlan,
-    ) -> ClusterReport {
-        self.run_faulted(&mut SliceSource::new(trace), slo, plan)
-    }
-
-    /// [`Cluster::run_fault_plan`] with request-lifecycle telemetry.
-    pub fn run_fault_plan_traced(
-        &mut self,
-        trace: &[ClusterRequest],
-        slo: &SloSpec,
-        plan: &FaultPlan,
-    ) -> (ClusterReport, Vec<Event>) {
-        self.run_faulted_traced(&mut SliceSource::new(trace), slo, plan)
-    }
-
-    /// Runs a streaming open-loop source under a [`FaultPlan`].
-    ///
-    /// The loop repeatedly takes the earliest of (next fault event, next
-    /// ready retry, next arrival) — ties resolve fault → retry → arrival
-    /// — advancing the fleet to the event instant first. The whole path
-    /// is serial, so faulted runs are `SPEC_THREADS`-invariant by
-    /// construction; the empty plan takes the exact event sequence of
-    /// [`Cluster::run_source`] and stays bit-identical to it (pinned by
-    /// `tests/faults.rs`).
-    ///
-    /// Recovery semantics: a crash tears out the replica's in-flight
-    /// work — requests with decode progress surface as host-side
-    /// checkpoints and restore onto the healthiest surviving replica
-    /// (paying the Eq.-6 KV re-transfer there) unless the plan's
-    /// `kv_loss_prob` draw fails; everything else re-enters the router
-    /// after capped exponential backoff with seeded jitter. Every
-    /// crash-driven re-entry (retry *or* migration) consumes one unit of
-    /// the request's retry budget, so a request bouncing between crashing
-    /// replicas always terminates; an exhausted budget dead-letters the
-    /// request, attributed per tenant in the SLO report. Arrivals are
-    /// shed at the plan's tenant-weighted watermark before routing, and
-    /// health-aware plans eject down/straggling/probation replicas from
-    /// routing candidate sets.
-    ///
-    /// # Panics
-    ///
-    /// Panics on closed-loop sources — fault injection needs the
-    /// open-loop event grid.
-    pub fn run_faulted<S: ArrivalSource + ?Sized>(
-        &mut self,
-        source: &mut S,
-        slo: &SloSpec,
-        plan: &FaultPlan,
-    ) -> ClusterReport {
-        assert!(
-            !source.closed_loop(),
-            "fault injection drives open-loop sources only"
-        );
-        let mut queue_depth = Vec::with_capacity(source.remaining_hint().unwrap_or(0));
-        let mut run = FaultRun::new(plan, self.replicas.len());
-        self.health_aware = plan.health_aware;
-        loop {
-            self.collect_handoffs();
-            let arrival = source.peek_arrival();
-            let retry = run.next_retry_time();
-            let handoff = self.next_ready();
-            if arrival.is_none()
-                && retry.is_none()
-                && handoff.is_none()
-                && !self.replicas.iter().any(Replica::has_work)
-            {
+    /// Delivers, in order, every handoff that sorts no later than
+    /// `next`'s class at `next`'s instant — so each decode replica sees
+    /// nondecreasing arrival stamps. Stage-2 routing picks the target at
+    /// delivery time; the entry is admitted there preloaded (the link
+    /// already priced the hop).
+    fn deliver_due(&mut self, next: EventKey, run: &mut Run) {
+        let horizon = EventKey {
+            tie: u64::MAX,
+            ..next
+        };
+        while let Some(entry) = run.scheduled.first_entry() {
+            let at = entry.key().at;
+            let &Scheduled::Handoff(record) = entry.get() else {
+                break;
+            };
+            if *entry.key() > horizon {
                 break;
             }
-            let fault = run.injector.peek_time();
-            // Earliest event wins; at equal instants faults apply before
-            // retries, retries before handoff deliveries, and all of
-            // them before fresh arrivals. (Unified fleets never have a
-            // handoff candidate, so the pre-disaggregation ordering is
-            // untouched.)
-            let mut best: Option<(f64, u8)> = None;
-            for (t, priority) in [(fault, 0u8), (retry, 1), (handoff, 2), (arrival, 3)] {
-                if let Some(t) = t {
-                    let better = best.is_none_or(|(bt, bp)| t < bt || (t == bt && priority < bp));
-                    if better {
-                        best = Some((t, priority));
-                    }
-                }
-            }
-            let Some((t, which)) = best else {
-                // No events left but work remains: run the fleet dry.
-                self.drain_all();
-                continue;
+            entry.remove();
+            let req = record.restorable.request;
+            let idx = self.pick(&run.reentry(req, at), true, run.plan.health_aware);
+            run.origins.entry(req.id).or_insert(req.arrival);
+            self.replicas[idx].push(Admission::Preloaded {
+                handoff: record.restorable,
+                at,
+            });
+            run.handoffs.count += 1;
+            run.handoffs.bytes += record.kv_bytes;
+            run.handoffs.transfer_s += self.link.time(record.kv_bytes);
+            let kind = EventKind::HandoffDelivered {
+                request: req.id as u64,
+                tenant: req.tenant,
+                bytes: record.kv_bytes as u64,
             };
-            match which {
-                0 => {
-                    if arrival.is_none() && retry.is_none() && handoff.is_none() {
-                        // Only fault events remain. Advance to the event
-                        // first: if that drains the fleet there is nothing
-                        // left to perturb, and injecting further (an MTBF
-                        // timeline is endless) would stall termination.
-                        self.advance_delivering(t);
-                        if !self.replicas.iter().any(Replica::has_work)
-                            && self.pending_handoffs.is_empty()
-                        {
-                            break;
-                        }
-                    }
-                    let ev = run.injector.pop().expect("peeked fault vanished");
-                    self.apply_fault(ev, &mut run);
-                }
-                1 => {
-                    self.advance_delivering(t);
-                    let ready = run.pop_retry().expect("peeked retry vanished");
-                    let mut req = ready.req;
-                    req.arrival = ready.ready;
-                    let session = run.sessions.get(&req.id).copied().unwrap_or(req.id as u64);
-                    let cr = ClusterRequest {
-                        request: req,
-                        session,
-                    };
-                    // Re-entries skip shedding (their admission already
-                    // happened) and emit no second `Arrived`.
-                    self.route_in(&cr, &mut queue_depth, false);
-                }
-                2 => {
-                    self.advance_all(t);
-                    self.collect_handoffs();
-                    self.deliver_ready(t);
-                }
-                _ => {
-                    let cr = source.next_request().expect("peeked arrival vanished");
-                    self.advance_delivering(t);
-                    run.sessions.insert(cr.request.id, cr.session);
-                    if let Some(shed) = &plan.shed {
-                        let outstanding: usize =
-                            self.replicas.iter().map(Replica::outstanding).sum();
-                        if outstanding >= shed.threshold(cr.request.tenant) {
-                            run.record_shed(&cr.request);
-                            self.emit_cluster_event(
-                                t,
-                                0,
-                                EventKind::RequestShed {
-                                    request: cr.request.id as u64,
-                                    tenant: cr.request.tenant,
-                                },
-                            );
-                            continue;
-                        }
-                    }
-                    self.route_in(&cr, &mut queue_depth, true);
-                }
-            }
+            run.emit(at, idx, kind);
         }
-        self.health_aware = false;
-        self.report_faulted(queue_depth, slo, &run.ledger)
     }
 
-    /// [`Cluster::run_faulted`] with request-lifecycle telemetry: the
-    /// same recording scheme as [`Cluster::run_source_traced`], with the
-    /// fault lifecycle (crashes, recoveries, retries, sheds, straggler
-    /// windows) landing in the cluster-scope stream.
-    pub fn run_faulted_traced<S: ArrivalSource + ?Sized>(
-        &mut self,
-        source: &mut S,
-        slo: &SloSpec,
-        plan: &FaultPlan,
-    ) -> (ClusterReport, Vec<Event>) {
-        self.telemetry = Some(RecordingSink::new());
-        for (i, rep) in self.replicas.iter_mut().enumerate() {
-            rep.enable_telemetry(i as u32);
-        }
-        let report = self.run_faulted(source, slo, plan);
-        let mut streams = Vec::with_capacity(self.replicas.len() + 1);
-        streams.push(
-            self.telemetry
-                .take()
-                .map(RecordingSink::into_events)
-                .unwrap_or_default(),
-        );
-        for rep in &mut self.replicas {
-            streams.push(rep.take_telemetry());
-        }
-        (report, merge_streams(streams))
-    }
-
-    /// Applies one fault-timeline event to the fleet.
-    fn apply_fault(&mut self, ev: FaultEvent, run: &mut FaultRun) {
+    /// Applies one fault-timeline event to the fleet (already advanced
+    /// to the event's instant).
+    fn apply_fault(&mut self, ev: FaultEvent, run: &mut Run) {
         let r = ev.replica;
         match ev.action {
             FaultAction::Crash => {
-                // The replica computes up to the crash instant, then its
-                // remaining work is torn out.
-                self.replicas[r].advance_until(ev.at);
                 let work = self.replicas[r].crash();
-                run.ledger.summary.crashes += 1;
-                run.ledger.summary.lost_in_flight += work.lost.len();
-                self.emit_cluster_event(
-                    ev.at,
-                    r,
-                    EventKind::ReplicaCrashed {
-                        lost: work.lost.len() as u32,
-                        checkpointed: work.checkpointed.len() as u32,
-                    },
-                );
+                run.faults.crashes += 1;
+                run.faults.lost_in_flight += work.lost.len();
+                let kind = EventKind::ReplicaCrashed {
+                    lost: work.lost.len() as u32,
+                    checkpointed: work.checkpointed.len() as u32,
+                };
+                run.emit(ev.at, r, kind);
                 for req in work.lost {
-                    self.bounce(req, ev.at, r, run);
+                    run.bounce(req, ev.at, r);
                 }
                 for ck in work.checkpointed {
                     let Some(attempt) = run.consume_attempt(&ck.request) else {
-                        run.dead_letter(&ck.request);
-                        self.emit_cluster_event(
-                            ev.at,
-                            r,
-                            EventKind::DeadLettered {
-                                request: ck.request.id as u64,
-                                tenant: ck.request.tenant,
-                            },
-                        );
+                        run.dead_letter(ck.request, ev.at, r);
                         continue;
                     };
                     // The migration transfer draw happens on the serial
                     // event path in crash-dump order, so it is
                     // deterministic at any thread count.
-                    let transfer_failed = run.rng.chance(run.kv_loss_prob);
-                    let target = self.pick_restore_target(r);
-                    match target {
+                    let transfer_failed = run.rng.chance(run.plan.kv_loss_prob);
+                    match self.pick_restore_target(r, run.plan.health_aware) {
                         Some(target) if !transfer_failed => {
-                            self.replicas[target].push_restored(ck, ev.at);
-                            run.ledger.summary.checkpoints_migrated += 1;
+                            self.replicas[target].push(Admission::Restored {
+                                checkpoint: ck,
+                                at: ev.at,
+                            });
+                            run.faults.checkpoints_migrated += 1;
                         }
                         _ => {
                             // Failed transfer (or nowhere to go): degrade
                             // to a from-scratch retry.
                             let bytes = self.replicas[r].checkpoint_bytes(&ck.request, ck.produced);
-                            run.ledger.summary.checkpoints_lost += 1;
-                            self.emit_cluster_event(
-                                ev.at,
-                                r,
-                                EventKind::CheckpointLost {
-                                    request: ck.request.id as u64,
-                                    bytes,
-                                },
-                            );
-                            run.schedule_retry(ck.request, ev.at, attempt);
-                            self.emit_cluster_event(
-                                ev.at,
-                                r,
-                                EventKind::RetryScheduled {
-                                    request: ck.request.id as u64,
-                                    tenant: ck.request.tenant,
-                                    attempt,
-                                },
-                            );
+                            run.faults.checkpoints_lost += 1;
+                            let request = ck.request.id as u64;
+                            run.emit(ev.at, r, EventKind::CheckpointLost { request, bytes });
+                            run.retry(ck.request, ev.at, r, attempt);
                         }
                     }
                 }
             }
             FaultAction::Restart => {
-                let probation = (run.probation_s > 0.0).then_some(ev.at + run.probation_s);
-                self.replicas[r].restart(ev.at, probation);
-                run.ledger.summary.recoveries += 1;
-                self.emit_cluster_event(ev.at, r, EventKind::ReplicaRecovered);
+                let probation = run.plan.probation_s;
+                self.replicas[r].restart(ev.at, (probation > 0.0).then_some(ev.at + probation));
+                run.faults.recoveries += 1;
+                run.emit(ev.at, r, EventKind::ReplicaRecovered);
             }
             FaultAction::StragglerStart(slowdown) => {
                 let slowdown = slowdown.max(1.0);
-                self.replicas[r].advance_until(ev.at);
                 self.replicas[r].set_slowdown(slowdown);
-                run.ledger.summary.straggler_windows += 1;
-                self.emit_cluster_event(
-                    ev.at,
-                    r,
-                    EventKind::StragglerStarted {
-                        permille: (slowdown * 1000.0).round() as u32,
-                    },
-                );
+                run.faults.straggler_windows += 1;
+                let permille = (slowdown * 1000.0).round() as u32;
+                run.emit(ev.at, r, EventKind::StragglerStarted { permille });
             }
             FaultAction::StragglerEnd => {
                 // Steps started inside the window still pay the slowed
                 // price up to the boundary, then costs return to nominal.
-                self.replicas[r].advance_until(ev.at);
                 self.replicas[r].set_slowdown(1.0);
-                self.emit_cluster_event(ev.at, r, EventKind::StragglerEnded);
+                run.emit(ev.at, r, EventKind::StragglerEnded);
             }
-            FaultAction::ProbationEnd => {
-                self.replicas[r].end_probation(ev.at);
-            }
-        }
-    }
-
-    /// Sends one crash-torn request through the retry path: consume
-    /// budget, schedule with backoff, or dead-letter.
-    fn bounce(&mut self, req: spec_runtime::Request, at: f64, origin: usize, run: &mut FaultRun) {
-        match run.consume_attempt(&req) {
-            Some(attempt) => {
-                run.schedule_retry(req, at, attempt);
-                self.emit_cluster_event(
-                    at,
-                    origin,
-                    EventKind::RetryScheduled {
-                        request: req.id as u64,
-                        tenant: req.tenant,
-                        attempt,
-                    },
-                );
-            }
-            None => {
-                run.dead_letter(&req);
-                self.emit_cluster_event(
-                    at,
-                    origin,
-                    EventKind::DeadLettered {
-                        request: req.id as u64,
-                        tenant: req.tenant,
-                    },
-                );
-            }
+            FaultAction::ProbationEnd => self.replicas[r].end_probation(ev.at),
         }
     }
 
@@ -1000,158 +1003,73 @@ impl Cluster {
     /// pick skips prefill replicas — a restored checkpoint resumes
     /// *decoding*, and a prefill engine would immediately hand it off
     /// again, paying a pointless second hop.
-    fn pick_restore_target(&self, crashed: usize) -> Option<usize> {
+    fn pick_restore_target(&self, crashed: usize, health_aware: bool) -> Option<usize> {
         let up = |i: &usize| *i != crashed && !self.replicas[*i].is_down();
         let by_load = |i: &usize| (self.replicas[*i].outstanding(), *i);
         (0..self.replicas.len())
             .filter(up)
-            .filter(|&i| !self.health_aware || self.replicas[i].health().routable())
+            .filter(|&i| !health_aware || self.replicas[i].health().routable())
             .filter(|&i| !self.two_stage || self.replicas[i].role() != ReplicaRole::Prefill)
             .min_by_key(by_load)
             .or_else(|| (0..self.replicas.len()).filter(up).min_by_key(by_load))
     }
 
-    /// The closed-loop event path: one replica micro-step per iteration,
-    /// completions fed back between steps. Serial by construction, so
-    /// the outcome is identical at any `SPEC_THREADS`.
-    fn run_closed_loop<S: ArrivalSource + ?Sized>(
-        &mut self,
-        source: &mut S,
-        queue_depth: &mut Vec<(f64, usize)>,
-    ) {
-        let mut flushed_done = vec![0usize; self.replicas.len()];
-        let mut flushed_rejects = vec![0usize; self.replicas.len()];
-        loop {
-            self.flush_feedback(source, &mut flushed_done, &mut flushed_rejects);
-            let Some(t) = source.peek_arrival() else {
-                // Nothing ready to depart: either turns are in flight
-                // (step the laggard so a completion can unlock one) or
-                // the source is exhausted / every session ended.
-                let Some(i) = self.laggard_below(f64::INFINITY) else {
-                    break;
-                };
-                self.replicas[i].step_once();
-                continue;
-            };
-            if let Some(i) = self.laggard_below(t) {
-                // A working replica is still behind the departure
-                // instant; step it and re-peek — its completion may
-                // release an *earlier* turn than the one we just saw.
-                self.replicas[i].step_once();
-                continue;
-            }
-            let cr = source.next_request().expect("peeked arrival vanished");
-            self.route_arrived(&cr, queue_depth);
-        }
-    }
-
-    /// The lowest-clock working replica strictly behind `t` (ties to the
-    /// lowest index), or `None` when the whole fleet has caught up.
-    fn laggard_below(&self, t: f64) -> Option<usize> {
-        (0..self.replicas.len())
-            .filter(|&i| self.replicas[i].has_work() && self.replicas[i].now() < t)
-            .min_by(|&a, &b| {
-                self.replicas[a]
-                    .now()
-                    .partial_cmp(&self.replicas[b].now())
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            })
-    }
-
-    /// Feeds completions and rejections the source has not seen yet back
-    /// into it, completions in `(finish, id)` order so the stream is
-    /// deterministic regardless of replica interleaving.
-    fn flush_feedback<S: ArrivalSource + ?Sized>(
-        &self,
-        source: &mut S,
-        flushed_done: &mut [usize],
-        flushed_rejects: &mut [usize],
-    ) {
-        let mut fresh: Vec<CompletedRequest> = Vec::new();
-        for (i, rep) in self.replicas.iter().enumerate() {
-            let all = rep.completed();
-            fresh.extend_from_slice(&all[flushed_done[i]..]);
-            flushed_done[i] = all.len();
-        }
-        fresh.sort_by(|a, b| {
-            a.finish
-                .partial_cmp(&b.finish)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.request.id.cmp(&b.request.id))
-        });
-        for done in &fresh {
-            source.on_complete(done);
-        }
-        for (i, rep) in self.replicas.iter().enumerate() {
-            let all = rep.rejected_requests();
-            for req in &all[flushed_rejects[i]..] {
-                source.on_reject(req);
-            }
-            flushed_rejects[i] = all.len();
-        }
-    }
-
-    /// The routing block every arrival goes through: scale decision,
-    /// fleet snapshot, route, hand over, record queue depth.
-    fn route_arrived(&mut self, cr: &ClusterRequest, queue_depth: &mut Vec<(f64, usize)>) {
-        self.route_in(cr, queue_depth, true);
-    }
-
-    /// Routes one request into the fleet. `fresh` arrivals emit the
-    /// `Arrived` lifecycle edge; crash-driven re-entries already did on
-    /// first arrival and announce themselves via `RetryScheduled`
-    /// instead. Under health-aware fault routing, non-healthy replicas
-    /// are folded out of the candidate set by clearing their snapshot's
-    /// `active` flag, so every policy ejects them unchanged.
-    fn route_in(&mut self, cr: &ClusterRequest, queue_depth: &mut Vec<(f64, usize)>, fresh: bool) {
-        self.autoscale(cr.request.arrival);
+    /// One routing decision for either stage: snapshot the fleet, fold
+    /// it down to the stage's candidates, and ask the stage's policy.
+    ///
+    /// Role is a hard filter: stage 1 (`decode == false`) never picks a
+    /// decode-only replica — fresh work starts with its prompt phase —
+    /// and stage 2 only picks decode replicas, so a handoff can never
+    /// land on a prefill engine that would hand it off again. Health is
+    /// a soft one: under health-aware routing non-healthy replicas are
+    /// folded out too, unless that would leave the stage no candidate —
+    /// then the stage's replicas are routed blind rather than the work
+    /// falling through to another role. Folding clears the snapshot's
+    /// `active` flag, so every policy ejects the replica unchanged.
+    fn pick(&mut self, cr: &ClusterRequest, decode: bool, health_aware: bool) -> usize {
         let mut snapshots: Vec<ReplicaSnapshot> = self
             .replicas
             .iter()
             .enumerate()
             .map(|(i, r)| r.snapshot(i))
             .collect();
-        if self.health_aware {
+        for (snap, rep) in snapshots.iter_mut().zip(&self.replicas) {
+            snap.active &= (rep.role() == ReplicaRole::Decode) == decode;
+        }
+        if health_aware && snapshots.iter().any(|s| s.active && s.health.routable()) {
             for snap in &mut snapshots {
-                if !snap.health.routable() {
-                    snap.active = false;
-                }
+                snap.active &= snap.health.routable();
             }
         }
-        if self.two_stage {
-            // Stage 1: fresh work starts with its prompt phase, so
-            // decode-only replicas leave the candidate set the same way
-            // unhealthy ones do; the decode target is picked later, at
-            // handoff-delivery time.
-            for snap in &mut snapshots {
-                if self.replicas[snap.index].role() == ReplicaRole::Decode {
-                    snap.active = false;
-                }
-            }
-            self.sessions.insert(cr.request.id, cr.session);
-        }
-        let idx = self.router.route(cr, &snapshots);
+        let router = if decode {
+            &mut self.decode_router
+        } else {
+            &mut self.router
+        };
+        let idx = router.route(cr, &snapshots);
         assert!(
             idx < snapshots.len() && (snapshots[idx].active || snapshots.iter().all(|s| !s.active)),
             "router {} picked an unavailable replica {idx}",
-            self.router.name()
+            router.name()
         );
+        idx
+    }
+
+    /// Routes one request into the fleet (stage 1): scale decision,
+    /// pick, hand over, record queue depth. `fresh` arrivals emit the
+    /// `Arrived` lifecycle edge; crash-driven re-entries already did on
+    /// first arrival and announced themselves via `RetryScheduled`.
+    fn route(&mut self, cr: &ClusterRequest, fresh: bool, run: &mut Run) {
+        let req = cr.request;
+        self.autoscale(req.arrival, run);
+        let idx = self.pick(cr, false, run.plan.health_aware);
         if fresh {
-            if let Some(sink) = &mut self.telemetry {
-                sink.emit(Event {
-                    tick: seconds_to_ticks(cr.request.arrival),
-                    replica: idx as u32,
-                    kind: EventKind::Arrived {
-                        request: cr.request.id as u64,
-                        tenant: cr.request.tenant,
-                    },
-                });
-            }
+            let (request, tenant) = (req.id as u64, req.tenant);
+            run.emit(req.arrival, idx, EventKind::Arrived { request, tenant });
         }
-        self.replicas[idx].push(cr.request);
+        self.replicas[idx].push(Admission::Fresh(req));
         let outstanding: usize = self.replicas.iter().map(Replica::outstanding).sum();
-        queue_depth.push((cr.request.arrival, outstanding));
+        run.queue_depth.push((req.arrival, outstanding));
     }
 
     /// One scale decision, taken at an arrival instant: scale up when
@@ -1165,7 +1083,7 @@ impl Cluster {
     /// replica's clock. On an all-`Unified` homogeneous fleet with the
     /// default zero cold-start this is exactly the original
     /// wake-first-parked-by-index autoscaler.
-    fn autoscale(&mut self, now: f64) {
+    fn autoscale(&mut self, now: f64, run: &mut Run) {
         let Some(auto) = self.cfg.autoscale else {
             return;
         };
@@ -1210,7 +1128,7 @@ impl Cluster {
             if self.active_since[parked].is_none() {
                 self.active_since[parked] = Some(now);
             }
-            self.emit_cluster_event(now, parked, EventKind::ReplicaScaledUp);
+            run.emit(now, parked, EventKind::ReplicaScaledUp);
             return;
         }
         if active.len() > min_replicas && total_outstanding <= auto.scale_down_outstanding {
@@ -1235,50 +1153,20 @@ impl Cluster {
                 if let Some(start) = self.active_since[idle].take() {
                     self.billed_s[idle] += now - start;
                 }
-                self.emit_cluster_event(now, idle, EventKind::ReplicaScaledDown);
+                run.emit(now, idle, EventKind::ReplicaScaledDown);
             }
         }
     }
 
-    /// Records a cluster-scope decision (scaling, fault lifecycle) into
-    /// the cluster event buffer.
-    fn emit_cluster_event(&mut self, now: f64, replica: usize, kind: EventKind) {
-        if let Some(sink) = &mut self.telemetry {
-            sink.emit(Event {
-                tick: seconds_to_ticks(now),
-                replica: replica as u32,
-                kind,
-            });
-        }
-    }
-
-    fn report(&self, queue_depth: Vec<(f64, usize)>, slo: &SloSpec) -> ClusterReport {
-        self.report_faulted(queue_depth, slo, &FaultLedger::default())
-    }
-
-    fn report_faulted(
-        &self,
-        queue_depth: Vec<(f64, usize)>,
-        slo: &SloSpec,
-        ledger: &FaultLedger,
-    ) -> ClusterReport {
+    fn report(&self, run: Run, slo: &SloSpec) -> ClusterReport {
         // Retried, migrated and handed-off requests were restamped to
         // their re-injection/delivery instant (the engines'
         // arrival-order invariant); latency metrics must span from first
-        // submission, so patch the original arrival back in — the
-        // earliest origin either map recorded. No-fault unified runs
-        // have both maps empty and every completion passes through
-        // unchanged.
+        // submission, so patch the original arrival back in. Undisturbed
+        // unified runs recorded no origins and every completion passes
+        // through unchanged.
         let patch = |mut c: CompletedRequest| {
-            let origin = match (
-                ledger.origins.get(&c.request.id),
-                self.origins.get(&c.request.id),
-            ) {
-                (Some(&a), Some(&b)) => Some(a.min(b)),
-                (Some(&a), None) | (None, Some(&a)) => Some(a),
-                (None, None) => None,
-            };
-            if let Some(origin) = origin {
+            if let Some(&origin) = run.origins.get(&c.request.id) {
                 c.request.arrival = origin;
             }
             c
@@ -1327,7 +1215,7 @@ impl Cluster {
             &all,
             rejected,
             &rejected_by_tenant,
-            &ledger.outcomes(),
+            &run.outcomes(),
             makespan,
             slo,
         );
@@ -1366,10 +1254,10 @@ impl Cluster {
                 0.0
             },
             slo: slo_report,
-            queue_depth,
+            queue_depth: run.queue_depth,
             peak_active: self.peak_active,
-            faults: ledger.summary,
-            handoffs: self.handoffs,
+            faults: run.faults,
+            handoffs: run.handoffs,
             cost,
             replicas,
         }
@@ -1421,6 +1309,94 @@ mod tests {
             cfg,
             kind.build(),
         )
+    }
+
+    #[test]
+    fn events_order_by_instant_then_class_then_their_own_fifo_rule() {
+        use EventClass::{Arrival, Fault, Handoff, Retry};
+        let key = |at: f64, class, tie| EventKey { at, class, tie };
+        // Equal instants: fault < retry < handoff < arrival, retries in
+        // scheduling order, handoffs by request id.
+        let in_order = [
+            key(0.5, Arrival, 0),
+            key(1.0, Fault, 0),
+            key(1.0, Retry, 3),
+            key(1.0, Retry, 4),
+            key(1.0, Handoff, 2),
+            key(1.0, Handoff, 9),
+            key(1.0, Arrival, 0),
+            key(1.5, Fault, 0),
+        ];
+        for pair in in_order.windows(2) {
+            assert!(
+                pair[0] < pair[1],
+                "{:?} must precede {:?}",
+                pair[0],
+                pair[1]
+            );
+        }
+        let mut shuffled = in_order;
+        shuffled.reverse();
+        shuffled.sort();
+        assert_eq!(shuffled, in_order);
+
+        // The run's queue pops in that order: retries scheduled for the
+        // same instant leave first-in-first-out, ahead of a handoff due
+        // at that instant.
+        let plan = FaultPlan::none().retry(crate::faults::RetryPolicy {
+            jitter_frac: 0.0,
+            base_backoff_s: 1.0,
+            ..Default::default()
+        });
+        let mut run = Run::new(&plan, 1, 0, false);
+        let req = |id: usize| Request::new(id, 0, 1, 1, 0.0);
+        run.retry(req(1), 0.0, 0, 1);
+        run.retry(req(2), 0.0, 0, 1);
+        run.retry(req(0), 1.0, 0, 1);
+        let record = HandoffRecord {
+            restorable: spec_runtime::RestorableRequest {
+                request: req(7),
+                produced: 1,
+                start: Some(0.0),
+                first_token: Some(0.5),
+                preemptions: 0,
+            },
+            emitted: 0.5,
+            kv_bytes: 0.0,
+        };
+        run.scheduled
+            .insert(key(1.0, Handoff, 7), Scheduled::Handoff(record));
+        let popped: Vec<(f64, usize)> = std::iter::from_fn(|| run.scheduled.pop_first())
+            .map(|(k, what)| match what {
+                Scheduled::Retry(r) => (k.at, r.id),
+                Scheduled::Handoff(record) => (k.at, record.restorable.request.id),
+            })
+            .collect();
+        assert_eq!(popped, [(1.0, 1), (1.0, 2), (1.0, 7), (2.0, 0)]);
+        assert_eq!(run.faults.retries, 3);
+    }
+
+    #[test]
+    fn retry_budget_runs_out_after_max_attempts_and_keeps_the_origin() {
+        let plan = FaultPlan::none().retry(crate::faults::RetryPolicy {
+            max_attempts: 2,
+            ..Default::default()
+        });
+        let mut run = Run::new(&plan, 1, 0, false);
+        let req = Request::new(9, 3, 128, 64, 1.0);
+        assert_eq!(run.consume_attempt(&req), Some(1));
+        // A restamped re-entry must not move the recorded origin.
+        let restamped = Request {
+            arrival: 4.0,
+            ..req
+        };
+        assert_eq!(run.consume_attempt(&restamped), Some(2));
+        assert_eq!(run.consume_attempt(&restamped), None, "budget exhausted");
+        assert_eq!(run.origins.get(&9), Some(&1.0));
+        run.bounce(restamped, 5.0, 0);
+        assert_eq!(run.faults.dead_lettered, 1);
+        assert_eq!(run.outcomes().dead_lettered, vec![(3, 1)]);
+        assert_eq!(run.refused.len(), 1, "the source is owed an on_reject");
     }
 
     #[test]
@@ -1554,7 +1530,7 @@ mod tests {
             session: id as u64,
         };
         c.replicas[1].set_active(true);
-        c.replicas[1].push(mk(0, 0.0).request);
+        c.replicas[1].push(Admission::Fresh(mk(0, 0.0).request));
         let report = c.run(&[mk(1, 0.001)], &SloSpec::default());
         assert!(
             c.replicas[1].is_active(),

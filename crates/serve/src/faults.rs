@@ -15,12 +15,11 @@
 //! timelines at any `SPEC_THREADS`.
 //!
 //! The empty plan ([`FaultPlan::none`]) schedules nothing, retries
-//! nothing and sheds nothing — `Cluster::run_faulted` under it is
-//! bit-identical to `Cluster::run` (pinned by `tests/faults.rs`).
+//! nothing and sheds nothing — it is what `Cluster::run` hands the
+//! event kernel.
 
 use serde::{Deserialize, Serialize};
 use spec_tensor::SimRng;
-use std::collections::{BTreeMap, HashMap};
 
 /// One scripted crash: `replica` goes down at `at_s` for `down_for_s`
 /// seconds, then restarts.
@@ -181,7 +180,7 @@ impl ShedPolicy {
 
 /// Everything that goes wrong during one cluster run, plus the recovery
 /// knobs. Built fluently from [`FaultPlan::none`]; the default plan
-/// injects nothing and leaves `Cluster::run_faulted` bit-identical to
+/// injects nothing, which makes `Cluster::run_faulted` under it
 /// `Cluster::run`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
@@ -630,150 +629,6 @@ impl FaultInjector {
     }
 }
 
-/// One crash-lost request waiting out its backoff.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PendingRetry {
-    /// When it re-enters the router.
-    pub ready: f64,
-    /// FIFO tie-break among equal ready times.
-    pub seq: u64,
-    /// The request (arrival restamped at re-entry).
-    pub req: spec_runtime::Request,
-}
-
-/// Per-tenant fault bookkeeping a faulted run accumulates, folded into
-/// the report afterwards.
-#[derive(Debug, Default)]
-pub(crate) struct FaultLedger {
-    /// Request id → original arrival, recorded the first time a request
-    /// is disturbed (retried or migrated), so latency metrics span from
-    /// first submission. Empty for undisturbed runs — reports then stay
-    /// bit-identical.
-    pub origins: HashMap<usize, f64>,
-    /// Dead-lettered requests per tenant.
-    pub dead_by_tenant: BTreeMap<u32, usize>,
-    /// Shed requests per tenant.
-    pub shed_by_tenant: BTreeMap<u32, usize>,
-    /// Retry attempts per tenant.
-    pub retries_by_tenant: BTreeMap<u32, usize>,
-    /// Fleet-level counters.
-    pub summary: FaultSummary,
-}
-
-impl FaultLedger {
-    /// The per-tenant dispositions in `slo::evaluate_faulted` form.
-    pub fn outcomes(&self) -> crate::slo::FaultOutcomes {
-        crate::slo::FaultOutcomes {
-            dead_lettered: self.dead_by_tenant.iter().map(|(&t, &n)| (t, n)).collect(),
-            shed: self.shed_by_tenant.iter().map(|(&t, &n)| (t, n)).collect(),
-            retries: self
-                .retries_by_tenant
-                .iter()
-                .map(|(&t, &n)| (t, n))
-                .collect(),
-        }
-    }
-}
-
-/// The whole mutable state of one faulted run: the injector timeline,
-/// the retry queue, per-request attempt counts, session pins for
-/// re-routing, the jitter/KV-loss RNG and the ledger.
-#[derive(Debug)]
-pub(crate) struct FaultRun {
-    pub injector: FaultInjector,
-    pub retry: RetryPolicy,
-    pub kv_loss_prob: f32,
-    /// Mirror of the plan's probation window, so replica deadlines match
-    /// the injector's `ProbationEnd` timestamps exactly.
-    pub probation_s: f64,
-    /// Jitter and migration-loss draws (cluster-scope, drawn on the
-    /// serial event path in deterministic order).
-    pub rng: SimRng,
-    pending: Vec<PendingRetry>,
-    next_seq: u64,
-    /// Request id → crash-driven re-entries consumed so far.
-    pub attempts: HashMap<usize, u32>,
-    /// Request id → session id, so retries keep their session affinity.
-    pub sessions: HashMap<usize, u64>,
-    pub ledger: FaultLedger,
-}
-
-impl FaultRun {
-    pub fn new(plan: &FaultPlan, replicas: usize) -> Self {
-        Self {
-            injector: FaultInjector::new(plan, replicas),
-            retry: plan.retry,
-            kv_loss_prob: plan.kv_loss_prob,
-            probation_s: plan.probation_s,
-            rng: SimRng::seed(plan.seed).fork(0xFA17),
-            pending: Vec::new(),
-            next_seq: 0,
-            attempts: HashMap::new(),
-            sessions: HashMap::new(),
-            ledger: FaultLedger::default(),
-        }
-    }
-
-    /// When the earliest pending retry re-enters, if any.
-    pub fn next_retry_time(&self) -> Option<f64> {
-        self.retry_min().map(|i| self.pending[i].ready)
-    }
-
-    fn retry_min(&self) -> Option<usize> {
-        (0..self.pending.len()).min_by(|&a, &b| {
-            let (ra, rb) = (&self.pending[a], &self.pending[b]);
-            ra.ready
-                .partial_cmp(&rb.ready)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(ra.seq.cmp(&rb.seq))
-        })
-    }
-
-    /// Pops the earliest pending retry.
-    pub fn pop_retry(&mut self) -> Option<PendingRetry> {
-        let i = self.retry_min()?;
-        Some(self.pending.swap_remove(i))
-    }
-
-    /// Consumes one unit of `req`'s retry budget. Returns the attempt
-    /// number (1-based), or `None` when the budget is exhausted — the
-    /// caller must dead-letter. Records the request's original arrival
-    /// on first disturbance.
-    pub fn consume_attempt(&mut self, req: &spec_runtime::Request) -> Option<u32> {
-        self.ledger.origins.entry(req.id).or_insert(req.arrival);
-        let used = self.attempts.entry(req.id).or_insert(0);
-        if *used >= self.retry.max_attempts {
-            return None;
-        }
-        *used += 1;
-        Some(*used)
-    }
-
-    /// Queues a crash-lost request for re-entry after backoff. The
-    /// caller has already consumed the attempt.
-    pub fn schedule_retry(&mut self, req: spec_runtime::Request, now: f64, attempt: u32) -> f64 {
-        let ready = now + self.retry.backoff(attempt, &mut self.rng);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.pending.push(PendingRetry { ready, seq, req });
-        self.ledger.summary.retries += 1;
-        *self.ledger.retries_by_tenant.entry(req.tenant).or_insert(0) += 1;
-        ready
-    }
-
-    /// Records a dead-lettered request.
-    pub fn dead_letter(&mut self, req: &spec_runtime::Request) {
-        self.ledger.summary.dead_lettered += 1;
-        *self.ledger.dead_by_tenant.entry(req.tenant).or_insert(0) += 1;
-    }
-
-    /// Records a shed arrival.
-    pub fn record_shed(&mut self, req: &spec_runtime::Request) {
-        self.ledger.summary.shed += 1;
-        *self.ledger.shed_by_tenant.entry(req.tenant).or_insert(0) += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -870,50 +725,5 @@ mod tests {
         assert_eq!(equal.threshold(5), 8);
         // Degenerate watermark still leaves a sliver of admission.
         assert_eq!(ShedPolicy::new(0).threshold(0), 1);
-    }
-
-    #[test]
-    fn retry_budget_dead_letters_after_max_attempts() {
-        let plan = FaultPlan::none().retry(RetryPolicy {
-            max_attempts: 2,
-            ..RetryPolicy::default()
-        });
-        let mut run = FaultRun::new(&plan, 1);
-        let req = spec_runtime::Request {
-            id: 9,
-            tenant: 3,
-            input_len: 128,
-            output_len: 64,
-            arrival: 1.0,
-        };
-        assert_eq!(run.consume_attempt(&req), Some(1));
-        assert_eq!(run.consume_attempt(&req), Some(2));
-        assert_eq!(run.consume_attempt(&req), None, "budget exhausted");
-        assert_eq!(run.ledger.origins.get(&9), Some(&1.0));
-    }
-
-    #[test]
-    fn retries_pop_in_ready_order_with_fifo_ties() {
-        let plan = FaultPlan::none().retry(RetryPolicy {
-            jitter_frac: 0.0,
-            base_backoff_s: 1.0,
-            ..RetryPolicy::default()
-        });
-        let mut run = FaultRun::new(&plan, 1);
-        let req = |id: usize| spec_runtime::Request {
-            id,
-            tenant: 0,
-            input_len: 1,
-            output_len: 1,
-            arrival: 0.0,
-        };
-        run.schedule_retry(req(1), 0.0, 1);
-        run.schedule_retry(req(2), 0.0, 1);
-        run.schedule_retry(req(0), 1.0, 1);
-        let order: Vec<usize> = std::iter::from_fn(|| run.pop_retry())
-            .map(|p| p.req.id)
-            .collect();
-        assert_eq!(order, vec![1, 2, 0]);
-        assert_eq!(run.ledger.summary.retries, 3);
     }
 }

@@ -24,9 +24,10 @@
 //! * [`replica`] — one serving engine: the runtime scheduler's stepping
 //!   core plus KV occupancy accounting through `spec_kvcache`'s block
 //!   allocator;
-//! * [`cluster`] — the event loop: pull arrivals from the source, advance
-//!   replicas, route, optionally autoscale on queue depth, feed
-//!   completions back to closed-loop sources, drain, report;
+//! * [`cluster`] — the event kernel: take the next event (arrival,
+//!   fault, retry, handoff), advance the fleet to its instant, apply it
+//!   — routing, autoscaling on queue depth, feeding completions back to
+//!   closed-loop sources — and report when the fleet runs dry;
 //!   heterogeneous fleets come from `spec_hwsim::Fleet`. Role-typed
 //!   fleets ([`Cluster::from_fleet_slots`](cluster::Cluster::from_fleet_slots))
 //!   disaggregate serving: prefill replicas retire requests at first

@@ -12,8 +12,8 @@
 use crate::router::{ReplicaHealth, ReplicaSnapshot};
 use spec_kvcache::{AllocId, AllocPolicy, BlockAllocator};
 use spec_runtime::{
-    BatchState, CompletedRequest, CrashedWork, HandoffRecord, ReplicaRole, Request,
-    RestorableRequest, Scheduler, SchedulerConfig, ServingSim, StepCache, SystemKind,
+    Admission, BatchState, CompletedRequest, CrashedWork, HandoffRecord, ReplicaRole, Request,
+    Scheduler, SchedulerConfig, ServingSim, StepCache, SystemKind,
 };
 use spec_telemetry::{seconds_to_ticks, Event, EventKind, RecordingSink, TelemetrySink};
 use std::collections::{HashMap, HashSet};
@@ -37,8 +37,8 @@ pub struct Replica {
     /// autoscaling and the fleet cost report).
     hourly_cost: f64,
     active: bool,
-    /// Crashed and not yet restarted: the engine is frozen (no steps,
-    /// no drains) and the fault loop owns its state.
+    /// Crashed and not yet restarted: the engine is frozen (no steps)
+    /// until the fault timeline restarts it.
     down: bool,
     /// Post-restart probation deadline (health-aware routers keep the
     /// replica ejected until it passes).
@@ -145,26 +145,10 @@ impl Replica {
         self.state.set_role(role);
     }
 
-    /// Whether this (prefill) replica has emitted handoffs the cluster
-    /// has not collected yet.
-    pub fn has_handoffs(&self) -> bool {
-        self.state.has_handoffs()
-    }
-
     /// Drains the handoff records emitted since the last collection, in
     /// emission order.
     pub fn take_handoffs(&mut self) -> Vec<HandoffRecord> {
         self.state.take_handoffs()
-    }
-
-    /// Admits a delivered prefill handoff at time `at`: the request's KV
-    /// is already device-resident (the cluster priced the interconnect
-    /// hop by delaying delivery), so admission charges nothing and the
-    /// first-token history carries over.
-    pub fn push_preloaded(&mut self, restorable: RestorableRequest, at: f64) {
-        self.assigned += 1;
-        self.state
-            .push_preloaded(restorable, at, &mut self.telemetry);
     }
 
     /// Jumps the engine clock forward to `t` without touching queued
@@ -291,25 +275,20 @@ impl Replica {
         self.state.rejected_requests()
     }
 
-    /// Hands an arrived request to this replica's engine.
-    pub fn push(&mut self, req: Request) {
+    /// Hands work to this replica's engine: a fresh arrival, a
+    /// crash-survived checkpoint or a delivered prefill handoff (see
+    /// [`Admission`] for what each is charged at admission).
+    pub fn push(&mut self, admission: Admission) {
         self.assigned += 1;
-        self.state.push_traced(req, &mut self.telemetry);
+        self.state.push_traced(admission, &mut self.telemetry);
     }
 
-    /// Restores a crash-survived checkpoint onto this replica at time
-    /// `at`, keeping its decode progress and first-token latency.
-    pub fn push_restored(&mut self, restorable: RestorableRequest, at: f64) {
-        self.assigned += 1;
-        self.state
-            .push_restorable(restorable, at, &mut self.telemetry);
-    }
-
-    /// Advances the engine until its clock reaches `t` or it runs dry,
-    /// then refreshes the KV occupancy mirror. One micro-step may
-    /// overshoot `t` (a decode iteration is atomic), exactly like the
-    /// closed-loop scheduler. A crashed replica is frozen: its queued
-    /// ghosts (blind routing) wait out the outage.
+    /// Advances the engine until its clock reaches `t` or it runs dry
+    /// (`f64::INFINITY` runs all assigned work to completion), then
+    /// refreshes the KV occupancy mirror. One micro-step may overshoot
+    /// `t` (a decode iteration is atomic), exactly like the closed-loop
+    /// scheduler. A crashed replica is frozen: its queued ghosts (blind
+    /// routing) wait out the outage.
     pub fn advance_until(&mut self, t: f64) {
         if self.down {
             return;
@@ -329,19 +308,6 @@ impl Replica {
             return;
         }
         if self.state.has_work() {
-            self.scheduler
-                .step_traced(&mut self.state, &mut self.cache, &mut self.telemetry);
-        }
-        self.sync_kv();
-    }
-
-    /// Runs all remaining assigned work to completion. No-op while
-    /// crashed — the fault loop restarts the replica first.
-    pub fn drain(&mut self) {
-        if self.down {
-            return;
-        }
-        while self.state.has_work() {
             self.scheduler
                 .step_traced(&mut self.state, &mut self.cache, &mut self.telemetry);
         }
@@ -459,11 +425,11 @@ mod tests {
     #[test]
     fn advance_until_respects_the_clock() {
         let mut r = replica(SystemKind::SpeContext);
-        r.push(req(0, 0.0));
+        r.push(Admission::Fresh(req(0, 0.0)));
         r.advance_until(0.5);
         assert!(r.now() >= 0.0);
         let before = r.now();
-        r.drain();
+        r.advance_until(f64::INFINITY);
         assert!(r.now() >= before);
         assert_eq!(r.completed().len(), 1);
         assert!(!r.has_work());
@@ -474,12 +440,12 @@ mod tests {
         let mut r = replica(SystemKind::FullFlashInfer);
         let empty = r.kv_pressure();
         for i in 0..8 {
-            r.push(req(i, 0.0));
+            r.push(Admission::Fresh(req(i, 0.0)));
         }
         r.advance_until(1e-9); // admit some work, sync the mirror
         let loaded = r.kv_pressure();
         assert!(loaded > empty, "pressure {loaded} after load vs {empty}");
-        r.drain();
+        r.advance_until(f64::INFINITY);
         assert_eq!(r.completed().len(), 8);
         assert!(r.kv_pressure() < loaded);
     }
@@ -489,8 +455,8 @@ mod tests {
         let mut ours = replica(SystemKind::SpeContext);
         let mut full = replica(SystemKind::FullFlashInfer);
         for i in 0..4 {
-            ours.push(req(i, 0.0));
-            full.push(req(i, 0.0));
+            ours.push(Admission::Fresh(req(i, 0.0)));
+            full.push(Admission::Fresh(req(i, 0.0)));
         }
         ours.advance_until(1e-9);
         full.advance_until(1e-9);
@@ -500,8 +466,8 @@ mod tests {
     #[test]
     fn crash_tears_out_work_and_freezes_until_restart() {
         let mut r = replica(SystemKind::SpeContext);
-        r.push(req(0, 0.0));
-        r.push(req(1, 0.0));
+        r.push(Admission::Fresh(req(0, 0.0)));
+        r.push(Admission::Fresh(req(1, 0.0)));
         r.advance_until(1e-9); // admit, no completions yet
         let work = r.crash();
         assert!(r.is_down());
@@ -530,10 +496,10 @@ mod tests {
         let mut slow = replica(SystemKind::SpeContext);
         slow.set_slowdown(4.0);
         assert_eq!(slow.health(), ReplicaHealth::Straggling);
-        fast.push(req(0, 0.0));
-        slow.push(req(0, 0.0));
-        fast.drain();
-        slow.drain();
+        fast.push(Admission::Fresh(req(0, 0.0)));
+        slow.push(Admission::Fresh(req(0, 0.0)));
+        fast.advance_until(f64::INFINITY);
+        slow.advance_until(f64::INFINITY);
         assert!(
             slow.now() > fast.now(),
             "slowed replica {} must trail healthy {}",
@@ -549,17 +515,19 @@ mod tests {
         let mut p = replica(SystemKind::SpeContext);
         p.set_role(ReplicaRole::Prefill);
         assert_eq!(p.role(), ReplicaRole::Prefill);
-        p.push(req(0, 0.0));
-        p.drain();
+        p.push(Admission::Fresh(req(0, 0.0)));
+        p.advance_until(f64::INFINITY);
         assert!(p.completed().is_empty(), "prefill retires at first token");
-        assert!(p.has_handoffs());
         let hs = p.take_handoffs();
         assert_eq!(hs.len(), 1);
-        assert!(!p.has_handoffs(), "collection drains the buffer");
+        assert!(p.take_handoffs().is_empty(), "collection drains the buffer");
         let mut d = replica(SystemKind::SpeContext);
         d.set_role(ReplicaRole::Decode);
-        d.push_preloaded(hs[0].restorable, hs[0].emitted);
-        d.drain();
+        d.push(Admission::Preloaded {
+            handoff: hs[0].restorable,
+            at: hs[0].emitted,
+        });
+        d.advance_until(f64::INFINITY);
         assert_eq!(d.completed().len(), 1);
         assert_eq!(
             d.completed()[0].first_token,
@@ -571,10 +539,10 @@ mod tests {
     #[test]
     fn parked_replica_keeps_draining() {
         let mut r = replica(SystemKind::SpeContext);
-        r.push(req(0, 0.0));
+        r.push(Admission::Fresh(req(0, 0.0)));
         r.set_active(false);
         assert!(!r.is_active());
-        r.drain();
+        r.advance_until(f64::INFINITY);
         assert_eq!(r.completed().len(), 1);
     }
 }

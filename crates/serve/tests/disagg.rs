@@ -15,12 +15,16 @@
 //! 3. **Thread invariance** — the two-stage path (routing, handoff
 //!    delivery, billing) is serial by construction, so reports do not
 //!    depend on the worker-pool width.
+//! 4. **Closed-loop sources** drive a split fleet to completion (this
+//!    combination used to be refused with an assert).
 
 use proptest::prelude::*;
 use spec_hwsim::{DeviceSpec, Fleet, LinkSpec, ReplicaRole};
 use spec_model::ModelConfig;
 use spec_runtime::{ServingSim, SystemKind, Workload};
-use spec_serve::arrivals::{self, ArrivalProcess, ClusterRequest, TraceConfig};
+use spec_serve::arrivals::{
+    self, ArrivalProcess, ArrivalSource, ClosedLoopConfig, ClusterRequest, TraceConfig,
+};
 use spec_serve::cluster::{Cluster, ClusterConfig, DisaggConfig};
 use spec_serve::router::RouterKind;
 use spec_serve::slo::SloSpec;
@@ -228,5 +232,49 @@ fn zero_cost_link_split_matches_monolithic_on_serial_traces() {
             assert_eq!(h.first_token.to_bits(), m.first_token.to_bits());
             assert_eq!(h.finish.to_bits(), m.finish.to_bits());
         }
+    }
+}
+
+/// Invariant 4: a closed-loop source on a 1-prefill + 1-decode fleet.
+/// Every turn is prefilled, hopped and decoded before its session's
+/// next turn departs, every session runs out its turns, and the outcome
+/// does not depend on the worker-pool width.
+#[test]
+fn closed_loop_source_runs_every_session_to_completion_on_a_split_fleet() {
+    let cfg = ClosedLoopConfig::new(5, 3)
+        .think(0.3)
+        .ramp(1.0)
+        .shapes(vec![
+            Workload::new(2048, 512, 3),
+            Workload::new(1024, 256, 1),
+        ])
+        .seed(9);
+    let run = |threads: usize| {
+        spec_parallel::with_threads(threads, || {
+            let mut source = cfg.source();
+            let out = split(1, 1, LinkSpec::infiniband(), RouterKind::LeastOutstanding)
+                .run_source_traced(&mut source, &SloSpec::default());
+            (out, source.remaining_hint())
+        })
+    };
+    let ((report, events), remaining) = run(1);
+    assert_eq!(report.completed, 15, "5 sessions × 3 turns");
+    assert_eq!(report.rejected, 0);
+    assert_eq!(remaining, Some(0), "every session ran out its turns");
+    assert_eq!(report.handoffs.count, 15, "one hop per turn");
+    assert!(report.handoffs.transfer_s > 0.0);
+    assert!(report.replicas[0].report.completed.is_empty());
+    // The decode side's delivery restamp is patched back to the turn's
+    // departure, so the first token (produced on the prefill replica,
+    // before delivery) still follows the reported arrival.
+    let decoded = &report.replicas[1].report.completed;
+    assert_eq!(decoded.len(), 15);
+    assert!(decoded.iter().all(|c| c.request.arrival < c.first_token));
+    for threads in [4usize, 7] {
+        assert_eq!(
+            run(threads),
+            ((report.clone(), events.clone()), remaining),
+            "threads={threads}"
+        );
     }
 }

@@ -13,15 +13,22 @@
 //!    away from crashed replicas without flapping back during
 //!    probation, and the autoscaler never parks a replica holding
 //!    outstanding work.
+//! 5. **Combinations that used to abort** — health-aware routing on a
+//!    split fleet (PR 12's reproducer) and a closed-loop source under
+//!    crashes and shedding run to completion, conserve, and stay
+//!    thread-invariant.
 
 use proptest::prelude::*;
-use spec_hwsim::{fleet, DeviceSpec};
+use spec_hwsim::{fleet, DeviceSpec, Fleet, LinkSpec, ReplicaRole};
 use spec_model::ModelConfig;
-use spec_runtime::{Request, SystemKind, Workload};
-use spec_serve::arrivals::{self, ClusterRequest, TenantClass, TraceConfig};
-use spec_serve::cluster::{AutoscaleConfig, Cluster, ClusterConfig, ClusterReport};
+use spec_runtime::{
+    FairConfig, PreemptionPolicy, QueueDiscipline, Request, SchedulerConfig, SystemKind, Workload,
+};
+use spec_serve::arrivals::{self, ClosedLoopConfig, ClusterRequest, TenantClass, TraceConfig};
+use spec_serve::cluster::{AutoscaleConfig, Cluster, ClusterConfig, ClusterReport, DisaggConfig};
 use spec_serve::router::RouterKind;
 use spec_serve::slo::SloSpec;
+use spec_serve::trace::decode;
 use spec_serve::{FaultPlan, RetryPolicy, ShedPolicy};
 use spec_telemetry::{Event, EventKind};
 use spec_tensor::SimRng;
@@ -364,6 +371,147 @@ fn retry_budget_exhaustion_dead_letters_with_tenant_attribution() {
         per_tenant_dead, report.faults.dead_lettered,
         "dead-letters must be attributed to tenants"
     );
+}
+
+/// PR 12's reproducer: `bench_e2e`'s 2 prefill + 2 decode InfiniBand
+/// fleet replaying the committed sample trace (its first 512 requests
+/// already failed) under its chaos plan with a short MTBF and
+/// health-aware routing on. Before the kernel fold this
+/// died in the scheduler's arrival-order assert, for two reasons: with
+/// every decode replica folded out as unhealthy, stage 2 fell through to
+/// replica 0 — a prefill engine, which handed the request off again —
+/// and a crash restored checkpoints onto engines the fleet had not yet
+/// advanced (or pumped handoffs) up to the crash instant.
+#[test]
+fn health_aware_routing_on_a_split_fleet_conserves_and_never_delivers_to_prefill() {
+    let slots = Fleet::new()
+        .with_role(DeviceSpec::a100_80g(), ReplicaRole::Prefill, 2)
+        .with_role(DeviceSpec::a100_80g(), ReplicaRole::Decode, 2)
+        .build_slots();
+    let cfg = ClusterConfig::new()
+        .scheduler(SchedulerConfig {
+            max_batch: 4,
+            admission_stride: 4,
+            fair: FairConfig {
+                discipline: QueueDiscipline::DeficitRoundRobin,
+                weights: vec![(0, 4), (1, 1)],
+                preemption: PreemptionPolicy::DeficitRoundRobin,
+                ..FairConfig::default()
+            },
+        })
+        .disagg(DisaggConfig::new().link(LinkSpec::infiniband()));
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/sample_trace.sptr");
+    let bytes = std::fs::read(path).expect("committed results/sample_trace.sptr");
+    let mut trace = decode(&bytes).expect("sample trace decodes");
+    trace.truncate(512);
+    let chaos = |seed: u64| {
+        FaultPlan::none()
+            .seed(seed)
+            .mtbf(120.0, 5.0)
+            .kv_loss(0.1)
+            .shed(ShedPolicy::new(12_000).weights(vec![(0, 4), (1, 1)]))
+            .probation(2.0)
+            .health_aware(true)
+    };
+    let plans = [
+        ("seed 1", chaos(1).random_stragglers(60.0, 10.0, 5.0)),
+        ("seed 3, stragglers off", chaos(3)),
+    ];
+    for (label, plan) in plans {
+        let run = |threads: usize| {
+            spec_parallel::with_threads(threads, || {
+                Cluster::from_fleet_slots(
+                    &ModelConfig::deepseek_distill_llama_8b(),
+                    &slots,
+                    2048,
+                    SystemKind::SpeContext,
+                    cfg.clone(),
+                    RouterKind::LeastOutstanding.build(),
+                )
+                .run_fault_plan_traced(&trace, &SloSpec::new(10.0, 0.02), &plan)
+            })
+        };
+        let (report, events) = run(1);
+        assert_conserved(&report, trace.len(), label);
+        assert!(report.faults.crashes > 10, "{label}: the plan must crash");
+        assert!(report.handoffs.count > 0, "{label}");
+        for e in &events {
+            if let EventKind::HandoffDelivered { request, .. } = e.kind {
+                assert_eq!(
+                    slots[e.replica as usize].role,
+                    ReplicaRole::Decode,
+                    "{label}: request {request} delivered to replica {}",
+                    e.replica
+                );
+            }
+        }
+        for threads in [4usize, 7] {
+            let (r, e) = run(threads);
+            assert_eq!(r, report, "{label}: report at SPEC_THREADS={threads}");
+            assert_eq!(e, events, "{label}: events at SPEC_THREADS={threads}");
+        }
+    }
+}
+
+/// A closed-loop source under a scripted crash and overload shedding:
+/// used to be refused with an assert. Every turn the source issued ends
+/// in exactly one terminal state, and the turns the fleet refused (shed
+/// or dead-lettered) reach the source through `on_reject`, which ends
+/// their sessions — otherwise the run would wait forever on responses
+/// that never come.
+#[test]
+fn closed_loop_source_under_crash_and_shedding_conserves_and_ends_refused_sessions() {
+    let cfg = ClosedLoopConfig::new(10, 4)
+        .think(0.2)
+        .ramp(1.0)
+        .shapes(vec![Workload::new(2048, 512, 1)])
+        .seed(5);
+    let mut plan = FaultPlan::none()
+        .crash_at(0, 1.5, 4.0)
+        .retry(RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        })
+        .shed(ShedPolicy::new(7))
+        .health_aware(true)
+        .seed(3);
+    plan.kv_loss_prob = 1.0;
+    let run = |threads: usize| {
+        spec_parallel::with_threads(threads, || {
+            let mut source = cfg.source();
+            let out = cluster(2, RouterKind::LeastOutstanding, None).run_faulted_traced(
+                &mut source,
+                &SloSpec::default(),
+                &plan,
+            );
+            (out, source.aborted_sessions())
+        })
+    };
+    let ((report, events), aborted) = run(1);
+    // What the source issued: every fresh turn either arrives or sheds.
+    let issued = events
+        .iter()
+        .filter(|e| {
+            matches!(
+                e.kind,
+                EventKind::Arrived { .. } | EventKind::RequestShed { .. }
+            )
+        })
+        .count();
+    assert_conserved(&report, issued, "closed loop under faults");
+    assert_eq!(report.faults.crashes, 1);
+    assert!(report.faults.shed > 0, "the watermark must shed");
+    assert!(report.faults.retries > 0, "the crash must bounce work");
+    assert!(
+        aborted > 0 && aborted <= report.faults.shed + report.faults.dead_lettered,
+        "{aborted} sessions ended by {} refusals",
+        report.faults.shed + report.faults.dead_lettered
+    );
+    assert!(issued < 40, "ended sessions issue no further turns");
+    for threads in [4usize, 7] {
+        assert_eq!(run(threads), ((report.clone(), events.clone()), aborted));
+    }
 }
 
 fn fault_event_names(events: &[Event]) -> Vec<&'static str> {
