@@ -44,7 +44,7 @@ fn main() {
         let n = ctx.emb.rows();
         let q = ctx.emb.row(n - 1).to_vec();
         let plan = SparsePlan::dense(model.geometry().layers);
-        let (_, trace) = model.decode_step_traced(&q, n, &mut kv, &plan);
+        let (_, trace) = model.decode_step_traced(&q, n, &mut kv, &mut &plan);
 
         // Retrieval-head scores for the same query.
         let head = engine.dlm().to_retrieval_head();

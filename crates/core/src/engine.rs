@@ -4,9 +4,7 @@ use spec_model::{DistillOptions, Dlm, Model, ModelKv, PrefillMode, SimGeometry, 
 use spec_retrieval::common::SelectorConfig;
 use spec_retrieval::spec_head::SpecContextRetriever;
 use spec_retrieval::MappingLevel;
-use spec_runtime::exec::{
-    generate_free_running, generate_teacher_forced, DecodeStrategy, GenerationResult,
-};
+use spec_runtime::exec::{DecodeState, DecodeStrategy, GenerationResult};
 use spec_tensor::Matrix;
 
 /// Configuration of an [`Engine`].
@@ -109,19 +107,28 @@ impl Engine {
         Session {
             engine: self,
             kv: ModelKv::empty(self.model.geometry()),
-            retriever: self.retriever(),
-            last_output: None,
+            strategy: DecodeStrategy::SpeContext(Box::new(self.retriever())),
+            state: DecodeState::default(),
+            next_token: None,
         }
     }
 }
 
 /// A generation session: prompt prefill, then speculative-sparse decode.
+///
+/// The session owns everything decode carries between steps, so a later
+/// `generate` / `decode_teacher_forced` call continues the earlier one:
+/// `generate(a); generate(b)` yields what `generate(a + b)` yields.
 #[derive(Debug)]
 pub struct Session<'e> {
     engine: &'e Engine,
     kv: ModelKv,
-    retriever: SpecContextRetriever,
-    last_output: Option<StepOutput>,
+    /// Always [`DecodeStrategy::SpeContext`], around the retriever that
+    /// observed the prompt.
+    strategy: DecodeStrategy,
+    state: DecodeState,
+    /// Argmax of the latest output: what `generate` feeds next.
+    next_token: Option<usize>,
 }
 
 impl Session<'_> {
@@ -134,15 +141,18 @@ impl Session<'_> {
     pub fn prefill_embeddings(&mut self, emb: &Matrix) -> StepOutput {
         assert!(emb.rows() > 0, "empty prompt");
         assert_eq!(self.kv.seq_len(), 0, "session already prefilled");
+        let DecodeStrategy::SpeContext(retriever) = &mut self.strategy else {
+            unreachable!("a session decodes with SpeContext");
+        };
         for r in 0..emb.rows() {
-            self.retriever.observe(emb.row(r));
+            retriever.observe(emb.row(r));
         }
         let (kv, out) = self
             .engine
             .model
             .prefill_embeddings(emb, self.engine.config.prefill_mode);
         self.kv = kv;
-        self.last_output = Some(out.clone());
+        self.next_token = Some(Model::argmax_token(&out.logits));
         out
     }
 
@@ -173,45 +183,27 @@ impl Session<'_> {
     }
 
     fn generate_inner(&mut self, steps: usize, traced: bool) -> GenerationResult {
-        let last = self.last_output.as_ref().expect("prefill before generate");
-        let first_token = Model::argmax_token(&last.logits);
-        let first = self
-            .engine
-            .model
-            .embed_tokens(&[first_token])
-            .row(0)
-            .to_vec();
-        let retr = std::mem::replace(&mut self.retriever, self.engine.retriever());
-        let mut strategy = DecodeStrategy::SpeContext(Box::new(retr));
-        let res = generate_free_running(
-            &self.engine.model,
-            &mut self.kv,
-            &first,
-            steps,
-            &mut strategy,
-            traced,
-        );
-        if let DecodeStrategy::SpeContext(r) = strategy {
-            self.retriever = *r;
-        }
-        res
+        let model = &self.engine.model;
+        let first = model.embed_tokens(&[self.next_token.expect("prefill before generate")]);
+        let (kv, strategy) = (&mut self.kv, &mut self.strategy);
+        let res = self
+            .state
+            .free_running(model, kv, first.row(0), steps, strategy, traced);
+        self.advanced(res)
     }
 
     /// Teacher-forced decode over the rows of `inputs` (evaluation mode).
     pub fn decode_teacher_forced(&mut self, inputs: &Matrix, steps: usize) -> GenerationResult {
-        let retr = std::mem::replace(&mut self.retriever, self.engine.retriever());
-        let mut strategy = DecodeStrategy::SpeContext(Box::new(retr));
-        let res = generate_teacher_forced(
-            &self.engine.model,
-            &mut self.kv,
-            inputs,
-            steps,
-            &mut strategy,
-            false,
-        );
-        if let DecodeStrategy::SpeContext(r) = strategy {
-            self.retriever = *r;
-        }
+        let (model, kv, strategy) = (&self.engine.model, &mut self.kv, &mut self.strategy);
+        let res = self
+            .state
+            .teacher_forced(model, kv, inputs, steps, strategy, false);
+        self.advanced(res)
+    }
+
+    /// Notes where `res` left off, for the next call to continue from.
+    fn advanced(&mut self, res: GenerationResult) -> GenerationResult {
+        self.next_token = res.tokens.last().copied().or(self.next_token);
         res
     }
 }
@@ -241,14 +233,51 @@ mod tests {
         assert!(out.transfer.is_some());
     }
 
+    /// Everything two results can differ in, floats as bits.
+    fn observable(res: &[&GenerationResult]) -> (Vec<usize>, Vec<u32>, Vec<u32>, (u64, u64)) {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut all = (Vec::new(), Vec::new(), Vec::new(), (0, 0));
+        for r in res {
+            all.0.extend(&r.tokens);
+            all.1.extend(r.outputs.iter().flat_map(|o| bits(&o.logits)));
+            all.2.extend(bits(&r.overlaps));
+            let moved = r.transfer.expect("SpeContext accounts transfers");
+            all.3 .0 += moved.fetched_entries;
+            all.3 .1 += moved.reused_entries;
+        }
+        all
+    }
+
+    /// A prefilled session and the prefill's argmax token.
+    fn prefilled(e: &Engine) -> (Session<'_>, usize) {
+        let mut s = e.session();
+        let out = s.prefill_tokens(&(0..24).map(|i| (i * 7) % 60).collect::<Vec<_>>());
+        (s, Model::argmax_token(&out.logits))
+    }
+
     #[test]
     fn generation_continues_across_calls() {
+        // A second call continues from the first's last output, elastic
+        // buffer and selection — not from the prefill's with a cold buffer.
         let e = engine();
-        let mut s = e.session();
-        s.prefill_tokens(&(0..16).collect::<Vec<_>>());
-        s.generate(4);
-        s.generate(4);
-        assert_eq!(s.seq_len(), 24);
+        let whole = prefilled(&e).0.generate(8);
+        let mut s = prefilled(&e).0;
+        let (a, b) = (s.generate(4), s.generate(4));
+        assert_eq!(s.seq_len(), 32);
+        assert_eq!(observable(&[&a, &b]), observable(&[&whole]));
+    }
+
+    #[test]
+    fn generate_continues_a_teacher_forced_decode() {
+        // Teacher-forcing the tokens greedy decode would have fed itself
+        // is that greedy decode; `generate` then picks up at step k.
+        let e = engine();
+        let whole = prefilled(&e).0.generate(8);
+        let (mut s, first) = prefilled(&e);
+        let fed = [first, whole.tokens[0], whole.tokens[1], whole.tokens[2]];
+        let forced = s.decode_teacher_forced(&e.model().embed_tokens(&fed), 4);
+        let rest = s.generate(4);
+        assert_eq!(observable(&[&forced, &rest]), observable(&[&whole]));
     }
 
     #[test]

@@ -3,8 +3,9 @@
 
 use crate::engine::Engine;
 use serde::{Deserialize, Serialize};
-use spec_model::{Model, PrefillMode, SparsePlan, StepTrace};
+use spec_model::{LayerSelector, Model, ModelKv, PrefillMode, StepTrace};
 use spec_retrieval::clusterkv::ClusterKvSelector;
+use spec_retrieval::full::FullAttention;
 use spec_retrieval::quest::QuestSelector;
 use spec_retrieval::shadowkv::ShadowKvSelector;
 use spec_retrieval::window::StreamingLlm;
@@ -143,56 +144,52 @@ fn answer_trace(
     engine: &Engine,
     system: EvalSystem,
     emb: &Matrix,
-    kv0: &spec_model::ModelKv,
+    kv0: &ModelKv,
     budget: usize,
     opt: &LongBenchOptions,
 ) -> StepTrace {
     let model = engine.model();
     let n = emb.rows();
-    let question = emb.row(n - 1).to_vec();
+    let question = emb.row(n - 1);
     let mut kv = kv0.clone();
-    let mut sel_cfg = engine.config().selector_config();
-    sel_cfg.budget = budget;
+    let mut selector: Box<dyn LayerSelector> =
+        match decode_strategy(engine, system, emb, &kv, budget, opt.seed) {
+            DecodeStrategy::Dense => Box::new(FullAttention),
+            DecodeStrategy::LayerWise(selector) => selector,
+            // The head has observed the context, question included: select
+            // for the answer step without observing the question again.
+            DecodeStrategy::SpeContext(retr) => Box::new(retr.select(question, model.geometry())),
+        };
+    let (_, trace) = model.decode_step_traced(question, n, &mut kv, selector.as_mut());
+    trace
+}
 
-    match system {
-        EvalSystem::Full => {
-            let plan = SparsePlan::dense(model.geometry().layers);
-            model.decode_step_traced(&question, n, &mut kv, &plan).1
-        }
+/// How `system` decodes after `prompt`, whose prefilled cache is `kv`:
+/// the one place each evaluated system is constructed.
+fn decode_strategy(
+    engine: &Engine,
+    system: EvalSystem,
+    prompt: &Matrix,
+    kv: &ModelKv,
+    budget: usize,
+    seed: u64,
+) -> DecodeStrategy {
+    let mut cfg = engine.config().selector_config();
+    cfg.budget = budget;
+    DecodeStrategy::LayerWise(match system {
+        EvalSystem::Full => return DecodeStrategy::Dense,
         EvalSystem::SpeContext => {
             let mut retr = engine.retriever_with_budget(budget);
-            for r in 0..emb.rows() {
-                retr.observe(emb.row(r));
+            for r in 0..prompt.rows() {
+                retr.observe(prompt.row(r));
             }
-            let sel = retr.select(&question, model.geometry());
-            let plan = sel.to_plan(model.geometry().layers);
-            model.decode_step_traced(&question, n, &mut kv, &plan).1
+            return DecodeStrategy::SpeContext(Box::new(retr));
         }
-        EvalSystem::StreamingLlm => {
-            let mut s = StreamingLlm::new(sel_cfg.sinks, budget);
-            model
-                .decode_step_selected_traced(&question, n, &mut kv, &mut s)
-                .1
-        }
-        EvalSystem::Quest => {
-            let mut s = QuestSelector::preprocess(&kv, sel_cfg);
-            model
-                .decode_step_selected_traced(&question, n, &mut kv, &mut s)
-                .1
-        }
-        EvalSystem::ClusterKv => {
-            let mut s = ClusterKvSelector::preprocess(&kv, sel_cfg, opt.seed);
-            model
-                .decode_step_selected_traced(&question, n, &mut kv, &mut s)
-                .1
-        }
-        EvalSystem::ShadowKv => {
-            let mut s = ShadowKvSelector::preprocess(&kv, sel_cfg);
-            model
-                .decode_step_selected_traced(&question, n, &mut kv, &mut s)
-                .1
-        }
-    }
+        EvalSystem::StreamingLlm => Box::new(StreamingLlm::new(cfg.sinks, budget)),
+        EvalSystem::Quest => Box::new(QuestSelector::preprocess(kv, cfg)),
+        EvalSystem::ClusterKv => Box::new(ClusterKvSelector::preprocess(kv, cfg, seed)),
+        EvalSystem::ShadowKv => Box::new(ShadowKvSelector::preprocess(kv, cfg)),
+    })
 }
 
 /// Options for a LongWriter evaluation run.
@@ -244,35 +241,11 @@ fn run_generation(
     opt: &LongWriterOptions,
 ) -> (Vec<usize>, Vec<Vec<f32>>) {
     let (mut kv, out) = model.prefill_embeddings(&task.prompt, PrefillMode::Exact);
-    let first_tok = Model::argmax_token(&out.logits);
-    let first = model.embed_tokens(&[first_tok]).row(0).to_vec();
-    let mut sel_cfg = engine.config().selector_config();
-    sel_cfg.budget = opt.budget;
-
-    let mut strategy = match system {
-        EvalSystem::Full => DecodeStrategy::Dense,
-        EvalSystem::SpeContext => {
-            let mut retr = engine.retriever_with_budget(opt.budget);
-            for r in 0..task.prompt.rows() {
-                retr.observe(task.prompt.row(r));
-            }
-            DecodeStrategy::SpeContext(Box::new(retr))
-        }
-        EvalSystem::StreamingLlm => {
-            DecodeStrategy::LayerWise(Box::new(StreamingLlm::new(sel_cfg.sinks, opt.budget)))
-        }
-        EvalSystem::Quest => {
-            DecodeStrategy::LayerWise(Box::new(QuestSelector::preprocess(&kv, sel_cfg)))
-        }
-        EvalSystem::ClusterKv => DecodeStrategy::LayerWise(Box::new(
-            ClusterKvSelector::preprocess(&kv, sel_cfg, opt.seed),
-        )),
-        EvalSystem::ShadowKv => {
-            DecodeStrategy::LayerWise(Box::new(ShadowKvSelector::preprocess(&kv, sel_cfg)))
-        }
-    };
-    let res = generate_free_running(model, &mut kv, &first, task.gen_len, &mut strategy, false);
-    let logits = res.outputs.iter().map(|o| o.logits.clone()).collect();
+    let first = model.embed_tokens(&[Model::argmax_token(&out.logits)]);
+    let mut strategy = decode_strategy(engine, system, &task.prompt, &kv, opt.budget, opt.seed);
+    let steps = task.gen_len;
+    let res = generate_free_running(model, &mut kv, first.row(0), steps, &mut strategy, false);
+    let logits = res.outputs.into_iter().map(|o| o.logits).collect();
     (res.tokens, logits)
 }
 

@@ -509,7 +509,7 @@ mod tests {
         let (mut kv, _) = t.prefill_embeddings(&emb, PrefillMode::Exact);
         let query = emb.row(n - 1).to_vec();
         let plan = crate::transformer::SparsePlan::dense(t.geometry().layers);
-        let (_, trace) = t.decode_step_traced(&query, n, &mut kv, &plan);
+        let (_, trace) = t.decode_step_traced(&query, n, &mut kv, &mut &plan);
         let mut oracle = vec![0.0f32; n];
         for layer in &trace.attn {
             for headw in layer {

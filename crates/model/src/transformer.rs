@@ -126,6 +126,20 @@ pub trait LayerSelector {
     ) -> Option<Vec<Vec<usize>>>;
 }
 
+/// A plan answers each layer from its table, whatever the queries: the
+/// selection was made before the forward pass.
+impl LayerSelector for &SparsePlan {
+    fn select(
+        &mut self,
+        layer: usize,
+        _queries: &Matrix,
+        _kv: &LayerKv,
+        _scratch: &mut SelectScratch,
+    ) -> Option<Vec<Vec<usize>>> {
+        self.layers.get(layer).and_then(|s| s.clone())
+    }
+}
+
 /// Attention weights recorded during a traced decode step.
 ///
 /// `attn[layer][q_head]` is the post-softmax distribution over the
@@ -236,8 +250,7 @@ impl Model {
         let mut last = None;
         for pos in 0..emb.rows() {
             let plan = self.prefill_plan(pos, mode);
-            let out = self.step_inner(emb.row(pos), pos, &mut kv, &plan, None);
-            last = Some(out);
+            last = Some(self.decode_step_sparse(emb.row(pos), pos, &mut kv, &plan));
         }
         (kv, last.expect("nonempty prefill"))
     }
@@ -262,60 +275,26 @@ impl Model {
         }
     }
 
-    /// One decode step: appends the token at `pos` to the cache and returns
-    /// logits. Dense attention.
+    /// [`step`](Self::step) with dense attention.
     pub fn decode_step(&self, x: &[f32], pos: usize, kv: &mut ModelKv) -> StepOutput {
-        let plan = SparsePlan::dense(self.geom.layers);
-        self.step_inner(x, pos, kv, &plan, None)
+        self.decode_step_sparse(x, pos, kv, &SparsePlan::dense(self.geom.layers))
     }
 
-    /// One decode step with a sparse attention plan.
-    ///
-    /// The new token's KV entry is always appended to the cache; the plan
-    /// only controls which *existing* positions participate in attention.
-    /// The current position is always attended (a query must see itself).
+    /// [`step`](Self::step) with a plan as the selector and a scratch of
+    /// its own. A delegation kept for the frozen `bench_e2e`, which mirrors
+    /// the session's loop through it.
     pub fn decode_step_sparse(
         &self,
         x: &[f32],
         pos: usize,
         kv: &mut ModelKv,
-        plan: &SparsePlan,
+        mut plan: &SparsePlan,
     ) -> StepOutput {
-        self.step_inner(x, pos, kv, plan, None)
+        self.step(x, pos, kv, &mut plan, &mut SelectScratch::new(), None)
     }
 
-    /// One decode step recording per-layer, per-query-head attention.
-    pub fn decode_step_traced(
-        &self,
-        x: &[f32],
-        pos: usize,
-        kv: &mut ModelKv,
-        plan: &SparsePlan,
-    ) -> (StepOutput, StepTrace) {
-        let mut trace = StepTrace::default();
-        let out = self.step_inner(x, pos, kv, plan, Some(&mut trace));
-        (out, trace)
-    }
-
-    /// One decode step with **layer-wise query-aware selection** — the
-    /// paradigm of Quest/ClusterKV/ShadowKV (paper Fig. 2(a)): at each
-    /// layer, after this layer's queries are computed, the selector is
-    /// consulted for the positions to attend. This models the per-layer
-    /// retrieve-and-load data dependency that SpeContext eliminates.
-    pub fn decode_step_selected(
-        &self,
-        x: &[f32],
-        pos: usize,
-        kv: &mut ModelKv,
-        selector: &mut dyn LayerSelector,
-    ) -> StepOutput {
-        let mut scratch = SelectScratch::new();
-        self.step_dyn(x, pos, kv, selector, None, &mut scratch)
-    }
-
-    /// As [`decode_step_selected`](Self::decode_step_selected), threading
-    /// a caller-owned [`SelectScratch`] so a decode loop reuses one warm
-    /// workspace across steps (the zero-allocation hot path).
+    /// [`step`](Self::step) without a trace. A delegation kept for the
+    /// frozen `bench_e2e`, which times the baseline selectors through it.
     pub fn decode_step_selected_scratch(
         &self,
         x: &[f32],
@@ -324,32 +303,22 @@ impl Model {
         selector: &mut dyn LayerSelector,
         scratch: &mut SelectScratch,
     ) -> StepOutput {
-        self.step_dyn(x, pos, kv, selector, None, scratch)
+        self.step(x, pos, kv, selector, scratch, None)
     }
 
-    /// Traced variant of [`decode_step_selected`](Self::decode_step_selected).
-    pub fn decode_step_selected_traced(
+    /// [`step`](Self::step) under any selector, recording per-layer,
+    /// per-query-head attention, with a scratch of its own (one-off
+    /// evaluation steps; a decode loop passes its own to `step`).
+    pub fn decode_step_traced(
         &self,
         x: &[f32],
         pos: usize,
         kv: &mut ModelKv,
         selector: &mut dyn LayerSelector,
-    ) -> (StepOutput, StepTrace) {
-        let mut scratch = SelectScratch::new();
-        self.decode_step_selected_traced_scratch(x, pos, kv, selector, &mut scratch)
-    }
-
-    /// Traced variant threading a caller-owned [`SelectScratch`].
-    pub fn decode_step_selected_traced_scratch(
-        &self,
-        x: &[f32],
-        pos: usize,
-        kv: &mut ModelKv,
-        selector: &mut dyn LayerSelector,
-        scratch: &mut SelectScratch,
     ) -> (StepOutput, StepTrace) {
         let mut trace = StepTrace::default();
-        let out = self.step_dyn(x, pos, kv, selector, Some(&mut trace), scratch);
+        let mut scratch = SelectScratch::new();
+        let out = self.step(x, pos, kv, selector, &mut scratch, Some(&mut trace));
         (out, trace)
     }
 
@@ -363,39 +332,32 @@ impl Model {
             .unwrap_or(0)
     }
 
-    fn step_inner(
-        &self,
-        x: &[f32],
-        pos: usize,
-        kv: &mut ModelKv,
-        plan: &SparsePlan,
-        trace: Option<&mut StepTrace>,
-    ) -> StepOutput {
-        struct PlanSelector<'a>(&'a SparsePlan);
-        impl LayerSelector for PlanSelector<'_> {
-            fn select(
-                &mut self,
-                layer: usize,
-                _queries: &Matrix,
-                _kv: &LayerKv,
-                _scratch: &mut SelectScratch,
-            ) -> Option<Vec<Vec<usize>>> {
-                self.0.layers.get(layer).and_then(|s| s.clone())
-            }
-        }
-        let mut sel = PlanSelector(plan);
-        let mut scratch = SelectScratch::new();
-        self.step_dyn(x, pos, kv, &mut sel, trace, &mut scratch)
-    }
-
-    fn step_dyn(
+    /// One decode step — the full form every other entry delegates to.
+    /// Appends the token at `pos` to the cache and returns its logits.
+    ///
+    /// At each layer, after that layer's queries are computed, `selector`
+    /// answers which cached positions the layer attends (`None` = all).
+    /// Three things can answer: a [`SparsePlan`] (a table fixed before
+    /// the step), a speculative selection (one answer for every layer —
+    /// SpeContext, paper Section 4.3), or a query-aware layer-wise
+    /// selector (Quest/ClusterKV/ShadowKV, Fig. 2(a) — the per-layer
+    /// retrieve-and-load dependency SpeContext eliminates). The new
+    /// token's KV entry is always appended and the current position is
+    /// always attended (a query must see itself); the selector only
+    /// controls which *existing* positions participate.
+    ///
+    /// `scratch` is the decode loop's selection workspace, handed to every
+    /// `select` call (the zero-allocation hot path). With `trace`, each
+    /// layer's post-softmax attention and attended positions are pushed
+    /// onto it; recording never changes the output.
+    pub fn step(
         &self,
         x: &[f32],
         pos: usize,
         kv: &mut ModelKv,
         selector: &mut dyn LayerSelector,
-        mut trace: Option<&mut StepTrace>,
         scratch: &mut SelectScratch,
+        mut trace: Option<&mut StepTrace>,
     ) -> StepOutput {
         let mut h = x.to_vec();
         // One normalization buffer for the whole stack (two rmsnorms per
@@ -410,14 +372,8 @@ impl Model {
             // selector — the layer-wise retrieval point of Fig. 2(a).
             self.layer_queries_into(lw, &normed, pos, &mut queries);
             let selection = selector.select(l, &queries, &kv.layers[l], scratch);
-            let (attn_out, layer_attn, layer_pos) = self.attention(
-                lw,
-                &queries,
-                pos,
-                &kv.layers[l],
-                selection.as_ref(),
-                trace.is_some(),
-            );
+            let (attn_out, layer_attn, layer_pos) =
+                self.attention(lw, &queries, pos, &kv.layers[l], selection, trace.is_some());
             if let Some(t) = trace.as_deref_mut() {
                 t.attn.push(layer_attn);
                 t.positions.push(layer_pos);
@@ -480,7 +436,7 @@ impl Model {
         queries: &Matrix,
         pos: usize,
         layer: &LayerKv,
-        selection: Option<&Vec<Vec<usize>>>,
+        mut selection: Option<Vec<Vec<usize>>>,
         record: bool,
     ) -> (Vec<f32>, Vec<Vec<f32>>, Vec<Vec<usize>>) {
         let geom = &self.geom;
@@ -493,14 +449,14 @@ impl Model {
         let seq_len = layer.seq_len();
         let mut per_head: Vec<(Vec<usize>, Matrix, Matrix)> = Vec::with_capacity(geom.kv_heads);
         for hh in 0..geom.kv_heads {
-            let positions: Vec<usize> = match selection {
+            let positions: Vec<usize> = match &mut selection {
                 None => (0..seq_len).collect(),
                 Some(heads) => {
-                    let mut p = heads[hh].clone();
-                    // The current position must always be attended.
+                    let mut p = std::mem::take(&mut heads[hh]);
+                    // The current position must always be attended; every
+                    // cached position is below it, so the list stays sorted.
                     if p.binary_search(&pos).is_err() && pos < seq_len {
                         p.push(pos);
-                        p.sort_unstable();
                     }
                     p
                 }
@@ -627,7 +583,7 @@ mod tests {
         let (mut kv, _) = m.prefill_embeddings(&emb, PrefillMode::Exact);
         let x = emb.row(0).to_vec();
         let plan = SparsePlan::dense(m.geometry().layers);
-        let (_, trace) = m.decode_step_traced(&x, 8, &mut kv, &plan);
+        let (_, trace) = m.decode_step_traced(&x, 8, &mut kv, &mut &plan);
         assert_eq!(trace.attn.len(), m.geometry().layers);
         for layer in &trace.attn {
             assert_eq!(layer.len(), m.geometry().q_heads);

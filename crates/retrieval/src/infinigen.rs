@@ -191,7 +191,8 @@ mod tests {
         let cfg = SelectorConfig::with_budget(12);
         let mut sel = InfiniGenSelector::preprocess(&kv, cfg);
         let emb = m.embed_tokens(&[3]);
-        let out = m.decode_step_selected(emb.row(0), 48, &mut kv, &mut sel);
+        let mut scratch = SelectScratch::new();
+        let out = m.step(emb.row(0), 48, &mut kv, &mut sel, &mut scratch, None);
         assert!(out.logits.iter().all(|v| v.is_finite()));
     }
 

@@ -106,7 +106,7 @@ mod tests {
         let (mut kv, _) = m.prefill_tokens(&tokens, PrefillMode::Exact);
         let emb = m.embed_tokens(&[0]);
         let plan = SparsePlan::dense(m.geometry().layers);
-        let (_, trace) = m.decode_step_traced(emb.row(0), n, &mut kv, &plan);
+        let (_, trace) = m.decode_step_traced(emb.row(0), n, &mut kv, &mut &plan);
         (m, trace)
     }
 

@@ -22,8 +22,12 @@ use crate::common::{
     SelectorConfig,
 };
 use serde::{Deserialize, Serialize};
-use spec_model::{AttentionKind, RetrievalHead, RetrievalHeadState, SimGeometry, SparsePlan};
+use spec_model::{
+    AttentionKind, LayerKv, LayerSelector, RetrievalHead, RetrievalHeadState, SimGeometry,
+    SparsePlan,
+};
 use spec_tensor::topk::{PosBitSet, SelectScratch};
+use spec_tensor::Matrix;
 
 /// Mapping granularity of retrieval-head weights onto the LLM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -93,7 +97,7 @@ impl SpecSelection {
                     AttentionKind::Mha | AttentionKind::Mla => 1,
                     AttentionKind::Gqa | AttentionKind::Mqa => geom.group_size(),
                 };
-                let kv_heads = model_kv_heads(geom);
+                let kv_heads = geom.kv_heads;
                 assert_eq!(scores.len() / group, kv_heads, "group mapping mismatch");
                 // Heads are independent: fan the per-head top-k assembly
                 // out over the worker pool (order-preserving, so the
@@ -139,7 +143,7 @@ impl SpecSelection {
                     buf.extend_from_slice(&scores[q]);
                 });
                 let sel = assemble_budgeted_selection(&arena.pooled, seq_len, cfg, rank, marks).0;
-                vec![sel; model_kv_heads(geom)]
+                vec![sel; geom.kv_heads]
             }
         };
         Self {
@@ -169,11 +173,7 @@ impl SpecSelection {
                     AttentionKind::Gqa | AttentionKind::Mqa => geom.group_size(),
                 };
                 let grouped = group_max_scores(scores, group);
-                assert_eq!(
-                    grouped.len(),
-                    model_kv_heads(geom),
-                    "group mapping mismatch"
-                );
+                assert_eq!(grouped.len(), geom.kv_heads, "group mapping mismatch");
                 grouped
                     .iter()
                     .map(|s| assemble_budgeted_selection_reference(s, seq_len, cfg).0)
@@ -182,7 +182,7 @@ impl SpecSelection {
             MappingLevel::Batch => {
                 let pooled = group_max_scores(scores, scores.len());
                 let sel = assemble_budgeted_selection_reference(&pooled[0], seq_len, cfg).0;
-                vec![sel; model_kv_heads(geom)]
+                vec![sel; geom.kv_heads]
             }
         };
         Self {
@@ -192,6 +192,9 @@ impl SpecSelection {
     }
 
     /// Expands into a [`SparsePlan`] applying the selection to every layer.
+    /// The selection is itself a [`LayerSelector`], so a decode step needs
+    /// no plan; kept for the frozen `bench_e2e`, whose mirrored loop
+    /// expands one per step.
     pub fn to_plan(&self, layers: usize) -> SparsePlan {
         SparsePlan {
             layers: vec![Some(self.per_head.clone()); layers],
@@ -219,12 +222,18 @@ impl SpecSelection {
     }
 }
 
-/// Number of KV-head-level selections the LLM needs.
-fn model_kv_heads(geom: &SimGeometry) -> usize {
-    match geom.attention {
-        // MLA gathers latent rows per (query) head.
-        AttentionKind::Mla => geom.kv_heads,
-        _ => geom.kv_heads,
+/// A speculative selection answers every layer with the same per-head
+/// lists, whatever the layer's queries: it was made before the forward
+/// pass (paper Section 4.3), which is what lets its KV be prefetched.
+impl LayerSelector for SpecSelection {
+    fn select(
+        &mut self,
+        _layer: usize,
+        _queries: &Matrix,
+        _kv: &LayerKv,
+        _scratch: &mut SelectScratch,
+    ) -> Option<Vec<Vec<usize>>> {
+        Some(self.per_head.clone())
     }
 }
 

@@ -5,9 +5,14 @@
 //! *outputs*: logits, attention traces, selection overlap statistics and
 //! transfer accounting from actually running the model — the accuracy
 //! side of every experiment (Figs. 5, 6(b), 8, 9).
+//!
+//! There is one per-step loop (`DecodeState::run`); each step resolves the
+//! strategy to a [`LayerSelector`] and calls [`Model::step`]. Teacher-forced
+//! and free-running decode differ only in where a step's input comes from.
 
 use spec_kvcache::budget::{BudgetBuffer, StepTransfer};
-use spec_model::{LayerSelector, Model, ModelKv, SelectScratch, SparsePlan, StepOutput, StepTrace};
+use spec_model::{LayerSelector, Model, ModelKv, SelectScratch, StepOutput, StepTrace};
+use spec_retrieval::full::FullAttention;
 use spec_retrieval::spec_head::SpecContextRetriever;
 use spec_tensor::{stats, Matrix};
 
@@ -48,6 +53,128 @@ pub struct GenerationResult {
     pub overlaps: Vec<f32>,
 }
 
+/// What the loop carries from one step to the next besides the KV cache
+/// and the strategy: the elastic buffer's resident sets, the previous
+/// step's union selection and the selection workspace. A run that
+/// continues an earlier one (a session's second `generate`) must reuse
+/// the earlier run's state; [`generate_teacher_forced`] and
+/// [`generate_free_running`] start from a fresh one.
+#[derive(Debug, Default)]
+pub struct DecodeState {
+    /// Elastic-loading buffer, sized at the first SpeContext step.
+    buffer: Option<BudgetBuffer>,
+    last_union: Option<Vec<usize>>,
+    /// One selection workspace for the whole generation (the
+    /// zero-allocation hot path: warm across steps and layers).
+    scratch: SelectScratch,
+}
+
+/// Where a step's input embedding comes from.
+#[derive(Clone, Copy)]
+enum Feed<'a> {
+    /// Row `i` at step `i`.
+    TeacherForced(&'a Matrix),
+    /// This embedding first, then the previous step's argmax token's.
+    FreeRunning(&'a [f32]),
+}
+
+impl DecodeState {
+    /// As [`generate_teacher_forced`], continuing from this state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs` has fewer rows than `steps`.
+    pub fn teacher_forced(
+        &mut self,
+        model: &Model,
+        kv: &mut ModelKv,
+        inputs: &Matrix,
+        steps: usize,
+        strategy: &mut DecodeStrategy,
+        record_traces: bool,
+    ) -> GenerationResult {
+        assert!(inputs.rows() >= steps, "not enough teacher-forced inputs");
+        let feed = Feed::TeacherForced(inputs);
+        self.run(model, kv, feed, steps, strategy, record_traces)
+    }
+
+    /// As [`generate_free_running`], continuing from this state.
+    pub fn free_running(
+        &mut self,
+        model: &Model,
+        kv: &mut ModelKv,
+        first: &[f32],
+        steps: usize,
+        strategy: &mut DecodeStrategy,
+        record_traces: bool,
+    ) -> GenerationResult {
+        let feed = Feed::FreeRunning(first);
+        self.run(model, kv, feed, steps, strategy, record_traces)
+    }
+
+    fn run(
+        &mut self,
+        model: &Model,
+        kv: &mut ModelKv,
+        feed: Feed,
+        steps: usize,
+        strategy: &mut DecodeStrategy,
+        record_traces: bool,
+    ) -> GenerationResult {
+        let geom = model.geometry();
+        let mut res = GenerationResult::default();
+        let mut own = match feed {
+            Feed::TeacherForced(_) => Vec::new(),
+            Feed::FreeRunning(first) => first.to_vec(),
+        };
+        for i in 0..steps {
+            let x = match feed {
+                Feed::TeacherForced(inputs) => inputs.row(i),
+                Feed::FreeRunning(_) => &own[..],
+            };
+            let mut selection;
+            let selector: &mut dyn LayerSelector = match strategy {
+                DecodeStrategy::Dense => &mut FullAttention,
+                DecodeStrategy::LayerWise(selector) => selector.as_mut(),
+                DecodeStrategy::SpeContext(retr) => {
+                    // The retrieval head sees the token before the LLM does.
+                    retr.observe(x);
+                    selection = retr.select_scratch(x, geom, &mut self.scratch);
+                    // Elastic loading accounting. Every layer is handed
+                    // the same lists; the buffer still tracks
+                    // `layers × kv_heads` resident sets.
+                    let cfg = retr.config();
+                    let buffer = self.buffer.get_or_insert_with(|| {
+                        let slots = cfg.budget.max(1) + cfg.recent + cfg.sinks + 1;
+                        BudgetBuffer::new(geom.layers, geom.kv_heads, slots)
+                    });
+                    let moved = buffer.step(&vec![selection.per_head.clone(); geom.layers]);
+                    let total = res.transfer.get_or_insert_with(StepTransfer::default);
+                    total.fetched_entries += moved.fetched_entries;
+                    total.reused_entries += moved.reused_entries;
+                    let union = selection.union_positions();
+                    if let Some(prev) = &self.last_union {
+                        res.overlaps.push(stats::overlap_rate(prev, &union));
+                    }
+                    self.last_union = Some(union);
+                    &mut selection
+                }
+            };
+            let mut trace = record_traces.then(StepTrace::default);
+            let pos = kv.seq_len();
+            let out = model.step(x, pos, kv, selector, &mut self.scratch, trace.as_mut());
+            res.traces.extend(trace);
+            let token = Model::argmax_token(&out.logits);
+            res.tokens.push(token);
+            res.outputs.push(out);
+            if let Feed::FreeRunning(_) = feed {
+                own = model.embed_tokens(&[token]).row(0).to_vec();
+            }
+        }
+        res
+    }
+}
+
 /// Runs `steps` decode iterations teacher-forced on the rows of `inputs`
 /// (row `i` is the embedding fed at step `i`).
 ///
@@ -62,33 +189,7 @@ pub fn generate_teacher_forced(
     strategy: &mut DecodeStrategy,
     record_traces: bool,
 ) -> GenerationResult {
-    assert!(inputs.rows() >= steps, "not enough teacher-forced inputs");
-    let mut res = GenerationResult::default();
-    let mut buffers = make_buffers(model, strategy);
-    let mut last_selection: Option<Vec<usize>> = None;
-    // One selection workspace for the whole generation (the
-    // zero-allocation hot path: warm across steps and layers).
-    let mut scratch = SelectScratch::new();
-
-    for i in 0..steps {
-        let x = inputs.row(i).to_vec();
-        let pos = kv.seq_len();
-        let out = run_step(
-            model,
-            kv,
-            &x,
-            pos,
-            strategy,
-            record_traces,
-            &mut res,
-            &mut buffers,
-            &mut last_selection,
-            &mut scratch,
-        );
-        res.tokens.push(Model::argmax_token(&out.logits));
-        res.outputs.push(out);
-    }
-    res
+    DecodeState::default().teacher_forced(model, kv, inputs, steps, strategy, record_traces)
 }
 
 /// Runs `steps` free-running decode iterations: each step feeds the
@@ -101,111 +202,7 @@ pub fn generate_free_running(
     strategy: &mut DecodeStrategy,
     record_traces: bool,
 ) -> GenerationResult {
-    let mut res = GenerationResult::default();
-    let mut buffers = make_buffers(model, strategy);
-    let mut last_selection: Option<Vec<usize>> = None;
-    let mut scratch = SelectScratch::new();
-    let mut x = first.to_vec();
-
-    for _ in 0..steps {
-        let pos = kv.seq_len();
-        let out = run_step(
-            model,
-            kv,
-            &x,
-            pos,
-            strategy,
-            record_traces,
-            &mut res,
-            &mut buffers,
-            &mut last_selection,
-            &mut scratch,
-        );
-        let tok = Model::argmax_token(&out.logits);
-        res.tokens.push(tok);
-        x = model.embed_tokens(&[tok]).row(0).to_vec();
-        res.outputs.push(out);
-    }
-    res
-}
-
-fn make_buffers(model: &Model, strategy: &DecodeStrategy) -> Option<BudgetBuffer> {
-    match strategy {
-        DecodeStrategy::SpeContext(r) => {
-            let g = model.geometry();
-            Some(BudgetBuffer::new(
-                g.layers,
-                g.kv_heads,
-                r.config().budget.max(1) + r.config().recent + r.config().sinks + 1,
-            ))
-        }
-        _ => None,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_step(
-    model: &Model,
-    kv: &mut ModelKv,
-    x: &[f32],
-    pos: usize,
-    strategy: &mut DecodeStrategy,
-    record_traces: bool,
-    res: &mut GenerationResult,
-    buffers: &mut Option<BudgetBuffer>,
-    last_selection: &mut Option<Vec<usize>>,
-    scratch: &mut SelectScratch,
-) -> StepOutput {
-    match strategy {
-        DecodeStrategy::Dense => {
-            let plan = SparsePlan::dense(model.geometry().layers);
-            if record_traces {
-                let (out, trace) = model.decode_step_traced(x, pos, kv, &plan);
-                res.traces.push(trace);
-                out
-            } else {
-                model.decode_step_sparse(x, pos, kv, &plan)
-            }
-        }
-        DecodeStrategy::SpeContext(retr) => {
-            // The retrieval head sees the token before the LLM does.
-            retr.observe(x);
-            let sel = retr.select_scratch(x, model.geometry(), scratch);
-            // Elastic loading accounting.
-            if let Some(buf) = buffers {
-                let per_layer: Vec<Vec<Vec<usize>>> =
-                    vec![sel.per_head.clone(); model.geometry().layers];
-                let t = buf.step(&per_layer);
-                let agg = res.transfer.get_or_insert_with(StepTransfer::default);
-                agg.fetched_entries += t.fetched_entries;
-                agg.reused_entries += t.reused_entries;
-            }
-            let union = sel.union_positions();
-            if let Some(prev) = last_selection.as_ref() {
-                res.overlaps.push(stats::overlap_rate(prev, &union));
-            }
-            *last_selection = Some(union);
-
-            let plan = sel.to_plan(model.geometry().layers);
-            if record_traces {
-                let (out, trace) = model.decode_step_traced(x, pos, kv, &plan);
-                res.traces.push(trace);
-                out
-            } else {
-                model.decode_step_sparse(x, pos, kv, &plan)
-            }
-        }
-        DecodeStrategy::LayerWise(sel) => {
-            if record_traces {
-                let (out, trace) =
-                    model.decode_step_selected_traced_scratch(x, pos, kv, sel.as_mut(), scratch);
-                res.traces.push(trace);
-                out
-            } else {
-                model.decode_step_selected_scratch(x, pos, kv, sel.as_mut(), scratch)
-            }
-        }
-    }
+    DecodeState::default().free_running(model, kv, first, steps, strategy, record_traces)
 }
 
 #[cfg(test)]

@@ -14,7 +14,8 @@
 //! equals plain greedy decoding exactly; speculation only changes how
 //! much target work can be batched per round.
 
-use spec_model::{Dlm, Model, ModelKv, SparsePlan};
+use spec_model::{Dlm, LayerSelector, Model, ModelKv, SelectScratch};
+use spec_retrieval::full::FullAttention;
 use spec_retrieval::spec_head::SpecContextRetriever;
 
 /// Result of a speculative generation run.
@@ -91,80 +92,65 @@ impl<'a> SpeculativeDecoder<'a> {
     ) -> SpecDecodeResult {
         let mut res = SpecDecodeResult::default();
         let geom = self.teacher.geometry();
-        let mut dlm_kv = ModelKv::empty(self.dlm.model().geometry());
-        // Warm the DLM cache with nothing: drafts condition only on the
-        // committed stream (EAGLE warms from hidden states; the sim DLM
-        // redrafts from its own cache built over committed tokens).
+        let draft = self.dlm.model();
+        let draft_step = |tok: usize, kv: &mut ModelKv| {
+            let emb = draft.embed_tokens(&[tok]);
+            draft.decode_step(emb.row(0), kv.seq_len(), kv)
+        };
+        // Drafts condition only on the committed stream (EAGLE warms from
+        // hidden states; the sim DLM redrafts from its own cache built
+        // over committed tokens).
+        let mut dlm_kv = ModelKv::empty(draft.geometry());
+        let mut scratch = SelectScratch::new();
         let mut current = first_token;
 
         while res.tokens.len() < steps {
             // --- draft phase: DLM proposes draft_len tokens ------------
             let mut drafts = Vec::with_capacity(self.draft_len);
             let mut dlm_tok = current;
-            let draft_base = dlm_kv.seq_len();
             for _ in 0..self.draft_len {
-                let emb = self.dlm.model().embed_tokens(&[dlm_tok]);
-                let out = self
-                    .dlm
-                    .model()
-                    .decode_step(emb.row(0), dlm_kv.seq_len(), &mut dlm_kv);
-                dlm_tok = Model::argmax_token(&out.logits);
+                dlm_tok = Model::argmax_token(&draft_step(dlm_tok, &mut dlm_kv).logits);
                 drafts.push(dlm_tok);
             }
             res.drafted += drafts.len();
             res.rounds += 1;
 
             // --- verify phase: teacher consumes current + drafts -------
-            let mut committed_this_round = 0;
             let mut feed = current;
-            for (i, &draft) in drafts.iter().enumerate() {
+            for &drafted in &drafts {
                 let emb = self.teacher.embed_tokens(&[feed]);
                 let x = emb.row(0);
                 let pos = teacher_kv.seq_len();
-                let out = match retriever.as_deref_mut() {
+                let mut selection;
+                let selector: &mut dyn LayerSelector = match retriever.as_deref_mut() {
                     Some(r) => {
                         r.observe(x);
-                        let sel = r.select(x, geom);
-                        let plan = sel.to_plan(geom.layers);
-                        self.teacher.decode_step_sparse(x, pos, teacher_kv, &plan)
+                        selection = r.select_scratch(x, geom, &mut scratch);
+                        &mut selection
                     }
-                    None => {
-                        let plan = SparsePlan::dense(geom.layers);
-                        self.teacher.decode_step_sparse(x, pos, teacher_kv, &plan)
-                    }
+                    None => &mut FullAttention,
                 };
+                let out = self
+                    .teacher
+                    .step(x, pos, teacher_kv, selector, &mut scratch, None);
                 let target_tok = Model::argmax_token(&out.logits);
                 res.tokens.push(target_tok);
-                committed_this_round += 1;
-                if res.tokens.len() >= steps {
+                // A mismatch ends the round.
+                if res.tokens.len() >= steps || target_tok != drafted {
                     break;
                 }
-                if target_tok == draft {
-                    res.accepted += 1;
-                    feed = target_tok;
-                } else {
-                    // Mismatch: the round ends; resync the DLM cache to
-                    // the committed stream.
-                    let _ = i;
-                    break;
-                }
+                res.accepted += 1;
+                feed = target_tok;
             }
             // Resync DLM: drop the speculative entries beyond what was
             // committed and append the committed tokens instead.
-            let mut resync = ModelKv::empty(self.dlm.model().geometry());
             // (Rebuild is O(committed); fine at sim scale. A production
             // implementation would roll back in place.)
-            let committed_prefix: Vec<usize> = res.tokens.clone();
-            let _ = draft_base;
-            for &t in &committed_prefix {
-                let emb = self.dlm.model().embed_tokens(&[t]);
-                self.dlm
-                    .model()
-                    .decode_step(emb.row(0), resync.seq_len(), &mut resync);
+            dlm_kv = ModelKv::empty(draft.geometry());
+            for &t in &res.tokens {
+                draft_step(t, &mut dlm_kv);
             }
-            dlm_kv = resync;
             current = *res.tokens.last().expect("committed at least one");
-            let _ = committed_this_round;
         }
         res
     }

@@ -191,7 +191,7 @@ mod tests {
         let (mut kv, _) = m.prefill_embeddings(&ctx.emb, PrefillMode::Exact);
         let q = ctx.emb.row(95).to_vec();
         let plan = SparsePlan::dense(m.geometry().layers);
-        let (_, trace) = m.decode_step_traced(&q, 96, &mut kv, &plan);
+        let (_, trace) = m.decode_step_traced(&q, 96, &mut kv, &mut &plan);
 
         let mut mass = 0.0;
         let mut count = 0;

@@ -204,7 +204,7 @@ mod tests {
         let n = inst.ctx.emb.rows();
         let q = inst.ctx.emb.row(n - 1).to_vec();
         let plan = SparsePlan::dense(m.geometry().layers);
-        m.decode_step_traced(&q, n, &mut kv, &plan).1
+        m.decode_step_traced(&q, n, &mut kv, &mut &plan).1
     }
 
     #[test]
@@ -254,7 +254,7 @@ mod tests {
             let plan = SparsePlan::uniform(m.geometry().layers, m.geometry().kv_heads, keep);
             let (mut kv, _) = m.prefill_embeddings(&inst.ctx.emb, PrefillMode::Exact);
             let q = inst.ctx.emb.row(127).to_vec();
-            let (_, trace) = m.decode_step_traced(&q, 128, &mut kv, &plan);
+            let (_, trace) = m.decode_step_traced(&q, 128, &mut kv, &mut &plan);
             broken_total += inst.score(&trace);
         }
         assert!(

@@ -125,7 +125,7 @@ mod tests {
         let n = inst.emb.rows();
         let q = inst.emb.row(n - 1).to_vec();
         let plan = SparsePlan::dense(m.geometry().layers);
-        m.decode_step_traced(&q, n, &mut kv, &plan).1
+        m.decode_step_traced(&q, n, &mut kv, &mut &plan).1
     }
 
     #[test]
@@ -178,7 +178,7 @@ mod tests {
         // Window covering only the last 16 positions.
         let keep: Vec<usize> = (n - 16..=n).collect();
         let plan = SparsePlan::uniform(m.geometry().layers, m.geometry().kv_heads, keep);
-        let (_, trace) = m.decode_step_traced(&q, n, &mut kv, &plan);
+        let (_, trace) = m.decode_step_traced(&q, n, &mut kv, &mut &plan);
         assert!(!inst.found(&trace, 3.0), "window must miss the needle");
     }
 }

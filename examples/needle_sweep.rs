@@ -8,7 +8,8 @@
 
 use specontext::core::engine::{Engine, EngineConfig};
 use specontext::core::report::Table;
-use specontext::model::{ModelConfig, PrefillMode, SparsePlan};
+use specontext::model::{ModelConfig, PrefillMode};
+use specontext::retrieval::full::FullAttention;
 use specontext::retrieval::window::{SlidingWindow, StreamingLlm};
 use specontext::tensor::SimRng;
 use specontext::workloads::context::ContextBuilder;
@@ -71,30 +72,28 @@ fn main() {
             for r in 0..inst.emb.rows() {
                 retr.observe(inst.emb.row(r));
             }
-            let sel = retr.select(&q, model.geometry());
-            let plan = sel.to_plan(model.geometry().layers);
+            let mut sel = retr.select(&q, model.geometry());
             let mut kv = prefill();
-            let (_, trace) = model.decode_step_traced(&q, n, &mut kv, &plan);
+            let (_, trace) = model.decode_step_traced(&q, n, &mut kv, &mut sel);
             row.push(found(inst.found(&trace, 3.0)));
         }
         // StreamingLLM and SlidingWindow at the same budget.
         {
             let mut s = StreamingLlm::new(4, 60);
             let mut kv = prefill();
-            let (_, trace) = model.decode_step_selected_traced(&q, n, &mut kv, &mut s);
+            let (_, trace) = model.decode_step_traced(&q, n, &mut kv, &mut s);
             row.push(found(inst.found(&trace, 3.0)));
         }
         {
             let mut s = SlidingWindow::new(64);
             let mut kv = prefill();
-            let (_, trace) = model.decode_step_selected_traced(&q, n, &mut kv, &mut s);
+            let (_, trace) = model.decode_step_traced(&q, n, &mut kv, &mut s);
             row.push(found(inst.found(&trace, 3.0)));
         }
         // Full attention.
         {
-            let plan = SparsePlan::dense(model.geometry().layers);
             let mut kv = prefill();
-            let (_, trace) = model.decode_step_traced(&q, n, &mut kv, &plan);
+            let (_, trace) = model.decode_step_traced(&q, n, &mut kv, &mut FullAttention);
             row.push(found(inst.found(&trace, 3.0)));
         }
         table.push_row(row);

@@ -54,7 +54,7 @@ proptest! {
                 }
             }
             // The model accepts the selector end to end.
-            let out = model.decode_step_selected(emb.row(0), n, &mut kv, sel.as_mut());
+            let out = model.step(emb.row(0), n, &mut kv, sel.as_mut(), &mut scratch, None);
             prop_assert!(out.logits.iter().all(|v| v.is_finite()));
             // Re-derive the cache so each selector starts from the same
             // prefill state.
@@ -115,7 +115,7 @@ proptest! {
         let (mut kv, _) = model.prefill_embeddings(&emb, PrefillMode::Exact);
         let q = emb.row(n - 1).to_vec();
         let plan = SparsePlan::dense(model.geometry().layers);
-        let (_, trace) = model.decode_step_traced(&q, n, &mut kv, &plan);
+        let (_, trace) = model.decode_step_traced(&q, n, &mut kv, &mut &plan);
 
         let mut state = head.new_state();
         for r in 0..emb.rows() {
