@@ -10,9 +10,9 @@
 //! future PRs have a perf trajectory to compare against.
 
 use criterion::{BatchSize, Criterion};
-use spec_kvcache::{PageTable, ResidentSet};
+use spec_kvcache::{BudgetBuffer, PageTable, ResidentSet};
 use spec_model::LayerSelector;
-use spec_model::{AttentionKind, LayerKv, ModelKv, SimGeometry};
+use spec_model::{AttentionKind, LayerKv, ModelConfig, ModelKv, SimGeometry};
 use spec_retrieval::clusterkv::ClusterKvSelector;
 use spec_retrieval::common::SelectorConfig;
 use spec_retrieval::infinigen::InfiniGenSelector;
@@ -93,6 +93,35 @@ fn bench_kernels(c: &mut Criterion) {
             |rs| rs.plan(black_box(&wanted_b)),
             BatchSize::SmallInput,
         )
+    });
+
+    // The call the decode loop makes: every layer handed the same per-head
+    // lists, each step keeping half of the last one (the measured reuse
+    // fraction of `reason_2k_16k`).
+    let mut buffer = BudgetBuffer::new(4, 2, 2048);
+    let steps = [0, 2].map(|shift| {
+        let head = |h: usize| (0..2048).map(|i| 8 * i + h + shift * (i % 2)).collect();
+        vec![vec![head(0), head(1)]; 4]
+    });
+    buffer.step(&steps[0]);
+    let mut flip = 0;
+    c.bench_function("elastic_step/4x2x2048", |b| {
+        b.iter(|| {
+            flip ^= 1;
+            buffer.step(black_box(&steps[flip]))
+        })
+    });
+
+    // The retrieval head at the engine's shape (8 heads of dim 16) over a
+    // 16K-position key cache: one softmax distribution per head.
+    let engine = spec_bench::sim_engine(&ModelConfig::deepseek_distill_llama_8b(), 256, 0x5EED);
+    let head = engine.dlm().to_retrieval_head();
+    let tokens: Vec<usize> = (0..16_384).map(|i| (i * 31 + 7) % 512).collect();
+    let emb = head.embed_tokens(&tokens);
+    let mut state = head.new_state();
+    head.append_all(&emb, &mut state);
+    c.bench_function("retrieval_head/head_scores/8x16@16384", |b| {
+        b.iter(|| head.head_scores(black_box(emb.row(16_383)), &state))
     });
 
     let a = rng.normal_matrix(64, 64, 1.0);

@@ -38,6 +38,9 @@ const EXPECTED_ENTRIES: &[&str] = &[
     "lut/dot_i8_fma/16384x64",
     "lut/dot_i8_table/16384x64",
     "lut/dot_i8_reference/16384x64",
+    // The two data-structure passes of a SpeContext decode step.
+    "elastic_step/4x2x2048",
+    "retrieval_head/head_scores/8x16@16384",
 ];
 
 /// Keys of the `selection_speedup_vs_reference` map that must be present

@@ -6,7 +6,7 @@
 //! the retrieval head's selections and reads back aggregate transfer
 //! volumes for the performance model.
 
-use crate::elastic::{DiffPlan, ResidentSet};
+use crate::elastic::{PlanScratch, ResidentSet};
 use serde::{Deserialize, Serialize};
 
 /// Aggregate transfer accounting for one step across all layers/heads.
@@ -35,6 +35,9 @@ impl StepTransfer {
 pub struct BudgetBuffer {
     sets: Vec<Vec<ResidentSet>>,
     budget: usize,
+    /// The buffers every set plans and applies in, so that
+    /// [`step`](Self::step) allocates nothing.
+    scratch: PlanScratch,
 }
 
 impl BudgetBuffer {
@@ -51,6 +54,7 @@ impl BudgetBuffer {
                 .map(|_| (0..kv_heads).map(|_| ResidentSet::new(budget)).collect())
                 .collect(),
             budget,
+            scratch: PlanScratch::new(budget),
         }
     }
 
@@ -91,11 +95,10 @@ impl BudgetBuffer {
         let mut agg = StepTransfer::default();
         for (layer, heads) in selections.iter().enumerate() {
             assert_eq!(heads.len(), self.kv_heads(), "head count mismatch");
-            for (h, wanted) in heads.iter().enumerate() {
-                let plan: DiffPlan = self.sets[layer][h].plan(wanted);
-                agg.fetched_entries += plan.fetch.len() as u64;
-                agg.reused_entries += plan.reused.len() as u64;
-                self.sets[layer][h].apply(&plan);
+            for (set, wanted) in self.sets[layer].iter_mut().zip(heads) {
+                set.advance(wanted, &mut self.scratch);
+                agg.fetched_entries += self.scratch.fetch.len() as u64;
+                agg.reused_entries += self.scratch.reused.len() as u64;
             }
         }
         agg

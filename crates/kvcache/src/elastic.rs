@@ -9,7 +9,6 @@
 //! have equal cardinality, so the plan is a slot-for-slot replacement.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A transfer plan produced by [`ResidentSet::plan`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -43,6 +42,12 @@ impl DiffPlan {
 
 /// The GPU-resident selection: budget slots holding KV positions.
 ///
+/// Two arrays, both O(budget): the slot array, and the occupied
+/// `(position, slot)` pairs kept in position order. Selections arrive
+/// position-ordered too, so planning is one merge of the two lists plus a
+/// walk over the slots, and applying a plan is one more merge — no
+/// hashing and nothing sized by the context.
+///
 /// # Example
 ///
 /// ```
@@ -61,12 +66,59 @@ impl DiffPlan {
 pub struct ResidentSet {
     /// slot -> position (usize::MAX = empty slot).
     slots: Vec<usize>,
-    /// position -> slot.
-    index: HashMap<usize, usize>,
+    /// Occupied `(position, slot)` pairs, ascending by position.
+    index: Vec<(usize, usize)>,
 }
 
 /// Sentinel for an unoccupied slot.
 const EMPTY: usize = usize::MAX;
+
+/// Buffers one plan/apply round works in. [`BudgetBuffer`] keeps one for
+/// all its sets, so a decode step allocates nothing once they are warm.
+///
+/// [`BudgetBuffer`]: crate::BudgetBuffer
+#[derive(Debug, Clone)]
+pub(crate) struct PlanScratch {
+    /// The plan's three lists (see [`DiffPlan`]).
+    pub(crate) fetch: Vec<usize>,
+    pub(crate) evict_slots: Vec<usize>,
+    pub(crate) reused: Vec<usize>,
+    /// `wanted`, sorted, when it did not arrive ascending.
+    sorted: Vec<usize>,
+    /// Per slot: reused (while planning), then evicted (while applying).
+    flags: Vec<bool>,
+    /// The pairs that stay resident, while the index is rebuilt.
+    staying: Vec<(usize, usize)>,
+}
+
+/// Appends the `i` in `0..n` with `keep(i)` to `out`, ascending. Every
+/// index is stored and only the cursor depends on `keep`: which slots a
+/// step reuses is as good as random, and one mispredicted branch per slot
+/// cost more than the rest of the planner.
+fn push_where(out: &mut Vec<usize>, n: usize, keep: impl Fn(usize) -> bool) {
+    let mut len = out.len();
+    out.resize(len + n, 0);
+    for i in 0..n {
+        out[len] = i;
+        len += usize::from(keep(i));
+    }
+    out.truncate(len);
+}
+
+impl PlanScratch {
+    /// Buffers already sized for sets of `budget` slots (all but the one
+    /// unsorted input needs).
+    pub(crate) fn new(budget: usize) -> Self {
+        Self {
+            fetch: Vec::with_capacity(budget),
+            evict_slots: Vec::with_capacity(2 * budget),
+            reused: Vec::with_capacity(budget),
+            sorted: Vec::new(),
+            flags: Vec::with_capacity(budget),
+            staying: Vec::with_capacity(budget),
+        }
+    }
+}
 
 impl ResidentSet {
     /// Creates an empty resident set with `budget` slots.
@@ -78,7 +130,7 @@ impl ResidentSet {
         assert!(budget > 0, "budget must be positive");
         Self {
             slots: vec![EMPTY; budget],
-            index: HashMap::with_capacity(budget),
+            index: Vec::with_capacity(budget),
         }
     }
 
@@ -94,90 +146,194 @@ impl ResidentSet {
 
     /// Whether `pos` is resident.
     pub fn contains(&self, pos: usize) -> bool {
-        self.index.contains_key(&pos)
+        self.slot_of(pos).is_some()
     }
 
     /// Currently resident positions, ascending.
     pub fn positions(&self) -> Vec<usize> {
-        let mut p: Vec<usize> = self.index.keys().copied().collect();
-        p.sort_unstable();
-        p
+        self.index.iter().map(|&(pos, _)| pos).collect()
     }
 
     /// Computes the minimal transfer plan to make `wanted` resident.
+    /// `wanted` need not be sorted, though selections normally are.
     ///
     /// # Panics
     ///
     /// Panics if `wanted` exceeds the budget or contains duplicates.
     pub fn plan(&self, wanted: &[usize]) -> DiffPlan {
+        let mut scratch = PlanScratch::new(self.budget());
+        self.plan_into(wanted, &mut scratch);
+        DiffPlan {
+            fetch: scratch.fetch,
+            evict_slots: scratch.evict_slots,
+            reused: scratch.reused,
+        }
+    }
+
+    /// [`plan`](Self::plan) into `scratch`'s three lists.
+    pub(crate) fn plan_into(&self, wanted: &[usize], scratch: &mut PlanScratch) {
         assert!(
             wanted.len() <= self.budget(),
             "selection {} exceeds budget {}",
             wanted.len(),
             self.budget()
         );
-        let wanted_set: std::collections::HashSet<usize> = wanted.iter().copied().collect();
-        assert_eq!(wanted_set.len(), wanted.len(), "duplicate positions");
-
-        let mut fetch: Vec<usize> = wanted
-            .iter()
-            .copied()
-            .filter(|p| !self.index.contains_key(p))
-            .collect();
-        fetch.sort_unstable();
-        let mut reused: Vec<usize> = wanted
-            .iter()
-            .copied()
-            .filter(|p| self.index.contains_key(p))
-            .collect();
-        reused.sort_unstable();
-
-        // Slots to overwrite: empty slots first, then slots holding
-        // positions not in `wanted` (no needless eviction under budget).
-        let mut evictable: Vec<usize> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, &pos)| pos == EMPTY)
-            .map(|(slot, _)| slot)
-            .collect();
-        evictable.extend(
-            self.slots
-                .iter()
-                .enumerate()
-                .filter(|(_, &pos)| pos != EMPTY && !wanted_set.contains(&pos))
-                .map(|(slot, _)| slot),
-        );
-        let evict_slots: Vec<usize> = evictable.into_iter().take(fetch.len()).collect();
-        debug_assert_eq!(evict_slots.len(), fetch.len());
-        DiffPlan {
+        let PlanScratch {
             fetch,
             evict_slots,
             reused,
+            sorted,
+            flags,
+            ..
+        } = scratch;
+        let wanted = if wanted.windows(2).all(|w| w[0] < w[1]) {
+            wanted
+        } else {
+            sorted.clear();
+            sorted.extend_from_slice(wanted);
+            sorted.sort_unstable();
+            let distinct = 1 + sorted.windows(2).filter(|w| w[0] < w[1]).count();
+            assert_eq!(distinct, wanted.len(), "duplicate positions");
+            sorted
+        };
+
+        // Merge the two position-ordered lists: a wanted position is
+        // either resident (reused, its slot kept) or to be fetched. Every
+        // candidate is stored and only the cursors depend on the
+        // comparison (see `push_where`).
+        flags.clear();
+        flags.resize(self.budget(), false);
+        for list in [&mut *fetch, &mut *reused] {
+            list.clear();
+            list.resize(wanted.len(), 0);
         }
+        let (mut w, mut r, mut fetched, mut kept) = (0, 0, 0, 0);
+        while w < wanted.len() && r < self.index.len() {
+            let pos = wanted[w];
+            let (resident, slot) = self.index[r];
+            fetch[fetched] = pos;
+            reused[kept] = pos;
+            fetched += usize::from(pos < resident);
+            kept += usize::from(pos == resident);
+            flags[slot] |= pos == resident;
+            w += usize::from(pos <= resident);
+            r += usize::from(pos >= resident);
+        }
+        // What is left of `wanted` lies beyond every resident position.
+        let beyond = wanted.len() - w;
+        fetch[fetched..fetched + beyond].copy_from_slice(&wanted[w..]);
+        fetch.truncate(fetched + beyond);
+        reused.truncate(kept);
+
+        // Slots to overwrite: empty slots first, then slots holding
+        // positions not in `wanted` (no needless eviction under budget),
+        // each in slot order. There are always enough: empty + stale =
+        // budget − reused ≥ wanted − reused = fetch.
+        evict_slots.clear();
+        let need = fetch.len();
+        if self.occupied() < self.budget() {
+            push_where(evict_slots, self.budget(), |s| self.slots[s] == EMPTY);
+            evict_slots.truncate(need);
+        }
+        if evict_slots.len() < need {
+            push_where(evict_slots, self.budget(), |s| {
+                self.slots[s] != EMPTY && !flags[s]
+            });
+            evict_slots.truncate(need);
+        }
+        debug_assert_eq!(evict_slots.len(), need);
     }
 
     /// Applies a plan produced by [`plan`](Self::plan) on the current state.
     ///
     /// # Panics
     ///
-    /// Panics if the plan is inconsistent with the current state (wrong
-    /// slot contents), which indicates it was produced for another state.
+    /// Panics if the plan names a slot the set does not have, or fetches a
+    /// position that stays resident in another slot — either means the
+    /// plan was produced for another state.
     pub fn apply(&mut self, plan: &DiffPlan) {
-        for (&pos, &slot) in plan.fetch.iter().zip(&plan.evict_slots) {
-            let old = self.slots[slot];
-            if old != EMPTY {
-                let removed = self.index.remove(&old);
-                assert!(removed.is_some(), "plan/state mismatch at slot {slot}");
-            }
-            self.slots[slot] = pos;
-            self.index.insert(pos, slot);
+        let (mut flags, mut staying) = (Vec::new(), Vec::with_capacity(self.budget()));
+        if plan.fetch.windows(2).all(|w| w[0] < w[1]) {
+            self.apply_pairs(&plan.fetch, &plan.evict_slots, &mut flags, &mut staying);
+        } else {
+            // Only a hand-built plan lists its fetches out of order.
+            let mut pairs: Vec<(usize, usize)> = plan
+                .fetch
+                .iter()
+                .copied()
+                .zip(plan.evict_slots.iter().copied())
+                .collect();
+            pairs.sort_unstable();
+            let (fetch, evict_slots): (Vec<usize>, Vec<usize>) = pairs.into_iter().unzip();
+            self.apply_pairs(&fetch, &evict_slots, &mut flags, &mut staying);
         }
+    }
+
+    /// Plans and applies `wanted` in `scratch`; afterwards its three lists
+    /// hold the plan that was applied.
+    pub(crate) fn advance(&mut self, wanted: &[usize], scratch: &mut PlanScratch) {
+        self.plan_into(wanted, scratch);
+        let PlanScratch {
+            fetch,
+            evict_slots,
+            flags,
+            staying,
+            ..
+        } = scratch;
+        self.apply_pairs(fetch, evict_slots, flags, staying);
+    }
+
+    /// Writes position `fetch[i]` (ascending) into slot `evict_slots[i]`
+    /// and rebuilds the index in one merge: the pairs that stay and the
+    /// fetched pairs are both in position order. `flags` and `staying` are
+    /// work space.
+    fn apply_pairs(
+        &mut self,
+        fetch: &[usize],
+        evict_slots: &[usize],
+        flags: &mut Vec<bool>,
+        staying: &mut Vec<(usize, usize)>,
+    ) {
+        flags.clear();
+        flags.resize(self.budget(), false);
+        for (&pos, &slot) in fetch.iter().zip(evict_slots) {
+            flags[slot] = true;
+            self.slots[slot] = pos;
+        }
+        // As in `plan_into`, only cursors depend on the data.
+        staying.clear();
+        staying.resize(self.index.len(), (0, 0));
+        let mut stay = 0;
+        for &(pos, slot) in &self.index {
+            staying[stay] = (pos, slot);
+            stay += usize::from(!flags[slot]);
+        }
+        staying.truncate(stay);
+        let index = &mut self.index;
+        index.clear();
+        index.resize(staying.len() + fetch.len(), (0, 0));
+        let (mut s, mut f) = (0, 0);
+        while s < staying.len() && f < fetch.len() {
+            let fetched_first = usize::from(fetch[f] < staying[s].0);
+            index[s + f] = [staying[s], (fetch[f], evict_slots[f])][fetched_first];
+            s += 1 - fetched_first;
+            f += fetched_first;
+        }
+        index.truncate(s + f);
+        let fetched = fetch.iter().copied().zip(evict_slots.iter().copied());
+        index.extend(staying[s..].iter().copied().chain(fetched.skip(f)));
+        assert!(
+            index.windows(2).all(|w| w[0].0 < w[1].0),
+            "plan/state mismatch: a fetched position is already resident"
+        );
     }
 
     /// The slot currently holding `pos`, if resident.
     pub fn slot_of(&self, pos: usize) -> Option<usize> {
-        self.index.get(&pos).copied()
+        self.index
+            .binary_search_by_key(&pos, |&(p, _)| p)
+            .ok()
+            .map(|i| self.index[i].1)
     }
 }
 

@@ -2,12 +2,116 @@
 //! loading invariants the paper's Section 5.4 relies on.
 
 use proptest::prelude::*;
-use spec_kvcache::{KvStore, MemoryTier, PageTable, ResidentSet};
+use spec_kvcache::{BudgetBuffer, DiffPlan, KvStore, MemoryTier, PageTable, ResidentSet};
 use spec_tensor::Matrix;
+use std::collections::{HashMap, HashSet};
 
 fn selection(budget: usize, universe: usize) -> impl Strategy<Value = Vec<usize>> {
     prop::collection::btree_set(0..universe, 0..=budget)
         .prop_map(|s| s.into_iter().collect::<Vec<usize>>())
+}
+
+/// The planner `ResidentSet` shipped with until it went hash-free: a
+/// `HashSet` of the wanted positions, a position → slot `HashMap`, a scan
+/// of every slot. The model the slot-array planner is held to.
+struct OracleSet {
+    slots: Vec<usize>,
+    index: HashMap<usize, usize>,
+}
+
+const EMPTY: usize = usize::MAX;
+
+impl OracleSet {
+    fn new(budget: usize) -> Self {
+        Self {
+            slots: vec![EMPTY; budget],
+            index: HashMap::new(),
+        }
+    }
+
+    fn positions(&self) -> Vec<usize> {
+        let mut p: Vec<usize> = self.index.keys().copied().collect();
+        p.sort_unstable();
+        p
+    }
+
+    fn plan(&self, wanted: &[usize]) -> DiffPlan {
+        let wanted_set: HashSet<usize> = wanted.iter().copied().collect();
+        let resident = |p: &usize| self.index.contains_key(p);
+        let mut fetch: Vec<usize> = wanted.iter().copied().filter(|p| !resident(p)).collect();
+        fetch.sort_unstable();
+        let mut reused: Vec<usize> = wanted.iter().copied().filter(resident).collect();
+        reused.sort_unstable();
+        let slots = || self.slots.iter().enumerate();
+        let evict_slots: Vec<usize> = slots()
+            .filter(|(_, &pos)| pos == EMPTY)
+            .chain(slots().filter(|(_, &pos)| pos != EMPTY && !wanted_set.contains(&pos)))
+            .map(|(slot, _)| slot)
+            .take(fetch.len())
+            .collect();
+        DiffPlan {
+            fetch,
+            evict_slots,
+            reused,
+        }
+    }
+
+    fn apply(&mut self, plan: &DiffPlan) {
+        for (&pos, &slot) in plan.fetch.iter().zip(&plan.evict_slots) {
+            let old = self.slots[slot];
+            if old != EMPTY {
+                self.index.remove(&old);
+            }
+            self.slots[slot] = pos;
+            self.index.insert(pos, slot);
+        }
+    }
+}
+
+const MODEL_BUDGET: usize = 8;
+const MODEL_UNIVERSE: usize = 40;
+
+/// One step of a selection sequence: a fresh set and how to turn it and
+/// the previous selection into this step's `wanted`.
+fn model_step() -> impl Strategy<Value = (Vec<usize>, usize, u64)> {
+    (
+        selection(MODEL_BUDGET, MODEL_UNIVERSE),
+        0usize..5,
+        any::<u64>(),
+    )
+}
+
+/// `wanted` for a step: the fresh set as drawn (ascending, any size up
+/// to the budget), shuffled, topped up to exactly the budget, or — from
+/// the previous selection — repeated or shrunk.
+fn next_wanted(prev: &[usize], fresh: Vec<usize>, mode: usize, salt: u64) -> Vec<usize> {
+    match mode {
+        0 => fresh,
+        1 => {
+            let mut v = fresh;
+            let mut x = salt | 1;
+            for i in (1..v.len()).rev() {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                v.swap(i, (x >> 33) as usize % (i + 1));
+            }
+            v
+        }
+        2 => {
+            let mut v = fresh;
+            let mut p = salt as usize % MODEL_UNIVERSE;
+            while v.len() < MODEL_BUDGET {
+                if !v.contains(&p) {
+                    v.push(p);
+                }
+                p = (p + 1) % MODEL_UNIVERSE;
+            }
+            v
+        }
+        3 => prev.to_vec(),
+        _ => prev[..prev.len() - prev.len().min(1 + salt as usize % 3)].to_vec(),
+    }
 }
 
 proptest! {
@@ -41,7 +145,7 @@ proptest! {
         let mut rs = ResidentSet::new(8);
         rs.apply(&rs.plan(&a));
         let plan = rs.plan(&b);
-        let a_set: std::collections::HashSet<_> = a.iter().collect();
+        let a_set: HashSet<_> = a.iter().collect();
         let expected: usize = b.iter().filter(|p| !a_set.contains(p)).count();
         prop_assert_eq!(plan.transfer_count(), expected);
     }
@@ -60,6 +164,59 @@ proptest! {
         }
         for r in &plan.reused {
             prop_assert!(a.contains(r) && b.contains(r));
+        }
+    }
+
+    /// The slot-array planner against the hashing one it replaced, over
+    /// selection sequences with unsorted, under-budget, budget-filling,
+    /// repeated and shrinking steps: identical plans (same `fetch` and
+    /// `reused` order, same `evict_slots`) and identical state after each.
+    #[test]
+    fn planner_matches_hashing_oracle(
+        steps in prop::collection::vec(model_step(), 1..16)
+    ) {
+        let mut rs = ResidentSet::new(MODEL_BUDGET);
+        let mut oracle = OracleSet::new(MODEL_BUDGET);
+        let mut wanted = Vec::new();
+        for (fresh, mode, salt) in steps {
+            wanted = next_wanted(&wanted, fresh, mode, salt);
+            let plan = rs.plan(&wanted);
+            prop_assert_eq!(&plan, &oracle.plan(&wanted), "wanted {:?}", &wanted);
+            rs.apply(&plan);
+            oracle.apply(&plan);
+            prop_assert_eq!(rs.positions(), oracle.positions());
+            prop_assert_eq!(rs.occupied(), oracle.index.len());
+            for pos in 0..MODEL_UNIVERSE {
+                prop_assert_eq!(rs.slot_of(pos), oracle.index.get(&pos).copied());
+                prop_assert_eq!(rs.contains(pos), oracle.index.contains_key(&pos));
+            }
+        }
+    }
+
+    /// `BudgetBuffer::step` (plan and apply fused on reused buffers)
+    /// reports the oracle's totals and leaves every head in its state.
+    #[test]
+    fn buffer_step_matches_hashing_oracle(
+        steps in prop::collection::vec((model_step(), model_step()), 1..12)
+    ) {
+        const LAYERS: usize = 2;
+        let mut buffer = BudgetBuffer::new(LAYERS, 2, MODEL_BUDGET);
+        let mut oracles: Vec<OracleSet> =
+            (0..LAYERS * 2).map(|_| OracleSet::new(MODEL_BUDGET)).collect();
+        let mut wanted = [Vec::new(), Vec::new()];
+        for (a, b) in steps {
+            wanted[0] = next_wanted(&wanted[0], a.0, a.1, a.2);
+            wanted[1] = next_wanted(&wanted[1], b.0, b.1, b.2);
+            let moved = buffer.step(&vec![wanted.to_vec(); LAYERS]);
+            let (mut fetched, mut reused) = (0, 0);
+            for (i, oracle) in oracles.iter_mut().enumerate() {
+                let plan = oracle.plan(&wanted[i % 2]);
+                fetched += plan.fetch.len() as u64;
+                reused += plan.reused.len() as u64;
+                oracle.apply(&plan);
+                prop_assert_eq!(buffer.head(i / 2, i % 2).positions(), oracle.positions());
+            }
+            prop_assert_eq!((moved.fetched_entries, moved.reused_entries), (fetched, reused));
         }
     }
 

@@ -15,7 +15,7 @@
 use crate::config::{AttentionKind, SimGeometry};
 use crate::transformer::Model;
 use crate::weights::{LayerWeights, ModelWeights};
-use spec_tensor::{ops, Matrix, SimRng};
+use spec_tensor::{ops, KeyBlocks, Matrix, SimRng};
 
 /// Options controlling distillation fidelity.
 #[derive(Debug, Clone, Copy)]
@@ -221,22 +221,40 @@ pub struct RetrievalHead {
     use_rope: bool,
 }
 
-/// Incremental key-cache state for the retrieval head.
+/// Incremental key-cache state for the retrieval head: one
+/// position-blocked key cache per head (keys only, stored once, in the
+/// layout [`KeyBlocks`] scores with its lanes across positions).
 #[derive(Debug, Clone, Default)]
 pub struct RetrievalHeadState {
-    keys: Vec<Matrix>,
-    len: usize,
+    keys: Vec<KeyBlocks>,
 }
 
 impl RetrievalHeadState {
     /// Number of cached positions.
     pub fn len(&self) -> usize {
-        self.len
+        self.keys.first().map_or(0, KeyBlocks::len)
     }
 
     /// True when no positions are cached.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
+    }
+
+    /// Head `h`'s attention weights for its `query` (a row of
+    /// [`RetrievalHead::queries`]) over every cached position —
+    /// `softmax(q K^T / sqrt(dim))` — into `out`, whose capacity is
+    /// reused: the selection mapping passes its score arena's buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `h` is not a head or `query` has the wrong length.
+    pub fn scores_into(&self, h: usize, query: &[f32], out: &mut Vec<f32>) {
+        self.keys[h].dots_into(query, out);
+        let scale = 1.0 / (query.len() as f32).sqrt();
+        for v in out.iter_mut() {
+            *v *= scale;
+        }
+        ops::softmax_inplace(out);
     }
 }
 
@@ -273,23 +291,34 @@ impl RetrievalHead {
     /// Creates an empty incremental state.
     pub fn new_state(&self) -> RetrievalHeadState {
         RetrievalHeadState {
-            keys: vec![Matrix::default(); self.geom.q_heads],
-            len: 0,
+            keys: vec![KeyBlocks::new(self.geom.head_dim); self.geom.q_heads],
         }
+    }
+
+    /// The rotation of position `pos`, when scoring is positional.
+    fn rope_table(&self, pos: usize) -> Option<Vec<(f32, f32)>> {
+        self.use_rope.then(|| {
+            ops::rope_table(
+                self.geom.head_dim,
+                pos,
+                self.geom.rope_base,
+                self.rope_scale,
+            )
+        })
     }
 
     /// Appends one embedded token to the key cache.
     pub fn append(&self, emb: &[f32], state: &mut RetrievalHeadState) {
         let normed = ops::rmsnorm(emb, &self.norm_attn, 1e-6);
-        let pos = state.len;
-        for (hh, wk) in self.wk.iter().enumerate() {
-            let mut k = wk.vecmat(&normed);
-            if self.use_rope {
-                ops::rope_inplace(&mut k, pos, self.geom.rope_base, self.rope_scale);
+        let rope = self.rope_table(state.len());
+        let mut k = vec![0.0; self.geom.head_dim];
+        for (wk, keys) in self.wk.iter().zip(&mut state.keys) {
+            wk.vecmat_into(&normed, &mut k);
+            if let Some(table) = &rope {
+                ops::rope_apply(&mut k, table);
             }
-            state.keys[hh].push_row(&k);
+            keys.push(&k);
         }
-        state.len += 1;
     }
 
     /// Appends a whole embedded context.
@@ -297,6 +326,28 @@ impl RetrievalHead {
         for r in 0..emb.rows() {
             self.append(emb.row(r), state);
         }
+    }
+
+    /// The per-head query vectors of `query_emb`, asked at the last cached
+    /// position: row `h` is what head `h` scores its keys with
+    /// ([`RetrievalHeadState::scores_into`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the state is empty.
+    pub fn queries(&self, query_emb: &[f32], state: &RetrievalHeadState) -> Matrix {
+        assert!(!state.is_empty(), "retrieval head has no cached keys");
+        let normed = ops::rmsnorm(query_emb, &self.norm_attn, 1e-6);
+        let rope = self.rope_table(state.len() - 1);
+        let mut queries = Matrix::zeros(self.geom.q_heads, self.geom.head_dim);
+        for (h, wq) in self.wq.iter().enumerate() {
+            let q = queries.row_mut(h);
+            wq.vecmat_into(&normed, q);
+            if let Some(table) = &rope {
+                ops::rope_apply(q, table);
+            }
+        }
+        queries
     }
 
     /// Head-level attention weights of the query embedding against the
@@ -307,16 +358,12 @@ impl RetrievalHead {
     ///
     /// Panics if the state is empty.
     pub fn head_scores(&self, query_emb: &[f32], state: &RetrievalHeadState) -> Vec<Vec<f32>> {
-        assert!(state.len > 0, "retrieval head has no cached keys");
-        let normed = ops::rmsnorm(query_emb, &self.norm_attn, 1e-6);
-        let pos = state.len - 1;
+        let queries = self.queries(query_emb, state);
         (0..self.geom.q_heads)
             .map(|h| {
-                let mut q = self.wq[h].vecmat(&normed);
-                if self.use_rope {
-                    ops::rope_inplace(&mut q, pos, self.geom.rope_base, self.rope_scale);
-                }
-                ops::attention_weights(&q, &state.keys[h])
+                let mut scores = Vec::new();
+                state.scores_into(h, queries.row(h), &mut scores);
+                scores
             })
             .collect()
     }
@@ -579,19 +626,34 @@ mod tests {
     fn incremental_state_matches_batch_scoring() {
         let t = teacher(AttentionKind::Mqa);
         let head = Dlm::distill(&t, DistillOptions::default()).to_retrieval_head();
-        let tokens: Vec<usize> = (0..12).collect();
-        let emb = head.embed_tokens(&tokens);
+        // A context inside one key block, and one whose appends cross a
+        // block boundary with a query asked mid-block.
+        for n in [12, spec_tensor::keyblocks::KEY_BLOCK + 7] {
+            let tokens: Vec<usize> = (0..n).map(|i| i % 60).collect();
+            let emb = head.embed_tokens(&tokens);
 
-        let batch = head.score_context(&emb);
+            let batch = head.score_context(&emb);
 
-        let mut state = head.new_state();
-        for r in 0..emb.rows() {
-            self::append_row(&head, &emb, r, &mut state);
-        }
-        let inc = head.head_scores(emb.row(11), &state);
-        for (a, b) in batch.iter().zip(&inc) {
-            for (x, y) in a.iter().zip(b) {
-                assert!((x - y).abs() < 1e-6);
+            let mut state = head.new_state();
+            for r in 0..emb.rows() {
+                self::append_row(&head, &emb, r, &mut state);
+            }
+            assert_eq!(state.len(), n);
+            let inc = head.head_scores(emb.row(n - 1), &state);
+            for (a, b) in batch.iter().zip(&inc) {
+                for (x, y) in a.iter().zip(b) {
+                    assert!((x - y).abs() < 1e-6);
+                }
+            }
+            // Row-major keys scored one dot per position give the same bits.
+            let norm = |r: usize| ops::rmsnorm(emb.row(r), &head.norm_attn, 1e-6);
+            for (h, got) in inc.iter().enumerate() {
+                let mut keys = Matrix::default();
+                for r in 0..n {
+                    keys.push_row(&head.wk[h].vecmat(&norm(r)));
+                }
+                let want = ops::attention_weights(&head.wq[h].vecmat(&norm(n - 1)), &keys);
+                assert_eq!(got, &want, "head {h} of a {n}-token context");
             }
         }
     }

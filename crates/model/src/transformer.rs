@@ -365,12 +365,20 @@ impl Model {
         let mut normed = Vec::with_capacity(h.len());
         // One flat query matrix for the whole stack, refilled per layer.
         let mut queries = Matrix::zeros(self.geom.q_heads, self.geom.head_dim);
+        // One rotation table for the whole stack: the angles depend on the
+        // position only, not on the layer or the head.
+        let rope = ops::rope_table(
+            self.geom.head_dim,
+            pos,
+            self.geom.rope_base,
+            self.rope_scale,
+        );
         for (l, lw) in self.weights.layers.iter().enumerate() {
             ops::rmsnorm_into(&mut normed, &h, &lw.norm_attn, 1e-6);
-            self.append_kv(lw, &normed, pos, &mut kv.layers[l]);
+            self.append_kv(lw, &normed, &rope, &mut kv.layers[l]);
             // Compute this layer's queries (post-RoPE), then consult the
             // selector — the layer-wise retrieval point of Fig. 2(a).
-            self.layer_queries_into(lw, &normed, pos, &mut queries);
+            self.layer_queries_into(lw, &normed, &rope, &mut queries);
             let selection = selector.select(l, &queries, &kv.layers[l], scratch);
             let (attn_out, layer_attn, layer_pos) =
                 self.attention(lw, &queries, pos, &kv.layers[l], selection, trace.is_some());
@@ -394,22 +402,34 @@ impl Model {
 
     /// Per-query-head query vectors for this step (post-RoPE except MLA),
     /// written into the rows of a reused `q_heads x head_dim` matrix.
-    fn layer_queries_into(&self, lw: &LayerWeights, normed: &[f32], pos: usize, out: &mut Matrix) {
+    fn layer_queries_into(
+        &self,
+        lw: &LayerWeights,
+        normed: &[f32],
+        rope: &[(f32, f32)],
+        out: &mut Matrix,
+    ) {
         for q in 0..self.geom.q_heads {
             let row = out.row_mut(q);
             lw.wq[q].vecmat_into(normed, row);
             if self.geom.attention != AttentionKind::Mla {
-                ops::rope_inplace(row, pos, self.geom.rope_base, self.rope_scale);
+                ops::rope_apply(row, rope);
             }
         }
     }
 
-    fn append_kv(&self, lw: &LayerWeights, normed: &[f32], pos: usize, layer: &mut LayerKv) {
+    fn append_kv(
+        &self,
+        lw: &LayerWeights,
+        normed: &[f32],
+        rope: &[(f32, f32)],
+        layer: &mut LayerKv,
+    ) {
         match layer {
             LayerKv::PerHead { keys, values } => {
                 for hh in 0..self.geom.kv_heads {
                     let mut k = lw.wk[hh].vecmat(normed);
-                    ops::rope_inplace(&mut k, pos, self.geom.rope_base, self.rope_scale);
+                    ops::rope_apply(&mut k, rope);
                     let v = lw.wv[hh].vecmat(normed);
                     keys[hh].push_row(&k);
                     values[hh].push_row(&v);

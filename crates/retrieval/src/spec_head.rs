@@ -74,10 +74,7 @@ impl SpecSelection {
 
     /// As [`from_head_scores`](Self::from_head_scores), pooling and
     /// assembling on a caller-owned [`SelectScratch`] (the
-    /// zero-allocation hot path for serial-sized inputs). Above
-    /// [`PAR_SELECT_MIN`] the per-head assembly fans out over the worker
-    /// pool with one local scratch per head — the allocation is amortized
-    /// by the work, and the output is identical at any thread count.
+    /// zero-allocation hot path).
     pub fn from_head_scores_scratch(
         scores: &[Vec<f32>],
         geom: &SimGeometry,
@@ -91,6 +88,35 @@ impl SpecSelection {
             "expected one score vector per LLM query head"
         );
         let seq_len = scores[0].len();
+        Self::map_scores(seq_len, geom, cfg, level, scratch, |q, buf| {
+            buf.clear();
+            buf.extend_from_slice(&scores[q]);
+        })
+    }
+
+    /// The mapping itself. `score_into(q, buf)` fills `buf` with head
+    /// `q`'s `seq_len` scores — straight into the score arena's buffers,
+    /// so a scorer that computes them there (the retriever) never holds a
+    /// score vector of its own.
+    ///
+    /// With more than one worker thread and at least [`PAR_SELECT_MIN`]
+    /// score entries, the per-KV-head pooling and assembly fan out over
+    /// the pool with one local scratch per head — the allocation is
+    /// amortized by the work, and the output is identical at any thread
+    /// count. On one thread the caller's warm scratch serves any length.
+    fn map_scores(
+        seq_len: usize,
+        geom: &SimGeometry,
+        cfg: &SelectorConfig,
+        level: MappingLevel,
+        scratch: &mut SelectScratch,
+        score_into: impl Fn(usize, &mut Vec<f32>) + Sync,
+    ) -> Self {
+        let SelectScratch {
+            scores: arena,
+            rank,
+            marks,
+        } = scratch;
         let per_head: Vec<Vec<usize>> = match level {
             MappingLevel::Head => {
                 let group = match geom.attention {
@@ -98,16 +124,20 @@ impl SpecSelection {
                     AttentionKind::Gqa | AttentionKind::Mqa => geom.group_size(),
                 };
                 let kv_heads = geom.kv_heads;
-                assert_eq!(scores.len() / group, kv_heads, "group mapping mismatch");
-                // Heads are independent: fan the per-head top-k assembly
-                // out over the worker pool (order-preserving, so the
-                // selection is identical at any thread count).
-                if kv_heads > 1 && kv_heads * seq_len >= PAR_SELECT_MIN {
-                    let grouped = group_max_scores(scores, group);
-                    spec_parallel::par_map(&grouped, |s| {
+                assert_eq!(geom.q_heads / group, kv_heads, "group mapping mismatch");
+                if kv_heads > 1
+                    && kv_heads * seq_len >= PAR_SELECT_MIN
+                    && spec_parallel::max_threads() > 1
+                {
+                    // Heads are independent and `par_map_range` keeps
+                    // their order.
+                    spec_parallel::par_map_range(kv_heads, |hh| {
                         let mut local = SelectScratch::new();
+                        local
+                            .scores
+                            .pool_group_max(hh * group..(hh + 1) * group, &score_into);
                         assemble_budgeted_selection(
-                            s,
+                            &local.scores.pooled,
                             seq_len,
                             cfg,
                             &mut local.rank,
@@ -116,32 +146,16 @@ impl SpecSelection {
                         .0
                     })
                 } else {
-                    let SelectScratch {
-                        scores: arena,
-                        rank,
-                        marks,
-                    } = scratch;
                     (0..kv_heads)
                         .map(|hh| {
-                            arena.pool_group_max(hh * group..(hh + 1) * group, |q, buf| {
-                                buf.clear();
-                                buf.extend_from_slice(&scores[q]);
-                            });
+                            arena.pool_group_max(hh * group..(hh + 1) * group, &score_into);
                             assemble_budgeted_selection(&arena.pooled, seq_len, cfg, rank, marks).0
                         })
                         .collect()
                 }
             }
             MappingLevel::Batch => {
-                let SelectScratch {
-                    scores: arena,
-                    rank,
-                    marks,
-                } = scratch;
-                arena.pool_group_max(0..scores.len(), |q, buf| {
-                    buf.clear();
-                    buf.extend_from_slice(&scores[q]);
-                });
+                arena.pool_group_max(0..geom.q_heads, &score_into);
                 let sel = assemble_budgeted_selection(&arena.pooled, seq_len, cfg, rank, marks).0;
                 vec![sel; geom.kv_heads]
             }
@@ -330,8 +344,21 @@ impl SpecContextRetriever {
         } else {
             query_emb.to_vec()
         };
-        let scores = self.head.head_scores(&blended, &self.state);
-        SpecSelection::from_head_scores_scratch(&scores, llm_geom, &self.cfg, self.level, scratch)
+        assert_eq!(
+            self.head.num_heads(),
+            llm_geom.q_heads,
+            "expected one retrieval head per LLM query head"
+        );
+        // Each head's weights are computed where the mapping pools them.
+        let queries = self.head.queries(&blended, &self.state);
+        SpecSelection::map_scores(
+            self.state.len(),
+            llm_geom,
+            &self.cfg,
+            self.level,
+            scratch,
+            |q, buf| self.state.scores_into(q, queries.row(q), buf),
+        )
     }
 
     /// The selector configuration.

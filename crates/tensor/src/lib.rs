@@ -28,6 +28,7 @@
 
 pub mod dispatch;
 pub mod gemm;
+pub mod keyblocks;
 pub mod kmeans;
 pub mod lut;
 pub mod matrix;
@@ -37,6 +38,7 @@ pub mod rng;
 pub mod stats;
 pub mod topk;
 
+pub use keyblocks::KeyBlocks;
 pub use matrix::Matrix;
 pub use rng::SimRng;
 pub use stats::PercentileSummary;

@@ -98,7 +98,10 @@ pub fn silu_inplace(xs: &mut [f32]) {
     }
 }
 
-/// Rotary position embedding applied to one head vector at `pos`.
+/// The `(sin, cos)` of each rotation rotary position embedding applies to
+/// a `head_dim`-element head vector at `pos`. The angles depend on the
+/// position and the pair index only, so a decode step computes them once
+/// and [`rope_apply`]s them to every layer's queries and keys.
 ///
 /// `theta_base` is the RoPE base (10 000 for Llama-family models);
 /// `scale` is the YaRN-style context-extension factor applied to the
@@ -107,21 +110,32 @@ pub fn silu_inplace(xs: &mut [f32]) {
 ///
 /// # Panics
 ///
-/// Panics if the vector length is odd.
-pub fn rope_inplace(xs: &mut [f32], pos: usize, theta_base: f32, scale: f32) {
+/// Panics if `head_dim` is odd.
+pub fn rope_table(head_dim: usize, pos: usize, theta_base: f32, scale: f32) -> Vec<(f32, f32)> {
     assert!(
-        xs.len().is_multiple_of(2),
+        head_dim.is_multiple_of(2),
         "rope requires an even head dimension"
     );
-    let half = xs.len() / 2;
     let p = pos as f32 / scale;
-    for i in 0..half {
-        let freq = theta_base.powf(-2.0 * i as f32 / xs.len() as f32);
-        let angle = p * freq;
-        let (sin, cos) = angle.sin_cos();
-        let (a, b) = (xs[2 * i], xs[2 * i + 1]);
-        xs[2 * i] = a * cos - b * sin;
-        xs[2 * i + 1] = a * sin + b * cos;
+    (0..head_dim / 2)
+        .map(|i| {
+            let freq = theta_base.powf(-2.0 * i as f32 / head_dim as f32);
+            (p * freq).sin_cos()
+        })
+        .collect()
+}
+
+/// Rotates the pairs of `xs` by a [`rope_table`].
+///
+/// # Panics
+///
+/// Panics if `xs` is not twice as long as the table.
+pub fn rope_apply(xs: &mut [f32], table: &[(f32, f32)]) {
+    assert_eq!(xs.len(), 2 * table.len(), "rope table length mismatch");
+    for (pair, &(sin, cos)) in xs.chunks_exact_mut(2).zip(table) {
+        let (a, b) = (pair[0], pair[1]);
+        pair[0] = a * cos - b * sin;
+        pair[1] = a * sin + b * cos;
     }
 }
 
@@ -229,7 +243,7 @@ mod tests {
     fn rope_preserves_norm() {
         let mut xs = vec![1.0, 2.0, 3.0, 4.0];
         let norm_before: f32 = xs.iter().map(|v| v * v).sum();
-        rope_inplace(&mut xs, 17, 10_000.0, 1.0);
+        rope_apply(&mut xs, &rope_table(4, 17, 10_000.0, 1.0));
         let norm_after: f32 = xs.iter().map(|v| v * v).sum();
         assert!((norm_before - norm_after).abs() < 1e-3);
     }
@@ -238,7 +252,7 @@ mod tests {
     fn rope_position_zero_is_identity() {
         let mut xs = vec![1.0, 2.0, 3.0, 4.0];
         let orig = xs.clone();
-        rope_inplace(&mut xs, 0, 10_000.0, 1.0);
+        rope_apply(&mut xs, &rope_table(4, 0, 10_000.0, 1.0));
         for (a, b) in xs.iter().zip(&orig) {
             assert!((a - b).abs() < 1e-6);
         }
@@ -249,8 +263,8 @@ mod tests {
         // With scale s, position s*p should equal unscaled position p.
         let mut a = vec![1.0, 0.5, -0.25, 2.0];
         let mut b = a.clone();
-        rope_inplace(&mut a, 8, 10_000.0, 4.0);
-        rope_inplace(&mut b, 2, 10_000.0, 1.0);
+        rope_apply(&mut a, &rope_table(4, 8, 10_000.0, 4.0));
+        rope_apply(&mut b, &rope_table(4, 2, 10_000.0, 1.0));
         for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 1e-5);
         }

@@ -7,6 +7,7 @@
 
 use proptest::prelude::*;
 use spec_tensor::dispatch::{self, SimdTier};
+use spec_tensor::keyblocks::{KeyBlocks, KEY_BLOCK};
 use spec_tensor::lut::{I8Lut, QueryLut};
 use spec_tensor::quant::{BitWidth, QuantVec};
 use spec_tensor::{matrix, SimRng};
@@ -175,6 +176,42 @@ fn int4_edge_lengths_match_at_every_tier() {
                 "lut len {n} tier {tier}"
             );
         });
+    }
+}
+
+/// The position-parallel scoring kernel of the retrieval head's key
+/// cache equals `matrix::dot` per position at every tier: an empty cache,
+/// one position, either side of a block boundary, and a tail that fills
+/// part of a third block — including products that are all `-0.0`, where
+/// only an accumulator started like `Iterator::sum`'s keeps the sign.
+#[test]
+fn key_block_dots_match_per_row_dot_at_every_tier() {
+    for n in [
+        0,
+        1,
+        KEY_BLOCK - 1,
+        KEY_BLOCK,
+        KEY_BLOCK + 1,
+        2 * KEY_BLOCK + 37,
+    ] {
+        for dim in [1usize, 16, 23] {
+            let mut rng = SimRng::seed(0xB10C + (n * 31 + dim) as u64);
+            let mut keys = rng.normal_matrix(n, dim, 1.0);
+            if n > 0 {
+                keys.row_mut(n / 2).fill(-0.0);
+            }
+            let query: Vec<f32> = (0..dim).map(|_| rng.normal().abs()).collect();
+            let mut blocks = KeyBlocks::new(dim);
+            for key in keys.iter_rows() {
+                blocks.push(key);
+            }
+            let want: Vec<f32> = keys.iter_rows().map(|k| matrix::dot(&query, k)).collect();
+            for_each_tier(|tier| {
+                let mut out = vec![f32::NAN; 3];
+                blocks.dots_into(&query, &mut out);
+                assert_bits_eq(&out, &want, &format!("{n} keys of dim {dim} tier {tier}"));
+            });
+        }
     }
 }
 
