@@ -70,7 +70,7 @@ fn main() {
     );
     for r in sim.records().iter().take(12) {
         ops.push_row(vec![
-            r.label.clone(),
+            r.label.to_string(),
             format!("{:?}", r.stream),
             f2(r.start * 1e6),
             f2(r.end * 1e6),

@@ -17,11 +17,49 @@ pub const COMPUTE: StreamId = StreamId(0);
 /// The copy/prefetch stream.
 pub const COPY: StreamId = StreamId(1);
 
+/// An op's name: an optional layer plus a static op kind. `Copy`, so
+/// recording a timeline allocates nothing; the text (`"L3.attn"`,
+/// `"lm_head"`) is rendered by `Display` only where someone reads it —
+/// gantt, Perfetto, tables.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OpLabel {
+    /// The layer the op belongs to, if any.
+    pub layer: Option<u32>,
+    /// The op kind.
+    pub name: &'static str,
+}
+
+impl OpLabel {
+    /// The label of op `name` in layer `layer`, rendered `"L{layer}.{name}"`.
+    pub fn layer(layer: usize, name: &'static str) -> Self {
+        Self {
+            layer: Some(layer as u32),
+            name,
+        }
+    }
+}
+
+impl From<&'static str> for OpLabel {
+    /// A label outside any layer, rendered as `name` itself.
+    fn from(name: &'static str) -> Self {
+        Self { layer: None, name }
+    }
+}
+
+impl std::fmt::Display for OpLabel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.layer {
+            Some(l) => write!(f, "L{l}.{}", self.name),
+            None => f.write_str(self.name),
+        }
+    }
+}
+
 /// A completed-op record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpRecord {
-    /// Op label (e.g. `"L3.attn"`, `"L3.kv_fetch"`).
-    pub label: String,
+    /// Op label (renders as e.g. `"L3.attn"`, `"L3.kv_fetch"`).
+    pub label: OpLabel,
     /// Stream it ran on.
     pub stream: StreamId,
     /// Start time, seconds.
@@ -65,13 +103,22 @@ impl Span {
 
 impl From<&OpRecord> for Span {
     fn from(r: &OpRecord) -> Self {
-        Span::new(r.stream, r.start, r.end, r.label.clone())
+        Span::new(r.stream, r.start, r.end, r.label.to_string())
     }
 }
 
 /// Handle returned by [`EventSim::submit`], usable as a dependency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct OpHandle(usize);
+
+impl OpHandle {
+    /// The handle of the `n`-th op submitted after this one (handles
+    /// follow submission order), so a builder that submits a run of ops
+    /// back to back need not store each handle.
+    pub fn nth_after(self, n: usize) -> OpHandle {
+        OpHandle(self.0 + n)
+    }
+}
 
 /// The simulator.
 ///
@@ -97,10 +144,18 @@ pub struct EventSim {
 impl EventSim {
     /// Creates a simulator with `streams` streams, all free at t=0.
     pub fn new(streams: usize) -> Self {
-        Self {
-            stream_free: vec![0.0; streams.max(1)],
-            records: Vec::new(),
-        }
+        let mut sim = Self::default();
+        sim.reset(streams);
+        sim
+    }
+
+    /// Forgets every op and frees all `streams` streams at t=0, keeping
+    /// the buffers: a loop that prices many timelines reuses one
+    /// simulator and allocates only on the first.
+    pub fn reset(&mut self, streams: usize) {
+        self.records.clear();
+        self.stream_free.clear();
+        self.stream_free.resize(streams.max(1), 0.0);
     }
 
     /// Submits an op of `duration` seconds on `stream`, starting no
@@ -112,7 +167,7 @@ impl EventSim {
     /// dependency handle is invalid.
     pub fn submit(
         &mut self,
-        label: impl Into<String>,
+        label: impl Into<OpLabel>,
         stream: StreamId,
         duration: f64,
         deps: &[OpHandle],
@@ -210,11 +265,26 @@ mod tests {
     fn makespan_bounds_busy_time() {
         let mut sim = EventSim::new(2);
         for i in 0..5 {
-            sim.submit(format!("c{i}"), COMPUTE, 0.3, &[]);
-            sim.submit(format!("t{i}"), COPY, 0.4, &[]);
+            sim.submit(OpLabel::layer(i, "c"), COMPUTE, 0.3, &[]);
+            sim.submit(OpLabel::layer(i, "t"), COPY, 0.4, &[]);
         }
         assert!(sim.makespan() >= sim.busy_time(COMPUTE).max(sim.busy_time(COPY)) - 1e-12);
         assert!(sim.utilization(COPY) <= 1.0 + 1e-12);
+    }
+
+    #[test]
+    fn labels_render_only_when_read_and_reset_keeps_nothing() {
+        let mut sim = EventSim::new(2);
+        let first = sim.submit("retrieval_head", COMPUTE, 1.0, &[]);
+        sim.submit(OpLabel::layer(3, "attn"), COMPUTE, 1.0, &[]);
+        let labels: Vec<String> = sim.spans().into_iter().map(|s| s.label).collect();
+        assert_eq!(labels, ["retrieval_head", "L3.attn"]);
+        assert_eq!(sim.end_of(first.nth_after(1)), 2.0);
+        sim.reset(2);
+        assert!(sim.records().is_empty());
+        assert_eq!(sim.makespan(), 0.0);
+        let again = sim.submit("x", COPY, 0.5, &[]);
+        assert_eq!(sim.end_of(again), 0.5, "streams are free again at t=0");
     }
 
     #[test]

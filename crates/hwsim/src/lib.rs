@@ -34,7 +34,7 @@ pub mod transfer;
 pub use cost::{EngineProfile, KernelCost};
 pub use device::DeviceSpec;
 pub use energy::EnergyModel;
-pub use event::{EventSim, OpRecord, StreamId};
+pub use event::{EventSim, OpLabel, OpRecord, StreamId};
 pub use fleet::{Fleet, FleetSlot, ReplicaRole};
 pub use link::LinkSpec;
 pub use transfer::TransferEngine;

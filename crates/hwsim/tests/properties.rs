@@ -16,7 +16,7 @@ proptest! {
         for (i, (stream, dur, dep_on_last)) in ops.iter().enumerate() {
             let deps: Vec<_> = if *dep_on_last { last.into_iter().collect() } else { vec![] };
             let h = sim.submit(
-                format!("op{i}"),
+                spec_hwsim::event::OpLabel::layer(i, "op"),
                 spec_hwsim::event::StreamId(*stream),
                 *dur,
                 &deps,

@@ -235,17 +235,6 @@ where
     });
 }
 
-/// Applies `f` to every element of `items` in parallel, passing the
-/// element index. Equivalent to the serial `iter_mut().enumerate()` loop
-/// at any thread count.
-pub fn par_for_each_mut<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    par_chunks_mut(items, 1, |i, one| f(i, &mut one[0]));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,17 +300,6 @@ mod tests {
                 });
             });
             assert!(data.iter().all(|&v| v == 1), "threads={t}");
-        }
-    }
-
-    #[test]
-    fn par_for_each_mut_sees_global_indices() {
-        let mut data = vec![0usize; 17];
-        with_threads(4, || {
-            par_for_each_mut(&mut data, |i, v| *v = i * 3);
-        });
-        for (i, v) in data.iter().enumerate() {
-            assert_eq!(*v, i * 3);
         }
     }
 

@@ -9,7 +9,7 @@
 
 use crate::costs::CostModel;
 use serde::{Deserialize, Serialize};
-use spec_hwsim::event::{EventSim, COMPUTE, COPY};
+use spec_hwsim::event::{EventSim, OpHandle, OpLabel, COMPUTE, COPY};
 use spec_hwsim::{DeviceSpec, EngineProfile, KernelCost};
 
 /// Which dataflow the step uses (Fig. 7 (a)–(e)).
@@ -104,9 +104,27 @@ pub fn step_timeline(
     dev: &DeviceSpec,
     p: &StepParams,
 ) -> (EventSim, StepBreakdown) {
+    let mut sim = EventSim::default();
+    let bd = step_timeline_into(&mut sim, kind, cm, profile, dev, p);
+    (sim, bd)
+}
+
+/// [`step_timeline`] laid out on a caller-owned simulator (reset
+/// first): the body behind every step price and every drawn timeline.
+/// Ops carry `Copy` labels and dependencies are slices, so a caller that
+/// reuses `sim` prices a step without allocating.
+pub fn step_timeline_into(
+    sim: &mut EventSim,
+    kind: DataflowKind,
+    cm: &CostModel,
+    profile: &EngineProfile,
+    dev: &DeviceSpec,
+    p: &StepParams,
+) -> StepBreakdown {
     let layers = cm.config().layers;
-    let mut sim = EventSim::new(2);
+    sim.reset(2);
     let mut bd = StepBreakdown::default();
+    let op = OpLabel::layer;
 
     let t = |c: KernelCost| profile.op_time(c, dev);
     let proj_t = t(cm.layer_projections(p.r));
@@ -129,14 +147,15 @@ pub fn step_timeline(
                 } else {
                     0.0
                 };
-                let fetch =
-                    sim.submit(format!("L{l}.kv_prefetch"), COPY, dev.pcie_time(bytes), &[]);
+                let fetch = sim.submit(op(l, "kv_prefetch"), COPY, dev.pcie_time(bytes), &[]);
                 bd.transfer += dev.pcie_time(bytes);
                 bd.bytes_transferred += bytes;
-                let deps: Vec<_> = prev_attn.into_iter().chain([fetch]).collect();
-                let pj = sim.submit(format!("L{l}.proj"), COMPUTE, proj_t, &deps);
-                let at = sim.submit(format!("L{l}.attn"), COMPUTE, attn_t, &[pj]);
-                let ff = sim.submit(format!("L{l}.ffn"), COMPUTE, ffn_t, &[at]);
+                let pj = match prev_attn {
+                    Some(prev) => sim.submit(op(l, "proj"), COMPUTE, proj_t, &[prev, fetch]),
+                    None => sim.submit(op(l, "proj"), COMPUTE, proj_t, &[fetch]),
+                };
+                let at = sim.submit(op(l, "attn"), COMPUTE, attn_t, &[pj]);
+                let ff = sim.submit(op(l, "ffn"), COMPUTE, ffn_t, &[at]);
                 bd.attention += attn_t;
                 bd.other_compute += proj_t + ffn_t;
                 prev_attn = Some(ff);
@@ -145,9 +164,8 @@ pub fn step_timeline(
         DataflowKind::FetchSparseKv => {
             let mut prev = None;
             for l in 0..layers {
-                let deps: Vec<_> = prev.into_iter().collect();
-                let pj = sim.submit(format!("L{l}.proj"), COMPUTE, proj_t, &deps);
-                let re = sim.submit(format!("L{l}.retrieve"), COMPUTE, retrieve_t, &[pj]);
+                let pj = sim.submit(op(l, "proj"), COMPUTE, proj_t, prev.as_slice());
+                let re = sim.submit(op(l, "retrieve"), COMPUTE, retrieve_t, &[pj]);
                 bd.retrieval += retrieve_t;
                 // Only the budgeted prefix selection crosses PCIe; newly
                 // generated KV pairs are retained on the GPU (Challenge 2
@@ -158,7 +176,7 @@ pub fn step_timeline(
                     0.0
                 };
                 let ft = sim.submit(
-                    format!("L{l}.kv_fetch"),
+                    op(l, "kv_fetch"),
                     COPY,
                     if bytes > 0.0 {
                         dev.pcie_time(bytes)
@@ -171,8 +189,8 @@ pub fn step_timeline(
                     bd.transfer += dev.pcie_time(bytes);
                     bd.bytes_transferred += bytes;
                 }
-                let at = sim.submit(format!("L{l}.attn"), COMPUTE, attn_t, &[ft]);
-                let ff = sim.submit(format!("L{l}.ffn"), COMPUTE, ffn_t, &[at]);
+                let at = sim.submit(op(l, "attn"), COMPUTE, attn_t, &[ft]);
+                let ff = sim.submit(op(l, "ffn"), COMPUTE, ffn_t, &[at]);
                 bd.attention += attn_t;
                 bd.other_compute += proj_t + ffn_t;
                 prev = Some(ff);
@@ -181,11 +199,10 @@ pub fn step_timeline(
         DataflowKind::PrefetchSparseKv => {
             // Layer l's retrieval is issued speculatively during layer
             // l-1's compute, so its fetch overlaps one layer of compute.
-            let mut prev: Option<spec_hwsim::event::OpHandle> = None;
-            let mut pending_fetch: Option<spec_hwsim::event::OpHandle> = None;
+            let mut prev: Option<OpHandle> = None;
+            let mut pending_fetch: Option<OpHandle> = None;
             for l in 0..layers {
-                let deps: Vec<_> = prev.into_iter().collect();
-                let re = sim.submit(format!("L{l}.retrieve"), COMPUTE, retrieve_t, &deps);
+                let re = sim.submit(op(l, "retrieve"), COMPUTE, retrieve_t, prev.as_slice());
                 bd.retrieval += retrieve_t;
                 let bytes = if is_cpu_layer(l) {
                     fetch_bytes(p.budget.min(p.s_attended), 1.0)
@@ -193,7 +210,7 @@ pub fn step_timeline(
                     0.0
                 };
                 let next_fetch = sim.submit(
-                    format!("L{l}.kv_prefetch"),
+                    op(l, "kv_prefetch"),
                     COPY,
                     if bytes > 0.0 {
                         dev.pcie_time(bytes)
@@ -206,12 +223,12 @@ pub fn step_timeline(
                     bd.transfer += dev.pcie_time(bytes);
                     bd.bytes_transferred += bytes;
                 }
-                let pj = sim.submit(format!("L{l}.proj"), COMPUTE, proj_t, &[re]);
+                let pj = sim.submit(op(l, "proj"), COMPUTE, proj_t, &[re]);
                 // Attention waits on the fetch issued in the *previous*
                 // layer's shadow when available (speculative hit).
                 let fetch_dep = pending_fetch.unwrap_or(next_fetch);
-                let at = sim.submit(format!("L{l}.attn"), COMPUTE, attn_t, &[pj, fetch_dep]);
-                let ff = sim.submit(format!("L{l}.ffn"), COMPUTE, ffn_t, &[at]);
+                let at = sim.submit(op(l, "attn"), COMPUTE, attn_t, &[pj, fetch_dep]);
+                let ff = sim.submit(op(l, "ffn"), COMPUTE, ffn_t, &[at]);
                 bd.attention += attn_t;
                 bd.other_compute += proj_t + ffn_t;
                 prev = Some(ff);
@@ -222,9 +239,8 @@ pub fn step_timeline(
             let recon_t = t(cm.k_reconstruct(p.r, p.s_attended));
             let mut prev = None;
             for l in 0..layers {
-                let deps: Vec<_> = prev.into_iter().collect();
-                let pj = sim.submit(format!("L{l}.proj"), COMPUTE, proj_t, &deps);
-                let re = sim.submit(format!("L{l}.retrieve"), COMPUTE, retrieve_t, &[pj]);
+                let pj = sim.submit(op(l, "proj"), COMPUTE, proj_t, prev.as_slice());
+                let re = sim.submit(op(l, "retrieve"), COMPUTE, retrieve_t, &[pj]);
                 bd.retrieval += retrieve_t;
                 // V of the budgeted prefix selection only (half the KV
                 // bytes); generated KV stays GPU-resident.
@@ -234,7 +250,7 @@ pub fn step_timeline(
                     0.0
                 };
                 let vf = sim.submit(
-                    format!("L{l}.v_fetch"),
+                    op(l, "v_fetch"),
                     COPY,
                     if bytes > 0.0 {
                         dev.pcie_time(bytes)
@@ -247,10 +263,10 @@ pub fn step_timeline(
                     bd.transfer += dev.pcie_time(bytes);
                     bd.bytes_transferred += bytes;
                 }
-                let kr = sim.submit(format!("L{l}.k_recons"), COMPUTE, recon_t, &[re]);
+                let kr = sim.submit(op(l, "k_recons"), COMPUTE, recon_t, &[re]);
                 bd.other_compute += recon_t;
-                let at = sim.submit(format!("L{l}.attn"), COMPUTE, attn_t, &[vf, kr]);
-                let ff = sim.submit(format!("L{l}.ffn"), COMPUTE, ffn_t, &[at]);
+                let at = sim.submit(op(l, "attn"), COMPUTE, attn_t, &[vf, kr]);
+                let ff = sim.submit(op(l, "ffn"), COMPUTE, ffn_t, &[at]);
                 bd.attention += attn_t;
                 bd.other_compute += proj_t + ffn_t;
                 prev = Some(ff);
@@ -263,15 +279,14 @@ pub fn step_timeline(
             bd.retrieval += head_t;
             // All fetches are known immediately; elastic loading moves
             // only the non-reused fraction of the budget.
-            let mut fetches = Vec::with_capacity(layers);
             for l in 0..layers {
                 let bytes = if is_cpu_layer(l) {
                     fetch_bytes(p.budget.min(p.s_total), (1.0 - p.reuse as f64).max(0.0))
                 } else {
                     0.0
                 };
-                let ft = sim.submit(
-                    format!("L{l}.kv_prefetch"),
+                sim.submit(
+                    op(l, "kv_prefetch"),
                     COPY,
                     if bytes > 0.0 {
                         dev.pcie_time(bytes)
@@ -284,26 +299,26 @@ pub fn step_timeline(
                     bd.transfer += dev.pcie_time(bytes);
                     bd.bytes_transferred += bytes;
                 }
-                fetches.push(ft);
             }
-            let mut prev = Some(head);
-            for (l, &fetch) in fetches.iter().enumerate() {
-                let deps: Vec<_> = prev.into_iter().collect();
-                let pj = sim.submit(format!("L{l}.proj"), COMPUTE, proj_t, &deps);
-                let at = sim.submit(format!("L{l}.attn"), COMPUTE, attn_t, &[pj, fetch]);
-                let ff = sim.submit(format!("L{l}.ffn"), COMPUTE, ffn_t, &[at]);
+            let mut prev = head;
+            for l in 0..layers {
+                // Layer l's fetch: the fetches were submitted back to
+                // back right after the head, one per layer.
+                let fetch = head.nth_after(1 + l);
+                let pj = sim.submit(op(l, "proj"), COMPUTE, proj_t, &[prev]);
+                let at = sim.submit(op(l, "attn"), COMPUTE, attn_t, &[pj, fetch]);
+                let ff = sim.submit(op(l, "ffn"), COMPUTE, ffn_t, &[at]);
                 bd.attention += attn_t;
                 bd.other_compute += proj_t + ffn_t;
-                prev = Some(ff);
+                prev = ff;
             }
         }
     }
     let lm_t = t(cm.lm_head(p.r));
-    let last: Vec<_> = Vec::new();
-    sim.submit("lm_head", COMPUTE, lm_t, &last);
+    sim.submit("lm_head", COMPUTE, lm_t, &[]);
     bd.other_compute += lm_t;
     bd.total = sim.makespan();
-    (sim, bd)
+    bd
 }
 
 #[cfg(test)]

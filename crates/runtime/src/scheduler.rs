@@ -24,13 +24,25 @@
 //! tenant and preemption off, every discipline reduces to the historical
 //! single-FIFO scheduler bit-for-bit ([`Scheduler::run_reference`] keeps
 //! that behaviour verbatim and `tests/fairness.rs` pins the equivalence).
+//!
+//! # The hot path
+//!
+//! A trace is millions of decode iterations and only thousands of
+//! changes to a batch's composition, so the per-iteration path carries
+//! no map and no allocation. Per-tenant state is a small vector sorted
+//! by tenant id (a running request carries its slot), queue totals are
+//! maintained counters, and [`Scheduler::advance_until`] — the one loop
+//! behind [`Scheduler::run`] and the `spec_serve` replicas — runs the
+//! iterations between two composition changes in a tight inner loop over
+//! the clock and the [`StepCache`], adding one iteration at a time so
+//! every simulated float keeps its bits (`tests/goldens.rs`).
 
 use crate::serving::{ServingSim, StepCache, SystemKind, Workload};
 use serde::{Deserialize, Serialize};
 use spec_hwsim::ReplicaRole;
 use spec_telemetry::{seconds_to_ticks, Event, EventKind, NullSink, TelemetrySink};
 use spec_tensor::PercentileSummary;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Emits a scheduler-scope telemetry event at simulated time `now`.
 /// Scheduler code cannot know which replica it runs inside, so the
@@ -288,6 +300,8 @@ pub struct Scheduler {
 #[derive(Debug, Clone, Copy)]
 struct Running {
     req: Request,
+    /// Index of the request's tenant in [`BatchState::tenants`].
+    slot: usize,
     produced: usize,
     start: f64,
     first_token: Option<f64>,
@@ -318,26 +332,32 @@ struct QueueEntry {
     preloaded: bool,
 }
 
-/// One tenant's wait queue plus its fairness ledgers.
+/// One tenant's wait queue plus its fairness ledgers — one slot of
+/// [`BatchState::tenants`].
 #[derive(Debug, Clone, Default)]
 struct TenantQueue {
+    tenant: u32,
+    /// The tenant's [`FairConfig::weight`], resolved by the scheduler the
+    /// first time it meets the slot (0 until then; real weights are ≥ 1).
+    weight: u64,
     queue: VecDeque<QueueEntry>,
     /// DRR deficit, in output tokens.
     deficit: u64,
     /// Decode service consumed this run, in output tokens (the
     /// preemption policy's "over-served" signal).
     served: u64,
+    /// Last-emitted queue-depth and deficit gauges, so traced runs emit
+    /// gauges on *change* rather than on every micro-step. Never read
+    /// unless a sink is enabled.
+    gauged_depth: Option<u64>,
+    gauged_deficit: Option<u64>,
 }
 
-/// Last-emitted gauge values, so traced runs emit gauges on *change*
-/// rather than on every micro-step (a long decode emits millions of
-/// steps but only thousands of gauge transitions). Never read unless a
-/// sink is enabled, so the untraced path carries only the empty struct.
-#[derive(Debug, Clone, Default)]
-struct GaugeShadow {
-    queue_depth: BTreeMap<u32, u64>,
-    deficit: BTreeMap<u32, u64>,
-    batch: Option<u64>,
+impl TenantQueue {
+    /// Whether the head of the queue has arrived by `now`.
+    fn head_arrived(&self, now: f64) -> bool {
+        self.queue.front().is_some_and(|e| e.req.arrival <= now)
+    }
 }
 
 /// A request checkpointed before a crash: its host-side checkpoint
@@ -427,11 +447,20 @@ pub enum Admission {
 /// [`Scheduler::run`] drives a `BatchState` to completion over a whole
 /// trace; the `spec_serve` cluster simulator instead drives one per
 /// replica, event by event, feeding arrivals in as its router assigns
-/// them. Both paths execute the identical [`Scheduler::step`] code, so a
-/// 1-replica cluster reproduces `Scheduler::run` bit-for-bit.
+/// them. Both go through [`Scheduler::advance_until`], so a 1-replica
+/// cluster reproduces `Scheduler::run` bit-for-bit.
 #[derive(Debug, Clone)]
 pub struct BatchState {
-    queues: BTreeMap<u32, TenantQueue>,
+    /// Per-tenant state, sorted by tenant id (tenants are few: a slot is
+    /// found by binary search once per push and carried by index after).
+    tenants: Vec<TenantQueue>,
+    /// Entries across all tenant queues.
+    queued: usize,
+    /// Final-length KV tokens across all tenant queues, each request
+    /// capped at `kv_token_cap` — what [`BatchState::queued_kv_tokens`]
+    /// reports.
+    queued_kv_tokens: usize,
+    kv_token_cap: usize,
     running: Vec<Running>,
     completed: Vec<CompletedRequest>,
     rejected: Vec<Request>,
@@ -444,8 +473,8 @@ pub struct BatchState {
     next_seq: u64,
     /// The tenant id the DRR rotation visited last.
     drr_last: Option<u32>,
-    /// Gauge change-tracking for traced runs (empty when untraced).
-    gauges: GaugeShadow,
+    /// Last-emitted batch-size gauge (traced runs only).
+    gauged_batch: Option<u64>,
     /// Straggler multiplier on device-priced costs (1.0 = nominal).
     time_scale: f64,
     /// Which phase this engine serves. `Unified` (the default) is the
@@ -459,7 +488,10 @@ pub struct BatchState {
 impl Default for BatchState {
     fn default() -> Self {
         Self {
-            queues: BTreeMap::new(),
+            tenants: Vec::new(),
+            queued: 0,
+            queued_kv_tokens: 0,
+            kv_token_cap: usize::MAX,
             running: Vec::new(),
             completed: Vec::new(),
             rejected: Vec::new(),
@@ -469,7 +501,7 @@ impl Default for BatchState {
             last_arrival: 0.0,
             next_seq: 0,
             drr_last: None,
-            gauges: GaugeShadow::default(),
+            gauged_batch: None,
             time_scale: 1.0,
             role: ReplicaRole::Unified,
             handoffs: Vec::new(),
@@ -500,6 +532,22 @@ impl BatchState {
     /// ([`Admission::Preloaded`]) and runs the remaining iterations.
     pub fn set_role(&mut self, role: ReplicaRole) {
         self.role = role;
+    }
+
+    /// Caps what one queued request counts towards
+    /// [`BatchState::queued_kv_tokens`]: a sparse system keeps at most
+    /// its retrieval budget resident per request. Set before any work is
+    /// pushed (the default is uncapped).
+    pub fn set_kv_token_cap(&mut self, cap: usize) {
+        debug_assert!(!self.has_work(), "cap set after work was pushed");
+        self.kv_token_cap = cap;
+    }
+
+    /// Committed KV demand of the wait queue: every queued request at
+    /// its final length, capped per request. Maintained on every queue
+    /// change, so a router's per-arrival snapshot never walks the queue.
+    pub fn queued_kv_tokens(&self) -> usize {
+        self.queued_kv_tokens
     }
 
     /// Drains the handoffs a `Prefill`-role engine has emitted since
@@ -553,7 +601,7 @@ impl BatchState {
         for r in self.running.drain(..) {
             out.lost.push(r.req);
         }
-        for q in self.queues.values_mut() {
+        for q in &mut self.tenants {
             for e in q.queue.drain(..) {
                 // Preloaded handoffs live in device memory only — no
                 // host checkpoint survives the crash.
@@ -571,6 +619,8 @@ impl BatchState {
             }
             q.deficit = 0;
         }
+        self.queued = 0;
+        self.queued_kv_tokens = 0;
         self.sweep_done = false;
         out
     }
@@ -623,11 +673,10 @@ impl BatchState {
         self.last_arrival = req.arrival;
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.queues
-            .entry(req.tenant)
-            .or_default()
-            .queue
-            .push_back(QueueEntry {
+        let slot = self.slot_of(req.tenant);
+        self.enqueue(
+            slot,
+            QueueEntry {
                 req,
                 seq,
                 produced: history.produced,
@@ -635,7 +684,9 @@ impl BatchState {
                 first_token: history.first_token,
                 preemptions: history.preemptions,
                 preloaded,
-            });
+            },
+            false,
+        );
         emit(
             sink,
             req.arrival,
@@ -646,9 +697,62 @@ impl BatchState {
         );
     }
 
+    /// The slot of `tenant`, created on first sight. Slots stay sorted by
+    /// tenant id, so a new tenant shifts the slots behind it — and the
+    /// running batch's indices with them.
+    fn slot_of(&mut self, tenant: u32) -> usize {
+        match self.tenants.binary_search_by_key(&tenant, |q| q.tenant) {
+            Ok(slot) => slot,
+            Err(slot) => {
+                let fresh = TenantQueue {
+                    tenant,
+                    ..TenantQueue::default()
+                };
+                self.tenants.insert(slot, fresh);
+                for r in &mut self.running {
+                    if r.slot >= slot {
+                        r.slot += 1;
+                    }
+                }
+                slot
+            }
+        }
+    }
+
+    /// What one queued request counts towards `queued_kv_tokens`.
+    fn kv_tokens(&self, req: &Request) -> usize {
+        (req.input_len + req.output_len).min(self.kv_token_cap)
+    }
+
+    /// Puts `entry` on `slot`'s queue — at the front for a checkpointed
+    /// victim, which resumes before its tenant's fresh arrivals.
+    fn enqueue(&mut self, slot: usize, entry: QueueEntry, front: bool) {
+        self.queued += 1;
+        self.queued_kv_tokens += self.kv_tokens(&entry.req);
+        let queue = &mut self.tenants[slot].queue;
+        if front {
+            queue.push_front(entry);
+        } else {
+            queue.push_back(entry);
+        }
+    }
+
+    /// Pops `slot`'s head (admitted or rejected), clearing the tenant's
+    /// deficit when its queue runs empty.
+    fn dequeue(&mut self, slot: usize) -> QueueEntry {
+        let q = &mut self.tenants[slot];
+        let entry = q.queue.pop_front().expect("selected head");
+        if q.queue.is_empty() {
+            q.deficit = 0;
+        }
+        self.queued -= 1;
+        self.queued_kv_tokens -= self.kv_tokens(&entry.req);
+        entry
+    }
+
     /// Whether any request is still queued or decoding.
     pub fn has_work(&self) -> bool {
-        !self.running.is_empty() || self.queues.values().any(|q| !q.queue.is_empty())
+        !self.running.is_empty() || self.queued > 0
     }
 
     /// The engine's local clock, seconds.
@@ -658,7 +762,7 @@ impl BatchState {
 
     /// Queued (not yet admitted or checkpointed) requests.
     pub fn queued(&self) -> usize {
-        self.queues.values().map(|q| q.queue.len()).sum()
+        self.queued
     }
 
     /// Requests currently decoding.
@@ -674,14 +778,6 @@ impl BatchState {
     /// The requests currently decoding, in admission order.
     pub fn running_requests(&self) -> impl Iterator<Item = &Request> {
         self.running.iter().map(|r| &r.req)
-    }
-
-    /// The requests waiting for admission, grouped by tenant id and in
-    /// queue order within each tenant.
-    pub fn queued_requests(&self) -> impl Iterator<Item = &Request> {
-        self.queues
-            .values()
-            .flat_map(|q| q.queue.iter().map(|e| &e.req))
     }
 
     /// Requests finished so far, in finish order.
@@ -705,18 +801,10 @@ impl BatchState {
         (self.completed, self.rejected.len())
     }
 
-    /// Tenant ids with any queued work, in id order.
-    fn waiting_tenants(&self) -> impl Iterator<Item = u32> + '_ {
-        self.queues
-            .iter()
-            .filter(|(_, q)| !q.queue.is_empty())
-            .map(|(&t, _)| t)
-    }
-
     /// The earliest head arrival across tenant queues.
     fn earliest_head_arrival(&self) -> Option<f64> {
-        self.queues
-            .values()
+        self.tenants
+            .iter()
             .filter_map(|q| q.queue.front())
             .map(|e| e.req.arrival)
             .min_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
@@ -728,28 +816,20 @@ impl BatchState {
     /// shadow.
     fn emit_gauges<S: TelemetrySink>(&mut self, sink: &mut S) {
         let now = self.now;
-        let shadow = &mut self.gauges;
-        for (&tenant, q) in &self.queues {
-            let depth = q.queue.len() as u64;
-            if shadow.queue_depth.get(&tenant) != Some(&depth) {
-                shadow.queue_depth.insert(tenant, depth);
+        for q in &mut self.tenants {
+            let (tenant, depth, deficit) = (q.tenant, q.queue.len() as u64, q.deficit);
+            if q.gauged_depth != Some(depth) {
+                q.gauged_depth = Some(depth);
                 emit(sink, now, EventKind::QueueDepth { tenant, depth });
             }
-            if shadow.deficit.get(&tenant) != Some(&q.deficit) {
-                shadow.deficit.insert(tenant, q.deficit);
-                emit(
-                    sink,
-                    now,
-                    EventKind::DrrDeficit {
-                        tenant,
-                        deficit: q.deficit,
-                    },
-                );
+            if q.gauged_deficit != Some(deficit) {
+                q.gauged_deficit = Some(deficit);
+                emit(sink, now, EventKind::DrrDeficit { tenant, deficit });
             }
         }
         let batch = self.running.len() as u64;
-        if shadow.batch != Some(batch) {
-            shadow.batch = Some(batch);
+        if self.gauged_batch != Some(batch) {
+            self.gauged_batch = Some(batch);
             emit(sink, now, EventKind::RunningBatch { size: batch });
         }
     }
@@ -808,10 +888,7 @@ impl Scheduler {
         for req in requests {
             state.push_traced(Admission::Fresh(*req), sink);
         }
-        let mut cache = StepCache::new();
-        while state.has_work() {
-            self.step_traced(&mut state, &mut cache, sink);
-        }
+        self.advance_until(&mut state, &mut StepCache::new(), f64::INFINITY, sink);
         let makespan = state.now;
         let (completed, rejected) = state.into_outcome();
         ScheduleReport::from_completed(completed, makespan, rejected)
@@ -858,6 +935,7 @@ impl Scheduler {
                     now += self.prefill_time(&head, &mut cache);
                     running.push(Running {
                         req: head,
+                        slot: 0,
                         produced: 0,
                         start: now,
                         first_token: None,
@@ -966,7 +1044,7 @@ impl Scheduler {
             }
         }
         for r in &state.running {
-            state.queues.entry(r.req.tenant).or_default().served += 1;
+            state.tenants[r.slot].served += 1;
         }
         let role = state.role;
         let completed = &mut state.completed;
@@ -1027,6 +1105,94 @@ impl Scheduler {
         }
     }
 
+    /// Runs the engine until its clock reaches `t` or it runs out of work
+    /// (`f64::INFINITY` drains it) — exactly
+    /// `while state.has_work() && state.now() < t { step_traced }`, one
+    /// micro-step may overshoot `t` — and the loop every driver shares:
+    /// [`Scheduler::run_traced`] and the `spec_serve` replicas.
+    ///
+    /// Between two changes of the batch's composition nothing but the
+    /// clock moves: no admission is due, nobody produces a first token or
+    /// finishes, and nothing outside can reach the state. Those *quiet*
+    /// iterations run in a tight inner loop — the clock advanced one
+    /// iteration at a time in the same order as single steps would (so
+    /// every simulated float keeps its bits), the batch's length sum
+    /// bumped by the batch size, and the per-request and per-tenant token
+    /// counters settled once at the end. Gauges can only have moved
+    /// before the first of them (work pushed since the last step), which
+    /// is when they are emitted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the config's `admission_stride` is zero.
+    pub fn advance_until<S: TelemetrySink>(
+        &self,
+        state: &mut BatchState,
+        cache: &mut StepCache,
+        t: f64,
+        sink: &mut S,
+    ) {
+        while state.has_work() && state.now < t {
+            let quiet = self.quiet_iterations(state);
+            if quiet == 0 {
+                self.step_traced(state, cache, sink);
+                continue;
+            }
+            let batch = state.running.len();
+            let mut total_len: usize = state
+                .running
+                .iter()
+                .map(|r| r.req.input_len + r.produced)
+                .sum();
+            let mut done = 0;
+            while done < quiet && (done == 0 || state.now < t) {
+                let mean_len = total_len / batch;
+                state.now +=
+                    self.sim
+                        .step_time_cached(cache, self.system, batch, mean_len, mean_len)
+                        * state.time_scale;
+                total_len += batch;
+                done += 1;
+                if done == 1 && sink.enabled() {
+                    state.emit_gauges(sink);
+                }
+            }
+            state.iter += done;
+            state.sweep_done = false;
+            for r in &mut state.running {
+                r.produced += done;
+                state.tenants[r.slot].served += done as u64;
+            }
+        }
+    }
+
+    /// How many of the next decode iterations are guaranteed to change
+    /// nothing but the clock and the token counters: 0 while an admission
+    /// sweep is open, the batch is empty, someone still owes a first
+    /// token (or retires on it, as everyone does on a prefill engine);
+    /// otherwise up to the next sweep or the iteration before the first
+    /// completion, whichever comes first.
+    fn quiet_iterations(&self, state: &BatchState) -> usize {
+        assert!(
+            self.cfg.admission_stride > 0,
+            "admission_stride must be positive"
+        );
+        let phase = state.iter % self.cfg.admission_stride;
+        if (phase == 0 && !state.sweep_done) || state.role == ReplicaRole::Prefill {
+            return 0;
+        }
+        let until_sweep = self.cfg.admission_stride - phase;
+        state
+            .running
+            .iter()
+            .map(|r| match r.first_token {
+                Some(_) => r.req.output_len.saturating_sub(r.produced + 1),
+                None => 0,
+            })
+            .min()
+            .map_or(0, |before_completion| before_completion.min(until_sweep))
+    }
+
     /// One admission decision: pick the next waiting request under the
     /// configured discipline, then admit, reject, preempt-and-admit, or
     /// close the sweep.
@@ -1036,7 +1202,7 @@ impl Scheduler {
         cache: &mut StepCache,
         sink: &mut S,
     ) {
-        if state.queued() == 0 {
+        if state.queued == 0 {
             state.sweep_done = true;
             return;
         }
@@ -1048,24 +1214,25 @@ impl Scheduler {
                 state.now = earliest;
             }
         }
-        let Some(tenant) = self.select_tenant(state) else {
+        for q in &mut state.tenants {
+            if q.weight == 0 {
+                q.weight = u64::from(self.cfg.fair.weight(q.tenant));
+            }
+        }
+        let Some(slot) = self.select_tenant(state) else {
             // Heads exist but none has arrived yet.
             state.sweep_done = true;
             return;
         };
-        let entry = *state.queues[&tenant].queue.front().expect("selected head");
+        let entry = *state.tenants[slot].queue.front().expect("selected head");
         if state.running.len() >= self.cfg.max_batch {
-            self.preempt_for(state, cache, tenant, &entry, sink);
+            self.preempt_for(state, cache, slot, &entry, sink);
             return;
         }
         if !self.admissible(&state.running, &entry.req) {
             if state.running.is_empty() {
                 // Can never run, even alone.
-                let q = state.queues.get_mut(&tenant).expect("selected queue");
-                q.queue.pop_front();
-                if q.queue.is_empty() {
-                    q.deficit = 0;
-                }
+                state.dequeue(slot);
                 state.rejected.push(entry.req);
                 emit(
                     sink,
@@ -1077,28 +1244,24 @@ impl Scheduler {
                 );
                 return; // sweep stays open for the next head
             }
-            self.preempt_for(state, cache, tenant, &entry, sink);
+            self.preempt_for(state, cache, slot, &entry, sink);
             return;
         }
-        self.admit(state, cache, tenant, sink);
+        self.admit(state, cache, slot, sink);
     }
 
-    /// Pops `tenant`'s head and moves it into the running batch,
-    /// charging prefill (fresh) or the KV restore transfer (checkpointed).
+    /// Pops `slot`'s head and moves it into the running batch, charging
+    /// prefill (fresh) or the KV restore transfer (checkpointed).
     fn admit<S: TelemetrySink>(
         &self,
         state: &mut BatchState,
         cache: &mut StepCache,
-        tenant: u32,
+        slot: usize,
         sink: &mut S,
     ) {
-        let q = state.queues.get_mut(&tenant).expect("selected queue");
-        let entry = q.queue.pop_front().expect("selected head");
-        let cost = remaining_tokens(&entry) as u64;
-        q.deficit = q.deficit.saturating_sub(cost);
-        if q.queue.is_empty() {
-            q.deficit = 0;
-        }
+        let entry = state.dequeue(slot);
+        let q = &mut state.tenants[slot];
+        q.deficit = q.deficit.saturating_sub(remaining_tokens(&entry) as u64);
         if entry.preloaded {
             // Delivered prefill handoff: the KV is already resident (the
             // cluster priced the interconnect hop, device placement
@@ -1134,6 +1297,7 @@ impl Scheduler {
         }
         state.running.push(Running {
             req: entry.req,
+            slot,
             produced: entry.produced,
             start: entry.start.unwrap_or(state.now),
             first_token: entry.first_token,
@@ -1149,7 +1313,7 @@ impl Scheduler {
         &self,
         state: &mut BatchState,
         cache: &mut StepCache,
-        tenant: u32,
+        slot: usize,
         entry: &QueueEntry,
         sink: &mut S,
     ) {
@@ -1170,12 +1334,9 @@ impl Scheduler {
         // tenant's fresh arrivals).
         state.now += self.kv_transfer_time(&victim.req, victim.produced) * state.time_scale;
         state.running.remove(victim_idx);
-        state
-            .queues
-            .entry(victim.req.tenant)
-            .or_default()
-            .queue
-            .push_front(QueueEntry {
+        state.enqueue(
+            victim.slot,
+            QueueEntry {
                 req: victim.req,
                 seq: 0, // resumes first under FIFO too: it predates the queue
                 produced: victim.produced,
@@ -1185,7 +1346,9 @@ impl Scheduler {
                 // The checkpoint now lives host-side; the restore pays
                 // PCIe even if the KV originally arrived preloaded.
                 preloaded: false,
-            });
+            },
+            true,
+        );
         if sink.enabled() {
             let request = victim.req.id as u64;
             emit(
@@ -1204,7 +1367,7 @@ impl Scheduler {
                 EventKind::CheckpointWritten { request, bytes },
             );
         }
-        self.admit(state, cache, tenant, sink);
+        self.admit(state, cache, slot, sink);
     }
 
     /// The index of the victim the preemption policy picks for the
@@ -1242,12 +1405,8 @@ impl Scheduler {
                 // Most over-served tenant first: served tokens per unit
                 // weight, exact in integers via cross-multiplication.
                 let norm = |r: &Running| {
-                    let served = state
-                        .queues
-                        .get(&r.req.tenant)
-                        .map(|q| q.served)
-                        .unwrap_or(0);
-                    (served, self.cfg.fair.weight(r.req.tenant) as u64)
+                    let q = &state.tenants[r.slot];
+                    (q.served, q.weight)
                 };
                 state
                     .running
@@ -1267,31 +1426,26 @@ impl Scheduler {
         }
     }
 
-    /// Picks the tenant whose head goes next, among tenants whose head
-    /// has arrived. `None` when every queued head is still in the
-    /// future.
-    fn select_tenant(&self, state: &mut BatchState) -> Option<u32> {
-        let arrived: Vec<u32> = state
-            .waiting_tenants()
-            .filter(|t| {
-                state.queues[t]
-                    .queue
-                    .front()
-                    .is_some_and(|e| e.req.arrival <= state.now)
-            })
-            .collect();
-        match (arrived.as_slice(), self.cfg.fair.discipline) {
-            ([], _) => None,
-            ([only], _) => Some(*only),
-            (_, QueueDiscipline::Fifo) => {
+    /// Picks the slot of the tenant whose head goes next, among tenants
+    /// whose head has arrived. `None` when every queued head is still in
+    /// the future.
+    fn select_tenant(&self, state: &mut BatchState) -> Option<usize> {
+        let now = state.now;
+        let mut arrived = (0..state.tenants.len()).filter(|&i| state.tenants[i].head_arrived(now));
+        let first = arrived.next()?;
+        if arrived.next().is_none() {
+            return Some(first);
+        }
+        match self.cfg.fair.discipline {
+            QueueDiscipline::Fifo => {
                 // Global push order: the smallest sequence number wins
-                // (checkpointed entries carry seq 0 and resume first).
-                arrived
-                    .iter()
-                    .copied()
-                    .min_by_key(|t| state.queues[t].queue.front().map(|e| e.seq))
+                // (checkpointed entries carry seq 0 and resume first;
+                // ties go to the lowest tenant id).
+                (first..state.tenants.len())
+                    .filter(|&i| state.tenants[i].head_arrived(now))
+                    .min_by_key(|&i| state.tenants[i].queue.front().map(|e| e.seq))
             }
-            (_, QueueDiscipline::DeficitRoundRobin) => {
+            QueueDiscipline::DeficitRoundRobin => {
                 // Rotate in tenant-id order from the last visited tenant,
                 // granting quantum × weight per visit, until some arrived
                 // head's remaining output fits its tenant's deficit. The
@@ -1300,19 +1454,19 @@ impl Scheduler {
                 // beyond what memory allows.
                 let quantum = self.cfg.fair.quantum_tokens.max(1) as u64;
                 loop {
-                    let next = arrived
-                        .iter()
-                        .copied()
-                        .find(|&t| state.drr_last.is_none_or(|last| t > last))
-                        .or_else(|| arrived.first().copied())
-                        .expect("nonempty arrived set");
-                    state.drr_last = Some(next);
-                    let q = state.queues.get_mut(&next).expect("arrived tenant");
+                    let next = (first..state.tenants.len())
+                        .find(|&i| {
+                            let q = &state.tenants[i];
+                            state.drr_last.is_none_or(|last| q.tenant > last) && q.head_arrived(now)
+                        })
+                        .unwrap_or(first);
+                    let q = &mut state.tenants[next];
+                    state.drr_last = Some(q.tenant);
                     let cost = q.queue.front().map(remaining_tokens).unwrap_or(0) as u64;
                     if q.deficit >= cost {
                         return Some(next);
                     }
-                    q.deficit += quantum * self.cfg.fair.weight(next) as u64;
+                    q.deficit += quantum * q.weight;
                 }
             }
         }
@@ -1388,19 +1542,10 @@ impl Scheduler {
         self.sim.device().pcie_time(bytes)
     }
 
-    /// Prefill latency for one prompt, memoized per `(system, input_len)`
-    /// — admission re-prefills identical prompt lengths constantly.
+    /// Prefill latency for one prompt, memoized per prompt length.
     fn prefill_time(&self, req: &Request, cache: &mut StepCache) -> f64 {
-        let key = (self.system, req.input_len);
-        if let Some(&t) = cache.prefill.get(&key) {
-            return t;
-        }
-        let t = self
-            .sim
-            .throughput(self.system, &Workload::new(req.input_len, 1, 1))
-            .prefill_s;
-        cache.prefill.insert(key, t);
-        t
+        self.sim
+            .prefill_time_cached(cache, self.system, req.input_len)
     }
 
     /// Iteration latency at the current batch composition: the per-step
@@ -1760,7 +1905,8 @@ mod tests {
             } else {
                 history.request.tenant
             };
-            let entry = *state.queues[&tenant].queue.back().expect("one entry");
+            let slot = state.slot_of(tenant);
+            let entry = *state.tenants[slot].queue.back().expect("one entry");
             assert_eq!(entry.req.id, id);
             assert_eq!(entry.req.arrival, stamp, "restamped to the admission");
             assert_eq!(

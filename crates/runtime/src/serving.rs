@@ -6,14 +6,22 @@
 //! preprocessing cost, and the per-step decode timelines of
 //! [`crate::dataflow`], integrated over the growing sequence length with
 //! the memory policy deciding layer placement at every point.
+//!
+//! The same step price is the scheduler's per-iteration cost:
+//! [`ServingSim::step_time`] lays one step out on the event simulator
+//! (a few microseconds, no text formatted, one buffer), and
+//! [`ServingSim::step_time_cached`] memoizes it in a [`StepCache`] — a
+//! direct-indexed `[batch][seq_len]` table, so the millions of decode
+//! iterations of a simulated trace each cost an indexed load.
 
 use crate::adaptive::Thresholds;
 use crate::costs::{CostModel, PreprocessKind};
-use crate::dataflow::{step_timeline, DataflowKind, StepBreakdown, StepParams};
+use crate::dataflow::{step_timeline_into, DataflowKind, StepBreakdown, StepParams};
 use crate::memory::MemoryModel;
 use serde::{Deserialize, Serialize};
-use spec_hwsim::{DeviceSpec, EngineProfile};
+use spec_hwsim::{DeviceSpec, EngineProfile, EventSim};
 use spec_model::ModelConfig;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The systems of the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -78,6 +86,16 @@ impl SystemKind {
     /// (Quest and ClusterKV are single-request, Section 7.3.1).
     pub fn supports_batching(&self) -> bool {
         !matches!(self, SystemKind::Quest | SystemKind::ClusterKv)
+    }
+
+    /// Whether the system keeps every generated token's KV attended on
+    /// top of its budgeted prompt selection, so a step's price depends
+    /// on where the prompt ended, not just on the total length.
+    pub fn retains_generated(&self) -> bool {
+        matches!(
+            self,
+            SystemKind::Quest | SystemKind::ClusterKv | SystemKind::ShadowKv
+        )
     }
 
     /// Maximum batch the system's serving stack can schedule. HF eager
@@ -172,22 +190,64 @@ impl ThroughputReport {
     }
 }
 
-/// Memoized per-step timelines, keyed by everything that determines one
-/// decode step: `(system, batch, seq_len, prefill_len, l_cpu)`.
+/// Sequence lengths per page of a [`StepCache`] table (4 KiB of `f64`).
+const STEP_PAGE: usize = 512;
+
+/// Lengths and batch sizes from here up are priced without memoizing, so
+/// a hostile request length cannot size a table.
+const STEP_CACHE_MAX_LEN: usize = 1 << 26;
+const STEP_CACHE_MAX_BATCH: usize = 1 << 16;
+
+/// What one batch size has priced so far: Algorithm 1's thresholds (they
+/// depend on the memory model, the batch size and the budget only) and
+/// the step latency per sequence length, in lazily allocated pages where
+/// NaN means "not priced yet".
+#[derive(Debug, Clone, Default)]
+struct BatchSteps {
+    thresholds: Option<Thresholds>,
+    pages: Vec<Option<Box<[f64; STEP_PAGE]>>>,
+}
+
+/// What a [`StepCache`] was filled under. Everything else a step price
+/// depends on is fixed for a [`ServingSim`] instance.
+#[derive(Debug, Clone, PartialEq)]
+struct CacheStamp {
+    sim: u64,
+    system: SystemKind,
+    reuse_bits: u32,
+}
+
+/// Memoized decode-step latencies for one `(simulator, system)` pair —
+/// the per-iteration lookup of the continuous-batching scheduler and the
+/// `spec_serve` replicas, which revisit the same batch compositions
+/// constantly.
 ///
-/// The event-driven step timeline is by far the most expensive part of a
-/// serving estimate, and sweeps (batch search, continuous batching, the
-/// `spec_serve` cluster simulator) re-evaluate identical steps
-/// constantly. Callers own a cache per [`ServingSim`] and thread it
-/// through; entries are exact — the key fully determines the timeline
-/// for a fixed simulator — so hits are bit-for-bit identical to
-/// recomputation. Discard the cache if `elastic_reuse` is changed.
+/// The table is direct-indexed by what varies between the scheduler's
+/// iterations, `[batch][seq_len]`, and stores the 8-byte step latency
+/// only; the offload depth is a function of the two under the default
+/// memory policy. Entries are exact — the index fully determines the
+/// timeline for a fixed simulator — so hits are bit-for-bit identical to
+/// recomputation, and nothing is computed or allocated before the first
+/// lookup. A miss prices the step on a timeline scratch the cache owns
+/// and allocates nothing beyond the table's own pages.
+///
+/// The cache stamps itself with the simulator instance, the system and
+/// `elastic_reuse` on first use and empties itself when a later call
+/// arrives under a different stamp, so it can be neither shared between
+/// simulators by mistake nor left stale by a change to
+/// [`ServingSim::elastic_reuse`]. Steps whose price depends on the
+/// prompt split (the baselines that retain generated tokens) are
+/// memoized at the scheduler's split (`prefill_len == s`) only; other
+/// splits are priced directly.
 #[derive(Debug, Clone, Default)]
 pub struct StepCache {
-    map: std::collections::HashMap<(SystemKind, usize, usize, usize, usize), StepBreakdown>,
-    /// Memoized prefill times keyed by `(system, input_len)` — the
-    /// scheduler re-prefills identical prompt lengths on every admission.
-    pub(crate) prefill: std::collections::HashMap<(SystemKind, usize), f64>,
+    filled_under: Option<(CacheStamp, EngineProfile)>,
+    batches: Vec<BatchSteps>,
+    priced: usize,
+    timeline: EventSim,
+    /// Memoized prefill times by prompt length — the scheduler
+    /// re-prefills identical prompt lengths on every admission.
+    prefill: std::collections::HashMap<usize, f64>,
 }
 
 impl StepCache {
@@ -196,20 +256,41 @@ impl StepCache {
         Self::default()
     }
 
-    /// Number of distinct steps evaluated so far.
+    /// Number of distinct steps priced since the cache was last emptied.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.priced
     }
 
-    /// Whether no step has been evaluated yet.
+    /// Whether no step has been priced yet.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.priced == 0
+    }
+
+    /// Empties the cache unless it was filled under exactly this
+    /// simulator, system and reuse fraction.
+    fn restamp(&mut self, sim: &ServingSim, system: SystemKind) {
+        let stamp = CacheStamp {
+            sim: sim.id,
+            system,
+            reuse_bits: sim.elastic_reuse.to_bits(),
+        };
+        if self.filled_under.as_ref().is_some_and(|(s, _)| *s == stamp) {
+            return;
+        }
+        self.batches.clear();
+        self.prefill.clear();
+        self.priced = 0;
+        self.filled_under = Some((stamp, system.profile()));
     }
 }
 
 /// The serving simulator.
 #[derive(Debug, Clone)]
 pub struct ServingSim {
+    /// Instance identity for [`StepCache`] stamps: unique per
+    /// [`ServingSim::new`], shared by clones (whose private fields are
+    /// equal by construction).
+    id: u64,
     cm: CostModel,
     mm: MemoryModel,
     dev: DeviceSpec,
@@ -221,8 +302,10 @@ pub struct ServingSim {
 impl ServingSim {
     /// Creates a simulator for a model on a device with a KV budget.
     pub fn new(cfg: ModelConfig, dev: DeviceSpec, budget: usize) -> Self {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         let mm = MemoryModel::new(&cfg, &dev);
         Self {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             cm: CostModel::new(cfg),
             mm,
             dev,
@@ -256,14 +339,25 @@ impl ServingSim {
     /// (governs the baselines' retained-generation growth). Placement
     /// follows the system's default policy at this point.
     pub fn step_time(&self, system: SystemKind, r: usize, s: usize, prefill_len: usize) -> f64 {
-        let l_cpu = self.policy_l_cpu(system.default_policy(), r, s);
-        self.step_breakdown(system, r, s, prefill_len, l_cpu).total
+        let l_cpu = self.policy_l_cpu(system.default_policy(), r, s, &mut None);
+        let mut timeline = EventSim::default();
+        self.step_breakdown(
+            &mut timeline,
+            &system.profile(),
+            system,
+            r,
+            s,
+            prefill_len,
+            l_cpu,
+        )
+        .total
     }
 
     /// Memoized [`ServingSim::step_time`] — the per-iteration hook the
     /// continuous-batching scheduler and the `spec_serve` replica wrapper
-    /// drive; batch compositions recur constantly there, so the cache
-    /// turns repeated timeline evaluations into lookups.
+    /// drive. A hit is a stamp compare and two indexed loads; see
+    /// [`StepCache`] for what is memoized and when the cache empties
+    /// itself.
     pub fn step_time_cached(
         &self,
         cache: &mut StepCache,
@@ -272,16 +366,79 @@ impl ServingSim {
         s: usize,
         prefill_len: usize,
     ) -> f64 {
-        let l_cpu = self.policy_l_cpu(system.default_policy(), r, s);
-        self.step_breakdown_cached(cache, system, r, s, prefill_len, l_cpu)
-            .total
+        let memoizable = r < STEP_CACHE_MAX_BATCH
+            && s < STEP_CACHE_MAX_LEN
+            && (prefill_len == s || !system.retains_generated());
+        if !memoizable {
+            return self.step_time(system, r, s, prefill_len);
+        }
+        cache.restamp(self, system);
+        let (page, slot) = (s / STEP_PAGE, s % STEP_PAGE);
+        let hit = cache
+            .batches
+            .get(r)
+            .and_then(|b| b.pages.get(page)?.as_deref())
+            .map(|p| p[slot]);
+        if let Some(t) = hit.filter(|t| !t.is_nan()) {
+            return t;
+        }
+        if cache.batches.len() <= r {
+            cache.batches.resize_with(r + 1, BatchSteps::default);
+        }
+        let batch = &mut cache.batches[r];
+        let l_cpu = self.policy_l_cpu(system.default_policy(), r, s, &mut batch.thresholds);
+        let (_, profile) = cache.filled_under.as_ref().expect("stamped above");
+        let t = self
+            .step_breakdown(
+                &mut cache.timeline,
+                profile,
+                system,
+                r,
+                s,
+                prefill_len,
+                l_cpu,
+            )
+            .total;
+        if batch.pages.len() <= page {
+            batch.pages.resize_with(page + 1, || None);
+        }
+        batch.pages[page].get_or_insert_with(|| Box::new([f64::NAN; STEP_PAGE]))[slot] = t;
+        cache.priced += 1;
+        t
+    }
+
+    /// Prefill latency for one prompt of `input_len` tokens, memoized in
+    /// `cache` under the same stamp as its steps — admission re-prefills
+    /// identical prompt lengths constantly.
+    pub fn prefill_time_cached(
+        &self,
+        cache: &mut StepCache,
+        system: SystemKind,
+        input_len: usize,
+    ) -> f64 {
+        cache.restamp(self, system);
+        if let Some(&t) = cache.prefill.get(&input_len) {
+            return t;
+        }
+        let t = self
+            .throughput(system, &Workload::new(input_len, 1, 1))
+            .prefill_s;
+        cache.prefill.insert(input_len, t);
+        t
     }
 
     /// The offload depth `policy` dictates at batch `r`, length `s` when
     /// the decision is taken step-locally (the [`ServingSim::step_time`]
     /// contract; [`ServingSim::throughput_with_policy`] instead decides
-    /// full offload once from the workload's final length).
-    fn policy_l_cpu(&self, policy: MemoryPolicy, r: usize, s: usize) -> usize {
+    /// full offload once from the workload's final length). `thresholds`
+    /// memoizes Algorithm 1 for this batch size across calls.
+    fn policy_l_cpu(
+        &self,
+        policy: MemoryPolicy,
+        r: usize,
+        s: usize,
+        thresholds: &mut Option<Thresholds>,
+    ) -> usize {
         let cfg = self.cm.config();
         match policy {
             MemoryPolicy::AllGpuOrOom => 0,
@@ -292,16 +449,20 @@ impl ServingSim {
                     cfg.layers
                 }
             }
-            MemoryPolicy::Adaptive => {
-                let th = Thresholds::compute(&self.mm, r, self.budget);
-                th.required_offload(s).unwrap_or(cfg.layers)
-            }
+            MemoryPolicy::Adaptive => thresholds
+                .get_or_insert_with(|| Thresholds::compute(&self.mm, r, self.budget))
+                .required_offload(s)
+                .unwrap_or(cfg.layers),
         }
     }
 
-    /// The fully-determined step timeline at an explicit offload depth.
+    /// The fully-determined step timeline at an explicit offload depth,
+    /// laid out on `timeline`.
+    #[allow(clippy::too_many_arguments)]
     fn step_breakdown(
         &self,
+        timeline: &mut EventSim,
+        profile: &EngineProfile,
         system: SystemKind,
         r: usize,
         s: usize,
@@ -321,26 +482,7 @@ impl ServingSim {
             budget: self.budget,
             reuse: self.elastic_reuse,
         };
-        step_timeline(kind, &self.cm, &system.profile(), &self.dev, &params).1
-    }
-
-    /// Cache-through variant of [`ServingSim::step_breakdown`].
-    fn step_breakdown_cached(
-        &self,
-        cache: &mut StepCache,
-        system: SystemKind,
-        r: usize,
-        s: usize,
-        prefill_len: usize,
-        l_cpu: usize,
-    ) -> StepBreakdown {
-        let key = (system, r, s, prefill_len, l_cpu);
-        if let Some(bd) = cache.map.get(&key) {
-            return *bd;
-        }
-        let bd = self.step_breakdown(system, r, s, prefill_len, l_cpu);
-        cache.map.insert(key, bd);
-        bd
+        step_timeline_into(timeline, kind, &self.cm, profile, &self.dev, &params)
     }
 
     /// The per-system dataflow shape at a point in the generation.
@@ -390,19 +532,6 @@ impl ServingSim {
         system: SystemKind,
         w: &Workload,
         policy: MemoryPolicy,
-    ) -> ThroughputReport {
-        self.throughput_with_policy_cached(system, w, policy, &mut StepCache::new())
-    }
-
-    /// [`ServingSim::throughput_with_policy`] with a caller-owned step
-    /// cache, so sweeps over related workloads (batch search, repeated
-    /// shapes) share step-timeline evaluations.
-    pub fn throughput_with_policy_cached(
-        &self,
-        system: SystemKind,
-        w: &Workload,
-        policy: MemoryPolicy,
-        cache: &mut StepCache,
     ) -> ThroughputReport {
         let cfg = self.cm.config();
         let profile = system.profile();
@@ -462,9 +591,10 @@ impl ServingSim {
             }
         };
 
-        let step_at = |s: usize, cache: &mut StepCache| -> StepBreakdown {
+        let mut timeline = EventSim::default();
+        let mut step_at = |s: usize| -> StepBreakdown {
             let l_cpu = l_cpu_at(s).unwrap_or(cfg.layers);
-            self.step_breakdown_cached(cache, system, r, s, w.input_len, l_cpu)
+            self.step_breakdown(&mut timeline, &profile, system, r, s, w.input_len, l_cpu)
         };
 
         // Sample points: stride plus adaptive-threshold crossings.
@@ -493,7 +623,7 @@ impl ServingSim {
         let mut transfer_bytes = 0.0;
         let mut prev: Option<(usize, StepBreakdown)> = None;
         for &sp in &samples {
-            let bd = step_at(sp, cache);
+            let bd = step_at(sp);
             if let Some((s0, bd0)) = prev {
                 let n = (sp - s0) as f64;
                 decode_s += 0.5 * (bd0.total + bd.total) * n;
@@ -501,7 +631,7 @@ impl ServingSim {
             }
             prev = Some((sp, bd));
         }
-        let mid_step = step_at(w.input_len + w.output_len / 2, cache);
+        let mid_step = step_at(w.input_len + w.output_len / 2);
 
         let total = prefill_s + decode_s;
         ThroughputReport {
@@ -516,37 +646,13 @@ impl ServingSim {
     }
 
     /// Finds the batch size maximizing throughput among `candidates`
-    /// (single-request systems only consider 1). The sweep shares one
-    /// [`StepCache`] across candidates, so duplicate candidates and the
-    /// repeated step evaluations inside each integration (midpoint,
-    /// threshold crossings) are memoized instead of recomputing the full
-    /// cost model per candidate.
+    /// (single-request systems only consider 1).
     pub fn best_batch(
         &self,
         system: SystemKind,
         input_len: usize,
         output_len: usize,
         candidates: &[usize],
-    ) -> ThroughputReport {
-        self.best_batch_cached(
-            system,
-            input_len,
-            output_len,
-            candidates,
-            &mut StepCache::new(),
-        )
-    }
-
-    /// [`ServingSim::best_batch`] with a caller-owned cache, so repeated
-    /// sweeps (e.g. the same system across arrival rates in a cluster
-    /// bench) keep their step evaluations across calls.
-    pub fn best_batch_cached(
-        &self,
-        system: SystemKind,
-        input_len: usize,
-        output_len: usize,
-        candidates: &[usize],
-        cache: &mut StepCache,
     ) -> ThroughputReport {
         let cap = system.max_batch();
         let mut cands: Vec<usize> = candidates.iter().copied().filter(|&r| r <= cap).collect();
@@ -557,14 +663,7 @@ impl ServingSim {
         cands.dedup();
         cands
             .iter()
-            .map(|&r| {
-                self.throughput_with_policy_cached(
-                    system,
-                    &Workload::new(input_len, output_len, r),
-                    system.default_policy(),
-                    cache,
-                )
-            })
+            .map(|&r| self.throughput(system, &Workload::new(input_len, output_len, r)))
             .max_by(|a, b| {
                 a.tokens_per_s
                     .partial_cmp(&b.tokens_per_s)
@@ -690,6 +789,59 @@ mod tests {
             MemoryPolicy::AllGpuOrFullOffload,
         );
         assert!(ours.tokens_per_s > 2.0 * eager.tokens_per_s);
+    }
+
+    #[test]
+    fn step_cache_empties_itself_when_its_stamp_changes() {
+        // A point with offloaded layers, so the reuse fraction prices in.
+        let (system, r, s) = (SystemKind::SpeContext, 16, 120 * 1024);
+        let mut sim = cloud_sim();
+        let mut cache = StepCache::new();
+        let before = sim.step_time_cached(&mut cache, system, r, s, s);
+        assert_eq!(before, sim.step_time(system, r, s, s));
+        assert_eq!(cache.len(), 1);
+        // Flipping the public knob between two calls must not serve the
+        // stale entry.
+        sim.elastic_reuse = 0.0;
+        let after = sim.step_time_cached(&mut cache, system, r, s, s);
+        assert_eq!(after, sim.step_time(system, r, s, s));
+        assert!(after > before, "refetching everything costs more");
+        assert_eq!(cache.len(), 1, "the stale entry is gone, not kept beside");
+        // Nor may another simulator, or another system, inherit entries.
+        let edge = ServingSim::new(
+            ModelConfig::reasoning_llama3_2_1b(),
+            DeviceSpec::rtx4060_laptop_4g(),
+            2048,
+        );
+        for (sim, system) in [(&edge, system), (&sim, SystemKind::FullFlashInfer)] {
+            let cached = sim.step_time_cached(&mut cache, system, 1, 4096, 4096);
+            assert_eq!(cached, sim.step_time(system, 1, 4096, 4096));
+            assert_eq!(cache.len(), 1);
+        }
+        // A clone is the same simulator: it keeps hitting.
+        let clone = edge.clone();
+        edge.step_time_cached(&mut cache, system, 1, 4096, 4096);
+        clone.step_time_cached(&mut cache, system, 1, 4097, 4097);
+        assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn prompt_split_and_oversized_points_are_priced_directly() {
+        let sim = cloud_sim();
+        let mut cache = StepCache::new();
+        // Quest's price depends on where the prompt ended: only the
+        // scheduler's split is memoized.
+        let split = sim.step_time_cached(&mut cache, SystemKind::Quest, 1, 8192, 2048);
+        assert_eq!(split, sim.step_time(SystemKind::Quest, 1, 8192, 2048));
+        assert!(cache.is_empty());
+        let whole = sim.step_time_cached(&mut cache, SystemKind::Quest, 1, 8192, 8192);
+        assert_ne!(split, whole);
+        assert_eq!(cache.len(), 1);
+        // A length no table should be sized for.
+        let huge = STEP_CACHE_MAX_LEN + 5;
+        let t = sim.step_time_cached(&mut cache, SystemKind::SpeContext, 1, huge, huge);
+        assert_eq!(t, sim.step_time(SystemKind::SpeContext, 1, huge, huge));
+        assert_eq!(cache.len(), 1, "not memoized");
     }
 
     #[test]

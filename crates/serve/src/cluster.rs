@@ -22,16 +22,17 @@
 //!   instant. With no event left but work remaining the instant is ∞:
 //!   the fleet runs dry.
 //! * **The source picks how to advance — and nothing else.** An
-//!   open-loop source cannot be influenced by the fleet, so replicas
-//!   advance in bulk, fanned out over the worker pool. A
+//!   open-loop source cannot be influenced by the fleet, so each replica
+//!   advances in bulk, one after another (a scoped-thread fan-out was
+//!   measured and removed: the stepping between two events is tens of
+//!   microseconds, less than a spawn). A
 //!   [closed-loop](ArrivalSource::closed_loop) source releases a
 //!   session's next turn when its previous response completes, possibly
 //!   *before* the event just peeked; there the kernel steps the
 //!   lowest-clock replica by one scheduler decision, feeds completions
 //!   (in `(finish, id)` order) and refusals back into the source, and
 //!   peeks again. Either way replicas only touch their own state
-//!   between events and every event applies on the serial path, so
-//!   reports and telemetry are identical at any `SPEC_THREADS`.
+//!   between events, so the order they advance in cannot matter.
 //! * **Routing** snapshots the fleet and folds it down to the stage's
 //!   candidates before asking the stage's policy. Role is a hard
 //!   filter — arrivals and retries never start on a decode-only
@@ -372,8 +373,8 @@ struct Run<'p> {
     /// about yet (a closed-loop source ends their sessions).
     refused: Vec<Request>,
     /// Cluster-scope event buffer (routing, scaling, fault lifecycle);
-    /// `None` = untraced. Only the serial event path writes here, so its
-    /// stream is deterministic at any `SPEC_THREADS`.
+    /// `None` = untraced. Replicas record into buffers of their own; the
+    /// streams are merged when the run ends.
     sink: Option<RecordingSink>,
 }
 
@@ -807,21 +808,12 @@ impl Cluster {
         (self.report(run, slo), merge_streams(streams))
     }
 
-    /// Advances every replica's engine to `t`. Replicas run
-    /// independently between cluster events, so their micro-stepping
-    /// fans out over the worker pool. Each replica's state depends only
-    /// on its own trace slice, so the cluster outcome is identical at
-    /// any thread count — which is what keeps the 1-replica anchor
-    /// bit-for-bit on `Scheduler::run`. Idle replicas return from
-    /// `advance_until` immediately, so only spawn workers when several
-    /// have stepping to do.
+    /// Advances every replica's engine to `t`. Each replica's state
+    /// depends only on its own trace slice — which is what keeps the
+    /// 1-replica anchor bit-for-bit on `Scheduler::run`.
     fn advance_all(&mut self, t: f64) {
-        if self.replicas.iter().filter(|r| r.has_work()).count() > 1 {
-            spec_parallel::par_for_each_mut(&mut self.replicas, |_, rep| rep.advance_until(t));
-        } else {
-            for rep in &mut self.replicas {
-                rep.advance_until(t);
-            }
+        for rep in &mut self.replicas {
+            rep.advance_until(t);
         }
     }
 
@@ -949,9 +941,8 @@ impl Cluster {
                         run.dead_letter(ck.request, ev.at, r);
                         continue;
                     };
-                    // The migration transfer draw happens on the serial
-                    // event path in crash-dump order, so it is
-                    // deterministic at any thread count.
+                    // The migration transfer draw happens in crash-dump
+                    // order.
                     let transfer_failed = run.rng.chance(run.plan.kv_loss_prob);
                     match self.pick_restore_target(r, run.plan.health_aware) {
                         Some(target) if !transfer_failed => {
@@ -1465,20 +1456,10 @@ mod tests {
     }
 
     #[test]
-    fn multi_replica_run_is_thread_count_invariant() {
-        // The one parallelization that mutates stateful objects (replica
-        // engines) must honour the determinism contract at replicas > 1,
-        // where the per-arrival fan-out really runs multi-worker.
+    fn multi_replica_run_is_deterministic() {
         let reqs = trace(4.0, 24, 29);
-        let run = |threads: usize| {
-            spec_parallel::with_threads(threads, || {
-                cluster(3, RouterKind::LeastOutstanding, None).run(&reqs, &SloSpec::default())
-            })
-        };
-        let reference = run(1);
-        for t in [2usize, 7] {
-            assert_eq!(run(t), reference, "threads={t}");
-        }
+        let run = || cluster(3, RouterKind::LeastOutstanding, None).run(&reqs, &SloSpec::default());
+        assert_eq!(run(), run());
     }
 
     #[test]
@@ -1639,23 +1620,19 @@ mod tests {
     }
 
     #[test]
-    fn closed_loop_runs_are_deterministic_and_thread_invariant() {
+    fn closed_loop_runs_are_deterministic() {
         let cfg = ClosedLoopConfig::new(6, 2)
             .think(0.2)
             .ramp(1.0)
             .shapes(vec![Workload::new(2048, 512, 1)])
             .seed(5);
-        let run = |threads: usize| {
-            spec_parallel::with_threads(threads, || {
-                cluster(3, RouterKind::LeastOutstanding, None)
-                    .run_source(&mut cfg.source(), &SloSpec::default())
-            })
+        let run = || {
+            cluster(3, RouterKind::LeastOutstanding, None)
+                .run_source(&mut cfg.source(), &SloSpec::default())
         };
-        let reference = run(1);
+        let reference = run();
         assert_eq!(reference.completed, 12);
-        for t in [2usize, 7] {
-            assert_eq!(run(t), reference, "threads={t}");
-        }
+        assert_eq!(run(), reference);
     }
 
     fn split_cluster(prefill: usize, decode: usize, link: LinkSpec) -> Cluster {

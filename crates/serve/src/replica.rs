@@ -2,8 +2,9 @@
 //!
 //! A replica wraps the runtime's continuous-batching core — a
 //! [`Scheduler`] driving a [`BatchState`] through
-//! [`Scheduler::step`] micro-steps — so the cluster event loop can
-//! interleave request routing with engine progress at decision
+//! [`Scheduler::advance_until`] (or single [`Scheduler::step`]
+//! micro-steps under a closed-loop source) — so the cluster event loop
+//! can interleave request routing with engine progress at decision
 //! granularity. On top of the scheduler's logical state the replica
 //! mirrors its running batch into a [`BlockAllocator`] drawn from
 //! `spec_kvcache`, giving routers a byte-accurate KV-pressure signal
@@ -16,7 +17,6 @@ use spec_runtime::{
     Scheduler, SchedulerConfig, ServingSim, StepCache, SystemKind,
 };
 use spec_telemetry::{seconds_to_ticks, Event, EventKind, RecordingSink, TelemetrySink};
-use std::collections::{HashMap, HashSet};
 
 /// One serving engine in the fleet.
 #[derive(Debug)]
@@ -25,12 +25,9 @@ pub struct Replica {
     state: BatchState,
     cache: StepCache,
     kv: BlockAllocator,
-    kv_live: HashMap<usize, AllocId>,
-    /// Running requests the allocator could not admit (its paged
-    /// round-up needs slightly more than the scheduler's admission
-    /// arithmetic): id → tokens, accounted arithmetically so pressure
-    /// never undercounts a loaded replica.
-    kv_overflow: HashMap<usize, usize>,
+    /// The running batch as the allocator holds it: request id → hold,
+    /// at most `max_batch` entries, diffed by linear scan.
+    kv_held: Vec<(usize, KvHold)>,
     kv_token_cap: usize,
     device: String,
     /// Rental price of the underlying device, USD per hour (cost-aware
@@ -45,12 +42,23 @@ pub struct Replica {
     probation_until: Option<f64>,
     assigned: usize,
     /// Per-replica event buffer (`None` = untraced, zero overhead).
-    /// Each replica records into its own buffer, so recorded streams
-    /// stay deterministic when the cluster fans replicas out over the
-    /// worker pool; the cluster merges buffers thread-invariantly.
+    /// Each replica records into its own buffer; the cluster merges the
+    /// buffers in the stable `(tick, stream)` order.
     telemetry: Option<RecordingSink>,
     /// Last KV occupancy emitted, so traced runs gauge on change.
     kv_gauge: Option<u64>,
+}
+
+/// How one running request's KV is on the books.
+#[derive(Debug, Clone, Copy)]
+enum KvHold {
+    /// Resident in the block allocator.
+    Live(AllocId),
+    /// The allocator could not admit it (its paged round-up needs
+    /// slightly more than the scheduler's admission arithmetic): this
+    /// many tokens, accounted arithmetically so pressure never
+    /// undercounts a loaded replica.
+    Overflow(usize),
 }
 
 impl Replica {
@@ -72,17 +80,18 @@ impl Replica {
         };
         let device = sim.device().name.clone();
         let hourly_cost = sim.device().hourly_cost;
+        let mut state = BatchState::new();
+        state.set_kv_token_cap(kv_token_cap);
         Self {
             scheduler: Scheduler::new(sim, system, cfg),
-            state: BatchState::new(),
+            state,
             cache: StepCache::new(),
             kv: BlockAllocator::new(
                 AllocPolicy::Paged { block_tokens: 16 },
                 bytes_per_token,
                 capacity,
             ),
-            kv_live: HashMap::new(),
-            kv_overflow: HashMap::new(),
+            kv_held: Vec::new(),
             kv_token_cap,
             device,
             hourly_cost,
@@ -293,10 +302,8 @@ impl Replica {
         if self.down {
             return;
         }
-        while self.state.has_work() && self.state.now() < t {
-            self.scheduler
-                .step_traced(&mut self.state, &mut self.cache, &mut self.telemetry);
-        }
+        self.scheduler
+            .advance_until(&mut self.state, &mut self.cache, t, &mut self.telemetry);
         self.sync_kv();
     }
 
@@ -333,14 +340,16 @@ impl Replica {
         if capacity == 0 {
             return f64::INFINITY;
         }
-        let queued_tokens: usize = self
-            .state
-            .queued_requests()
-            .map(|q| (q.input_len + q.output_len).min(self.kv_token_cap))
+        let overflow_tokens: usize = self
+            .kv_held
+            .iter()
+            .map(|&(_, hold)| match hold {
+                KvHold::Live(_) => 0,
+                KvHold::Overflow(tokens) => tokens,
+            })
             .sum();
-        let overflow_tokens: usize = self.kv_overflow.values().sum();
-        let unresident_bytes =
-            (queued_tokens + overflow_tokens) as f64 * self.kv.bytes_per_token() as f64;
+        let unresident_bytes = (self.state.queued_kv_tokens() + overflow_tokens) as f64
+            * self.kv.bytes_per_token() as f64;
         (self.kv.used_bytes() as f64 + unresident_bytes) / capacity as f64
     }
 
@@ -349,33 +358,26 @@ impl Replica {
     /// scheduler's own admission test stays authoritative, so a
     /// 1-replica cluster still reproduces `Scheduler::run` bit-for-bit.
     fn sync_kv(&mut self) {
-        let running: HashSet<usize> = self.state.running_requests().map(|r| r.id).collect();
-        let gone: Vec<usize> = self
-            .kv_live
-            .keys()
-            .copied()
-            .filter(|id| !running.contains(id))
-            .collect();
-        for id in gone {
-            let alloc = self.kv_live.remove(&id).expect("tracked allocation");
-            self.kv.release(alloc);
-        }
-        self.kv_overflow.retain(|id, _| running.contains(id));
-        let new: Vec<Request> = self
-            .state
-            .running_requests()
-            .filter(|r| !self.kv_live.contains_key(&r.id) && !self.kv_overflow.contains_key(&r.id))
-            .copied()
-            .collect();
-        for req in new {
-            let tokens = (req.input_len + req.output_len).min(self.kv_token_cap);
-            if let Some(alloc) = self.kv.admit(tokens) {
-                self.kv_live.insert(req.id, alloc);
-            } else {
-                // The scheduler's admission stays authoritative; keep the
-                // demand on the books so LeastKvPressure sees the load.
-                self.kv_overflow.insert(req.id, tokens);
+        let (state, kv) = (&self.state, &mut self.kv);
+        self.kv_held.retain(|&(id, hold)| {
+            let running = state.running_requests().any(|r| r.id == id);
+            if let (false, KvHold::Live(alloc)) = (running, hold) {
+                kv.release(alloc);
             }
+            running
+        });
+        for req in state.running_requests() {
+            if self.kv_held.iter().any(|&(id, _)| id == req.id) {
+                continue;
+            }
+            let tokens = (req.input_len + req.output_len).min(self.kv_token_cap);
+            // When the allocator refuses, the scheduler's admission stays
+            // authoritative; keep the demand on the books so
+            // LeastKvPressure sees the load.
+            let hold = kv
+                .admit(tokens)
+                .map_or(KvHold::Overflow(tokens), KvHold::Live);
+            self.kv_held.push((req.id, hold));
         }
         if self.telemetry.enabled() {
             let used = self.kv.used_bytes();

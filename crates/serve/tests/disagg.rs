@@ -162,8 +162,8 @@ proptest! {
         }
     }
 
-    /// Invariant 3: the two-stage path is worker-pool-width invariant.
-    /// (CI additionally runs this whole file under SPEC_THREADS=1/4/7.)
+    /// Invariant 3: the two-stage path is worker-pool-width invariant
+    /// (the simulator is serial now, so this pins repeat determinism).
     #[test]
     fn two_stage_report_is_thread_count_invariant(
         seed in 0u64..1000,
