@@ -1,8 +1,9 @@
 //! Criterion micro-benchmarks of the kernels every retrieval system is
 //! built from: top-k selection, softmax, quantized scoring, k-means
 //! assignment, elastic set-difference planning, and the matmuls of the
-//! simulated forward pass — including the blocked kernel against the
-//! reference triple loop at transformer-forward shapes.
+//! simulated forward pass — the blocked kernel against the reference
+//! triple loop at the shapes the chunked prefill issues, and that prefill
+//! whole against the token-at-a-time loop it replaced.
 //!
 //! Unlike the figure/table regenerators this harness measures wall
 //! clock, so its output is *not* expected to be byte-stable; it writes a
@@ -12,7 +13,10 @@
 use criterion::{BatchSize, Criterion};
 use spec_kvcache::{BudgetBuffer, PageTable, ResidentSet};
 use spec_model::LayerSelector;
-use spec_model::{AttentionKind, LayerKv, ModelConfig, ModelKv, SimGeometry};
+use spec_model::{
+    AttentionKind, LayerKv, Model, ModelConfig, ModelKv, PrefillMode, SimGeometry, SparsePlan,
+    StepOutput,
+};
 use spec_retrieval::clusterkv::ClusterKvSelector;
 use spec_retrieval::common::SelectorConfig;
 use spec_retrieval::infinigen::InfiniGenSelector;
@@ -26,14 +30,23 @@ use spec_tensor::topk::{top_k_mass, top_k_positions, RankScratch, SelectScratch}
 use spec_tensor::{ops, Matrix, SimRng};
 use std::hint::black_box;
 
-/// `(label, m, k, n)` for the matmul speedup comparison: the simulated
-/// transformer's forward-pass shapes at the sim-scale 16K context
-/// (hidden 64, FFN 128, vocab 512; see `ModelConfig::sim_geometry`).
-const FORWARD_SHAPES: [(&str, usize, usize, usize); 3] = [
-    ("prefill_ffn", 2048, 64, 128),
-    ("prefill_logits", 2048, 64, 512),
+/// `(label, m, k, n)` for the matmul speedup comparison: the gemms
+/// `Model::prefill_embeddings` runs per 64-position block at the sim
+/// geometry (hidden 64, head_dim 16, FFN 128; see
+/// `ModelConfig::sim_geometry`) — a head's Q/K/V projection, the FFN
+/// gate/up, the FFN down (also `wo`'s shape) — and the probe's bilinear
+/// form.
+const FORWARD_SHAPES: [(&str, usize, usize, usize); 4] = [
+    ("prefill_head_proj", 64, 64, 16),
+    ("prefill_ffn_up", 64, 64, 128),
+    ("prefill_ffn_down", 64, 128, 64),
     ("probe_bilinear", 64, 64, 64),
 ];
+
+/// The two sides of the prefill comparison, at the benchmark's
+/// `prompt_32k_2k` shape: 4096 tokens, window 96 + 4 sinks.
+const PREFILL: &str = "prefill/windowed96+4/4096";
+const PREFILL_ORACLE: &str = "prefill_oracle/windowed96+4/4096";
 
 fn bench_kernels(c: &mut Criterion) {
     let mut rng = SimRng::seed(0xBE7C);
@@ -423,6 +436,64 @@ fn bench_matmul(c: &mut Criterion) {
     }
 }
 
+/// Token-at-a-time prefill, as `prefill_embeddings` ran before it was
+/// chunked: one decode step per position under that position's window
+/// plan (the oracle of `crates/model/tests/prefill_equivalence.rs`).
+fn prefill_oracle(
+    model: &Model,
+    emb: &Matrix,
+    window: usize,
+    sinks: usize,
+) -> (ModelKv, StepOutput) {
+    let geom = model.geometry();
+    let mut kv = ModelKv::empty(geom);
+    let mut scratch = SelectScratch::new();
+    let mut last = None;
+    for pos in 0..emb.rows() {
+        let lo = pos.saturating_sub(window);
+        let mut positions: Vec<usize> = (0..sinks.min(lo)).collect();
+        positions.extend(lo..=pos);
+        let plan = SparsePlan::uniform(geom.layers, geom.kv_heads, positions);
+        last = Some(model.step(emb.row(pos), pos, &mut kv, &mut &plan, &mut scratch, None));
+    }
+    (kv, last.expect("nonempty prompt"))
+}
+
+/// The chunked, layer-major prefill against the token-at-a-time loop at
+/// the engine's geometry.
+fn bench_prefill(c: &mut Criterion) {
+    let model = Model::new(
+        ModelConfig::deepseek_distill_llama_8b().sim_geometry(),
+        0x5EED,
+    );
+    let tokens: Vec<usize> = (0..4096).map(|i| (i * 31 + 7) % 512).collect();
+    let emb = model.embed_tokens(&tokens);
+    let (window, sinks) = (96, 4);
+    let mode = PrefillMode::Windowed { window, sinks };
+    // Same cache, same logits; check, don't trust.
+    let (kv, out) = model.prefill_embeddings(&emb, mode);
+    let (want_kv, want_out) = prefill_oracle(&model, &emb, window, sinks);
+    assert_eq!(out.logits, want_out.logits, "chunked prefill diverged");
+    for (got, want) in kv.layers.iter().zip(&want_kv.layers) {
+        match (got, want) {
+            (
+                LayerKv::PerHead { keys, values },
+                LayerKv::PerHead {
+                    keys: want_keys,
+                    values: want_values,
+                },
+            ) => assert!(keys == want_keys && values == want_values, "KV diverged"),
+            _ => panic!("GQA geometry stores per-head KV"),
+        }
+    }
+    c.bench_function(PREFILL, |b| {
+        b.iter(|| model.prefill_embeddings(black_box(&emb), mode))
+    });
+    c.bench_function(PREFILL_ORACLE, |b| {
+        b.iter(|| prefill_oracle(&model, black_box(&emb), window, sinks))
+    });
+}
+
 /// Persists every timing plus the naive/blocked speedups to
 /// `results/bench_kernels.json`.
 fn write_summary(c: &Criterion) {
@@ -453,7 +524,14 @@ fn write_summary(c: &Criterion) {
         })
         .collect();
     json.push_str(&speedups.join(",\n"));
-    json.push_str("\n  },\n  \"selection_speedup_vs_reference\": {\n");
+    let prefill_speedup = match (c.mean_ns(PREFILL_ORACLE), c.mean_ns(PREFILL)) {
+        (Some(oracle), Some(chunked)) => oracle / chunked,
+        _ => f64::NAN,
+    };
+    json.push_str(&format!(
+        "\n  }},\n  \"prefill_speedup_vs_oracle\": {prefill_speedup:.2},\n"
+    ));
+    json.push_str("  \"selection_speedup_vs_reference\": {\n");
     let sel_speedups: Vec<String> = selection_speedups(c)
         .into_iter()
         .map(|(label, s)| format!("    \"{label}\": {s:.2}"))
@@ -470,6 +548,7 @@ fn write_summary(c: &Criterion) {
     for line in speedups {
         println!("[speedup vs naive]{}", line.replace("    ", " "));
     }
+    println!("[prefill speedup vs token-at-a-time] {prefill_speedup:.2}");
     for line in sel_speedups {
         println!(
             "[selection speedup vs reference]{}",
@@ -553,5 +632,6 @@ fn main() {
     bench_selection(&mut c);
     bench_lut(&mut c);
     bench_matmul(&mut c);
+    bench_prefill(&mut c);
     write_summary(&c);
 }

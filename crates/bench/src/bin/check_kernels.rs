@@ -4,12 +4,14 @@
 //! summary is missing an expected entry, when any selection or LUT
 //! speedup regresses below 1.0x against its kept reference path, when
 //! the headline `top_k_indices` partial-select speedup drops under the
-//! 3x the zero-allocation selection engine is accountable for, or when
+//! 3x the zero-allocation selection engine is accountable for, when
 //! the int4 LUT gather kernel drops under the 2x its gather-vs-unpack
-//! design is accountable for. (The int8 entries are report-only: at
-//! cache-sized dims the 256-entry table thrashes L1 and the widened
-//! multiply sits at parity with the already-ILP-bound reference — the
-//! bench keeps both sides of that trade measured, not assumed.)
+//! design is accountable for, or when the chunked prefill drops under
+//! 1.5x the token-at-a-time loop it replaced. (The int8 entries are
+//! report-only: at cache-sized dims the 256-entry table thrashes L1 and
+//! the widened multiply sits at parity with the already-ILP-bound
+//! reference — the bench keeps both sides of that trade measured, not
+//! assumed.)
 
 use serde::Value;
 use std::process::ExitCode;
@@ -41,6 +43,9 @@ const EXPECTED_ENTRIES: &[&str] = &[
     // The two data-structure passes of a SpeContext decode step.
     "elastic_step/4x2x2048",
     "retrieval_head/head_scores/8x16@16384",
+    // The chunked prefill and the token-at-a-time loop it is held to.
+    "prefill/windowed96+4/4096",
+    "prefill_oracle/windowed96+4/4096",
 ];
 
 /// Keys of the `selection_speedup_vs_reference` map that must be present
@@ -71,6 +76,19 @@ const TOP_K_MIN_SPEEDUP: f64 = 3.0;
 /// the unpack/convert/multiply reference.
 const LUT_I4_MIN_SPEEDUP: f64 = 2.0;
 
+/// The floor for `Model::prefill_embeddings` against one decode step per
+/// position (measured 2.1x when it was chunked).
+const PREFILL_MIN_SPEEDUP: f64 = 1.5;
+
+fn numeric(v: &Value, what: &str) -> Result<f64, String> {
+    match v {
+        Value::Float(f) => Ok(*f),
+        Value::Int(i) => Ok(*i as f64),
+        Value::UInt(u) => Ok(*u as f64),
+        other => Err(format!("{what} is not numeric: {other:?}")),
+    }
+}
+
 fn check(doc: &Value) -> Result<Vec<String>, String> {
     let entries = match doc.get_field("entries").map_err(|e| e.to_string())? {
         Value::Seq(items) => items,
@@ -97,12 +115,7 @@ fn check(doc: &Value) -> Result<Vec<String>, String> {
         let v = speedups
             .get_field(key)
             .map_err(|_| format!("missing selection speedup `{key}`"))?;
-        let ratio = match v {
-            Value::Float(f) => *f,
-            Value::Int(i) => *i as f64,
-            Value::UInt(u) => *u as f64,
-            other => return Err(format!("speedup `{key}` is not numeric: {other:?}")),
-        };
+        let ratio = numeric(v, &format!("speedup `{key}`"))?;
         if !ratio.is_finite() || ratio < 1.0 {
             return Err(format!(
                 "selection speedup `{key}` regressed: {ratio:.2}x < 1.0x vs reference"
@@ -123,12 +136,7 @@ fn check(doc: &Value) -> Result<Vec<String>, String> {
         let v = lut
             .get_field(key)
             .map_err(|_| format!("missing lut speedup `{key}`"))?;
-        let ratio = match v {
-            Value::Float(f) => *f,
-            Value::Int(i) => *i as f64,
-            Value::UInt(u) => *u as f64,
-            other => return Err(format!("lut speedup `{key}` is not numeric: {other:?}")),
-        };
+        let ratio = numeric(v, &format!("lut speedup `{key}`"))?;
         if !ratio.is_finite() || ratio < 1.0 {
             return Err(format!(
                 "lut speedup `{key}` regressed: {ratio:.2}x < 1.0x vs reference"
@@ -141,6 +149,17 @@ fn check(doc: &Value) -> Result<Vec<String>, String> {
         }
         report.push(format!("lut/{key}: {ratio:.2}x"));
     }
+
+    let prefill = doc
+        .get_field("prefill_speedup_vs_oracle")
+        .map_err(|_| "missing `prefill_speedup_vs_oracle`".to_string())?;
+    let ratio = numeric(prefill, "`prefill_speedup_vs_oracle`")?;
+    if !ratio.is_finite() || ratio < PREFILL_MIN_SPEEDUP {
+        return Err(format!(
+            "chunked prefill speedup {ratio:.2}x under the {PREFILL_MIN_SPEEDUP}x floor"
+        ));
+    }
+    report.push(format!("prefill: {ratio:.2}x"));
     Ok(report)
 }
 

@@ -19,7 +19,8 @@ use crate::config::{AttentionKind, SimGeometry};
 use crate::kv::{LayerKv, ModelKv};
 use crate::weights::{LayerWeights, ModelWeights};
 use spec_tensor::topk::SelectScratch;
-use spec_tensor::{ops, Matrix, SimRng};
+use spec_tensor::{ops, KeyBlocks, Matrix, SimRng};
+use std::ops::Range;
 
 /// How prefill attention is computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,8 +28,9 @@ pub enum PrefillMode {
     /// Exact causal attention, O(S²). Use for short tests.
     Exact,
     /// Local window of the given width plus `sinks` initial positions
-    /// (StreamingLLM-style). KV caches are identical to exact mode; only
-    /// hidden-state mixing during prefill is windowed. Documented
+    /// (StreamingLLM-style). Only layer 0's K/V entries are those of
+    /// exact mode: every deeper layer projects a hidden state that the
+    /// windowed attention below it has already changed. Documented
     /// substitution: bounds CPU cost for 10k+ contexts.
     Windowed {
         /// Window width.
@@ -240,39 +242,177 @@ impl Model {
     /// Runs prefill over pre-embedded inputs, returning the populated KV
     /// cache and the last position's step output.
     ///
+    /// The prompt is walked in blocks of [`PREFILL_CHUNK`] positions, and
+    /// a block goes through the stack layer by layer: every projection
+    /// and the FFN are one [`Matrix::matmul`] over the block's rows, the
+    /// block's K/V rows are appended to the cache at once, and only
+    /// attention runs per position ([`attend_ranges`], reading the cache
+    /// in place). The final norm and `lm_head` run for the last position
+    /// only. Every float — the returned logits and hidden state, and each
+    /// cached K/V (or latent) entry — has the bits that feeding the
+    /// positions one at a time through [`step`](Self::step) produces
+    /// (`tests/prefill_equivalence.rs` holds it to that loop): a `matmul`
+    /// row is the `vecmat` of that row, and `attend_ranges` keeps the
+    /// addition order of `ops::attention_weights` / `ops::weighted_sum`.
+    ///
     /// # Panics
     ///
     /// Panics if `emb` is empty or its width differs from `hidden`.
     pub fn prefill_embeddings(&self, emb: &Matrix, mode: PrefillMode) -> (ModelKv, StepOutput) {
         assert!(emb.rows() > 0, "prefill requires at least one token");
         assert_eq!(emb.cols(), self.geom.hidden, "embedding width mismatch");
-        let mut kv = ModelKv::empty(&self.geom);
-        let mut last = None;
-        for pos in 0..emb.rows() {
-            let plan = self.prefill_plan(pos, mode);
-            last = Some(self.decode_step_sparse(emb.row(pos), pos, &mut kv, &plan));
+        let geom = &self.geom;
+        let (hidden, d) = (geom.hidden, geom.head_dim);
+        let mut kv = ModelKv::empty(geom);
+        // Block buffers, reused by every block and layer: the residual
+        // stream, its normalization, the heads' attention outputs side by
+        // side, the per-position rotations, the per-head queries, one KV
+        // head's key span, and the score rows of a query group.
+        let mut h: Vec<f32> = Vec::with_capacity(PREFILL_CHUNK * hidden);
+        let mut normed = Matrix::default();
+        let mut concat = Matrix::default();
+        let mut rope = Vec::with_capacity(PREFILL_CHUNK);
+        let mut queries: Vec<Matrix> = Vec::with_capacity(geom.q_heads);
+        let mut span = KeyBlocks::new(d);
+        let mut scores = Vec::new();
+        for b0 in (0..emb.rows()).step_by(PREFILL_CHUNK) {
+            let b1 = (b0 + PREFILL_CHUNK).min(emb.rows());
+            h.clear();
+            h.extend_from_slice(&emb.as_slice()[b0 * hidden..b1 * hidden]);
+            if normed.rows() != b1 - b0 {
+                normed = Matrix::zeros(b1 - b0, hidden);
+                concat = Matrix::zeros(b1 - b0, geom.q_heads * d);
+            }
+            rope.clear();
+            rope.extend(
+                (b0..b1).map(|pos| ops::rope_table(d, pos, geom.rope_base, self.rope_scale)),
+            );
+            for (lw, layer) in self.weights.layers.iter().zip(&mut kv.layers) {
+                rmsnorm_rows(&mut normed, &h, &lw.norm_attn);
+                match layer {
+                    LayerKv::PerHead { keys, values } => {
+                        for hh in 0..geom.kv_heads {
+                            let mut k = normed.matmul(&lw.wk[hh]);
+                            rope_rows(&mut k, &rope);
+                            keys[hh].push_rows(&k);
+                            values[hh].push_rows(&normed.matmul(&lw.wv[hh]));
+                        }
+                    }
+                    LayerKv::Latent { latent } => {
+                        let down = lw.w_down_latent.as_ref().expect("MLA weights");
+                        latent.push_rows(&normed.matmul(down));
+                    }
+                }
+                queries.clear();
+                queries.extend(lw.wq.iter().map(|wq| {
+                    let mut q = normed.matmul(wq);
+                    if geom.attention != AttentionKind::Mla {
+                        rope_rows(&mut q, &rope);
+                    }
+                    q
+                }));
+                self.attend_block(
+                    lw,
+                    layer,
+                    &queries,
+                    b0,
+                    mode,
+                    &mut span,
+                    &mut scores,
+                    &mut concat,
+                );
+                add_assign(&mut h, concat.matmul(&lw.wo).as_slice());
+                rmsnorm_rows(&mut normed, &h, &lw.norm_ffn);
+                let mut gate = normed.matmul(&lw.w_gate);
+                ops::silu_inplace(gate.as_mut_slice());
+                let up = normed.matmul(&lw.w_up);
+                for (g, u) in gate.as_mut_slice().iter_mut().zip(up.as_slice()) {
+                    *g *= u;
+                }
+                add_assign(&mut h, gate.matmul(&lw.w_down).as_slice());
+            }
         }
-        (kv, last.expect("nonempty prefill"))
+        let hidden = ops::rmsnorm(&h[h.len() - hidden..], &self.weights.norm_final, 1e-6);
+        let logits = self.weights.lm_head.vecmat(&hidden);
+        (kv, StepOutput { logits, hidden })
+    }
+
+    /// Prefill attention of one layer for the block of positions starting
+    /// at `b0` (one row of every `queries` matrix and of `out` each), whose
+    /// K/V rows `layer` already holds. Position `pos` attends cache rows
+    /// `[0, min(sinks, lo))` and `[lo, pos]`, `lo = pos - window` clamped
+    /// at 0; exact attention is `lo = 0`.
+    #[allow(clippy::too_many_arguments)]
+    fn attend_block(
+        &self,
+        lw: &LayerWeights,
+        layer: &LayerKv,
+        queries: &[Matrix],
+        b0: usize,
+        mode: PrefillMode,
+        span: &mut KeyBlocks,
+        scores: &mut Vec<f32>,
+        out: &mut Matrix,
+    ) {
+        let (d, group) = (self.geom.head_dim, self.geom.group_size());
+        let (window, sinks) = match mode {
+            PrefillMode::Exact => (usize::MAX, 0),
+            PrefillMode::Windowed { window, sinks } => (window, sinks),
+        };
+        // What the block's positions attend between them, and what the
+        // span copies: cache rows `[0, kept)` then `[lo0, b1)`.
+        let b1 = b0 + out.rows();
+        let lo0 = b0.saturating_sub(window);
+        let kept = sinks.min(lo0);
+        for hh in 0..self.geom.kv_heads {
+            // This KV head's keys over the span, position-parallel, and
+            // its values: span position `i` of the second range is row
+            // `i + shift` of `values`.
+            span.clear();
+            let up_v;
+            let (values, shift) = match layer {
+                LayerKv::PerHead { keys, values } => {
+                    for p in (0..kept).chain(lo0..b1) {
+                        span.push(keys[hh].row(p));
+                    }
+                    (&values[hh], lo0 - kept)
+                }
+                // The span's latent rows are up-projected once per head
+                // for the whole block (Fig. 5(e)).
+                LayerKv::Latent { latent } => {
+                    let width = latent.cols();
+                    let mut c = latent.as_slice()[..kept * width].to_vec();
+                    c.extend_from_slice(&latent.as_slice()[lo0 * width..b1 * width]);
+                    let c = Matrix::from_vec(kept + b1 - lo0, width, c);
+                    for k in c.matmul(&lw.wk[hh]).iter_rows() {
+                        span.push(k);
+                    }
+                    up_v = c.matmul(&lw.wv[hh]);
+                    (&up_v, 0)
+                }
+            };
+            let heads = hh * group..(hh + 1) * group;
+            for pos in b0..b1 {
+                let lo = pos.saturating_sub(window);
+                attend_ranges(
+                    &queries[heads.clone()],
+                    pos - b0,
+                    span,
+                    values,
+                    shift,
+                    0..sinks.min(lo),
+                    kept + lo - lo0..kept + pos - lo0 + 1,
+                    scores,
+                    &mut out.row_mut(pos - b0)[heads.start * d..heads.end * d],
+                );
+            }
+        }
     }
 
     /// Token-level prefill convenience wrapper.
     pub fn prefill_tokens(&self, tokens: &[usize], mode: PrefillMode) -> (ModelKv, StepOutput) {
         let emb = self.embed_tokens(tokens);
         self.prefill_embeddings(&emb, mode)
-    }
-
-    fn prefill_plan(&self, pos: usize, mode: PrefillMode) -> SparsePlan {
-        match mode {
-            PrefillMode::Exact => SparsePlan::dense(self.geom.layers),
-            PrefillMode::Windowed { window, sinks } => {
-                // Positions [0,sinks) ∪ [pos-window, pos]. `pos` itself is
-                // the entry being appended this step.
-                let lo = pos.saturating_sub(window);
-                let mut positions: Vec<usize> = (0..sinks.min(lo)).collect();
-                positions.extend(lo..=pos);
-                SparsePlan::uniform(self.geom.layers, self.geom.kv_heads, positions)
-            }
-        }
     }
 
     /// [`step`](Self::step) with dense attention.
@@ -522,6 +662,78 @@ impl Model {
     }
 }
 
+/// Positions per prefill block. A 4096-token prefill measured flat within
+/// noise from 32 to 512 (64 and 128 read best); at 64 every gemm of the
+/// block stays far below `spec_tensor::gemm`'s thread fan-out threshold
+/// and the block buffers stay under 150 KB.
+const PREFILL_CHUNK: usize = 64;
+
+/// `out.row(i) = rmsnorm(row i of xs)` for a flat row-major `xs`.
+fn rmsnorm_rows(out: &mut Matrix, xs: &[f32], weight: &[f32]) {
+    let mut row = Vec::with_capacity(weight.len());
+    for (i, x) in xs.chunks_exact(weight.len()).enumerate() {
+        ops::rmsnorm_into(&mut row, x, weight, 1e-6);
+        out.row_mut(i).copy_from_slice(&row);
+    }
+}
+
+/// Rotates row `i` of `m` by `tables[i]`.
+fn rope_rows(m: &mut Matrix, tables: &[Vec<(f32, f32)>]) {
+    for (i, table) in tables.iter().enumerate() {
+        ops::rope_apply(m.row_mut(i), table);
+    }
+}
+
+fn add_assign(acc: &mut [f32], xs: &[f32]) {
+    for (a, x) in acc.iter_mut().zip(xs) {
+        *a += x;
+    }
+}
+
+/// One position's attention for the query heads that share a KV head —
+/// row `row` of each matrix in `queries` — over two contiguous ranges of
+/// that head's key span, `sinks` then `window` (exact causal attention
+/// is an empty `sinks`). `keys` holds the span position-parallel;
+/// `values` is read in place: span position `i` is its row `i` in
+/// `sinks` and its row `i + shift` in `window`. The heads' outputs are
+/// written side by side into `out`.
+///
+/// Per head this is `ops::attention_weights` then `ops::weighted_sum`
+/// over the gathered rows, bit for bit: a score is `matrix::dot`'s sum
+/// ([`KeyBlocks`]) times the scale, the softmax is the same call, and
+/// [`ops::weighted_sums_acc`] gives each head `weighted_sum`'s additions
+/// — the heads only share the walk over the value rows.
+#[allow(clippy::too_many_arguments)]
+fn attend_ranges(
+    queries: &[Matrix],
+    row: usize,
+    keys: &KeyBlocks,
+    values: &Matrix,
+    shift: usize,
+    sinks: Range<usize>,
+    window: Range<usize>,
+    scores: &mut Vec<f32>,
+    out: &mut [f32],
+) {
+    let d = values.cols();
+    let len = sinks.len() + window.len();
+    let scale = 1.0 / (d as f32).sqrt();
+    scores.clear();
+    scores.resize(queries.len() * len, 0.0);
+    let ranges = [sinks.clone(), window.clone()];
+    for (q, s) in queries.iter().zip(scores.chunks_exact_mut(len)) {
+        keys.dots_ranges_into(q.row(row), &ranges, s);
+        for v in s.iter_mut() {
+            *v *= scale;
+        }
+        ops::softmax_inplace(s);
+    }
+    out.fill(0.0);
+    ops::weighted_sums_acc(scores, len, values, sinks.clone(), out);
+    let rows = window.start + shift..window.end + shift;
+    ops::weighted_sums_acc(&scores[sinks.len()..], len, values, rows, out);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -652,6 +864,34 @@ mod tests {
             .map(|(a, b)| (a - b).abs())
             .sum();
         assert!(diff > 1e-4);
+    }
+
+    #[test]
+    fn windowed_prefill_shares_only_layer_zero_kv_with_exact() {
+        // Layer 0 projects the embeddings, whatever the attention mode; a
+        // window shorter than the prompt changes what every later layer
+        // projects.
+        let m = tiny_model(AttentionKind::Gqa);
+        let emb = seq_embeddings(&m, 48);
+        let (exact, _) = m.prefill_embeddings(&emb, PrefillMode::Exact);
+        let (win, _) = m.prefill_embeddings(
+            &emb,
+            PrefillMode::Windowed {
+                window: 8,
+                sinks: 2,
+            },
+        );
+        let bits = |layer: &LayerKv| match layer {
+            LayerKv::PerHead { keys, values } => keys
+                .iter()
+                .chain(values)
+                .flat_map(|m| m.as_slice().iter().map(|v| v.to_bits()))
+                .collect::<Vec<u32>>(),
+            LayerKv::Latent { .. } => unreachable!("GQA stores per-head KV"),
+        };
+        assert_eq!(bits(&exact.layers[0]), bits(&win.layers[0]));
+        let last = m.geometry().layers - 1;
+        assert_ne!(bits(&exact.layers[last]), bits(&win.layers[last]));
     }
 
     #[test]

@@ -35,8 +35,11 @@ const KC: usize = 256;
 /// no tile setup).
 const BLOCKED_MIN_MULADDS: usize = 16 * 1024;
 /// Below this many multiply-adds the scoped-spawn overhead of going
-/// parallel outweighs the work.
-const PAR_MIN_MULADDS: usize = 1 << 20;
+/// parallel outweighs the work: a spawn costs ~100 µs and a million
+/// multiply-adds ~60 µs. Measured break-even on two cores (`m x 64 x 128`,
+/// two workers ÷ one, best of 200): 1.26–1.60 at 2^20, 1.33–1.67 at 2^21,
+/// 0.96–1.08 at 2^22, 0.87–0.90 at 2^23, 0.77–0.81 at 2^24.
+const PAR_MIN_MULADDS: usize = 1 << 23;
 
 /// Shape-dispatched product; see [`Matrix::matmul`] for the contract.
 pub(crate) fn matmul_dispatch(a: &Matrix, b: &Matrix) -> Matrix {
@@ -66,7 +69,7 @@ fn blocked(a: &Matrix, b: &Matrix, out: &mut Matrix, parallel: bool) {
     let n = b.cols();
     let k_total = a.cols();
     let strips = n.div_ceil(NR);
-    let mut panel = vec![0.0f32; KC * strips * NR];
+    let mut panel = vec![0.0f32; KC.min(k_total) * strips * NR];
     let mut kb = 0;
     while kb < k_total {
         let kc = KC.min(k_total - kb);
@@ -322,13 +325,14 @@ mod tests {
 
     #[test]
     fn forced_parallel_band_path_matches() {
-        // Big enough to clear PAR_MIN_MULADDS with room to spare.
+        // The band path itself, whatever PAR_MIN_MULADDS says; `k` spans
+        // two panels and five workers leave ragged bands.
         let mut rng = SimRng::seed(0x6E46);
-        let a = rng.normal_matrix(128, 96, 1.0);
-        let b = rng.normal_matrix(96, 128, 1.0);
-        let reference = a.matmul_naive(&b);
-        let got = spec_parallel::with_threads(5, || a.matmul(&b));
-        assert_bitwise_eq(&got, &reference, "forced parallel");
+        let a = rng.normal_matrix(128, 300, 1.0);
+        let b = rng.normal_matrix(300, 70, 1.0);
+        let mut got = Matrix::zeros(128, 70);
+        spec_parallel::with_threads(5, || blocked(&a, &b, &mut got, true));
+        assert_bitwise_eq(&got, &a.matmul_naive(&b), "forced parallel");
     }
 
     #[test]

@@ -9,7 +9,12 @@
 //! positions* — `acc[p] += q[d] * k[d][p]` for `d` ascending — so no lane
 //! ever reduces horizontally, and each position still receives exactly
 //! the addition sequence of [`matrix::dot`](crate::matrix::dot): every
-//! dispatch tier returns that function's bits.
+//! dispatch tier returns that function's bits. The retrieval head scores
+//! its whole cache this way ([`KeyBlocks::dots_into`]); the model's
+//! prefill scores position ranges of a per-block copy of its keys
+//! ([`KeyBlocks::dots_ranges_into`]) — one kernel body for both.
+
+use std::ops::Range;
 
 /// Positions per block. 64 lanes of `f32` are four AVX-512 / eight AVX2
 /// accumulators: enough independent add chains to hide the add latency,
@@ -71,6 +76,12 @@ impl KeyBlocks {
         self.len += 1;
     }
 
+    /// Forgets every position; the allocation is kept.
+    pub fn clear(&mut self) {
+        self.len = 0;
+        self.data.clear();
+    }
+
     /// Fills `out` with `query · key_p` for every cached position `p`,
     /// bit-identical to [`matrix::dot`](crate::matrix::dot) per position
     /// at every dispatch tier. `out` is cleared first; its capacity is
@@ -80,28 +91,68 @@ impl KeyBlocks {
     ///
     /// Panics if `query.len() != dim`.
     pub fn dots_into(&self, query: &[f32], out: &mut Vec<f32>) {
-        assert_eq!(query.len(), self.dim, "query/key dim mismatch");
         out.clear();
         out.resize(self.len, 0.0);
-        block_dots::dispatch(crate::dispatch::active_tier(), query, &self.data, out);
+        self.dots_ranges_into(query, std::slice::from_ref(&(0..self.len)), out);
+    }
+
+    /// [`dots_into`](Self::dots_into) for the positions in `ranges` only,
+    /// back to back in `out` — the same bits. A block is scored whole,
+    /// once, for every run of consecutive ranges that reach into it, so
+    /// ascending ranges cost what the blocks they touch cost.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `query.len() != dim`, a range reaches past `len`, or
+    /// `out` is not as long as the ranges together.
+    pub fn dots_ranges_into(&self, query: &[f32], ranges: &[Range<usize>], out: &mut [f32]) {
+        assert_eq!(query.len(), self.dim, "query/key dim mismatch");
+        assert!(
+            ranges.iter().all(|r| r.end <= self.len),
+            "position range out of bounds"
+        );
+        let wanted: usize = ranges.iter().map(Range::len).sum();
+        assert_eq!(out.len(), wanted, "output length mismatch");
+        block_dots::dispatch(
+            crate::dispatch::active_tier(),
+            query,
+            &self.data,
+            ranges,
+            out,
+        );
     }
 }
 
 crate::dispatch_kernel! {
-    /// `out[p] = query · key_p` over whole blocks; `out`'s length says how
-    /// many lanes of the last block are positions. The accumulators start
-    /// at `-0.0` and take the products in ascending `d`, as `Iterator::sum`
-    /// does in `matrix::dot`.
-    block_dots(query: &[f32], blocks: &[f32], out: &mut [f32]) {
+    /// `out = query · key_p` for `p` over `ranges`, back to back. A block's
+    /// 64 dots are accumulated together — from `-0.0`, products in
+    /// ascending `d`, as `Iterator::sum` does in `matrix::dot` — and kept
+    /// until a position of another block is wanted.
+    block_dots(query: &[f32], blocks: &[f32], ranges: &[Range<usize>], out: &mut [f32]) {
         let block_len = query.len() * KEY_BLOCK;
-        for (block, out) in blocks.chunks_exact(block_len).zip(out.chunks_mut(KEY_BLOCK)) {
-            let mut acc = [-0.0f32; KEY_BLOCK];
-            for (&q, lanes) in query.iter().zip(block.chunks_exact(KEY_BLOCK)) {
-                for (a, &k) in acc.iter_mut().zip(lanes) {
-                    *a += q * k;
+        let mut acc = [-0.0f32; KEY_BLOCK];
+        let mut held = usize::MAX;
+        let mut out = out;
+        for range in ranges {
+            let mut p = range.start;
+            while p < range.end {
+                let block = p / KEY_BLOCK;
+                if block != held {
+                    acc = [-0.0; KEY_BLOCK];
+                    let lanes = blocks[block * block_len..][..block_len].chunks_exact(KEY_BLOCK);
+                    for (&q, lanes) in query.iter().zip(lanes) {
+                        for (a, &k) in acc.iter_mut().zip(lanes) {
+                            *a += q * k;
+                        }
+                    }
+                    held = block;
                 }
+                let n = range.end.min((block + 1) * KEY_BLOCK) - p;
+                let (dots, rest) = std::mem::take(&mut out).split_at_mut(n);
+                dots.copy_from_slice(&acc[p % KEY_BLOCK..][..n]);
+                out = rest;
+                p += n;
             }
-            out.copy_from_slice(&acc[..out.len()]);
         }
     }
 }
@@ -133,6 +184,41 @@ mod tests {
         blocks.dots_into(&query, &mut out);
         let want: Vec<f32> = keys.iter().map(|k| dot(&query, k)).collect();
         assert_eq!(out, want);
+    }
+
+    #[test]
+    fn ranges_are_slices_of_the_full_sweep_and_clear_forgets() {
+        let dim = 3;
+        let mut blocks = KeyBlocks::new(dim);
+        for p in 0..2 * KEY_BLOCK + 9 {
+            blocks.push(&[p as f32, 1.0, -(p as f32) * 0.5]);
+        }
+        let query = [0.25, -2.0, 1.5];
+        let mut all = Vec::new();
+        blocks.dots_into(&query, &mut all);
+        for range in [0..0, 5..5, 0..1, 3..70, 64..128, 63..137, 130..137] {
+            let mut out = vec![f32::NAN; range.len()];
+            blocks.dots_ranges_into(&query, std::slice::from_ref(&range), &mut out);
+            assert_eq!(out, all[range]);
+        }
+        // Two ranges sharing a block, back to back in the output.
+        let mut out = vec![f32::NAN; 4 + 97];
+        blocks.dots_ranges_into(&query, &[0..4, 30..127], &mut out);
+        assert_eq!(out[..4], all[..4]);
+        assert_eq!(out[4..], all[30..127]);
+        blocks.clear();
+        assert!(blocks.is_empty());
+        blocks.push(&[1.0, 2.0, 3.0]);
+        blocks.dots_into(&query, &mut all);
+        assert_eq!(all, [dot(&query, &[1.0, 2.0, 3.0])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "position range out of bounds")]
+    fn a_range_past_the_end_is_rejected() {
+        let mut blocks = KeyBlocks::new(1);
+        blocks.push(&[1.0]);
+        blocks.dots_ranges_into(&[1.0], &[0..1, 1..2], &mut [0.0; 2]);
     }
 
     #[test]

@@ -193,12 +193,29 @@ impl Matrix {
     /// Panics if `row.len() != cols` (unless the matrix is empty, in which
     /// case the row defines the column count).
     pub fn push_row(&mut self, row: &[f32]) {
+        self.append(row, row.len(), 1);
+    }
+
+    /// Appends every row of `rows`, in order: [`push_row`](Self::push_row)
+    /// for a block of rows at once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows.cols() != cols` (unless the matrix is empty, in
+    /// which case `rows` defines the column count).
+    pub fn push_rows(&mut self, rows: &Matrix) {
+        self.append(&rows.data, rows.cols, rows.rows);
+    }
+
+    /// Appends `rows` rows of `cols` elements, row-major in `data`.
+    #[inline]
+    fn append(&mut self, data: &[f32], cols: usize, rows: usize) {
         if self.rows == 0 && self.cols == 0 {
-            self.cols = row.len();
+            self.cols = cols;
         }
-        assert_eq!(row.len(), self.cols, "row length mismatch");
-        self.data.extend_from_slice(row);
-        self.rows += 1;
+        assert_eq!(cols, self.cols, "row length mismatch");
+        self.data.extend_from_slice(data);
+        self.rows += rows;
     }
 
     /// Matrix product `self * other`.
@@ -509,6 +526,31 @@ mod tests {
         m.push_row(&[3.0, 4.0]);
         assert_eq!(m.shape(), (2, 2));
         assert_eq!(m.get(1, 1), 4.0);
+    }
+
+    #[test]
+    fn push_rows_appends_a_block() {
+        let block = Matrix::from_rows(&[&[3.0, 4.0], &[5.0, 6.0]]);
+        let mut m = Matrix::default();
+        m.push_row(&[1.0, 2.0]);
+        m.push_rows(&block);
+        m.push_rows(&Matrix::zeros(0, 2));
+        assert_eq!(
+            m,
+            Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]])
+        );
+        // An empty matrix takes its width from the first block, as it
+        // does from the first `push_row`.
+        let mut fresh = Matrix::default();
+        fresh.push_rows(&block);
+        assert_eq!(fresh, block);
+    }
+
+    #[test]
+    #[should_panic(expected = "row length mismatch")]
+    fn push_rows_rejects_a_width_mismatch() {
+        let mut m = Matrix::zeros(1, 2);
+        m.push_rows(&Matrix::zeros(2, 3));
     }
 
     #[test]

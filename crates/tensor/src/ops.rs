@@ -185,6 +185,102 @@ pub fn weighted_sum(weights: &[f32], values: &Matrix) -> Vec<f32> {
     out
 }
 
+/// [`weighted_sum`] under several weight vectors at once, over a run of
+/// consecutive value rows, *added to* `out`: with `heads = out.len() /
+/// values.cols()`,
+/// `out[j] += sum_i weights[j * stride + i] * values.row(rows.start + i)`.
+/// This is the value pass of a GQA group — its query heads weigh the same
+/// rows — so the rows are walked once, not once per head.
+///
+/// Each head's output takes its `w * v` terms in ascending row order and
+/// skips zero weights, which is [`weighted_sum`]'s sequence: from a zeroed
+/// `out`, head `j` gets that function's bits at every dispatch tier, and
+/// a second call continues the sum over further rows.
+///
+/// # Panics
+///
+/// Panics if `out.len()` is not a multiple of `values.cols()`, `rows`
+/// reaches past `values`, or a head's weights reach past `weights`.
+pub fn weighted_sums_acc(
+    weights: &[f32],
+    stride: usize,
+    values: &Matrix,
+    rows: std::ops::Range<usize>,
+    out: &mut [f32],
+) {
+    let d = values.cols();
+    if rows.is_empty() || out.is_empty() {
+        return;
+    }
+    assert!(out.len().is_multiple_of(d), "output/values width mismatch");
+    assert!(
+        (out.len() / d - 1) * stride + rows.len() <= weights.len(),
+        "weights/values mismatch"
+    );
+    let values = &values.as_slice()[rows.start * d..rows.end * d];
+    weighted_rows::dispatch(
+        crate::dispatch::active_tier(),
+        weights,
+        stride,
+        values,
+        d,
+        out,
+    );
+}
+
+/// Heads per [`weighted_rows`] register tile.
+const WS_HEADS: usize = 4;
+/// Columns per [`weighted_rows`] register tile.
+const WS_COLS: usize = 16;
+
+crate::dispatch_kernel! {
+    /// The body of [`weighted_sums_acc`]. A full `WS_HEADS x WS_COLS` tile
+    /// of `out` stays in registers across the whole run of rows — one
+    /// independent add chain per head and lane; an edge tile runs
+    /// [`weighted_sum`]'s loop on `out` itself. Same additions either way.
+    weighted_rows(weights: &[f32], stride: usize, values: &[f32], d: usize, out: &mut [f32]) {
+        let heads = out.len() / d;
+        let rows = values.len() / d;
+        for h0 in (0..heads).step_by(WS_HEADS) {
+            for c0 in (0..d).step_by(WS_COLS) {
+                if heads - h0 < WS_HEADS || d - c0 < WS_COLS {
+                    for j in h0..heads.min(h0 + WS_HEADS) {
+                        let o = &mut out[j * d + c0..j * d + d.min(c0 + WS_COLS)];
+                        for (row, &w) in values.chunks_exact(d).zip(&weights[j * stride..]) {
+                            if w == 0.0 {
+                                continue;
+                            }
+                            for (o, &x) in o.iter_mut().zip(&row[c0..]) {
+                                *o += w * x;
+                            }
+                        }
+                    }
+                    continue;
+                }
+                let w: [&[f32]; WS_HEADS] =
+                    std::array::from_fn(|j| &weights[(h0 + j) * stride..][..rows]);
+                let mut acc: [[f32; WS_COLS]; WS_HEADS] = std::array::from_fn(|j| {
+                    out[(h0 + j) * d + c0..][..WS_COLS].try_into().expect("tile row")
+                });
+                for (row, i) in values.chunks_exact(d).zip(0..rows) {
+                    let v: &[f32; WS_COLS] = row[c0..c0 + WS_COLS].try_into().expect("tile row");
+                    for (a, w) in acc.iter_mut().zip(&w) {
+                        if w[i] == 0.0 {
+                            continue;
+                        }
+                        for (a, &x) in a.iter_mut().zip(v) {
+                            *a += w[i] * x;
+                        }
+                    }
+                }
+                for (j, a) in acc.iter().enumerate() {
+                    out[(h0 + j) * d + c0..][..WS_COLS].copy_from_slice(a);
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

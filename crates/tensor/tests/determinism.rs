@@ -102,14 +102,14 @@ proptest! {
     }
 }
 
-/// Shapes big enough to force the parallel row-band matmul path
-/// (`>= 2^20` mul-adds), so multi-worker banding really runs under the
+/// A shape big enough to force the parallel row-band matmul path
+/// (`>= 2^23` mul-adds), so multi-worker banding really runs under the
 /// non-unit thread counts.
 #[test]
 fn large_matmul_takes_parallel_path_and_matches() {
     let mut rng = SimRng::seed(0xD0_0D);
-    let a = rng.normal_matrix(160, 128, 1.0);
-    let b = rng.normal_matrix(128, 80, 1.0);
+    let a = rng.normal_matrix(530, 128, 1.0);
+    let b = rng.normal_matrix(128, 125, 1.0);
     let reference = a.matmul_naive(&b);
     for t in THREAD_COUNTS {
         let got = spec_parallel::with_threads(t, || a.matmul(&b));
@@ -118,6 +118,55 @@ fn large_matmul_takes_parallel_path_and_matches() {
             reference.as_slice(),
             &format!("threads={t}"),
         );
+    }
+}
+
+/// The premise of the chunked prefill: row `i` of `a.matmul(&b)` is
+/// `b.vecmat(a.row(i))` bit for bit, so a block of positions can go
+/// through one gemm where a decode step goes through one `vecmat` each.
+/// It holds on every dispatch path — the single-row fast path, the
+/// reference loop below the blocked threshold, the blocked tiles above it
+/// (a 1-row tail tile and a second `k` panel included), at every thread
+/// count and SIMD tier — and although `vecmat` skips inputs that are
+/// exactly zero: an accumulator that started at `+0.0` is never `-0.0`, so
+/// adding `±0.0 * w` leaves it as it was for any finite `w`.
+#[test]
+fn matmul_rows_match_vecmat_across_dispatch_paths() {
+    for (m, k, n) in [
+        (1usize, 64usize, 16usize), // vecmat_fast
+        (15, 64, 16),               // reference loop, one short of blocked
+        (16, 64, 16),               // blocked, whole tiles
+        (64, 64, 128),
+        (65, 128, 64), // blocked, 1-row tail tile
+        (13, 300, 33), // two k panels, edge tiles both ways
+    ] {
+        let mut rng = SimRng::seed((m * 131 + k * 17 + n) as u64);
+        let mut a = rng.normal_matrix(m, k, 1.0);
+        let b = rng.normal_matrix(k, n, 1.0);
+        // Exact zeros of both signs: scattered, leading a row, a whole row.
+        for (i, v) in a.as_mut_slice().iter_mut().enumerate() {
+            match i % 11 {
+                3 => *v = 0.0,
+                7 => *v = -0.0,
+                _ => {}
+            }
+        }
+        a.row_mut(m / 2)[..k / 2].fill(-0.0);
+        a.row_mut(m - 1).fill(if m % 2 == 0 { 0.0 } else { -0.0 });
+        for &tier in spec_tensor::dispatch::available_tiers() {
+            for t in THREAD_COUNTS {
+                let got = spec_tensor::dispatch::with_tier(tier, || {
+                    spec_parallel::with_threads(t, || a.matmul(&b))
+                });
+                for i in 0..m {
+                    assert_bits_eq(
+                        got.row(i),
+                        &b.vecmat(a.row(i)),
+                        &format!("{m}x{k}x{n} row {i} tier {tier} threads={t}"),
+                    );
+                }
+            }
+        }
     }
 }
 

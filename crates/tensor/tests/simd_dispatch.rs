@@ -10,7 +10,7 @@ use spec_tensor::dispatch::{self, SimdTier};
 use spec_tensor::keyblocks::{KeyBlocks, KEY_BLOCK};
 use spec_tensor::lut::{I8Lut, QueryLut};
 use spec_tensor::quant::{BitWidth, QuantVec};
-use spec_tensor::{matrix, SimRng};
+use spec_tensor::{matrix, ops, SimRng};
 
 fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
     assert_eq!(got.len(), want.len(), "{what}: length");
@@ -212,6 +212,92 @@ fn key_block_dots_match_per_row_dot_at_every_tier() {
                 assert_bits_eq(&out, &want, &format!("{n} keys of dim {dim} tier {tier}"));
             });
         }
+    }
+}
+
+/// Ranges of positions get the bits the full sweep gives them —
+/// `matrix::dot` per row — wherever they start and end inside the blocks:
+/// empty, one position, the prefill's window (97) from mid-block to
+/// mid-block, block-aligned, everything, a row whose products are all
+/// `-0.0`; and two ranges at once, in one block, in neighbouring blocks
+/// and a block apart (the prefill's sinks + window).
+#[test]
+fn key_block_range_dots_match_per_row_dot_at_every_tier() {
+    let (n, dim) = (2 * KEY_BLOCK + 37, 16);
+    let mut rng = SimRng::seed(0xB10D);
+    let mut keys = rng.normal_matrix(n, dim, 1.0);
+    keys.row_mut(70).fill(-0.0);
+    let query: Vec<f32> = (0..dim).map(|_| rng.normal().abs()).collect();
+    let mut blocks = KeyBlocks::new(dim);
+    for key in keys.iter_rows() {
+        blocks.push(key);
+    }
+    let dots: Vec<f32> = keys.iter_rows().map(|k| matrix::dot(&query, k)).collect();
+    assert_eq!(dots[70].to_bits(), (-0.0f32).to_bits());
+    // One range alone is a pair with an empty partner, before or after.
+    let cases = [
+        [0..0, 70..70],
+        [n..n, 0..1],
+        [70..71, n - 1..n],
+        [0..0, 5..5 + 97],
+        [40..40 + 97, n..n],
+        [0..0, KEY_BLOCK - 1..KEY_BLOCK + 1],
+        [KEY_BLOCK..2 * KEY_BLOCK, 0..0],
+        [0..0, 3..n - 2],
+        [0..0, 0..n],
+        [0..4, 9..9 + 97],
+        [0..4, 60..60 + 97],
+        [0..4, KEY_BLOCK + 3..n],
+        [0..KEY_BLOCK, KEY_BLOCK..KEY_BLOCK + 1],
+    ];
+    for ranges in cases {
+        let want: Vec<f32> = ranges
+            .iter()
+            .flat_map(|r| &dots[r.clone()])
+            .copied()
+            .collect();
+        for_each_tier(|tier| {
+            let mut out = vec![f32::NAN; want.len()];
+            blocks.dots_ranges_into(&query, &ranges, &mut out);
+            assert_bits_eq(&out, &want, &format!("{ranges:?} tier {tier}"));
+        });
+    }
+}
+
+/// The grouped value pass equals `ops::weighted_sum` per head at every
+/// tier: whole register tiles (4 heads x 16 columns, the engine's GQA
+/// group), edge tiles both ways, a single head, and the row run split in
+/// two calls as the prefill splits it into sinks and window. Some weights
+/// are exactly zero (skipped, as the reference skips them).
+#[test]
+fn weighted_sums_acc_matches_weighted_sum_at_every_tier() {
+    for (heads, d, rows) in [
+        (4usize, 16usize, 101usize),
+        (8, 32, 7),
+        (1, 16, 40),
+        (5, 19, 23),
+        (2, 8, 64),
+    ] {
+        let mut rng = SimRng::seed(0x5A + (heads * 1000 + d * 10 + rows) as u64);
+        let values = rng.normal_matrix(rows, d, 1.0);
+        let mut weights = rng.normal_matrix(heads, rows, 1.0);
+        for (i, w) in weights.as_mut_slice().iter_mut().enumerate() {
+            if i % 9 == 4 {
+                *w = 0.0;
+            }
+        }
+        let want: Vec<f32> = weights
+            .iter_rows()
+            .flat_map(|w| ops::weighted_sum(w, &values))
+            .collect();
+        let split = rows / 3;
+        for_each_tier(|tier| {
+            let mut out = vec![0.0; heads * d];
+            let w = weights.as_slice();
+            ops::weighted_sums_acc(w, rows, &values, 0..split, &mut out);
+            ops::weighted_sums_acc(&w[split..], rows, &values, split..rows, &mut out);
+            assert_bits_eq(&out, &want, &format!("{heads}x{d} over {rows} tier {tier}"));
+        });
     }
 }
 
