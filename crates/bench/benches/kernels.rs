@@ -5,6 +5,12 @@
 //! triple loop at the shapes the chunked prefill issues, and that prefill
 //! whole against the token-at-a-time loop it replaced.
 //!
+//! Everything that selects from scores is timed over a [`Rotation`] of 64
+//! distinct inputs, not one: a sort's branch sequence on a single
+//! repeated input is memorised by the predictor (1280 -> 256 on tie-heavy
+//! scores read 7 us on one input and 35 us rotating), which a decode loop
+//! never grants it.
+//!
 //! Unlike the figure/table regenerators this harness measures wall
 //! clock, so its output is *not* expected to be byte-stable; it writes a
 //! machine-readable timing summary to `results/bench_kernels.json` so
@@ -26,9 +32,69 @@ use spec_retrieval::spec_head::{MappingLevel, SpecSelection};
 use spec_tensor::kmeans::nearest_centroid;
 use spec_tensor::lut::{I8Lut, QueryLut};
 use spec_tensor::quant::{BitWidth, QuantVec};
-use spec_tensor::topk::{top_k_mass, top_k_positions, RankScratch, SelectScratch};
+use spec_tensor::topk::{top_k_mass, top_k_positions, PosBitSet, RankScratch, SelectScratch};
 use spec_tensor::{ops, Matrix, SimRng};
 use std::hint::black_box;
+
+/// Distinct inputs a selection bench cycles through, one per iteration.
+const ROTATION: usize = 64;
+
+/// A ring of benchmark inputs: [`next`](Self::next) hands out a different
+/// one every iteration so no branch history survives from the last visit.
+struct Rotation<T> {
+    items: Vec<T>,
+    at: usize,
+}
+
+impl<T> Rotation<T> {
+    fn new(make: impl FnMut() -> T) -> Self {
+        Self {
+            items: std::iter::repeat_with(make).take(ROTATION).collect(),
+            at: 0,
+        }
+    }
+
+    fn next(&mut self) -> &T {
+        self.at = (self.at + 1) % self.items.len();
+        &self.items[self.at]
+    }
+}
+
+/// Softmax-like scores over `n` positions with only `n / 3` distinct
+/// values, as a vocabulary-limited context gives (469 distinct values in
+/// the 1280 pooled scores of a `reason_2k_16k` step): a few large
+/// weights, a long tail, many exact ties.
+fn tie_heavy_scores(rng: &mut SimRng, n: usize) -> Vec<f32> {
+    let distinct = (n / 3).max(1);
+    let logits: Vec<f32> = (0..distinct).map(|_| rng.normal() * 2.0).collect();
+    let mut scores: Vec<f32> = (0..n)
+        .map(|_| logits[(rng.uniform() * distinct as f32) as usize % distinct])
+        .collect();
+    ops::softmax_inplace(&mut scores);
+    scores
+}
+
+/// The softmax the shipped kernel replaced (libm `exp`, sequential sum,
+/// a divide per element) — the bench's and the tests' oracle only.
+fn softmax_libm(xs: &mut [f32]) {
+    let max = xs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0;
+    for v in xs.iter_mut() {
+        *v = (*v - max).exp();
+        sum += *v;
+    }
+    for v in xs.iter_mut() {
+        *v /= sum;
+    }
+}
+
+/// `(context, budget)` of the set top-k comparison: a `reason_2k_16k`
+/// step, a `prompt_32k_2k` step, and the paper's 16K decode shape.
+const MARK_SHAPES: [(usize, usize); 3] = [(1280, 256), (4224, 256), (16_384, 2048)];
+
+/// Row lengths of the softmax comparison: a prefill attention row's
+/// neighbourhood (a few hundred) and a retrieval-head row at 4 K context.
+const SOFTMAX_LENS: [usize; 2] = [264, 4224];
 
 /// `(label, m, k, n)` for the matmul speedup comparison: the gemms
 /// `Model::prefill_embeddings` runs per 64-position block at the sim
@@ -52,8 +118,9 @@ fn bench_kernels(c: &mut Criterion) {
     let mut rng = SimRng::seed(0xBE7C);
     let scores: Vec<f32> = (0..16_384).map(|_| rng.normal()).collect();
 
+    let mut rotation = Rotation::new(|| tie_heavy_scores(&mut rng, 16_384));
     c.bench_function("top_k_positions/16384->2048", |b| {
-        b.iter(|| top_k_positions(black_box(&scores), 2048))
+        b.iter(|| top_k_positions(black_box(rotation.next()), 2048))
     });
 
     c.bench_function("top_k_mass/16384->2048", |b| {
@@ -67,6 +134,30 @@ fn bench_kernels(c: &mut Criterion) {
             ops::softmax_inplace(black_box(&mut soft));
         })
     });
+
+    // The polynomial-`exp` kernel beside the libm softmax it replaced.
+    for n in SOFTMAX_LENS {
+        let logits: Vec<f32> = (0..n).map(|_| rng.normal() * 3.0).collect();
+        let (mut got, mut want) = (logits.clone(), logits.clone());
+        ops::softmax_inplace(&mut got);
+        softmax_libm(&mut want);
+        assert!(
+            got.iter().zip(&want).all(|(g, w)| (g - w).abs() <= 1e-6),
+            "softmax/{n} left the libm oracle's tolerance"
+        );
+        c.bench_function(&format!("softmax/{n}"), |b| {
+            b.iter(|| {
+                got.copy_from_slice(&logits);
+                ops::softmax_inplace(black_box(&mut got));
+            })
+        });
+        c.bench_function(&format!("softmax_libm/{n}"), |b| {
+            b.iter(|| {
+                want.copy_from_slice(&logits);
+                softmax_libm(black_box(&mut want));
+            })
+        });
+    }
 
     let wide = rng.normal_matrix(256, 2048, 1.0);
     c.bench_function("softmax_rows/256x2048", |b| {
@@ -158,23 +249,62 @@ fn bench_selection(c: &mut Criterion) {
     const Q_HEADS: usize = 4;
 
     // --- top_k_indices (select_nth) vs the argsort full-sort path ------
-    let scores: Vec<f32> = (0..CTX).map(|_| rng.normal()).collect();
     let mut rank = RankScratch::default();
-    assert_eq!(
-        rank.top_k_desc(&scores, BUDGET),
-        &spec_tensor::topk::argsort_desc(&scores)[..BUDGET],
-        "partial selection diverged from the argsort prefix"
-    );
+    let mut rotation = Rotation::new(|| tie_heavy_scores(&mut rng, CTX));
+    for scores in &rotation.items {
+        assert_eq!(
+            rank.top_k_desc(scores, BUDGET),
+            &spec_tensor::topk::argsort_desc(scores)[..BUDGET],
+            "partial selection diverged from the argsort prefix"
+        );
+    }
     c.bench_function("selection/top_k_indices/16384->2048", |b| {
-        b.iter(|| rank.top_k_desc(black_box(&scores), BUDGET).len())
+        b.iter(|| rank.top_k_desc(black_box(rotation.next()), BUDGET).len())
     });
     c.bench_function("selection/argsort_topk/16384->2048", |b| {
         b.iter(|| {
-            let mut idx = spec_tensor::topk::argsort_desc(black_box(&scores));
+            let mut idx = spec_tensor::topk::argsort_desc(black_box(rotation.next()));
             idx.truncate(BUDGET);
             idx.len()
         })
     });
+
+    // --- the set top-k (threshold marking) vs rank-then-mark ------------
+    // What `assemble_budgeted_selection` does per KV head and step against
+    // what it did: `top_k_desc` + a walk marking each index.
+    let mut marks = PosBitSet::default();
+    for (n, k) in MARK_SHAPES {
+        let mut rotation = Rotation::new(|| tie_heavy_scores(&mut rng, n));
+        for scores in &rotation.items {
+            marks.reset(n);
+            rank.mark_top_k(scores, 0, k, &mut marks);
+            let got = marks.collect_sorted();
+            marks.reset(n);
+            rank.top_k_desc(scores, k).iter().for_each(|&i| {
+                marks.mark(i);
+            });
+            assert_eq!(
+                got,
+                marks.collect_sorted(),
+                "set top-k diverged at {n}->{k}"
+            );
+        }
+        c.bench_function(&format!("selection/mark_top_k/{n}->{k}"), |b| {
+            b.iter(|| {
+                marks.reset(n);
+                rank.mark_top_k(black_box(rotation.next()), 0, k, &mut marks)
+            })
+        });
+        c.bench_function(&format!("selection/sort_top_k/{n}->{k}"), |b| {
+            b.iter(|| {
+                marks.reset(n);
+                for &i in rank.top_k_desc(black_box(rotation.next()), k) {
+                    marks.mark(i);
+                }
+                marks.count()
+            })
+        });
+    }
 
     // --- page table: incremental extend vs full rebuild ----------------
     let keys16k = rng.normal_matrix(CTX, HEAD_DIM, 1.0);
@@ -228,7 +358,8 @@ fn bench_selection(c: &mut Criterion) {
             values: vec![Matrix::default(); KV_HEADS],
         }],
     };
-    let queries = rng.normal_matrix(Q_HEADS, HEAD_DIM, 1.0);
+    let mut rotation = Rotation::new(|| rng.normal_matrix(Q_HEADS, HEAD_DIM, 1.0));
+    let queries = rotation.items[0].clone();
     let cfg = SelectorConfig {
         budget: BUDGET,
         sinks: 4,
@@ -246,10 +377,10 @@ fn bench_selection(c: &mut Criterion) {
         "quest diverged from reference"
     );
     c.bench_function("selection/quest/16k->2048", |b| {
-        b.iter(|| quest.select(0, black_box(&queries), &kv.layers[0], &mut scratch))
+        b.iter(|| quest.select(0, black_box(rotation.next()), &kv.layers[0], &mut scratch))
     });
     c.bench_function("selection/quest_reference/16k->2048", |b| {
-        b.iter(|| quest.select_reference(0, black_box(&queries), &kv.layers[0]))
+        b.iter(|| quest.select_reference(0, black_box(rotation.next()), &kv.layers[0]))
     });
 
     let mut ckv = ClusterKvSelector::preprocess(&kv, cfg, 0xC1);
@@ -259,10 +390,10 @@ fn bench_selection(c: &mut Criterion) {
         "clusterkv diverged from reference"
     );
     c.bench_function("selection/clusterkv/16k->2048", |b| {
-        b.iter(|| ckv.select(0, black_box(&queries), &kv.layers[0], &mut scratch))
+        b.iter(|| ckv.select(0, black_box(rotation.next()), &kv.layers[0], &mut scratch))
     });
     c.bench_function("selection/clusterkv_reference/16k->2048", |b| {
-        b.iter(|| ckv.select_reference(0, black_box(&queries), &kv.layers[0]))
+        b.iter(|| ckv.select_reference(0, black_box(rotation.next()), &kv.layers[0]))
     });
 
     let mut skv = ShadowKvSelector::preprocess(&kv, cfg);
@@ -272,10 +403,10 @@ fn bench_selection(c: &mut Criterion) {
         "shadowkv diverged from reference"
     );
     c.bench_function("selection/shadowkv/16k->2048", |b| {
-        b.iter(|| skv.select(0, black_box(&queries), &kv.layers[0], &mut scratch))
+        b.iter(|| skv.select(0, black_box(rotation.next()), &kv.layers[0], &mut scratch))
     });
     c.bench_function("selection/shadowkv_reference/16k->2048", |b| {
-        b.iter(|| skv.select_reference(0, black_box(&queries), &kv.layers[0]))
+        b.iter(|| skv.select_reference(0, black_box(rotation.next()), &kv.layers[0]))
     });
 
     let mut inf = InfiniGenSelector::preprocess(&kv, cfg);
@@ -286,26 +417,30 @@ fn bench_selection(c: &mut Criterion) {
         "infinigen diverged from reference"
     );
     c.bench_function("selection/infinigen/16k->2048", |b| {
-        b.iter(|| inf.select(0, black_box(&queries), &kv.layers[0], &mut scratch))
+        b.iter(|| inf.select(0, black_box(rotation.next()), &kv.layers[0], &mut scratch))
     });
     c.bench_function("selection/infinigen_reference/16k->2048", |b| {
-        b.iter(|| inf_ref.select_reference(0, black_box(&queries), &kv.layers[0]))
+        b.iter(|| inf_ref.select_reference(0, black_box(rotation.next()), &kv.layers[0]))
     });
 
     // SpeContext head-level mapping over 16K-position head scores.
     let geom = SimGeometry::tiny(AttentionKind::Gqa);
-    let head_scores: Vec<Vec<f32>> = (0..geom.q_heads)
-        .map(|_| (0..CTX).map(|_| rng.normal()).collect())
-        .collect();
-    assert_eq!(
-        SpecSelection::from_head_scores(&head_scores, &geom, &cfg, MappingLevel::Head),
-        SpecSelection::from_head_scores_reference(&head_scores, &geom, &cfg, MappingLevel::Head),
-        "spec_head diverged from reference"
-    );
+    let mut head_scores = Rotation::new(|| {
+        (0..geom.q_heads)
+            .map(|_| tie_heavy_scores(&mut rng, CTX))
+            .collect::<Vec<_>>()
+    });
+    for scores in &head_scores.items {
+        assert_eq!(
+            SpecSelection::from_head_scores(scores, &geom, &cfg, MappingLevel::Head),
+            SpecSelection::from_head_scores_reference(scores, &geom, &cfg, MappingLevel::Head),
+            "spec_head diverged from reference"
+        );
+    }
     c.bench_function("selection/spec_head/16k->2048", |b| {
         b.iter(|| {
             SpecSelection::from_head_scores_scratch(
-                black_box(&head_scores),
+                black_box(head_scores.next()),
                 &geom,
                 &cfg,
                 MappingLevel::Head,
@@ -316,7 +451,7 @@ fn bench_selection(c: &mut Criterion) {
     c.bench_function("selection/spec_head_reference/16k->2048", |b| {
         b.iter(|| {
             SpecSelection::from_head_scores_reference(
-                black_box(&head_scores),
+                black_box(head_scores.next()),
                 &geom,
                 &cfg,
                 MappingLevel::Head,
@@ -328,11 +463,11 @@ fn bench_selection(c: &mut Criterion) {
     // their selection was allocation-minimal already).
     let mut window = spec_retrieval::window::StreamingLlm::new(4, BUDGET);
     c.bench_function("selection/streaming_llm/16k", |b| {
-        b.iter(|| window.select(0, black_box(&queries), &kv.layers[0], &mut scratch))
+        b.iter(|| window.select(0, black_box(rotation.next()), &kv.layers[0], &mut scratch))
     });
     let mut full = spec_retrieval::FullAttention;
     c.bench_function("selection/full/16k", |b| {
-        b.iter(|| full.select(0, black_box(&queries), &kv.layers[0], &mut scratch))
+        b.iter(|| full.select(0, black_box(rotation.next()), &kv.layers[0], &mut scratch))
     });
 }
 
@@ -537,6 +672,26 @@ fn write_summary(c: &Criterion) {
         .map(|(label, s)| format!("    \"{label}\": {s:.2}"))
         .collect();
     json.push_str(&sel_speedups.join(",\n"));
+    json.push_str("\n  },\n  \"mark_top_k_speedup_vs_sort\": {\n");
+    let mark_speedups: Vec<String> = MARK_SHAPES
+        .iter()
+        .filter_map(|(n, k)| {
+            let sort = best_ns(c, &format!("selection/sort_top_k/{n}->{k}"))?;
+            let mark = best_ns(c, &format!("selection/mark_top_k/{n}->{k}"))?;
+            Some(format!("    \"{n}->{k}\": {:.2}", sort / mark))
+        })
+        .collect();
+    json.push_str(&mark_speedups.join(",\n"));
+    json.push_str("\n  },\n  \"softmax_speedup_vs_libm\": {\n");
+    let softmax_speedups: Vec<String> = SOFTMAX_LENS
+        .iter()
+        .filter_map(|n| {
+            let libm = best_ns(c, &format!("softmax_libm/{n}"))?;
+            let poly = best_ns(c, &format!("softmax/{n}"))?;
+            Some(format!("    \"{n}\": {:.2}", libm / poly))
+        })
+        .collect();
+    json.push_str(&softmax_speedups.join(",\n"));
     json.push_str("\n  },\n  \"lut_speedup_vs_reference\": {\n");
     let lut_speedups: Vec<String> = lut_speedups(c)
         .into_iter()
@@ -555,9 +710,25 @@ fn write_summary(c: &Criterion) {
             line.replace("    ", " ")
         );
     }
+    for line in mark_speedups {
+        println!("[set top-k speedup vs sort]{}", line.replace("    ", " "));
+    }
+    for line in softmax_speedups {
+        println!("[softmax speedup vs libm]{}", line.replace("    ", " "));
+    }
     for line in lut_speedups {
         println!("[lut speedup vs reference]{}", line.replace("    ", " "));
     }
+}
+
+/// The named entry's best sample. A sample is ~100 ms of iterations, so
+/// this is still a mean over the whole input rotation; what it drops is
+/// the sample a host stall landed in (one 100 ms stall inside a 3 us
+/// iteration once put `softmax/4224`'s mean at 1.4 ms beside a best of
+/// 3.1 us), which the microsecond-scale entries' ratios cannot absorb.
+fn best_ns(c: &Criterion, name: &str) -> Option<f64> {
+    let summary = c.summaries().iter().find(|s| s.name == name)?;
+    Some(summary.best_ns)
 }
 
 /// Old-path / new-path ratios for the selection engine: the full-sort

@@ -251,10 +251,7 @@ impl RetrievalHeadState {
     pub fn scores_into(&self, h: usize, query: &[f32], out: &mut Vec<f32>) {
         self.keys[h].dots_into(query, out);
         let scale = 1.0 / (query.len() as f32).sqrt();
-        for v in out.iter_mut() {
-            *v *= scale;
-        }
-        ops::softmax_inplace(out);
+        ops::softmax_rows_inplace(out, self.len(), scale);
     }
 }
 

@@ -700,9 +700,10 @@ fn add_assign(acc: &mut [f32], xs: &[f32]) {
 ///
 /// Per head this is `ops::attention_weights` then `ops::weighted_sum`
 /// over the gathered rows, bit for bit: a score is `matrix::dot`'s sum
-/// ([`KeyBlocks`]) times the scale, the softmax is the same call, and
-/// [`ops::weighted_sums_acc`] gives each head `weighted_sum`'s additions
-/// — the heads only share the walk over the value rows.
+/// ([`KeyBlocks`]), the scaled softmax is the same kernel (one call for
+/// the group's rows), and [`ops::weighted_sums_acc`] gives each head
+/// `weighted_sum`'s additions — the heads only share the walk over the
+/// value rows.
 #[allow(clippy::too_many_arguments)]
 fn attend_ranges(
     queries: &[Matrix],
@@ -723,11 +724,8 @@ fn attend_ranges(
     let ranges = [sinks.clone(), window.clone()];
     for (q, s) in queries.iter().zip(scores.chunks_exact_mut(len)) {
         keys.dots_ranges_into(q.row(row), &ranges, s);
-        for v in s.iter_mut() {
-            *v *= scale;
-        }
-        ops::softmax_inplace(s);
     }
+    ops::softmax_rows_inplace(scores, len, scale);
     out.fill(0.0);
     ops::weighted_sums_acc(scores, len, values, sinks.clone(), out);
     let rows = window.start + shift..window.end + shift;

@@ -2,9 +2,13 @@
 //!
 //! The assembly functions are the inner loop of every selector: they run
 //! per decode step, per layer, per KV head. They are written against the
-//! [`SelectScratch`](spec_tensor::topk::SelectScratch) arenas — bitset
-//! marking plus partial selection instead of `BTreeSet` inserts over a
-//! full argsort — and allocate nothing but the returned position vector.
+//! [`SelectScratch`](spec_tensor::topk::SelectScratch) arenas and
+//! allocate nothing but the returned position vector. A selection is a
+//! *set*: the forced positions are the two ends of the scored range, so
+//! the rest is "the best `k` of the contiguous middle", which
+//! [`RankScratch::mark_top_k`] marks straight into the bitset from a
+//! score threshold — no ranking, no sort. Only the page / cluster walk
+//! ([`mark_budgeted_group_walk`]) needs its candidates in order.
 //! The original tree-based implementations are kept as `*_reference`
 //! functions (the `matmul`/`matmul_naive` contract of PR 3): property
 //! tests pin the rewritten paths to them bit-for-bit.
@@ -73,12 +77,9 @@ pub struct SelectionStats {
 /// (`prefill_len..seq_len`) — the "complete retention of new KV" behaviour
 /// the paper identifies as Challenge 2.
 ///
-/// Runs on the caller's scratch arenas: forced and top-scoring positions
-/// are marked in the bitset, the budgeted top-k walks only the
-/// partial-select prefix (at most `budget` candidates — enough, since at
-/// most `forced` of them are already marked), and the sorted selection is
-/// assembled by one pass over the bitset words. Output is bit-identical
-/// to [`assemble_baseline_selection_reference`].
+/// Runs on the caller's scratch arenas (`mark_forced_and_best`); the
+/// sorted selection is assembled by one pass over the bitset words.
+/// Output is bit-identical to [`assemble_baseline_selection_reference`].
 ///
 /// `prefix_scores.len()` must equal `prefill_len`.
 pub fn assemble_baseline_selection(
@@ -91,30 +92,8 @@ pub fn assemble_baseline_selection(
 ) -> (Vec<usize>, SelectionStats) {
     assert_eq!(prefix_scores.len(), prefill_len, "score length mismatch");
     marks.reset(seq_len.max(prefill_len));
-    // Sinks.
-    for p in 0..cfg.sinks.min(prefill_len) {
-        marks.mark(p);
-    }
-    // Recent prefix tail (only meaningful right after prefill).
-    let recent_lo = prefill_len.saturating_sub(cfg.recent.min(prefill_len));
-    for p in recent_lo..prefill_len {
-        marks.mark(p);
-    }
-    let forced = marks.count();
-    // Budgeted top-k from the prefix.
-    let remaining = cfg.budget.saturating_sub(forced);
-    let mut from_prefix = 0;
-    if remaining > 0 {
-        let candidates = (remaining + forced).min(prefill_len);
-        for &idx in rank.top_k_desc(prefix_scores, candidates) {
-            if from_prefix >= remaining {
-                break;
-            }
-            if marks.mark(idx) {
-                from_prefix += 1;
-            }
-        }
-    }
+    // The recent prefix tail is only meaningful right after prefill.
+    let (forced, from_prefix) = mark_forced_and_best(prefix_scores, cfg, rank, marks);
     // Complete retention of newly generated KV pairs.
     let retained_new = seq_len.saturating_sub(prefill_len);
     for p in prefill_len..seq_len {
@@ -143,26 +122,7 @@ pub fn assemble_budgeted_selection(
 ) -> (Vec<usize>, SelectionStats) {
     assert_eq!(scores.len(), seq_len, "score length mismatch");
     marks.reset(seq_len);
-    for p in 0..cfg.sinks.min(seq_len) {
-        marks.mark(p);
-    }
-    let recent_lo = seq_len.saturating_sub(cfg.recent.min(seq_len));
-    for p in recent_lo..seq_len {
-        marks.mark(p);
-    }
-    let forced = marks.count();
-    let budget = cfg.budget.min(seq_len);
-    let mut from_scores = 0;
-    // At most `budget` candidates suffice: of the top `budget` scores, at
-    // most `forced` are already marked, leaving >= budget - forced fresh.
-    for &idx in rank.top_k_desc(scores, budget) {
-        if marks.count() >= budget {
-            break;
-        }
-        if marks.mark(idx) {
-            from_scores += 1;
-        }
-    }
+    let (forced, from_scores) = mark_forced_and_best(scores, cfg, rank, marks);
     (
         marks.collect_sorted(),
         SelectionStats {
@@ -171,6 +131,38 @@ pub fn assemble_budgeted_selection(
             forced,
         },
     )
+}
+
+/// Marks the forced ends of the scored range — `cfg.sinks` positions at
+/// its start, `cfg.recent` at its end — then the best
+/// `cfg.budget - forced` of the positions between them (larger score
+/// first, ties toward the smaller index; all of them if there are fewer).
+/// Returns `(forced, marked from the middle)`.
+///
+/// This is what walking the whole range in descending score order and
+/// marking fresh positions until the budget fills selects: the forced
+/// ends are already marked, so the walk's fresh positions are the middle's
+/// in rank order.
+fn mark_forced_and_best(
+    scores: &[f32],
+    cfg: &SelectorConfig,
+    rank: &mut RankScratch,
+    marks: &mut PosBitSet,
+) -> (usize, usize) {
+    let len = scores.len();
+    let lo = cfg.sinks.min(len);
+    let hi = (len - cfg.recent.min(len)).max(lo);
+    for p in (0..lo).chain(hi..len) {
+        marks.mark(p);
+    }
+    let forced = lo + (len - hi);
+    let best = rank.mark_top_k(
+        &scores[lo..hi],
+        lo,
+        cfg.budget.saturating_sub(forced),
+        marks,
+    );
+    (forced, best)
 }
 
 /// Budgeted walk over ranked position *groups* (Quest pages, ClusterKV

@@ -38,10 +38,6 @@ pub enum MappingLevel {
     Batch,
 }
 
-/// Below this many head x position score entries, assembling the
-/// per-head selections serially beats the scoped-spawn overhead.
-const PAR_SELECT_MIN: usize = 1 << 14;
-
 /// A whole-model selection produced before LLM inference.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpecSelection {
@@ -99,18 +95,16 @@ impl SpecSelection {
     /// so a scorer that computes them there (the retriever) never holds a
     /// score vector of its own.
     ///
-    /// With more than one worker thread and at least [`PAR_SELECT_MIN`]
-    /// score entries, the per-KV-head pooling and assembly fan out over
-    /// the pool with one local scratch per head — the allocation is
-    /// amortized by the work, and the output is identical at any thread
-    /// count. On one thread the caller's warm scratch serves any length.
+    /// Serial on the caller's warm scratch at any length: one KV head's
+    /// pool-and-assemble is tens of microseconds at 4 K positions, less
+    /// than the scoped spawn a per-head fan-out would cost.
     fn map_scores(
         seq_len: usize,
         geom: &SimGeometry,
         cfg: &SelectorConfig,
         level: MappingLevel,
         scratch: &mut SelectScratch,
-        score_into: impl Fn(usize, &mut Vec<f32>) + Sync,
+        score_into: impl Fn(usize, &mut Vec<f32>),
     ) -> Self {
         let SelectScratch {
             scores: arena,
@@ -125,34 +119,12 @@ impl SpecSelection {
                 };
                 let kv_heads = geom.kv_heads;
                 assert_eq!(geom.q_heads / group, kv_heads, "group mapping mismatch");
-                if kv_heads > 1
-                    && kv_heads * seq_len >= PAR_SELECT_MIN
-                    && spec_parallel::max_threads() > 1
-                {
-                    // Heads are independent and `par_map_range` keeps
-                    // their order.
-                    spec_parallel::par_map_range(kv_heads, |hh| {
-                        let mut local = SelectScratch::new();
-                        local
-                            .scores
-                            .pool_group_max(hh * group..(hh + 1) * group, &score_into);
-                        assemble_budgeted_selection(
-                            &local.scores.pooled,
-                            seq_len,
-                            cfg,
-                            &mut local.rank,
-                            &mut local.marks,
-                        )
-                        .0
+                (0..kv_heads)
+                    .map(|hh| {
+                        arena.pool_group_max(hh * group..(hh + 1) * group, &score_into);
+                        assemble_budgeted_selection(&arena.pooled, seq_len, cfg, rank, marks).0
                     })
-                } else {
-                    (0..kv_heads)
-                        .map(|hh| {
-                            arena.pool_group_max(hh * group..(hh + 1) * group, &score_into);
-                            assemble_budgeted_selection(&arena.pooled, seq_len, cfg, rank, marks).0
-                        })
-                        .collect()
-                }
+                    .collect()
             }
             MappingLevel::Batch => {
                 arena.pool_group_max(0..geom.q_heads, &score_into);
@@ -484,12 +456,12 @@ mod tests {
     }
 
     #[test]
-    fn scratch_mapping_matches_reference_across_thread_counts() {
-        // Sizes straddling PAR_SELECT_MIN so both the serial scratch path
-        // and the parallel fan-out are pinned to the reference.
+    fn scratch_mapping_matches_reference() {
+        // A short context and one of 8 K positions per head (several
+        // histogram buckets deep, ends forced inside the budget).
         for kind in [AttentionKind::Mha, AttentionKind::Gqa, AttentionKind::Mqa] {
             let geom = SimGeometry::tiny(kind);
-            for n in [96, PAR_SELECT_MIN / geom.kv_heads + 5] {
+            for n in [96, (1 << 13) + 5] {
                 let scores: Vec<Vec<f32>> = (0..geom.q_heads)
                     .map(|h| {
                         (0..n)
@@ -506,12 +478,8 @@ mod tests {
                 for level in [MappingLevel::Head, MappingLevel::Batch] {
                     let want =
                         SpecSelection::from_head_scores_reference(&scores, &geom, &cfg, level);
-                    for threads in [1usize, 2, 7] {
-                        let got = spec_parallel::with_threads(threads, || {
-                            SpecSelection::from_head_scores(&scores, &geom, &cfg, level)
-                        });
-                        assert_eq!(got, want, "{kind} n={n} threads={threads}");
-                    }
+                    let got = SpecSelection::from_head_scores(&scores, &geom, &cfg, level);
+                    assert_eq!(got, want, "{kind} n={n}");
                 }
             }
         }

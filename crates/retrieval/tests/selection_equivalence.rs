@@ -6,11 +6,10 @@
 //! prefill. The ShadowKV/InfiniGen cases additionally sweep every
 //! available SIMD dispatch tier (via `spec_tensor::dispatch::with_tier`)
 //! so the LUT/batched scoring paths stay pinned to their scalar
-//! references. CI runs this suite under the `SPEC_THREADS` env matrix
-//! and a `SPEC_SIMD=scalar` lane; the
-//! selection paths are thread-count invariant by construction (the only
-//! parallel path, `SpecSelection`'s per-head fan-out, is order-preserving
-//! and pinned explicitly below).
+//! references. CI runs this suite at `SPEC_THREADS=1` and in a
+//! `SPEC_SIMD=scalar` lane; the selection paths are serial (the one
+//! parallel path, `SpecSelection`'s per-head fan-out, was deleted, so the
+//! `with_threads` sweep below compares a function with itself).
 
 use proptest::prelude::*;
 use spec_model::{AttentionKind, LayerSelector, Model, ModelKv, PrefillMode, SimGeometry};

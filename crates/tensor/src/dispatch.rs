@@ -232,6 +232,7 @@ macro_rules! dispatch_kernel {
         $(#[$meta])*
         #[allow(unused_qualifications)]
         $vis mod $name {
+            #[allow(unused_imports)]
             use super::*;
 
             /// The shared kernel body; every tier compiles exactly this.
@@ -288,6 +289,7 @@ macro_rules! dispatch_kernel {
         $(#[$meta])*
         #[allow(unused_qualifications)]
         $vis mod $name {
+            #[allow(unused_imports)]
             use super::*;
 
             /// The shared kernel body; every tier compiles exactly this.

@@ -5,36 +5,37 @@ use crate::Matrix;
 /// Numerically stable softmax over a single slice, in place.
 ///
 /// An all-`-inf` row becomes the uniform distribution, which matches how a
-/// fully masked attention row is conventionally handled.
+/// fully masked attention row is conventionally handled; a `-inf` entry
+/// beside finite ones gets exactly zero weight.
 pub fn softmax_inplace(xs: &mut [f32]) {
+    softmax_rows_inplace(xs, xs.len(), 1.0);
+}
+
+/// `softmax(scale * row)` for each `cols`-long row of `xs`, in place —
+/// the attention form, with the `1 / sqrt(dim)` pass folded in
+/// (`x * scale` is the same float wherever it is computed).
+///
+/// One dispatched kernel call covers every row, so the tier is resolved
+/// once however short the rows are. `exp` is [`exp`]'s polynomial, the
+/// maximum and the sum run over fixed-width lane accumulators, and the
+/// normalisation multiplies by the reciprocal of the sum: every
+/// `SPEC_SIMD` tier returns the same bits.
+///
+/// # Panics
+///
+/// Panics if `xs.len()` is not a multiple of a non-zero `cols`.
+pub fn softmax_rows_inplace(xs: &mut [f32], cols: usize, scale: f32) {
     if xs.is_empty() {
         return;
     }
-    let max = xs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    if max == f32::NEG_INFINITY {
-        let u = 1.0 / xs.len() as f32;
-        xs.iter_mut().for_each(|v| *v = u);
-        return;
-    }
-    let mut sum = 0.0;
-    for v in xs.iter_mut() {
-        *v = (*v - max).exp();
-        sum += *v;
-    }
-    for v in xs.iter_mut() {
-        *v /= sum;
-    }
+    assert!(
+        cols != 0 && xs.len().is_multiple_of(cols),
+        "softmax row length mismatch"
+    );
+    softmax_kernel::dispatch(crate::dispatch::active_tier(), xs, cols, scale);
 }
 
-/// Below this many elements the scoped-spawn overhead of parallel
-/// row dispatch outweighs the softmax work.
-const PAR_SOFTMAX_MIN: usize = 1 << 14;
-
 /// Softmax applied independently to each row of a matrix.
-///
-/// Large matrices are processed in parallel over disjoint row bands
-/// (`spec_parallel`); every row's arithmetic is unchanged, so the result
-/// is bit-for-bit identical to the serial loop at any thread count.
 ///
 /// # Example
 ///
@@ -47,17 +48,146 @@ const PAR_SOFTMAX_MIN: usize = 1 << 14;
 pub fn softmax_rows(m: &Matrix) -> Matrix {
     let mut out = m.clone();
     let cols = out.cols();
-    if cols == 0 {
-        return out;
-    }
-    if out.len() >= PAR_SOFTMAX_MIN && spec_parallel::max_threads() > 1 {
-        spec_parallel::par_chunks_mut(out.as_mut_slice(), cols, |_, row| softmax_inplace(row));
-    } else {
-        for r in 0..out.rows() {
-            softmax_inplace(out.row_mut(r));
-        }
+    if cols != 0 {
+        softmax_rows_inplace(out.as_mut_slice(), cols, 1.0);
     }
     out
+}
+
+/// Below this `exp` returns exactly `0.0`: `e^x` would drop under the
+/// smallest normal `f32` (`ln(2^-126) = -87.34`), where scaling by
+/// exponent-field addition stops being a multiplication.
+const EXP_LO: f32 = -87.3;
+/// Arguments above this are clamped to it (`e^88 = 1.65e38`, the last
+/// binade before overflow).
+const EXP_HI: f32 = 88.0;
+
+/// `e^x` without libm: the Cephes `expf` scheme written so a loop over it
+/// vectorises and every tier computes the same bits.
+///
+/// `n = round(x log2 e)` comes from adding and subtracting `1.5 * 2^23`
+/// (the sum's low mantissa bits *are* `n`), `r = x - n ln 2` in two
+/// Cody–Waite steps, `e^r` from a degree-5 polynomial on `|r| <= ln 2 / 2`,
+/// and `2^n` by adding those low bits into the result's exponent field.
+/// Two things are avoided on purpose: `as i32` (a saturating cast, which
+/// the vectoriser expands into range checks) and `mul_add` (a libm call
+/// without FMA hardware, different bits with it).
+///
+/// Relative error against `f64::exp` is under `2e-7` on
+/// `[-87.3, 88]`; below that range the result is exactly `0.0` (so a
+/// `-inf` mask yields zero weight), above it `e^88`; NaN stays NaN.
+#[inline(always)]
+pub fn exp(x: f32) -> f32 {
+    const LOG2_E: f32 = std::f32::consts::LOG2_E;
+    const ROUND: f32 = 12_582_912.0; // 1.5 * 2^23
+    const LN2_HI: f32 = 0.693_359_4; // 0.693359375: 9 bits, so n * LN2_HI is exact
+    const LN2_LO: f32 = -2.121_944_4e-4;
+    // A select, not `f32::min`: NaN must pass through.
+    let clamped = if x > EXP_HI { EXP_HI } else { x };
+    let shifted = clamped * LOG2_E + ROUND;
+    let n = shifted - ROUND;
+    let r = clamped - n * LN2_HI - n * LN2_LO;
+    let mut p = 1.987_569_1e-4;
+    p = p * r + 1.398_199_9e-3;
+    p = p * r + 8.333_452e-3;
+    p = p * r + 4.166_579_6e-2;
+    p = p * r + 1.666_666_5e-1;
+    p = p * r + 0.5;
+    p = p * (r * r) + r + 1.0;
+    // `shifted`'s bits are 0x4B40_0000 + n: shifted left by the mantissa
+    // width only `n` survives, landing on the exponent field.
+    let scaled = f32::from_bits(p.to_bits().wrapping_add(shifted.to_bits() << 23));
+    if x < EXP_LO {
+        0.0
+    } else {
+        scaled
+    }
+}
+
+/// Lane accumulators of the softmax kernel: one AVX-512 register, two
+/// AVX2, four SSE/NEON. Fixed at every tier, which is what makes the
+/// maximum's and the sum's operation order — hence the bits — identical.
+const SOFTMAX_LANES: usize = 16;
+type Lanes = [f32; SOFTMAX_LANES];
+
+/// Folds the lane accumulators pairwise, halving the width each round:
+/// four dependent operations instead of fifteen, in a fixed order.
+#[inline(always)]
+fn fold_lanes(mut lanes: Lanes, f: impl Fn(f32, f32) -> f32) -> f32 {
+    let mut width = SOFTMAX_LANES / 2;
+    while width > 0 {
+        for i in 0..width {
+            lanes[i] = f(lanes[i], lanes[i + width]);
+        }
+        width /= 2;
+    }
+    lanes[0]
+}
+
+/// One chunk of the maximum pass: lane `i` takes in `chunk[i] * scale`
+/// if `i < live`.
+#[inline(always)]
+fn max_chunk(lanes: &mut Lanes, chunk: &Lanes, live: usize, scale: f32) {
+    for (i, (m, &x)) in lanes.iter_mut().zip(chunk).enumerate() {
+        let x = if i < live {
+            x * scale
+        } else {
+            f32::NEG_INFINITY
+        };
+        *m = if x > *m { x } else { *m };
+    }
+}
+
+/// One chunk of the `exp` pass: every element becomes
+/// `exp(x * scale - max)` and lane `i` adds its own if `i < live`.
+#[inline(always)]
+fn exp_chunk(lanes: &mut Lanes, chunk: &mut Lanes, live: usize, scale: f32, max: f32) {
+    for (i, (acc, x)) in lanes.iter_mut().zip(chunk).enumerate() {
+        *x = exp(*x * scale - max);
+        *acc += if i < live { *x } else { 0.0 };
+    }
+}
+
+crate::dispatch_kernel! {
+    /// The body of [`softmax_rows_inplace`]. Full chunks run all lanes;
+    /// the row's tail runs the same code on a zero-padded copy with the
+    /// padding's lanes masked out of the maximum and the sum (a scalar
+    /// `exp` per leftover element would cost more than the vector chunks
+    /// of a ~100-long attention row).
+    softmax_kernel(xs: &mut [f32], cols: usize, scale: f32) {
+        for row in xs.chunks_exact_mut(cols) {
+            let (body, tail) = row.as_chunks_mut::<SOFTMAX_LANES>();
+            let live = tail.len();
+            let mut padded = [0.0f32; SOFTMAX_LANES];
+            for (p, &x) in padded.iter_mut().zip(tail.iter()) {
+                *p = x;
+            }
+
+            let mut lanes = [f32::NEG_INFINITY; SOFTMAX_LANES];
+            for chunk in body.iter() {
+                max_chunk(&mut lanes, chunk, SOFTMAX_LANES, scale);
+            }
+            max_chunk(&mut lanes, &padded, live, scale);
+            let max = fold_lanes(lanes, |a, b| if b > a { b } else { a });
+            if max == f32::NEG_INFINITY {
+                row.fill(1.0 / cols as f32);
+                continue;
+            }
+
+            let mut lanes = [0.0f32; SOFTMAX_LANES];
+            for chunk in body.iter_mut() {
+                exp_chunk(&mut lanes, chunk, SOFTMAX_LANES, scale, max);
+            }
+            exp_chunk(&mut lanes, &mut padded, live, scale, max);
+            let inv = 1.0 / fold_lanes(lanes, |a, b| a + b);
+            for x in body.as_flattened_mut() {
+                *x *= inv;
+            }
+            for (x, &e) in tail.iter_mut().zip(&padded) {
+                *x = e * inv;
+            }
+        }
+    }
 }
 
 /// Root-mean-square layer normalization (no bias), as used by Llama-family
@@ -85,16 +215,23 @@ pub fn rmsnorm_into(out: &mut Vec<f32>, xs: &[f32], weight: &[f32], eps: f32) {
     out.extend(xs.iter().zip(weight).map(|(x, w)| x * inv * w));
 }
 
-/// SiLU (sigmoid-weighted linear unit) activation.
-#[inline]
+/// SiLU (sigmoid-weighted linear unit) activation, over [`exp`].
+#[inline(always)]
 pub fn silu(x: f32) -> f32 {
-    x / (1.0 + (-x).exp())
+    x / (1.0 + exp(-x))
 }
 
-/// Applies SiLU element-wise, in place.
+/// Applies SiLU element-wise, in place ([`silu`]'s bits at every tier).
 pub fn silu_inplace(xs: &mut [f32]) {
-    for v in xs.iter_mut() {
-        *v = silu(*v);
+    silu_kernel::dispatch(crate::dispatch::active_tier(), xs);
+}
+
+crate::dispatch_kernel! {
+    /// The body of [`silu_inplace`].
+    silu_kernel(xs: &mut [f32]) {
+        for x in xs.iter_mut() {
+            *x = silu(*x);
+        }
     }
 }
 
@@ -160,9 +297,9 @@ pub fn attention_weights(query: &[f32], keys: &Matrix) -> Vec<f32> {
     let scale = 1.0 / (query.len() as f32).sqrt();
     let mut scores: Vec<f32> = keys
         .iter_rows()
-        .map(|k| crate::matrix::dot(query, k) * scale)
+        .map(|k| crate::matrix::dot(query, k))
         .collect();
-    softmax_inplace(&mut scores);
+    softmax_rows_inplace(&mut scores, keys.rows(), scale);
     scores
 }
 

@@ -28,10 +28,14 @@ pub fn top_k_indices(scores: &[f32], k: usize) -> Vec<usize> {
 /// Returns the indices of the `k` largest values, sorted ascending by
 /// index rather than by score. This is the canonical form for KV position
 /// sets (position order is what the GPU-resident cache layout uses).
+///
+/// A position set needs no ranking: this is [`RankScratch::mark_top_k`]
+/// into a bitset, collected in position order.
 pub fn top_k_positions(scores: &[f32], k: usize) -> Vec<usize> {
-    let mut idx = top_k_indices(scores, k);
-    idx.sort_unstable();
-    idx
+    let mut marks = PosBitSet::default();
+    marks.reset(scores.len());
+    RankScratch::default().mark_top_k(scores, 0, k, &mut marks);
+    marks.collect_sorted()
 }
 
 fn cmp_desc(scores: &[f32], a: usize, b: usize) -> std::cmp::Ordering {
@@ -64,8 +68,8 @@ pub fn argsort_desc(scores: &[f32]) -> Vec<usize> {
 /// Every `LayerSelector` runs per decode step, per layer, per KV head;
 /// building that path from `BTreeSet` inserts and per-call `Vec`s made
 /// allocation the dominant cost. `SelectScratch` bundles the three
-/// arenas the rewritten path needs — pooled score buffers, a
-/// partial-select index workspace, and a position bitset — so a decode
+/// arenas the rewritten path needs — pooled score buffers, a top-k
+/// workspace, and a position bitset — so a decode
 /// loop allocates once and every subsequent selection reuses warm,
 /// cache-contiguous memory. The three fields are public and independent
 /// precisely so callers can destructure and borrow them disjointly:
@@ -79,16 +83,14 @@ pub fn argsort_desc(scores: &[f32]) -> Vec<usize> {
 ///     buf.extend([q as f32, 1.0 - q as f32]);
 /// });
 /// marks.reset(2);
-/// for &i in rank.top_k_desc(&scores.pooled, 1) {
-///     marks.mark(i);
-/// }
+/// rank.mark_top_k(&scores.pooled, 0, 1, marks);
 /// assert_eq!(marks.collect_sorted(), vec![0]);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SelectScratch {
     /// Score arenas (pooled group-max scores plus a per-member temporary).
     pub scores: ScoreArena,
-    /// Partial-selection index workspace.
+    /// Top-k workspace (ordered and set selection).
     pub rank: RankScratch,
     /// Bitset over cache positions.
     pub marks: PosBitSet,
@@ -142,13 +144,180 @@ impl ScoreArena {
     }
 }
 
-/// Reusable index workspace for descending partial selection.
+/// Reusable workspace for the two selection contracts: the *ordered*
+/// top-k ([`top_k_desc`](Self::top_k_desc), for consumers that walk
+/// candidates best-first) and the *set* top-k
+/// ([`mark_top_k`](Self::mark_top_k), for consumers that only need to
+/// know which positions made it).
 #[derive(Debug, Clone, Default)]
 pub struct RankScratch {
     idx: Vec<usize>,
+    /// Order-preserving integer image of the scores being selected from.
+    keys: Vec<u32>,
+    /// Bucket counts over the keys' value range.
+    hist: Vec<u32>,
+    /// The keys of the one bucket the k-th largest falls in.
+    boundary: Vec<u32>,
+}
+
+/// Buckets of [`RankScratch::mark_top_k`]'s histogram. The keys' own
+/// `[min, max]` span is spread over them, so resolution follows the data:
+/// a softmax row covering 20 binades gets ~100 buckets a binade and the
+/// boundary bucket holds a handful of keys unless scores tie.
+const HIST_BUCKETS: usize = 2048;
+
+/// Bit `i` of the result is `pred(keys[i])`, for up to 64 keys: the
+/// comparisons fill one byte a key (which vectorises), and a multiply
+/// squeezes each eight 0/1 bytes into eight bits.
+#[inline(always)]
+fn mask64(keys: &[u32], pred: impl Fn(u32) -> bool) -> u64 {
+    let mut bytes = [0u8; 64];
+    for (b, &key) in bytes.iter_mut().zip(keys) {
+        *b = u8::from(pred(key));
+    }
+    bytes.chunks_exact(8).rev().fold(0, |bits, b| {
+        let b = u64::from_le_bytes(b.try_into().expect("8 bytes"));
+        bits << 8 | b.wrapping_mul(0x0102_0408_1020_4080) >> 56
+    })
+}
+
+// The three sweeps over the context. They are integer work — every tier
+// returns the same result — dispatched only so the compares run at the
+// machine's vector width.
+
+crate::dispatch_kernel! {
+    /// Maps each score to a `u32` whose unsigned order is `partial_cmp`'s
+    /// order on the floats, and returns the smallest and largest key:
+    /// `+ 0.0` folds `-0.0` onto `+0.0` (they compare equal), then a
+    /// negative float has every bit flipped and any other the sign bit
+    /// set. NaNs land beyond the infinities on the side of their sign.
+    order_keys(scores: &[f32], keys: &mut [u32]) -> (u32, u32) {
+        let (mut min, mut max) = (u32::MAX, 0);
+        for (key, &x) in keys.iter_mut().zip(scores) {
+            let bits = (x + 0.0).to_bits();
+            // All ones for a negative float, the sign bit alone otherwise.
+            *key = bits ^ (((bits as i32) >> 31) as u32 | 0x8000_0000);
+            min = min.min(*key);
+            max = max.max(*key);
+        }
+        (min, max)
+    }
+}
+
+crate::dispatch_kernel! {
+    /// Appends the keys within `lo..=hi` to `out`.
+    keys_within(keys: &[u32], lo: u32, hi: u32, out: &mut Vec<u32>) {
+        for chunk in keys.chunks(64) {
+            let mut within = mask64(chunk, |key| key.wrapping_sub(lo) <= hi - lo);
+            while within != 0 {
+                out.push(chunk[within.trailing_zeros() as usize]);
+                within &= within - 1;
+            }
+        }
+    }
+}
+
+crate::dispatch_kernel! {
+    /// Marks `base + i` for every `keys[i] > t` and for the first `ties`
+    /// of the `keys[i] == t`, a 64-position word at a time.
+    mark_keys(keys: &[u32], t: u32, ties: usize, base: usize, marks: &mut PosBitSet) {
+        let mut ties = ties;
+        for (chunk, pos) in keys.chunks(64).zip((base..).step_by(64)) {
+            let above = mask64(chunk, |key| key > t);
+            let mut equal = mask64(chunk, |key| key == t);
+            let tied = equal.count_ones() as usize;
+            if ties == 0 {
+                equal = 0;
+            } else if tied > ties {
+                // The last ties go to the smallest indices: the lowest bits.
+                for _ in ties..tied {
+                    equal &= !(1 << (63 - equal.leading_zeros()));
+                }
+            }
+            ties -= tied.min(ties);
+            marks.mark_word(pos, above | equal);
+        }
+    }
 }
 
 impl RankScratch {
+    /// Marks `base + i` in `marks` for the `k` largest `scores[i]` (ties
+    /// toward the smaller index) and returns how many that is,
+    /// `k.min(scores.len())` — the set [`top_k_desc`](Self::top_k_desc)
+    /// returns, without ranking it.
+    ///
+    /// The scores become order-preserving integer keys, one histogram
+    /// over the keys' value range finds the bucket holding the k-th
+    /// largest, a select over that bucket's few keys gives the k-th key
+    /// `t` exactly, and one sweep sets `key > t` plus the first
+    /// `k - #{key > t}` positions with `key == t`. No pass over the
+    /// scores branches on a comparison, so the cost does not depend on how
+    /// predictable the scores are. Order among NaNs is unspecified.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a marked position would lie past `marks.len()`.
+    pub fn mark_top_k(
+        &mut self,
+        scores: &[f32],
+        base: usize,
+        k: usize,
+        marks: &mut PosBitSet,
+    ) -> usize {
+        let n = scores.len();
+        let k = k.min(n);
+        if k == 0 {
+            return 0;
+        }
+        let tier = crate::dispatch::active_tier();
+        self.keys.resize(n, 0);
+        let (min, max) = order_keys::dispatch(tier, scores, &mut self.keys);
+        // Selecting everything is the threshold "at least the smallest key".
+        let (t, ties) = if k == n {
+            (min, n)
+        } else {
+            self.kth_largest_key(k, min, max, tier)
+        };
+        mark_keys::dispatch(tier, &self.keys, t, ties, base, marks);
+        k
+    }
+
+    /// The k-th largest of `self.keys` (`1 <= k < keys.len()`, all within
+    /// `[min, max]`) and how many keys equal to it belong to the top k.
+    fn kth_largest_key(
+        &mut self,
+        k: usize,
+        min: u32,
+        max: u32,
+        tier: crate::dispatch::SimdTier,
+    ) -> (u32, usize) {
+        // `(key - min) >> shift < HIST_BUCKETS` for every key.
+        let shift =
+            (u32::BITS - (max - min).leading_zeros()).saturating_sub(HIST_BUCKETS.trailing_zeros());
+        self.hist.clear();
+        self.hist.resize(HIST_BUCKETS, 0);
+        for &key in &self.keys {
+            self.hist[((key - min) >> shift) as usize % HIST_BUCKETS] += 1;
+        }
+        // Walk down from the top bucket until k keys are covered.
+        let mut bucket = ((max - min) >> shift) as usize;
+        let mut above = 0;
+        while above + (self.hist[bucket] as usize) < k {
+            above += self.hist[bucket] as usize;
+            bucket -= 1;
+        }
+        let lo = min + ((bucket as u32) << shift);
+        let hi = lo + ((1u32 << shift) - 1).min(max - lo);
+        self.boundary.clear();
+        keys_within::dispatch(tier, &self.keys, lo, hi, &mut self.boundary);
+        // `rank` keys of this bucket are in the top k, `1 <= rank <= len`.
+        let rank = k - above;
+        let at = self.boundary.len() - rank;
+        let (_, &mut t, larger) = self.boundary.select_nth_unstable(at);
+        let ties = rank - larger.iter().filter(|&&key| key > t).count();
+        (t, ties)
+    }
+
     /// The indices of the `k` largest values in `scores`, ordered by
     /// descending score (ties toward the smaller index) — the same
     /// contract as [`top_k_indices`], but into a reused buffer.
@@ -210,6 +379,30 @@ impl PosBitSet {
             self.words[w] |= bit;
             self.marked += 1;
             true
+        }
+    }
+
+    /// Marks `pos + b` for every set bit `b` of `bits` — 64 positions
+    /// with one or two word writes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a set bit reaches past the set's length.
+    #[inline]
+    pub fn mark_word(&mut self, pos: usize, bits: u64) {
+        if bits == 0 {
+            return;
+        }
+        let top = pos + (63 - bits.leading_zeros() as usize);
+        assert!(top < self.len, "position {top} out of range {}", self.len);
+        let (w, s) = (pos / 64, pos % 64);
+        let fresh = (bits << s) & !self.words[w];
+        self.words[w] |= fresh;
+        self.marked += fresh.count_ones() as usize;
+        if s != 0 && bits >> (64 - s) != 0 {
+            let fresh = (bits >> (64 - s)) & !self.words[w + 1];
+            self.words[w + 1] |= fresh;
+            self.marked += fresh.count_ones() as usize;
         }
     }
 
@@ -355,6 +548,49 @@ mod tests {
         assert_eq!(rank.top_k_desc(&[1.0, 3.0, 2.0], 2), &[1, 2]);
         assert_eq!(rank.top_k_desc(&[5.0, 4.0], 1), &[0]);
         assert_eq!(rank.top_k_desc(&[], 3), &[] as &[usize]);
+    }
+
+    #[test]
+    fn mark_top_k_is_the_argsort_prefix_as_a_set() {
+        // Ties at 2.5 and 0.3: the smaller index wins the last place.
+        let scores = [0.3, -1.0, 0.3, 2.5, 0.0, 2.5, -0.7];
+        let mut rank = RankScratch::default();
+        let mut marks = PosBitSet::default();
+        let full = argsort_desc(&scores);
+        for k in 0..=scores.len() + 2 {
+            marks.reset(100 + scores.len());
+            marks.mark(3);
+            assert_eq!(
+                rank.mark_top_k(&scores, 100, k, &mut marks),
+                k.min(scores.len())
+            );
+            let mut want: Vec<usize> = full.iter().take(k).map(|&i| 100 + i).collect();
+            want.push(3);
+            want.sort_unstable();
+            assert_eq!(marks.collect_sorted(), want, "k={k}");
+        }
+    }
+
+    #[test]
+    fn mark_word_straddles_words_and_counts_fresh_bits() {
+        let mut bs = PosBitSet::default();
+        bs.reset(200);
+        bs.mark(70);
+        bs.mark_word(60, 0b1_0100_0100_0011); // 60, 61, 66, 70 (already set), 72
+        assert_eq!(bs.collect_sorted(), vec![60, 61, 66, 70, 72]);
+        assert_eq!(bs.count(), 5);
+        bs.mark_word(136, 1 << 63);
+        assert!(bs.contains(199));
+        bs.mark_word(0, 0);
+        assert_eq!(bs.count(), 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn mark_word_rejects_bits_past_the_end() {
+        let mut bs = PosBitSet::default();
+        bs.reset(130);
+        bs.mark_word(128, 0b100);
     }
 
     #[test]

@@ -10,6 +10,7 @@ use spec_tensor::dispatch::{self, SimdTier};
 use spec_tensor::keyblocks::{KeyBlocks, KEY_BLOCK};
 use spec_tensor::lut::{I8Lut, QueryLut};
 use spec_tensor::quant::{BitWidth, QuantVec};
+use spec_tensor::topk::{self, PosBitSet, RankScratch};
 use spec_tensor::{matrix, ops, SimRng};
 
 fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
@@ -151,6 +152,69 @@ proptest! {
             );
         });
     }
+
+    /// The set top-k (`RankScratch::mark_top_k`: integer keys, a
+    /// histogram threshold, word-at-a-time marking) selects exactly the
+    /// prefix of `argsort_desc` — larger score first, ties toward the
+    /// smaller index — at every tier, for every awkward `k` and a
+    /// non-zero base, over score shapes chosen to break a threshold:
+    /// tie-heavy, all equal, strictly monotone both ways, `±0.0`, `±inf`,
+    /// denormals.
+    #[test]
+    fn mark_top_k_matches_argsort_prefix_at_every_tier(
+        params in (0usize..300, 0usize..8, 0usize..70, any::<u64>())
+    ) {
+        let (n, shape, base, seed) = params;
+        let scores = awkward_scores(n, shape, seed);
+        let order = topk::argsort_desc(&scores);
+        for k in [0, 1, n / 3, n.saturating_sub(1), n, n + 5] {
+            let mut want: Vec<usize> = order.iter().take(k).map(|&i| base + i).collect();
+            want.sort_unstable();
+            for_each_tier(|tier| {
+                let mut rank = RankScratch::default();
+                let mut marks = PosBitSet::default();
+                marks.reset(base + n);
+                let marked = rank.mark_top_k(&scores, base, k, &mut marks);
+                assert_eq!(marked, k.min(n), "shape {shape} n {n} k {k} tier {tier}");
+                assert_eq!(
+                    marks.collect_sorted(), want,
+                    "shape {shape} n {n} k {k} base {base} tier {tier}"
+                );
+            });
+        }
+    }
+}
+
+/// Score vectors that stress a threshold selection, by `shape`.
+fn awkward_scores(n: usize, shape: usize, seed: u64) -> Vec<f32> {
+    let mut rng = SimRng::seed(seed);
+    let specials = [
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::MIN_POSITIVE,
+        1e-42,
+        -1e-42,
+        1.0,
+    ];
+    (0..n)
+        .map(|i| match shape {
+            // A softmax over a small vocabulary: few distinct values.
+            0 => (-((rng.uniform() * 7.0) as i32 as f32)).exp(),
+            1 => 0.25,
+            2 => i as f32,
+            3 => -(i as f32),
+            4 => specials[(rng.uniform() * specials.len() as f32) as usize % specials.len()],
+            // Denormals of both signs, many equal.
+            5 => {
+                f32::from_bits((rng.uniform() * 40.0) as u32) * if i % 2 == 0 { 1.0 } else { -1.0 }
+            }
+            6 => rng.normal(),
+            // One binade apart at most: every key in one or two buckets.
+            _ => 1.0 + rng.uniform() * 1e-4,
+        })
+        .collect()
 }
 
 /// Lengths pinned at the int4 staging edges: chunk boundary, one over,
@@ -298,6 +362,198 @@ fn weighted_sums_acc_matches_weighted_sum_at_every_tier() {
             ops::weighted_sums_acc(&w[split..], rows, &values, split..rows, &mut out);
             assert_bits_eq(&out, &want, &format!("{heads}x{d} over {rows} tier {tier}"));
         });
+    }
+}
+
+/// NaN scores must not panic the set top-k at any tier (which NaNs are
+/// selected is unspecified, as for `top_k_indices`), and it still marks
+/// exactly `k` positions.
+#[test]
+fn mark_top_k_survives_nan_at_every_tier() {
+    let scores = [f32::NAN, 1.0, -f32::NAN, 2.0, f32::NAN, 0.5, 2.0];
+    for k in 0..=scores.len() + 1 {
+        for_each_tier(|tier| {
+            let mut marks = PosBitSet::default();
+            marks.reset(scores.len());
+            let marked = RankScratch::default().mark_top_k(&scores, 0, k, &mut marks);
+            assert_eq!(marked, k.min(scores.len()), "k {k} tier {tier}");
+            assert_eq!(marks.count(), marked, "k {k} tier {tier}");
+        });
+    }
+}
+
+/// Row lengths either side of every lane-chunk edge of the softmax kernel.
+const EXP_LENGTHS: [usize; 10] = [0, 1, 15, 16, 17, 63, 64, 65, 257, 4224];
+
+/// Softmax inputs of length `n` that reach the kernel's special paths:
+/// a `-inf` mask, `±0.0`, denormals, and entries more than 104 below the
+/// maximum (under the `exp` cut-off: exactly zero weight).
+fn awkward_logits(n: usize, seed: u64) -> Vec<f32> {
+    let mut rng = SimRng::seed(seed);
+    let mut xs: Vec<f32> = (0..n).map(|_| rng.normal() * 4.0).collect();
+    let specials = [f32::NEG_INFINITY, 0.0, -0.0, 1e-41, -1e-41, -120.0, -500.0];
+    for (i, &special) in specials.iter().enumerate() {
+        if let Some(x) = xs.get_mut(i * 5 + 2) {
+            *x = special;
+        }
+    }
+    xs
+}
+
+/// `softmax(scale * x)` in `f64` with libm's `exp` — the tolerance oracle
+/// (the shipped crates hold no libm softmax).
+fn softmax_oracle(xs: &[f32], scale: f32) -> Vec<f64> {
+    let scaled: Vec<f64> = xs.iter().map(|&x| f64::from(x * scale)).collect();
+    let max = scaled.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let exps: Vec<f64> = scaled.iter().map(|x| (x - max).exp()).collect();
+    let sum: f64 = exps.iter().sum();
+    exps.iter().map(|e| e / sum).collect()
+}
+
+/// The polynomial `exp`, the softmax built on it and SiLU return the
+/// scalar tier's bits at every tier, whatever the row length leaves for
+/// the kernel's tail, and keep the conventions callers rely on: `-inf`
+/// gets exactly zero weight, an all-`-inf` row is uniform, a row of many
+/// rows is the row alone.
+#[test]
+fn exp_softmax_silu_match_scalar_bits_at_every_tier() {
+    for n in EXP_LENGTHS {
+        for scale in [1.0f32, 0.25] {
+            let xs = awkward_logits(n, 0xE4B + n as u64);
+            let softmax = || {
+                let mut v = xs.clone();
+                ops::softmax_rows_inplace(&mut v, n, scale);
+                v
+            };
+            let want = dispatch::with_tier(SimdTier::Scalar, softmax);
+            if n > 2 {
+                assert_eq!(want[2], 0.0, "-inf must get zero weight");
+                if let Some(i) = (0..n).find(|&i| xs[i] == -500.0) {
+                    assert_eq!(want[i], 0.0, "below the cut-off is exactly zero");
+                }
+            }
+            for_each_tier(|tier| {
+                assert_bits_eq(
+                    &softmax(),
+                    &want,
+                    &format!("softmax {n} x{scale} tier {tier}"),
+                );
+            });
+            // Three such rows in one call: each is softmaxed alone.
+            let mut rows = [xs.clone(), xs.clone(), xs.clone()].concat();
+            if n > 0 {
+                ops::softmax_rows_inplace(&mut rows, n, scale);
+                for row in rows.chunks_exact(n) {
+                    assert_bits_eq(row, &want, &format!("softmax row of {n}"));
+                }
+            }
+        }
+
+        let masked = vec![f32::NEG_INFINITY; n];
+        for_each_tier(|tier| {
+            let mut v = masked.clone();
+            ops::softmax_inplace(&mut v);
+            assert!(
+                v.iter().all(|&p| p == 1.0 / n as f32),
+                "uniform, {n} tier {tier}"
+            );
+        });
+
+        let mut acts = awkward_logits(n, 0x51 + n as u64);
+        for (x, special) in acts.iter_mut().zip([88.0, -88.0, 1e4, -1e4, 0.0, -0.0]) {
+            *x = special;
+        }
+        let want: Vec<f32> = acts.iter().map(|&x| ops::silu(x)).collect();
+        for_each_tier(|tier| {
+            let mut v = acts.clone();
+            ops::silu_inplace(&mut v);
+            assert_bits_eq(&v, &want, &format!("silu {n} tier {tier}"));
+        });
+    }
+}
+
+/// Accuracy of the libm-free kernels against `f64` oracles: `exp` within
+/// `2e-7` relative on `[-87.3, 88]` (a dense sweep plus the range ends),
+/// exactly zero below, saturated above, NaN kept; softmax rows sum to one
+/// within `1e-6`, sit within `1e-6` of the oracle and preserve order;
+/// SiLU within `1e-6` absolute of libm's over ±30 (and finite at ±1e4,
+/// where libm's overflowing `exp` gives `∓0.0`).
+#[test]
+fn exp_kernels_track_the_f64_oracle() {
+    let rel = |x: f32| {
+        let want = f64::from(x).exp();
+        ((f64::from(ops::exp(x)) - want) / want).abs()
+    };
+    let mut worst: f64 = 0.0;
+    for i in 0..=400_000 {
+        let x = -87.3 + (88.0 + 87.3) * (i as f32 / 400_000.0);
+        worst = worst.max(rel(x));
+    }
+    for x in [
+        -87.3,
+        88.0,
+        0.0,
+        -0.0,
+        1e-30,
+        -1e-30,
+        std::f32::consts::LN_2 / 2.0,
+    ] {
+        worst = worst.max(rel(x));
+    }
+    assert!(worst <= 2e-7, "exp relative error {worst:e}");
+    assert_eq!(ops::exp(-87.31), 0.0);
+    assert_eq!(ops::exp(f32::NEG_INFINITY), 0.0);
+    assert_eq!(ops::exp(1e4), ops::exp(88.0));
+    assert!(ops::exp(f32::NAN).is_nan());
+
+    for n in EXP_LENGTHS.into_iter().filter(|&n| n > 0) {
+        for scale in [1.0f32, 0.25] {
+            let xs = awkward_logits(n, 0xACC + n as u64);
+            let mut got = xs.clone();
+            ops::softmax_rows_inplace(&mut got, n, scale);
+            let want = softmax_oracle(&xs, scale);
+            let sum: f64 = got.iter().map(|&p| f64::from(p)).sum();
+            assert!((sum - 1.0).abs() <= 1e-6, "softmax {n} sums to {sum}");
+            for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                assert!(
+                    (f64::from(g) - w).abs() <= 1e-6,
+                    "softmax {n}[{i}]: {g} vs {w}"
+                );
+            }
+            let mut by_logit: Vec<usize> = (0..n).collect();
+            by_logit.sort_by(|&a, &b| xs[a].partial_cmp(&xs[b]).expect("no NaN"));
+            for pair in by_logit.windows(2) {
+                assert!(
+                    got[pair[0]] <= got[pair[1]],
+                    "softmax {n} reorders {pair:?}"
+                );
+            }
+        }
+    }
+
+    for i in 0..=60_000 {
+        let x = -30.0 + i as f32 * 1e-3;
+        let libm = x / (1.0 + (-x).exp());
+        assert!((ops::silu(x) - libm).abs() <= 1e-6, "silu({x})");
+    }
+    for x in [88.0f32, -88.0, 1e4, -1e4] {
+        let libm = x / (1.0 + (-x).exp());
+        let tolerance = 1e-6 * x.abs().max(1.0);
+        assert!((ops::silu(x) - libm).abs() <= tolerance, "silu({x})");
+    }
+}
+
+/// `exp` never decreases from one `f32` to the next over the whole range
+/// a softmax feeds it, `[-87.3, 0]` — 1.1 billion arguments, ~40 s in
+/// release — so the softmax is order-preserving, not just close.
+#[test]
+#[ignore = "exhaustive sweep; run with --release -- --ignored"]
+fn exp_is_monotone_over_every_softmax_argument() {
+    let mut prev = 0.0;
+    for bits in ((-0.0f32).to_bits()..=(-87.3f32).to_bits()).rev() {
+        let y = ops::exp(f32::from_bits(bits));
+        assert!(y >= prev, "exp decreases at {:e}", f32::from_bits(bits));
+        prev = y;
     }
 }
 
