@@ -2,14 +2,17 @@
 //! built from: top-k selection, softmax, quantized scoring, k-means
 //! assignment, elastic set-difference planning, and the matmuls of the
 //! simulated forward pass — the blocked kernel against the reference
-//! triple loop at the shapes the chunked prefill issues, and that prefill
-//! whole against the token-at-a-time loop it replaced.
+//! triple loop at the shapes the chunked prefill issues, that prefill
+//! whole against the token-at-a-time loop it replaced, and the decode
+//! step's in-place attention against the gather it replaced.
 //!
 //! Everything that selects from scores is timed over a [`Rotation`] of 64
 //! distinct inputs, not one: a sort's branch sequence on a single
 //! repeated input is memorised by the predictor (1280 -> 256 on tie-heavy
 //! scores read 7 us on one input and 35 us rotating), which a decode loop
-//! never grants it.
+//! never grants it. The attention entries rotate their selections for the
+//! same reason one level down: one memorised list keeps its scattered
+//! rows in cache, and those misses are half of a step's attention.
 //!
 //! Unlike the figure/table regenerators this harness measures wall
 //! clock, so its output is *not* expected to be byte-stable; it writes a
@@ -108,6 +111,21 @@ const FORWARD_SHAPES: [(&str, usize, usize, usize); 4] = [
     ("prefill_ffn_down", 64, 128, 64),
     ("probe_bilinear", 64, 64, 64),
 ];
+
+/// `(label, cached positions, attended positions)` of the decode-attention
+/// comparison: a late `reason_2k_16k` step, a `prompt_32k_2k` step (budget
+/// 256 + sinks + recent + the current position), and the dense baseline's
+/// step over that context.
+const ATTEND_SHAPES: [(&str, usize, usize); 3] = [
+    ("260of2304", 2304, 260),
+    ("260of4352", 4352, 260),
+    ("dense4352", 4352, 4352),
+];
+
+/// `(rows, cols)` of the decode step's matvecs at the sim geometry: a
+/// head projection's neighbour `wo` (64x64), the FFN gate/up and down,
+/// and `lm_head`.
+const VECMAT_SHAPES: [(usize, usize); 4] = [(64, 64), (64, 128), (128, 64), (64, 512)];
 
 /// The two sides of the prefill comparison, at the benchmark's
 /// `prompt_32k_2k` shape: 4096 tokens, window 96 + 4 sinks.
@@ -228,11 +246,13 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| head.head_scores(black_box(emb.row(16_383)), &state))
     });
 
-    let a = rng.normal_matrix(64, 64, 1.0);
-    let x: Vec<f32> = (0..64).map(|_| rng.normal()).collect();
-    c.bench_function("vecmat/64x64", |b| {
-        b.iter(|| black_box(&a).vecmat(black_box(&x)))
-    });
+    for (rows, cols) in VECMAT_SHAPES {
+        let a = rng.normal_matrix(rows, cols, 1.0);
+        let x: Vec<f32> = (0..rows).map(|_| rng.normal()).collect();
+        c.bench_function(&format!("vecmat/{rows}x{cols}"), |b| {
+            b.iter(|| black_box(&a).vecmat(black_box(&x)))
+        });
+    }
 }
 
 /// The selection hot path at the paper's 16K-context decode shape:
@@ -629,6 +649,110 @@ fn bench_prefill(c: &mut Criterion) {
     });
 }
 
+/// One KV head's decode attention as `Model::step` ran it before it read
+/// the cache in place: copy the attended K and V rows out, then the scalar
+/// specification per query head. The bench's oracle only.
+fn attend_gathered(
+    queries: &Matrix,
+    keys: &Matrix,
+    values: &Matrix,
+    positions: &[usize],
+    out: &mut [f32],
+) {
+    let (k, v) = (keys.gather_rows(positions), values.gather_rows(positions));
+    for (query, o) in queries.iter_rows().zip(out.chunks_exact_mut(values.cols())) {
+        let weights = ops::attention_weights(query, &k);
+        o.copy_from_slice(&ops::weighted_sum(&weights, &v));
+    }
+}
+
+/// The same through the kernels `Model::attention` is made of.
+fn attend_fused(
+    queries: &Matrix,
+    keys: &Matrix,
+    values: &Matrix,
+    positions: &[usize],
+    (tile, scores): &mut (Vec<f32>, Vec<f32>),
+    out: &mut [f32],
+) {
+    let len = positions.len();
+    scores.clear();
+    scores.resize(queries.rows() * len, 0.0);
+    ops::indexed_dots(queries.as_slice(), keys, positions, tile, scores);
+    ops::softmax_rows_inplace(scores, len, 1.0 / (keys.cols() as f32).sqrt());
+    ops::indexed_weighted_sums(scores, values, positions, out);
+}
+
+/// A decode step's attention at the engine's shape — 4 layers x 2 KV
+/// heads, each a cache of its own, a group of four 16-wide query heads —
+/// in place through an index list against gather-then-attend.
+fn bench_attend(c: &mut Criterion) {
+    const HEAD_LAYERS: usize = 8;
+    const GROUP: usize = 4;
+    const HEAD_DIM: usize = 16;
+    let mut rng = SimRng::seed(0xA77E);
+    let queries = rng.normal_matrix(GROUP, HEAD_DIM, 1.0);
+    for (label, cached, attended) in ATTEND_SHAPES {
+        let caches: Vec<(Matrix, Matrix)> = (0..HEAD_LAYERS)
+            .map(|_| {
+                (
+                    rng.normal_matrix(cached, HEAD_DIM, 1.0),
+                    rng.normal_matrix(cached, HEAD_DIM, 1.0),
+                )
+            })
+            .collect();
+        // Ascending selections; all of the cache is the one dense list.
+        let mut lists = Rotation::new(|| {
+            if attended == cached {
+                return (0..cached).collect();
+            }
+            let mut marks = PosBitSet::default();
+            marks.reset(cached);
+            while marks.count() < attended {
+                marks.mark(rng.below(cached));
+            }
+            marks.collect_sorted()
+        });
+        if attended == cached {
+            lists.items.truncate(1);
+        }
+        let mut work = (Vec::new(), Vec::new());
+        let mut got = vec![0.0f32; GROUP * HEAD_DIM];
+        let mut want = got.clone();
+        // Same bits; check, don't trust.
+        for list in &lists.items {
+            for (keys, values) in &caches {
+                attend_fused(&queries, keys, values, list, &mut work, &mut got);
+                attend_gathered(&queries, keys, values, list, &mut want);
+                assert!(
+                    got.iter()
+                        .zip(&want)
+                        .all(|(g, w)| g.to_bits() == w.to_bits()),
+                    "in-place attention diverged from gather-then-attend at {label}"
+                );
+            }
+        }
+        c.bench_function(&format!("attend/{label}"), |b| {
+            b.iter(|| {
+                let list = lists.next();
+                for (keys, values) in &caches {
+                    attend_fused(&queries, keys, values, black_box(list), &mut work, &mut got);
+                }
+                got[0]
+            })
+        });
+        c.bench_function(&format!("attend_gathered/{label}"), |b| {
+            b.iter(|| {
+                let list = lists.next();
+                for (keys, values) in &caches {
+                    attend_gathered(&queries, keys, values, black_box(list), &mut want);
+                }
+                want[0]
+            })
+        });
+    }
+}
+
 /// Persists every timing plus the naive/blocked speedups to
 /// `results/bench_kernels.json`.
 fn write_summary(c: &Criterion) {
@@ -692,6 +816,16 @@ fn write_summary(c: &Criterion) {
         })
         .collect();
     json.push_str(&softmax_speedups.join(",\n"));
+    json.push_str("\n  },\n  \"attend_speedup_vs_gathered\": {\n");
+    let attend_speedups: Vec<String> = ATTEND_SHAPES
+        .iter()
+        .filter_map(|(label, _, _)| {
+            let gathered = best_ns(c, &format!("attend_gathered/{label}"))?;
+            let fused = best_ns(c, &format!("attend/{label}"))?;
+            Some(format!("    \"{label}\": {:.2}", gathered / fused))
+        })
+        .collect();
+    json.push_str(&attend_speedups.join(",\n"));
     json.push_str("\n  },\n  \"lut_speedup_vs_reference\": {\n");
     let lut_speedups: Vec<String> = lut_speedups(c)
         .into_iter()
@@ -715,6 +849,12 @@ fn write_summary(c: &Criterion) {
     }
     for line in softmax_speedups {
         println!("[softmax speedup vs libm]{}", line.replace("    ", " "));
+    }
+    for line in attend_speedups {
+        println!(
+            "[decode attention speedup vs gather]{}",
+            line.replace("    ", " ")
+        );
     }
     for line in lut_speedups {
         println!("[lut speedup vs reference]{}", line.replace("    ", " "));
@@ -804,5 +944,6 @@ fn main() {
     bench_lut(&mut c);
     bench_matmul(&mut c);
     bench_prefill(&mut c);
+    bench_attend(&mut c);
     write_summary(&c);
 }

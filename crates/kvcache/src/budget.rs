@@ -34,6 +34,10 @@ impl StepTransfer {
 #[derive(Debug, Clone)]
 pub struct BudgetBuffer {
     sets: Vec<Vec<ResidentSet>>,
+    /// `follows[l]`: layer `l`'s sets are known to equal layer `l - 1`'s
+    /// (never set for layer 0). While it holds and the two layers are
+    /// handed the same lists, layer `l`'s step is layer `l - 1`'s.
+    follows: Vec<bool>,
     budget: usize,
     /// The buffers every set plans and applies in, so that
     /// [`step`](Self::step) allocates nothing.
@@ -53,6 +57,8 @@ impl BudgetBuffer {
             sets: (0..layers)
                 .map(|_| (0..kv_heads).map(|_| ResidentSet::new(budget)).collect())
                 .collect(),
+            // Empty sets are equal sets.
+            follows: (0..layers).map(|l| l > 0).collect(),
             budget,
             scratch: PlanScratch::new(budget),
         }
@@ -86,6 +92,12 @@ impl BudgetBuffer {
     /// `selections[layer][kv_head]` are the wanted positions. Returns the
     /// aggregate transfer volume.
     ///
+    /// One plan is made per distinct (resident state, selection) among
+    /// neighbouring layers: a layer in the state of the one before it and
+    /// handed the same lists — every layer but the first under a
+    /// speculative selection, which is identical across layers — takes
+    /// that layer's new state and counts instead of planning them again.
+    ///
     /// # Panics
     ///
     /// Panics if the selection shape does not match the buffer shape or a
@@ -93,13 +105,26 @@ impl BudgetBuffer {
     pub fn step(&mut self, selections: &[Vec<Vec<usize>>]) -> StepTransfer {
         assert_eq!(selections.len(), self.layers(), "layer count mismatch");
         let mut agg = StepTransfer::default();
+        // What the last layer that planned moved; a layer sharing its plan
+        // moves the same.
+        let mut moved = StepTransfer::default();
         for (layer, heads) in selections.iter().enumerate() {
             assert_eq!(heads.len(), self.kv_heads(), "head count mismatch");
-            for (set, wanted) in self.sets[layer].iter_mut().zip(heads) {
-                set.advance(wanted, &mut self.scratch);
-                agg.fetched_entries += self.scratch.fetch.len() as u64;
-                agg.reused_entries += self.scratch.reused.len() as u64;
+            let (done, rest) = self.sets.split_at_mut(layer);
+            let sets = &mut rest[0];
+            if self.follows[layer] && *heads == selections[layer - 1] {
+                sets.clone_from(&done[layer - 1]);
+            } else {
+                moved = StepTransfer::default();
+                for (set, wanted) in sets.iter_mut().zip(heads) {
+                    set.advance(wanted, &mut self.scratch);
+                    moved.fetched_entries += self.scratch.fetch.len() as u64;
+                    moved.reused_entries += self.scratch.reused.len() as u64;
+                }
+                self.follows[layer] = layer > 0 && *sets == done[layer - 1];
             }
+            agg.fetched_entries += moved.fetched_entries;
+            agg.reused_entries += moved.reused_entries;
         }
         agg
     }

@@ -62,12 +62,29 @@ impl DiffPlan {
 /// rs.apply(&p2);
 /// assert!(rs.contains(9));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, PartialEq)]
 pub struct ResidentSet {
     /// slot -> position (usize::MAX = empty slot).
     slots: Vec<usize>,
     /// Occupied `(position, slot)` pairs, ascending by position.
     index: Vec<(usize, usize)>,
+}
+
+/// By hand for `clone_from`, which the derive would leave allocating:
+/// [`BudgetBuffer`](crate::BudgetBuffer) copies one layer's sets over
+/// another's every step.
+impl Clone for ResidentSet {
+    fn clone(&self) -> Self {
+        Self {
+            slots: self.slots.clone(),
+            index: self.index.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.slots.clone_from(&source.slots);
+        self.index.clone_from(&source.index);
+    }
 }
 
 /// Sentinel for an unoccupied slot.

@@ -220,6 +220,52 @@ proptest! {
         }
     }
 
+    /// `BudgetBuffer::step` plans once for neighbouring layers in the same
+    /// state handed the same lists. Against `layers x kv_heads`
+    /// independent `ResidentSet`s driven set by set, over runs whose
+    /// layers agree, diverge for a stretch (one layer handed a list of
+    /// its own) and agree again: the same totals every step, and every
+    /// head's positions and slot assignment identical after it.
+    #[test]
+    fn buffer_step_shares_plans_only_between_equal_layers(
+        steps in prop::collection::vec((model_step(), model_step(), model_step()), 1..16),
+        split in (0usize..16, 0usize..4, 0usize..3),
+    ) {
+        const LAYERS: usize = 3;
+        let (from, len, odd_layer) = split;
+        let mut buffer = BudgetBuffer::new(LAYERS, 2, MODEL_BUDGET);
+        let mut sets: Vec<Vec<ResidentSet>> = (0..LAYERS)
+            .map(|_| (0..2).map(|_| ResidentSet::new(MODEL_BUDGET)).collect())
+            .collect();
+        let mut wanted = [Vec::new(), Vec::new()];
+        let mut own = Vec::new();
+        for (i, (a, b, c)) in steps.into_iter().enumerate() {
+            wanted[0] = next_wanted(&wanted[0], a.0, a.1, a.2);
+            wanted[1] = next_wanted(&wanted[1], b.0, b.1, b.2);
+            own = next_wanted(&own, c.0, c.1, c.2);
+            let mut selections = vec![wanted.to_vec(); LAYERS];
+            if (from..from + len).contains(&i) {
+                selections[odd_layer][i % 2] = own.clone();
+            }
+            let moved = buffer.step(&selections);
+            let (mut fetched, mut reused) = (0, 0);
+            for (l, layer) in sets.iter_mut().enumerate() {
+                for (h, set) in layer.iter_mut().enumerate() {
+                    let plan = set.plan(&selections[l][h]);
+                    fetched += plan.fetch.len() as u64;
+                    reused += plan.reused.len() as u64;
+                    set.apply(&plan);
+                    let got = buffer.head(l, h);
+                    prop_assert_eq!(got.positions(), set.positions(), "step {} layer {} head {}", i, l, h);
+                    for pos in 0..MODEL_UNIVERSE {
+                        prop_assert_eq!(got.slot_of(pos), set.slot_of(pos), "step {} layer {} head {}", i, l, h);
+                    }
+                }
+            }
+            prop_assert_eq!((moved.fetched_entries, moved.reused_entries), (fetched, reused));
+        }
+    }
+
     /// Quest page bound: the page score upper-bounds every member dot.
     #[test]
     fn page_score_upper_bound(

@@ -18,7 +18,7 @@
 use crate::config::{AttentionKind, SimGeometry};
 use crate::kv::{LayerKv, ModelKv};
 use crate::weights::{LayerWeights, ModelWeights};
-use spec_tensor::topk::SelectScratch;
+use spec_tensor::topk::{ForwardScratch, SelectScratch};
 use spec_tensor::{ops, KeyBlocks, Matrix, SimRng};
 use std::ops::Range;
 
@@ -232,11 +232,6 @@ impl Model {
     /// Panics if any token id is out of vocabulary.
     pub fn embed_tokens(&self, tokens: &[usize]) -> Matrix {
         self.weights.embedding.gather_rows(tokens)
-    }
-
-    /// The KV head that query head `q` reads (GQA group mapping).
-    pub fn kv_head_of(&self, q: usize) -> usize {
-        q / self.geom.group_size()
     }
 
     /// Runs prefill over pre-embedded inputs, returning the populated KV
@@ -486,10 +481,19 @@ impl Model {
     /// always attended (a query must see itself); the selector only
     /// controls which *existing* positions participate.
     ///
-    /// `scratch` is the decode loop's selection workspace, handed to every
-    /// `select` call (the zero-allocation hot path). With `trace`, each
-    /// layer's post-softmax attention and attended positions are pushed
-    /// onto it; recording never changes the output.
+    /// `scratch` is the decode loop's workspace: handed to every `select`
+    /// call (the zero-allocation hot path), and the home of the step's own
+    /// buffers ([`ForwardScratch`]), so a loop that keeps its scratch
+    /// allocates per step only what the step returns and what the
+    /// selector does. With `trace`, each layer's post-softmax attention
+    /// and attended positions are pushed onto it; recording never changes
+    /// the output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the selector lists a position the cache does not hold
+    /// and, in debug builds, if a list is not strictly ascending (the
+    /// [`LayerSelector`] contract, [`SparsePlan::validate`]'s rule).
     pub fn step(
         &self,
         x: &[f32],
@@ -499,44 +503,52 @@ impl Model {
         scratch: &mut SelectScratch,
         mut trace: Option<&mut StepTrace>,
     ) -> StepOutput {
-        let mut h = x.to_vec();
-        // One normalization buffer for the whole stack (two rmsnorms per
-        // layer), refilled in place instead of allocated per call.
-        let mut normed = Vec::with_capacity(h.len());
-        // One flat query matrix for the whole stack, refilled per layer.
-        let mut queries = Matrix::zeros(self.geom.q_heads, self.geom.head_dim);
+        let geom = &self.geom;
+        // The selector is handed the whole scratch at every layer, so the
+        // step's own buffers leave it until the step is over.
+        let mut fw = std::mem::take(&mut scratch.forward);
+        fw.residual.clear();
+        fw.residual.extend_from_slice(x);
+        if fw.queries.shape() != (geom.q_heads, geom.head_dim) {
+            fw.queries = Matrix::zeros(geom.q_heads, geom.head_dim);
+        }
         // One rotation table for the whole stack: the angles depend on the
         // position only, not on the layer or the head.
-        let rope = ops::rope_table(
-            self.geom.head_dim,
+        ops::rope_table_into(
+            &mut fw.rope,
+            geom.head_dim,
             pos,
-            self.geom.rope_base,
+            geom.rope_base,
             self.rope_scale,
         );
+        fw.concat.resize(geom.q_heads * geom.head_dim, 0.0);
+        fw.block_out.resize(geom.hidden, 0.0);
+        fw.gate.resize(geom.ffn_dim, 0.0);
+        fw.up.resize(geom.ffn_dim, 0.0);
         for (l, lw) in self.weights.layers.iter().enumerate() {
-            ops::rmsnorm_into(&mut normed, &h, &lw.norm_attn, 1e-6);
-            self.append_kv(lw, &normed, &rope, &mut kv.layers[l]);
+            ops::rmsnorm_into(&mut fw.normed, &fw.residual, &lw.norm_attn, 1e-6);
+            self.append_kv(lw, &mut kv.layers[l], &mut fw);
             // Compute this layer's queries (post-RoPE), then consult the
             // selector — the layer-wise retrieval point of Fig. 2(a).
-            self.layer_queries_into(lw, &normed, &rope, &mut queries);
-            let selection = selector.select(l, &queries, &kv.layers[l], scratch);
-            let (attn_out, layer_attn, layer_pos) =
-                self.attention(lw, &queries, pos, &kv.layers[l], selection, trace.is_some());
-            if let Some(t) = trace.as_deref_mut() {
-                t.attn.push(layer_attn);
-                t.positions.push(layer_pos);
+            self.layer_queries_into(lw, &fw.normed, &fw.rope, &mut fw.queries);
+            let selection = selector.select(l, &fw.queries, &kv.layers[l], scratch);
+            let layer = &kv.layers[l];
+            self.attention(lw, pos, layer, selection, &mut fw, trace.as_deref_mut());
+            lw.wo.vecmat_into(&fw.concat, &mut fw.block_out);
+            add_assign(&mut fw.residual, &fw.block_out);
+            ops::rmsnorm_into(&mut fw.normed, &fw.residual, &lw.norm_ffn, 1e-6);
+            lw.w_gate.vecmat_into(&fw.normed, &mut fw.gate);
+            ops::silu_inplace(&mut fw.gate);
+            lw.w_up.vecmat_into(&fw.normed, &mut fw.up);
+            for (g, u) in fw.gate.iter_mut().zip(&fw.up) {
+                *g *= u;
             }
-            for (a, b) in h.iter_mut().zip(&attn_out) {
-                *a += b;
-            }
-            ops::rmsnorm_into(&mut normed, &h, &lw.norm_ffn, 1e-6);
-            let ffn = self.ffn(lw, &normed);
-            for (a, b) in h.iter_mut().zip(&ffn) {
-                *a += b;
-            }
+            lw.w_down.vecmat_into(&fw.gate, &mut fw.block_out);
+            add_assign(&mut fw.residual, &fw.block_out);
         }
-        let hidden = ops::rmsnorm(&h, &self.weights.norm_final, 1e-6);
+        let hidden = ops::rmsnorm(&fw.residual, &self.weights.norm_final, 1e-6);
         let logits = self.weights.lm_head.vecmat(&hidden);
+        scratch.forward = fw;
         StepOutput { logits, hidden }
     }
 
@@ -558,107 +570,122 @@ impl Model {
         }
     }
 
-    fn append_kv(
-        &self,
-        lw: &LayerWeights,
-        normed: &[f32],
-        rope: &[(f32, f32)],
-        layer: &mut LayerKv,
-    ) {
+    /// Projects `fw.normed` to this position's K/V (MLA: latent) rows and
+    /// appends them to the layer's cache.
+    fn append_kv(&self, lw: &LayerWeights, layer: &mut LayerKv, fw: &mut ForwardScratch) {
+        let ForwardScratch {
+            normed,
+            rope,
+            kv_row: row,
+            ..
+        } = fw;
         match layer {
             LayerKv::PerHead { keys, values } => {
+                row.resize(self.geom.head_dim, 0.0);
                 for hh in 0..self.geom.kv_heads {
-                    let mut k = lw.wk[hh].vecmat(normed);
-                    ops::rope_apply(&mut k, rope);
-                    let v = lw.wv[hh].vecmat(normed);
-                    keys[hh].push_row(&k);
-                    values[hh].push_row(&v);
+                    lw.wk[hh].vecmat_into(normed, row);
+                    ops::rope_apply(row, rope);
+                    keys[hh].push_row(row);
+                    lw.wv[hh].vecmat_into(normed, row);
+                    values[hh].push_row(row);
                 }
             }
             LayerKv::Latent { latent } => {
-                let c = lw
-                    .w_down_latent
-                    .as_ref()
-                    .expect("MLA weights")
-                    .vecmat(normed);
-                latent.push_row(&c);
+                let down = lw.w_down_latent.as_ref().expect("MLA weights");
+                row.resize(down.cols(), 0.0);
+                down.vecmat_into(normed, row);
+                latent.push_row(row);
             }
         }
     }
 
-    /// Attention for one step. Returns (output, per-q-head weights,
-    /// per-q-head position lists); the weight/position vectors are empty
-    /// unless `record` is true.
-    #[allow(clippy::type_complexity)]
+    /// Attention for one step: the heads' outputs side by side into
+    /// `fw.concat`, from `fw.queries`. One path for sparse, dense and
+    /// traced: per KV head, the attended positions (the selector's list
+    /// plus `pos`, or every cached position) go into a reused list, and
+    /// three kernels read the cache **in place** through it — the group's
+    /// scores ([`ops::indexed_dots`]), one softmax call for the group's
+    /// rows, and the value pass ([`ops::indexed_weighted_sums`]). Per head
+    /// that is `ops::attention_weights` then `ops::weighted_sum` over the
+    /// gathered rows, bit for bit. With `trace`, the weight rows and the
+    /// list are copied out per query head.
     fn attention(
         &self,
         lw: &LayerWeights,
-        queries: &Matrix,
         pos: usize,
         layer: &LayerKv,
-        mut selection: Option<Vec<Vec<usize>>>,
-        record: bool,
-    ) -> (Vec<f32>, Vec<Vec<f32>>, Vec<Vec<usize>>) {
-        let geom = &self.geom;
-        let d = geom.head_dim;
-        let mut concat = vec![0.0; geom.q_heads * d];
-        let mut rec_w = Vec::new();
-        let mut rec_p = Vec::new();
-
-        // Per KV head: resolve the attended position list and gather K/V.
+        selection: Option<Vec<Vec<usize>>>,
+        fw: &mut ForwardScratch,
+        trace: Option<&mut StepTrace>,
+    ) {
+        let (d, group) = (self.geom.head_dim, self.geom.group_size());
+        let scale = 1.0 / (d as f32).sqrt();
         let seq_len = layer.seq_len();
-        let mut per_head: Vec<(Vec<usize>, Matrix, Matrix)> = Vec::with_capacity(geom.kv_heads);
-        for hh in 0..geom.kv_heads {
-            let positions: Vec<usize> = match &mut selection {
-                None => (0..seq_len).collect(),
-                Some(heads) => {
-                    let mut p = std::mem::take(&mut heads[hh]);
-                    // The current position must always be attended; every
-                    // cached position is below it, so the list stays sorted.
-                    if p.binary_search(&pos).is_err() && pos < seq_len {
-                        p.push(pos);
-                    }
-                    p
-                }
-            };
-            let (k, v) = match layer {
-                LayerKv::PerHead { keys, values } => (
-                    keys[hh].gather_rows(&positions),
-                    values[hh].gather_rows(&positions),
-                ),
-                LayerKv::Latent { latent } => {
-                    let c = latent.gather_rows(&positions);
-                    // Up-project only the selected latent rows (Fig. 5(e)).
-                    (c.matmul(&lw.wk[hh]), c.matmul(&lw.wv[hh]))
-                }
-            };
-            per_head.push((positions, k, v));
+        let ForwardScratch {
+            queries,
+            positions,
+            scores,
+            tile,
+            concat,
+            ..
+        } = fw;
+        // This layer's entry of the trace, filled head by head.
+        let mut recorded = trace.map(|t| {
+            t.attn.push(Vec::new());
+            t.positions.push(Vec::new());
+            let entry = "pushed above";
+            (
+                t.attn.last_mut().expect(entry),
+                t.positions.last_mut().expect(entry),
+            )
+        });
+        if selection.is_none() {
+            positions.clear();
+            positions.extend(0..seq_len);
         }
-
-        for q in 0..geom.q_heads {
-            let qv = queries.row(q);
-            let hh = self.kv_head_of(q);
-            let (positions, keys, values) = &per_head[hh];
-            let weights = ops::attention_weights(qv, keys);
-            let out = ops::weighted_sum(&weights, values);
-            concat[q * d..(q + 1) * d].copy_from_slice(&out);
-            if record {
-                rec_w.push(weights);
-                rec_p.push(positions.clone());
+        for hh in 0..self.geom.kv_heads {
+            if let Some(heads) = &selection {
+                positions.clear();
+                positions.extend_from_slice(&heads[hh]);
+                // The search below trusts the order; that the positions
+                // are cached is the kernels' check, in every build.
+                debug_assert!(
+                    positions.windows(2).all(|w| w[0] < w[1]),
+                    "layer selection for KV head {hh} is not strictly ascending"
+                );
+                // The current position must always be attended; every
+                // cached position is below it, so the list stays sorted.
+                if positions.binary_search(&pos).is_err() && pos < seq_len {
+                    positions.push(pos);
+                }
+            }
+            let len = positions.len();
+            // MLA up-projects only the attended latent rows (Fig. 5(e)) and
+            // attends all of what that gives; the other families attend
+            // the listed rows of the cache itself.
+            let up;
+            let (keys, values, rows): (&Matrix, &Matrix, &[usize]) = match layer {
+                LayerKv::PerHead { keys, values } => (&keys[hh], &values[hh], positions),
+                LayerKv::Latent { latent } => {
+                    let c = latent.gather_rows(positions);
+                    let all: Vec<usize> = (0..len).collect();
+                    up = (c.matmul(&lw.wk[hh]), c.matmul(&lw.wv[hh]), all);
+                    (&up.0, &up.1, &up.2)
+                }
+            };
+            let span = hh * group * d..(hh + 1) * group * d;
+            // Sized, not refilled: the scores kernel writes every element.
+            scores.resize(group * len, 0.0);
+            ops::indexed_dots(&queries.as_slice()[span.clone()], keys, rows, tile, scores);
+            ops::softmax_rows_inplace(scores, len, scale);
+            ops::indexed_weighted_sums(scores, values, rows, &mut concat[span]);
+            if let Some((weights, attended)) = &mut recorded {
+                for q in 0..group {
+                    weights.push(scores[q * len..(q + 1) * len].to_vec());
+                    attended.push(positions.clone());
+                }
             }
         }
-        let out = lw.wo.vecmat(&concat);
-        (out, rec_w, rec_p)
-    }
-
-    fn ffn(&self, lw: &LayerWeights, normed: &[f32]) -> Vec<f32> {
-        let mut gate = lw.w_gate.vecmat(normed);
-        ops::silu_inplace(&mut gate);
-        let up = lw.w_up.vecmat(normed);
-        for (g, u) in gate.iter_mut().zip(&up) {
-            *g *= u;
-        }
-        lw.w_down.vecmat(&gate)
     }
 }
 
@@ -911,6 +938,57 @@ mod tests {
         let plan = SparsePlan::uniform(2, 2, vec![1, 3]);
         assert!(plan.validate(10, 2).is_ok());
         assert!(plan.validate(10, 3).is_err(), "head count mismatch");
+    }
+
+    /// One traced step at `pos = 10` over a 10-token GQA prefill, every
+    /// layer and KV head handed `list`.
+    fn step_under(list: Vec<usize>) -> (StepOutput, StepTrace) {
+        let m = tiny_model(AttentionKind::Gqa);
+        let emb = seq_embeddings(&m, 10);
+        let (mut kv, _) = m.prefill_embeddings(&emb, PrefillMode::Exact);
+        let plan = SparsePlan::uniform(m.geometry().layers, m.geometry().kv_heads, list);
+        m.decode_step_traced(emb.row(5), 10, &mut kv, &mut &plan)
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not strictly ascending")]
+    fn unsorted_selection_is_rejected_in_debug_builds() {
+        // The binary search for `pos` misses it in an unsorted list; left
+        // unchecked, it would be appended and attended twice.
+        step_under(vec![10, 3, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn out_of_range_selection_is_rejected_in_every_build() {
+        step_under(vec![1, 30]);
+    }
+
+    #[test]
+    fn current_position_is_attended_once_whether_listed_or_not() {
+        let (listed, listed_trace) = step_under(vec![0, 4, 10]);
+        let (implied, implied_trace) = step_under(vec![0, 4]);
+        assert_eq!(listed.logits, implied.logits);
+        assert_eq!(listed_trace.positions, implied_trace.positions);
+        for head in listed_trace.positions.iter().flatten() {
+            assert_eq!(head, &[0, 4, 10]);
+        }
+    }
+
+    #[test]
+    fn empty_selection_attends_the_current_position_alone() {
+        let (out, trace) = step_under(Vec::new());
+        assert!(out.logits.iter().all(|v| v.is_finite()));
+        for (positions, weights) in trace
+            .positions
+            .iter()
+            .flatten()
+            .zip(trace.attn.iter().flatten())
+        {
+            assert_eq!(positions, &[10]);
+            assert_eq!(weights, &[1.0]);
+        }
     }
 
     #[test]

@@ -175,6 +175,7 @@ impl LayerSelector for ClusterKvSelector {
             scores,
             rank,
             marks,
+            ..
         } = scratch;
         let this = &*self;
         Some(

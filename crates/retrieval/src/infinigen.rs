@@ -80,6 +80,7 @@ impl InfiniGenSelector {
             scores,
             rank,
             marks,
+            ..
         } = scratch;
         heads
             .iter()

@@ -171,6 +171,7 @@ impl LayerSelector for QuestSelector {
             scores,
             rank,
             marks,
+            ..
         } = scratch;
         let this = &*self;
         Some(

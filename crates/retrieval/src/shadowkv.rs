@@ -143,6 +143,7 @@ impl LayerSelector for ShadowKvSelector {
             scores,
             rank,
             marks,
+            ..
         } = scratch;
         let prefill_len = *prefill_len;
         Some(

@@ -110,6 +110,7 @@ impl SpecSelection {
             scores: arena,
             rank,
             marks,
+            ..
         } = scratch;
         let per_head: Vec<Vec<usize>> = match level {
             MappingLevel::Head => {

@@ -168,7 +168,7 @@ impl DecodeState {
             res.tokens.push(token);
             res.outputs.push(out);
             if let Feed::FreeRunning(_) = feed {
-                own = model.embed_tokens(&[token]).row(0).to_vec();
+                own.copy_from_slice(model.weights().embedding.row(token));
             }
         }
         res

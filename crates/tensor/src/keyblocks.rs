@@ -12,7 +12,10 @@
 //! dispatch tier returns that function's bits. The retrieval head scores
 //! its whole cache this way ([`KeyBlocks::dots_into`]); the model's
 //! prefill scores position ranges of a per-block copy of its keys
-//! ([`KeyBlocks::dots_ranges_into`]) — one kernel body for both.
+//! ([`KeyBlocks::dots_ranges_into`]) — one kernel body for both; and the
+//! decode step, whose keys stay row-major, stages the rows a selection
+//! lists into one such block at a time and runs the same inner loop over
+//! it (`ops::indexed_dots`).
 
 use std::ops::Range;
 
@@ -123,11 +126,27 @@ impl KeyBlocks {
     }
 }
 
+/// The dots of `query` with the [`KEY_BLOCK`] keys of one dimension-major
+/// `block`, lanes across positions: each is accumulated from `-0.0` with
+/// its products in ascending `d`, as `Iterator::sum` does in
+/// `matrix::dot`. The inner loop of every kernel that scores a block —
+/// [`block_dots`] over a stored cache, `ops::indexed_dots` over a tile
+/// staged per call — so it is inlined into each tier's variant.
+#[inline(always)]
+pub(crate) fn block_acc(query: &[f32], block: &[f32]) -> [f32; KEY_BLOCK] {
+    let mut acc = [-0.0f32; KEY_BLOCK];
+    for (&q, lanes) in query.iter().zip(block.chunks_exact(KEY_BLOCK)) {
+        for (a, &k) in acc.iter_mut().zip(lanes) {
+            *a += q * k;
+        }
+    }
+    acc
+}
+
 crate::dispatch_kernel! {
     /// `out = query · key_p` for `p` over `ranges`, back to back. A block's
-    /// 64 dots are accumulated together — from `-0.0`, products in
-    /// ascending `d`, as `Iterator::sum` does in `matrix::dot` — and kept
-    /// until a position of another block is wanted.
+    /// 64 dots are accumulated together ([`block_acc`]) and kept until a
+    /// position of another block is wanted.
     block_dots(query: &[f32], blocks: &[f32], ranges: &[Range<usize>], out: &mut [f32]) {
         let block_len = query.len() * KEY_BLOCK;
         let mut acc = [-0.0f32; KEY_BLOCK];
@@ -138,13 +157,7 @@ crate::dispatch_kernel! {
             while p < range.end {
                 let block = p / KEY_BLOCK;
                 if block != held {
-                    acc = [-0.0; KEY_BLOCK];
-                    let lanes = blocks[block * block_len..][..block_len].chunks_exact(KEY_BLOCK);
-                    for (&q, lanes) in query.iter().zip(lanes) {
-                        for (a, &k) in acc.iter_mut().zip(lanes) {
-                            *a += q * k;
-                        }
-                    }
+                    acc = block_acc(query, &blocks[block * block_len..][..block_len]);
                     held = block;
                 }
                 let n = range.end.min((block + 1) * KEY_BLOCK) - p;

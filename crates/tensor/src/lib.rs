@@ -11,8 +11,9 @@
 //! over disjoint output bands, so results are **bit-for-bit identical at
 //! any thread count** (`SPEC_THREADS` env var; default: all available
 //! cores); the per-element kernels (softmax and SiLU over a libm-free
-//! [`ops::exp`], key scoring, the set top-k) are one body per
-//! [`dispatch`] tier and identical at every `SPEC_SIMD` tier.
+//! [`ops::exp`], key scoring and the attention value pass over ranges or
+//! an index list, [`Matrix::vecmat_into`], the set top-k) are one body
+//! per [`dispatch`] tier and identical at every `SPEC_SIMD` tier.
 //! Architectural fidelity — which tokens get selected, how much data
 //! moves — still comes first; both only make the sweeps finish sooner.
 //!

@@ -353,7 +353,9 @@ impl Matrix {
     }
 
     /// As [`vecmat`](Self::vecmat), writing into a caller-provided buffer
-    /// (zeroed first) instead of allocating. Bit-identical to `vecmat`.
+    /// (overwritten) instead of allocating. Bit-identical to `vecmat`,
+    /// at every [`dispatch`](crate::dispatch) tier: the lanes run across
+    /// output columns, each column summing over `i` ascending.
     ///
     /// # Panics
     ///
@@ -361,15 +363,7 @@ impl Matrix {
     pub fn vecmat_into(&self, x: &[f32], out: &mut [f32]) {
         assert_eq!(x.len(), self.rows, "vecmat shape mismatch");
         assert_eq!(out.len(), self.cols, "vecmat output length mismatch");
-        out.fill(0.0);
-        for (xi, row) in x.iter().zip(self.iter_rows()) {
-            if *xi == 0.0 {
-                continue;
-            }
-            for (o, w) in out.iter_mut().zip(row) {
-                *o += xi * w;
-            }
-        }
+        vecmat_rows::dispatch(crate::dispatch::active_tier(), x, &self.data, out);
     }
 
     /// Scores the query against every row — `out[r] = dot(query, row r)`
@@ -424,6 +418,55 @@ impl Matrix {
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot length mismatch");
     a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+/// Output columns per wide register tile of [`vecmat_rows`]: four
+/// AVX-512 / eight AVX2 accumulators, as many independent add chains.
+const VECMAT_WIDE: usize = 64;
+/// Output columns per narrow tile: the width of a head projection.
+const VECMAT_NARROW: usize = 16;
+
+/// `out[c0..c0 + T] = x * w[.., c0..c0 + T]` for the row-major
+/// `x.len() x out.len()` matrix `w`, the `T` sums kept in registers over
+/// the whole walk down the rows (accumulating in `out` itself puts a
+/// store and a reload on every column's add chain).
+#[inline(always)]
+fn vecmat_tile<const T: usize>(x: &[f32], w: &[f32], c0: usize, out: &mut [f32]) {
+    let mut acc = [0.0f32; T];
+    for (&xi, row) in x.iter().zip(w.chunks_exact(out.len())) {
+        if xi == 0.0 {
+            continue;
+        }
+        let row: &[f32; T] = row[c0..c0 + T].try_into().expect("tile row");
+        for (a, &wij) in acc.iter_mut().zip(row) {
+            *a += xi * wij;
+        }
+    }
+    out[c0..c0 + T].copy_from_slice(&acc);
+}
+
+crate::dispatch_kernel! {
+    /// The body of [`Matrix::vecmat_into`]: `out = x * w` for the row-major
+    /// `x.len() x out.len()` matrix `w`, in column tiles — wide, then
+    /// narrow, then the last few columns one by one. Every column sums
+    /// its products over the rows ascending, from `+0.0`, skipping rows
+    /// whose input is exactly zero, whichever tile it falls in.
+    vecmat_rows(x: &[f32], w: &[f32], out: &mut [f32]) {
+        let cols = out.len();
+        let mut c0 = 0;
+        while cols - c0 >= VECMAT_WIDE {
+            vecmat_tile::<VECMAT_WIDE>(x, w, c0, out);
+            c0 += VECMAT_WIDE;
+        }
+        while cols - c0 >= VECMAT_NARROW {
+            vecmat_tile::<VECMAT_NARROW>(x, w, c0, out);
+            c0 += VECMAT_NARROW;
+        }
+        while c0 < cols {
+            vecmat_tile::<1>(x, w, c0, out);
+            c0 += 1;
+        }
+    }
 }
 
 /// Elements staged per [`row_dot`] chunk.

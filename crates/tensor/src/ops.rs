@@ -1,5 +1,6 @@
 //! Neural-network kernels: softmax, RMSNorm, SiLU, rotary embeddings.
 
+use crate::keyblocks::{block_acc, KEY_BLOCK};
 use crate::Matrix;
 
 /// Numerically stable softmax over a single slice, in place.
@@ -249,17 +250,34 @@ crate::dispatch_kernel! {
 ///
 /// Panics if `head_dim` is odd.
 pub fn rope_table(head_dim: usize, pos: usize, theta_base: f32, scale: f32) -> Vec<(f32, f32)> {
+    let mut table = Vec::with_capacity(head_dim / 2);
+    rope_table_into(&mut table, head_dim, pos, theta_base, scale);
+    table
+}
+
+/// [`rope_table`] into a caller-owned buffer (cleared first), so a decode
+/// loop computes each step's rotations without growing the heap.
+///
+/// # Panics
+///
+/// Panics if `head_dim` is odd.
+pub fn rope_table_into(
+    table: &mut Vec<(f32, f32)>,
+    head_dim: usize,
+    pos: usize,
+    theta_base: f32,
+    scale: f32,
+) {
     assert!(
         head_dim.is_multiple_of(2),
         "rope requires an even head dimension"
     );
     let p = pos as f32 / scale;
-    (0..head_dim / 2)
-        .map(|i| {
-            let freq = theta_base.powf(-2.0 * i as f32 / head_dim as f32);
-            (p * freq).sin_cos()
-        })
-        .collect()
+    table.clear();
+    table.extend((0..head_dim / 2).map(|i| {
+        let freq = theta_base.powf(-2.0 * i as f32 / head_dim as f32);
+        (p * freq).sin_cos()
+    }));
 }
 
 /// Rotates the pairs of `xs` by a [`rope_table`].
@@ -288,6 +306,12 @@ pub fn causal_mask_row(scores: &mut [f32], pos: usize) {
 
 /// Scaled dot-product attention weights for a single query against a key
 /// matrix (`keys` is `len x dim`): `softmax(q K^T / sqrt(dim))`.
+///
+/// With [`weighted_sum`], the scalar specification of attention: the
+/// forward passes run [`indexed_dots`] / [`softmax_rows_inplace`] /
+/// [`indexed_weighted_sums`] (decode) and the `KeyBlocks` ranges /
+/// [`weighted_sums_acc`] (prefill), which tests hold to these two
+/// functions bit for bit.
 ///
 /// # Panics
 ///
@@ -365,56 +389,215 @@ pub fn weighted_sums_acc(
     );
 }
 
-/// Heads per [`weighted_rows`] register tile.
+/// Heads per [`weighted_tiles`] register tile.
 const WS_HEADS: usize = 4;
-/// Columns per [`weighted_rows`] register tile.
+/// Columns per [`weighted_tiles`] register tile.
 const WS_COLS: usize = 16;
 
-crate::dispatch_kernel! {
-    /// The body of [`weighted_sums_acc`]. A full `WS_HEADS x WS_COLS` tile
-    /// of `out` stays in registers across the whole run of rows — one
-    /// independent add chain per head and lane; an edge tile runs
-    /// [`weighted_sum`]'s loop on `out` itself. Same additions either way.
-    weighted_rows(weights: &[f32], stride: usize, values: &[f32], d: usize, out: &mut [f32]) {
-        let heads = out.len() / d;
-        let rows = values.len() / d;
-        for h0 in (0..heads).step_by(WS_HEADS) {
-            for c0 in (0..d).step_by(WS_COLS) {
-                if heads - h0 < WS_HEADS || d - c0 < WS_COLS {
-                    for j in h0..heads.min(h0 + WS_HEADS) {
-                        let o = &mut out[j * d + c0..j * d + d.min(c0 + WS_COLS)];
-                        for (row, &w) in values.chunks_exact(d).zip(&weights[j * stride..]) {
-                            if w == 0.0 {
-                                continue;
-                            }
-                            for (o, &x) in o.iter_mut().zip(&row[c0..]) {
-                                *o += w * x;
-                            }
-                        }
-                    }
-                    continue;
-                }
-                let w: [&[f32]; WS_HEADS] =
-                    std::array::from_fn(|j| &weights[(h0 + j) * stride..][..rows]);
-                let mut acc: [[f32; WS_COLS]; WS_HEADS] = std::array::from_fn(|j| {
-                    out[(h0 + j) * d + c0..][..WS_COLS].try_into().expect("tile row")
-                });
-                for (row, i) in values.chunks_exact(d).zip(0..rows) {
-                    let v: &[f32; WS_COLS] = row[c0..c0 + WS_COLS].try_into().expect("tile row");
-                    for (a, w) in acc.iter_mut().zip(&w) {
-                        if w[i] == 0.0 {
+/// `out[j] += sum_i weights[j * stride + i] * rows[i]` for the `d`-wide
+/// rows the iterator yields, in its order: the body of both value passes.
+/// A full `WS_HEADS x WS_COLS` tile of `out` stays in registers across the
+/// whole walk — one independent add chain per head and lane; an edge tile
+/// runs [`weighted_sum`]'s loop on `out` itself. Same additions either way.
+#[inline(always)]
+fn weighted_tiles<'a>(
+    weights: &[f32],
+    stride: usize,
+    rows: impl ExactSizeIterator<Item = &'a [f32]> + Clone,
+    d: usize,
+    out: &mut [f32],
+) {
+    let heads = out.len() / d;
+    let len = rows.len();
+    for h0 in (0..heads).step_by(WS_HEADS) {
+        for c0 in (0..d).step_by(WS_COLS) {
+            if heads - h0 < WS_HEADS || d - c0 < WS_COLS {
+                for j in h0..heads.min(h0 + WS_HEADS) {
+                    let o = &mut out[j * d + c0..j * d + d.min(c0 + WS_COLS)];
+                    for (row, &w) in rows.clone().zip(&weights[j * stride..]) {
+                        if w == 0.0 {
                             continue;
                         }
-                        for (a, &x) in a.iter_mut().zip(v) {
-                            *a += w[i] * x;
+                        for (o, &x) in o.iter_mut().zip(&row[c0..]) {
+                            *o += w * x;
                         }
                     }
                 }
-                for (j, a) in acc.iter().enumerate() {
-                    out[(h0 + j) * d + c0..][..WS_COLS].copy_from_slice(a);
+                continue;
+            }
+            let w: [&[f32]; WS_HEADS] =
+                std::array::from_fn(|j| &weights[(h0 + j) * stride..][..len]);
+            let mut acc: [[f32; WS_COLS]; WS_HEADS] = std::array::from_fn(|j| {
+                out[(h0 + j) * d + c0..][..WS_COLS]
+                    .try_into()
+                    .expect("tile row")
+            });
+            for (row, i) in rows.clone().zip(0..len) {
+                let v: &[f32; WS_COLS] = row[c0..c0 + WS_COLS].try_into().expect("tile row");
+                for (a, w) in acc.iter_mut().zip(&w) {
+                    if w[i] == 0.0 {
+                        continue;
+                    }
+                    for (a, &x) in a.iter_mut().zip(v) {
+                        *a += w[i] * x;
+                    }
                 }
             }
+            for (j, a) in acc.iter().enumerate() {
+                out[(h0 + j) * d + c0..][..WS_COLS].copy_from_slice(a);
+            }
         }
+    }
+}
+
+crate::dispatch_kernel! {
+    /// The body of [`weighted_sums_acc`]: [`weighted_tiles`] over the
+    /// consecutive rows of `values`.
+    weighted_rows(weights: &[f32], stride: usize, values: &[f32], d: usize, out: &mut [f32]) {
+        weighted_tiles(weights, stride, values.chunks_exact(d), d, out);
+    }
+}
+
+/// Scores of several query vectors against an **index list** of key rows:
+/// with `d = keys.cols()` and `queries` holding `queries.len() / d`
+/// vectors back to back (a GQA group's slice of the flat query matrix),
+/// `out[j * positions.len() + i] = dot(query j, keys.row(positions[i]))`
+/// — head-major, ready for one [`softmax_rows_inplace`] call.
+///
+/// The keys stay where the cache holds them, row-major. Up to
+/// [`KEY_BLOCK`] listed rows at a time are staged dimension-major in
+/// `tile` (the `KeyBlocks` chunk, built per call instead of stored) and
+/// scored with that layout's loop, lanes across positions, so every score
+/// has [`matrix::dot`](crate::matrix::dot)'s bits at every dispatch tier,
+/// whatever order the list is in. `tile` is work space: resized as
+/// needed, contents meaningless afterwards.
+///
+/// # Panics
+///
+/// Panics if `queries` is not a whole number of `d`-vectors, `out` is not
+/// `positions.len()` scores per query, or a position is out of bounds.
+pub fn indexed_dots(
+    queries: &[f32],
+    keys: &Matrix,
+    positions: &[usize],
+    tile: &mut Vec<f32>,
+    out: &mut [f32],
+) {
+    let d = keys.cols();
+    assert_in_bounds(positions, keys.rows());
+    if positions.is_empty() {
+        assert!(out.is_empty(), "score length mismatch");
+        return;
+    }
+    assert!(queries.len().is_multiple_of(d), "query/key dim mismatch");
+    assert_eq!(
+        out.len(),
+        queries.len() / d * positions.len(),
+        "score length mismatch"
+    );
+    tile.resize(d * KEY_BLOCK, 0.0);
+    indexed_block_dots::dispatch(
+        crate::dispatch::active_tier(),
+        queries,
+        keys.as_slice(),
+        positions,
+        tile,
+        out,
+    );
+}
+
+crate::dispatch_kernel! {
+    /// The body of [`indexed_dots`], `tile.len() / KEY_BLOCK` being the
+    /// key width. A short last chunk leaves its unused lanes holding the
+    /// chunk before's keys; their dots are computed and dropped.
+    indexed_block_dots(
+        queries: &[f32],
+        keys: &[f32],
+        positions: &[usize],
+        tile: &mut [f32],
+        out: &mut [f32],
+    ) {
+        let d = tile.len() / KEY_BLOCK;
+        let len = positions.len();
+        for (chunk, at) in positions.chunks(KEY_BLOCK).zip((0..).step_by(KEY_BLOCK)) {
+            for (lane, &p) in chunk.iter().enumerate() {
+                let key = &keys[p * d..][..d];
+                for (lanes, &k) in tile.chunks_exact_mut(KEY_BLOCK).zip(key) {
+                    lanes[lane] = k;
+                }
+            }
+            for (query, scores) in queries.chunks_exact(d).zip(out.chunks_exact_mut(len)) {
+                let acc = block_acc(query, tile);
+                scores[at..at + chunk.len()].copy_from_slice(&acc[..chunk.len()]);
+            }
+        }
+    }
+}
+
+/// [`weighted_sum`] under several weight vectors at once over an **index
+/// list** of value rows, read where the cache holds them: with
+/// `heads = out.len() / values.cols()` and `len = positions.len()`,
+/// `out[j] = sum_i weights[j * len + i] * values.row(positions[i])`.
+/// This is the value pass of a GQA group over a sparse selection: the
+/// listed rows are walked once, in list order, not once per head.
+///
+/// Each head's output takes its `w * v` terms in list order from zero and
+/// skips zero weights — [`weighted_sum`]'s sequence over the gathered
+/// rows, so head `j` gets that function's bits at every dispatch tier.
+///
+/// # Panics
+///
+/// Panics if `out.len()` is not a multiple of `values.cols()`, `weights`
+/// is not `positions.len()` weights per head, or a position is out of
+/// bounds.
+pub fn indexed_weighted_sums(
+    weights: &[f32],
+    values: &Matrix,
+    positions: &[usize],
+    out: &mut [f32],
+) {
+    let d = values.cols();
+    assert_in_bounds(positions, values.rows());
+    out.fill(0.0);
+    if positions.is_empty() || out.is_empty() {
+        return;
+    }
+    assert!(out.len().is_multiple_of(d), "output/values width mismatch");
+    assert_eq!(
+        weights.len(),
+        out.len() / d * positions.len(),
+        "weights/values mismatch"
+    );
+    indexed_weighted_rows::dispatch(
+        crate::dispatch::active_tier(),
+        weights,
+        values.as_slice(),
+        d,
+        positions,
+        out,
+    );
+}
+
+crate::dispatch_kernel! {
+    /// The body of [`indexed_weighted_sums`]: [`weighted_tiles`] over the
+    /// listed rows of `values`.
+    indexed_weighted_rows(
+        weights: &[f32],
+        values: &[f32],
+        d: usize,
+        positions: &[usize],
+        out: &mut [f32],
+    ) {
+        let rows = positions.iter().map(|&p| &values[p * d..][..d]);
+        weighted_tiles(weights, positions.len(), rows, d, out);
+    }
+}
+
+/// The always-on half of an index list's contract (ordering is the
+/// caller's to hold): every position names a row.
+fn assert_in_bounds(positions: &[usize], rows: usize) {
+    if let Some(&p) = positions.iter().find(|&&p| p >= rows) {
+        panic!("position {p} out of bounds for {rows} cached rows");
     }
 }
 

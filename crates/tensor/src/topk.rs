@@ -6,6 +6,8 @@
 //! the smaller index**, which makes every algorithm deterministic and
 //! directly comparable.
 
+use crate::Matrix;
+
 /// Returns the indices of the `k` largest values in `scores`,
 /// ordered by descending score (ties toward the smaller index).
 ///
@@ -71,13 +73,13 @@ pub fn argsort_desc(scores: &[f32]) -> Vec<usize> {
 /// arenas the rewritten path needs — pooled score buffers, a top-k
 /// workspace, and a position bitset — so a decode
 /// loop allocates once and every subsequent selection reuses warm,
-/// cache-contiguous memory. The three fields are public and independent
+/// cache-contiguous memory. The fields are public and independent
 /// precisely so callers can destructure and borrow them disjointly:
 ///
 /// ```
 /// use spec_tensor::topk::SelectScratch;
 /// let mut scratch = SelectScratch::new();
-/// let SelectScratch { scores, rank, marks } = &mut scratch;
+/// let SelectScratch { scores, rank, marks, .. } = &mut scratch;
 /// scores.pool_group_max(0..2, |q, buf| {
 ///     buf.clear();
 ///     buf.extend([q as f32, 1.0 - q as f32]);
@@ -94,6 +96,10 @@ pub struct SelectScratch {
     pub rank: RankScratch,
     /// Bitset over cache positions.
     pub marks: PosBitSet,
+    /// The forward pass's own buffers. The scratch is the one workspace a
+    /// decode loop threads through every step, so they ride in it;
+    /// selectors leave them alone.
+    pub forward: ForwardScratch,
 }
 
 impl SelectScratch {
@@ -101,6 +107,38 @@ impl SelectScratch {
     pub fn new() -> Self {
         Self::default()
     }
+}
+
+/// Buffers of one decode step's forward pass (`spec_model`'s
+/// `Model::step`), reused by every layer of the step and, when the caller
+/// keeps its [`SelectScratch`], by every step. Each is refilled before it
+/// is read; nothing is carried from one use to the next.
+#[derive(Debug, Clone, Default)]
+pub struct ForwardScratch {
+    /// The residual stream.
+    pub residual: Vec<f32>,
+    /// Its normalization, ahead of the attention and the FFN block.
+    pub normed: Vec<f32>,
+    /// The layer's queries, `q_heads x head_dim`.
+    pub queries: Matrix,
+    /// The position's rotary `(sin, cos)` pairs.
+    pub rope: Vec<(f32, f32)>,
+    /// A K, V or latent row on its way into the cache.
+    pub kv_row: Vec<f32>,
+    /// The positions one KV head attends.
+    pub positions: Vec<usize>,
+    /// A query group's attention scores, then weights, head-major.
+    pub scores: Vec<f32>,
+    /// `ops::indexed_dots`' key tile.
+    pub tile: Vec<f32>,
+    /// The heads' attention outputs side by side.
+    pub concat: Vec<f32>,
+    /// A block's output (`wo`, `w_down`) before it joins the residual.
+    pub block_out: Vec<f32>,
+    /// The FFN's gate activations.
+    pub gate: Vec<f32>,
+    /// The FFN's up projection.
+    pub up: Vec<f32>,
 }
 
 /// Reusable score buffers for the GQA group-max reduction.

@@ -11,7 +11,7 @@ use spec_tensor::keyblocks::{KeyBlocks, KEY_BLOCK};
 use spec_tensor::lut::{I8Lut, QueryLut};
 use spec_tensor::quant::{BitWidth, QuantVec};
 use spec_tensor::topk::{self, PosBitSet, RankScratch};
-use spec_tensor::{matrix, ops, SimRng};
+use spec_tensor::{matrix, ops, Matrix, SimRng};
 
 fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
     assert_eq!(got.len(), want.len(), "{what}: length");
@@ -362,6 +362,152 @@ fn weighted_sums_acc_matches_weighted_sum_at_every_tier() {
             ops::weighted_sums_acc(&w[split..], rows, &values, split..rows, &mut out);
             assert_bits_eq(&out, &want, &format!("{heads}x{d} over {rows} tier {tier}"));
         });
+    }
+}
+
+/// List lengths either side of every chunk edge of the indexed kernels
+/// (16 lanes, the 64-row tile), a decode step's budget and a dense step
+/// over a 4 K context.
+const LIST_LENGTHS: [usize; 11] = [0, 1, 15, 16, 17, 63, 64, 65, 129, 260, 4353];
+
+/// Index lists of `n` positions into `rows >= 2 * n` cache rows: ascending
+/// with gaps (a selection), contiguous (dense attention), descending, and
+/// ascending with one position listed twice.
+fn index_lists(n: usize, rows: usize, rng: &mut SimRng) -> Vec<(&'static str, Vec<usize>)> {
+    let mut gaps: Vec<usize> = (0..n).map(|i| 2 * i + rng.below(2)).collect();
+    if let Some(last) = gaps.last_mut() {
+        *last = rows - 1;
+    }
+    let mut repeated = gaps.clone();
+    if n > 1 {
+        repeated[n / 2] = repeated[n / 2 - 1];
+    }
+    vec![
+        ("gaps", gaps.clone()),
+        ("contiguous", (0..n).collect()),
+        ("descending", gaps.into_iter().rev().collect()),
+        ("repeated", repeated),
+    ]
+}
+
+/// `(query heads in the group, head_dim)`: the engine's group of 4 x 16,
+/// MHA's single head, a group wider than the value tile's 4 heads, a
+/// `head_dim` that leaves the value tile an edge, and the paper's 64.
+const GROUP_SHAPES: [(usize, usize); 5] = [(4, 16), (1, 16), (8, 24), (4, 64), (1, 24)];
+
+/// The decode step's two indexed kernels read the cache in place through
+/// an index list and must return the scalar specification's bits at every
+/// tier: `indexed_dots` is `matrix::dot` per (head, listed row) — a row of
+/// `-0.0` products included, where only `Iterator::sum`'s `-0.0` start
+/// keeps the sign — and `indexed_weighted_sums` is `ops::weighted_sum` per
+/// head over the gathered rows, with the weights a masked softmax leaves:
+/// exact zeros where a score was `-inf`, and exactly 1 on a list of one.
+#[test]
+fn indexed_attention_kernels_match_the_scalar_specification_at_every_tier() {
+    for n in LIST_LENGTHS {
+        for (heads, d) in GROUP_SHAPES {
+            // The long list rides the engine's shape and the widest only.
+            if n > 300 && !matches!((heads, d), (4, 16) | (4, 64)) {
+                continue;
+            }
+            let rows = 2 * n + 3;
+            let mut rng = SimRng::seed(0xA77E + (n * 97 + heads * 13 + d) as u64);
+            let mut keys = rng.normal_matrix(rows, d, 1.0);
+            keys.row_mut(rows - 1).fill(-0.0);
+            let values = rng.normal_matrix(rows, d, 1.0);
+            let queries: Vec<f32> = (0..heads * d).map(|_| rng.normal().abs()).collect();
+            for (shape, list) in index_lists(n, rows, &mut rng) {
+                let what = format!("{shape} list of {n}, {heads} heads x {d}");
+                let want_scores: Vec<f32> = queries
+                    .chunks_exact(d)
+                    .flat_map(|q| list.iter().map(|&p| matrix::dot(q, keys.row(p))))
+                    .collect();
+                if shape == "gaps" && n > 0 {
+                    assert_eq!(want_scores[n - 1].to_bits(), (-0.0f32).to_bits(), "{what}");
+                }
+                let mut weights = want_scores.clone();
+                for w in weights.iter_mut().skip(1).step_by(7) {
+                    *w = f32::NEG_INFINITY;
+                }
+                ops::softmax_rows_inplace(&mut weights, n, 0.25);
+                if n > 8 {
+                    assert_eq!(weights[1], 0.0, "{what}: a masked score gets zero weight");
+                }
+                let gathered = values.gather_rows(&list);
+                let want_out: Vec<f32> = if n == 0 {
+                    vec![0.0; heads * d]
+                } else {
+                    weights
+                        .chunks_exact(n)
+                        .flat_map(|w| ops::weighted_sum(w, &gathered))
+                        .collect()
+                };
+                for_each_tier(|tier| {
+                    let mut tile = Vec::new();
+                    let mut scores = vec![f32::NAN; heads * n];
+                    ops::indexed_dots(&queries, &keys, &list, &mut tile, &mut scores);
+                    assert_bits_eq(&scores, &want_scores, &format!("QK {what} tier {tier}"));
+                    let mut out = vec![f32::NAN; heads * d];
+                    ops::indexed_weighted_sums(&weights, &values, &list, &mut out);
+                    assert_bits_eq(&out, &want_out, &format!("value {what} tier {tier}"));
+                });
+            }
+        }
+    }
+}
+
+/// An index list may name any row in any order, but never a row the cache
+/// does not hold: both kernels refuse it in every build profile.
+#[test]
+#[should_panic(expected = "position 5 out of bounds")]
+fn indexed_dots_rejects_a_position_out_of_bounds() {
+    let keys = Matrix::zeros(5, 4);
+    ops::indexed_dots(&[0.0; 4], &keys, &[1, 5], &mut Vec::new(), &mut [0.0; 2]);
+}
+
+/// See [`indexed_dots_rejects_a_position_out_of_bounds`].
+#[test]
+#[should_panic(expected = "position 5 out of bounds")]
+fn indexed_weighted_sums_rejects_a_position_out_of_bounds() {
+    let values = Matrix::zeros(5, 4);
+    ops::indexed_weighted_sums(&[0.5; 2], &values, &[5, 1], &mut [0.0; 4]);
+}
+
+/// `Matrix::vecmat_into` — every decode matvec — returns at every tier the
+/// bits of the plain loop: each output column sums `x[i] * w[i][j]` over
+/// `i` ascending from `+0.0`, skipping inputs that are exactly zero of
+/// either sign, whichever of the kernel's column tiles (64 wide, 16 wide,
+/// single) the column falls in.
+#[test]
+fn vecmat_matches_the_plain_loop_at_every_tier() {
+    for rows in [1usize, 64, 130] {
+        for cols in [1usize, 15, 16, 17, 63, 64, 65, 80, 129, 512] {
+            let mut rng = SimRng::seed(0x7EC + (rows * 1000 + cols) as u64);
+            let w = rng.normal_matrix(rows, cols, 1.0);
+            let mut x: Vec<f32> = (0..rows).map(|_| rng.normal()).collect();
+            for (i, v) in x.iter_mut().enumerate() {
+                match i % 7 {
+                    2 => *v = 0.0,
+                    5 => *v = -0.0,
+                    _ => {}
+                }
+            }
+            let mut want = vec![0.0f32; cols];
+            for (xi, row) in x.iter().zip(w.iter_rows()) {
+                if *xi == 0.0 {
+                    continue;
+                }
+                for (o, wij) in want.iter_mut().zip(row) {
+                    *o += xi * wij;
+                }
+            }
+            for_each_tier(|tier| {
+                let mut out = vec![f32::NAN; cols];
+                w.vecmat_into(&x, &mut out);
+                assert_bits_eq(&out, &want, &format!("vecmat {rows}x{cols} tier {tier}"));
+                assert_bits_eq(&w.vecmat(&x), &want, &format!("vecmat {rows}x{cols}"));
+            });
+        }
     }
 }
 
