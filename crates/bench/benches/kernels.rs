@@ -4,7 +4,11 @@
 //! simulated forward pass — the blocked kernel against the reference
 //! triple loop at the shapes the chunked prefill issues, that prefill
 //! whole against the token-at-a-time loop it replaced, and the decode
-//! step's in-place attention against the gather it replaced.
+//! step's in-place attention against the gather it replaced. The
+//! simulator's per-iteration layers ride along: a step-table hit through
+//! the quiet run's walk against the per-step lookup, a miss priced on
+//! the price-only timeline against the recording one, and one engine's
+//! `advance_until` over the committed trace's prefix.
 //!
 //! Everything that selects from scores is timed over a [`Rotation`] of 64
 //! distinct inputs, not one: a sort's branch sequence on a single
@@ -32,6 +36,11 @@ use spec_retrieval::infinigen::InfiniGenSelector;
 use spec_retrieval::quest::QuestSelector;
 use spec_retrieval::shadowkv::ShadowKvSelector;
 use spec_retrieval::spec_head::{MappingLevel, SpecSelection};
+use spec_runtime::dataflow::{step_timeline_into, DataflowKind, StepParams};
+use spec_runtime::{
+    FairConfig, PreemptionPolicy, QueueDiscipline, Request, Scheduler, SchedulerConfig, ServingSim,
+    StepCache, SystemKind, Thresholds,
+};
 use spec_tensor::kmeans::nearest_centroid;
 use spec_tensor::lut::{I8Lut, QueryLut};
 use spec_tensor::quant::{BitWidth, QuantVec};
@@ -753,6 +762,150 @@ fn bench_attend(c: &mut Criterion) {
     }
 }
 
+/// The walk and the lookup over `STEP_HIT`'s lengths at batch 4.
+const STEP_HIT_WALK: &str = "serving/step_hit_walk/4x2048..6144";
+const STEP_HIT_LOOKUP: &str = "serving/step_hit_lookup/4x2048..6144";
+/// 512 consecutive misses (one table page) at batch 4, price-only and on
+/// a recording timeline.
+const STEP_MISS: &str = "serving/step_miss/specontext";
+const STEP_MISS_RECORDED: &str = "serving/step_miss_recorded/specontext";
+const ADVANCE_SAMPLE: &str = "scheduler/advance_until/sample512";
+
+/// The simulator's per-iteration layers on the benchmark's replica: an
+/// A100 running the 8B model at budget 2048 under `replay_gate`'s
+/// scheduler.
+fn bench_serving(c: &mut Criterion) {
+    let system = SystemKind::SpeContext;
+    let sim = ServingSim::new(
+        ModelConfig::deepseek_distill_llama_8b(),
+        spec_hwsim::DeviceSpec::a100_80g(),
+        2048,
+    );
+    let (r, lens) = (4, 2048..6144usize);
+
+    // A hit: consecutive lengths of one batch, as a quiet run meets them.
+    let mut cache = StepCache::new();
+    let lookup = |cache: &mut StepCache| -> Vec<u64> {
+        lens.clone()
+            .map(|s| sim.step_time_cached(cache, system, r, s, s).to_bits())
+            .collect()
+    };
+    let want = lookup(&mut cache);
+    let mut got = Vec::with_capacity(lens.len());
+    sim.walk_steps(&mut cache, system, r, lens.start, |t| {
+        got.push(t.to_bits());
+        got.len() < lens.len()
+    });
+    // Same prices; check, don't trust.
+    assert_eq!(got, want, "the walk diverged from the lookup");
+    c.bench_function(STEP_HIT_WALK, |b| {
+        b.iter(|| {
+            let (mut sum, mut left) = (0.0, lens.len());
+            sim.walk_steps(&mut cache, system, r, black_box(lens.start), |t| {
+                sum += t;
+                left -= 1;
+                left > 0
+            });
+            sum
+        })
+    });
+    c.bench_function(STEP_HIT_LOOKUP, |b| {
+        b.iter(|| {
+            black_box(lens.clone())
+                .map(|s| sim.step_time_cached(&mut cache, system, r, s, s))
+                .sum::<f64>()
+        })
+    });
+
+    // A miss: one page of cold lengths, priced the way the table prices
+    // them and the way it used to — the same offload depth and step
+    // shape laid out on a timeline that records every op.
+    let miss_lens = 2048..2048 + 512usize;
+    let thresholds = Thresholds::compute(sim.memory_model(), r, sim.budget());
+    let layers = sim.cost_model().config().layers;
+    let profile = system.profile();
+    let mut recording = spec_hwsim::EventSim::default();
+    let mut recorded = |s: usize| {
+        let params = StepParams {
+            r,
+            s_total: s,
+            s_attended: sim.budget().min(s),
+            candidates: 0,
+            candidate_bytes: 0.0,
+            l_cpu: thresholds.required_offload(s).unwrap_or(layers),
+            budget: sim.budget(),
+            reuse: sim.elastic_reuse,
+        };
+        step_timeline_into(
+            &mut recording,
+            DataflowKind::SpeContext,
+            sim.cost_model(),
+            &profile,
+            sim.device(),
+            &params,
+        )
+        .total
+    };
+    for s in miss_lens.clone() {
+        let priced = sim.step_time_cached(&mut StepCache::new(), system, r, s, s);
+        assert_eq!(priced.to_bits(), recorded(s).to_bits(), "miss price at {s}");
+    }
+    c.bench_function(STEP_MISS, |b| {
+        b.iter_batched(
+            StepCache::new,
+            |mut cold| {
+                miss_lens
+                    .clone()
+                    .map(|s| sim.step_time_cached(&mut cold, system, r, s, s))
+                    .sum::<f64>()
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    c.bench_function(STEP_MISS_RECORDED, |b| {
+        b.iter(|| black_box(miss_lens.clone()).map(&mut recorded).sum::<f64>())
+    });
+
+    // One engine over the committed trace's first 512 requests, table
+    // cold: misses, quiet runs, sweeps and decisions in their real mix.
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/sample_trace.sptr"
+    );
+    let bytes = std::fs::read(path).expect("committed results/sample_trace.sptr");
+    let requests: Vec<Request> = spec_serve::trace::decode(&bytes)
+        .expect("sample trace decodes")
+        .iter()
+        .take(512)
+        .map(|cr| cr.request)
+        .collect();
+    let scheduler = Scheduler::new(
+        sim.clone(),
+        system,
+        SchedulerConfig {
+            max_batch: 4,
+            admission_stride: 4,
+            fair: FairConfig {
+                discipline: QueueDiscipline::DeficitRoundRobin,
+                weights: vec![(0, 4), (1, 1)],
+                preemption: PreemptionPolicy::DeficitRoundRobin,
+                ..FairConfig::default()
+            },
+        },
+    );
+    c.bench_function(ADVANCE_SAMPLE, |b| {
+        b.iter(|| scheduler.run(black_box(&requests)).makespan)
+    });
+}
+
+/// `old / new` over two entries' best samples.
+fn best_ratio(c: &Criterion, old: &str, new: &str) -> f64 {
+    match (best_ns(c, old), best_ns(c, new)) {
+        (Some(old), Some(new)) => old / new,
+        _ => f64::NAN,
+    }
+}
+
 /// Persists every timing plus the naive/blocked speedups to
 /// `results/bench_kernels.json`.
 fn write_summary(c: &Criterion) {
@@ -789,6 +942,11 @@ fn write_summary(c: &Criterion) {
     };
     json.push_str(&format!(
         "\n  }},\n  \"prefill_speedup_vs_oracle\": {prefill_speedup:.2},\n"
+    ));
+    let walk_speedup = best_ratio(c, STEP_HIT_LOOKUP, STEP_HIT_WALK);
+    let miss_speedup = best_ratio(c, STEP_MISS_RECORDED, STEP_MISS);
+    json.push_str(&format!(
+        "  \"step_walk_speedup_vs_lookup\": {walk_speedup:.2},\n  \"step_miss_speedup_vs_recorded\": {miss_speedup:.2},\n"
     ));
     json.push_str("  \"selection_speedup_vs_reference\": {\n");
     let sel_speedups: Vec<String> = selection_speedups(c)
@@ -838,6 +996,8 @@ fn write_summary(c: &Criterion) {
         println!("[speedup vs naive]{}", line.replace("    ", " "));
     }
     println!("[prefill speedup vs token-at-a-time] {prefill_speedup:.2}");
+    println!("[step-table walk speedup vs lookup] {walk_speedup:.2}");
+    println!("[step miss speedup vs recorded timeline] {miss_speedup:.2}");
     for line in sel_speedups {
         println!(
             "[selection speedup vs reference]{}",
@@ -945,5 +1105,6 @@ fn main() {
     bench_matmul(&mut c);
     bench_prefill(&mut c);
     bench_attend(&mut c);
+    bench_serving(&mut c);
     write_summary(&c);
 }

@@ -120,7 +120,26 @@ impl OpHandle {
     }
 }
 
+/// The later of two instants on a timeline: `f64::max` where neither
+/// NaN nor `-0.0` can occur (an instant is `0.0` plus durations asserted
+/// `>= 0.0`), which spares the NaN handling on the one dependent chain a
+/// step price is — stream free → start → end → stream free.
+#[inline(always)]
+fn later(a: f64, b: f64) -> f64 {
+    if b > a {
+        b
+    } else {
+        a
+    }
+}
+
 /// The simulator.
+///
+/// Every op's end time and the running makespan are always kept — that is
+/// all a dependency or a price needs. The labelled [`OpRecord`]s are kept
+/// too unless the simulator was built with [`EventSim::price_only`]:
+/// only the things that *draw* a timeline (gantt, Perfetto, the
+/// `fig07_dataflow` bench) or break it down per stream read them.
 ///
 /// # Example
 ///
@@ -138,6 +157,10 @@ impl OpHandle {
 #[derive(Debug, Clone, Default)]
 pub struct EventSim {
     stream_free: Vec<f64>,
+    /// End time per op, in submission order ([`OpHandle`]s index it).
+    ends: Vec<f64>,
+    makespan: f64,
+    price_only: bool,
     records: Vec<OpRecord>,
 }
 
@@ -149,11 +172,25 @@ impl EventSim {
         sim
     }
 
+    /// A simulator that prices a timeline without recording it: op ends
+    /// and the makespan as usual (same floats, same order), no
+    /// [`OpRecord`]s — [`records`](Self::records), [`spans`](Self::spans)
+    /// and the per-stream busy times stay empty. What a step-price miss
+    /// lays its ops out on. Call [`reset`](Self::reset) before use.
+    pub fn price_only() -> Self {
+        Self {
+            price_only: true,
+            ..Self::default()
+        }
+    }
+
     /// Forgets every op and frees all `streams` streams at t=0, keeping
     /// the buffers: a loop that prices many timelines reuses one
     /// simulator and allocates only on the first.
     pub fn reset(&mut self, streams: usize) {
         self.records.clear();
+        self.ends.clear();
+        self.makespan = 0.0;
         self.stream_free.clear();
         self.stream_free.resize(streams.max(1), 0.0);
     }
@@ -174,17 +211,23 @@ impl EventSim {
     ) -> OpHandle {
         assert!(stream.0 < self.stream_free.len(), "unknown stream");
         assert!(duration >= 0.0, "negative duration");
-        let dep_end = deps.iter().map(|h| self.end_of(*h)).fold(0.0f64, f64::max);
-        let start = self.stream_free[stream.0].max(dep_end);
+        let start = deps
+            .iter()
+            .map(|h| self.end_of(*h))
+            .fold(self.stream_free[stream.0], later);
         let end = start + duration;
         self.stream_free[stream.0] = end;
-        self.records.push(OpRecord {
-            label: label.into(),
-            stream,
-            start,
-            end,
-        });
-        OpHandle(self.records.len() - 1)
+        self.makespan = later(self.makespan, end);
+        self.ends.push(end);
+        if !self.price_only {
+            self.records.push(OpRecord {
+                label: label.into(),
+                stream,
+                start,
+                end,
+            });
+        }
+        OpHandle(self.ends.len() - 1)
     }
 
     /// End time of a submitted op.
@@ -193,15 +236,16 @@ impl EventSim {
     ///
     /// Panics if the handle is invalid.
     pub fn end_of(&self, h: OpHandle) -> f64 {
-        self.records[h.0].end
+        self.ends[h.0]
     }
 
     /// Time at which every submitted op has finished.
     pub fn makespan(&self) -> f64 {
-        self.records.iter().map(|r| r.end).fold(0.0, f64::max)
+        self.makespan
     }
 
-    /// All op records, in submission order.
+    /// All op records, in submission order (none on a
+    /// [`price_only`](Self::price_only) simulator).
     pub fn records(&self) -> &[OpRecord] {
         &self.records
     }
@@ -285,6 +329,49 @@ mod tests {
         assert_eq!(sim.makespan(), 0.0);
         let again = sim.submit("x", COPY, 0.5, &[]);
         assert_eq!(sim.end_of(again), 0.5, "streams are free again at t=0");
+    }
+
+    #[test]
+    fn price_only_keeps_ends_and_makespan_and_records_nothing() {
+        let lay_out = |sim: &mut EventSim| {
+            sim.reset(2);
+            let load = sim.submit("load", COPY, 0.7, &[]);
+            let attn = sim.submit(OpLabel::layer(0, "attn"), COMPUTE, 0.5, &[load]);
+            sim.submit("ffn", COMPUTE, 0.25, &[attn]);
+            sim.submit("tail", COPY, 0.1, &[]);
+            (sim.end_of(load), sim.end_of(attn), sim.makespan())
+        };
+        let mut recorded = EventSim::default();
+        let mut priced = EventSim::price_only();
+        for _ in 0..2 {
+            assert_eq!(lay_out(&mut priced), lay_out(&mut recorded));
+        }
+        assert_eq!(recorded.records().len(), 4);
+        assert!(priced.records().is_empty());
+        assert!(priced.spans().is_empty());
+        assert_eq!(priced.busy_time(COMPUTE), 0.0);
+    }
+
+    #[test]
+    fn later_is_max_over_instants() {
+        let instants = [
+            0.0,
+            f64::MIN_POSITIVE / 2.0,
+            1e-9,
+            0.5,
+            1.0,
+            1e300,
+            f64::INFINITY,
+        ];
+        for a in instants {
+            for b in instants {
+                assert_eq!(later(a, b).to_bits(), a.max(b).to_bits(), "{a} vs {b}");
+            }
+        }
+        // A `-0.0` duration is legal and still ends on `+0.0`.
+        let mut sim = EventSim::new(1);
+        let h = sim.submit("sync", COMPUTE, -0.0, &[]);
+        assert_eq!(sim.end_of(h).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

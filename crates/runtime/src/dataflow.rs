@@ -278,25 +278,20 @@ pub fn step_timeline_into(
             let head = sim.submit("retrieval_head", COMPUTE, head_t, &[]);
             bd.retrieval += head_t;
             // All fetches are known immediately; elastic loading moves
-            // only the non-reused fraction of the budget.
+            // only the non-reused fraction of the budget — the same bytes
+            // for every offloaded layer, so they are priced once.
+            let bytes = fetch_bytes(p.budget.min(p.s_total), (1.0 - p.reuse as f64).max(0.0));
+            let fetch_t = if bytes > 0.0 {
+                dev.pcie_time(bytes)
+            } else {
+                0.0
+            };
             for l in 0..layers {
-                let bytes = if is_cpu_layer(l) {
-                    fetch_bytes(p.budget.min(p.s_total), (1.0 - p.reuse as f64).max(0.0))
-                } else {
-                    0.0
-                };
-                sim.submit(
-                    op(l, "kv_prefetch"),
-                    COPY,
-                    if bytes > 0.0 {
-                        dev.pcie_time(bytes)
-                    } else {
-                        0.0
-                    },
-                    &[head],
-                );
-                if bytes > 0.0 {
-                    bd.transfer += dev.pcie_time(bytes);
+                let offloaded = is_cpu_layer(l) && bytes > 0.0;
+                let fetch_t = if offloaded { fetch_t } else { 0.0 };
+                sim.submit(op(l, "kv_prefetch"), COPY, fetch_t, &[head]);
+                if offloaded {
+                    bd.transfer += fetch_t;
                     bd.bytes_transferred += bytes;
                 }
             }

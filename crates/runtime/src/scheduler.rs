@@ -33,9 +33,15 @@
 //! by tenant id (a running request carries its slot), queue totals are
 //! maintained counters, and [`Scheduler::advance_until`] — the one loop
 //! behind [`Scheduler::run`] and the `spec_serve` replicas — runs the
-//! iterations between two composition changes in a tight inner loop over
-//! the clock and the [`StepCache`], adding one iteration at a time so
-//! every simulated float keeps its bits (`tests/goldens.rs`).
+//! iterations between two composition changes as one *quiet run*: the
+//! [`StepCache`] row of the batch is walked in place, one indexed load
+//! and one float add per iteration (so every simulated float keeps its
+//! bits, `tests/goldens.rs`), and an admission sweep that falls inside
+//! the run is taken without leaving it when it provably closes — most
+//! often because the head it picks already carries the verdict "no
+//! eligible victim in this batch". [`Scheduler::step_traced`] is the
+//! specification: `tests/advance_equivalence.rs` holds the run to a loop
+//! of single steps, state and event stream, bit for bit.
 
 use crate::serving::{ServingSim, StepCache, SystemKind, Workload};
 use serde::{Deserialize, Serialize};
@@ -346,6 +352,15 @@ struct TenantQueue {
     /// Decode service consumed this run, in output tokens (the
     /// preemption policy's "over-served" signal).
     served: u64,
+    /// The cached verdict of a quiet run's sweeps: the id of the head
+    /// that found **no eligible victim** in the batch now running
+    /// ([`Scheduler::preempt_for`] sets it, and says why it may). Keyed
+    /// by the head, so a queue whose head changed carries no verdict;
+    /// every change to the running batch clears it
+    /// ([`BatchState::batch_changed`]). It lives here, not in a
+    /// slot-indexed side table, because a tenant inserted in front
+    /// shifts the slots.
+    no_victim_for: Option<usize>,
     /// Last-emitted queue-depth and deficit gauges, so traced runs emit
     /// gauges on *change* rather than on every micro-step. Never read
     /// unless a sink is enabled.
@@ -622,7 +637,18 @@ impl BatchState {
         self.queued = 0;
         self.queued_kv_tokens = 0;
         self.sweep_done = false;
+        self.batch_changed();
         out
+    }
+
+    /// Forgets every cached "no eligible victim" verdict. Called
+    /// wherever the running batch gains or loses a request — admission,
+    /// a preemption's removal, a completion or handoff retirement, a
+    /// crash — because a verdict is a statement about one batch.
+    fn batch_changed(&mut self) {
+        for q in &mut self.tenants {
+            q.no_victim_for = None;
+        }
     }
 
     /// Enqueues an arrived request on its tenant's queue.
@@ -1047,6 +1073,7 @@ impl Scheduler {
             state.tenants[r.slot].served += 1;
         }
         let role = state.role;
+        let batch = state.running.len();
         let completed = &mut state.completed;
         let handoffs = &mut state.handoffs;
         state.running.retain(|r| {
@@ -1100,6 +1127,9 @@ impl Scheduler {
                 true
             }
         });
+        if state.running.len() != batch {
+            state.batch_changed();
+        }
         if sink.enabled() {
             state.emit_gauges(sink);
         }
@@ -1109,18 +1139,33 @@ impl Scheduler {
     /// (`f64::INFINITY` drains it) — exactly
     /// `while state.has_work() && state.now() < t { step_traced }`, one
     /// micro-step may overshoot `t` — and the loop every driver shares:
-    /// [`Scheduler::run_traced`] and the `spec_serve` replicas.
+    /// [`Scheduler::run_traced`] and the `spec_serve` replicas. The loop
+    /// of single steps is the specification; this is its fast form, held
+    /// to it state for state and event for event by
+    /// `tests/advance_equivalence.rs`.
     ///
     /// Between two changes of the batch's composition nothing but the
-    /// clock moves: no admission is due, nobody produces a first token or
-    /// finishes, and nothing outside can reach the state. Those *quiet*
-    /// iterations run in a tight inner loop — the clock advanced one
-    /// iteration at a time in the same order as single steps would (so
-    /// every simulated float keeps its bits), the batch's length sum
-    /// bumped by the batch size, and the per-request and per-tenant token
-    /// counters settled once at the end. Gauges can only have moved
-    /// before the first of them (work pushed since the last step), which
-    /// is when they are emitted.
+    /// clock moves: nobody produces a first token or finishes, and
+    /// nothing outside can reach the state. Those iterations are one
+    /// *quiet run*: the batch's mean length rises by exactly one per
+    /// iteration, so the run walks the batch's row of the step table in
+    /// place ([`ServingSim::walk_steps`]) — the clock advanced one
+    /// iteration at a time in the order single steps would (every
+    /// simulated float keeps its bits) — and the per-request and
+    /// per-tenant token counters are settled once at the end.
+    ///
+    /// An admission sweep that falls due inside a run (every
+    /// `admission_stride`-th iteration) does not end it. The run takes
+    /// the tenant pick exactly as a single step would — DRR deficits and
+    /// the rotation move per visit, and a traced run emits the same
+    /// gauge transitions at the same ticks — and keeps going when the
+    /// sweep provably closes: the queue is empty, no head has arrived,
+    /// or the picked head carries the cached verdict "no eligible victim
+    /// in this batch" (`TenantQueue::no_victim_for`). Only a sweep that
+    /// might admit or preempt settles the counters and falls into the
+    /// ordinary decision. The clock test comes first: a sweep at a
+    /// boundary reached with `now >= t` belongs to the next call, after
+    /// the caller has pushed whatever arrives at `t`.
     ///
     /// # Panics
     ///
@@ -1136,52 +1181,87 @@ impl Scheduler {
             let quiet = self.quiet_iterations(state);
             if quiet == 0 {
                 self.step_traced(state, cache, sink);
-                continue;
-            }
-            let batch = state.running.len();
-            let mut total_len: usize = state
-                .running
-                .iter()
-                .map(|r| r.req.input_len + r.produced)
-                .sum();
-            let mut done = 0;
-            while done < quiet && (done == 0 || state.now < t) {
-                let mean_len = total_len / batch;
-                state.now +=
-                    self.sim
-                        .step_time_cached(cache, self.system, batch, mean_len, mean_len)
-                        * state.time_scale;
-                total_len += batch;
-                done += 1;
-                if done == 1 && sink.enabled() {
+            } else if let Some(slot) = self.quiet_run(state, cache, t, quiet, sink) {
+                self.place_waiter(state, cache, slot, sink);
+                if sink.enabled() {
                     state.emit_gauges(sink);
                 }
-            }
-            state.iter += done;
-            state.sweep_done = false;
-            for r in &mut state.running {
-                r.produced += done;
-                state.tenants[r.slot].served += done as u64;
             }
         }
     }
 
+    /// Up to `quiet` decode iterations of an unchanging batch, stopping
+    /// early once the clock reaches `t` — the body of
+    /// [`Scheduler::advance_until`], which documents it. Returns the slot
+    /// of the waiter an admission sweep inside the run picked and could
+    /// not dismiss; the counters are settled, the caller places it.
+    fn quiet_run<S: TelemetrySink>(
+        &self,
+        state: &mut BatchState,
+        cache: &mut StepCache,
+        t: f64,
+        quiet: usize,
+        sink: &mut S,
+    ) -> Option<usize> {
+        let stride = self.cfg.admission_stride;
+        // An open sweep at the run's first iteration comes first.
+        if state.iter.is_multiple_of(stride) && !state.sweep_done {
+            if let Some(slot) = self.sweep_in_run(state, sink) {
+                return Some(slot);
+            }
+        }
+        let batch = state.running.len();
+        let scale = state.time_scale;
+        let mut until_sweep = stride - state.iter % stride;
+        let mut waiter = None;
+        let mut done = 0;
+        self.sim.walk_steps(
+            cache,
+            self.system,
+            batch,
+            mean_len(&state.running),
+            |price| {
+                state.now += price * scale;
+                done += 1;
+                // Gauges can have moved before the run (work pushed
+                // since the last step) or at a sweep, which emits its
+                // own.
+                if done == 1 && sink.enabled() {
+                    state.emit_gauges(sink);
+                }
+                if done == quiet || state.now >= t {
+                    return false;
+                }
+                until_sweep -= 1;
+                if until_sweep == 0 {
+                    until_sweep = stride;
+                    waiter = self.sweep_in_run(state, sink);
+                }
+                waiter.is_none()
+            },
+        );
+        state.iter += done;
+        state.sweep_done = false;
+        for r in &mut state.running {
+            r.produced += done;
+            state.tenants[r.slot].served += done as u64;
+        }
+        waiter
+    }
+
     /// How many of the next decode iterations are guaranteed to change
-    /// nothing but the clock and the token counters: 0 while an admission
-    /// sweep is open, the batch is empty, someone still owes a first
-    /// token (or retires on it, as everyone does on a prefill engine);
-    /// otherwise up to the next sweep or the iteration before the first
-    /// completion, whichever comes first.
+    /// nothing but the clock and the token counters: 0 while the batch is
+    /// empty or someone still owes a first token (or retires on it, as
+    /// everyone does on a prefill engine); otherwise every iteration
+    /// before the one that completes a request.
     fn quiet_iterations(&self, state: &BatchState) -> usize {
         assert!(
             self.cfg.admission_stride > 0,
             "admission_stride must be positive"
         );
-        let phase = state.iter % self.cfg.admission_stride;
-        if (phase == 0 && !state.sweep_done) || state.role == ReplicaRole::Prefill {
+        if state.role == ReplicaRole::Prefill {
             return 0;
         }
-        let until_sweep = self.cfg.admission_stride - phase;
         state
             .running
             .iter()
@@ -1190,7 +1270,36 @@ impl Scheduler {
                 None => 0,
             })
             .min()
-            .map_or(0, |before_completion| before_completion.min(until_sweep))
+            .unwrap_or(0)
+    }
+
+    /// An admission sweep inside a quiet run: the tenant pick of an
+    /// ordinary decision, then `None` when the sweep closes — nobody to
+    /// pick, or the picked head carries the verdict of the batch now
+    /// running — and the picked slot when only
+    /// [`Scheduler::place_waiter`] can tell. The batch's token counters
+    /// are not settled here; neither the pick nor the verdict reads them.
+    fn sweep_in_run<S: TelemetrySink>(
+        &self,
+        state: &mut BatchState,
+        sink: &mut S,
+    ) -> Option<usize> {
+        let waiter = self.pick_waiter(state).filter(|&slot| {
+            let q = &state.tenants[slot];
+            let head = q.queue.front().expect("picked head");
+            let closed = q.no_victim_for == Some(head.req.id);
+            // Unsettled counters only under-count `produced`, which can
+            // only make a request look *more* eligible.
+            debug_assert!(
+                !closed || self.pick_victim(state, head).is_none(),
+                "a verdict outlived the batch or the head it was about"
+            );
+            !closed
+        });
+        if waiter.is_none() && sink.enabled() {
+            state.emit_gauges(sink);
+        }
+        waiter
     }
 
     /// One admission decision: pick the next waiting request under the
@@ -1202,9 +1311,19 @@ impl Scheduler {
         cache: &mut StepCache,
         sink: &mut S,
     ) {
+        match self.pick_waiter(state) {
+            Some(slot) => self.place_waiter(state, cache, slot, sink),
+            None => state.sweep_done = true,
+        }
+    }
+
+    /// The first half of an admission decision: the slot of the tenant
+    /// whose head goes next, or `None` when the sweep closes because the
+    /// queue is empty or no head has arrived yet. An idle engine first
+    /// jumps its clock to the next arrival.
+    fn pick_waiter(&self, state: &mut BatchState) -> Option<usize> {
         if state.queued == 0 {
-            state.sweep_done = true;
-            return;
+            return None;
         }
         // Idle engine: jump the clock to the next arrival, exactly like
         // the single-FIFO reference.
@@ -1219,11 +1338,19 @@ impl Scheduler {
                 q.weight = u64::from(self.cfg.fair.weight(q.tenant));
             }
         }
-        let Some(slot) = self.select_tenant(state) else {
-            // Heads exist but none has arrived yet.
-            state.sweep_done = true;
-            return;
-        };
+        self.select_tenant(state)
+    }
+
+    /// The second half of an admission decision: admits `slot`'s head,
+    /// rejects it (it can never run, even alone), checkpoints a victim
+    /// to make room for it, or closes the sweep.
+    fn place_waiter<S: TelemetrySink>(
+        &self,
+        state: &mut BatchState,
+        cache: &mut StepCache,
+        slot: usize,
+        sink: &mut S,
+    ) {
         let entry = *state.tenants[slot].queue.front().expect("selected head");
         if state.running.len() >= self.cfg.max_batch {
             self.preempt_for(state, cache, slot, &entry, sink);
@@ -1303,12 +1430,23 @@ impl Scheduler {
             first_token: entry.first_token,
             preemptions: entry.preemptions,
         });
+        state.batch_changed();
     }
 
     /// Tries to checkpoint a running victim so the blocked `entry` can
     /// enter the batch this decision; closes the sweep when the policy
     /// yields no eligible victim or evicting one would not unblock the
     /// waiter.
+    ///
+    /// "No eligible victim" is the one outcome a quiet run may reuse
+    /// (`TenantQueue::no_victim_for`), and only once every running
+    /// request has produced a token: eligibility — another tenant, under
+    /// the preemption cap, more output left than the waiter — can then
+    /// only shrink while the batch and the head stay the same. "A victim
+    /// exists but evicting it would not unblock" is not cached: it is a
+    /// statement about the admission arithmetic for the victim the
+    /// policy picks, and that pick moves with `served`. "No head has
+    /// arrived" ([`Scheduler::pick_waiter`]) depends on the clock.
     fn preempt_for<S: TelemetrySink>(
         &self,
         state: &mut BatchState,
@@ -1318,6 +1456,9 @@ impl Scheduler {
         sink: &mut S,
     ) {
         let Some(victim_idx) = self.pick_victim(state, entry) else {
+            if state.running.iter().all(|r| r.produced > 0) {
+                state.tenants[slot].no_victim_for = Some(entry.req.id);
+            }
             state.sweep_done = true;
             return;
         };
@@ -1334,6 +1475,7 @@ impl Scheduler {
         // tenant's fresh arrivals).
         state.now += self.kv_transfer_time(&victim.req, victim.produced) * state.time_scale;
         state.running.remove(victim_idx);
+        state.batch_changed();
         state.enqueue(
             victim.slot,
             QueueEntry {
@@ -1552,15 +1694,21 @@ impl Scheduler {
     /// dataflow timeline at the batch's mean sequence length, memoized
     /// across iterations through the run's step cache.
     fn iteration_time(&self, running: &[Running], cache: &mut StepCache) -> f64 {
-        let batch = running.len();
-        let mean_len: usize = running
-            .iter()
-            .map(|r| r.req.input_len + r.produced)
-            .sum::<usize>()
-            / batch;
+        let mean_len = mean_len(running);
         self.sim
-            .step_time_cached(cache, self.system, batch, mean_len, mean_len)
+            .step_time_cached(cache, self.system, running.len(), mean_len, mean_len)
     }
+}
+
+/// The mean sequence length of a (non-empty) running batch — the length
+/// its iteration is priced at. Every request grows by one token per
+/// iteration, so it rises by exactly one per iteration too.
+fn mean_len(running: &[Running]) -> usize {
+    running
+        .iter()
+        .map(|r| r.req.input_len + r.produced)
+        .sum::<usize>()
+        / running.len()
 }
 
 fn remaining_tokens(entry: &QueueEntry) -> usize {

@@ -8,10 +8,12 @@
 //! the memory policy deciding layer placement at every point.
 //!
 //! The same step price is the scheduler's per-iteration cost:
-//! [`ServingSim::step_time`] lays one step out on the event simulator
-//! (a few microseconds, no text formatted, one buffer), and
-//! [`ServingSim::step_time_cached`] memoizes it in a [`StepCache`] — a
-//! direct-indexed `[batch][seq_len]` table, so the millions of decode
+//! [`ServingSim::step_time`] lays one step out on a price-only event
+//! simulator (about a microsecond: op ends and a makespan, no labelled
+//! records, one buffer), [`ServingSim::step_time_cached`] memoizes it in
+//! a [`StepCache`] — a direct-indexed `[batch][seq_len]` table — and
+//! [`ServingSim::walk_steps`] reads that table in place for a batch whose
+//! length grows by one per iteration, so the millions of decode
 //! iterations of a simulated trace each cost an indexed load.
 
 use crate::adaptive::Thresholds;
@@ -228,18 +230,26 @@ struct CacheStamp {
 /// memory policy. Entries are exact — the index fully determines the
 /// timeline for a fixed simulator — so hits are bit-for-bit identical to
 /// recomputation, and nothing is computed or allocated before the first
-/// lookup. A miss prices the step on a timeline scratch the cache owns
-/// and allocates nothing beyond the table's own pages.
+/// lookup. A miss prices the step on a price-only timeline scratch the
+/// cache owns (op ends and a makespan, no labelled records) and
+/// allocates nothing beyond the table's own pages.
+///
+/// A table belongs to whoever owns the simulators, not to an engine:
+/// because entries are exact, every engine running a clone of one
+/// simulator may fill and read the same table (`spec_serve`'s cluster
+/// keeps one per group of identically pricing replicas and lends it to
+/// each replica's advance), and a price one of them computed is a hit for
+/// all the others.
 ///
 /// The cache stamps itself with the simulator instance, the system and
 /// `elastic_reuse` on first use and empties itself when a later call
 /// arrives under a different stamp, so it can be neither shared between
-/// simulators by mistake nor left stale by a change to
-/// [`ServingSim::elastic_reuse`]. Steps whose price depends on the
+/// differently pricing simulators by mistake nor left stale by a change
+/// to [`ServingSim::elastic_reuse`]. Steps whose price depends on the
 /// prompt split (the baselines that retain generated tokens) are
 /// memoized at the scheduler's split (`prefill_len == s`) only; other
 /// splits are priced directly.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct StepCache {
     filled_under: Option<(CacheStamp, EngineProfile)>,
     batches: Vec<BatchSteps>,
@@ -248,6 +258,18 @@ pub struct StepCache {
     /// Memoized prefill times by prompt length — the scheduler
     /// re-prefills identical prompt lengths on every admission.
     prefill: std::collections::HashMap<usize, f64>,
+}
+
+impl Default for StepCache {
+    fn default() -> Self {
+        Self {
+            filled_under: None,
+            batches: Vec::new(),
+            priced: 0,
+            timeline: EventSim::price_only(),
+            prefill: std::collections::HashMap::new(),
+        }
+    }
 }
 
 impl StepCache {
@@ -264,6 +286,16 @@ impl StepCache {
     /// Whether no step has been priced yet.
     pub fn is_empty(&self) -> bool {
         self.priced == 0
+    }
+
+    /// Whether a table may be sized for batch `r` at length `s`.
+    fn indexes(r: usize, s: usize) -> bool {
+        r < STEP_CACHE_MAX_BATCH && s < STEP_CACHE_MAX_LEN
+    }
+
+    /// The allocated page holding `(r, s)`, if any (NaN = not priced).
+    fn page(&self, r: usize, s: usize) -> Option<&[f64; STEP_PAGE]> {
+        self.batches.get(r)?.pages.get(s / STEP_PAGE)?.as_deref()
     }
 
     /// Empties the cache unless it was filled under exactly this
@@ -334,13 +366,25 @@ impl ServingSim {
         self.budget
     }
 
+    /// Whether `other` prices every step and prefill exactly like `self`:
+    /// equal model, device, budget and `elastic_reuse` — decided from
+    /// what the two simulators are, not from how they were built.
+    /// Engines on identically pricing simulators can run on clones of
+    /// one of them and share its [`StepCache`].
+    pub fn prices_like(&self, other: &ServingSim) -> bool {
+        self.cm.config() == other.cm.config()
+            && self.dev == other.dev
+            && self.budget == other.budget
+            && self.elastic_reuse.to_bits() == other.elastic_reuse.to_bits()
+    }
+
     /// One decode-iteration latency for `system` at batch `r`, total
     /// sequence length `s`, with the prompt portion `prefill_len`
     /// (governs the baselines' retained-generation growth). Placement
     /// follows the system's default policy at this point.
     pub fn step_time(&self, system: SystemKind, r: usize, s: usize, prefill_len: usize) -> f64 {
         let l_cpu = self.policy_l_cpu(system.default_policy(), r, s, &mut None);
-        let mut timeline = EventSim::default();
+        let mut timeline = EventSim::price_only();
         self.step_breakdown(
             &mut timeline,
             &system.profile(),
@@ -366,20 +410,14 @@ impl ServingSim {
         s: usize,
         prefill_len: usize,
     ) -> f64 {
-        let memoizable = r < STEP_CACHE_MAX_BATCH
-            && s < STEP_CACHE_MAX_LEN
-            && (prefill_len == s || !system.retains_generated());
+        let memoizable =
+            StepCache::indexes(r, s) && (prefill_len == s || !system.retains_generated());
         if !memoizable {
             return self.step_time(system, r, s, prefill_len);
         }
         cache.restamp(self, system);
         let (page, slot) = (s / STEP_PAGE, s % STEP_PAGE);
-        let hit = cache
-            .batches
-            .get(r)
-            .and_then(|b| b.pages.get(page)?.as_deref())
-            .map(|p| p[slot]);
-        if let Some(t) = hit.filter(|t| !t.is_nan()) {
+        if let Some(t) = cache.page(r, s).map(|p| p[slot]).filter(|t| !t.is_nan()) {
             return t;
         }
         if cache.batches.len() <= r {
@@ -405,6 +443,52 @@ impl ServingSim {
         batch.pages[page].get_or_insert_with(|| Box::new([f64::NAN; STEP_PAGE]))[slot] = t;
         cache.priced += 1;
         t
+    }
+
+    /// The scheduler's quiet run: `visit` receives
+    /// `step_time_cached(cache, system, r, s, s)`, then the same at
+    /// `s + 1`, `s + 2`, … for as long as it returns `true` — the prices
+    /// of a batch of `r` whose mean length grows by one per iteration.
+    ///
+    /// The table is read in place: stamp and page are resolved once per
+    /// run of consecutive priced lengths (at most one 512-entry page)
+    /// and `visit` is fed straight from the page. An unpriced slot, or a
+    /// batch or length no table is sized for, goes through
+    /// [`ServingSim::step_time_cached`] — one step, then the walk
+    /// resumes — so that stays the only path that prices anything.
+    pub fn walk_steps(
+        &self,
+        cache: &mut StepCache,
+        system: SystemKind,
+        r: usize,
+        mut s: usize,
+        mut visit: impl FnMut(f64) -> bool,
+    ) {
+        loop {
+            if StepCache::indexes(r, s) {
+                cache.restamp(self, system);
+                if let Some(page) = cache.page(r, s) {
+                    let tail = &page[s % STEP_PAGE..];
+                    let mut walked = 0;
+                    for &t in tail.iter().take_while(|t| !t.is_nan()) {
+                        walked += 1;
+                        if !visit(t) {
+                            return;
+                        }
+                    }
+                    s += walked;
+                    if walked == tail.len() {
+                        // Walked off the page's edge: resolve the next.
+                        continue;
+                    }
+                }
+            }
+            let t = self.step_time_cached(cache, system, r, s, s);
+            s += 1;
+            if !visit(t) {
+                return;
+            }
+        }
     }
 
     /// Prefill latency for one prompt of `input_len` tokens, memoized in
@@ -591,7 +675,7 @@ impl ServingSim {
             }
         };
 
-        let mut timeline = EventSim::default();
+        let mut timeline = EventSim::price_only();
         let mut step_at = |s: usize| -> StepBreakdown {
             let l_cpu = l_cpu_at(s).unwrap_or(cfg.layers);
             self.step_breakdown(&mut timeline, &profile, system, r, s, w.input_len, l_cpu)
@@ -842,6 +926,104 @@ mod tests {
         let t = sim.step_time_cached(&mut cache, SystemKind::SpeContext, 1, huge, huge);
         assert_eq!(t, sim.step_time(SystemKind::SpeContext, 1, huge, huge));
         assert_eq!(cache.len(), 1, "not memoized");
+    }
+
+    /// `n` consecutive prices from `s` on, through the walk.
+    fn walked(
+        sim: &ServingSim,
+        cache: &mut StepCache,
+        sys: SystemKind,
+        r: usize,
+        s: usize,
+        n: usize,
+    ) -> Vec<u64> {
+        let mut out = Vec::new();
+        sim.walk_steps(cache, sys, r, s, |t| {
+            out.push(t.to_bits());
+            out.len() < n
+        });
+        out
+    }
+
+    #[test]
+    fn walk_feeds_the_lookups_prices_across_holes_and_page_edges() {
+        let sim = cloud_sim();
+        for system in [SystemKind::SpeContext, SystemKind::ShadowKv] {
+            let (r, from, n) = (3, 2 * STEP_PAGE - 40, STEP_PAGE + 100);
+            let mut looked = StepCache::new();
+            let expect: Vec<u64> = (from..from + n)
+                .map(|s| sim.step_time_cached(&mut looked, system, r, s, s).to_bits())
+                .collect();
+            // Cold table, a table with holes, a fully priced table: the
+            // walk crosses two page edges each time.
+            let mut cache = StepCache::new();
+            for s in (from..from + n).step_by(7) {
+                sim.step_time_cached(&mut cache, system, r, s, s);
+            }
+            let holes = cache.len();
+            assert_eq!(walked(&sim, &mut cache, system, r, from, n), expect);
+            assert_eq!(cache.len(), n, "the walk priced exactly the holes");
+            assert!(holes < n);
+            assert_eq!(walked(&sim, &mut cache, system, r, from, n), expect);
+            assert_eq!(cache.len(), n, "a priced row is only read");
+            assert_eq!(
+                walked(&sim, &mut StepCache::new(), system, r, from, n),
+                expect
+            );
+            // One visit is one step, wherever the walk stops.
+            assert_eq!(walked(&sim, &mut cache, system, r, from, 1), expect[..1]);
+        }
+    }
+
+    #[test]
+    fn walk_restamps_and_prices_oversized_steps_directly() {
+        let mut sim = cloud_sim();
+        let (system, r, s) = (SystemKind::SpeContext, 16, 120 * 1024);
+        let mut cache = StepCache::new();
+        let before = walked(&sim, &mut cache, system, r, s, 3);
+        sim.elastic_reuse = 0.0;
+        let after = walked(&sim, &mut cache, system, r, s, 3);
+        assert_ne!(before, after, "a changed stamp must not serve stale pages");
+        assert_eq!(after[0], sim.step_time(system, r, s, s).to_bits());
+        assert_eq!(cache.len(), 3);
+        // Past the table's bounds every step is priced directly.
+        let huge = STEP_CACHE_MAX_LEN - 1;
+        let edge = walked(&sim, &mut cache, system, 1, huge, 3);
+        let direct: Vec<u64> = (huge..huge + 3)
+            .map(|s| sim.step_time(system, 1, s, s).to_bits())
+            .collect();
+        assert_eq!(edge, direct);
+        assert_eq!(cache.len(), 4, "only the last in-bounds length is memoized");
+    }
+
+    #[test]
+    fn identically_built_simulators_price_alike_and_changed_ones_do_not() {
+        let a = cloud_sim();
+        assert!(a.prices_like(&cloud_sim()), "content, not construction");
+        assert!(a.prices_like(&a.clone()));
+        let mut reuse = cloud_sim();
+        reuse.elastic_reuse = 0.5;
+        assert!(!a.prices_like(&reuse));
+        let others = [
+            ServingSim::new(
+                ModelConfig::deepseek_distill_llama_8b(),
+                DeviceSpec::a100_80g(),
+                1024,
+            ),
+            ServingSim::new(
+                ModelConfig::deepseek_distill_llama_8b(),
+                DeviceSpec::rtx4090(),
+                2048,
+            ),
+            ServingSim::new(
+                ModelConfig::reasoning_llama3_2_1b(),
+                DeviceSpec::a100_80g(),
+                2048,
+            ),
+        ];
+        for other in &others {
+            assert!(!a.prices_like(other));
+        }
     }
 
     #[test]

@@ -71,7 +71,7 @@ use spec_hwsim::{DeviceSpec, FleetSlot, LinkSpec, ReplicaRole};
 use spec_model::ModelConfig;
 use spec_runtime::{
     Admission, CompletedRequest, HandoffRecord, Request, ScheduleReport, SchedulerConfig,
-    ServingSim, SystemKind,
+    ServingSim, StepCache, SystemKind,
 };
 use spec_telemetry::{
     merge_streams, seconds_to_ticks, Event, EventKind, RecordingSink, TelemetrySink,
@@ -257,11 +257,19 @@ pub struct ClusterReport {
 }
 
 /// A fleet of serving replicas behind a router. Holds only what
-/// outlives a run — the engines, the policies, and the autoscaler's
-/// parking and billing state; everything one run accumulates lives in
-/// the kernel's run-local state.
+/// outlives a run — the engines, their step-price tables, the policies,
+/// and the autoscaler's parking and billing state; everything one run
+/// accumulates lives in the kernel's run-local state.
 pub struct Cluster {
     replicas: Vec<Replica>,
+    /// One step-price table per group of identically pricing replicas
+    /// (see [`Cluster::new`]), lent to a replica for each advance.
+    step_tables: Vec<StepCache>,
+    /// Replica index → index of its group's table in `step_tables`.
+    table_of: Vec<usize>,
+    /// The routing decision's view of the fleet, refilled per request
+    /// instead of allocated.
+    snapshots: Vec<ReplicaSnapshot>,
     router: Box<dyn RoutePolicy>,
     cfg: ClusterConfig,
     peak_active: usize,
@@ -497,6 +505,17 @@ impl Cluster {
     /// `min_replicas` is clamped to at least 1, so a fleet can never
     /// start (or scale) to zero active replicas.
     ///
+    /// Replicas whose simulators price identically
+    /// ([`ServingSim::prices_like`]: equal model, device, budget and
+    /// `elastic_reuse`, however each was constructed) form a group that
+    /// shares one [`StepCache`]: the group runs on clones of its first
+    /// member, so its engines stamp the table alike, and a step one of
+    /// them priced is an indexed load for the rest. Step prices are
+    /// exact functions of `(batch, length)`, so sharing changes no
+    /// simulated value — `tests/goldens.rs` (e)–(g) were recorded with a
+    /// private table per replica. [`Cluster::step_tables`] shows the
+    /// grouping.
+    ///
     /// # Panics
     ///
     /// Panics if `sims` is empty.
@@ -507,10 +526,23 @@ impl Cluster {
         router: Box<dyn RoutePolicy>,
     ) -> Self {
         assert!(!sims.is_empty(), "a cluster needs at least one replica");
-        let mut replicas: Vec<Replica> = sims
-            .into_iter()
-            .map(|sim| Replica::new(sim, system, cfg.scheduler.clone()))
-            .collect();
+        // The first simulator of each pricing group; fleets hold a
+        // handful of device kinds, so a linear scan finds the group.
+        let mut groups: Vec<ServingSim> = Vec::new();
+        let mut table_of = Vec::with_capacity(sims.len());
+        let mut replicas = Vec::with_capacity(sims.len());
+        for sim in sims {
+            let group = groups
+                .iter()
+                .position(|first| first.prices_like(&sim))
+                .unwrap_or_else(|| {
+                    groups.push(sim);
+                    groups.len() - 1
+                });
+            table_of.push(group);
+            let sim = groups[group].clone();
+            replicas.push(Replica::new(sim, system, cfg.scheduler.clone()));
+        }
         if let Some(auto) = &cfg.autoscale {
             let min = auto.min_replicas.max(1);
             for (i, rep) in replicas.iter_mut().enumerate() {
@@ -525,7 +557,10 @@ impl Cluster {
             .collect();
         let billed_s = vec![0.0; replicas.len()];
         Self {
+            snapshots: Vec::with_capacity(replicas.len()),
             replicas,
+            step_tables: groups.iter().map(|_| StepCache::new()).collect(),
+            table_of,
             router,
             cfg,
             peak_active,
@@ -609,6 +644,14 @@ impl Cluster {
     /// The fleet, in replica order.
     pub fn replicas(&self) -> &[Replica] {
         &self.replicas
+    }
+
+    /// The fleet's step-price tables, one per group of identically
+    /// pricing replicas, in order of each group's first replica. A
+    /// table's [`StepCache::len`] is the number of distinct
+    /// `(batch, length)` steps its whole group has priced so far.
+    pub fn step_tables(&self) -> &[StepCache] {
+        &self.step_tables
     }
 
     /// The routing policy's name.
@@ -741,7 +784,7 @@ impl Cluster {
                 // A completion may release a turn that departs before
                 // `t`: step the laggard once, feed back, peek again.
                 if let Some(i) = self.laggard_below(t) {
-                    self.replicas[i].step_once();
+                    self.replicas[i].step_once(&mut self.step_tables[self.table_of[i]]);
                     continue;
                 }
             } else {
@@ -812,8 +855,8 @@ impl Cluster {
     /// depends only on its own trace slice — which is what keeps the
     /// 1-replica anchor bit-for-bit on `Scheduler::run`.
     fn advance_all(&mut self, t: f64) {
-        for rep in &mut self.replicas {
-            rep.advance_until(t);
+        for (rep, &table) in self.replicas.iter_mut().zip(&self.table_of) {
+            rep.advance_until(&mut self.step_tables[table], t);
         }
     }
 
@@ -1018,15 +1061,13 @@ impl Cluster {
     /// falling through to another role. Folding clears the snapshot's
     /// `active` flag, so every policy ejects the replica unchanged.
     fn pick(&mut self, cr: &ClusterRequest, decode: bool, health_aware: bool) -> usize {
-        let mut snapshots: Vec<ReplicaSnapshot> = self
-            .replicas
-            .iter()
-            .enumerate()
-            .map(|(i, r)| r.snapshot(i))
-            .collect();
-        for (snap, rep) in snapshots.iter_mut().zip(&self.replicas) {
+        let mut snapshots = std::mem::take(&mut self.snapshots);
+        snapshots.clear();
+        snapshots.extend(self.replicas.iter().enumerate().map(|(i, rep)| {
+            let mut snap = rep.snapshot(i);
             snap.active &= (rep.role() == ReplicaRole::Decode) == decode;
-        }
+            snap
+        }));
         if health_aware && snapshots.iter().any(|s| s.active && s.health.routable()) {
             for snap in &mut snapshots {
                 snap.active &= snap.health.routable();
@@ -1043,6 +1084,7 @@ impl Cluster {
             "router {} picked an unavailable replica {idx}",
             router.name()
         );
+        self.snapshots = snapshots;
         idx
     }
 
@@ -1079,18 +1121,17 @@ impl Cluster {
             return;
         };
         let min_replicas = auto.min_replicas.max(1);
-        let active: Vec<usize> = (0..self.replicas.len())
-            .filter(|&i| self.replicas[i].is_active())
-            .collect();
+        // The active replicas, walked in place (no list per decision).
+        let active = || (0..self.replicas.len()).filter(|&i| self.replicas[i].is_active());
+        let active_count = active().count();
         let total_outstanding: usize = self.replicas.iter().map(Replica::outstanding).sum();
         // Crashed replicas neither veto a scale-up (their outstanding
         // count is frozen, not low) nor qualify as wake/park candidates
         // — the restart path owns their state.
         let backed_up = |role: ReplicaRole| {
-            active
-                .iter()
-                .filter(|&&i| !self.replicas[i].is_down() && self.replicas[i].role() == role)
-                .all(|&i| self.replicas[i].outstanding() >= auto.scale_up_outstanding)
+            active()
+                .filter(|&i| !self.replicas[i].is_down() && self.replicas[i].role() == role)
+                .all(|i| self.replicas[i].outstanding() >= auto.scale_up_outstanding)
         };
         let wake = (0..self.replicas.len())
             .filter(|&i| !self.replicas[i].is_active() && !self.replicas[i].is_down())
@@ -1115,14 +1156,14 @@ impl Cluster {
             if cold_start > 0.0 {
                 self.replicas[parked].warm_until(now + cold_start);
             }
-            self.peak_active = self.peak_active.max(active.len() + 1);
+            self.peak_active = self.peak_active.max(active_count + 1);
             if self.active_since[parked].is_none() {
                 self.active_since[parked] = Some(now);
             }
             run.emit(now, parked, EventKind::ReplicaScaledUp);
             return;
         }
-        if active.len() > min_replicas && total_outstanding <= auto.scale_down_outstanding {
+        if active_count > min_replicas && total_outstanding <= auto.scale_down_outstanding {
             // Park the highest-index active replica that is fully
             // drained: a replica still holding queued or running work is
             // never parked mid-flight — it stays a candidate for when it
@@ -1131,11 +1172,10 @@ impl Cluster {
             // candidate.
             let last_of_role = |i: usize| {
                 self.two_stage
-                    && !active
-                        .iter()
-                        .any(|&j| j != i && self.replicas[j].role() == self.replicas[i].role())
+                    && !active()
+                        .any(|j| j != i && self.replicas[j].role() == self.replicas[i].role())
             };
-            if let Some(&idle) = active.iter().rev().find(|&&i| {
+            if let Some(idle) = active().rev().find(|&i| {
                 self.replicas[i].outstanding() == 0
                     && !self.replicas[i].is_down()
                     && !last_of_role(i)

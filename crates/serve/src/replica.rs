@@ -9,6 +9,10 @@
 //! mirrors its running batch into a [`BlockAllocator`] drawn from
 //! `spec_kvcache`, giving routers a byte-accurate KV-pressure signal
 //! that stays comparable across heterogeneous devices.
+//!
+//! A replica does not own a step-price table: whoever drives it lends a
+//! [`StepCache`] to each advance, so the cluster can keep one table per
+//! group of identically pricing replicas instead of one per replica.
 
 use crate::router::{ReplicaHealth, ReplicaSnapshot};
 use spec_kvcache::{AllocId, AllocPolicy, BlockAllocator};
@@ -23,7 +27,6 @@ use spec_telemetry::{seconds_to_ticks, Event, EventKind, RecordingSink, Telemetr
 pub struct Replica {
     scheduler: Scheduler,
     state: BatchState,
-    cache: StepCache,
     kv: BlockAllocator,
     /// The running batch as the allocator holds it: request id → hold,
     /// at most `max_batch` entries, diffed by linear scan.
@@ -85,7 +88,6 @@ impl Replica {
         Self {
             scheduler: Scheduler::new(sim, system, cfg),
             state,
-            cache: StepCache::new(),
             kv: BlockAllocator::new(
                 AllocPolicy::Paged { block_tokens: 16 },
                 bytes_per_token,
@@ -298,25 +300,31 @@ impl Replica {
     /// `t` (a decode iteration is atomic), exactly like the closed-loop
     /// scheduler. A crashed replica is frozen: its queued ghosts (blind
     /// routing) wait out the outage.
-    pub fn advance_until(&mut self, t: f64) {
+    ///
+    /// Step and prefill prices are read from, and on a miss written to,
+    /// the lent `cache`. Lend the same table to every advance of this
+    /// replica — and to any replica on a clone of the same simulator —
+    /// or it refills.
+    pub fn advance_until(&mut self, cache: &mut StepCache, t: f64) {
         if self.down {
             return;
         }
         self.scheduler
-            .advance_until(&mut self.state, &mut self.cache, t, &mut self.telemetry);
+            .advance_until(&mut self.state, cache, t, &mut self.telemetry);
         self.sync_kv();
     }
 
     /// One scheduler micro-step (closed-loop event granularity: the
-    /// cluster interleaves single steps with completion feedback), then
-    /// refreshes the KV occupancy mirror. No-op when idle.
-    pub fn step_once(&mut self) {
+    /// cluster interleaves single steps with completion feedback) priced
+    /// through the lent `cache`, then refreshes the KV occupancy mirror.
+    /// No-op when idle.
+    pub fn step_once(&mut self, cache: &mut StepCache) {
         if self.down {
             return;
         }
         if self.state.has_work() {
             self.scheduler
-                .step_traced(&mut self.state, &mut self.cache, &mut self.telemetry);
+                .step_traced(&mut self.state, cache, &mut self.telemetry);
         }
         self.sync_kv();
     }
@@ -426,12 +434,13 @@ mod tests {
 
     #[test]
     fn advance_until_respects_the_clock() {
+        let mut cache = StepCache::new();
         let mut r = replica(SystemKind::SpeContext);
         r.push(Admission::Fresh(req(0, 0.0)));
-        r.advance_until(0.5);
+        r.advance_until(&mut cache, 0.5);
         assert!(r.now() >= 0.0);
         let before = r.now();
-        r.advance_until(f64::INFINITY);
+        r.advance_until(&mut cache, f64::INFINITY);
         assert!(r.now() >= before);
         assert_eq!(r.completed().len(), 1);
         assert!(!r.has_work());
@@ -439,38 +448,41 @@ mod tests {
 
     #[test]
     fn kv_pressure_rises_with_backlog_and_clears_when_drained() {
+        let mut cache = StepCache::new();
         let mut r = replica(SystemKind::FullFlashInfer);
         let empty = r.kv_pressure();
         for i in 0..8 {
             r.push(Admission::Fresh(req(i, 0.0)));
         }
-        r.advance_until(1e-9); // admit some work, sync the mirror
+        r.advance_until(&mut cache, 1e-9); // admit some work, sync the mirror
         let loaded = r.kv_pressure();
         assert!(loaded > empty, "pressure {loaded} after load vs {empty}");
-        r.advance_until(f64::INFINITY);
+        r.advance_until(&mut cache, f64::INFINITY);
         assert_eq!(r.completed().len(), 8);
         assert!(r.kv_pressure() < loaded);
     }
 
     #[test]
     fn sparse_system_caps_per_request_kv_at_the_budget() {
+        let mut cache = StepCache::new();
         let mut ours = replica(SystemKind::SpeContext);
         let mut full = replica(SystemKind::FullFlashInfer);
         for i in 0..4 {
             ours.push(Admission::Fresh(req(i, 0.0)));
             full.push(Admission::Fresh(req(i, 0.0)));
         }
-        ours.advance_until(1e-9);
-        full.advance_until(1e-9);
+        ours.advance_until(&mut cache, 1e-9);
+        full.advance_until(&mut cache, 1e-9);
         assert!(ours.kv_pressure() < full.kv_pressure());
     }
 
     #[test]
     fn crash_tears_out_work_and_freezes_until_restart() {
+        let mut cache = StepCache::new();
         let mut r = replica(SystemKind::SpeContext);
         r.push(Admission::Fresh(req(0, 0.0)));
         r.push(Admission::Fresh(req(1, 0.0)));
-        r.advance_until(1e-9); // admit, no completions yet
+        r.advance_until(&mut cache, 1e-9); // admit, no completions yet
         let work = r.crash();
         assert!(r.is_down());
         assert_eq!(r.health(), ReplicaHealth::Down);
@@ -481,7 +493,7 @@ mod tests {
             "every assigned request is lost, checkpointed or already done"
         );
         let frozen = r.now();
-        r.advance_until(10.0);
+        r.advance_until(&mut cache, 10.0);
         assert_eq!(r.now(), frozen, "a crashed replica is frozen");
         r.restart(5.0, Some(6.5));
         assert_eq!(r.health(), ReplicaHealth::Probation);
@@ -494,14 +506,15 @@ mod tests {
 
     #[test]
     fn straggler_slowdown_stretches_the_clock() {
+        let mut cache = StepCache::new();
         let mut fast = replica(SystemKind::SpeContext);
         let mut slow = replica(SystemKind::SpeContext);
         slow.set_slowdown(4.0);
         assert_eq!(slow.health(), ReplicaHealth::Straggling);
         fast.push(Admission::Fresh(req(0, 0.0)));
         slow.push(Admission::Fresh(req(0, 0.0)));
-        fast.advance_until(f64::INFINITY);
-        slow.advance_until(f64::INFINITY);
+        fast.advance_until(&mut cache, f64::INFINITY);
+        slow.advance_until(&mut cache, f64::INFINITY);
         assert!(
             slow.now() > fast.now(),
             "slowed replica {} must trail healthy {}",
@@ -514,11 +527,12 @@ mod tests {
 
     #[test]
     fn prefill_replica_hands_off_and_decode_resumes_free() {
+        let mut cache = StepCache::new();
         let mut p = replica(SystemKind::SpeContext);
         p.set_role(ReplicaRole::Prefill);
         assert_eq!(p.role(), ReplicaRole::Prefill);
         p.push(Admission::Fresh(req(0, 0.0)));
-        p.advance_until(f64::INFINITY);
+        p.advance_until(&mut cache, f64::INFINITY);
         assert!(p.completed().is_empty(), "prefill retires at first token");
         let hs = p.take_handoffs();
         assert_eq!(hs.len(), 1);
@@ -529,7 +543,7 @@ mod tests {
             handoff: hs[0].restorable,
             at: hs[0].emitted,
         });
-        d.advance_until(f64::INFINITY);
+        d.advance_until(&mut cache, f64::INFINITY);
         assert_eq!(d.completed().len(), 1);
         assert_eq!(
             d.completed()[0].first_token,
@@ -540,11 +554,12 @@ mod tests {
 
     #[test]
     fn parked_replica_keeps_draining() {
+        let mut cache = StepCache::new();
         let mut r = replica(SystemKind::SpeContext);
         r.push(Admission::Fresh(req(0, 0.0)));
         r.set_active(false);
         assert!(!r.is_active());
-        r.advance_until(f64::INFINITY);
+        r.advance_until(&mut cache, f64::INFINITY);
         assert_eq!(r.completed().len(), 1);
     }
 }

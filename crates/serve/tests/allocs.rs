@@ -3,9 +3,14 @@
 //! Before the micro-step pass one simulated request cost ~1 300 heap
 //! allocations (a label-formatting timeline per step-cache miss, a
 //! thresholds vector per iteration, a tenant list per admission
-//! decision, a set and two vectors per replica advance). This pins what
-//! is left: a few allocations per request for the run's own bookkeeping,
-//! and none at all per decode iteration.
+//! decision, a set and two vectors per replica advance), and until the
+//! cluster kept its routing snapshots in a buffer, one more per routed
+//! request. This pins what is left: on the 512-request prefix about 0.4
+//! allocations per request fault-free and about 1.05 under the fault
+//! plan — the run's own bookkeeping (the growing completion, queue and
+//! event-key containers, the report, the pages of the fleet's shared
+//! step tables) — and none at all per decode iteration, through the
+//! table walk of a quiet run.
 
 use spec_hwsim::{fleet, DeviceSpec, Fleet, LinkSpec, ReplicaRole};
 use spec_model::ModelConfig;
@@ -61,7 +66,11 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
 
 const BUDGET: usize = 2048;
 const PREFIX: usize = 512;
-const ALLOCS_PER_REQUEST: u64 = 50;
+/// Allocations allowed per 100 replayed requests: measured 40
+/// (fault-free) and 105 (faulted), with head-room for an allocator- or
+/// container-growth-policy change, not for a per-request `Vec`.
+const OPEN_ALLOCS_PER_100: u64 = 60;
+const FAULTED_ALLOCS_PER_100: u64 = 150;
 
 /// `bench_e2e`'s scheduler (DRR with preemption).
 fn scheduler() -> SchedulerConfig {
@@ -105,7 +114,7 @@ fn open_loop_replay_allocates_a_few_times_per_request() {
     let (report, allocations) = counted(|| cluster.run(&trace, &SloSpec::new(10.0, 0.02)));
     assert_eq!(report.completed + report.rejected, PREFIX);
     assert!(
-        allocations <= ALLOCS_PER_REQUEST * PREFIX as u64,
+        allocations * 100 <= OPEN_ALLOCS_PER_100 * PREFIX as u64,
         "{allocations} allocations for {PREFIX} requests"
     );
 }
@@ -144,14 +153,15 @@ fn faulted_split_fleet_replay_allocates_a_few_times_per_request() {
     assert_eq!(terminal, PREFIX);
     assert!(report.handoffs.count > 0, "the split fleet must hand off");
     assert!(
-        allocations <= ALLOCS_PER_REQUEST * PREFIX as u64,
+        allocations * 100 <= FAULTED_ALLOCS_PER_100 * PREFIX as u64,
         "{allocations} allocations for {PREFIX} requests"
     );
 }
 
-/// 10 000 consecutive decode iterations over a warm step cache allocate
-/// nothing — and the shared advance loop lands on the same clock bits as
-/// single micro-steps.
+/// 10 000 consecutive decode iterations over a warm step cache — one
+/// quiet run walking twenty table pages, through 2 500 admission sweeps
+/// that find the queue empty — allocate nothing, and land on the same
+/// clock bits as 12 500 single micro-steps.
 #[test]
 fn decode_iterations_on_a_warm_cache_allocate_nothing() {
     let sim = ServingSim::new(model(), DeviceSpec::a100_80g(), BUDGET);

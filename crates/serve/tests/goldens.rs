@@ -219,3 +219,110 @@ fn golden_d_autoscaled() {
         }
     );
 }
+
+/// The first 512 requests of the sample trace.
+fn sample_prefix() -> Vec<arrivals::ClusterRequest> {
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/sample_trace.sptr");
+    let bytes = std::fs::read(path).expect("committed results/sample_trace.sptr");
+    let mut trace = spec_serve::trace::decode(&bytes).expect("sample trace decodes");
+    trace.truncate(512);
+    trace
+}
+
+// Goldens (e)-(g) pin that sharing one step table between replicas that
+// price identically changes no report: they were recorded on the commit
+// where every replica still filled a private table.
+
+/// (e) The prefix on four identical A100s — one shared table.
+#[test]
+fn golden_e_homogeneous_fleet_prefix() {
+    let mut cluster = unified(4, ClusterConfig::new().scheduler(gate_scheduler()));
+    let got = golden(cluster.run_traced(&sample_prefix(), &gate_slo()));
+    assert_eq!(
+        got,
+        Golden {
+            report: 5188651895283413804,
+            events: 7537,
+            stream: 10706477566899937024,
+        }
+    );
+}
+
+/// (f) The prefix on 2 A100 + 2 RTX 4090 — two tables, each shared by a
+/// pair.
+#[test]
+fn golden_f_mixed_device_fleet_prefix() {
+    let devices = Fleet::new()
+        .with(DeviceSpec::a100_80g(), 2)
+        .with(DeviceSpec::rtx4090(), 2)
+        .build();
+    let mut cluster = Cluster::from_fleet(
+        &model(),
+        &devices,
+        2048,
+        SystemKind::SpeContext,
+        ClusterConfig::new().scheduler(gate_scheduler()),
+        RouterKind::LeastKvPressure.build(),
+    );
+    let got = golden(cluster.run_traced(&sample_prefix(), &gate_slo()));
+    assert_eq!(
+        got,
+        Golden {
+            report: 3769518673954146186,
+            events: 8113,
+            stream: 10643722113097753749,
+        }
+    );
+}
+
+/// (g) The prefix on golden (b)'s 2 prefill + 2 decode fleet under a
+/// fault plan dense enough to crash, straggle and shed within it.
+#[test]
+fn golden_g_faulted_split_fleet_prefix() {
+    let slots = Fleet::new()
+        .with_role(DeviceSpec::a100_80g(), ReplicaRole::Prefill, 2)
+        .with_role(DeviceSpec::a100_80g(), ReplicaRole::Decode, 2)
+        .build_slots();
+    let mut cluster = Cluster::from_fleet_slots(
+        &model(),
+        &slots,
+        2048,
+        SystemKind::SpeContext,
+        ClusterConfig::new()
+            .scheduler(gate_scheduler())
+            .disagg(DisaggConfig::new().link(LinkSpec::infiniband())),
+        RouterKind::LeastOutstanding.build(),
+    );
+    let plan = FaultPlan::none()
+        .seed(11)
+        .mtbf(400.0, 5.0)
+        .random_stragglers(60.0, 10.0, 5.0)
+        .kv_loss(0.1)
+        .retry(RetryPolicy::default())
+        .shed(ShedPolicy::new(1_200).weights(vec![(0, 4), (1, 1)]))
+        .probation(2.0);
+    let (report, events) = cluster.run_fault_plan_traced(&sample_prefix(), &gate_slo(), &plan);
+    let counters = (
+        report.completed,
+        report.faults.crashes,
+        report.faults.retries,
+        report.faults.shed,
+        report.handoffs.count,
+        report
+            .replicas
+            .iter()
+            .map(|r| r.report.preemptions)
+            .sum::<usize>(),
+        report.makespan,
+    );
+    assert_eq!(counters, (486, 12, 205, 26, 691, 162, 1122.2114209655783));
+    assert_eq!(
+        golden((report, events)),
+        Golden {
+            report: 2375845071385592991,
+            events: 13487,
+            stream: 15722356816948950864,
+        }
+    );
+}

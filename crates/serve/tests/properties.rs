@@ -11,15 +11,24 @@
 //! 3. **Single-replica equivalence** — a 1-replica cluster (any router)
 //!    reproduces the closed-loop `Scheduler::run` bit-for-bit: same
 //!    completions, same floats, same makespan.
+//!
+//! And the fleet's step-price tables: replicas that price identically —
+//! by what their simulators are, not how they were built — share one,
+//! which then holds exactly the distinct steps the group priced. (That
+//! sharing changes no report is `goldens.rs` (e)–(g), recorded with a
+//! private table per replica.)
 
 use proptest::prelude::*;
 use spec_hwsim::DeviceSpec;
 use spec_model::ModelConfig;
-use spec_runtime::{Scheduler, SchedulerConfig, ServingSim, SystemKind, Workload};
+use spec_runtime::{
+    BatchState, Request, Scheduler, SchedulerConfig, ServingSim, StepCache, SystemKind, Workload,
+};
 use spec_serve::arrivals::{self, ArrivalProcess, ClusterRequest, TenantClass, TraceConfig};
 use spec_serve::cluster::{Cluster, ClusterConfig};
 use spec_serve::router::RouterKind;
 use spec_serve::slo::SloSpec;
+use spec_telemetry::NullSink;
 use spec_tensor::SimRng;
 
 fn sim() -> ServingSim {
@@ -261,4 +270,88 @@ fn oversized_requests_reject_cluster_wide() {
     let report = c.run(&trace, &SloSpec::default());
     assert_eq!(report.completed, 2);
     assert_eq!(report.rejected, 1);
+}
+
+/// A homogeneous fleet fills one table, and that table holds the union
+/// of what its replicas priced — fewer entries than four private tables,
+/// because identical neighbours revisit each other's batch compositions.
+#[test]
+fn a_homogeneous_fleet_shares_one_step_table() {
+    let trace = make_tenanted_trace(5, 64, 8.0);
+    // `cluster` constructs its simulators one by one: sharing is decided
+    // from their content.
+    let mut c = cluster(4, RouterKind::LeastOutstanding);
+    assert_eq!(c.step_tables().len(), 1);
+    assert!(c.step_tables()[0].is_empty(), "nothing priced before a run");
+    let report = c.run(&trace, &SloSpec::default());
+    assert_eq!(report.completed, trace.len());
+
+    // Replay each replica's slice on a bare scheduler (the 1-replica
+    // equivalence: the same steps in the same order), once into one
+    // table for the whole fleet and once into a private one.
+    let scheduler = Scheduler::new(sim(), SystemKind::SpeContext, SchedulerConfig::default());
+    let mut union = StepCache::new();
+    let mut private_total = 0;
+    for rep in &report.replicas {
+        assert!(rep.assigned > 0, "every replica must take part");
+        let mut slice: Vec<Request> = rep.report.completed.iter().map(|c| c.request).collect();
+        slice.sort_by(|a, b| a.arrival.total_cmp(&b.arrival).then(a.id.cmp(&b.id)));
+        let mut private = StepCache::new();
+        for table in [&mut union, &mut private] {
+            let mut state = BatchState::new();
+            for req in &slice {
+                state.push(*req);
+            }
+            scheduler.advance_until(&mut state, table, f64::INFINITY, &mut NullSink);
+            assert_eq!(state.completed().len(), slice.len());
+        }
+        private_total += private.len();
+    }
+    assert_eq!(
+        c.step_tables()[0].len(),
+        union.len(),
+        "the shared table holds each distinct (batch, length) once"
+    );
+    assert!(
+        union.len() < private_total,
+        "sharing must save misses: {} shared vs {private_total} private",
+        union.len()
+    );
+}
+
+/// Replicas that price differently keep their own tables: another
+/// device, or the same device with its public `elastic_reuse` changed.
+#[test]
+fn differently_pricing_replicas_keep_their_own_tables() {
+    let trace = make_trace(9, 24, 4.0, false);
+    let mut mixed = Cluster::from_fleet(
+        &ModelConfig::deepseek_distill_llama_8b(),
+        &[
+            DeviceSpec::a100_80g(),
+            DeviceSpec::rtx4090(),
+            DeviceSpec::a100_80g(),
+        ],
+        2048,
+        SystemKind::SpeContext,
+        ClusterConfig::default(),
+        RouterKind::RoundRobin.build(),
+    );
+    assert_eq!(mixed.step_tables().len(), 2, "two A100s, one RTX 4090");
+    let report = mixed.run(&trace, &SloSpec::default());
+    assert_eq!(report.completed, trace.len());
+    assert!(mixed.step_tables().iter().all(|t| !t.is_empty()));
+
+    let mut retuned = sim();
+    retuned.elastic_reuse = 0.5;
+    let c = Cluster::new(
+        vec![sim(), retuned, sim()],
+        SystemKind::SpeContext,
+        ClusterConfig::default(),
+        RouterKind::RoundRobin.build(),
+    );
+    assert_eq!(
+        c.step_tables().len(),
+        2,
+        "the retuned simulator stands alone"
+    );
 }
