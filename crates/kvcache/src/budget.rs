@@ -31,12 +31,22 @@ impl StepTransfer {
 }
 
 /// Per-(layer, head) resident sets under a shared per-head budget.
+///
+/// A speculative selection hands every layer the same lists, so the
+/// layers' sets stay equal step after step. A layer whose sets equal the
+/// layer's below it **follows** that layer: it keeps no sets of its own,
+/// [`head`](Self::head) answers with its leader's, and its step is its
+/// leader's — one plan per distinct (resident state, selection), nothing
+/// copied. A follower handed lists of its own takes a copy of its
+/// leader's sets at that step and plans for itself from then on, until
+/// its sets equal the layer's below it again.
 #[derive(Debug, Clone)]
 pub struct BudgetBuffer {
+    /// `sets[l]` are layer `l`'s while it leads; stale (allocation kept
+    /// for the next divergence) while `follows[l]`.
     sets: Vec<Vec<ResidentSet>>,
-    /// `follows[l]`: layer `l`'s sets are known to equal layer `l - 1`'s
-    /// (never set for layer 0). While it holds and the two layers are
-    /// handed the same lists, layer `l`'s step is layer `l - 1`'s.
+    /// `follows[l]`: layer `l`'s sets are layer `l - 1`'s (never set for
+    /// layer 0), which may follow in turn.
     follows: Vec<bool>,
     budget: usize,
     /// The buffers every set plans and applies in, so that
@@ -79,13 +89,20 @@ impl BudgetBuffer {
         self.sets.first().map_or(0, Vec::len)
     }
 
+    /// The layer whose sets `layer` reads: itself, or the nearest layer
+    /// below it that follows no one.
+    fn leader(&self, layer: usize) -> usize {
+        let following = self.follows[..=layer].iter().rev();
+        layer - following.take_while(|&&f| f).count()
+    }
+
     /// Access one head's resident set.
     ///
     /// # Panics
     ///
     /// Panics if indices are out of range.
     pub fn head(&self, layer: usize, kv_head: usize) -> &ResidentSet {
-        &self.sets[layer][kv_head]
+        &self.sets[self.leader(layer)][kv_head]
     }
 
     /// Plans and applies the selections for one decode step.
@@ -93,9 +110,9 @@ impl BudgetBuffer {
     /// aggregate transfer volume.
     ///
     /// One plan is made per distinct (resident state, selection) among
-    /// neighbouring layers: a layer in the state of the one before it and
+    /// neighbouring layers: a layer following the one before it and
     /// handed the same lists — every layer but the first under a
-    /// speculative selection, which is identical across layers — takes
+    /// speculative selection, which is identical across layers — shares
     /// that layer's new state and counts instead of planning them again.
     ///
     /// # Panics
@@ -104,24 +121,31 @@ impl BudgetBuffer {
     /// selection exceeds the budget.
     pub fn step(&mut self, selections: &[Vec<Vec<usize>>]) -> StepTransfer {
         assert_eq!(selections.len(), self.layers(), "layer count mismatch");
+        // A follower handed lists of its own leads from here: it starts
+        // from the state it shared, before any layer moves on.
+        for layer in (1..self.layers()).rev() {
+            if self.follows[layer] && selections[layer] != selections[layer - 1] {
+                let leader = self.leader(layer - 1);
+                let (below, own) = self.sets.split_at_mut(layer);
+                own[0].clone_from(&below[leader]);
+                self.follows[layer] = false;
+            }
+        }
         let mut agg = StepTransfer::default();
-        // What the last layer that planned moved; a layer sharing its plan
-        // moves the same.
+        // What the last layer that planned moved; its followers move the
+        // same.
         let mut moved = StepTransfer::default();
         for (layer, heads) in selections.iter().enumerate() {
             assert_eq!(heads.len(), self.kv_heads(), "head count mismatch");
-            let (done, rest) = self.sets.split_at_mut(layer);
-            let sets = &mut rest[0];
-            if self.follows[layer] && *heads == selections[layer - 1] {
-                sets.clone_from(&done[layer - 1]);
-            } else {
+            if !self.follows[layer] {
                 moved = StepTransfer::default();
-                for (set, wanted) in sets.iter_mut().zip(heads) {
+                for (set, wanted) in self.sets[layer].iter_mut().zip(heads) {
                     set.advance(wanted, &mut self.scratch);
                     moved.fetched_entries += self.scratch.fetch.len() as u64;
                     moved.reused_entries += self.scratch.reused.len() as u64;
                 }
-                self.follows[layer] = layer > 0 && *sets == done[layer - 1];
+                self.follows[layer] =
+                    layer > 0 && self.sets[layer] == self.sets[self.leader(layer - 1)];
             }
             agg.fetched_entries += moved.fetched_entries;
             agg.reused_entries += moved.reused_entries;

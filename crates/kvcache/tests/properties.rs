@@ -114,6 +114,47 @@ fn next_wanted(prev: &[usize], fresh: Vec<usize>, mode: usize, salt: u64) -> Vec
     }
 }
 
+/// The `BudgetBuffer` whose followers copied: a layer in the state of the
+/// one before it and handed the same lists `clone_from`s that layer's
+/// new sets every step instead of reading them in place.
+struct CopyingBuffer {
+    sets: Vec<Vec<ResidentSet>>,
+    follows: Vec<bool>,
+}
+
+impl CopyingBuffer {
+    fn new(layers: usize, kv_heads: usize, budget: usize) -> Self {
+        let heads = || (0..kv_heads).map(|_| ResidentSet::new(budget)).collect();
+        Self {
+            sets: (0..layers).map(|_| heads()).collect(),
+            follows: (0..layers).map(|l| l > 0).collect(),
+        }
+    }
+
+    /// `(fetched, reused)` over all layers and heads.
+    fn step(&mut self, selections: &[Vec<Vec<usize>>]) -> (u64, u64) {
+        let (mut agg, mut moved) = ((0, 0), (0, 0));
+        for (layer, heads) in selections.iter().enumerate() {
+            let (done, rest) = self.sets.split_at_mut(layer);
+            let sets = &mut rest[0];
+            if self.follows[layer] && *heads == selections[layer - 1] {
+                sets.clone_from(&done[layer - 1]);
+            } else {
+                moved = (0, 0);
+                for (set, wanted) in sets.iter_mut().zip(heads) {
+                    let plan = set.plan(wanted);
+                    moved.0 += plan.fetch.len() as u64;
+                    moved.1 += plan.reused.len() as u64;
+                    set.apply(&plan);
+                }
+                self.follows[layer] = layer > 0 && *sets == done[layer - 1];
+            }
+            agg = (agg.0 + moved.0, agg.1 + moved.1);
+        }
+        agg
+    }
+}
+
 proptest! {
     /// Applying a plan always makes exactly the wanted set resident
     /// (plus possibly stale entries when under budget — the wanted set
@@ -263,6 +304,46 @@ proptest! {
                 }
             }
             prop_assert_eq!((moved.fetched_entries, moved.reused_entries), (fetched, reused));
+        }
+    }
+
+    /// A `BudgetBuffer` whose followers borrow their leader's sets answers,
+    /// step by step, what one whose followers copy them answers: the same
+    /// `StepTransfer` and the same `head(l, h)` — positions and slots —
+    /// for every layer. Four layers, so a follower's leader may itself
+    /// follow; two layers each handed lists of their own for a stretch
+    /// (the stretches may overlap, touch or be empty), so a layer leaves
+    /// its leader while the layers above keep following *it*, and takes
+    /// its leader back once their sets agree again.
+    #[test]
+    fn borrowing_followers_match_copying_followers(
+        steps in prop::collection::vec((model_step(), model_step(), model_step()), 1..20),
+        first in (0usize..20, 0usize..5, 0usize..4),
+        second in (0usize..20, 0usize..5, 0usize..4),
+    ) {
+        const LAYERS: usize = 4;
+        let mut borrowing = BudgetBuffer::new(LAYERS, 2, MODEL_BUDGET);
+        let mut copying = CopyingBuffer::new(LAYERS, 2, MODEL_BUDGET);
+        let mut wanted = [Vec::new(), Vec::new()];
+        let mut own = Vec::new();
+        for (i, (a, b, c)) in steps.into_iter().enumerate() {
+            wanted[0] = next_wanted(&wanted[0], a.0, a.1, a.2);
+            wanted[1] = next_wanted(&wanted[1], b.0, b.1, b.2);
+            own = next_wanted(&own, c.0, c.1, c.2);
+            let mut selections = vec![wanted.to_vec(); LAYERS];
+            for (from, len, odd_layer) in [first, second] {
+                if (from..from + len).contains(&i) {
+                    selections[odd_layer][i % 2] = own.clone();
+                }
+            }
+            let moved = borrowing.step(&selections);
+            let want = copying.step(&selections);
+            prop_assert_eq!((moved.fetched_entries, moved.reused_entries), want, "step {}", i);
+            for l in 0..LAYERS {
+                for h in 0..2 {
+                    prop_assert_eq!(borrowing.head(l, h), &copying.sets[l][h], "step {} layer {} head {}", i, l, h);
+                }
+            }
         }
     }
 

@@ -15,6 +15,7 @@
 use crate::config::{AttentionKind, SimGeometry};
 use crate::transformer::Model;
 use crate::weights::{LayerWeights, ModelWeights};
+use spec_tensor::topk::ForwardScratch;
 use spec_tensor::{ops, KeyBlocks, Matrix, SimRng};
 
 /// Options controlling distillation fidelity.
@@ -227,6 +228,12 @@ pub struct RetrievalHead {
 #[derive(Debug, Clone, Default)]
 pub struct RetrievalHeadState {
     keys: Vec<KeyBlocks>,
+    /// [`RetrievalHead::append`]'s buffers, refilled by every call: the
+    /// normalized embedding, one head's key row and (positional scoring
+    /// only) the position's rotations.
+    normed: Vec<f32>,
+    key: Vec<f32>,
+    rope: Vec<(f32, f32)>,
 }
 
 impl RetrievalHeadState {
@@ -241,7 +248,7 @@ impl RetrievalHeadState {
     }
 
     /// Head `h`'s attention weights for its `query` (a row of
-    /// [`RetrievalHead::queries`]) over every cached position —
+    /// [`RetrievalHead::queries_into`]) over every cached position —
     /// `softmax(q K^T / sqrt(dim))` — into `out`, whose capacity is
     /// reused: the selection mapping passes its score arena's buffers.
     ///
@@ -289,32 +296,39 @@ impl RetrievalHead {
     pub fn new_state(&self) -> RetrievalHeadState {
         RetrievalHeadState {
             keys: vec![KeyBlocks::new(self.geom.head_dim); self.geom.q_heads],
+            ..RetrievalHeadState::default()
         }
     }
 
-    /// The rotation of position `pos`, when scoring is positional.
-    fn rope_table(&self, pos: usize) -> Option<Vec<(f32, f32)>> {
-        self.use_rope.then(|| {
-            ops::rope_table(
-                self.geom.head_dim,
-                pos,
-                self.geom.rope_base,
-                self.rope_scale,
-            )
-        })
+    /// The rotations of position `pos` into `table`, when scoring is
+    /// positional; whether it is.
+    fn rope_table_into(&self, pos: usize, table: &mut Vec<(f32, f32)>) -> bool {
+        if self.use_rope {
+            let (dim, base) = (self.geom.head_dim, self.geom.rope_base);
+            ops::rope_table_into(table, dim, pos, base, self.rope_scale);
+        }
+        self.use_rope
     }
 
-    /// Appends one embedded token to the key cache.
+    /// Appends one embedded token to the key cache. Allocates nothing but
+    /// the cache's own (amortised) growth.
     pub fn append(&self, emb: &[f32], state: &mut RetrievalHeadState) {
-        let normed = ops::rmsnorm(emb, &self.norm_attn, 1e-6);
-        let rope = self.rope_table(state.len());
-        let mut k = vec![0.0; self.geom.head_dim];
-        for (wk, keys) in self.wk.iter().zip(&mut state.keys) {
-            wk.vecmat_into(&normed, &mut k);
-            if let Some(table) = &rope {
-                ops::rope_apply(&mut k, table);
+        let pos = state.len();
+        let RetrievalHeadState {
+            keys,
+            normed,
+            key,
+            rope,
+        } = state;
+        ops::rmsnorm_into(normed, emb, &self.norm_attn, 1e-6);
+        let rotate = self.rope_table_into(pos, rope);
+        key.resize(self.geom.head_dim, 0.0);
+        for (wk, keys) in self.wk.iter().zip(keys) {
+            wk.vecmat_into(normed, key);
+            if rotate {
+                ops::rope_apply(key, rope);
             }
-            keys.push(&k);
+            keys.push(key);
         }
     }
 
@@ -326,25 +340,34 @@ impl RetrievalHead {
     }
 
     /// The per-head query vectors of `query_emb`, asked at the last cached
-    /// position: row `h` is what head `h` scores its keys with
-    /// ([`RetrievalHeadState::scores_into`]).
+    /// position, into `fw.queries`: row `h` is what head `h` scores its
+    /// keys with ([`RetrievalHeadState::scores_into`]). The head's query
+    /// projection is a forward pass of its own, ahead of the model's, so
+    /// it runs in the same buffers (`fw.normed`, `fw.rope`, `fw.queries`)
+    /// and a decode loop that keeps its scratch allocates nothing here.
     ///
     /// # Panics
     ///
     /// Panics if the state is empty.
-    pub fn queries(&self, query_emb: &[f32], state: &RetrievalHeadState) -> Matrix {
+    pub fn queries_into(
+        &self,
+        query_emb: &[f32],
+        state: &RetrievalHeadState,
+        fw: &mut ForwardScratch,
+    ) {
         assert!(!state.is_empty(), "retrieval head has no cached keys");
-        let normed = ops::rmsnorm(query_emb, &self.norm_attn, 1e-6);
-        let rope = self.rope_table(state.len() - 1);
-        let mut queries = Matrix::zeros(self.geom.q_heads, self.geom.head_dim);
+        ops::rmsnorm_into(&mut fw.normed, query_emb, &self.norm_attn, 1e-6);
+        let rotate = self.rope_table_into(state.len() - 1, &mut fw.rope);
+        if fw.queries.shape() != (self.geom.q_heads, self.geom.head_dim) {
+            fw.queries = Matrix::zeros(self.geom.q_heads, self.geom.head_dim);
+        }
         for (h, wq) in self.wq.iter().enumerate() {
-            let q = queries.row_mut(h);
-            wq.vecmat_into(&normed, q);
-            if let Some(table) = &rope {
-                ops::rope_apply(q, table);
+            let q = fw.queries.row_mut(h);
+            wq.vecmat_into(&fw.normed, q);
+            if rotate {
+                ops::rope_apply(q, &fw.rope);
             }
         }
-        queries
     }
 
     /// Head-level attention weights of the query embedding against the
@@ -355,11 +378,12 @@ impl RetrievalHead {
     ///
     /// Panics if the state is empty.
     pub fn head_scores(&self, query_emb: &[f32], state: &RetrievalHeadState) -> Vec<Vec<f32>> {
-        let queries = self.queries(query_emb, state);
+        let mut fw = ForwardScratch::default();
+        self.queries_into(query_emb, state, &mut fw);
         (0..self.geom.q_heads)
             .map(|h| {
                 let mut scores = Vec::new();
-                state.scores_into(h, queries.row(h), &mut scores);
+                state.scores_into(h, fw.queries.row(h), &mut scores);
                 scores
             })
             .collect()

@@ -26,7 +26,7 @@ use spec_model::{
     AttentionKind, LayerKv, LayerSelector, RetrievalHead, RetrievalHeadState, SimGeometry,
     SparsePlan,
 };
-use spec_tensor::topk::{PosBitSet, SelectScratch};
+use spec_tensor::topk::{PosBitSet, RankScratch, ScoreArena, SelectScratch};
 use spec_tensor::Matrix;
 
 /// Mapping granularity of retrieval-head weights onto the LLM.
@@ -84,7 +84,13 @@ impl SpecSelection {
             "expected one score vector per LLM query head"
         );
         let seq_len = scores[0].len();
-        Self::map_scores(seq_len, geom, cfg, level, scratch, |q, buf| {
+        let SelectScratch {
+            scores: arena,
+            rank,
+            marks,
+            ..
+        } = scratch;
+        Self::map_scores(seq_len, geom, cfg, level, arena, rank, marks, |q, buf| {
             buf.clear();
             buf.extend_from_slice(&scores[q]);
         })
@@ -95,23 +101,21 @@ impl SpecSelection {
     /// so a scorer that computes them there (the retriever) never holds a
     /// score vector of its own.
     ///
-    /// Serial on the caller's warm scratch at any length: one KV head's
-    /// pool-and-assemble is tens of microseconds at 4 K positions, less
-    /// than the scoped spawn a per-head fan-out would cost.
+    /// Serial on the caller's warm arenas (the selection fields of a
+    /// [`SelectScratch`]) at any length: one KV head's pool-and-assemble
+    /// is tens of microseconds at 4 K positions, less than the scoped
+    /// spawn a per-head fan-out would cost.
+    #[allow(clippy::too_many_arguments)]
     fn map_scores(
         seq_len: usize,
         geom: &SimGeometry,
         cfg: &SelectorConfig,
         level: MappingLevel,
-        scratch: &mut SelectScratch,
+        arena: &mut ScoreArena,
+        rank: &mut RankScratch,
+        marks: &mut PosBitSet,
         score_into: impl Fn(usize, &mut Vec<f32>),
     ) -> Self {
-        let SelectScratch {
-            scores: arena,
-            rank,
-            marks,
-            ..
-        } = scratch;
         let per_head: Vec<Vec<usize>> = match level {
             MappingLevel::Head => {
                 let group = match geom.attention {
@@ -189,23 +193,45 @@ impl SpecSelection {
     }
 
     /// The union of all heads' positions (the set of KV entries that must
-    /// be resident on the GPU; per-head slots alias into it).
+    /// be resident on the GPU; per-head slots alias into it), ascending.
     pub fn union_positions(&self) -> Vec<usize> {
-        // Position lists are sorted, so the maximum is each list's tail.
-        let len = self
-            .per_head
-            .iter()
-            .filter_map(|h| h.last().map(|&p| p + 1))
-            .max()
-            .unwrap_or(0);
-        let mut marks = PosBitSet::default();
-        marks.reset(len);
-        for h in &self.per_head {
-            for &p in h {
-                marks.mark(p);
+        let mut out = Vec::new();
+        self.union_positions_into(&mut out);
+        out
+    }
+
+    /// [`union_positions`](Self::union_positions) into `out` (cleared
+    /// first, its capacity reused): a k-way merge of the per-head lists,
+    /// which are strictly ascending by contract — nothing sized by the
+    /// context, and no allocation once `out` has held a union.
+    pub fn union_positions_into(&self, out: &mut Vec<usize>) {
+        out.clear();
+        // Heads agree on most positions; the longest list plus what the
+        // others add rarely outgrows this, and never the sum.
+        let longest = self.per_head.iter().map(Vec::len).max().unwrap_or(0);
+        let total: usize = self.per_head.iter().map(Vec::len).sum();
+        out.reserve(total.min(2 * longest));
+        // One cursor per head; on the stack for any head count a GQA /
+        // MQA model has.
+        let mut stack = [0usize; 16];
+        let mut heap = Vec::new();
+        let cursors = match stack.get_mut(..self.per_head.len()) {
+            Some(cursors) => cursors,
+            None => {
+                heap.resize(self.per_head.len(), 0);
+                &mut heap[..]
+            }
+        };
+        loop {
+            let heads = self.per_head.iter().zip(cursors.iter());
+            let Some(next) = heads.filter_map(|(head, &c)| head.get(c)).min().copied() else {
+                break;
+            };
+            out.push(next);
+            for (head, c) in self.per_head.iter().zip(cursors.iter_mut()) {
+                *c += usize::from(head.get(*c) == Some(&next));
             }
         }
-        marks.collect_sorted()
     }
 }
 
@@ -302,34 +328,46 @@ impl SpecContextRetriever {
         llm_geom: &SimGeometry,
         scratch: &mut SelectScratch,
     ) -> SpecSelection {
-        let lambda = self.cfg.query_smoothing.clamp(0.0, 1.0);
-        let blended: Vec<f32> = if lambda > 0.0 && !self.ema.is_empty() {
-            // Blend unit directions: the head RMS-norms its query, so only
-            // the direction matters, and the raw EMA norm is much smaller
-            // than a token embedding's.
-            let nq = norm(query_emb).max(1e-9);
-            let ne = norm(&self.ema).max(1e-9);
-            query_emb
-                .iter()
-                .zip(&self.ema)
-                .map(|(q, e)| (1.0 - lambda) * q / nq + lambda * e / ne)
-                .collect()
-        } else {
-            query_emb.to_vec()
-        };
         assert_eq!(
             self.head.num_heads(),
             llm_geom.q_heads,
             "expected one retrieval head per LLM query head"
         );
+        // The head runs ahead of the model, in the buffers the model's
+        // own pass refills afterwards: the blended query is its residual
+        // stream.
+        let SelectScratch {
+            scores: arena,
+            rank,
+            marks,
+            forward: fw,
+        } = scratch;
+        let mut blended = std::mem::take(&mut fw.residual);
+        blended.clear();
+        let lambda = self.cfg.query_smoothing.clamp(0.0, 1.0);
+        if lambda > 0.0 && !self.ema.is_empty() {
+            // Blend unit directions: the head RMS-norms its query, so only
+            // the direction matters, and the raw EMA norm is much smaller
+            // than a token embedding's.
+            let nq = norm(query_emb).max(1e-9);
+            let ne = norm(&self.ema).max(1e-9);
+            let pairs = query_emb.iter().zip(&self.ema);
+            blended.extend(pairs.map(|(q, e)| (1.0 - lambda) * q / nq + lambda * e / ne));
+        } else {
+            blended.extend_from_slice(query_emb);
+        }
+        self.head.queries_into(&blended, &self.state, fw);
+        fw.residual = blended;
         // Each head's weights are computed where the mapping pools them.
-        let queries = self.head.queries(&blended, &self.state);
+        let (len, queries) = (self.state.len(), &fw.queries);
         SpecSelection::map_scores(
-            self.state.len(),
+            len,
             llm_geom,
             &self.cfg,
             self.level,
-            scratch,
+            arena,
+            rank,
+            marks,
             |q, buf| self.state.scores_into(q, queries.row(q), buf),
         )
     }

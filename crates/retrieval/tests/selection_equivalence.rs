@@ -148,6 +148,35 @@ proptest! {
         let want = assemble_budgeted_selection_reference(&scores, prefill + extra, &cfg);
         prop_assert_eq!(got, want, "budgeted");
     }
+
+    /// The k-way merge behind `SpecSelection::union_positions` equals the
+    /// context-sized bitset it replaced — mark every head's positions,
+    /// collect them ascending — over ascending per-head lists of any
+    /// overlap: no head, one head, more heads than the merge keeps
+    /// cursors for on the stack, empty heads and identical heads. The
+    /// `_into` form overwrites whatever its buffer held.
+    #[test]
+    fn union_merge_matches_bitset(
+        heads in prop::collection::vec(prop::collection::btree_set(0usize..300, 0..40), 0..20),
+        repeat in 0usize..3,
+    ) {
+        let mut per_head: Vec<Vec<usize>> =
+            heads.into_iter().map(|h| h.into_iter().collect()).collect();
+        if let Some(first) = per_head.first().cloned() {
+            per_head.extend(vec![first; repeat]);
+        }
+        let mut marks = topk::PosBitSet::default();
+        marks.reset(300);
+        per_head.iter().flatten().for_each(|&p| {
+            marks.mark(p);
+        });
+        let want = marks.collect_sorted();
+        let sel = SpecSelection { per_head, budget: 40 };
+        prop_assert_eq!(&sel.union_positions(), &want);
+        let mut out = vec![7; 500];
+        sel.union_positions_into(&mut out);
+        prop_assert_eq!(&out, &want);
+    }
 }
 
 proptest! {

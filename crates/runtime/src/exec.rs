@@ -55,7 +55,8 @@ pub struct GenerationResult {
 
 /// What the loop carries from one step to the next besides the KV cache
 /// and the strategy: the elastic buffer's resident sets, the previous
-/// step's union selection and the selection workspace. A run that
+/// step's union selection (and the buffer the next one is merged into)
+/// and the selection workspace. A run that
 /// continues an earlier one (a session's second `generate`) must reuse
 /// the earlier run's state; [`generate_teacher_forced`] and
 /// [`generate_free_running`] start from a fresh one.
@@ -63,7 +64,10 @@ pub struct GenerationResult {
 pub struct DecodeState {
     /// Elastic-loading buffer, sized at the first SpeContext step.
     buffer: Option<BudgetBuffer>,
+    /// The previous SpeContext step's union selection, once there was one.
     last_union: Option<Vec<usize>>,
+    /// Where this step's union is merged, then swapped with `last_union`.
+    union: Vec<usize>,
     /// One selection workspace for the whole generation (the
     /// zero-allocation hot path: warm across steps and layers).
     scratch: SelectScratch,
@@ -152,11 +156,14 @@ impl DecodeState {
                     let total = res.transfer.get_or_insert_with(StepTransfer::default);
                     total.fetched_entries += moved.fetched_entries;
                     total.reused_entries += moved.reused_entries;
-                    let union = selection.union_positions();
-                    if let Some(prev) = &self.last_union {
-                        res.overlaps.push(stats::overlap_rate(prev, &union));
+                    selection.union_positions_into(&mut self.union);
+                    match &mut self.last_union {
+                        Some(prev) => {
+                            res.overlaps.push(stats::overlap_rate(prev, &self.union));
+                            std::mem::swap(prev, &mut self.union);
+                        }
+                        None => self.last_union = Some(std::mem::take(&mut self.union)),
                     }
-                    self.last_union = Some(union);
                     &mut selection
                 }
             };

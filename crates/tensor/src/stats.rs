@@ -5,7 +5,7 @@
 //! DLM-selected tokens against teacher-important tokens (Fig. 5a), and the
 //! usual summary statistics.
 
-use std::collections::HashSet;
+use std::borrow::Cow;
 
 /// Arithmetic mean; `0.0` for an empty slice.
 pub fn mean(xs: &[f32]) -> f32 {
@@ -49,33 +49,74 @@ pub fn pearson(xs: &[f32], ys: &[f32]) -> f32 {
     }
 }
 
-/// `|a ∩ b| / |a|`: the fraction of `a` that also appears in `b`.
+/// `xs` in non-decreasing order: borrowed when it already is (what a
+/// selection is by contract), a sorted copy otherwise.
+fn sorted(xs: &[usize]) -> Cow<'_, [usize]> {
+    if xs.windows(2).all(|w| w[0] <= w[1]) {
+        return Cow::Borrowed(xs);
+    }
+    let mut owned = xs.to_vec();
+    owned.sort_unstable();
+    Cow::Owned(owned)
+}
+
+/// `xs` as a set, strictly ascending: borrowed when it already is, a
+/// sorted and deduplicated copy otherwise.
+fn sorted_set(xs: &[usize]) -> Cow<'_, [usize]> {
+    if xs.windows(2).all(|w| w[0] < w[1]) {
+        return Cow::Borrowed(xs);
+    }
+    let mut owned = xs.to_vec();
+    owned.sort_unstable();
+    owned.dedup();
+    Cow::Owned(owned)
+}
+
+/// How many elements of non-decreasing `a` (each repeat counted) occur in
+/// strictly ascending `b`: one merge whose cursors advance on
+/// comparison results rather than branches — which of two selections
+/// runs ahead is as good as random.
+fn merge_hits(a: &[usize], b: &[usize]) -> usize {
+    let (mut i, mut j, mut hits) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        hits += usize::from(x == y);
+        i += usize::from(x <= y);
+        j += usize::from(y < x);
+    }
+    hits
+}
+
+/// `|a ∩ b| / |a|`: the fraction of `a` (repeats counted) that also
+/// appears in `b`.
 ///
 /// This is the paper's **hit rate** (Fig. 5a): the fraction of
 /// teacher-important tokens that the retrieval head also selects.
-/// Returns `1.0` when `a` is empty (nothing to hit).
+/// Returns `1.0` when `a` is empty (nothing to hit). Ascending lists —
+/// selections — are counted by one merge, in place; any other input is
+/// sorted first and counts the same.
 pub fn hit_rate(a: &[usize], b: &[usize]) -> f32 {
     if a.is_empty() {
         return 1.0;
     }
-    let set: HashSet<usize> = b.iter().copied().collect();
-    a.iter().filter(|i| set.contains(i)).count() as f32 / a.len() as f32
+    merge_hits(&sorted(a), &sorted_set(b)) as f32 / a.len() as f32
 }
 
-/// Jaccard index `|a ∩ b| / |a ∪ b|`. Returns `1.0` when both are empty.
+/// Jaccard index `|a ∩ b| / |a ∪ b|` of the two lists as sets. Returns
+/// `1.0` when both are empty. Counted by merge, as [`hit_rate`] is.
 pub fn jaccard(a: &[usize], b: &[usize]) -> f32 {
-    let sa: HashSet<usize> = a.iter().copied().collect();
-    let sb: HashSet<usize> = b.iter().copied().collect();
-    let union = sa.union(&sb).count();
+    let (a, b) = (sorted_set(a), sorted_set(b));
+    let shared = merge_hits(&a, &b);
+    let union = a.len() + b.len() - shared;
     if union == 0 {
         return 1.0;
     }
-    sa.intersection(&sb).count() as f32 / union as f32
+    shared as f32 / union as f32
 }
 
-/// Overlap rate between two equal-budget selections:
-/// `|a ∩ b| / |a|` with `|a| == |b|` (Fig. 6b's adjacent-generation
-/// overlap). Falls back to [`hit_rate`] semantics when budgets differ.
+/// Overlap rate between two selections, `|a ∩ b| / |a|` (Fig. 6b's
+/// adjacent-generation overlap): [`hit_rate`] under the name the
+/// decode loop reads it by, whether or not the budgets are equal.
 pub fn overlap_rate(a: &[usize], b: &[usize]) -> f32 {
     hit_rate(a, b)
 }

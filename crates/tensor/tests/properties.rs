@@ -9,6 +9,47 @@ fn finite_vec(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-100.0f32..100.0, 1..max_len)
 }
 
+/// The hash-set `stats::{hit_rate, jaccard}` the merges replaced.
+mod hashed {
+    use std::collections::HashSet;
+
+    pub fn hit_rate(a: &[usize], b: &[usize]) -> f32 {
+        if a.is_empty() {
+            return 1.0;
+        }
+        let set: HashSet<usize> = b.iter().copied().collect();
+        a.iter().filter(|i| set.contains(i)).count() as f32 / a.len() as f32
+    }
+
+    pub fn jaccard(a: &[usize], b: &[usize]) -> f32 {
+        let sa: HashSet<usize> = a.iter().copied().collect();
+        let sb: HashSet<usize> = b.iter().copied().collect();
+        let union = sa.union(&sb).count();
+        if union == 0 {
+            return 1.0;
+        }
+        sa.intersection(&sb).count() as f32 / union as f32
+    }
+}
+
+/// A position list in one of the shapes callers pass: strictly ascending
+/// (a selection), as drawn (unsorted, repeats likely — the evaluation
+/// code's top-k lists), sorted with its repeats kept, or empty.
+fn position_list() -> impl Strategy<Value = Vec<usize>> {
+    (prop::collection::vec(0usize..60, 0..40), 0usize..4).prop_map(|(mut xs, shape)| {
+        match shape {
+            0 => {
+                xs.sort_unstable();
+                xs.dedup();
+            }
+            1 => {}
+            2 => xs.sort_unstable(),
+            _ => xs.clear(),
+        }
+        xs
+    })
+}
+
 proptest! {
     #[test]
     fn softmax_is_a_distribution(xs in finite_vec(64)) {
@@ -141,6 +182,20 @@ proptest! {
     fn hit_rate_bounds(a in prop::collection::vec(0usize..50, 0..30), b in prop::collection::vec(0usize..50, 0..30)) {
         let h = spec_tensor::stats::hit_rate(&a, &b);
         prop_assert!((0.0..=1.0).contains(&h));
+    }
+
+    /// The merge-counted overlap statistics return the hash-set ones'
+    /// bits for every input, not only the ascending lists they are fast
+    /// on — including lists `shift` apart, which share nothing.
+    #[test]
+    fn overlap_merges_match_hash_sets(a in position_list(), b in position_list(), shift in 0usize..2) {
+        use spec_tensor::stats;
+        let b: Vec<usize> = b.into_iter().map(|p| p + 100 * shift).collect();
+        for (x, y) in [(&a, &b), (&b, &a), (&a, &a)] {
+            prop_assert_eq!(stats::hit_rate(x, y).to_bits(), hashed::hit_rate(x, y).to_bits());
+            prop_assert_eq!(stats::overlap_rate(x, y).to_bits(), hashed::hit_rate(x, y).to_bits());
+            prop_assert_eq!(stats::jaccard(x, y).to_bits(), hashed::jaccard(x, y).to_bits());
+        }
     }
 
     #[test]
