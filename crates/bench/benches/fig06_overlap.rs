@@ -1,8 +1,14 @@
 //! Fig. 6: (a) KV prefetch latency vs a single LLM layer's inference
 //! latency across budgets — the imbalance motivating elastic loading;
 //! (b) the overlap rate of selected tokens between adjacent generation
-//! steps — the statistic elastic loading exploits (>80% at practical
-//! budgets).
+//! steps — the statistic elastic loading exploits. The paper's number is
+//! above 80 % at practical budgets; the repo's, on the benchmark's two engine
+//! workloads at the paper budget of 2048 (256 at sim scale), is
+//! `retrieval.overlap_rate_mean` **0.56** (`reason_2k_16k`) and **0.34**
+//! (`prompt_32k_2k`), on a random-weight model at 1/8 scale fed
+//! seed-drawn tokens. Which of those accounts for the gap is open
+//! (ROADMAP item 6); the table this prints is the repo's curve over
+//! budgets (coherent and random token streams), not a check against 80 %.
 
 use spec_bench::{emit, sim_engine, to_sim};
 use spec_hwsim::{DeviceSpec, EngineProfile};

@@ -4,7 +4,9 @@
 //! simulated forward pass — the blocked kernel against the reference
 //! triple loop at the shapes the chunked prefill issues, that prefill
 //! whole against the token-at-a-time loop it replaced, and the decode
-//! step's in-place attention against the gather it replaced. The
+//! step's in-place attention against the gather it replaced, the
+//! retrieval head's key sweep over int8 blocks against f32 ones, and the
+//! overlap count by merge against the hash set it replaced. The
 //! simulator's per-iteration layers ride along: a step-table hit through
 //! the quiet run's walk against the per-step lookup, a miss priced on
 //! the price-only timeline against the recording one, and one engine's
@@ -16,7 +18,11 @@
 //! scores read 7 us on one input and 35 us rotating), which a decode loop
 //! never grants it. The attention entries rotate their selections for the
 //! same reason one level down: one memorised list keeps its scattered
-//! rows in cache, and those misses are half of a step's attention.
+//! rows in cache, and those misses are half of a step's attention. The
+//! head sweeps rotate through 16 sessions' key caches: one cache alone
+//! stays in L2, which a decode step — whose weights and K/V rows share
+//! that L2 — never grants it, and which is the whole difference between
+//! the two layouts.
 //!
 //! Unlike the figure/table regenerators this harness measures wall
 //! clock, so its output is *not* expected to be byte-stable; it writes a
@@ -45,7 +51,7 @@ use spec_tensor::kmeans::nearest_centroid;
 use spec_tensor::lut::{I8Lut, QueryLut};
 use spec_tensor::quant::{BitWidth, QuantVec};
 use spec_tensor::topk::{top_k_mass, top_k_positions, PosBitSet, RankScratch, SelectScratch};
-use spec_tensor::{ops, Matrix, SimRng};
+use spec_tensor::{ops, stats, KeyBlocks, Matrix, QuantKeyBlocks, SimRng};
 use std::hint::black_box;
 
 /// Distinct inputs a selection bench cycles through, one per iteration.
@@ -70,6 +76,16 @@ impl<T> Rotation<T> {
         self.at = (self.at + 1) % self.items.len();
         &self.items[self.at]
     }
+}
+
+/// `n` distinct positions below `universe`, ascending: a selection.
+fn ascending_sample(rng: &mut SimRng, universe: usize, n: usize) -> Vec<usize> {
+    let mut marks = PosBitSet::default();
+    marks.reset(universe);
+    while marks.count() < n {
+        marks.mark(rng.below(universe));
+    }
+    marks.collect_sorted()
 }
 
 /// Softmax-like scores over `n` positions with only `n / 3` distinct
@@ -715,12 +731,7 @@ fn bench_attend(c: &mut Criterion) {
             if attended == cached {
                 return (0..cached).collect();
             }
-            let mut marks = PosBitSet::default();
-            marks.reset(cached);
-            while marks.count() < attended {
-                marks.mark(rng.below(cached));
-            }
-            marks.collect_sorted()
+            ascending_sample(&mut rng, cached, attended)
         });
         if attended == cached {
             lists.items.truncate(1);
@@ -757,6 +768,93 @@ fn bench_attend(c: &mut Criterion) {
                     attend_gathered(&queries, keys, values, black_box(list), &mut want);
                 }
                 want[0]
+            })
+        });
+    }
+}
+
+/// Cached positions of the head-sweep comparison: a `reason_2k_16k` step
+/// midway and at its end, and a `prompt_32k_2k` step.
+const SWEEP_LENS: [usize; 3] = [1280, 2304, 4224];
+
+/// Union sizes of the overlap comparison: the mean union selection of a
+/// `reason_2k_16k` and of a `prompt_32k_2k` step.
+const OVERLAP_LENS: [usize; 2] = [376, 425];
+
+/// `stats::hit_rate` as it was: a `HashSet` of `b` built per call.
+fn overlap_hashed(a: &[usize], b: &[usize]) -> f32 {
+    let set: std::collections::HashSet<usize> = b.iter().copied().collect();
+    a.iter().filter(|i| set.contains(i)).count() as f32 / a.len().max(1) as f32
+}
+
+/// What a decode step does around the forward pass: the retrieval head's
+/// sweep of every cached key — 8 heads of 16-wide keys, f32 blocks
+/// against the int8 blocks the head keeps — and the overlap of adjacent
+/// union selections.
+fn bench_retrieval_side(c: &mut Criterion) {
+    const HEADS: usize = 8;
+    const HEAD_DIM: usize = 16;
+    const SESSIONS: usize = 16;
+    let mut rng = SimRng::seed(0x5EEB);
+    let queries = rng.normal_matrix(HEADS, HEAD_DIM, 1.0);
+    for n in SWEEP_LENS {
+        let session = |_| {
+            let mut f32_keys = vec![KeyBlocks::new(HEAD_DIM); HEADS];
+            let mut int8_keys = vec![QuantKeyBlocks::new(HEAD_DIM); HEADS];
+            for (f, q) in f32_keys.iter_mut().zip(&mut int8_keys) {
+                for key in rng.normal_matrix(n, HEAD_DIM, 1.0).iter_rows() {
+                    f.push(key);
+                    q.push(key);
+                }
+            }
+            (f32_keys, int8_keys)
+        };
+        let mut sessions = Rotation {
+            items: (0..SESSIONS).map(session).collect(),
+            at: 0,
+        };
+        let mut out = Vec::new();
+        c.bench_function(&format!("head_sweep/f32/{n}"), |b| {
+            b.iter(|| {
+                for (keys, q) in sessions.next().0.iter().zip(queries.iter_rows()) {
+                    keys.dots_into(black_box(q), &mut out);
+                }
+                out[0]
+            })
+        });
+        c.bench_function(&format!("head_sweep/int8/{n}"), |b| {
+            b.iter(|| {
+                for (keys, q) in sessions.next().1.iter().zip(queries.iter_rows()) {
+                    keys.dots_into(black_box(q), &mut out);
+                }
+                out[0]
+            })
+        });
+    }
+
+    for n in OVERLAP_LENS {
+        // Adjacent unions share about half their positions.
+        let mut pairs = Rotation::new(|| {
+            let mut draw = || ascending_sample(&mut rng, 2 * n, n);
+            (draw(), draw())
+        });
+        for (a, b) in &pairs.items {
+            assert_eq!(
+                stats::overlap_rate(a, b).to_bits(),
+                overlap_hashed(a, b).to_bits(),
+                "the merge and the hash set count different overlaps"
+            );
+        }
+        c.bench_function(&format!("stats/overlap_merge/{n}"), |b| {
+            b.iter(|| {
+                let (prev, next) = pairs.next();
+                stats::overlap_rate(black_box(prev), black_box(next))
+            })
+        });
+        c.bench_function(&format!("stats/overlap_hash/{n}"), |b| {
+            b.iter(|| {
+                let (prev, next) = pairs.next();
+                overlap_hashed(black_box(prev), black_box(next))
             })
         });
     }
@@ -984,6 +1082,32 @@ fn write_summary(c: &Criterion) {
         })
         .collect();
     json.push_str(&attend_speedups.join(",\n"));
+    json.push_str("\n  },\n  \"head_sweep_int8_speedup_vs_f32\": {\n");
+    let sweep_speedups: Vec<String> = SWEEP_LENS
+        .iter()
+        .map(|n| {
+            let speedup = best_ratio(
+                c,
+                &format!("head_sweep/f32/{n}"),
+                &format!("head_sweep/int8/{n}"),
+            );
+            format!("    \"{n}\": {speedup:.2}")
+        })
+        .collect();
+    json.push_str(&sweep_speedups.join(",\n"));
+    json.push_str("\n  },\n  \"overlap_merge_speedup_vs_hash\": {\n");
+    let overlap_speedups: Vec<String> = OVERLAP_LENS
+        .iter()
+        .map(|n| {
+            let speedup = best_ratio(
+                c,
+                &format!("stats/overlap_hash/{n}"),
+                &format!("stats/overlap_merge/{n}"),
+            );
+            format!("    \"{n}\": {speedup:.2}")
+        })
+        .collect();
+    json.push_str(&overlap_speedups.join(",\n"));
     json.push_str("\n  },\n  \"lut_speedup_vs_reference\": {\n");
     let lut_speedups: Vec<String> = lut_speedups(c)
         .into_iter()
@@ -1013,6 +1137,18 @@ fn write_summary(c: &Criterion) {
     for line in attend_speedups {
         println!(
             "[decode attention speedup vs gather]{}",
+            line.replace("    ", " ")
+        );
+    }
+    for line in sweep_speedups {
+        println!(
+            "[head sweep int8 speedup vs f32]{}",
+            line.replace("    ", " ")
+        );
+    }
+    for line in overlap_speedups {
+        println!(
+            "[overlap merge speedup vs hash set]{}",
             line.replace("    ", " ")
         );
     }
@@ -1105,6 +1241,7 @@ fn main() {
     bench_matmul(&mut c);
     bench_prefill(&mut c);
     bench_attend(&mut c);
+    bench_retrieval_side(&mut c);
     bench_serving(&mut c);
     write_summary(&c);
 }

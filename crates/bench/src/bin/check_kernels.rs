@@ -11,8 +11,10 @@
 //! (against rank-then-mark) or the polynomial-`exp` softmax (against the
 //! libm one) drops under 2x at 4224 positions, when the decode step's
 //! in-place attention drops under 1.5x gather-then-attend at 260 of 2304
-//! positions, or when the simulator's step-table walk drops under 2x the
-//! per-step lookup (the price-only miss beside the recording one is
+//! positions, when the retrieval head's int8 key sweep drops under 1.5x
+//! the f32 one at 4224 positions or the merge-counted overlap under 4x
+//! the hash set at either union size, or when the simulator's step-table
+//! walk drops under 2x the per-step lookup (the price-only miss beside the recording one is
 //! reported, not floored). (The int8 entries are
 //! report-only: at cache-sized dims the 256-entry table thrashes L1 and
 //! the widened multiply sits at parity with the already-ILP-bound
@@ -76,6 +78,22 @@ const EXPECTED_ENTRIES: &[&str] = &[
     "attend_gathered/260of4352",
     "attend/dense4352",
     "attend_gathered/dense4352",
+    // The retrieval head's sweep of every cached key, 8 heads rotating
+    // through 16 sessions' caches: f32 blocks beside the int8 blocks the
+    // head keeps, midway and at the end of a `reason_2k_16k` op and at a
+    // `prompt_32k_2k` step.
+    "head_sweep/f32/1280",
+    "head_sweep/int8/1280",
+    "head_sweep/f32/2304",
+    "head_sweep/int8/2304",
+    "head_sweep/f32/4224",
+    "head_sweep/int8/4224",
+    // Adjacent union selections' overlap, by merge beside the hash set, at
+    // the two engine workloads' mean union sizes.
+    "stats/overlap_merge/376",
+    "stats/overlap_hash/376",
+    "stats/overlap_merge/425",
+    "stats/overlap_hash/425",
     // The decode step's matvecs: `wo`, FFN gate/up, FFN down, `lm_head`.
     "vecmat/64x64",
     "vecmat/64x128",
@@ -147,6 +165,20 @@ const SOFTMAX_MIN_SPEEDUP: f64 = 2.0;
 /// 1.9x there, 1.6x at 260 of 4352 and 1.8x dense on the AVX-512 build
 /// host.
 const ATTEND_MIN_SPEEDUP: f64 = 1.5;
+
+/// The floor for the retrieval head's int8 key sweep
+/// (`QuantKeyBlocks::dots_into`, 8 heads) against the f32 one at 4224
+/// positions, rotating through 16 sessions' caches so that neither stays
+/// in L2 (best samples). The f32 sweep streams 2.16 MB a step from beyond
+/// L2; the int8 one reads 0.68 MB and is bound by its widening
+/// multiply-adds wherever the keys are. Measured 2.5x on the AVX-512
+/// build host.
+const HEAD_SWEEP_MIN_SPEEDUP: f64 = 1.5;
+
+/// The floor for `stats::overlap_rate`'s merge against a `HashSet` built
+/// per call, at both union sizes over a rotation of 64 pairs (best
+/// samples). Measured 5.2x and 5.9x.
+const OVERLAP_MIN_SPEEDUP: f64 = 4.0;
 
 /// The floor for `ServingSim::walk_steps` against one
 /// `step_time_cached` call per length over 4096 consecutive priced
@@ -237,6 +269,13 @@ fn check(doc: &Value) -> Result<Vec<String>, String> {
             "260of2304",
             ATTEND_MIN_SPEEDUP,
         ),
+        (
+            "head_sweep_int8_speedup_vs_f32",
+            "4224",
+            HEAD_SWEEP_MIN_SPEEDUP,
+        ),
+        ("overlap_merge_speedup_vs_hash", "376", OVERLAP_MIN_SPEEDUP),
+        ("overlap_merge_speedup_vs_hash", "425", OVERLAP_MIN_SPEEDUP),
     ] {
         let v = doc
             .get_field(map)

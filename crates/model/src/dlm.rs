@@ -16,7 +16,7 @@ use crate::config::{AttentionKind, SimGeometry};
 use crate::transformer::Model;
 use crate::weights::{LayerWeights, ModelWeights};
 use spec_tensor::topk::ForwardScratch;
-use spec_tensor::{ops, KeyBlocks, Matrix, SimRng};
+use spec_tensor::{ops, Matrix, QuantKeyBlocks, SimRng};
 
 /// Options controlling distillation fidelity.
 #[derive(Debug, Clone, Copy)]
@@ -203,9 +203,10 @@ impl Dlm {
 
 /// The pruned retrieval head: embedding + QK projections only.
 ///
-/// During inference it maintains a full Key cache (keys only — no values,
-/// no FFN, no LM head) and produces head-level attention weights that the
-/// selection mapping (in `spec-retrieval`) converts to KV indices.
+/// During inference it maintains a full Key cache (keys only, int8 — no
+/// values, no FFN, no LM head) and produces head-level attention weights
+/// that the selection mapping (in `spec-retrieval`) converts to KV
+/// indices.
 #[derive(Debug, Clone)]
 pub struct RetrievalHead {
     geom: SimGeometry,
@@ -222,12 +223,17 @@ pub struct RetrievalHead {
     use_rope: bool,
 }
 
-/// Incremental key-cache state for the retrieval head: one
-/// position-blocked key cache per head (keys only, stored once, in the
-/// layout [`KeyBlocks`] scores with its lanes across positions).
+/// Incremental key-cache state for the retrieval head: one int8
+/// position-blocked key cache per head ([`QuantKeyBlocks`]: keys only,
+/// stored once, quantized as they are appended — `head_dim` level bytes
+/// and one `f32` scale a position — in the layout that scores with its
+/// lanes across positions). The head only ranks what it scores, and the
+/// sweep over every cached key is the largest stream of a decode step, so
+/// the keys are kept at a quarter of their `f32` size; there is no `f32`
+/// copy.
 #[derive(Debug, Clone, Default)]
 pub struct RetrievalHeadState {
-    keys: Vec<KeyBlocks>,
+    keys: Vec<QuantKeyBlocks>,
     /// [`RetrievalHead::append`]'s buffers, refilled by every call: the
     /// normalized embedding, one head's key row and (positional scoring
     /// only) the position's rotations.
@@ -239,7 +245,7 @@ pub struct RetrievalHeadState {
 impl RetrievalHeadState {
     /// Number of cached positions.
     pub fn len(&self) -> usize {
-        self.keys.first().map_or(0, KeyBlocks::len)
+        self.keys.first().map_or(0, QuantKeyBlocks::len)
     }
 
     /// True when no positions are cached.
@@ -249,8 +255,9 @@ impl RetrievalHeadState {
 
     /// Head `h`'s attention weights for its `query` (a row of
     /// [`RetrievalHead::queries_into`]) over every cached position —
-    /// `softmax(q K^T / sqrt(dim))` — into `out`, whose capacity is
-    /// reused: the selection mapping passes its score arena's buffers.
+    /// `softmax(q K^T / sqrt(dim))` over the quantized keys — into `out`,
+    /// whose capacity is reused: the selection mapping passes its score
+    /// arena's buffers.
     ///
     /// # Panics
     ///
@@ -295,19 +302,18 @@ impl RetrievalHead {
     /// Creates an empty incremental state.
     pub fn new_state(&self) -> RetrievalHeadState {
         RetrievalHeadState {
-            keys: vec![KeyBlocks::new(self.geom.head_dim); self.geom.q_heads],
+            keys: vec![QuantKeyBlocks::new(self.geom.head_dim); self.geom.q_heads],
             ..RetrievalHeadState::default()
         }
     }
 
     /// The rotations of position `pos` into `table`, when scoring is
-    /// positional; whether it is.
-    fn rope_table_into(&self, pos: usize, table: &mut Vec<(f32, f32)>) -> bool {
+    /// positional (`use_rope`); untouched otherwise.
+    fn rope_table_into(&self, pos: usize, table: &mut Vec<(f32, f32)>) {
         if self.use_rope {
             let (dim, base) = (self.geom.head_dim, self.geom.rope_base);
             ops::rope_table_into(table, dim, pos, base, self.rope_scale);
         }
-        self.use_rope
     }
 
     /// Appends one embedded token to the key cache. Allocates nothing but
@@ -321,11 +327,11 @@ impl RetrievalHead {
             rope,
         } = state;
         ops::rmsnorm_into(normed, emb, &self.norm_attn, 1e-6);
-        let rotate = self.rope_table_into(pos, rope);
+        self.rope_table_into(pos, rope);
         key.resize(self.geom.head_dim, 0.0);
         for (wk, keys) in self.wk.iter().zip(keys) {
             wk.vecmat_into(normed, key);
-            if rotate {
+            if self.use_rope {
                 ops::rope_apply(key, rope);
             }
             keys.push(key);
@@ -357,14 +363,14 @@ impl RetrievalHead {
     ) {
         assert!(!state.is_empty(), "retrieval head has no cached keys");
         ops::rmsnorm_into(&mut fw.normed, query_emb, &self.norm_attn, 1e-6);
-        let rotate = self.rope_table_into(state.len() - 1, &mut fw.rope);
+        self.rope_table_into(state.len() - 1, &mut fw.rope);
         if fw.queries.shape() != (self.geom.q_heads, self.geom.head_dim) {
             fw.queries = Matrix::zeros(self.geom.q_heads, self.geom.head_dim);
         }
         for (h, wq) in self.wq.iter().enumerate() {
             let q = fw.queries.row_mut(h);
             wq.vecmat_into(&fw.normed, q);
-            if rotate {
+            if self.use_rope {
                 ops::rope_apply(q, &fw.rope);
             }
         }
@@ -397,9 +403,10 @@ impl RetrievalHead {
         self.head_scores(emb.row(emb.rows() - 1), &state)
     }
 
-    /// Bytes of key cache per token held by the head (FP32 in the sim).
+    /// Bytes of key cache per token held by the head: per head,
+    /// `head_dim` int8 levels and an `f32` scale.
     pub fn key_cache_bytes_per_token(&self) -> usize {
-        self.geom.q_heads * self.geom.head_dim * 4
+        self.geom.q_heads * (self.geom.head_dim + 4)
     }
 
     /// The teacher geometry (used by the selection mapping).
@@ -473,6 +480,7 @@ mod tests {
     use super::*;
     use crate::config::SimGeometry;
     use crate::transformer::PrefillMode;
+    use spec_tensor::quant::{BitWidth, QuantVec};
     use spec_tensor::stats;
     use spec_tensor::topk::top_k_indices;
 
@@ -666,17 +674,109 @@ mod tests {
                     assert!((x - y).abs() < 1e-6);
                 }
             }
-            // Row-major keys scored one dot per position give the same bits.
+            // Keys quantized one by one and scored one dot per position
+            // give the same bits.
             let norm = |r: usize| ops::rmsnorm(emb.row(r), &head.norm_attn, 1e-6);
             for (h, got) in inc.iter().enumerate() {
-                let mut keys = Matrix::default();
-                for r in 0..n {
-                    keys.push_row(&head.wk[h].vecmat(&norm(r)));
-                }
-                let want = ops::attention_weights(&head.wq[h].vecmat(&norm(n - 1)), &keys);
+                let q = head.wq[h].vecmat(&norm(n - 1));
+                let mut want: Vec<f32> = (0..n)
+                    .map(|r| {
+                        let key = QuantVec::quantize(&head.wk[h].vecmat(&norm(r)), BitWidth::Int8);
+                        let levels = (0..q.len()).map(|d| q[d] * f32::from(key.level(d)));
+                        levels.fold(-0.0, |acc, x| acc + x) * key.scale()
+                    })
+                    .collect();
+                ops::softmax_rows_inplace(&mut want, n, 1.0 / (q.len() as f32).sqrt());
                 assert_eq!(got, &want, "head {h} of a {n}-token context");
             }
         }
+    }
+
+    /// What int8 keys cost in decisions, on the benchmark's geometry and
+    /// budget: the per-KV-head selections of the head as shipped against
+    /// selections from `f32` scores recomputed here (`matrix::dot` per
+    /// position, the same softmax, the same group-max and top-k). Both
+    /// prompt regimes — filler tokens throughout (`reason_2k_16k`: a
+    /// short prompt, a long generation) and a long prompt with planted
+    /// evidence the question points at (`prompt_32k_2k`) — three seeds
+    /// each, asked at three lengths.
+    #[test]
+    fn int8_selections_agree_with_f32_scoring() {
+        use spec_tensor::matrix::dot;
+        let geom = crate::config::ModelConfig::deepseek_distill_llama_8b().sim_geometry();
+        let t = Model::new(geom, 0x5EED);
+        let head = Dlm::distill(&t, DistillOptions::default()).to_retrieval_head();
+        let probe = crate::probe::probe_direction(&t, 30).direction;
+        let (group, budget) = (geom.group_size(), 256);
+        let select = |scores: &[Vec<f32>]| -> Vec<Vec<usize>> {
+            let pooled = scores.chunks(group).map(|members| {
+                let n = members[0].len();
+                (0..n).map(|p| members.iter().map(|s| s[p]).fold(f32::MIN, f32::max))
+            });
+            pooled
+                .map(|pooled| {
+                    let mut top = top_k_indices(&pooled.collect::<Vec<f32>>(), budget);
+                    top.sort_unstable();
+                    top
+                })
+                .collect()
+        };
+
+        let mut agreement = Vec::new();
+        for planted in [false, true] {
+            for seed in [1, 7, 14] {
+                let mut rng = SimRng::seed(seed);
+                let (prompt, asked) = if planted {
+                    (4096, [4096, 4224, 4352])
+                } else {
+                    (256, [1280, 1792, 2304])
+                };
+                let tokens: Vec<usize> = (0..asked[2]).map(|_| rng.below(geom.vocab)).collect();
+                let mut emb = head.embed_tokens(&tokens);
+                if planted {
+                    let starts = [400, 1300, 2200, 3100];
+                    let evidence = starts.iter().flat_map(|&s| s..s + 4);
+                    for r in evidence.chain([prompt - 1]) {
+                        for (x, m) in emb.row_mut(r).iter_mut().zip(&probe) {
+                            *x += 5.0 * m;
+                        }
+                    }
+                }
+                let normed: Vec<Vec<f32>> = (0..emb.rows())
+                    .map(|r| ops::rmsnorm(emb.row(r), &head.norm_attn, 1e-6))
+                    .collect();
+                let keys: Vec<Vec<Vec<f32>>> = head
+                    .wk
+                    .iter()
+                    .map(|wk| normed.iter().map(|x| wk.vecmat(x)).collect())
+                    .collect();
+                let mut state = head.new_state();
+                for n in asked {
+                    while state.len() < n {
+                        head.append(emb.row(state.len()), &mut state);
+                    }
+                    let int8 = head.head_scores(emb.row(n - 1), &state);
+                    let f32_scores: Vec<Vec<f32>> = (0..geom.q_heads)
+                        .map(|h| {
+                            let q = head.wq[h].vecmat(&normed[n - 1]);
+                            let mut s: Vec<f32> = keys[h][..n].iter().map(|k| dot(&q, k)).collect();
+                            ops::softmax_rows_inplace(&mut s, n, 1.0 / (q.len() as f32).sqrt());
+                            s
+                        })
+                        .collect();
+                    for (a, b) in select(&int8).iter().zip(&select(&f32_scores)) {
+                        agreement.push(stats::jaccard(a, b));
+                    }
+                }
+            }
+        }
+        let min = agreement.iter().copied().fold(1.0, f32::min);
+        let mean = stats::mean(&agreement);
+        // Measured: mean 0.989, min 0.925, 64 % of the lists identical.
+        assert!(
+            mean >= 0.98 && min >= 0.80,
+            "Jaccard mean {mean}, min {min}: {agreement:?}"
+        );
     }
 
     fn append_row(head: &RetrievalHead, emb: &Matrix, r: usize, state: &mut RetrievalHeadState) {

@@ -26,7 +26,7 @@ use spec_model::{
     AttentionKind, LayerKv, LayerSelector, RetrievalHead, RetrievalHeadState, SimGeometry,
     SparsePlan,
 };
-use spec_tensor::topk::{PosBitSet, RankScratch, ScoreArena, SelectScratch};
+use spec_tensor::topk::SelectScratch;
 use spec_tensor::Matrix;
 
 /// Mapping granularity of retrieval-head weights onto the LLM.
@@ -84,13 +84,7 @@ impl SpecSelection {
             "expected one score vector per LLM query head"
         );
         let seq_len = scores[0].len();
-        let SelectScratch {
-            scores: arena,
-            rank,
-            marks,
-            ..
-        } = scratch;
-        Self::map_scores(seq_len, geom, cfg, level, arena, rank, marks, |q, buf| {
+        Self::map_scores(seq_len, geom, cfg, level, scratch, |q, buf| {
             buf.clear();
             buf.extend_from_slice(&scores[q]);
         })
@@ -101,21 +95,23 @@ impl SpecSelection {
     /// so a scorer that computes them there (the retriever) never holds a
     /// score vector of its own.
     ///
-    /// Serial on the caller's warm arenas (the selection fields of a
-    /// [`SelectScratch`]) at any length: one KV head's pool-and-assemble
-    /// is tens of microseconds at 4 K positions, less than the scoped
-    /// spawn a per-head fan-out would cost.
-    #[allow(clippy::too_many_arguments)]
+    /// Serial on the caller's warm scratch at any length: one KV head's
+    /// pool-and-assemble is tens of microseconds at 4 K positions, less
+    /// than the scoped spawn a per-head fan-out would cost.
     fn map_scores(
         seq_len: usize,
         geom: &SimGeometry,
         cfg: &SelectorConfig,
         level: MappingLevel,
-        arena: &mut ScoreArena,
-        rank: &mut RankScratch,
-        marks: &mut PosBitSet,
+        scratch: &mut SelectScratch,
         score_into: impl Fn(usize, &mut Vec<f32>),
     ) -> Self {
+        let SelectScratch {
+            scores: arena,
+            rank,
+            marks,
+            ..
+        } = scratch;
         let per_head: Vec<Vec<usize>> = match level {
             MappingLevel::Head => {
                 let group = match geom.attention {
@@ -336,12 +332,7 @@ impl SpecContextRetriever {
         // The head runs ahead of the model, in the buffers the model's
         // own pass refills afterwards: the blended query is its residual
         // stream.
-        let SelectScratch {
-            scores: arena,
-            rank,
-            marks,
-            forward: fw,
-        } = scratch;
+        let fw = &mut scratch.forward;
         let mut blended = std::mem::take(&mut fw.residual);
         blended.clear();
         let lambda = self.cfg.query_smoothing.clamp(0.0, 1.0);
@@ -358,18 +349,19 @@ impl SpecContextRetriever {
         }
         self.head.queries_into(&blended, &self.state, fw);
         fw.residual = blended;
-        // Each head's weights are computed where the mapping pools them.
-        let (len, queries) = (self.state.len(), &fw.queries);
-        SpecSelection::map_scores(
-            len,
+        // Each head's weights are computed where the mapping pools them;
+        // the queries leave the scratch while the mapping holds it.
+        let queries = std::mem::take(&mut fw.queries);
+        let selection = SpecSelection::map_scores(
+            self.state.len(),
             llm_geom,
             &self.cfg,
             self.level,
-            arena,
-            rank,
-            marks,
+            scratch,
             |q, buf| self.state.scores_into(q, queries.row(q), buf),
-        )
+        );
+        scratch.forward.queries = queries;
+        selection
     }
 
     /// The selector configuration.

@@ -9,14 +9,18 @@
 //! positions* — `acc[p] += q[d] * k[d][p]` for `d` ascending — so no lane
 //! ever reduces horizontally, and each position still receives exactly
 //! the addition sequence of [`matrix::dot`](crate::matrix::dot): every
-//! dispatch tier returns that function's bits. The retrieval head scores
-//! its whole cache this way ([`KeyBlocks::dots_into`]); the model's
-//! prefill scores position ranges of a per-block copy of its keys
-//! ([`KeyBlocks::dots_ranges_into`]) — one kernel body for both; and the
-//! decode step, whose keys stay row-major, stages the rows a selection
-//! lists into one such block at a time and runs the same inner loop over
-//! it (`ops::indexed_dots`).
+//! dispatch tier returns that function's bits. The model's prefill scores
+//! position ranges of a per-block copy of its keys this way
+//! ([`KeyBlocks::dots_ranges_into`]), and the decode step, whose keys
+//! stay row-major, stages the rows a selection lists into one such block
+//! at a time and runs the same inner loop over it (`ops::indexed_dots`).
+//!
+//! The retrieval head, which sweeps *every* cached key of every head
+//! each step and only ranks what it scores, keeps its keys in the same
+//! layout at a quarter of the bytes: [`QuantKeyBlocks`], `i8` levels and
+//! one `f32` scale per position.
 
+use crate::quant::{quantize_levels, BitWidth};
 use std::ops::Range;
 
 /// Positions per block. 64 lanes of `f32` are four AVX-512 / eight AVX2
@@ -170,6 +174,153 @@ crate::dispatch_kernel! {
     }
 }
 
+/// An append-only **int8** key cache in position blocks: the layout of
+/// [`KeyBlocks`] with each key quantized as it is pushed —
+/// [`quantize_levels`]' absmax rule, one `f32` scale per position — so a
+/// position costs `dim + 4` bytes instead of `4 * dim`.
+///
+/// The scale is per position, not per block or per cache: key norms
+/// spread widely (a planted-evidence key is several times a filler
+/// key's), a shared absmax would spend the small keys' levels on the
+/// large ones' range, and the scale multiplies a finished dot — one
+/// multiply a position, outside the accumulation.
+///
+/// A sweep streams a quarter of the f32 cache's bytes: the retrieval
+/// head's eight caches at 4 K positions are 0.68 MB instead of 2.16 MB,
+/// which is what keeps them from cycling the decode step's weights and
+/// K/V rows out of a 2 MB L2.
+#[derive(Debug, Clone)]
+pub struct QuantKeyBlocks {
+    dim: usize,
+    len: usize,
+    /// `ceil(len / KEY_BLOCK)` blocks of `dim * KEY_BLOCK` levels; key
+    /// `p`'s level `d` is at `(p / B) * dim * B + d * B + p % B`. The
+    /// last block's unused lanes are zero.
+    levels: Vec<i8>,
+    /// Key `p`'s scale at `p`, padded with zeros to whole blocks.
+    scales: Vec<f32>,
+}
+
+impl QuantKeyBlocks {
+    /// An empty cache of `dim`-element keys.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dim == 0`.
+    pub fn new(dim: usize) -> Self {
+        assert!(dim > 0, "key dimension must be positive");
+        Self {
+            dim,
+            len: 0,
+            levels: Vec::new(),
+            scales: Vec::new(),
+        }
+    }
+
+    /// Number of cached positions.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when no position is cached.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Quantizes one key and appends it as the next position.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key.len() != dim`.
+    pub fn push(&mut self, key: &[f32]) {
+        assert_eq!(key.len(), self.dim, "key length mismatch");
+        let lane = self.len % KEY_BLOCK;
+        if lane == 0 {
+            self.levels
+                .resize(self.levels.len() + self.dim * KEY_BLOCK, 0);
+            self.scales.resize(self.scales.len() + KEY_BLOCK, 0.0);
+        }
+        let block = &mut self.levels[self.len / KEY_BLOCK * self.dim * KEY_BLOCK..];
+        self.scales[self.len] = quantize_levels(key, BitWidth::Int8, |d, level| {
+            block[d * KEY_BLOCK + lane] = level;
+        });
+        self.len += 1;
+    }
+
+    /// Forgets every position; the allocation is kept.
+    pub fn clear(&mut self) {
+        self.len = 0;
+        self.levels.clear();
+        self.scales.clear();
+    }
+
+    /// Position `pos`'s scale: its key is `scale * level` per element, to
+    /// within half a scale.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos >= len`.
+    pub fn scale(&self, pos: usize) -> f32 {
+        assert!(pos < self.len, "position out of bounds");
+        self.scales[pos]
+    }
+
+    /// Element `d` of position `pos`'s key, as its level.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos >= len` or `d >= dim`.
+    pub fn level(&self, pos: usize, d: usize) -> i8 {
+        assert!(pos < self.len && d < self.dim, "key element out of bounds");
+        self.levels[pos / KEY_BLOCK * self.dim * KEY_BLOCK + d * KEY_BLOCK + pos % KEY_BLOCK]
+    }
+
+    /// Fills `out` with `query · key_p` over the quantized keys, for every
+    /// cached position `p`: `scale_p * Σ_d query[d] * level_p[d]`, the sum
+    /// taken from `-0.0` in ascending `d` — the same bits at every
+    /// dispatch tier. `out` is cleared first; its capacity is reused.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `query.len() != dim`.
+    pub fn dots_into(&self, query: &[f32], out: &mut Vec<f32>) {
+        assert_eq!(query.len(), self.dim, "query/key dim mismatch");
+        out.clear();
+        out.resize(self.len, 0.0);
+        quant_block_dots::dispatch(
+            crate::dispatch::active_tier(),
+            query,
+            &self.levels,
+            &self.scales,
+            out,
+        );
+    }
+}
+
+crate::dispatch_kernel! {
+    /// `out[p] = scales[p] * (query · levels_p)` block by block, lanes
+    /// across positions exactly as [`block_acc`]'s: each position's sum
+    /// starts at `-0.0` and takes its products in ascending `d`, a level
+    /// widened to `f32` on the way in, and is scaled once at the end. The
+    /// last block's output may be short; its unused lanes are computed
+    /// and dropped.
+    quant_block_dots(query: &[f32], levels: &[i8], scales: &[f32], out: &mut [f32]) {
+        let blocks = levels.chunks_exact(query.len() * KEY_BLOCK);
+        let per_block = blocks.zip(scales.chunks_exact(KEY_BLOCK)).zip(out.chunks_mut(KEY_BLOCK));
+        for ((block, scales), out) in per_block {
+            let mut acc = [-0.0f32; KEY_BLOCK];
+            for (&q, lanes) in query.iter().zip(block.chunks_exact(KEY_BLOCK)) {
+                for (a, &level) in acc.iter_mut().zip(lanes) {
+                    *a += q * f32::from(level);
+                }
+            }
+            for ((o, a), s) in out.iter_mut().zip(&acc).zip(scales) {
+                *o = a * s;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,6 +375,38 @@ mod tests {
         blocks.push(&[1.0, 2.0, 3.0]);
         blocks.dots_into(&query, &mut all);
         assert_eq!(all, [dot(&query, &[1.0, 2.0, 3.0])]);
+    }
+
+    #[test]
+    fn quantized_push_follows_the_shared_rule_and_clear_keeps_the_allocation() {
+        use crate::quant::QuantVec;
+        let dim = 4;
+        let mut blocks = QuantKeyBlocks::new(dim);
+        let keys: Vec<[f32; 4]> = (0..KEY_BLOCK + 5)
+            .map(|p| [p as f32 * 0.25, -1.5, 0.0, (p as f32).sin()])
+            .collect();
+        for key in &keys {
+            blocks.push(key);
+        }
+        let query = [0.5, -1.0, 3.0, 0.125];
+        let mut out = Vec::new();
+        blocks.dots_into(&query, &mut out);
+        for (p, key) in keys.iter().enumerate() {
+            let quantized = QuantVec::quantize(key, BitWidth::Int8);
+            assert_eq!(blocks.scale(p), quantized.scale());
+            assert!((0..dim).all(|d| blocks.level(p, d) == quantized.level(d)));
+            assert!((out[p] - dot(&query, key)).abs() <= 4.5 * 0.5 * blocks.scale(p));
+        }
+        let capacity = (blocks.levels.capacity(), blocks.scales.capacity());
+        blocks.clear();
+        assert!(blocks.is_empty());
+        assert_eq!(
+            (blocks.levels.capacity(), blocks.scales.capacity()),
+            capacity
+        );
+        blocks.push(&[0.0; 4]);
+        blocks.dots_into(&query, &mut out);
+        assert_eq!(out, [0.0]);
     }
 
     #[test]

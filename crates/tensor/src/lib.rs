@@ -41,7 +41,7 @@ pub mod rng;
 pub mod stats;
 pub mod topk;
 
-pub use keyblocks::KeyBlocks;
+pub use keyblocks::{KeyBlocks, QuantKeyBlocks};
 pub use matrix::Matrix;
 pub use rng::SimRng;
 pub use stats::PercentileSummary;

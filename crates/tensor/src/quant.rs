@@ -174,6 +174,44 @@ impl BitWidth {
     }
 }
 
+/// The symmetric absmax rule every quantized key in the workspace is made
+/// by: `scale = absmax / max_level` (`1.0` for an all-zero vector, so no
+/// level is ever divided by zero), `level[i] = round(xs[i] / scale)` —
+/// half away from zero — clamped to `±max_level`. Hands each level to
+/// `put(i, level)` and returns the scale, so that a caller with its own
+/// layout ([`QuantVec`]'s packed bytes, the dimension-major blocks of
+/// [`QuantKeyBlocks`](crate::keyblocks::QuantKeyBlocks)) stores it
+/// directly. `|xs[i] - scale * level[i]| <= scale / 2`.
+pub fn quantize_levels(xs: &[f32], width: BitWidth, mut put: impl FnMut(usize, i8)) -> f32 {
+    let max_level = width.max_level();
+    let absmax = xs.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+    let scale = if absmax == 0.0 {
+        1.0
+    } else {
+        absmax / max_level
+    };
+    let inv = 1.0 / scale;
+    let max_level = max_level as i32;
+    for (i, &v) in xs.iter().enumerate() {
+        put(
+            i,
+            round_half_away(v * inv).clamp(-max_level, max_level) as i8,
+        );
+    }
+    scale
+}
+
+/// `x.round() as i32` — half away from zero, saturating, NaN to 0 —
+/// without the libm call that `f32::round` is on targets whose baseline
+/// has no rounding instruction: adding the largest float below one half,
+/// signed as `x`, carries exactly the values at or past a half over the
+/// next integer, and the cast truncates. A key pushed into a quantized
+/// cache rounds each of its elements, per head, per token.
+#[inline(always)]
+fn round_half_away(x: f32) -> i32 {
+    (x + 0.499_999_97_f32.copysign(x)) as i32
+}
+
 /// A symmetrically quantized vector: `value[i] ≈ scale * level[i]`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QuantVec {
@@ -184,22 +222,11 @@ pub struct QuantVec {
 }
 
 impl QuantVec {
-    /// Quantizes `xs` at the given bit width with an absmax scale.
+    /// Quantizes `xs` at the given bit width with an absmax scale
+    /// ([`quantize_levels`]).
     pub fn quantize(xs: &[f32], width: BitWidth) -> Self {
-        let absmax = xs.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-        let scale = if absmax == 0.0 {
-            1.0
-        } else {
-            absmax / width.max_level()
-        };
-        let inv = 1.0 / scale;
-        let levels: Vec<i8> = xs
-            .iter()
-            .map(|&v| {
-                let q = (v * inv).round();
-                q.clamp(-width.max_level(), width.max_level()) as i8
-            })
-            .collect();
+        let mut levels = vec![0i8; xs.len()];
+        let scale = quantize_levels(xs, width, |i, level| levels[i] = level);
         let packed = match width {
             BitWidth::Int8 => levels.iter().map(|&l| l as u8).collect(),
             BitWidth::Int4 => {
@@ -392,6 +419,22 @@ mod tests {
         let exact: f32 = xs.iter().zip(&query).map(|(a, b)| a * b).sum();
         let q = QuantVec::quantize(&xs, BitWidth::Int8);
         assert!((q.dot(&query) - exact).abs() < 0.15, "{}", q.dot(&query));
+    }
+
+    #[test]
+    fn round_half_away_is_f32_round() {
+        // Every float within 4 ulps of each half and whole number the
+        // levels can round from, and a stride through the rest — both
+        // signs of each.
+        let mut cases = vec![f32::NAN, f32::INFINITY, 1e30, 0.0];
+        for half_steps in 1u32..=300 {
+            let centre = (half_steps as f32 * 0.5).to_bits();
+            cases.extend((centre - 4..=centre + 4).map(f32::from_bits));
+        }
+        cases.extend((0..1 << 16).map(|i| i as f32 * 0.004_123));
+        for x in cases.into_iter().flat_map(|x| [x, -x]) {
+            assert_eq!(round_half_away(x), x.round() as i32, "{x:e}");
+        }
     }
 
     #[test]

@@ -49,21 +49,15 @@ pub fn pearson(xs: &[f32], ys: &[f32]) -> f32 {
     }
 }
 
-/// `xs` in non-decreasing order: borrowed when it already is (what a
-/// selection is by contract), a sorted copy otherwise.
-fn sorted(xs: &[usize]) -> Cow<'_, [usize]> {
-    if xs.windows(2).all(|w| w[0] <= w[1]) {
-        return Cow::Borrowed(xs);
-    }
-    let mut owned = xs.to_vec();
-    owned.sort_unstable();
-    Cow::Owned(owned)
+/// Whether `xs` is strictly ascending — what a selection is by contract.
+fn is_ascending_set(xs: &[usize]) -> bool {
+    xs.windows(2).all(|w| w[0] < w[1])
 }
 
 /// `xs` as a set, strictly ascending: borrowed when it already is, a
 /// sorted and deduplicated copy otherwise.
 fn sorted_set(xs: &[usize]) -> Cow<'_, [usize]> {
-    if xs.windows(2).all(|w| w[0] < w[1]) {
+    if is_ascending_set(xs) {
         return Cow::Borrowed(xs);
     }
     let mut owned = xs.to_vec();
@@ -72,19 +66,18 @@ fn sorted_set(xs: &[usize]) -> Cow<'_, [usize]> {
     Cow::Owned(owned)
 }
 
-/// How many elements of non-decreasing `a` (each repeat counted) occur in
-/// strictly ascending `b`: one merge whose cursors advance on
-/// comparison results rather than branches — which of two selections
-/// runs ahead is as good as random.
-fn merge_hits(a: &[usize], b: &[usize]) -> usize {
-    let (mut i, mut j, mut hits) = (0, 0, 0);
+/// `|a ∩ b|` of two strictly ascending lists: one merge whose cursors
+/// advance on comparison results rather than branches — which of two
+/// selections runs ahead is as good as random.
+fn merge_shared(a: &[usize], b: &[usize]) -> usize {
+    let (mut i, mut j, mut shared) = (0, 0, 0);
     while i < a.len() && j < b.len() {
         let (x, y) = (a[i], b[j]);
-        hits += usize::from(x == y);
+        shared += usize::from(x == y);
         i += usize::from(x <= y);
-        j += usize::from(y < x);
+        j += usize::from(y <= x);
     }
-    hits
+    shared
 }
 
 /// `|a ∩ b| / |a|`: the fraction of `a` (repeats counted) that also
@@ -92,21 +85,29 @@ fn merge_hits(a: &[usize], b: &[usize]) -> usize {
 ///
 /// This is the paper's **hit rate** (Fig. 5a): the fraction of
 /// teacher-important tokens that the retrieval head also selects.
-/// Returns `1.0` when `a` is empty (nothing to hit). Ascending lists —
-/// selections — are counted by one merge, in place; any other input is
-/// sorted first and counts the same.
+/// Returns `1.0` when `a` is empty (nothing to hit). Two ascending lists
+/// — selections — are counted by one merge, in place; an unsorted or
+/// repeating `b` is sorted into a set first, an unsorted or repeating
+/// `a` (the evaluation code's top-k lists) looks each element up in it,
+/// and both count the same.
 pub fn hit_rate(a: &[usize], b: &[usize]) -> f32 {
     if a.is_empty() {
         return 1.0;
     }
-    merge_hits(&sorted(a), &sorted_set(b)) as f32 / a.len() as f32
+    let b = sorted_set(b);
+    let hits = if is_ascending_set(a) {
+        merge_shared(a, &b)
+    } else {
+        a.iter().filter(|x| b.binary_search(x).is_ok()).count()
+    };
+    hits as f32 / a.len() as f32
 }
 
 /// Jaccard index `|a ∩ b| / |a ∪ b|` of the two lists as sets. Returns
 /// `1.0` when both are empty. Counted by merge, as [`hit_rate`] is.
 pub fn jaccard(a: &[usize], b: &[usize]) -> f32 {
     let (a, b) = (sorted_set(a), sorted_set(b));
-    let shared = merge_hits(&a, &b);
+    let shared = merge_shared(&a, &b);
     let union = a.len() + b.len() - shared;
     if union == 0 {
         return 1.0;

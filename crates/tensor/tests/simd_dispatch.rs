@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use spec_tensor::dispatch::{self, SimdTier};
-use spec_tensor::keyblocks::{KeyBlocks, KEY_BLOCK};
+use spec_tensor::keyblocks::{KeyBlocks, QuantKeyBlocks, KEY_BLOCK};
 use spec_tensor::lut::{I8Lut, QueryLut};
 use spec_tensor::quant::{BitWidth, QuantVec};
 use spec_tensor::topk::{self, PosBitSet, RankScratch};
@@ -243,8 +243,8 @@ fn int4_edge_lengths_match_at_every_tier() {
     }
 }
 
-/// The position-parallel scoring kernel of the retrieval head's key
-/// cache equals `matrix::dot` per position at every tier: an empty cache,
+/// The position-parallel scoring kernel of the f32 key blocks (the
+/// prefill's key span) equals `matrix::dot` per position at every tier: an empty cache,
 /// one position, either side of a block boundary, and a tail that fills
 /// part of a third block — including products that are all `-0.0`, where
 /// only an accumulator started like `Iterator::sum`'s keeps the sign.
@@ -325,6 +325,70 @@ fn key_block_range_dots_match_per_row_dot_at_every_tier() {
             blocks.dots_ranges_into(&query, &ranges, &mut out);
             assert_bits_eq(&out, &want, &format!("{ranges:?} tier {tier}"));
         });
+    }
+}
+
+/// The retrieval head's int8 key cache, as specified: a pushed key is
+/// `QuantVec::quantize`'s levels and scale (so `|k - level * scale| <=
+/// scale / 2` per element), and the block sweep gives each position
+/// `scale * Σ q[d] * level[d]`, the sum taken from `-0.0` in ascending `d`
+/// — the same bits at every tier. Lengths either side of a block
+/// boundary, an empty cache and the benchmark's longest; dimensions that
+/// are and are not a multiple of a vector; an all-zero key, which scores
+/// exactly zero at scale one; a cleared cache starts over.
+#[test]
+fn quant_key_block_dots_match_the_per_position_reference_at_every_tier() {
+    for n in [0, 1, 63, 64, 65, 129, 4224] {
+        for dim in [16usize, 24, 64] {
+            let mut rng = SimRng::seed(0x1B8 + (n * 31 + dim) as u64);
+            let mut keys = rng.normal_matrix(n, dim, 1.0);
+            // Norms spread like the head's: some keys several times others.
+            for (p, row) in (0..n).zip(keys.as_mut_slice().chunks_mut(dim)) {
+                row.iter_mut().for_each(|k| *k *= 1.0 + (p % 7) as f32);
+            }
+            if n > 0 {
+                keys.row_mut(n / 2).fill(0.0);
+            }
+            let query = rng.normal_vec(dim, 1.0);
+            let mut blocks = QuantKeyBlocks::new(dim);
+            for key in keys.iter_rows() {
+                blocks.push(key);
+            }
+            assert_eq!(blocks.len(), n);
+            let mut want = Vec::with_capacity(n);
+            for (p, key) in keys.iter_rows().enumerate() {
+                let quantized = QuantVec::quantize(key, BitWidth::Int8);
+                let scale = blocks.scale(p);
+                assert_eq!(scale.to_bits(), quantized.scale().to_bits());
+                for (d, &k) in key.iter().enumerate() {
+                    let level = blocks.level(p, d);
+                    assert_eq!(level, quantized.level(d), "key {p} element {d}");
+                    let back = f32::from(level) * scale;
+                    assert!((k - back).abs() <= scale / 2.0, "{k} came back as {back}");
+                }
+                let products = (0..dim).map(|d| query[d] * f32::from(blocks.level(p, d)));
+                want.push(scale * products.fold(-0.0, |acc, x| acc + x));
+            }
+            if n > 0 {
+                assert_eq!(blocks.scale(n / 2), 1.0);
+                assert_eq!(want[n / 2], 0.0);
+            }
+            for_each_tier(|tier| {
+                let mut out = vec![f32::NAN; 3];
+                blocks.dots_into(&query, &mut out);
+                assert_bits_eq(&out, &want, &format!("{n} keys of dim {dim} tier {tier}"));
+            });
+            blocks.clear();
+            assert!(blocks.is_empty());
+            let mut out = vec![f32::NAN; 3];
+            blocks.dots_into(&query, &mut out);
+            assert!(out.is_empty());
+            if n > 0 {
+                blocks.push(keys.row(0));
+                blocks.dots_into(&query, &mut out);
+                assert_bits_eq(&out, &want[..1], "the first key again, after clear");
+            }
+        }
     }
 }
 
