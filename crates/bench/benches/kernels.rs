@@ -6,7 +6,10 @@
 //! whole against the token-at-a-time loop it replaced, and the decode
 //! step's in-place attention against the gather it replaced, the
 //! retrieval head's key sweep over int8 blocks against f32 ones, and the
-//! overlap count by merge against the hash set it replaced. The
+//! overlap count by merge against the hash set it replaced; and the
+//! forward pass's hot loops one by one — the value tile beside the
+//! per-row zero test it dropped, the softmax at a query group's shapes, a
+//! prefill block's attention kernel and the fused projection's gemm. The
 //! simulator's per-iteration layers ride along: a step-table hit through
 //! the quiet run's walk against the per-step lookup, a miss priced on
 //! the price-only timeline against the recording one, and one engine's
@@ -773,6 +776,163 @@ fn bench_attend(c: &mut Criterion) {
     }
 }
 
+/// `(rows, cols)` of the grouped-softmax entries: a prefill position's
+/// query group over window + sinks, a decode step's over its budget, and
+/// the long rows four-in-step must not slow (the retrieval head's).
+const SOFTMAX_GROUPS: [(usize, usize); 3] = [(4, 101), (4, 261), (8, 4224)];
+
+/// The value tile beside its twin, at a prefill position's shape: four
+/// heads weighing 101 rows of 16.
+const VALUE_TILE: &str = "value_pass/4x101";
+const VALUE_TILE_BRANCHY: &str = "value_pass_branchy/4x101";
+
+spec_tensor::dispatch_kernel! {
+    /// The value tile as it ran while it tested every weight for zero in
+    /// the walk — PR 19's `indexed_weighted_rows` over PR 17's
+    /// `weighted_tiles`, its full-tile arm verbatim: four heads by
+    /// sixteen columns in registers over the listed `d`-wide rows of
+    /// `values`, `weights` head-major. The bench's twin only.
+    branchy_value_tile(
+        weights: &[f32],
+        values: &[f32],
+        d: usize,
+        positions: &[usize],
+        out: &mut [f32],
+    ) {
+        let rows = positions.iter().map(|&p| &values[p * d..][..d]);
+        let (stride, len) = (positions.len(), positions.len());
+        let (h0, c0) = (0, 0);
+        let w: [&[f32]; 4] = std::array::from_fn(|j| &weights[(h0 + j) * stride..][..len]);
+        let mut acc: [[f32; 16]; 4] = std::array::from_fn(|j| {
+            out[(h0 + j) * d + c0..][..16]
+                .try_into()
+                .expect("tile row")
+        });
+        for (row, i) in rows.clone().zip(0..len) {
+            let v: &[f32; 16] = row[c0..c0 + 16].try_into().expect("tile row");
+            for (a, w) in acc.iter_mut().zip(&w) {
+                if w[i] == 0.0 {
+                    continue;
+                }
+                for (a, &x) in a.iter_mut().zip(v) {
+                    *a += w[i] * x;
+                }
+            }
+        }
+        for (j, a) in acc.iter().enumerate() {
+            out[(h0 + j) * d + c0..][..16].copy_from_slice(a);
+        }
+    }
+}
+
+/// `ops::indexed_weighted_sums` around the twin: the same checks, the
+/// same zeroed output, the same dispatch.
+fn branchy_weighted_sums(weights: &[f32], values: &Matrix, positions: &[usize], out: &mut [f32]) {
+    assert!(positions.iter().all(|&p| p < values.rows()));
+    out.fill(0.0);
+    assert_eq!(weights.len(), out.len() / values.cols() * positions.len());
+    branchy_value_tile::dispatch(
+        spec_tensor::dispatch::active_tier(),
+        weights,
+        values.as_slice(),
+        values.cols(),
+        positions,
+        out,
+    );
+}
+
+/// The forward pass's hot loops, each alone and cache-hot at the engine's
+/// shapes (a GQA group of four 16-wide heads, window 96 + 4 sinks).
+fn bench_forward(c: &mut Criterion) {
+    const GROUP: usize = 4;
+    const HEAD_DIM: usize = 16;
+    let mut rng = SimRng::seed(0xF0A4);
+
+    // The value pass of one prefill position and KV head.
+    let rows = 101;
+    let values = rng.normal_matrix(rows, HEAD_DIM, 1.0);
+    let mut weights: Vec<f32> = (0..GROUP * rows).map(|_| rng.normal()).collect();
+    ops::softmax_rows_inplace(&mut weights, rows, 1.0);
+    let list: Vec<usize> = (0..rows).collect();
+    let (mut got, mut want) = (
+        vec![0.0f32; GROUP * HEAD_DIM],
+        vec![0.0f32; GROUP * HEAD_DIM],
+    );
+    // Same bits; check, don't trust.
+    ops::indexed_weighted_sums(&weights, &values, &list, &mut got);
+    branchy_weighted_sums(&weights, &values, &list, &mut want);
+    assert!(
+        got.iter()
+            .zip(&want)
+            .all(|(g, w)| g.to_bits() == w.to_bits()),
+        "the value tile diverged from its branchy twin"
+    );
+    c.bench_function(VALUE_TILE, |b| {
+        b.iter(|| ops::indexed_weighted_sums(black_box(&weights), &values, &list, &mut got))
+    });
+    c.bench_function(VALUE_TILE_BRANCHY, |b| {
+        b.iter(|| branchy_weighted_sums(black_box(&weights), &values, &list, &mut want))
+    });
+
+    for (rows, cols) in SOFTMAX_GROUPS {
+        let logits: Vec<f32> = (0..rows * cols).map(|_| rng.normal() * 3.0).collect();
+        let mut work = logits.clone();
+        c.bench_function(&format!("softmax/{rows}x{cols}"), |b| {
+            b.iter(|| {
+                work.copy_from_slice(&logits);
+                ops::softmax_rows_inplace(black_box(&mut work), cols, 0.25);
+            })
+        });
+    }
+
+    // One KV head's attention over a prefill block: queries in the fused
+    // projection's rows, outputs in the heads' concatenation, the block
+    // anywhere in a 4 K cache.
+    let cached = 4352;
+    let (keys, values) = (
+        rng.normal_matrix(cached, HEAD_DIM, 1.0),
+        rng.normal_matrix(cached, HEAD_DIM, 1.0),
+    );
+    let proj = rng.normal_matrix(64, 12 * HEAD_DIM, 1.0);
+    let mut concat = Matrix::zeros(64, 8 * HEAD_DIM);
+    let mut starts = Rotation::new(|| 64 * (2 + rng.below(cached / 64 - 3)));
+    let (mut span, mut scores) = (KeyBlocks::new(HEAD_DIM), Vec::new());
+    c.bench_function("prefill_attend/block64", |b| {
+        b.iter(|| {
+            let block = ops::BlockAttention {
+                queries: proj.as_slice(),
+                q_stride: proj.cols(),
+                heads: GROUP,
+                keys: &keys,
+                values: &values,
+                cut: 0,
+                start: *starts.next(),
+                rows: 64,
+                window: 96,
+                sinks: 4,
+            };
+            let out_stride = concat.cols();
+            ops::attend_block(
+                black_box(&block),
+                &mut span,
+                &mut scores,
+                concat.as_mut_slice(),
+                out_stride,
+            );
+            concat.get(0, 0)
+        })
+    });
+
+    // The fused Q|K|V projection of a prefill block.
+    let (a, b) = (
+        rng.normal_matrix(64, 64, 1.0),
+        rng.normal_matrix(64, 192, 1.0),
+    );
+    c.bench_function("gemm/64x64x192", |bch| {
+        bch.iter(|| black_box(&a).matmul(black_box(&b)))
+    });
+}
+
 /// Cached positions of the head-sweep comparison: a `reason_2k_16k` step
 /// midway and at its end, and a `prompt_32k_2k` step.
 const SWEEP_LENS: [usize; 3] = [1280, 2304, 4224];
@@ -1038,8 +1198,9 @@ fn write_summary(c: &Criterion) {
         (Some(oracle), Some(chunked)) => oracle / chunked,
         _ => f64::NAN,
     };
+    let tile_speedup = best_ratio(c, VALUE_TILE_BRANCHY, VALUE_TILE);
     json.push_str(&format!(
-        "\n  }},\n  \"prefill_speedup_vs_oracle\": {prefill_speedup:.2},\n"
+        "\n  }},\n  \"prefill_speedup_vs_oracle\": {prefill_speedup:.2},\n  \"value_tile_speedup_vs_branchy\": {tile_speedup:.2},\n"
     ));
     let walk_speedup = best_ratio(c, STEP_HIT_LOOKUP, STEP_HIT_WALK);
     let miss_speedup = best_ratio(c, STEP_MISS_RECORDED, STEP_MISS);
@@ -1120,6 +1281,7 @@ fn write_summary(c: &Criterion) {
         println!("[speedup vs naive]{}", line.replace("    ", " "));
     }
     println!("[prefill speedup vs token-at-a-time] {prefill_speedup:.2}");
+    println!("[value tile speedup vs per-row zero test] {tile_speedup:.2}");
     println!("[step-table walk speedup vs lookup] {walk_speedup:.2}");
     println!("[step miss speedup vs recorded timeline] {miss_speedup:.2}");
     for line in sel_speedups {
@@ -1241,6 +1403,7 @@ fn main() {
     bench_matmul(&mut c);
     bench_prefill(&mut c);
     bench_attend(&mut c);
+    bench_forward(&mut c);
     bench_retrieval_side(&mut c);
     bench_serving(&mut c);
     write_summary(&c);

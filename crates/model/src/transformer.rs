@@ -18,9 +18,9 @@
 use crate::config::{AttentionKind, SimGeometry};
 use crate::kv::{LayerKv, ModelKv};
 use crate::weights::{LayerWeights, ModelWeights};
+use spec_tensor::ops::BlockAttention;
 use spec_tensor::topk::{ForwardScratch, SelectScratch};
 use spec_tensor::{ops, KeyBlocks, Matrix, SimRng};
-use std::ops::Range;
 
 /// How prefill attention is computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,12 +166,44 @@ pub struct StepOutput {
 }
 
 /// The simulated model: geometry plus weights.
+///
+/// [`ModelWeights`] is the public layout — one `hidden x head_dim`
+/// projection per head, which is what distillation averages, the probe
+/// reads and the tests' oracles multiply by. The forward passes do not
+/// run on it: a layer's twelve 64 x 16 projections are twelve gemms a
+/// prefill block and twelve `vecmat`s a decode step, each too small to
+/// amortise its call. The model keeps a derived copy instead, built once
+/// by both constructors — per layer, the heads' projections side by side
+/// as one `hidden x (q_heads + 2 kv_heads) * head_dim` matrix, `Q | K |
+/// V` (MLA: the queries only; its K and V come from the latent) — and
+/// issues one gemm, or one `vecmat`, per layer. A product's column sums
+/// the same terms in the same order whichever matrix it stands in, so
+/// the copy changes no bit.
 #[derive(Debug, Clone)]
 pub struct Model {
     geom: SimGeometry,
     weights: ModelWeights,
+    /// `fused[l]`: layer `l`'s per-head projections, side by side.
+    fused: Vec<Matrix>,
     /// YaRN-style positional scale (1.0 = no extension).
     rope_scale: f32,
+}
+
+/// A layer's per-head projections as one matrix, `Q | K | V` (see
+/// [`Model`]).
+fn fuse_projections(geom: &SimGeometry, lw: &LayerWeights) -> Matrix {
+    let heads: Vec<&Matrix> = if geom.attention == AttentionKind::Mla {
+        lw.wq.iter().collect()
+    } else {
+        lw.wq.iter().chain(&lw.wk).chain(&lw.wv).collect()
+    };
+    let mut fused = Vec::with_capacity(geom.hidden * heads.len() * geom.head_dim);
+    for r in 0..geom.hidden {
+        for head in &heads {
+            fused.extend_from_slice(head.row(r));
+        }
+    }
+    Matrix::from_vec(geom.hidden, heads.len() * geom.head_dim, fused)
 }
 
 impl Model {
@@ -182,21 +214,22 @@ impl Model {
     /// Panics if the geometry fails validation.
     pub fn new(geom: SimGeometry, seed: u64) -> Self {
         geom.validate().expect("invalid geometry");
-        let mut rng = SimRng::seed(seed);
-        let weights = ModelWeights::init(&geom, &mut rng);
-        Self {
-            geom,
-            weights,
-            rope_scale: 1.0,
-        }
+        let weights = ModelWeights::init(&geom, &mut SimRng::seed(seed));
+        Self::from_weights(geom, weights)
     }
 
     /// Builds a model from explicit weights (used by distillation).
     pub fn from_weights(geom: SimGeometry, weights: ModelWeights) -> Self {
         geom.validate().expect("invalid geometry");
+        let fused = weights
+            .layers
+            .iter()
+            .map(|lw| fuse_projections(&geom, lw))
+            .collect();
         Self {
             geom,
             weights,
+            fused,
             rope_scale: 1.0,
         }
     }
@@ -238,17 +271,21 @@ impl Model {
     /// cache and the last position's step output.
     ///
     /// The prompt is walked in blocks of [`PREFILL_CHUNK`] positions, and
-    /// a block goes through the stack layer by layer: every projection
-    /// and the FFN are one [`Matrix::matmul`] over the block's rows, the
-    /// block's K/V rows are appended to the cache at once, and only
-    /// attention runs per position ([`attend_ranges`], reading the cache
-    /// in place). The final norm and `lm_head` run for the last position
+    /// a block goes through the stack layer by layer: the fused `Q | K | V`
+    /// projection and the FFN are one [`Matrix::matmul`] each over the
+    /// block's rows, the block's K/V rows are appended to the cache from
+    /// the projection's column segments, and attention is one kernel per
+    /// KV head ([`ops::attend_block`], reading queries and cache in
+    /// place). The final norm and `lm_head` run for the last position
     /// only. Every float — the returned logits and hidden state, and each
     /// cached K/V (or latent) entry — has the bits that feeding the
     /// positions one at a time through [`step`](Self::step) produces
     /// (`tests/prefill_equivalence.rs` holds it to that loop): a `matmul`
-    /// row is the `vecmat` of that row, and `attend_ranges` keeps the
+    /// row is the `vecmat` of that row, and `attend_block` keeps the
     /// addition order of `ops::attention_weights` / `ops::weighted_sum`.
+    ///
+    /// The block buffers are allocated once and reused by every block and
+    /// layer; under a window none of them is sized by the prompt.
     ///
     /// # Panics
     ///
@@ -258,18 +295,24 @@ impl Model {
         assert_eq!(emb.cols(), self.geom.hidden, "embedding width mismatch");
         let geom = &self.geom;
         let (hidden, d) = (geom.hidden, geom.head_dim);
+        // Exact causal attention is a window no prompt outgrows.
+        let (window, sinks) = match mode {
+            PrefillMode::Exact => (usize::MAX, 0),
+            PrefillMode::Windowed { window, sinks } => (window, sinks),
+        };
         let mut kv = ModelKv::empty(geom);
         // Block buffers, reused by every block and layer: the residual
         // stream, its normalization, the heads' attention outputs side by
-        // side, the per-position rotations, the per-head queries, one KV
-        // head's key span, and the score rows of a query group.
+        // side, the per-position rotations, and attention's work space.
         let mut h: Vec<f32> = Vec::with_capacity(PREFILL_CHUNK * hidden);
         let mut normed = Matrix::default();
         let mut concat = Matrix::default();
         let mut rope = Vec::with_capacity(PREFILL_CHUNK);
-        let mut queries: Vec<Matrix> = Vec::with_capacity(geom.q_heads);
-        let mut span = KeyBlocks::new(d);
-        let mut scores = Vec::new();
+        let mut work = AttendWork {
+            span: KeyBlocks::new(d),
+            scores: Vec::new(),
+            latent: Vec::new(),
+        };
         for b0 in (0..emb.rows()).step_by(PREFILL_CHUNK) {
             let b1 = (b0 + PREFILL_CHUNK).min(emb.rows());
             h.clear();
@@ -282,15 +325,33 @@ impl Model {
             rope.extend(
                 (b0..b1).map(|pos| ops::rope_table(d, pos, geom.rope_base, self.rope_scale)),
             );
-            for (lw, layer) in self.weights.layers.iter().zip(&mut kv.layers) {
+            for ((lw, fused), layer) in self
+                .weights
+                .layers
+                .iter()
+                .zip(&self.fused)
+                .zip(&mut kv.layers)
+            {
                 rmsnorm_rows(&mut normed, &h, &lw.norm_attn);
+                let mut proj = normed.matmul(fused);
                 match layer {
                     LayerKv::PerHead { keys, values } => {
-                        for hh in 0..geom.kv_heads {
-                            let mut k = normed.matmul(&lw.wk[hh]);
-                            rope_rows(&mut k, &rope);
-                            keys[hh].push_rows(&k);
-                            values[hh].push_rows(&normed.matmul(&lw.wv[hh]));
+                        // Queries and keys are the leading segments.
+                        let roped = (geom.q_heads + geom.kv_heads) * d;
+                        for (row, table) in proj
+                            .as_mut_slice()
+                            .chunks_exact_mut(fused.cols())
+                            .zip(&rope)
+                        {
+                            for head in row[..roped].chunks_exact_mut(d) {
+                                ops::rope_apply(head, table);
+                            }
+                        }
+                        for (hh, (keys, values)) in keys.iter_mut().zip(values).enumerate() {
+                            let k = (geom.q_heads + hh) * d;
+                            let v = k + geom.kv_heads * d;
+                            keys.push_cols(&proj, k..k + d);
+                            values.push_cols(&proj, v..v + d);
                         }
                     }
                     LayerKv::Latent { latent } => {
@@ -298,22 +359,13 @@ impl Model {
                         latent.push_rows(&normed.matmul(down));
                     }
                 }
-                queries.clear();
-                queries.extend(lw.wq.iter().map(|wq| {
-                    let mut q = normed.matmul(wq);
-                    if geom.attention != AttentionKind::Mla {
-                        rope_rows(&mut q, &rope);
-                    }
-                    q
-                }));
                 self.attend_block(
                     lw,
                     layer,
-                    &queries,
+                    &proj,
                     b0,
-                    mode,
-                    &mut span,
-                    &mut scores,
+                    (window, sinks),
+                    &mut work,
                     &mut concat,
                 );
                 add_assign(&mut h, concat.matmul(&lw.wo).as_slice());
@@ -333,73 +385,63 @@ impl Model {
     }
 
     /// Prefill attention of one layer for the block of positions starting
-    /// at `b0` (one row of every `queries` matrix and of `out` each), whose
-    /// K/V rows `layer` already holds. Position `pos` attends cache rows
-    /// `[0, min(sinks, lo))` and `[lo, pos]`, `lo = pos - window` clamped
-    /// at 0; exact attention is `lo = 0`.
+    /// at `b0` — one row of `proj` (whose leading columns are the heads'
+    /// queries) and of `out` each — whose K/V rows `layer` already holds.
+    /// Position `pos` attends cache rows `[0, min(sinks, lo))` and
+    /// `[lo, pos]`, `lo = pos - window` clamped at 0.
     #[allow(clippy::too_many_arguments)]
     fn attend_block(
         &self,
         lw: &LayerWeights,
         layer: &LayerKv,
-        queries: &[Matrix],
+        proj: &Matrix,
         b0: usize,
-        mode: PrefillMode,
-        span: &mut KeyBlocks,
-        scores: &mut Vec<f32>,
+        (window, sinks): (usize, usize),
+        work: &mut AttendWork,
         out: &mut Matrix,
     ) {
-        let (d, group) = (self.geom.head_dim, self.geom.group_size());
-        let (window, sinks) = match mode {
-            PrefillMode::Exact => (usize::MAX, 0),
-            PrefillMode::Windowed { window, sinks } => (window, sinks),
-        };
-        // What the block's positions attend between them, and what the
-        // span copies: cache rows `[0, kept)` then `[lo0, b1)`.
-        let b1 = b0 + out.rows();
-        let lo0 = b0.saturating_sub(window);
-        let kept = sinks.min(lo0);
-        for hh in 0..self.geom.kv_heads {
-            // This KV head's keys over the span, position-parallel, and
-            // its values: span position `i` of the second range is row
-            // `i + shift` of `values`.
-            span.clear();
-            let up_v;
-            let (values, shift) = match layer {
-                LayerKv::PerHead { keys, values } => {
-                    for p in (0..kept).chain(lo0..b1) {
-                        span.push(keys[hh].row(p));
-                    }
-                    (&values[hh], lo0 - kept)
-                }
-                // The span's latent rows are up-projected once per head
-                // for the whole block (Fig. 5(e)).
-                LayerKv::Latent { latent } => {
-                    let width = latent.cols();
-                    let mut c = latent.as_slice()[..kept * width].to_vec();
-                    c.extend_from_slice(&latent.as_slice()[lo0 * width..b1 * width]);
-                    let c = Matrix::from_vec(kept + b1 - lo0, width, c);
-                    for k in c.matmul(&lw.wk[hh]).iter_rows() {
-                        span.push(k);
-                    }
-                    up_v = c.matmul(&lw.wv[hh]);
-                    (&up_v, 0)
-                }
+        let width = self.geom.group_size() * self.geom.head_dim;
+        let (rows, out_stride) = out.shape();
+        let mut attend = |hh: usize, keys: &Matrix, values: &Matrix, cut: usize| {
+            let block = BlockAttention {
+                queries: &proj.as_slice()[hh * width..],
+                q_stride: proj.cols(),
+                heads: self.geom.group_size(),
+                keys,
+                values,
+                cut,
+                start: b0,
+                rows,
+                window,
+                sinks,
             };
-            let heads = hh * group..(hh + 1) * group;
-            for pos in b0..b1 {
-                let lo = pos.saturating_sub(window);
-                attend_ranges(
-                    &queries[heads.clone()],
-                    pos - b0,
-                    span,
-                    values,
-                    shift,
-                    0..sinks.min(lo),
-                    kept + lo - lo0..kept + pos - lo0 + 1,
-                    scores,
-                    &mut out.row_mut(pos - b0)[heads.start * d..heads.end * d],
-                );
+            let out = &mut out.as_mut_slice()[hh * width..];
+            ops::attend_block(&block, &mut work.span, &mut work.scores, out, out_stride);
+        };
+        match layer {
+            LayerKv::PerHead { keys, values } => {
+                for (hh, (keys, values)) in keys.iter().zip(values).enumerate() {
+                    attend(hh, keys, values, 0);
+                }
+            }
+            // The latent rows the block attends between them — the sinks
+            // below every window, then everything from the first window's
+            // start — are up-projected once per head for the whole block
+            // (Fig. 5(e)).
+            LayerKv::Latent { latent } => {
+                let lo0 = b0.saturating_sub(window);
+                let kept = sinks.min(lo0);
+                let latent_width = latent.cols();
+                let mut c = std::mem::take(&mut work.latent);
+                c.clear();
+                c.extend_from_slice(&latent.as_slice()[..kept * latent_width]);
+                c.extend_from_slice(&latent.as_slice()[lo0 * latent_width..]);
+                let c = Matrix::from_vec(c.len() / latent_width, latent_width, c);
+                for hh in 0..self.geom.kv_heads {
+                    let (k, v) = (c.matmul(&lw.wk[hh]), c.matmul(&lw.wv[hh]));
+                    attend(hh, &k, &v, lo0 - kept);
+                }
+                work.latent = c.into_vec();
             }
         }
     }
@@ -527,10 +569,10 @@ impl Model {
         fw.up.resize(geom.ffn_dim, 0.0);
         for (l, lw) in self.weights.layers.iter().enumerate() {
             ops::rmsnorm_into(&mut fw.normed, &fw.residual, &lw.norm_attn, 1e-6);
-            self.append_kv(lw, &mut kv.layers[l], &mut fw);
-            // Compute this layer's queries (post-RoPE), then consult the
-            // selector — the layer-wise retrieval point of Fig. 2(a).
-            self.layer_queries_into(lw, &fw.normed, &fw.rope, &mut fw.queries);
+            // Append this position's K/V and compute this layer's queries
+            // (post-RoPE), then consult the selector — the layer-wise
+            // retrieval point of Fig. 2(a).
+            self.project(l, &mut kv.layers[l], &mut fw);
             let selection = selector.select(l, &fw.queries, &kv.layers[l], scratch);
             let layer = &kv.layers[l];
             self.attention(lw, pos, layer, selection, &mut fw, trace.as_deref_mut());
@@ -552,49 +594,43 @@ impl Model {
         StepOutput { logits, hidden }
     }
 
-    /// Per-query-head query vectors for this step (post-RoPE except MLA),
-    /// written into the rows of a reused `q_heads x head_dim` matrix.
-    fn layer_queries_into(
-        &self,
-        lw: &LayerWeights,
-        normed: &[f32],
-        rope: &[(f32, f32)],
-        out: &mut Matrix,
-    ) {
-        for q in 0..self.geom.q_heads {
-            let row = out.row_mut(q);
-            lw.wq[q].vecmat_into(normed, row);
-            if self.geom.attention != AttentionKind::Mla {
-                ops::rope_apply(row, rope);
-            }
-        }
-    }
-
-    /// Projects `fw.normed` to this position's K/V (MLA: latent) rows and
-    /// appends them to the layer's cache.
-    fn append_kv(&self, lw: &LayerWeights, layer: &mut LayerKv, fw: &mut ForwardScratch) {
+    /// Layer `l`'s projections of `fw.normed`, one `vecmat` over the fused
+    /// matrix: this position's K/V rows (post-RoPE keys) are appended to
+    /// the layer's cache and the per-head queries (post-RoPE) land in the
+    /// rows of `fw.queries`. MLA appends its latent row and projects the
+    /// queries, which it does not rotate, straight into place.
+    fn project(&self, l: usize, layer: &mut LayerKv, fw: &mut ForwardScratch) {
+        let (fused, d) = (&self.fused[l], self.geom.head_dim);
         let ForwardScratch {
             normed,
             rope,
-            kv_row: row,
+            proj,
+            queries,
             ..
         } = fw;
         match layer {
             LayerKv::PerHead { keys, values } => {
-                row.resize(self.geom.head_dim, 0.0);
-                for hh in 0..self.geom.kv_heads {
-                    lw.wk[hh].vecmat_into(normed, row);
-                    ops::rope_apply(row, rope);
-                    keys[hh].push_row(row);
-                    lw.wv[hh].vecmat_into(normed, row);
-                    values[hh].push_row(row);
+                proj.resize(fused.cols(), 0.0);
+                fused.vecmat_into(normed, proj);
+                let (q, kv) = proj.split_at_mut(queries.len());
+                let (k, v) = kv.split_at_mut(keys.len() * d);
+                for head in q.chunks_exact_mut(d).chain(k.chunks_exact_mut(d)) {
+                    ops::rope_apply(head, rope);
+                }
+                queries.as_mut_slice().copy_from_slice(q);
+                let rows = k.chunks_exact(d).zip(v.chunks_exact(d));
+                for ((keys, values), (k, v)) in keys.iter_mut().zip(values).zip(rows) {
+                    keys.push_row(k);
+                    values.push_row(v);
                 }
             }
             LayerKv::Latent { latent } => {
-                let down = lw.w_down_latent.as_ref().expect("MLA weights");
-                row.resize(down.cols(), 0.0);
-                down.vecmat_into(normed, row);
-                latent.push_row(row);
+                let down = self.weights.layers[l].w_down_latent.as_ref();
+                let down = down.expect("MLA weights");
+                proj.resize(down.cols(), 0.0);
+                down.vecmat_into(normed, proj);
+                latent.push_row(proj);
+                fused.vecmat_into(normed, queries.as_mut_slice());
             }
         }
     }
@@ -697,66 +733,25 @@ const PREFILL_CHUNK: usize = 64;
 
 /// `out.row(i) = rmsnorm(row i of xs)` for a flat row-major `xs`.
 fn rmsnorm_rows(out: &mut Matrix, xs: &[f32], weight: &[f32]) {
-    let mut row = Vec::with_capacity(weight.len());
-    for (i, x) in xs.chunks_exact(weight.len()).enumerate() {
-        ops::rmsnorm_into(&mut row, x, weight, 1e-6);
-        out.row_mut(i).copy_from_slice(&row);
+    let rows = out.as_mut_slice().chunks_exact_mut(weight.len());
+    for (row, x) in rows.zip(xs.chunks_exact(weight.len())) {
+        ops::rmsnorm_slice(row, x, weight, 1e-6);
     }
 }
 
-/// Rotates row `i` of `m` by `tables[i]`.
-fn rope_rows(m: &mut Matrix, tables: &[Vec<(f32, f32)>]) {
-    for (i, table) in tables.iter().enumerate() {
-        ops::rope_apply(m.row_mut(i), table);
-    }
+/// Attention's work space across a prefill's blocks: one KV head's staged
+/// key span, a query group's score rows, and (MLA) the latent rows a
+/// block attends.
+struct AttendWork {
+    span: KeyBlocks,
+    scores: Vec<f32>,
+    latent: Vec<f32>,
 }
 
 fn add_assign(acc: &mut [f32], xs: &[f32]) {
     for (a, x) in acc.iter_mut().zip(xs) {
         *a += x;
     }
-}
-
-/// One position's attention for the query heads that share a KV head —
-/// row `row` of each matrix in `queries` — over two contiguous ranges of
-/// that head's key span, `sinks` then `window` (exact causal attention
-/// is an empty `sinks`). `keys` holds the span position-parallel;
-/// `values` is read in place: span position `i` is its row `i` in
-/// `sinks` and its row `i + shift` in `window`. The heads' outputs are
-/// written side by side into `out`.
-///
-/// Per head this is `ops::attention_weights` then `ops::weighted_sum`
-/// over the gathered rows, bit for bit: a score is `matrix::dot`'s sum
-/// ([`KeyBlocks`]), the scaled softmax is the same kernel (one call for
-/// the group's rows), and [`ops::weighted_sums_acc`] gives each head
-/// `weighted_sum`'s additions — the heads only share the walk over the
-/// value rows.
-#[allow(clippy::too_many_arguments)]
-fn attend_ranges(
-    queries: &[Matrix],
-    row: usize,
-    keys: &KeyBlocks,
-    values: &Matrix,
-    shift: usize,
-    sinks: Range<usize>,
-    window: Range<usize>,
-    scores: &mut Vec<f32>,
-    out: &mut [f32],
-) {
-    let d = values.cols();
-    let len = sinks.len() + window.len();
-    let scale = 1.0 / (d as f32).sqrt();
-    scores.clear();
-    scores.resize(queries.len() * len, 0.0);
-    let ranges = [sinks.clone(), window.clone()];
-    for (q, s) in queries.iter().zip(scores.chunks_exact_mut(len)) {
-        keys.dots_ranges_into(q.row(row), &ranges, s);
-    }
-    ops::softmax_rows_inplace(scores, len, scale);
-    out.fill(0.0);
-    ops::weighted_sums_acc(scores, len, values, sinks.clone(), out);
-    let rows = window.start + shift..window.end + shift;
-    ops::weighted_sums_acc(&scores[sinks.len()..], len, values, rows, out);
 }
 
 #[cfg(test)]
@@ -770,6 +765,44 @@ mod tests {
     fn seq_embeddings(model: &Model, n: usize) -> Matrix {
         let tokens: Vec<usize> = (0..n).map(|i| i % model.geometry().vocab).collect();
         model.embed_tokens(&tokens)
+    }
+
+    /// The forward passes multiply by the fused copy, the rest of the
+    /// workspace reads `weights()`: for every family, from either
+    /// constructor (`from_weights` through a distilled DLM), a fused
+    /// product's column segments are the per-head products, bit for bit.
+    #[test]
+    fn fused_projection_is_the_per_head_projections_side_by_side() {
+        use crate::dlm::{DistillOptions, Dlm};
+        let mut rng = SimRng::seed(0xF05E);
+        for kind in [
+            AttentionKind::Mha,
+            AttentionKind::Gqa,
+            AttentionKind::Mqa,
+            AttentionKind::Mla,
+        ] {
+            let teacher = tiny_model(kind);
+            let dlm = Dlm::distill(&teacher, DistillOptions::default());
+            for model in [&teacher, dlm.model()] {
+                let geom = model.geometry();
+                assert_eq!(model.fused.len(), geom.layers);
+                for (lw, fused) in model.weights().layers.iter().zip(&model.fused) {
+                    let heads: Vec<&Matrix> = if geom.attention == AttentionKind::Mla {
+                        lw.wq.iter().collect()
+                    } else {
+                        lw.wq.iter().chain(&lw.wk).chain(&lw.wv).collect()
+                    };
+                    assert_eq!(fused.shape(), (geom.hidden, heads.len() * geom.head_dim));
+                    for _ in 0..4 {
+                        let x = rng.normal_vec(geom.hidden, 1.0);
+                        let got = fused.vecmat(&x);
+                        let want: Vec<f32> = heads.iter().flat_map(|w| w.vecmat(&x)).collect();
+                        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&got), bits(&want), "{kind}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,10 +17,11 @@
 //! into disjoint contiguous bands (`spec_parallel::par_bands_mut`), and a
 //! band's results do not depend on its boundaries, so the product is
 //! bit-for-bit identical to the reference at any thread count, including
-//! the serial path. The register tile runs on the workspace
+//! the serial path. A band's tiling runs on the workspace
 //! [`dispatch`](crate::dispatch) registry (scalar/AVX2/AVX-512/NEON
-//! variants of one body), so the same bits also hold at every SIMD tier
-//! and under a forced `SPEC_SIMD=scalar`.
+//! variants of one body, entered once per band and panel), so the same
+//! bits also hold at every SIMD tier and under a forced
+//! `SPEC_SIMD=scalar`.
 
 use crate::Matrix;
 
@@ -70,17 +71,21 @@ fn blocked(a: &Matrix, b: &Matrix, out: &mut Matrix, parallel: bool) {
     let k_total = a.cols();
     let strips = n.div_ceil(NR);
     let mut panel = vec![0.0f32; KC.min(k_total) * strips * NR];
+    // Resolved here, on the caller's thread, for every band and panel.
+    let tier = crate::dispatch::active_tier();
     let mut kb = 0;
     while kb < k_total {
         let kc = KC.min(k_total - kb);
         pack_b(&mut panel, b, kb, kc);
+        let panel = &panel[..strips * kc * NR];
+        let tile = |first_row: usize, band: &mut [f32]| {
+            let a = &a.as_slice()[first_row * k_total + kb..];
+            band_tiles::dispatch(tier, a, k_total, panel, kc, band, n);
+        };
         if parallel {
-            let panel = &panel;
-            spec_parallel::par_bands_mut(out.as_mut_slice(), n, |first_row, band| {
-                tile_band(a, panel, kb, kc, first_row, band, n);
-            });
+            spec_parallel::par_bands_mut(out.as_mut_slice(), n, tile);
         } else {
-            tile_band(a, &panel, kb, kc, 0, out.as_mut_slice(), n);
+            tile(0, out.as_mut_slice());
         }
         kb += kc;
     }
@@ -129,55 +134,38 @@ fn vecmat_fast(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-/// Tiles one contiguous band of output rows (starting at `first_row`)
-/// against the packed `kc`-deep panel, MR x NR register tiles.
-fn tile_band(
-    a: &Matrix,
-    panel: &[f32],
-    kb: usize,
-    kc: usize,
-    first_row: usize,
-    band: &mut [f32],
-    n: usize,
-) {
-    let rows = band.len() / n;
-    let strips = n.div_ceil(NR);
-    let tier = crate::dispatch::active_tier();
-    let mut i0 = 0;
-    while i0 < rows {
-        let mr = MR.min(rows - i0);
-        for s in 0..strips {
-            let j0 = s * NR;
-            let nr = NR.min(n - j0);
-            let strip = &panel[s * kc * NR..(s * kc + kc) * NR];
-            if mr == MR && nr == NR {
-                micro_full(
-                    a,
-                    first_row + i0,
-                    kb,
-                    kc,
-                    strip,
-                    &mut band[i0 * n..],
-                    j0,
-                    n,
-                    tier,
-                );
-            } else {
-                micro_edge(
-                    a,
-                    first_row + i0,
-                    mr,
-                    kb,
-                    kc,
-                    strip,
-                    &mut band[i0 * n..],
-                    j0,
-                    nr,
-                    n,
-                );
+crate::dispatch_kernel! {
+    /// Tiles one contiguous band of output rows against the packed
+    /// `kc`-deep `panel`, MR x NR register tiles. `a` starts at the band's
+    /// first row and the panel's first `k`: row `r`'s factors are
+    /// `a[r * lda..][..kc]`.
+    ///
+    /// The tier is resolved once per band and panel, not once per tile:
+    /// the strip and row-tile loops run inside the dispatched body with
+    /// [`micro_full`] / [`micro_edge`] inlined, so a 4 x 16 tile of ~256
+    /// cycles no longer pays a `#[target_feature]` call of its own. Every
+    /// tier compiles this same body — wider registers change only how many
+    /// lanes one instruction covers, each output element still receives
+    /// the identical sequence of `+= a*b` operations (no FMA contraction,
+    /// no reassociation) — so every tier produces the same bits.
+    band_tiles(a: &[f32], lda: usize, panel: &[f32], kc: usize, band: &mut [f32], n: usize) {
+        let rows = band.len() / n;
+        for i0 in (0..rows).step_by(MR) {
+            let mr = MR.min(rows - i0);
+            // An edge tile repeats its last row to fill the array; only
+            // the first `mr` are read.
+            let a_rows: [&[f32]; MR] =
+                std::array::from_fn(|r| &a[(i0 + r.min(mr - 1)) * lda..][..kc]);
+            let out = &mut band[i0 * n..(i0 + mr) * n];
+            for (strip, j0) in panel.chunks_exact(kc * NR).zip((0..).step_by(NR)) {
+                let nr = NR.min(n - j0);
+                if mr == MR && nr == NR {
+                    micro_full(&a_rows, strip, out, j0, n);
+                } else {
+                    micro_edge(&a_rows[..mr], strip, out, j0, nr, n);
+                }
             }
         }
-        i0 += mr;
     }
 }
 
@@ -199,83 +187,47 @@ fn pack_b(panel: &mut [f32], b: &Matrix, kb: usize, kc: usize) {
     }
 }
 
-/// The full MR x NR register tile: `out[i0..i0+MR][j0..j0+NR] += A-rows *
-/// packed strip`, `k` ascending.
-///
-/// `tier` (resolved once per band from the dispatch registry) selects a
-/// variant of the *same* body compiled with that instruction set
-/// enabled. Wider registers change only how many lanes one instruction
-/// covers — each output element still receives the identical sequence of
-/// `+= a*b` operations (no FMA contraction, no reassociation), so every
-/// tier produces the same bits.
-#[allow(clippy::too_many_arguments)]
-fn micro_full(
-    a: &Matrix,
-    row0: usize,
-    kb: usize,
-    kc: usize,
-    strip: &[f32],
-    band: &mut [f32],
-    j0: usize,
-    n: usize,
-    tier: crate::dispatch::SimdTier,
-) {
-    let a_rows: [&[f32]; MR] = std::array::from_fn(|r| &a.row(row0 + r)[kb..kb + kc]);
-    micro_tile::dispatch(tier, &a_rows, kc, strip, band, j0, n);
-}
-
-crate::dispatch_kernel! {
-    /// The register-tile body shared by every tier (see [`micro_full`]).
-    micro_tile(a_rows: &[&[f32]; MR], kc: usize, strip: &[f32], band: &mut [f32], j0: usize, n: usize) {
-        let mut acc = [[0.0f32; NR]; MR];
-        for (r, acc_r) in acc.iter_mut().enumerate() {
-            acc_r.copy_from_slice(&band[r * n + j0..r * n + j0 + NR]);
-        }
-        for k in 0..kc {
-            let bk: &[f32; NR] = strip[k * NR..(k + 1) * NR].try_into().expect("strip row");
-            let av: [f32; MR] = std::array::from_fn(|r| a_rows[r][k]);
-            for (acc_r, &a) in acc.iter_mut().zip(&av) {
-                for (o, &w) in acc_r.iter_mut().zip(bk) {
-                    *o += a * w;
-                }
+/// The full MR x NR register tile: `out[..MR][j0..j0+NR] += A-rows *
+/// packed strip`, `k` ascending, the tile in registers over the whole walk
+/// down the strip.
+#[inline(always)]
+fn micro_full(a_rows: &[&[f32]; MR], strip: &[f32], out: &mut [f32], j0: usize, n: usize) {
+    let mut acc = [[0.0f32; NR]; MR];
+    for (r, acc_r) in acc.iter_mut().enumerate() {
+        acc_r.copy_from_slice(&out[r * n + j0..r * n + j0 + NR]);
+    }
+    for (k, bk) in strip.chunks_exact(NR).enumerate() {
+        let bk: &[f32; NR] = bk.try_into().expect("strip row");
+        let av: [f32; MR] = std::array::from_fn(|r| a_rows[r][k]);
+        for (acc_r, &a) in acc.iter_mut().zip(&av) {
+            for (o, &w) in acc_r.iter_mut().zip(bk) {
+                *o += a * w;
             }
         }
-        for (r, acc_r) in acc.iter().enumerate() {
-            band[r * n + j0..r * n + j0 + NR].copy_from_slice(acc_r);
-        }
+    }
+    for (r, acc_r) in acc.iter().enumerate() {
+        out[r * n + j0..r * n + j0 + NR].copy_from_slice(acc_r);
     }
 }
 
 /// Edge tile (fewer than MR rows and/or NR columns); identical `k`
 /// ordering to [`micro_full`].
-#[allow(clippy::too_many_arguments)]
-fn micro_edge(
-    a: &Matrix,
-    row0: usize,
-    mr: usize,
-    kb: usize,
-    kc: usize,
-    strip: &[f32],
-    band: &mut [f32],
-    j0: usize,
-    nr: usize,
-    n: usize,
-) {
+#[inline(always)]
+fn micro_edge(a_rows: &[&[f32]], strip: &[f32], out: &mut [f32], j0: usize, nr: usize, n: usize) {
     let mut acc = [[0.0f32; NR]; MR];
-    for (r, acc_r) in acc.iter_mut().enumerate().take(mr) {
-        acc_r[..nr].copy_from_slice(&band[r * n + j0..r * n + j0 + nr]);
+    for (r, acc_r) in acc.iter_mut().enumerate().take(a_rows.len()) {
+        acc_r[..nr].copy_from_slice(&out[r * n + j0..r * n + j0 + nr]);
     }
-    for k in 0..kc {
-        let bk = &strip[k * NR..(k + 1) * NR];
-        for (r, acc_r) in acc.iter_mut().enumerate().take(mr) {
-            let av = a.row(row0 + r)[kb + k];
+    for (k, bk) in strip.chunks_exact(NR).enumerate() {
+        for (acc_r, a_row) in acc.iter_mut().zip(a_rows) {
+            let av = a_row[k];
             for (o, &w) in acc_r.iter_mut().zip(bk) {
                 *o += av * w;
             }
         }
     }
-    for (r, acc_r) in acc.iter().enumerate().take(mr) {
-        band[r * n + j0..r * n + j0 + nr].copy_from_slice(&acc_r[..nr]);
+    for (r, acc_r) in acc.iter().enumerate().take(a_rows.len()) {
+        out[r * n + j0..r * n + j0 + nr].copy_from_slice(&acc_r[..nr]);
     }
 }
 

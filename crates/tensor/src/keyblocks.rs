@@ -11,9 +11,10 @@
 //! the addition sequence of [`matrix::dot`](crate::matrix::dot): every
 //! dispatch tier returns that function's bits. The model's prefill scores
 //! position ranges of a per-block copy of its keys this way
-//! ([`KeyBlocks::dots_ranges_into`]), and the decode step, whose keys
-//! stay row-major, stages the rows a selection lists into one such block
-//! at a time and runs the same inner loop over it (`ops::indexed_dots`).
+//! (`ops::attend_block`, over [`KeyBlocks::dots_ranges_into`]'s loop), and
+//! the decode step, whose keys stay row-major, stages the rows a selection
+//! lists into one such block at a time and runs the same inner loop over
+//! it (`ops::indexed_dots`).
 //!
 //! The retrieval head, which sweeps *every* cached key of every head
 //! each step and only ranks what it scores, keeps its keys in the same
@@ -89,6 +90,11 @@ impl KeyBlocks {
         self.data.clear();
     }
 
+    /// The blocks, back to back (the layout of the `data` field).
+    pub(crate) fn blocks(&self) -> &[f32] {
+        &self.data
+    }
+
     /// Fills `out` with `query · key_p` for every cached position `p`,
     /// bit-identical to [`matrix::dot`](crate::matrix::dot) per position
     /// at every dispatch tier. `out` is cleared first; its capacity is
@@ -147,30 +153,39 @@ pub(crate) fn block_acc(query: &[f32], block: &[f32]) -> [f32; KEY_BLOCK] {
     acc
 }
 
-crate::dispatch_kernel! {
-    /// `out = query · key_p` for `p` over `ranges`, back to back. A block's
-    /// 64 dots are accumulated together ([`block_acc`]) and kept until a
-    /// position of another block is wanted.
-    block_dots(query: &[f32], blocks: &[f32], ranges: &[Range<usize>], out: &mut [f32]) {
-        let block_len = query.len() * KEY_BLOCK;
-        let mut acc = [-0.0f32; KEY_BLOCK];
-        let mut held = usize::MAX;
-        let mut out = out;
-        for range in ranges {
-            let mut p = range.start;
-            while p < range.end {
-                let block = p / KEY_BLOCK;
-                if block != held {
-                    acc = block_acc(query, &blocks[block * block_len..][..block_len]);
-                    held = block;
-                }
-                let n = range.end.min((block + 1) * KEY_BLOCK) - p;
-                let (dots, rest) = std::mem::take(&mut out).split_at_mut(n);
-                dots.copy_from_slice(&acc[p % KEY_BLOCK..][..n]);
-                out = rest;
-                p += n;
+/// `out = query · key_p` for `p` over `ranges`, back to back, over the
+/// dimension-major `blocks` of a [`KeyBlocks`]. A block's 64 dots are
+/// accumulated together ([`block_acc`]) and kept until a position of
+/// another block is wanted. Inlined into each tier's variant of the
+/// kernels that score ranges: [`block_dots`] and the prefill's
+/// `ops::attend_block`.
+#[inline(always)]
+pub(crate) fn ranged_dots(query: &[f32], blocks: &[f32], ranges: &[Range<usize>], out: &mut [f32]) {
+    let block_len = query.len() * KEY_BLOCK;
+    let mut acc = [-0.0f32; KEY_BLOCK];
+    let mut held = usize::MAX;
+    let mut out = out;
+    for range in ranges {
+        let mut p = range.start;
+        while p < range.end {
+            let block = p / KEY_BLOCK;
+            if block != held {
+                acc = block_acc(query, &blocks[block * block_len..][..block_len]);
+                held = block;
             }
+            let n = range.end.min((block + 1) * KEY_BLOCK) - p;
+            let (dots, rest) = std::mem::take(&mut out).split_at_mut(n);
+            dots.copy_from_slice(&acc[p % KEY_BLOCK..][..n]);
+            out = rest;
+            p += n;
         }
+    }
+}
+
+crate::dispatch_kernel! {
+    /// The body of [`KeyBlocks::dots_ranges_into`]: [`ranged_dots`].
+    block_dots(query: &[f32], blocks: &[f32], ranges: &[Range<usize>], out: &mut [f32]) {
+        ranged_dots(query, blocks, ranges, out);
     }
 }
 

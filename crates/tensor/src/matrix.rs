@@ -207,6 +207,23 @@ impl Matrix {
         self.append(&rows.data, rows.cols, rows.rows);
     }
 
+    /// Appends, as rows, columns `cols` of every row of `rows`, in order:
+    /// [`push_rows`](Self::push_rows) for one head's segment of a fused
+    /// projection.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cols` reaches past `rows`' width or `cols.len()` is not
+    /// this matrix's width (unless the matrix is empty, in which case the
+    /// segment defines the column count).
+    pub fn push_cols(&mut self, rows: &Matrix, cols: std::ops::Range<usize>) {
+        assert!(cols.end <= rows.cols, "column range out of bounds");
+        self.data.reserve(rows.rows * cols.len());
+        for row in rows.iter_rows() {
+            self.push_row(&row[cols.clone()]);
+        }
+    }
+
     /// Appends `rows` rows of `cols` elements, row-major in `data`.
     #[inline]
     fn append(&mut self, data: &[f32], cols: usize, rows: usize) {
@@ -226,7 +243,10 @@ impl Matrix {
     /// element over `k` in ascending order, so the result is bit-for-bit
     /// identical across dispatch choices *and* across thread counts (the
     /// blocked kernel parallelizes over disjoint row bands; see
-    /// `spec_parallel`).
+    /// `spec_parallel`). The blocked kernel resolves the SIMD tier once
+    /// per call and enters its dispatched body once per row band and
+    /// `k` panel: the register tiles of a band run inside it, so a gemm of
+    /// the prefill's size (64 x 64 x 192) is one dispatch, not 192.
     ///
     /// # Panics
     ///
@@ -587,6 +607,18 @@ mod tests {
         let mut fresh = Matrix::default();
         fresh.push_rows(&block);
         assert_eq!(fresh, block);
+    }
+
+    #[test]
+    fn push_cols_appends_a_column_segment_of_every_row() {
+        let fused = Matrix::from_rows(&[&[1.0, 2.0, 3.0, 4.0], &[5.0, 6.0, 7.0, 8.0]]);
+        let mut m = Matrix::default();
+        m.push_cols(&fused, 1..3);
+        m.push_cols(&fused, 2..4);
+        assert_eq!(
+            m,
+            Matrix::from_rows(&[&[2.0, 3.0], &[6.0, 7.0], &[3.0, 4.0], &[7.0, 8.0]])
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Neural-network kernels: softmax, RMSNorm, SiLU, rotary embeddings.
 
-use crate::keyblocks::{block_acc, KEY_BLOCK};
+use crate::keyblocks::{block_acc, ranged_dots, KeyBlocks, KEY_BLOCK};
 use crate::Matrix;
+use std::ops::Range;
 
 /// Numerically stable softmax over a single slice, in place.
 ///
@@ -21,6 +22,16 @@ pub fn softmax_inplace(xs: &mut [f32]) {
 /// maximum and the sum run over fixed-width lane accumulators, and the
 /// normalisation multiplies by the reciprocal of the sum: every
 /// `SPEC_SIMD` tier returns the same bits.
+///
+/// Rows are taken **four in step**: a row is one dependent chain (maximum
+/// → fold → `exp` → fold → reciprocal → scale) and a ~100-long attention
+/// row's few hundred µops fill most of the reorder window, so one row at
+/// a time leaves the two vector ports idle across every fold. Four rows
+/// go through the same sequence chunk by chunk, side by side — each row's
+/// own operations and their order are those of the row alone, so a row's
+/// bits do not depend on how many rows the call holds or where the row
+/// sits among them. A group holding an all-`-inf` row, and the last one
+/// to three rows, run one row at a time.
 ///
 /// # Panics
 ///
@@ -111,6 +122,10 @@ pub fn exp(x: f32) -> f32 {
 const SOFTMAX_LANES: usize = 16;
 type Lanes = [f32; SOFTMAX_LANES];
 
+/// Rows the softmax kernel takes in step: four rows' lane accumulators
+/// (maximum, then sum) are four AVX-512 / eight AVX2 registers.
+const SOFTMAX_ROWS: usize = 4;
+
 /// Folds the lane accumulators pairwise, halving the width each round:
 /// four dependent operations instead of fifteen, in a fixed order.
 #[inline(always)]
@@ -125,69 +140,130 @@ fn fold_lanes(mut lanes: Lanes, f: impl Fn(f32, f32) -> f32) -> f32 {
     lanes[0]
 }
 
-/// One chunk of the maximum pass: lane `i` takes in `chunk[i] * scale`
-/// if `i < live`.
+/// One chunk of the maximum pass for `R` rows in step: row `r`'s lane `i`
+/// takes in `chunks[r][i] * scale`.
+///
+/// The lane loop is the outer one, here and in [`exp_chunks`], on purpose:
+/// its body is then all `R` rows' work, too much for the compiler to
+/// unroll before it vectorises, so the loop becomes `R` independent
+/// full-width vector operations per step. Rows outermost, each row's
+/// sixteen lanes are unrolled into scalars first and re-vectorised from
+/// the fold backwards, two lanes to a register.
 #[inline(always)]
-fn max_chunk(lanes: &mut Lanes, chunk: &Lanes, live: usize, scale: f32) {
-    for (i, (m, &x)) in lanes.iter_mut().zip(chunk).enumerate() {
-        let x = if i < live {
-            x * scale
-        } else {
-            f32::NEG_INFINITY
-        };
-        *m = if x > *m { x } else { *m };
+fn max_chunks<const R: usize>(lanes: &mut [Lanes; R], chunks: [&Lanes; R], scale: f32) {
+    for i in 0..SOFTMAX_LANES {
+        for r in 0..R {
+            let x = chunks[r][i] * scale;
+            let m = &mut lanes[r][i];
+            *m = if x > *m { x } else { *m };
+        }
     }
 }
 
-/// One chunk of the `exp` pass: every element becomes
-/// `exp(x * scale - max)` and lane `i` adds its own if `i < live`.
+/// One chunk of the `exp` pass for `R` rows in step: every element becomes
+/// `exp(x * scale - max[r])` and is added to its lane of row `r`.
 #[inline(always)]
-fn exp_chunk(lanes: &mut Lanes, chunk: &mut Lanes, live: usize, scale: f32, max: f32) {
-    for (i, (acc, x)) in lanes.iter_mut().zip(chunk).enumerate() {
-        *x = exp(*x * scale - max);
-        *acc += if i < live { *x } else { 0.0 };
+fn exp_chunks<const R: usize>(
+    lanes: &mut [Lanes; R],
+    chunks: [&mut Lanes; R],
+    scale: f32,
+    max: &[f32; R],
+) {
+    for i in 0..SOFTMAX_LANES {
+        for r in 0..R {
+            let e = exp(chunks[r][i] * scale - max[r]);
+            chunks[r][i] = e;
+            lanes[r][i] += e;
+        }
     }
+}
+
+/// Softmax of the `R` `cols`-long rows of `xs`, in step. Full chunks run
+/// all lanes. A row's tail runs the same code on a padded copy, scaled on
+/// the way in (so it passes with `scale = 1`, which changes no float): the
+/// padding is `-inf`, which never wins a maximum and whose `exp` is the
+/// `+0.0` a masked lane would add (a scalar `exp` per leftover element
+/// would cost more than the vector chunks of a ~100-long attention row).
+/// Returns `false`, `xs` untouched, if some row's maximum is `-inf`.
+#[inline(always)]
+fn softmax_group<const R: usize>(xs: &mut [f32], cols: usize, scale: f32) -> bool {
+    let chunk = |c: usize| c * SOFTMAX_LANES..(c + 1) * SOFTMAX_LANES;
+    let chunks = cols / SOFTMAX_LANES;
+    let body = chunks * SOFTMAX_LANES;
+    let mut padded = [[f32::NEG_INFINITY; SOFTMAX_LANES]; R];
+    for (padded, row) in padded.iter_mut().zip(xs.chunks_exact(cols)) {
+        for (p, &x) in padded.iter_mut().zip(&row[body..]) {
+            *p = x * scale;
+        }
+    }
+
+    let mut lanes = [[f32::NEG_INFINITY; SOFTMAX_LANES]; R];
+    for c in 0..chunks {
+        let mut rows = xs.chunks_exact(cols);
+        let chunks: [&Lanes; R] = std::array::from_fn(|_| {
+            let row = rows.next().expect("a group is R rows");
+            row[chunk(c)].try_into().expect("a chunk")
+        });
+        max_chunks(&mut lanes, chunks, scale);
+    }
+    max_chunks(&mut lanes, padded.each_ref(), 1.0);
+    let max = lanes.map(|lanes| fold_lanes(lanes, |a, b| if b > a { b } else { a }));
+    if max.contains(&f32::NEG_INFINITY) {
+        return false;
+    }
+
+    let mut lanes = [[0.0f32; SOFTMAX_LANES]; R];
+    for c in 0..chunks {
+        let mut rows = xs.chunks_exact_mut(cols);
+        let chunks: [&mut Lanes; R] = std::array::from_fn(|_| {
+            let row = rows.next().expect("a group is R rows");
+            (&mut row[chunk(c)]).try_into().expect("a chunk")
+        });
+        exp_chunks(&mut lanes, chunks, scale, &max);
+    }
+    exp_chunks(&mut lanes, padded.each_mut(), 1.0, &max);
+    for ((row, lanes), padded) in xs.chunks_exact_mut(cols).zip(lanes).zip(&padded) {
+        let inv = 1.0 / fold_lanes(lanes, |a, b| a + b);
+        let (body, tail) = row.split_at_mut(body);
+        for x in body {
+            *x *= inv;
+        }
+        for (x, &e) in tail.iter_mut().zip(padded) {
+            *x = e * inv;
+        }
+    }
+    true
+}
+
+/// Softmax of each `cols`-long row of `xs` on its own, a fully masked row
+/// becoming uniform.
+#[inline(always)]
+fn softmax_singly(xs: &mut [f32], cols: usize, scale: f32) {
+    for row in xs.chunks_exact_mut(cols) {
+        if !softmax_group::<1>(row, cols, scale) {
+            row.fill(1.0 / cols as f32);
+        }
+    }
+}
+
+/// The softmax kernel's body, shared with the prefill's block attention:
+/// whole groups of [`SOFTMAX_ROWS`] rows in step, then — a group that
+/// holds a fully masked row, and the rows left over — one row at a time.
+#[inline(always)]
+fn softmax_each_row(xs: &mut [f32], cols: usize, scale: f32) {
+    let mut groups = xs.chunks_exact_mut(SOFTMAX_ROWS * cols);
+    for group in &mut groups {
+        if !softmax_group::<SOFTMAX_ROWS>(group, cols, scale) {
+            softmax_singly(group, cols, scale);
+        }
+    }
+    softmax_singly(groups.into_remainder(), cols, scale);
 }
 
 crate::dispatch_kernel! {
-    /// The body of [`softmax_rows_inplace`]. Full chunks run all lanes;
-    /// the row's tail runs the same code on a zero-padded copy with the
-    /// padding's lanes masked out of the maximum and the sum (a scalar
-    /// `exp` per leftover element would cost more than the vector chunks
-    /// of a ~100-long attention row).
+    /// The body of [`softmax_rows_inplace`]: [`softmax_each_row`].
     softmax_kernel(xs: &mut [f32], cols: usize, scale: f32) {
-        for row in xs.chunks_exact_mut(cols) {
-            let (body, tail) = row.as_chunks_mut::<SOFTMAX_LANES>();
-            let live = tail.len();
-            let mut padded = [0.0f32; SOFTMAX_LANES];
-            for (p, &x) in padded.iter_mut().zip(tail.iter()) {
-                *p = x;
-            }
-
-            let mut lanes = [f32::NEG_INFINITY; SOFTMAX_LANES];
-            for chunk in body.iter() {
-                max_chunk(&mut lanes, chunk, SOFTMAX_LANES, scale);
-            }
-            max_chunk(&mut lanes, &padded, live, scale);
-            let max = fold_lanes(lanes, |a, b| if b > a { b } else { a });
-            if max == f32::NEG_INFINITY {
-                row.fill(1.0 / cols as f32);
-                continue;
-            }
-
-            let mut lanes = [0.0f32; SOFTMAX_LANES];
-            for chunk in body.iter_mut() {
-                exp_chunk(&mut lanes, chunk, SOFTMAX_LANES, scale, max);
-            }
-            exp_chunk(&mut lanes, &mut padded, live, scale, max);
-            let inv = 1.0 / fold_lanes(lanes, |a, b| a + b);
-            for x in body.as_flattened_mut() {
-                *x *= inv;
-            }
-            for (x, &e) in tail.iter_mut().zip(&padded) {
-                *x = e * inv;
-            }
-        }
+        softmax_each_row(xs, cols, scale);
     }
 }
 
@@ -203,17 +279,30 @@ pub fn rmsnorm(xs: &[f32], weight: &[f32], eps: f32) -> Vec<f32> {
 /// (one rmsnorm per attention block, FFN block and final norm) reuse one
 /// allocation instead of growing the heap every call.
 ///
-/// `out` is cleared and refilled; its capacity is reused.
+/// `out` is resized to `xs.len()` and overwritten; its capacity is reused.
 ///
 /// # Panics
 ///
 /// Panics if `xs.len() != weight.len()`.
 pub fn rmsnorm_into(out: &mut Vec<f32>, xs: &[f32], weight: &[f32], eps: f32) {
+    out.resize(xs.len(), 0.0);
+    rmsnorm_slice(out, xs, weight, eps);
+}
+
+/// [`rmsnorm`] written over a slice of the same length — a row of the
+/// prefill's block matrix, normalised where it is read.
+///
+/// # Panics
+///
+/// Panics if `xs`, `weight` and `out` are not all the same length.
+pub fn rmsnorm_slice(out: &mut [f32], xs: &[f32], weight: &[f32], eps: f32) {
     assert_eq!(xs.len(), weight.len(), "rmsnorm length mismatch");
+    assert_eq!(out.len(), xs.len(), "rmsnorm output length mismatch");
     let ms = xs.iter().map(|v| v * v).sum::<f32>() / xs.len().max(1) as f32;
     let inv = 1.0 / (ms + eps).sqrt();
-    out.clear();
-    out.extend(xs.iter().zip(weight).map(|(x, w)| x * inv * w));
+    for (o, (x, w)) in out.iter_mut().zip(xs.iter().zip(weight)) {
+        *o = x * inv * w;
+    }
 }
 
 /// SiLU (sigmoid-weighted linear unit) activation, over [`exp`].
@@ -309,9 +398,8 @@ pub fn causal_mask_row(scores: &mut [f32], pos: usize) {
 ///
 /// With [`weighted_sum`], the scalar specification of attention: the
 /// forward passes run [`indexed_dots`] / [`softmax_rows_inplace`] /
-/// [`indexed_weighted_sums`] (decode) and the `KeyBlocks` ranges /
-/// [`weighted_sums_acc`] (prefill), which tests hold to these two
-/// functions bit for bit.
+/// [`indexed_weighted_sums`] (decode) and [`attend_block`] (prefill),
+/// which tests hold to these two functions bit for bit.
 ///
 /// # Panics
 ///
@@ -346,59 +434,37 @@ pub fn weighted_sum(weights: &[f32], values: &Matrix) -> Vec<f32> {
     out
 }
 
-/// [`weighted_sum`] under several weight vectors at once, over a run of
-/// consecutive value rows, *added to* `out`: with `heads = out.len() /
-/// values.cols()`,
-/// `out[j] += sum_i weights[j * stride + i] * values.row(rows.start + i)`.
-/// This is the value pass of a GQA group — its query heads weigh the same
-/// rows — so the rows are walked once, not once per head.
-///
-/// Each head's output takes its `w * v` terms in ascending row order and
-/// skips zero weights, which is [`weighted_sum`]'s sequence: from a zeroed
-/// `out`, head `j` gets that function's bits at every dispatch tier, and
-/// a second call continues the sum over further rows.
-///
-/// # Panics
-///
-/// Panics if `out.len()` is not a multiple of `values.cols()`, `rows`
-/// reaches past `values`, or a head's weights reach past `weights`.
-pub fn weighted_sums_acc(
-    weights: &[f32],
-    stride: usize,
-    values: &Matrix,
-    rows: std::ops::Range<usize>,
-    out: &mut [f32],
-) {
-    let d = values.cols();
-    if rows.is_empty() || out.is_empty() {
-        return;
-    }
-    assert!(out.len().is_multiple_of(d), "output/values width mismatch");
-    assert!(
-        (out.len() / d - 1) * stride + rows.len() <= weights.len(),
-        "weights/values mismatch"
-    );
-    let values = &values.as_slice()[rows.start * d..rows.end * d];
-    weighted_rows::dispatch(
-        crate::dispatch::active_tier(),
-        weights,
-        stride,
-        values,
-        d,
-        out,
-    );
-}
-
 /// Heads per [`weighted_tiles`] register tile.
 const WS_HEADS: usize = 4;
 /// Columns per [`weighted_tiles`] register tile.
 const WS_COLS: usize = 16;
 
 /// `out[j] += sum_i weights[j * stride + i] * rows[i]` for the `d`-wide
-/// rows the iterator yields, in its order: the body of both value passes.
-/// A full `WS_HEADS x WS_COLS` tile of `out` stays in registers across the
-/// whole walk — one independent add chain per head and lane; an edge tile
-/// runs [`weighted_sum`]'s loop on `out` itself. Same additions either way.
+/// rows the iterator yields, in its order: the value tile,
+/// the body of the prefill's and the decode step's value pass. A full
+/// `WS_HEADS x WS_COLS` tile of `out` stays in registers across the whole
+/// walk — one independent add chain per head and lane; an edge tile runs
+/// [`weighted_sum`]'s loop on `out` itself. Same additions either way.
+///
+/// `out[j] += sum_i weights[j * stride + i] * rows[i]` for the `d`-wide
+/// rows the iterator yields, in its order: the value tile,
+/// the body of the prefill's and the decode step's value pass. A full
+/// `WS_HEADS x WS_COLS` tile of `out` stays in registers across the whole
+/// walk — one independent add chain per head and lane; an edge tile runs
+/// [`weighted_sum`]'s loop on `out` itself. Same additions either way.
+///
+/// [`weighted_sum`] skips a weight that is exactly zero, and beside a
+/// non-finite value row the skip is visible (`0 * inf` is `NaN`), so the
+/// tile keeps it — but not per row: tested in the walk it costs, per head
+/// and row, a bounds check, a scalar load, a compare, two jumps and a
+/// register broadcast that takes one of the two vector ports, 2.7 cycles
+/// per 16-lane multiply-add where the ports allow one. Softmax output
+/// underflows to zero only 87 below its row's maximum, so a tile's
+/// weights are scanned **once**: with no zero among them — the normal
+/// case — the walk is `acc[j] += w[j][i] * v` with the four weights read
+/// by broadcast-load and no branch, which is the skipping loop's sequence
+/// when nothing is skipped; with one, the tile's heads take the edge
+/// tile's loop, which is the specification's.
 #[inline(always)]
 fn weighted_tiles<'a>(
     weights: &[f32],
@@ -410,11 +476,16 @@ fn weighted_tiles<'a>(
     let heads = out.len() / d;
     let len = rows.len();
     for h0 in (0..heads).step_by(WS_HEADS) {
+        let tile = h0..heads.min(h0 + WS_HEADS);
+        let full = tile.len() == WS_HEADS
+            && !tile
+                .clone()
+                .any(|j| weights[j * stride..][..len].contains(&0.0));
         for c0 in (0..d).step_by(WS_COLS) {
-            if heads - h0 < WS_HEADS || d - c0 < WS_COLS {
-                for j in h0..heads.min(h0 + WS_HEADS) {
+            if !full || d - c0 < WS_COLS {
+                for j in tile.clone() {
                     let o = &mut out[j * d + c0..j * d + d.min(c0 + WS_COLS)];
-                    for (row, &w) in rows.clone().zip(&weights[j * stride..]) {
+                    for (row, &w) in rows.clone().zip(&weights[j * stride..][..len]) {
                         if w == 0.0 {
                             continue;
                         }
@@ -432,14 +503,15 @@ fn weighted_tiles<'a>(
                     .try_into()
                     .expect("tile row")
             });
-            for (row, i) in rows.clone().zip(0..len) {
+            // The heads' weights in step with the rows, by iterator: indexed,
+            // each costs the walk a bounds check and a reloaded slice.
+            let [w0, w1, w2, w3] = w;
+            let weights = w0.iter().zip(w1).zip(w2).zip(w3);
+            for (row, (((&w0, &w1), &w2), &w3)) in rows.clone().zip(weights) {
                 let v: &[f32; WS_COLS] = row[c0..c0 + WS_COLS].try_into().expect("tile row");
-                for (a, w) in acc.iter_mut().zip(&w) {
-                    if w[i] == 0.0 {
-                        continue;
-                    }
+                for (a, w) in acc.iter_mut().zip([w0, w1, w2, w3]) {
                     for (a, &x) in a.iter_mut().zip(v) {
-                        *a += w[i] * x;
+                        *a += w * x;
                     }
                 }
             }
@@ -447,14 +519,6 @@ fn weighted_tiles<'a>(
                 out[(h0 + j) * d + c0..][..WS_COLS].copy_from_slice(a);
             }
         }
-    }
-}
-
-crate::dispatch_kernel! {
-    /// The body of [`weighted_sums_acc`]: [`weighted_tiles`] over the
-    /// consecutive rows of `values`.
-    weighted_rows(weights: &[f32], stride: usize, values: &[f32], d: usize, out: &mut [f32]) {
-        weighted_tiles(weights, stride, values.chunks_exact(d), d, out);
     }
 }
 
@@ -590,6 +654,164 @@ crate::dispatch_kernel! {
     ) {
         let rows = positions.iter().map(|&p| &values[p * d..][..d]);
         weighted_tiles(weights, positions.len(), rows, d, out);
+    }
+}
+
+/// One prefill block's attention for the query heads that share a KV
+/// head: what [`attend_block`] computes, as its read-only arguments.
+///
+/// The block is `rows` consecutive cache positions from `start`. Position
+/// `pos` attends cache rows `[0, min(sinks, lo))` and `[lo, pos]`, where
+/// `lo = pos - window` clamped at 0 (exact causal attention is
+/// `window = usize::MAX`, `sinks = 0`).
+#[derive(Debug, Clone, Copy)]
+pub struct BlockAttention<'a> {
+    /// The block's queries, read in place: row `r`'s `heads` query
+    /// vectors start at `r * q_stride`, back to back.
+    pub queries: &'a [f32],
+    /// Floats from one block row's queries to the next's.
+    pub q_stride: usize,
+    /// Query heads in the group.
+    pub heads: usize,
+    /// The KV head's keys, a row per cache position — or, with `cut`, the
+    /// rows the block can attend only.
+    pub keys: &'a Matrix,
+    /// Its values, the same rows as `keys`.
+    pub values: &'a Matrix,
+    /// Rows left out of `keys` and `values` between the sinks every
+    /// position of the block attends and the first window's start (see
+    /// [`attended`](Self::attended)): a cache row at or after that start
+    /// is matrix row `position - cut`. Zero for a whole cache; MLA, which
+    /// up-projects only what the block attends, cuts the whole gap.
+    pub cut: usize,
+    /// Cache position of the block's first row.
+    pub start: usize,
+    /// Positions in the block.
+    pub rows: usize,
+    /// Window width.
+    pub window: usize,
+    /// Always-visible initial positions.
+    pub sinks: usize,
+}
+
+impl BlockAttention<'_> {
+    /// The cache rows the block's positions attend between them: the
+    /// sinks below every window, then everything from the first
+    /// position's window start to the last position.
+    pub fn attended(&self) -> [Range<usize>; 2] {
+        let lo0 = self.start.saturating_sub(self.window);
+        [0..self.sinks.min(lo0), lo0..self.start + self.rows]
+    }
+}
+
+/// Attention of one prefill block for one KV head's query group — every
+/// position's scores, softmax and value pass in **one** dispatched kernel.
+/// Row `r`'s `heads` outputs are written side by side at
+/// `out[r * out_stride..]`.
+///
+/// The key rows the block attends ([`BlockAttention::attended`]) are
+/// staged dimension-major in `span` once; the kernel then walks the
+/// positions: [`KeyBlocks`]' ranged scores for each head into dense rows
+/// of `scores`, the grouped softmax over them, and the value tile over the
+/// sink and window rows of `values`, read where they are. Per head and
+/// position that is [`attention_weights`] then [`weighted_sum`] over the
+/// gathered rows, bit for bit at every dispatch tier: a score is
+/// `matrix::dot`'s sum, the softmax is [`softmax_rows_inplace`]'s, and
+/// each head takes `weighted_sum`'s additions in ascending row order.
+///
+/// `span` and `scores` are work space, resized as needed (to the rows the
+/// block attends and to the last position's score rows — neither grows
+/// with the prompt under a window); their contents mean nothing
+/// afterwards.
+///
+/// # Panics
+///
+/// Panics if the key and value widths differ from each other or from
+/// `span`'s, the block reaches past the matrices or `cut` past the gap,
+/// or `queries` or `out` is too short for `rows` rows at its stride.
+pub fn attend_block(
+    job: &BlockAttention<'_>,
+    span: &mut KeyBlocks,
+    scores: &mut Vec<f32>,
+    out: &mut [f32],
+    out_stride: usize,
+) {
+    let d = job.values.cols();
+    if job.rows == 0 || job.heads == 0 {
+        return;
+    }
+    let [kept, rest] = job.attended();
+    assert_eq!(job.keys.cols(), d, "key/value width mismatch");
+    assert!(job.cut <= rest.start - kept.end, "cut reaches past the gap");
+    assert!(
+        rest.end - job.cut <= job.keys.rows().min(job.values.rows()),
+        "block reaches past the cached rows"
+    );
+    let width = job.heads * d;
+    assert!(
+        (job.rows - 1) * job.q_stride + width <= job.queries.len(),
+        "queries too short for the block"
+    );
+    assert!(
+        (job.rows - 1) * out_stride + width <= out.len(),
+        "output too short for the block"
+    );
+    span.clear();
+    for p in kept.chain(rest.start - job.cut..rest.end - job.cut) {
+        span.push(job.keys.row(p));
+    }
+    // Score rows lengthen down the block: the last position's are longest.
+    let last = rest.end - 1;
+    let lo = last.saturating_sub(job.window);
+    scores.resize(job.heads * (job.sinks.min(lo) + last - lo + 1), 0.0);
+    block_attention::dispatch(
+        crate::dispatch::active_tier(),
+        job,
+        span.blocks(),
+        scores,
+        out,
+        out_stride,
+    );
+}
+
+crate::dispatch_kernel! {
+    /// The body of [`attend_block`], `blocks` being the staged key span:
+    /// span position `i` is cache row `i` among the kept sinks and cache
+    /// row `i - kept + lo0` after them.
+    block_attention(
+        job: &BlockAttention<'_>,
+        blocks: &[f32],
+        scores: &mut [f32],
+        out: &mut [f32],
+        out_stride: usize,
+    ) {
+        let d = job.values.cols();
+        let values = job.values.as_slice();
+        let scale = 1.0 / (d as f32).sqrt();
+        let [kept, rest] = job.attended();
+        let (kept, lo0) = (kept.end, rest.start);
+        for r in 0..job.rows {
+            let pos = job.start + r;
+            let lo = pos.saturating_sub(job.window);
+            let sinks = job.sinks.min(lo);
+            let len = sinks + pos - lo + 1;
+            let ranges = [0..sinks, kept + lo - lo0..kept + pos - lo0 + 1];
+            let scores = &mut scores[..job.heads * len];
+            let queries = &job.queries[r * job.q_stride..][..job.heads * d];
+            for (query, row) in queries.chunks_exact(d).zip(scores.chunks_exact_mut(len)) {
+                ranged_dots(query, blocks, &ranges, row);
+            }
+            softmax_each_row(scores, len, scale);
+            let out = &mut out[r * out_stride..][..job.heads * d];
+            out.fill(0.0);
+            // Sinks, then window: two plain runs of rows (chained into one
+            // iterator the walk is the same, but it tips the compiler into
+            // scalarising the softmax inlined above it — 3.4x the block).
+            // A sink past the kept ones exists only where nothing is cut.
+            weighted_tiles(scores, len, values[..sinks * d].chunks_exact(d), d, out);
+            let window = &values[(lo - job.cut) * d..(pos + 1 - job.cut) * d];
+            weighted_tiles(&scores[sinks..], len, window.chunks_exact(d), d, out);
+        }
     }
 }
 

@@ -123,8 +123,10 @@ pub struct ForwardScratch {
     pub queries: Matrix,
     /// The position's rotary `(sin, cos)` pairs.
     pub rope: Vec<(f32, f32)>,
-    /// A K, V or latent row on its way into the cache.
-    pub kv_row: Vec<f32>,
+    /// The layer's fused Q|K|V projection row: the queries on their way
+    /// into `queries`, the K and V rows on their way into the cache (MLA:
+    /// the latent row).
+    pub proj: Vec<f32>,
     /// The positions one KV head attends.
     pub positions: Vec<usize>,
     /// A query group's attention scores, then weights, head-major.

@@ -392,40 +392,205 @@ fn quant_key_block_dots_match_the_per_position_reference_at_every_tier() {
     }
 }
 
-/// The grouped value pass equals `ops::weighted_sum` per head at every
-/// tier: whole register tiles (4 heads x 16 columns, the engine's GQA
-/// group), edge tiles both ways, a single head, and the row run split in
-/// two calls as the prefill splits it into sinks and window. Some weights
-/// are exactly zero (skipped, as the reference skips them).
+/// The value tile — the body of the decode step's and the prefill's value
+/// pass — equals `ops::weighted_sum` per head at every tier, through
+/// `ops::indexed_weighted_sums` over a contiguous list and over one with
+/// gaps: no head (nothing written), one, three (edge tiles only), a whole
+/// register tile of four, and five; value widths of one tile column, one
+/// and a half, and four. The tile scans its weights for an exact zero
+/// once and walks without the test when there is none, so each shape runs
+/// with no zero anywhere, with zeros in one head only (the others' rows
+/// must not be skipped with it), and with a zero beside an `inf` and a
+/// `NaN` value row — where skipping shows: that head's output is the
+/// skip's finite sum, not `NaN`.
 #[test]
-fn weighted_sums_acc_matches_weighted_sum_at_every_tier() {
-    for (heads, d, rows) in [
-        (4usize, 16usize, 101usize),
-        (8, 32, 7),
-        (1, 16, 40),
-        (5, 19, 23),
-        (2, 8, 64),
-    ] {
-        let mut rng = SimRng::seed(0x5A + (heads * 1000 + d * 10 + rows) as u64);
-        let values = rng.normal_matrix(rows, d, 1.0);
-        let mut weights = rng.normal_matrix(heads, rows, 1.0);
-        for (i, w) in weights.as_mut_slice().iter_mut().enumerate() {
-            if i % 9 == 4 {
-                *w = 0.0;
+fn value_tile_matches_weighted_sum_at_every_tier() {
+    for heads in [0usize, 1, 3, 4, 5] {
+        for d in [16usize, 24, 64] {
+            for zeros in ["none", "one head", "beside non-finite rows"] {
+                let rows = 101;
+                let mut rng = SimRng::seed(0x5A + (heads * 1000 + d * 10 + zeros.len()) as u64);
+                let finite_values = rng.normal_matrix(2 * rows, d, 1.0);
+                let mut weights = rng.normal_matrix(heads.max(1), rows, 1.0);
+                for w in weights.as_mut_slice() {
+                    *w = w.abs().max(1e-3);
+                }
+                let lists = [
+                    (0..rows).collect::<Vec<usize>>(),
+                    (0..rows).map(|i| 2 * i + i % 2).collect(),
+                ];
+                // The head that skips: the last one, in a full tile when
+                // there is one.
+                let skipper = heads.saturating_sub(1);
+                if zeros != "none" {
+                    for i in [7, 50, rows - 1] {
+                        weights.row_mut(skipper)[i] = if i == 50 { -0.0 } else { 0.0 };
+                    }
+                }
+                for list in &lists {
+                    let mut values = finite_values.clone();
+                    if zeros == "beside non-finite rows" {
+                        values.row_mut(list[7]).fill(f32::INFINITY);
+                        values.row_mut(list[50])[d / 2] = f32::NAN;
+                    }
+                    let gathered = values.gather_rows(list);
+                    let want: Vec<f32> = weights
+                        .iter_rows()
+                        .take(heads)
+                        .flat_map(|w| ops::weighted_sum(w, &gathered))
+                        .collect();
+                    if zeros == "beside non-finite rows" && heads > 0 {
+                        let skipped = &want[skipper * d..][..d];
+                        assert!(skipped.iter().all(|v| v.is_finite()), "the skip's sum");
+                        if heads > 1 {
+                            assert!(want[..d].iter().all(|v| !v.is_finite()), "a head that adds");
+                        }
+                    }
+                    for_each_tier(|tier| {
+                        let mut out = vec![f32::NAN; heads * d];
+                        let w = &weights.as_slice()[..heads * rows];
+                        ops::indexed_weighted_sums(w, &values, list, &mut out);
+                        let what = format!("{heads}x{d}, zeros: {zeros}, tier {tier}");
+                        assert_bits_eq(&out, &want, &what);
+                    });
+                }
             }
         }
-        let want: Vec<f32> = weights
-            .iter_rows()
-            .flat_map(|w| ops::weighted_sum(w, &values))
-            .collect();
-        let split = rows / 3;
-        for_each_tier(|tier| {
-            let mut out = vec![0.0; heads * d];
-            let w = weights.as_slice();
-            ops::weighted_sums_acc(w, rows, &values, 0..split, &mut out);
-            ops::weighted_sums_acc(&w[split..], rows, &values, split..rows, &mut out);
-            assert_bits_eq(&out, &want, &format!("{heads}x{d} over {rows} tier {tier}"));
-        });
+    }
+}
+
+/// `softmax_rows_inplace` takes rows four in step; a row's bits must not
+/// depend on the company it keeps. One to nine rows (whole groups, a
+/// remainder of every size) of lengths either side of a lane chunk, the
+/// prefill's 101 and 261 beyond it, equal the same rows taken one call
+/// each — including a fully masked row (uniform, and its group falls back
+/// to single rows) and a row holding a `NaN` inside a group of four.
+#[test]
+fn softmax_rows_in_step_match_rows_alone_at_every_tier() {
+    for rows in 1usize..=9 {
+        for cols in [1usize, 15, 16, 17, 101, 261] {
+            let mut xs: Vec<f32> = (0..rows)
+                .flat_map(|r| awkward_logits(cols, 0x50F7 + (rows * 1000 + cols * 10 + r) as u64))
+                .collect();
+            if rows > 1 {
+                xs[cols..2 * cols].fill(f32::NEG_INFINITY);
+            }
+            if rows > 6 {
+                xs[6 * cols + cols / 2] = f32::NAN;
+            }
+            for scale in [1.0f32, 0.25] {
+                let mut want = xs.clone();
+                for row in want.chunks_exact_mut(cols) {
+                    dispatch::with_tier(SimdTier::Scalar, || {
+                        ops::softmax_rows_inplace(row, cols, scale)
+                    });
+                }
+                if rows > 1 {
+                    assert!(want[cols..2 * cols].iter().all(|&p| p == 1.0 / cols as f32));
+                }
+                if rows > 6 {
+                    // (A row that is one `NaN` has no maximum: it is masked.)
+                    assert!(cols == 1 || want[6 * cols..7 * cols].iter().all(|p| p.is_nan()));
+                    assert!(want[4 * cols..6 * cols].iter().all(|p| p.is_finite()));
+                }
+                for_each_tier(|tier| {
+                    let mut got = xs.clone();
+                    ops::softmax_rows_inplace(&mut got, cols, scale);
+                    let what = format!("{rows} rows of {cols} x{scale} tier {tier}");
+                    assert_bits_eq(&got, &want, &what);
+                });
+            }
+        }
+    }
+}
+
+/// The prefill's block attention kernel — one dispatched body per (KV
+/// head, block): ranged scores over the staged key span, the grouped
+/// softmax, the value tile over the sink and window rows in place —
+/// equals, per position and head, `ops::attention_weights` then
+/// `ops::weighted_sum` over the gathered rows, bit for bit at every tier.
+/// Windows from none (a position alone) to exact attention, sinks from
+/// none to more than a window ever leaves behind, blocks at the start of
+/// the prompt, one block in and 63 blocks in, a short last block and a
+/// prompt shorter than a block. Queries and outputs sit in wider rows, as
+/// the model's fused projection and head concatenation hold them. Two key
+/// rows score ~1000 below everything (weight exactly zero wherever
+/// another row is attended with them) beside value rows of `inf`: the
+/// tile's skip is the specification's. Where rows are cut out of the
+/// matrices (MLA up-projects only what the block attends) the result is
+/// the whole cache's.
+#[test]
+fn block_attention_matches_the_scalar_specification_at_every_tier() {
+    let (heads, d, cached) = (4usize, 16usize, 4096usize);
+    let (q_stride, out_stride) = (heads * d + 7, heads * d + 3);
+    let mut rng = SimRng::seed(0xB10C_A77E);
+    let mut keys = rng.normal_matrix(cached, d, 1.0);
+    let mut values = rng.normal_matrix(cached, d, 1.0);
+    for masked in [2, 4000] {
+        keys.row_mut(masked).fill(-1000.0);
+        values.row_mut(masked).fill(f32::INFINITY);
+    }
+    let queries: Vec<f32> = (0..64 * q_stride)
+        .map(|_| rng.normal().abs() + 0.1)
+        .collect();
+    for (start, rows) in [(0usize, 64usize), (64, 64), (4032, 64), (4032, 37), (0, 5)] {
+        for window in [0usize, 1, 17, 96, usize::MAX] {
+            for sinks in [0usize, 1, 4, 300] {
+                let what = format!("block {start}+{rows}, window {window}, sinks {sinks}");
+                let mut want = vec![f32::NAN; rows * out_stride];
+                for r in 0..rows {
+                    let pos = start + r;
+                    let lo = pos.saturating_sub(window);
+                    let attended: Vec<usize> = (0..sinks.min(lo)).chain(lo..=pos).collect();
+                    let (k, v) = (keys.gather_rows(&attended), values.gather_rows(&attended));
+                    for j in 0..heads {
+                        let query = &queries[r * q_stride + j * d..][..d];
+                        let weights = ops::attention_weights(query, &k);
+                        if let Some(i) = attended.iter().position(|&p| p == 2 || p == 4000) {
+                            assert!(weights[i] == 0.0 || attended.len() == 1, "{what}");
+                        }
+                        want[r * out_stride + j * d..][..d]
+                            .copy_from_slice(&ops::weighted_sum(&weights, &v));
+                    }
+                }
+                let block = ops::BlockAttention {
+                    queries: &queries,
+                    q_stride,
+                    heads,
+                    keys: &keys,
+                    values: &values,
+                    cut: 0,
+                    start,
+                    rows,
+                    window,
+                    sinks,
+                };
+                // The same rows with the gap cut out of both matrices.
+                let lo0 = start.saturating_sub(window);
+                let kept = sinks.min(lo0);
+                let span: Vec<usize> = (0..kept).chain(lo0..start + rows).collect();
+                let (cut_keys, cut_values) = (keys.gather_rows(&span), values.gather_rows(&span));
+                let cut_block = ops::BlockAttention {
+                    keys: &cut_keys,
+                    values: &cut_values,
+                    cut: lo0 - kept,
+                    ..block
+                };
+                for_each_tier(|tier| {
+                    let mut span = KeyBlocks::new(d);
+                    let mut scores = Vec::new();
+                    for (job, form) in [(&block, "whole cache"), (&cut_block, "cut")] {
+                        let mut out = vec![f32::NAN; rows * out_stride];
+                        ops::attend_block(job, &mut span, &mut scores, &mut out, out_stride);
+                        for r in 0..rows {
+                            let at = r * out_stride..r * out_stride + heads * d;
+                            let what = format!("{what}, row {r}, {form}, tier {tier}");
+                            assert_bits_eq(&out[at.clone()], &want[at], &what);
+                        }
+                    }
+                });
+            }
+        }
     }
 }
 
