@@ -6,7 +6,9 @@
 //! whole against the token-at-a-time loop it replaced, and the decode
 //! step's in-place attention against the gather it replaced, the
 //! retrieval head's key sweep over int8 blocks against f32 ones, and the
-//! overlap count by merge against the hash set it replaced; and the
+//! overlap count by merge against the hash set it replaced, the union
+//! and overlap of consecutive selections by bitmap against the merges
+//! they replaced; and the
 //! forward pass's hot loops one by one — the value tile beside the
 //! per-row zero test it dropped, the softmax at a query group's shapes, a
 //! prefill block's attention kernel and the fused projection's gemm. The
@@ -44,7 +46,7 @@ use spec_retrieval::common::SelectorConfig;
 use spec_retrieval::infinigen::InfiniGenSelector;
 use spec_retrieval::quest::QuestSelector;
 use spec_retrieval::shadowkv::ShadowKvSelector;
-use spec_retrieval::spec_head::{MappingLevel, SpecSelection};
+use spec_retrieval::spec_head::{union_overlap_rate, MappingLevel, SpecSelection};
 use spec_runtime::dataflow::{step_timeline_into, DataflowKind, StepParams};
 use spec_runtime::{
     FairConfig, PreemptionPolicy, QueueDiscipline, Request, Scheduler, SchedulerConfig, ServingSim,
@@ -947,10 +949,61 @@ fn overlap_hashed(a: &[usize], b: &[usize]) -> f32 {
     a.iter().filter(|i| set.contains(i)).count() as f32 / a.len().max(1) as f32
 }
 
+/// `(label, context, union size)` of the selection-glue comparison: the
+/// mean union selection of a `reason_2k_16k` step at that workload's mean
+/// context and of a `prompt_32k_2k` step.
+const GLUE_SHAPES: [(&str, usize, usize); 2] = [("376of1280", 1280, 376), ("425of4224", 4224, 425)];
+
+/// A two-KV-head selection of 260 positions a head below `ctx` whose
+/// union holds `union` of them, the heads sharing the rest.
+fn two_head_selection(rng: &mut SimRng, ctx: usize, union: usize) -> SpecSelection {
+    const PER_HEAD: usize = 260;
+    let positions = ascending_sample(rng, ctx, union);
+    let mut order: Vec<usize> = (0..union).collect();
+    for i in (1..union).rev() {
+        order.swap(i, rng.below(i + 1));
+    }
+    let shared = 2 * PER_HEAD - union;
+    let mut per_head = vec![Vec::new(), Vec::new()];
+    for (rank, &i) in order.iter().enumerate() {
+        if rank < shared {
+            per_head[0].push(positions[i]);
+            per_head[1].push(positions[i]);
+        } else {
+            per_head[(rank - shared) % 2].push(positions[i]);
+        }
+    }
+    per_head.iter_mut().for_each(|head| head.sort_unstable());
+    SpecSelection {
+        per_head,
+        budget: 256,
+    }
+}
+
+/// The union as `SpecSelection::union_positions_into` built it before
+/// bitmaps — a k-way merge of the ascending per-head lists, a cursor per
+/// head — the bench's baseline only.
+fn union_merged(per_head: &[Vec<usize>], out: &mut Vec<usize>) {
+    out.clear();
+    let mut cursors = [0usize; 16];
+    let cursors = &mut cursors[..per_head.len()];
+    loop {
+        let heads = per_head.iter().zip(cursors.iter());
+        let Some(next) = heads.filter_map(|(head, &c)| head.get(c)).min().copied() else {
+            return;
+        };
+        out.push(next);
+        for (head, c) in per_head.iter().zip(cursors.iter_mut()) {
+            *c += usize::from(head.get(*c) == Some(&next));
+        }
+    }
+}
+
 /// What a decode step does around the forward pass: the retrieval head's
 /// sweep of every cached key — 8 heads of 16-wide keys, f32 blocks
-/// against the int8 blocks the head keeps — and the overlap of adjacent
-/// union selections.
+/// against the int8 blocks the head keeps — the overlap of adjacent
+/// union selections, and the union and overlap together as the decode
+/// loop counts them, by bitmap beside the merges they replaced.
 fn bench_retrieval_side(c: &mut Criterion) {
     const HEADS: usize = 8;
     const HEAD_DIM: usize = 16;
@@ -1015,6 +1068,47 @@ fn bench_retrieval_side(c: &mut Criterion) {
             b.iter(|| {
                 let (prev, next) = pairs.next();
                 overlap_hashed(black_box(prev), black_box(next))
+            })
+        });
+    }
+
+    // Consecutive selections: the previous step's union is at hand (the
+    // loop carries it), this step's is built and counted against it.
+    for (label, ctx, union) in GLUE_SHAPES {
+        let mut pairs = Rotation::new(|| {
+            let prev = two_head_selection(&mut rng, ctx, union);
+            let (mut words, mut list) = (Vec::new(), Vec::new());
+            prev.union_words_into(&mut words);
+            union_merged(&prev.per_head, &mut list);
+            (words, list, two_head_selection(&mut rng, ctx, union))
+        });
+        let (mut words, mut list) = (Vec::new(), Vec::new());
+        for (prev_words, prev_list, cur) in &pairs.items {
+            cur.union_words_into(&mut words);
+            union_merged(&cur.per_head, &mut list);
+            assert_eq!(
+                cur.union_positions(),
+                list,
+                "the bitmap and the merge unite differently"
+            );
+            assert_eq!(
+                union_overlap_rate(prev_words, &words).to_bits(),
+                stats::overlap_rate(prev_list, &list).to_bits(),
+                "the popcount and the merge count different overlaps"
+            );
+        }
+        c.bench_function(&format!("selection_glue/words/{label}"), |b| {
+            b.iter(|| {
+                let (prev, _, cur) = pairs.next();
+                black_box(cur).union_words_into(&mut words);
+                union_overlap_rate(prev, &words)
+            })
+        });
+        c.bench_function(&format!("selection_glue/merge/{label}"), |b| {
+            b.iter(|| {
+                let (_, prev, cur) = pairs.next();
+                union_merged(&black_box(cur).per_head, &mut list);
+                stats::overlap_rate(prev, &list)
             })
         });
     }
@@ -1269,6 +1363,19 @@ fn write_summary(c: &Criterion) {
         })
         .collect();
     json.push_str(&overlap_speedups.join(",\n"));
+    json.push_str("\n  },\n  \"selection_glue_speedup_vs_merge\": {\n");
+    let glue_speedups: Vec<String> = GLUE_SHAPES
+        .iter()
+        .map(|(label, _, _)| {
+            let speedup = best_ratio(
+                c,
+                &format!("selection_glue/merge/{label}"),
+                &format!("selection_glue/words/{label}"),
+            );
+            format!("    \"{label}\": {speedup:.2}")
+        })
+        .collect();
+    json.push_str(&glue_speedups.join(",\n"));
     json.push_str("\n  },\n  \"lut_speedup_vs_reference\": {\n");
     let lut_speedups: Vec<String> = lut_speedups(c)
         .into_iter()
@@ -1311,6 +1418,12 @@ fn write_summary(c: &Criterion) {
     for line in overlap_speedups {
         println!(
             "[overlap merge speedup vs hash set]{}",
+            line.replace("    ", " ")
+        );
+    }
+    for line in glue_speedups {
+        println!(
+            "[selection glue speedup vs merge]{}",
             line.replace("    ", " ")
         );
     }

@@ -13,8 +13,9 @@
 //! in-place attention drops under 1.5x gather-then-attend at 260 of 2304
 //! positions, when the value tile drops under 1.2x its twin that tests
 //! every weight for zero, when the retrieval head's int8 key sweep drops
-//! under 1.5x the f32 one at 4224 positions or the merge-counted overlap
-//! under 4x the hash set at either union size, or when the simulator's
+//! under 1.5x the f32 one at 4224 positions, the merge-counted overlap
+//! under 4x the hash set at either union size or the bitmap union and
+//! overlap under 5x the merges they replaced, or when the simulator's
 //! step-table walk drops under 2x the per-step lookup (the price-only
 //! miss beside the recording one is reported, not floored). (The int8
 //! entries are
@@ -96,6 +97,14 @@ const EXPECTED_ENTRIES: &[&str] = &[
     "stats/overlap_hash/376",
     "stats/overlap_merge/425",
     "stats/overlap_hash/425",
+    // The union and overlap of consecutive selections as the decode loop
+    // counts them — per-head bitmaps OR-ed, a popcount — beside the k-way
+    // merge and merge-counted overlap they replaced, at the two engine
+    // workloads' mean union sizes and contexts.
+    "selection_glue/words/376of1280",
+    "selection_glue/merge/376of1280",
+    "selection_glue/words/425of4224",
+    "selection_glue/merge/425of4224",
     // The forward pass's hot loops alone: the value tile beside its
     // per-row-zero-test twin, a query group's softmax at a prefill
     // position's and a decode step's shapes and the long rows grouping
@@ -195,6 +204,15 @@ const HEAD_SWEEP_MIN_SPEEDUP: f64 = 1.5;
 /// per call, at both union sizes over a rotation of 64 pairs (best
 /// samples). Measured 5.2x and 5.9x.
 const OVERLAP_MIN_SPEEDUP: f64 = 4.0;
+
+/// The floor for the union and overlap of consecutive selections by
+/// bitmap (`SpecSelection::union_words_into` + `union_overlap_rate`)
+/// against the k-way merge and `stats::overlap_rate` merge they replaced,
+/// two heads of 260 positions over a rotation of 64 pairs (best samples).
+/// Measured 10.6x (577 against 6114 ns) at 376 of 1280 positions and
+/// 9.8x (730 against 7126 ns) at 425 of 4224 on the AVX-512 build host;
+/// the floor keeps half of that.
+const GLUE_MIN_SPEEDUP: f64 = 5.0;
 
 /// The floor for the value tile (`ops::indexed_weighted_sums`, four heads
 /// weighing 101 listed rows of 16: a prefill position's value pass through
@@ -304,6 +322,16 @@ fn check(doc: &Value) -> Result<Vec<String>, String> {
         ),
         ("overlap_merge_speedup_vs_hash", "376", OVERLAP_MIN_SPEEDUP),
         ("overlap_merge_speedup_vs_hash", "425", OVERLAP_MIN_SPEEDUP),
+        (
+            "selection_glue_speedup_vs_merge",
+            "376of1280",
+            GLUE_MIN_SPEEDUP,
+        ),
+        (
+            "selection_glue_speedup_vs_merge",
+            "425of4224",
+            GLUE_MIN_SPEEDUP,
+        ),
     ] {
         let v = doc
             .get_field(map)

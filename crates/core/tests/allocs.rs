@@ -2,13 +2,14 @@
 //!
 //! A `Session` keeps everything a step works in — the selection
 //! workspace and the forward pass's buffers, the retrieval head's
-//! `append` buffers, the two union lists the overlap is counted between,
+//! `append` buffers, the two union bitmaps the overlap is counted between,
 //! the elastic buffer's plan scratch — so what a warm step still takes
 //! from the allocator is what it hands out or is asked for by signature.
 //! This pins that list on the benchmark geometry (4 layers, 2 KV heads),
 //! where each term can be counted; `bench_e2e`'s
 //! `runtime.allocs_per_step` reads a mirrored loop that allocates more
-//! (a plan, an input row and a union list a step).
+//! (a plan, an input row, a union list and `layers` copies of the
+//! per-head lists a step).
 
 use spec_model::{ModelConfig, PrefillMode};
 use specontext_core::engine::{Engine, EngineConfig};
@@ -86,9 +87,9 @@ fn a_warm_session_step_allocates_what_it_returns_and_is_asked_for() {
     let lists = 1 + kv_heads;
     let step_output = 2; // logits, hidden
     let selection = lists; // what `select_scratch` returns
-    let list_copies = 1 + layers * lists; // `BudgetBuffer::step(&[layer][head][..])`
+    let layer_views = 1; // `BudgetBuffer::step(&[&per_head[..]; layers])`
     let selector_answers = layers * lists; // `LayerSelector::select`, a layer
-    let per_step = step_output + selection + list_copies + selector_answers;
+    let per_step = step_output + selection + layer_views + selector_answers;
     // Vectors that grow by doubling, at most twice each over 64 pushes
     // onto 364 or more: the K and V matrices of every layer and KV head
     // and the retrieval head's key cache (levels and scales a head); the
@@ -97,10 +98,10 @@ fn a_warm_session_step_allocates_what_it_returns_and_is_asked_for() {
     assert!(
         allocations <= STEPS * per_step + growth,
         "{allocations} allocations over {STEPS} warm steps; allowed a step: {step_output} \
-         (StepOutput) + {selection} (the selection's lists) + {list_copies} (the `layers` list \
-         copies `BudgetBuffer::step` takes) + {selector_answers} (the selector's per-layer \
-         answers) = {per_step}, plus {growth} in all for amortised growth of the KV cache, \
-         the head's key cache and the result lists"
+         (StepOutput) + {selection} (the selection's lists) + {layer_views} (the vector of \
+         `layers` borrowed views `BudgetBuffer::step` is lent) + {selector_answers} (the \
+         selector's per-layer answers) = {per_step}, plus {growth} in all for amortised growth \
+         of the KV cache, the head's key cache and the result lists"
     );
     // The bound is the list above, not slack: observe, select's scoring,
     // the union, the overlap count and the elastic step allocate nothing.

@@ -50,7 +50,9 @@ pub struct BudgetBuffer {
     follows: Vec<bool>,
     budget: usize,
     /// The buffers every set plans and applies in, so that
-    /// [`step`](Self::step) allocates nothing.
+    /// [`step`](Self::step) allocates nothing while positions stay below
+    /// `64 × budget` (the sets' and the scratch's bitmaps are reserved
+    /// that long).
     scratch: PlanScratch,
 }
 
@@ -106,8 +108,10 @@ impl BudgetBuffer {
     }
 
     /// Plans and applies the selections for one decode step.
-    /// `selections[layer][kv_head]` are the wanted positions. Returns the
-    /// aggregate transfer volume.
+    /// `selections[layer][kv_head]` are the wanted positions; a layer's
+    /// lists may be owned (`Vec<Vec<usize>>`) or borrowed
+    /// (`&[Vec<usize>]`), so a caller whose layers share one selection
+    /// lends it to every layer. Returns the aggregate transfer volume.
     ///
     /// One plan is made per distinct (resident state, selection) among
     /// neighbouring layers: a layer following the one before it and
@@ -119,12 +123,13 @@ impl BudgetBuffer {
     ///
     /// Panics if the selection shape does not match the buffer shape or a
     /// selection exceeds the budget.
-    pub fn step(&mut self, selections: &[Vec<Vec<usize>>]) -> StepTransfer {
+    pub fn step<S: AsRef<[Vec<usize>]>>(&mut self, selections: &[S]) -> StepTransfer {
         assert_eq!(selections.len(), self.layers(), "layer count mismatch");
         // A follower handed lists of its own leads from here: it starts
         // from the state it shared, before any layer moves on.
         for layer in (1..self.layers()).rev() {
-            if self.follows[layer] && selections[layer] != selections[layer - 1] {
+            let (own, below) = (selections[layer].as_ref(), selections[layer - 1].as_ref());
+            if self.follows[layer] && !same_lists(own, below) {
                 let leader = self.leader(layer - 1);
                 let (below, own) = self.sets.split_at_mut(layer);
                 own[0].clone_from(&below[leader]);
@@ -136,13 +141,14 @@ impl BudgetBuffer {
         // same.
         let mut moved = StepTransfer::default();
         for (layer, heads) in selections.iter().enumerate() {
+            let heads = heads.as_ref();
             assert_eq!(heads.len(), self.kv_heads(), "head count mismatch");
             if !self.follows[layer] {
                 moved = StepTransfer::default();
                 for (set, wanted) in self.sets[layer].iter_mut().zip(heads) {
                     set.advance(wanted, &mut self.scratch);
                     moved.fetched_entries += self.scratch.fetch.len() as u64;
-                    moved.reused_entries += self.scratch.reused.len() as u64;
+                    moved.reused_entries += self.scratch.reused as u64;
                 }
                 self.follows[layer] =
                     layer > 0 && self.sets[layer] == self.sets[self.leader(layer - 1)];
@@ -152,6 +158,12 @@ impl BudgetBuffer {
         }
         agg
     }
+}
+
+/// Whether two layers are handed the same lists: by address first, so
+/// layers lent one selection cost no comparison, then by value.
+fn same_lists(a: &[Vec<usize>], b: &[Vec<usize>]) -> bool {
+    std::ptr::eq(a, b) || a == b
 }
 
 #[cfg(test)]

@@ -1,12 +1,18 @@
 //! Elastic loading: the set-difference transfer planner of Section 5.4.
 //!
-//! Adjacent decode steps select highly overlapping KV positions
-//! (paper Fig. 6(b): >80% overlap). The elastic loader therefore keeps the
-//! previous step's selection resident on the GPU and transfers only the
-//! difference: positions in `S_now − S_last` are fetched, slots holding
-//! `S_last − S_now` are overwritten in place (`Tensor.copy_()` in the
-//! paper). Under a fixed budget `|S_last| == |S_now|` both differences
-//! have equal cardinality, so the plan is a slot-for-slot replacement.
+//! The elastic loader keeps the previous step's selection resident on the
+//! GPU and transfers only the difference: positions in `S_now − S_last`
+//! are fetched, slots holding `S_last − S_now` are overwritten in place
+//! (`Tensor.copy_()` in the paper). Under a fixed budget
+//! `|S_last| == |S_now|` both differences have equal cardinality, so the
+//! plan is a slot-for-slot replacement.
+//!
+//! How much that saves is the overlap of adjacent selections. The paper
+//! reports more than 80 % (Fig. 6(b)); the benchmark measures
+//! `retrieval.overlap_rate_mean` 0.564 on `reason_2k_16k` and 0.339 on
+//! `prompt_32k_2k` (`kvcache.reuse_fraction` 0.506 / 0.319), so a step
+//! here fetches half to two thirds of its selection. Why the two differ
+//! is ROADMAP item 6's question.
 
 use serde::{Deserialize, Serialize};
 
@@ -42,11 +48,15 @@ impl DiffPlan {
 
 /// The GPU-resident selection: budget slots holding KV positions.
 ///
-/// Two arrays, both O(budget): the slot array, and the occupied
-/// `(position, slot)` pairs kept in position order. Selections arrive
-/// position-ordered too, so planning is one merge of the two lists plus a
-/// walk over the slots, and applying a plan is one more merge — no
-/// hashing and nothing sized by the context.
+/// The slot array, and beside it a bitmap of the resident positions (bit
+/// `p % 64` of word `p / 64`). A selection arrives ascending (an unsorted
+/// one is sorted into a scratch buffer first), so planning is one pass
+/// over it — each position tested against the resident bitmap and marked
+/// in a wanted bitmap — and one walk of the slots for the ones to
+/// overwrite; applying the plan writes the slots and ORs the wanted bitmap
+/// into the resident one. A bitmap costs a word per 64 positions of
+/// context (36 words at 2304 positions, 2048 at 128 K), less than the
+/// sorted index it replaced cost to merge against.
 ///
 /// # Example
 ///
@@ -62,33 +72,66 @@ impl DiffPlan {
 /// rs.apply(&p2);
 /// assert!(rs.contains(9));
 /// ```
-#[derive(Debug, PartialEq)]
+#[derive(Debug)]
 pub struct ResidentSet {
     /// slot -> position (usize::MAX = empty slot).
     slots: Vec<usize>,
-    /// Occupied `(position, slot)` pairs, ascending by position.
-    index: Vec<(usize, usize)>,
+    /// The positions in `slots`, as a bitmap; its length is whatever the
+    /// largest position ever held needed.
+    resident: Vec<u64>,
+    /// Occupied slots.
+    occupied: usize,
+}
+
+/// Two sets are equal when their slots hold the same positions; the
+/// bitmap follows from the slots, whatever its length.
+impl PartialEq for ResidentSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.slots == other.slots
+    }
 }
 
 /// By hand for `clone_from`, which the derive would leave allocating:
 /// [`BudgetBuffer`](crate::BudgetBuffer) copies one layer's sets over
-/// another's every step.
+/// another's when the two part.
 impl Clone for ResidentSet {
     fn clone(&self) -> Self {
         Self {
             slots: self.slots.clone(),
-            index: self.index.clone(),
+            resident: self.resident.clone(),
+            occupied: self.occupied,
         }
     }
 
     fn clone_from(&mut self, source: &Self) {
         self.slots.clone_from(&source.slots);
-        self.index.clone_from(&source.index);
+        self.resident.clone_from(&source.resident);
+        self.occupied = source.occupied;
     }
 }
 
 /// Sentinel for an unoccupied slot.
 const EMPTY: usize = usize::MAX;
+
+/// Positions a bitmap word covers.
+const WORD: usize = u64::BITS as usize;
+
+/// Whether `pos` is set in `words` (positions past its end are not, and
+/// neither is [`EMPTY`]).
+fn has(words: &[u64], pos: usize) -> bool {
+    words
+        .get(pos / WORD)
+        .is_some_and(|w| w >> (pos % WORD) & 1 != 0)
+}
+
+/// Appends the positions of bitmap word `i` that are set in `bits` to
+/// `out`, ascending.
+fn push_bits(out: &mut Vec<usize>, i: usize, mut bits: u64) {
+    while bits != 0 {
+        out.push(i * WORD + bits.trailing_zeros() as usize);
+        bits &= bits - 1;
+    }
+}
 
 /// Buffers one plan/apply round works in. [`BudgetBuffer`] keeps one for
 /// all its sets, so a decode step allocates nothing once they are warm.
@@ -96,16 +139,15 @@ const EMPTY: usize = usize::MAX;
 /// [`BudgetBuffer`]: crate::BudgetBuffer
 #[derive(Debug, Clone)]
 pub(crate) struct PlanScratch {
-    /// The plan's three lists (see [`DiffPlan`]).
+    /// The plan's fetches and slots (see [`DiffPlan`]).
     pub(crate) fetch: Vec<usize>,
     pub(crate) evict_slots: Vec<usize>,
-    pub(crate) reused: Vec<usize>,
+    /// How many wanted positions were already resident.
+    pub(crate) reused: usize,
+    /// The wanted positions, as a bitmap.
+    wanted: Vec<u64>,
     /// `wanted`, sorted, when it did not arrive ascending.
     sorted: Vec<usize>,
-    /// Per slot: reused (while planning), then evicted (while applying).
-    flags: Vec<bool>,
-    /// The pairs that stay resident, while the index is rebuilt.
-    staying: Vec<(usize, usize)>,
 }
 
 /// Appends the `i` in `0..n` with `keep(i)` to `out`, ascending. Every
@@ -124,21 +166,22 @@ fn push_where(out: &mut Vec<usize>, n: usize, keep: impl Fn(usize) -> bool) {
 
 impl PlanScratch {
     /// Buffers already sized for sets of `budget` slots (all but the one
-    /// unsorted input needs).
+    /// unsorted input needs), the bitmap for positions below `64 ×
+    /// budget` — any selection denser than one position in 64.
     pub(crate) fn new(budget: usize) -> Self {
         Self {
             fetch: Vec::with_capacity(budget),
             evict_slots: Vec::with_capacity(2 * budget),
-            reused: Vec::with_capacity(budget),
+            reused: 0,
+            wanted: Vec::with_capacity(budget),
             sorted: Vec::new(),
-            flags: Vec::with_capacity(budget),
-            staying: Vec::with_capacity(budget),
         }
     }
 }
 
 impl ResidentSet {
-    /// Creates an empty resident set with `budget` slots.
+    /// Creates an empty resident set with `budget` slots, its bitmap
+    /// reserved for positions below `64 × budget`.
     ///
     /// # Panics
     ///
@@ -147,7 +190,8 @@ impl ResidentSet {
         assert!(budget > 0, "budget must be positive");
         Self {
             slots: vec![EMPTY; budget],
-            index: Vec::with_capacity(budget),
+            resident: Vec::with_capacity(budget),
+            occupied: 0,
         }
     }
 
@@ -158,17 +202,21 @@ impl ResidentSet {
 
     /// Number of occupied slots.
     pub fn occupied(&self) -> usize {
-        self.index.len()
+        self.occupied
     }
 
     /// Whether `pos` is resident.
     pub fn contains(&self, pos: usize) -> bool {
-        self.slot_of(pos).is_some()
+        has(&self.resident, pos)
     }
 
     /// Currently resident positions, ascending.
     pub fn positions(&self) -> Vec<usize> {
-        self.index.iter().map(|&(pos, _)| pos).collect()
+        let mut out = Vec::with_capacity(self.occupied);
+        for (i, &bits) in self.resident.iter().enumerate() {
+            push_bits(&mut out, i, bits);
+        }
+        out
     }
 
     /// Computes the minimal transfer plan to make `wanted` resident.
@@ -180,14 +228,19 @@ impl ResidentSet {
     pub fn plan(&self, wanted: &[usize]) -> DiffPlan {
         let mut scratch = PlanScratch::new(self.budget());
         self.plan_into(wanted, &mut scratch);
+        let mut reused = Vec::with_capacity(scratch.reused);
+        for (i, (&want, &held)) in scratch.wanted.iter().zip(&self.resident).enumerate() {
+            push_bits(&mut reused, i, want & held);
+        }
         DiffPlan {
             fetch: scratch.fetch,
             evict_slots: scratch.evict_slots,
-            reused: scratch.reused,
+            reused,
         }
     }
 
-    /// [`plan`](Self::plan) into `scratch`'s three lists.
+    /// [`plan`](Self::plan) into `scratch`: its fetches and slots, the
+    /// reuse count in place of the reused list, and the wanted bitmap.
     pub(crate) fn plan_into(&self, wanted: &[usize], scratch: &mut PlanScratch) {
         assert!(
             wanted.len() <= self.budget(),
@@ -199,9 +252,8 @@ impl ResidentSet {
             fetch,
             evict_slots,
             reused,
+            wanted: bits,
             sorted,
-            flags,
-            ..
         } = scratch;
         let wanted = if wanted.windows(2).all(|w| w[0] < w[1]) {
             wanted
@@ -209,148 +261,148 @@ impl ResidentSet {
             sorted.clear();
             sorted.extend_from_slice(wanted);
             sorted.sort_unstable();
-            let distinct = 1 + sorted.windows(2).filter(|w| w[0] < w[1]).count();
-            assert_eq!(distinct, wanted.len(), "duplicate positions");
+            assert!(
+                sorted.windows(2).all(|w| w[0] < w[1]),
+                "duplicate positions"
+            );
             sorted
         };
 
-        // Merge the two position-ordered lists: a wanted position is
-        // either resident (reused, its slot kept) or to be fetched. Every
-        // candidate is stored and only the cursors depend on the
-        // comparison (see `push_where`).
-        flags.clear();
-        flags.resize(self.budget(), false);
-        for list in [&mut *fetch, &mut *reused] {
-            list.clear();
-            list.resize(wanted.len(), 0);
-        }
-        let (mut w, mut r, mut fetched, mut kept) = (0, 0, 0, 0);
-        while w < wanted.len() && r < self.index.len() {
-            let pos = wanted[w];
-            let (resident, slot) = self.index[r];
+        // One pass: a wanted position is either resident (reused, its
+        // slot kept) or to be fetched. Every position is stored as a
+        // fetch and only the cursor depends on the test (see
+        // `push_where`). The bitmap takes a plain store a position — the
+        // OR of its word's positions so far, which ascending input
+        // finishes before the next word begins — and never reads back
+        // what the store before it wrote.
+        bits.clear();
+        bits.resize(wanted.last().map_or(0, |&p| p / WORD + 1), 0);
+        fetch.clear();
+        fetch.resize(wanted.len(), 0);
+        let (mut fetched, mut word, mut at) = (0, 0u64, usize::MAX);
+        for &pos in wanted {
+            let (w, bit) = (pos / WORD, 1u64 << (pos % WORD));
+            word = bit | word & u64::from(w == at).wrapping_neg();
+            bits[w] = word;
+            at = w;
             fetch[fetched] = pos;
-            reused[kept] = pos;
-            fetched += usize::from(pos < resident);
-            kept += usize::from(pos == resident);
-            flags[slot] |= pos == resident;
-            w += usize::from(pos <= resident);
-            r += usize::from(pos >= resident);
+            let held = self.resident.get(w).is_some_and(|&r| r & bit != 0);
+            fetched += usize::from(!held);
         }
-        // What is left of `wanted` lies beyond every resident position.
-        let beyond = wanted.len() - w;
-        fetch[fetched..fetched + beyond].copy_from_slice(&wanted[w..]);
-        fetch.truncate(fetched + beyond);
-        reused.truncate(kept);
+        fetch.truncate(fetched);
+        *reused = wanted.len() - fetched;
 
         // Slots to overwrite: empty slots first, then slots holding
         // positions not in `wanted` (no needless eviction under budget),
         // each in slot order. There are always enough: empty + stale =
         // budget − reused ≥ wanted − reused = fetch.
         evict_slots.clear();
-        let need = fetch.len();
-        if self.occupied() < self.budget() {
+        if self.occupied < self.budget() {
             push_where(evict_slots, self.budget(), |s| self.slots[s] == EMPTY);
-            evict_slots.truncate(need);
+            evict_slots.truncate(fetched);
         }
-        if evict_slots.len() < need {
+        if evict_slots.len() < fetched {
             push_where(evict_slots, self.budget(), |s| {
-                self.slots[s] != EMPTY && !flags[s]
+                let pos = self.slots[s];
+                pos != EMPTY && !has(bits, pos)
             });
-            evict_slots.truncate(need);
+            evict_slots.truncate(fetched);
         }
-        debug_assert_eq!(evict_slots.len(), need);
+        debug_assert_eq!(evict_slots.len(), fetched);
     }
 
-    /// Applies a plan produced by [`plan`](Self::plan) on the current state.
+    /// Applies a plan produced by [`plan`](Self::plan) on the current
+    /// state, or a hand-built one in any order. The plan is checked whole
+    /// before anything is written, so a rejected plan leaves the set as it
+    /// was.
     ///
     /// # Panics
     ///
-    /// Panics if the plan names a slot the set does not have, or fetches a
-    /// position that stays resident in another slot — either means the
-    /// plan was produced for another state.
+    /// Panics if `fetch` and `evict_slots` differ in length, if the plan
+    /// names a slot the set does not have or names one twice, fetches a
+    /// position twice, or fetches a position that stays resident in a slot
+    /// the plan does not overwrite — each means the plan was produced for
+    /// another state.
     pub fn apply(&mut self, plan: &DiffPlan) {
-        let (mut flags, mut staying) = (Vec::new(), Vec::with_capacity(self.budget()));
-        if plan.fetch.windows(2).all(|w| w[0] < w[1]) {
-            self.apply_pairs(&plan.fetch, &plan.evict_slots, &mut flags, &mut staying);
-        } else {
-            // Only a hand-built plan lists its fetches out of order.
-            let mut pairs: Vec<(usize, usize)> = plan
-                .fetch
-                .iter()
-                .copied()
-                .zip(plan.evict_slots.iter().copied())
-                .collect();
-            pairs.sort_unstable();
-            let (fetch, evict_slots): (Vec<usize>, Vec<usize>) = pairs.into_iter().unzip();
-            self.apply_pairs(&fetch, &evict_slots, &mut flags, &mut staying);
+        let DiffPlan {
+            fetch, evict_slots, ..
+        } = plan;
+        assert_eq!(
+            fetch.len(),
+            evict_slots.len(),
+            "plan pairs {} fetches with {} slots",
+            fetch.len(),
+            evict_slots.len()
+        );
+        let mut overwritten = vec![false; self.budget()];
+        for &slot in evict_slots {
+            assert!(
+                slot < self.budget(),
+                "plan names slot {slot} of {}",
+                self.budget()
+            );
+            assert!(!overwritten[slot], "plan names slot {slot} twice");
+            overwritten[slot] = true;
         }
-    }
-
-    /// Plans and applies `wanted` in `scratch`; afterwards its three lists
-    /// hold the plan that was applied.
-    pub(crate) fn advance(&mut self, wanted: &[usize], scratch: &mut PlanScratch) {
-        self.plan_into(wanted, scratch);
-        let PlanScratch {
-            fetch,
-            evict_slots,
-            flags,
-            staying,
-            ..
-        } = scratch;
-        self.apply_pairs(fetch, evict_slots, flags, staying);
-    }
-
-    /// Writes position `fetch[i]` (ascending) into slot `evict_slots[i]`
-    /// and rebuilds the index in one merge: the pairs that stay and the
-    /// fetched pairs are both in position order. `flags` and `staying` are
-    /// work space.
-    fn apply_pairs(
-        &mut self,
-        fetch: &[usize],
-        evict_slots: &[usize],
-        flags: &mut Vec<bool>,
-        staying: &mut Vec<(usize, usize)>,
-    ) {
-        flags.clear();
-        flags.resize(self.budget(), false);
-        for (&pos, &slot) in fetch.iter().zip(evict_slots) {
-            flags[slot] = true;
-            self.slots[slot] = pos;
-        }
-        // As in `plan_into`, only cursors depend on the data.
-        staying.clear();
-        staying.resize(self.index.len(), (0, 0));
-        let mut stay = 0;
-        for &(pos, slot) in &self.index {
-            staying[stay] = (pos, slot);
-            stay += usize::from(!flags[slot]);
-        }
-        staying.truncate(stay);
-        let index = &mut self.index;
-        index.clear();
-        index.resize(staying.len() + fetch.len(), (0, 0));
-        let (mut s, mut f) = (0, 0);
-        while s < staying.len() && f < fetch.len() {
-            let fetched_first = usize::from(fetch[f] < staying[s].0);
-            index[s + f] = [staying[s], (fetch[f], evict_slots[f])][fetched_first];
-            s += 1 - fetched_first;
-            f += fetched_first;
-        }
-        index.truncate(s + f);
-        let fetched = fetch.iter().copied().zip(evict_slots.iter().copied());
-        index.extend(staying[s..].iter().copied().chain(fetched.skip(f)));
+        let mut incoming = fetch.clone();
+        incoming.sort_unstable();
         assert!(
-            index.windows(2).all(|w| w[0].0 < w[1].0),
+            incoming.windows(2).all(|w| w[0] < w[1]),
+            "plan fetches a position twice"
+        );
+        let mut held = self.slots.iter().zip(&overwritten);
+        assert!(
+            held.all(|(&pos, &gone)| gone || incoming.binary_search(&pos).is_err()),
             "plan/state mismatch: a fetched position is already resident"
         );
+        self.replace(fetch, evict_slots);
+        self.grow_to(incoming.last().map_or(0, |&p| p / WORD + 1));
+        for &pos in fetch {
+            self.resident[pos / WORD] |= 1 << (pos % WORD);
+        }
     }
 
-    /// The slot currently holding `pos`, if resident.
+    /// Plans and applies `wanted` in `scratch`; afterwards it holds the
+    /// plan that was applied. What is resident afterwards is what stayed
+    /// plus `wanted`, so the wanted bitmap is OR-ed in whole.
+    pub(crate) fn advance(&mut self, wanted: &[usize], scratch: &mut PlanScratch) {
+        self.plan_into(wanted, scratch);
+        self.replace(&scratch.fetch, &scratch.evict_slots);
+        self.grow_to(scratch.wanted.len());
+        for (held, &want) in self.resident.iter_mut().zip(&scratch.wanted) {
+            *held |= want;
+        }
+    }
+
+    /// Writes position `fetch[i]` into slot `evict_slots[i]` of a checked
+    /// plan and drops the positions it overwrites from the bitmap; the
+    /// caller marks the fetched ones, after every overwritten one has left
+    /// (a plan may move a position between two of the slots it names).
+    fn replace(&mut self, fetch: &[usize], evict_slots: &[usize]) {
+        for (&pos, &slot) in fetch.iter().zip(evict_slots) {
+            let old = std::mem::replace(&mut self.slots[slot], pos);
+            if old != EMPTY {
+                self.resident[old / WORD] &= !(1 << (old % WORD));
+                self.occupied -= 1;
+            }
+        }
+        self.occupied += fetch.len();
+    }
+
+    /// Lengthens the bitmap to at least `words` words.
+    fn grow_to(&mut self, words: usize) {
+        if self.resident.len() < words {
+            self.resident.resize(words, 0);
+        }
+    }
+
+    /// The slot currently holding `pos`, if resident (a walk of the
+    /// slots).
     pub fn slot_of(&self, pos: usize) -> Option<usize> {
-        self.index
-            .binary_search_by_key(&pos, |&(p, _)| p)
-            .ok()
-            .map(|i| self.index[i].1)
+        if !self.contains(pos) {
+            return None;
+        }
+        self.slots.iter().position(|&p| p == pos)
     }
 }
 
@@ -437,5 +489,49 @@ mod tests {
         for w in &wanted {
             assert!(resident.contains(w));
         }
+    }
+
+    #[test]
+    fn a_plan_may_move_a_position_between_the_slots_it_names() {
+        let mut rs = ResidentSet::new(2);
+        rs.apply(&rs.plan(&[5, 70]));
+        let (five, seventy) = (rs.slot_of(5).unwrap(), rs.slot_of(70).unwrap());
+        rs.apply(&DiffPlan {
+            fetch: vec![5, 64],
+            evict_slots: vec![seventy, five],
+            reused: vec![],
+        });
+        assert_eq!(rs.slot_of(5), Some(seventy));
+        assert_eq!(rs.slot_of(64), Some(five));
+        assert_eq!(rs.positions(), vec![5, 64]);
+        assert_eq!(rs.occupied(), 2);
+    }
+
+    #[test]
+    fn a_rejected_plan_leaves_the_set_as_it_was() {
+        let mut rs = ResidentSet::new(3);
+        rs.apply(&rs.plan(&[1, 2, 3]));
+        let before = rs.clone();
+        let stale = DiffPlan {
+            fetch: vec![9, 2],
+            evict_slots: vec![rs.slot_of(1).unwrap(), rs.slot_of(3).unwrap()],
+            reused: vec![],
+        };
+        let applied = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rs.apply(&stale)));
+        assert!(applied.is_err(), "2 stays resident in its own slot");
+        assert_eq!(rs, before);
+        assert_eq!(rs.positions(), vec![1, 2, 3]);
+        assert_eq!(rs.occupied(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "names slot 0 twice")]
+    fn a_slot_named_twice_is_rejected() {
+        let mut rs = ResidentSet::new(2);
+        rs.apply(&DiffPlan {
+            fetch: vec![1, 2],
+            evict_slots: vec![0, 0],
+            reused: vec![],
+        });
     }
 }

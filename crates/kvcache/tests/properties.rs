@@ -81,6 +81,17 @@ fn model_step() -> impl Strategy<Value = (Vec<usize>, usize, u64)> {
     )
 }
 
+/// Fisher-Yates over a seeded LCG: `v` in an order `salt` picks.
+fn shuffle<T>(v: &mut [T], salt: u64) {
+    let mut x = salt | 1;
+    for i in (1..v.len()).rev() {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        v.swap(i, (x >> 33) as usize % (i + 1));
+    }
+}
+
 /// `wanted` for a step: the fresh set as drawn (ascending, any size up
 /// to the budget), shuffled, topped up to exactly the budget, or — from
 /// the previous selection — repeated or shrunk.
@@ -89,13 +100,7 @@ fn next_wanted(prev: &[usize], fresh: Vec<usize>, mode: usize, salt: u64) -> Vec
         0 => fresh,
         1 => {
             let mut v = fresh;
-            let mut x = salt | 1;
-            for i in (1..v.len()).rev() {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                v.swap(i, (x >> 33) as usize % (i + 1));
-            }
+            shuffle(&mut v, salt);
             v
         }
         2 => {
@@ -111,6 +116,65 @@ fn next_wanted(prev: &[usize], fresh: Vec<usize>, mode: usize, salt: u64) -> Vec
         }
         3 => prev.to_vec(),
         _ => prev[..prev.len() - prev.len().min(1 + salt as usize % 3)].to_vec(),
+    }
+}
+
+/// Positions either side of the bitmaps' word edges and at the far end
+/// of a 16 K context, drawn half the time; any position below 16 K the
+/// other half.
+const EDGES: [usize; 14] = [
+    0, 1, 62, 63, 64, 65, 126, 127, 128, 129, 191, 192, 16_320, 16_383,
+];
+const EDGE_BUDGET: usize = 12;
+
+fn edge_selection() -> impl Strategy<Value = Vec<usize>> {
+    let position =
+        (any::<bool>(), 0..EDGES.len(), 0usize..16_384)
+            .prop_map(|(edge, e, p)| if edge { EDGES[e] } else { p });
+    prop::collection::btree_set(position, 0..=EDGE_BUDGET)
+        .prop_map(|s| s.into_iter().collect::<Vec<usize>>())
+}
+
+/// `wanted` for a step of an edge sequence: the fresh set as drawn
+/// (under budget), reversed (unsorted), the previous selection's first
+/// half topped up from the fresh set to exactly the budget (a full set),
+/// or the previous selection again.
+fn next_edge_wanted(prev: &[usize], fresh: Vec<usize>, mode: usize) -> Vec<usize> {
+    match mode {
+        0 => fresh,
+        1 => fresh.into_iter().rev().collect(),
+        2 => {
+            let mut v = prev[..prev.len() / 2].to_vec();
+            for p in fresh.into_iter().chain(0..) {
+                if v.len() == EDGE_BUDGET {
+                    break;
+                }
+                if !v.contains(&p) {
+                    v.push(p);
+                }
+            }
+            v.sort_unstable();
+            v
+        }
+        _ => prev.to_vec(),
+    }
+}
+
+/// `rs` and `oracle` hold the same positions in the same slots.
+fn assert_same_state(rs: &ResidentSet, oracle: &OracleSet, probes: &[usize]) {
+    assert_eq!(rs.positions(), oracle.positions());
+    assert_eq!(rs.occupied(), oracle.index.len());
+    for &pos in oracle.index.keys().chain(probes).chain(&EDGES) {
+        assert_eq!(
+            rs.slot_of(pos),
+            oracle.index.get(&pos).copied(),
+            "position {pos}"
+        );
+        assert_eq!(
+            rs.contains(pos),
+            oracle.index.contains_key(&pos),
+            "position {pos}"
+        );
     }
 }
 
@@ -342,6 +406,109 @@ proptest! {
             for l in 0..LAYERS {
                 for h in 0..2 {
                     prop_assert_eq!(borrowing.head(l, h), &copying.sets[l][h], "step {} layer {} head {}", i, l, h);
+                }
+            }
+        }
+    }
+
+    /// The bitmap planner against the hashing oracle where the bitmaps
+    /// have their edges: positions at 63 / 64 / 127 / 128 and across a
+    /// 16 K context, sets under budget, full, unsorted and repeated.
+    /// Identical plans and identical state (positions, slots, occupancy)
+    /// after each step.
+    #[test]
+    fn bitmap_planner_matches_hashing_oracle_at_word_edges(
+        steps in prop::collection::vec((edge_selection(), 0usize..4), 1..16)
+    ) {
+        let mut rs = ResidentSet::new(EDGE_BUDGET);
+        let mut oracle = OracleSet::new(EDGE_BUDGET);
+        let mut wanted = Vec::new();
+        for (fresh, mode) in steps {
+            wanted = next_edge_wanted(&wanted, fresh, mode);
+            let plan = rs.plan(&wanted);
+            prop_assert_eq!(&plan, &oracle.plan(&wanted), "wanted {:?}", &wanted);
+            rs.apply(&plan);
+            oracle.apply(&plan);
+            assert_same_state(&rs, &oracle, &wanted);
+        }
+    }
+
+    /// Hand-built plans through `apply`: an oracle plan with its
+    /// (position, slot) pairs in any order lands where the ordered plan
+    /// does, and a plan fetching a position that stays resident in a slot
+    /// it does not name is refused before anything is written.
+    #[test]
+    fn hand_built_plans_apply_in_any_order_or_not_at_all(
+        steps in prop::collection::vec((edge_selection(), 0usize..4, any::<u64>()), 1..12)
+    ) {
+        let mut rs = ResidentSet::new(EDGE_BUDGET);
+        let mut oracle = OracleSet::new(EDGE_BUDGET);
+        let mut wanted = Vec::new();
+        for (fresh, mode, salt) in steps {
+            wanted = next_edge_wanted(&wanted, fresh, mode);
+            let plan = oracle.plan(&wanted);
+            let mut pairs: Vec<(usize, usize)> =
+                plan.fetch.iter().copied().zip(plan.evict_slots.iter().copied()).collect();
+            shuffle(&mut pairs, salt);
+            let (fetch, evict_slots) = pairs.into_iter().unzip();
+            let shuffled = DiffPlan { fetch, evict_slots, reused: plan.reused.clone() };
+
+            // A stale copy: fetch a position that is resident and stays,
+            // into a slot of its own.
+            if let Some(&kept) = plan.reused.first() {
+                let mut stale = shuffled.clone();
+                let free = |s: &usize| oracle.slots[*s] != kept && !stale.evict_slots.contains(s);
+                if let Some(slot) = (0..EDGE_BUDGET).find(free) {
+                    stale.fetch.push(kept);
+                    stale.evict_slots.push(slot);
+                    let before = rs.clone();
+                    let applied = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        rs.apply(&stale)
+                    }));
+                    prop_assert!(applied.is_err(), "stale plan {:?} applied", &stale);
+                    prop_assert_eq!(&rs, &before);
+                    assert_same_state(&rs, &oracle, &wanted);
+                }
+            }
+
+            rs.apply(&shuffled);
+            oracle.apply(&plan);
+            assert_same_state(&rs, &oracle, &wanted);
+        }
+    }
+
+    /// `BudgetBuffer::step` over borrowed per-layer views — every layer
+    /// lent one selection, a layer lent its own for a stretch — reports
+    /// what it reports over owned copies of the same lists, and leaves
+    /// every head in the same state.
+    #[test]
+    fn buffer_step_over_borrowed_views_matches_owned_copies(
+        steps in prop::collection::vec((model_step(), model_step(), model_step()), 1..16),
+        split in (0usize..16, 0usize..5, 0usize..4),
+    ) {
+        const LAYERS: usize = 4;
+        let (from, len, odd_layer) = split;
+        let mut lent = BudgetBuffer::new(LAYERS, 2, MODEL_BUDGET);
+        let mut owning = BudgetBuffer::new(LAYERS, 2, MODEL_BUDGET);
+        let (mut shared, mut own) = (vec![Vec::new(), Vec::new()], Vec::new());
+        for (i, (a, b, c)) in steps.into_iter().enumerate() {
+            shared[0] = next_wanted(&shared[0], a.0, a.1, a.2);
+            shared[1] = next_wanted(&shared[1], b.0, b.1, b.2);
+            own = next_wanted(&own, c.0, c.1, c.2);
+            let odd = vec![shared[0].clone(), own.clone()];
+            let mut views: Vec<&[Vec<usize>]> = vec![&shared; LAYERS];
+            if (from..from + len).contains(&i) {
+                views[odd_layer] = &odd;
+            }
+            let owned: Vec<Vec<Vec<usize>>> = views.iter().map(|v| v.to_vec()).collect();
+            let moved = lent.step(&views);
+            let want = owning.step(&owned);
+            prop_assert_eq!(moved, want, "step {}", i);
+            for l in 0..LAYERS {
+                for h in 0..2 {
+                    let (got, want) = (lent.head(l, h), owning.head(l, h));
+                    prop_assert_eq!(got, want, "step {} layer {} head {}", i, l, h);
+                    prop_assert_eq!(got.positions(), want.positions());
                 }
             }
         }

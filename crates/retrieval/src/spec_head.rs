@@ -197,9 +197,10 @@ impl SpecSelection {
     }
 
     /// [`union_positions`](Self::union_positions) into `out` (cleared
-    /// first, its capacity reused): a k-way merge of the per-head lists,
-    /// which are strictly ascending by contract — nothing sized by the
-    /// context, and no allocation once `out` has held a union.
+    /// first, its capacity reused). The heads' lists, strictly ascending
+    /// by contract, are marked in a bitmap on the stack a window of 8 K
+    /// positions at a time and read back a word at a time: no allocation
+    /// once `out` has held a union.
     pub fn union_positions_into(&self, out: &mut Vec<usize>) {
         out.clear();
         // Heads agree on most positions; the longest list plus what the
@@ -207,28 +208,90 @@ impl SpecSelection {
         let longest = self.per_head.iter().map(Vec::len).max().unwrap_or(0);
         let total: usize = self.per_head.iter().map(Vec::len).sum();
         out.reserve(total.min(2 * longest));
-        // One cursor per head; on the stack for any head count a GQA /
-        // MQA model has.
-        let mut stack = [0usize; 16];
-        let mut heap = Vec::new();
-        let cursors = match stack.get_mut(..self.per_head.len()) {
-            Some(cursors) => cursors,
-            None => {
-                heap.resize(self.per_head.len(), 0);
-                &mut heap[..]
-            }
-        };
-        loop {
-            let heads = self.per_head.iter().zip(cursors.iter());
-            let Some(next) = heads.filter_map(|(head, &c)| head.get(c)).min().copied() else {
-                break;
-            };
-            out.push(next);
-            for (head, c) in self.per_head.iter().zip(cursors.iter_mut()) {
-                *c += usize::from(head.get(*c) == Some(&next));
+        let end = self.end();
+        let mut window = [0u64; 2 * WINDOW_WORDS];
+        for lo in (0..end).step_by(WORD * WINDOW_WORDS) {
+            let words = (end - lo).div_ceil(WORD).min(WINDOW_WORDS);
+            let (union, head) = window.split_at_mut(WINDOW_WORDS);
+            self.mark_window(lo, &mut union[..words], &mut head[..words]);
+            for (i, word) in union[..words].iter_mut().enumerate() {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    out.push(lo + i * WORD + bits.trailing_zeros() as usize);
+                    bits &= bits - 1;
+                }
             }
         }
     }
+
+    /// The union as a bitmap into `words` (cleared first, its capacity
+    /// reused): bit `p % 64` of word `p / 64` is set when some head
+    /// selected `p`, and the bitmap ends at the word of the largest such
+    /// `p`. [`union_overlap_rate`] counts two of them against each other.
+    pub fn union_words_into(&self, words: &mut Vec<u64>) {
+        let n = self.end().div_ceil(WORD);
+        words.clear();
+        words.resize(2 * n, 0);
+        let (union, head) = words.split_at_mut(n);
+        self.mark_window(0, union, head);
+        words.truncate(n);
+    }
+
+    /// One past the largest selected position (0 for none).
+    fn end(&self) -> usize {
+        let last = self.per_head.iter().filter_map(|head| head.last());
+        last.max().map_or(0, |&p| p + 1)
+    }
+
+    /// ORs into `union` the selected positions in `lo..lo + 64 ×
+    /// union.len()` (`lo` a multiple of 64), bit `(p - lo) % 64` of word
+    /// `(p - lo) / 64`. A head is marked in `head` (as long as `union`)
+    /// first, by one plain store a position: the OR of its word's
+    /// positions so far, which an ascending list finishes before the next
+    /// word begins, so no store waits on reading back the one before it.
+    fn mark_window(&self, lo: usize, union: &mut [u64], head: &mut [u64]) {
+        let hi = lo + WORD * union.len();
+        for positions in &self.per_head {
+            let from = positions.partition_point(|&p| p < lo);
+            let to = from + positions[from..].partition_point(|&p| p < hi);
+            head.fill(0);
+            let (mut word, mut at) = (0u64, usize::MAX);
+            for &p in &positions[from..to] {
+                let (w, bit) = ((p - lo) / WORD, 1u64 << ((p - lo) % WORD));
+                word = bit | word & u64::from(w == at).wrapping_neg();
+                head[w] = word;
+                at = w;
+            }
+            for (u, &h) in union.iter_mut().zip(head.iter()) {
+                *u |= h;
+            }
+        }
+    }
+}
+
+/// Positions a union bitmap word covers.
+const WORD: usize = u64::BITS as usize;
+
+/// Words of the window [`SpecSelection::union_positions_into`] marks at a
+/// time: 8 K positions, one window up to that context.
+const WINDOW_WORDS: usize = 128;
+
+/// `|prev ∩ cur| / |prev|` of two union bitmaps (as
+/// [`SpecSelection::union_words_into`] builds them) by popcount — the
+/// overlap of adjacent selections (Fig. 6(b)). It is
+/// `spec_tensor::stats::overlap_rate` of the positions the two hold, to
+/// the bit: 1.0 when `prev` is empty.
+pub fn union_overlap_rate(prev: &[u64], cur: &[u64]) -> f32 {
+    let held: u32 = prev.iter().map(|w| w.count_ones()).sum();
+    if held == 0 {
+        return 1.0;
+    }
+    let shared: u32 = prev
+        .iter()
+        .zip(cur)
+        .map(|(a, b)| (a & b).count_ones())
+        .sum();
+    shared as f32 / held as f32
 }
 
 /// A speculative selection answers every layer with the same per-head

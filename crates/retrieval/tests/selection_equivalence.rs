@@ -22,9 +22,9 @@ use spec_retrieval::common::{
 use spec_retrieval::infinigen::InfiniGenSelector;
 use spec_retrieval::quest::QuestSelector;
 use spec_retrieval::shadowkv::ShadowKvSelector;
-use spec_retrieval::spec_head::{MappingLevel, SpecSelection};
+use spec_retrieval::spec_head::{union_overlap_rate, MappingLevel, SpecSelection};
 use spec_tensor::topk::{RankScratch, ScoreArena, SelectScratch};
-use spec_tensor::{topk, Matrix};
+use spec_tensor::{stats, topk, Matrix};
 
 /// Deterministic pseudo-random scores (plain code, no RNG plumbing).
 fn synth_scores(n: usize, salt: u64) -> Vec<f32> {
@@ -149,34 +149,95 @@ proptest! {
         prop_assert_eq!(got, want, "budgeted");
     }
 
-    /// The k-way merge behind `SpecSelection::union_positions` equals the
-    /// context-sized bitset it replaced — mark every head's positions,
-    /// collect them ascending — over ascending per-head lists of any
-    /// overlap: no head, one head, more heads than the merge keeps
-    /// cursors for on the stack, empty heads and identical heads. The
-    /// `_into` form overwrites whatever its buffer held.
+    /// `SpecSelection::union_positions` — heads OR-ed into a stack
+    /// bitmap a 16 K-position window at a time — and `union_words_into`
+    /// equal the k-way merge of the per-head lists they replaced: no
+    /// head, one, up to 16 and beyond, empty heads and identical heads,
+    /// dense (300 positions), engine-sized (~4.4 K) and several windows
+    /// wide (40 K). The `_into` forms overwrite whatever their buffers
+    /// held.
     #[test]
-    fn union_merge_matches_bitset(
-        heads in prop::collection::vec(prop::collection::btree_set(0usize..300, 0..40), 0..20),
+    fn union_words_match_merge(
+        heads in prop::collection::vec(prop::collection::btree_set(0usize..40_000, 0..40), 0..20),
         repeat in 0usize..3,
+        spread in 0usize..3,
     ) {
-        let mut per_head: Vec<Vec<usize>> =
-            heads.into_iter().map(|h| h.into_iter().collect()).collect();
+        let divisor = [133, 9, 1][spread];
+        let mut per_head: Vec<Vec<usize>> = heads
+            .into_iter()
+            .map(|h| {
+                let mut h: Vec<usize> = h.into_iter().map(|p| p / divisor).collect();
+                h.dedup();
+                h
+            })
+            .collect();
         if let Some(first) = per_head.first().cloned() {
             per_head.extend(vec![first; repeat]);
         }
-        let mut marks = topk::PosBitSet::default();
-        marks.reset(300);
-        per_head.iter().flatten().for_each(|&p| {
-            marks.mark(p);
-        });
-        let want = marks.collect_sorted();
+        let want = union_merge(&per_head);
         let sel = SpecSelection { per_head, budget: 40 };
         prop_assert_eq!(&sel.union_positions(), &want);
         let mut out = vec![7; 500];
         sel.union_positions_into(&mut out);
         prop_assert_eq!(&out, &want);
+        let mut words = vec![u64::MAX; 900];
+        sel.union_words_into(&mut words);
+        prop_assert_eq!(words.len(), want.last().map_or(0, |&p| p / 64 + 1));
+        prop_assert_eq!(&positions_of(&words), &want);
     }
+
+    /// The popcount overlap of two union bitmaps is `stats::overlap_rate`
+    /// of the unions as lists, to the bits of the `f32`: adjacent
+    /// selections sharing any part of their positions, a previous union
+    /// longer or shorter than the current one, an empty current union
+    /// (0.0) and an empty previous one (1.0).
+    #[test]
+    fn union_overlap_rate_matches_stats_overlap_rate(
+        prev in prop::collection::vec(prop::collection::btree_set(0usize..5_000, 0..60), 0..5),
+        cur in prop::collection::vec(prop::collection::btree_set(0usize..5_000, 0..60), 0..5),
+        kept in 0usize..4,
+    ) {
+        let lists = |heads: Vec<std::collections::BTreeSet<usize>>| -> Vec<Vec<usize>> {
+            heads.into_iter().map(|h| h.into_iter().collect()).collect()
+        };
+        let prev = SpecSelection { per_head: lists(prev), budget: 60 };
+        let mut cur = SpecSelection { per_head: lists(cur), budget: 60 };
+        // Carry some of the previous heads over, as adjacent steps do.
+        cur.per_head.extend(prev.per_head.iter().take(kept).cloned());
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        prev.union_words_into(&mut a);
+        cur.union_words_into(&mut b);
+        let want = stats::overlap_rate(&prev.union_positions(), &cur.union_positions());
+        prop_assert_eq!(union_overlap_rate(&a, &b).to_bits(), want.to_bits());
+        if a.is_empty() {
+            prop_assert_eq!(union_overlap_rate(&a, &b), 1.0);
+        }
+    }
+}
+
+/// The union as `SpecSelection::union_positions` computed it until it
+/// went to bitmaps: a k-way merge of the strictly ascending per-head
+/// lists, one cursor per head.
+fn union_merge(per_head: &[Vec<usize>]) -> Vec<usize> {
+    let mut cursors = vec![0; per_head.len()];
+    let mut out = Vec::new();
+    loop {
+        let heads = per_head.iter().zip(&cursors);
+        let Some(next) = heads.filter_map(|(head, &c)| head.get(c)).min().copied() else {
+            return out;
+        };
+        out.push(next);
+        for (head, c) in per_head.iter().zip(cursors.iter_mut()) {
+            *c += usize::from(head.get(*c) == Some(&next));
+        }
+    }
+}
+
+/// The positions set in a bitmap, ascending.
+fn positions_of(words: &[u64]) -> Vec<usize> {
+    (0..64 * words.len())
+        .filter(|&p| words[p / 64] >> (p % 64) & 1 == 1)
+        .collect()
 }
 
 proptest! {

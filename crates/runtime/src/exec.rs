@@ -13,8 +13,8 @@
 use spec_kvcache::budget::{BudgetBuffer, StepTransfer};
 use spec_model::{LayerSelector, Model, ModelKv, SelectScratch, StepOutput, StepTrace};
 use spec_retrieval::full::FullAttention;
-use spec_retrieval::spec_head::SpecContextRetriever;
-use spec_tensor::{stats, Matrix};
+use spec_retrieval::spec_head::{union_overlap_rate, SpecContextRetriever};
+use spec_tensor::Matrix;
 
 /// How decode attention is driven.
 pub enum DecodeStrategy {
@@ -55,8 +55,8 @@ pub struct GenerationResult {
 
 /// What the loop carries from one step to the next besides the KV cache
 /// and the strategy: the elastic buffer's resident sets, the previous
-/// step's union selection (and the buffer the next one is merged into)
-/// and the selection workspace. A run that
+/// step's union selection (and the buffer the next one is built in), both
+/// as position bitmaps, and the selection workspace. A run that
 /// continues an earlier one (a session's second `generate`) must reuse
 /// the earlier run's state; [`generate_teacher_forced`] and
 /// [`generate_free_running`] start from a fresh one.
@@ -64,10 +64,11 @@ pub struct GenerationResult {
 pub struct DecodeState {
     /// Elastic-loading buffer, sized at the first SpeContext step.
     buffer: Option<BudgetBuffer>,
-    /// The previous SpeContext step's union selection, once there was one.
-    last_union: Option<Vec<usize>>,
-    /// Where this step's union is merged, then swapped with `last_union`.
-    union: Vec<usize>,
+    /// The previous SpeContext step's union selection, once there was
+    /// one, as a position bitmap.
+    last_union: Option<Vec<u64>>,
+    /// Where this step's union is built, then swapped with `last_union`.
+    union: Vec<u64>,
     /// One selection workspace for the whole generation (the
     /// zero-allocation hot path: warm across steps and layers).
     scratch: SelectScratch,
@@ -144,7 +145,7 @@ impl DecodeState {
                     // The retrieval head sees the token before the LLM does.
                     retr.observe(x);
                     selection = retr.select_scratch(x, geom, &mut self.scratch);
-                    // Elastic loading accounting. Every layer is handed
+                    // Elastic loading accounting. Every layer is lent
                     // the same lists; the buffer still tracks
                     // `layers × kv_heads` resident sets.
                     let cfg = retr.config();
@@ -152,14 +153,14 @@ impl DecodeState {
                         let slots = cfg.budget.max(1) + cfg.recent + cfg.sinks + 1;
                         BudgetBuffer::new(geom.layers, geom.kv_heads, slots)
                     });
-                    let moved = buffer.step(&vec![selection.per_head.clone(); geom.layers]);
+                    let moved = buffer.step(&vec![&selection.per_head[..]; geom.layers]);
                     let total = res.transfer.get_or_insert_with(StepTransfer::default);
                     total.fetched_entries += moved.fetched_entries;
                     total.reused_entries += moved.reused_entries;
-                    selection.union_positions_into(&mut self.union);
+                    selection.union_words_into(&mut self.union);
                     match &mut self.last_union {
                         Some(prev) => {
-                            res.overlaps.push(stats::overlap_rate(prev, &self.union));
+                            res.overlaps.push(union_overlap_rate(prev, &self.union));
                             std::mem::swap(prev, &mut self.union);
                         }
                         None => self.last_union = Some(std::mem::take(&mut self.union)),
