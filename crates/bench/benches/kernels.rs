@@ -13,9 +13,10 @@
 //! per-row zero test it dropped, the softmax at a query group's shapes, a
 //! prefill block's attention kernel and the fused projection's gemm. The
 //! simulator's per-iteration layers ride along: a step-table hit through
-//! the quiet run's walk against the per-step lookup, a miss priced on
-//! the price-only timeline against the recording one, and one engine's
-//! `advance_until` over the committed trace's prefix.
+//! the quiet run's walk against the per-step lookup, misses priced a
+//! block of lanes at a time against one price per length and against a
+//! recording timeline, and one engine's `advance_until` over the
+//! committed trace's prefix.
 //!
 //! Everything that selects from scores is timed over a [`Rotation`] of 64
 //! distinct inputs, not one: a sort's branch sequence on a single
@@ -31,8 +32,10 @@
 //!
 //! Unlike the figure/table regenerators this harness measures wall
 //! clock, so its output is *not* expected to be byte-stable; it writes a
-//! machine-readable timing summary to `results/bench_kernels.json` so
-//! future PRs have a perf trajectory to compare against.
+//! machine-readable timing summary to `results/bench_kernels.json`,
+//! headed by its provenance (commit, SIMD tier, CPU and its
+//! microarchitecture), so future PRs have a perf trajectory to compare
+//! against.
 
 use criterion::{BatchSize, Criterion};
 use spec_kvcache::{BudgetBuffer, PageTable, ResidentSet};
@@ -1117,9 +1120,12 @@ fn bench_retrieval_side(c: &mut Criterion) {
 /// The walk and the lookup over `STEP_HIT`'s lengths at batch 4.
 const STEP_HIT_WALK: &str = "serving/step_hit_walk/4x2048..6144";
 const STEP_HIT_LOOKUP: &str = "serving/step_hit_lookup/4x2048..6144";
-/// 512 consecutive misses (one table page) at batch 4, price-only and on
-/// a recording timeline.
+/// 512 consecutive cold lengths (one table page) at batch 4: through the
+/// table, which prices them a block of `STEP_BLOCK` lanes per miss; one
+/// `step_time` each, on a one-lane price-only timeline; and one step at a
+/// time on a recording timeline.
 const STEP_MISS: &str = "serving/step_miss/specontext";
+const STEP_PRICE: &str = "serving/step_price/specontext";
 const STEP_MISS_RECORDED: &str = "serving/step_miss_recorded/specontext";
 const ADVANCE_SAMPLE: &str = "scheduler/advance_until/sample512";
 
@@ -1170,8 +1176,9 @@ fn bench_serving(c: &mut Criterion) {
     });
 
     // A miss: one page of cold lengths, priced the way the table prices
-    // them and the way it used to — the same offload depth and step
-    // shape laid out on a timeline that records every op.
+    // them (a block of lanes per miss), one length at a time, and on a
+    // timeline that records every op — the same offload depth and step
+    // shape.
     let miss_lens = 2048..2048 + 512usize;
     let thresholds = Thresholds::compute(sim.memory_model(), r, sim.budget());
     let layers = sim.cost_model().config().layers;
@@ -1188,19 +1195,22 @@ fn bench_serving(c: &mut Criterion) {
             budget: sim.budget(),
             reuse: sim.elastic_reuse,
         };
-        step_timeline_into(
+        let [bd] = step_timeline_into(
             &mut recording,
             DataflowKind::SpeContext,
             sim.cost_model(),
             &profile,
             sim.device(),
-            &params,
-        )
-        .total
+            &[params],
+        );
+        bd.total
     };
+    let mut cold = StepCache::new();
     for s in miss_lens.clone() {
-        let priced = sim.step_time_cached(&mut StepCache::new(), system, r, s, s);
+        let priced = sim.step_time_cached(&mut cold, system, r, s, s);
         assert_eq!(priced.to_bits(), recorded(s).to_bits(), "miss price at {s}");
+        let single = sim.step_time(system, r, s, s);
+        assert_eq!(priced.to_bits(), single.to_bits(), "block lane at {s}");
     }
     c.bench_function(STEP_MISS, |b| {
         b.iter_batched(
@@ -1213,6 +1223,13 @@ fn bench_serving(c: &mut Criterion) {
             },
             BatchSize::SmallInput,
         )
+    });
+    c.bench_function(STEP_PRICE, |b| {
+        b.iter(|| {
+            black_box(miss_lens.clone())
+                .map(|s| sim.step_time(system, r, s, s))
+                .sum::<f64>()
+        })
     });
     c.bench_function(STEP_MISS_RECORDED, |b| {
         b.iter(|| black_box(miss_lens.clone()).map(&mut recorded).sum::<f64>())
@@ -1263,6 +1280,9 @@ fn best_ratio(c: &Criterion, old: &str, new: &str) -> f64 {
 fn write_summary(c: &Criterion) {
     let mut json = String::from("{\n");
     json.push_str("  \"bench\": \"kernels\",\n");
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let provenance = spec_bench::provenance::Provenance::current(&root);
+    json.push_str(&format!("  \"provenance\": {},\n", provenance.to_json()));
     json.push_str(&format!(
         "  \"spec_threads\": {},\n  \"entries\": [\n",
         spec_parallel::max_threads()
@@ -1298,8 +1318,9 @@ fn write_summary(c: &Criterion) {
     ));
     let walk_speedup = best_ratio(c, STEP_HIT_LOOKUP, STEP_HIT_WALK);
     let miss_speedup = best_ratio(c, STEP_MISS_RECORDED, STEP_MISS);
+    let block_speedup = best_ratio(c, STEP_PRICE, STEP_MISS);
     json.push_str(&format!(
-        "  \"step_walk_speedup_vs_lookup\": {walk_speedup:.2},\n  \"step_miss_speedup_vs_recorded\": {miss_speedup:.2},\n"
+        "  \"step_walk_speedup_vs_lookup\": {walk_speedup:.2},\n  \"step_miss_speedup_vs_recorded\": {miss_speedup:.2},\n  \"step_block_speedup_vs_single\": {block_speedup:.2},\n"
     ));
     json.push_str("  \"selection_speedup_vs_reference\": {\n");
     let sel_speedups: Vec<String> = selection_speedups(c)
@@ -1391,6 +1412,8 @@ fn write_summary(c: &Criterion) {
     println!("[value tile speedup vs per-row zero test] {tile_speedup:.2}");
     println!("[step-table walk speedup vs lookup] {walk_speedup:.2}");
     println!("[step miss speedup vs recorded timeline] {miss_speedup:.2}");
+    println!("[step block speedup vs one price a length] {block_speedup:.2}");
+    println!("[provenance] {}", provenance.to_json());
     for line in sel_speedups {
         println!(
             "[selection speedup vs reference]{}",

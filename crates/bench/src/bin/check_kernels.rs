@@ -15,10 +15,13 @@
 //! every weight for zero, when the retrieval head's int8 key sweep drops
 //! under 1.5x the f32 one at 4224 positions, the merge-counted overlap
 //! under 4x the hash set at either union size or the bitmap union and
-//! overlap under 5x the merges they replaced, or when the simulator's
-//! step-table walk drops under 2x the per-step lookup (the price-only
-//! miss beside the recording one is reported, not floored). (The int8
-//! entries are
+//! overlap under 5x the merges they replaced, when the simulator's
+//! step-table walk drops under 2x the per-step lookup, or when its misses
+//! — a block of lengths priced as the lanes of one timeline — drop under
+//! 5x one price per length (the price-only miss beside the recording one
+//! is reported, not floored). It also fails on a summary without its
+//! provenance: commit, SIMD tier, CPU vendor / family / model and
+//! microarchitecture label. (The int8 entries are
 //! report-only: at cache-sized dims the 256-entry table thrashes L1 and
 //! the widened multiply sits at parity with the already-ILP-bound
 //! reference — the bench keeps both sides of that trade measured, not
@@ -123,12 +126,14 @@ const EXPECTED_ENTRIES: &[&str] = &[
     "vecmat/128x64",
     "vecmat/64x512",
     // The simulator's per-iteration layers: a step-table hit through the
-    // quiet run's walk and through the per-step lookup, a miss priced on
-    // the price-only timeline and on a recording one, and one engine's
-    // `advance_until` over the sample trace's first 512 requests.
+    // quiet run's walk and through the per-step lookup, 512 cold lengths
+    // priced by the table (a block of lanes per miss), one `step_time`
+    // each and on a recording timeline, and one engine's `advance_until`
+    // over the sample trace's first 512 requests.
     "serving/step_hit_walk/4x2048..6144",
     "serving/step_hit_lookup/4x2048..6144",
     "serving/step_miss/specontext",
+    "serving/step_price/specontext",
     "serving/step_miss_recorded/specontext",
     "scheduler/advance_until/sample512",
 ];
@@ -233,6 +238,29 @@ const VALUE_TILE_MIN_SPEEDUP: f64 = 1.2;
 /// per 512 lengths where the lookup re-derives both per call.
 const STEP_WALK_MIN_SPEEDUP: f64 = 2.0;
 
+/// The floor for 512 cold consecutive lengths through
+/// `ServingSim::step_time_cached`, which prices each aligned block of
+/// `STEP_BLOCK` lengths as the lanes of one timeline, against one
+/// `ServingSim::step_time` per length (best samples). A price is one
+/// dependent chain of ~130 compare-and-adds, so sixteen independent
+/// lengths side by side cost about two and a half one-lane chains (1.8
+/// against 0.7 us on a recording timeline), and the single side also pays
+/// `step_time`'s per-call Algorithm 1 and timeline allocation. Measured
+/// 10.5x (56 against 589 us per 512 lengths) on the AVX-512 build host,
+/// whose simulator code is baseline x86-64.
+const STEP_BLOCK_MIN_SPEEDUP: f64 = 5.0;
+
+/// Fields the summary's `provenance` object must carry, and whether each
+/// is a string (else a number).
+const PROVENANCE_FIELDS: &[(&str, bool)] = &[
+    ("git_sha", true),
+    ("simd_tier", true),
+    ("cpu_vendor", true),
+    ("cpu_family", false),
+    ("cpu_model", false),
+    ("microarch", true),
+];
+
 fn numeric(v: &Value, what: &str) -> Result<f64, String> {
     match v {
         Value::Float(f) => Ok(*f),
@@ -243,6 +271,22 @@ fn numeric(v: &Value, what: &str) -> Result<f64, String> {
 }
 
 fn check(doc: &Value) -> Result<Vec<String>, String> {
+    let provenance = doc
+        .get_field("provenance")
+        .map_err(|_| "missing `provenance`".to_string())?;
+    let mut origin = Vec::new();
+    for (key, is_str) in PROVENANCE_FIELDS {
+        let v = provenance
+            .get_field(key)
+            .map_err(|_| format!("missing `provenance.{key}`"))?;
+        match (v, is_str) {
+            (Value::Str(s), true) if !s.is_empty() => origin.push(s.clone()),
+            (_, false) => origin.push(format!("{}", numeric(v, &format!("`provenance.{key}`"))?)),
+            _ => return Err(format!("`provenance.{key}` is not a non-empty string")),
+        }
+    }
+    let mut report = vec![format!("provenance: {}", origin.join(" / "))];
+
     let entries = match doc.get_field("entries").map_err(|e| e.to_string())? {
         Value::Seq(items) => items,
         _ => return Err("`entries` is not an array".into()),
@@ -263,7 +307,6 @@ fn check(doc: &Value) -> Result<Vec<String>, String> {
     let speedups = doc
         .get_field("selection_speedup_vs_reference")
         .map_err(|e| e.to_string())?;
-    let mut report = Vec::new();
     for key in EXPECTED_SPEEDUPS {
         let v = speedups
             .get_field(key)
@@ -363,6 +406,7 @@ fn check(doc: &Value) -> Result<Vec<String>, String> {
             Some(VALUE_TILE_MIN_SPEEDUP),
         ),
         ("step_walk_speedup_vs_lookup", Some(STEP_WALK_MIN_SPEEDUP)),
+        ("step_block_speedup_vs_single", Some(STEP_BLOCK_MIN_SPEEDUP)),
         ("step_miss_speedup_vs_recorded", None),
     ] {
         let v = doc.get_field(key).map_err(|_| format!("missing `{key}`"))?;
@@ -396,7 +440,7 @@ fn main() -> ExitCode {
     };
     match check(&doc) {
         Ok(report) => {
-            println!("check_kernels: all speedup floors hold:");
+            println!("check_kernels: provenance present, all speedup floors hold:");
             for line in report {
                 println!("  {line}");
             }

@@ -10,6 +10,8 @@
 //! in the printed tables are the paper's. Throughput experiments use the
 //! models' **real** geometry on the hardware simulator — no scaling.
 
+pub mod provenance;
+
 use spec_model::{ModelConfig, PrefillMode, SimGeometry};
 use specontext_core::engine::{Engine, EngineConfig};
 use specontext_core::report::Table;

@@ -5,8 +5,14 @@
 //! explicit dependency (the analogue of a CUDA event wait). This is the
 //! substrate on which the runtime lays out the five dataflow paradigms of
 //! paper Fig. 7.
+//!
+//! A simulator may carry `W` timelines side by side ([`Lanes`]): one op
+//! graph whose durations differ per lane, laid out once. Lane `i` sees
+//! exactly the operations a one-lane simulator fed lane `i`'s durations
+//! would perform, so its instants carry the same bits.
 
 use serde::{Deserialize, Serialize};
+use std::ops::{Add, AddAssign, Index};
 
 /// Identifies a stream in the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -133,13 +139,85 @@ fn later(a: f64, b: f64) -> f64 {
     }
 }
 
-/// The simulator.
+/// `W` instants or durations, one per timeline of an [`EventSim<W>`]:
+/// every operation acts lane by lane, so a lane holds the bits the same
+/// scalar operations would. An `f64` converts by filling every lane.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Lanes<const W: usize>(pub [f64; W]);
+
+impl<const W: usize> Lanes<W> {
+    /// Lane `i` is `f(i)`.
+    #[inline(always)]
+    pub fn from_fn(f: impl FnMut(usize) -> f64) -> Self {
+        Self(std::array::from_fn(f))
+    }
+
+    /// `f` applied to every lane.
+    #[inline(always)]
+    pub fn map(self, f: impl Fn(f64) -> f64) -> Self {
+        Self(self.0.map(f))
+    }
+
+    /// Lane `i` where `mask[i]`, `0.0` elsewhere.
+    #[inline(always)]
+    pub fn or_zero(self, mask: [bool; W]) -> Self {
+        Self::from_fn(|i| if mask[i] { self.0[i] } else { 0.0 })
+    }
+
+    /// [`later`] lane by lane.
+    #[inline(always)]
+    fn later(self, other: Self) -> Self {
+        Self::from_fn(|i| later(self.0[i], other.0[i]))
+    }
+}
+
+impl<const W: usize> Default for Lanes<W> {
+    fn default() -> Self {
+        Self([0.0; W])
+    }
+}
+
+impl<const W: usize> From<f64> for Lanes<W> {
+    #[inline(always)]
+    fn from(x: f64) -> Self {
+        Self([x; W])
+    }
+}
+
+impl<const W: usize> Index<usize> for Lanes<W> {
+    type Output = f64;
+
+    #[inline(always)]
+    fn index(&self, i: usize) -> &f64 {
+        &self.0[i]
+    }
+}
+
+impl<const W: usize, T: Into<Lanes<W>>> Add<T> for Lanes<W> {
+    type Output = Self;
+
+    #[inline(always)]
+    fn add(self, other: T) -> Self {
+        let other = other.into();
+        Self::from_fn(|i| self.0[i] + other.0[i])
+    }
+}
+
+impl<const W: usize, T: Into<Lanes<W>>> AddAssign<T> for Lanes<W> {
+    #[inline(always)]
+    fn add_assign(&mut self, other: T) {
+        *self = *self + other;
+    }
+}
+
+/// The simulator, over `W` timelines of one op graph (one by default).
 ///
-/// Every op's end time and the running makespan are always kept — that is
-/// all a dependency or a price needs. The labelled [`OpRecord`]s are kept
-/// too unless the simulator was built with [`EventSim::price_only`]:
-/// only the things that *draw* a timeline (gantt, Perfetto, the
-/// `fig07_dataflow` bench) or break it down per stream read them.
+/// Every op's end time and every stream's free instant are always kept,
+/// in every lane — that is all a dependency or a price needs. The labelled
+/// [`OpRecord`]s are kept too, for lane 0 only, unless the simulator was
+/// built with [`EventSim::price_only`]: only the things that *draw* a
+/// timeline (gantt, Perfetto, the `fig07_dataflow` bench) or break it
+/// down per stream read them, and they draw one.
 ///
 /// # Example
 ///
@@ -154,24 +232,40 @@ fn later(a: f64, b: f64) -> f64 {
 /// assert_eq!(sim.makespan(), 2.0);
 /// # let _ = ffn;
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct EventSim {
-    stream_free: Vec<f64>,
+#[derive(Debug, Clone)]
+pub struct EventSim<const W: usize = 1> {
+    stream_free: Vec<Lanes<W>>,
     /// End time per op, in submission order ([`OpHandle`]s index it).
-    ends: Vec<f64>,
-    makespan: f64,
+    ends: Vec<Lanes<W>>,
     price_only: bool,
     records: Vec<OpRecord>,
 }
 
+impl<const W: usize> Default for EventSim<W> {
+    /// A recording simulator with no streams: call
+    /// [`reset`](Self::reset) before use.
+    fn default() -> Self {
+        const { assert!(W > 0, "a simulator needs a lane") };
+        Self {
+            stream_free: Vec::new(),
+            ends: Vec::new(),
+            price_only: false,
+            records: Vec::new(),
+        }
+    }
+}
+
 impl EventSim {
-    /// Creates a simulator with `streams` streams, all free at t=0.
+    /// Creates a one-lane simulator with `streams` streams, all free at
+    /// t=0.
     pub fn new(streams: usize) -> Self {
         let mut sim = Self::default();
         sim.reset(streams);
         sim
     }
+}
 
+impl<const W: usize> EventSim<W> {
     /// A simulator that prices a timeline without recording it: op ends
     /// and the makespan as usual (same floats, same order), no
     /// [`OpRecord`]s — [`records`](Self::records), [`spans`](Self::spans)
@@ -190,61 +284,76 @@ impl EventSim {
     pub fn reset(&mut self, streams: usize) {
         self.records.clear();
         self.ends.clear();
-        self.makespan = 0.0;
         self.stream_free.clear();
-        self.stream_free.resize(streams.max(1), 0.0);
+        self.stream_free.resize(streams.max(1), Lanes::default());
     }
 
-    /// Submits an op of `duration` seconds on `stream`, starting no
-    /// earlier than the end of every op in `deps`. Returns a handle.
+    /// Submits an op of `duration` seconds on `stream` — one duration for
+    /// every lane, or one per lane — starting no earlier than the end of
+    /// every op in `deps`. Returns a handle.
     ///
     /// # Panics
     ///
-    /// Panics if the stream does not exist, `duration` is negative, or a
-    /// dependency handle is invalid.
+    /// Panics if the stream does not exist, a lane's `duration` is
+    /// negative, or a dependency handle is invalid.
+    #[inline(always)]
     pub fn submit(
         &mut self,
         label: impl Into<OpLabel>,
         stream: StreamId,
-        duration: f64,
+        duration: impl Into<Lanes<W>>,
         deps: &[OpHandle],
     ) -> OpHandle {
+        let duration = duration.into();
         assert!(stream.0 < self.stream_free.len(), "unknown stream");
-        assert!(duration >= 0.0, "negative duration");
+        assert!(
+            duration.0.iter().fold(true, |ok, d| ok & (*d >= 0.0)),
+            "negative duration"
+        );
         let start = deps
             .iter()
-            .map(|h| self.end_of(*h))
-            .fold(self.stream_free[stream.0], later);
+            .map(|h| self.ends[h.0])
+            .fold(self.stream_free[stream.0], Lanes::later);
         let end = start + duration;
         self.stream_free[stream.0] = end;
-        self.makespan = later(self.makespan, end);
         self.ends.push(end);
         if !self.price_only {
             self.records.push(OpRecord {
                 label: label.into(),
                 stream,
-                start,
-                end,
+                start: start[0],
+                end: end[0],
             });
         }
         OpHandle(self.ends.len() - 1)
     }
 
-    /// End time of a submitted op.
+    /// End time of a submitted op, in lane 0.
     ///
     /// # Panics
     ///
     /// Panics if the handle is invalid.
     pub fn end_of(&self, h: OpHandle) -> f64 {
-        self.ends[h.0]
+        self.ends[h.0][0]
     }
 
-    /// Time at which every submitted op has finished.
+    /// Time at which every submitted op has finished, in lane 0.
     pub fn makespan(&self) -> f64 {
-        self.makespan
+        self.makespans()[0]
     }
 
-    /// All op records, in submission order (none on a
+    /// [`makespan`](Self::makespan) in every lane: the latest instant a
+    /// stream is free at, since an op ends no earlier than the ops before
+    /// it on its stream (it starts after them, and durations are
+    /// non-negative), and with neither NaN nor `-0.0` among instants the
+    /// latest is the same value whichever order it is taken in.
+    pub fn makespans(&self) -> Lanes<W> {
+        self.stream_free
+            .iter()
+            .fold(Lanes::default(), |latest, free| latest.later(*free))
+    }
+
+    /// All op records, in submission order (lane 0's instants; none on a
     /// [`price_only`](Self::price_only) simulator).
     pub fn records(&self) -> &[OpRecord] {
         &self.records
@@ -350,6 +459,45 @@ mod tests {
         assert!(priced.records().is_empty());
         assert!(priced.spans().is_empty());
         assert_eq!(priced.busy_time(COMPUTE), 0.0);
+    }
+
+    #[test]
+    fn each_lane_is_the_one_lane_timeline_of_its_durations() {
+        // Lane i's durations: a load that grows with i, so the critical
+        // path moves from the compute stream to the copy stream across
+        // the lanes.
+        let durations = |i: usize| (0.2 + 0.3 * i as f64, 0.5, 0.25 * i as f64);
+        let mut lanes = EventSim::<4>::default();
+        lanes.reset(2);
+        let load = lanes.submit("load", COPY, Lanes::from_fn(|i| durations(i).0), &[]);
+        let attn = lanes.submit("attn", COMPUTE, 0.5, &[]);
+        let ffn = lanes.submit(
+            OpLabel::layer(0, "ffn"),
+            COMPUTE,
+            Lanes::from_fn(|i| durations(i).2),
+            &[load, attn],
+        );
+        for i in 0..4 {
+            let (load_t, attn_t, ffn_t) = durations(i);
+            let mut one = EventSim::new(2);
+            let load = one.submit("load", COPY, load_t, &[]);
+            let attn = one.submit("attn", COMPUTE, attn_t, &[]);
+            one.submit(OpLabel::layer(0, "ffn"), COMPUTE, ffn_t, &[load, attn]);
+            assert_eq!(lanes.makespans()[i].to_bits(), one.makespan().to_bits());
+            if i == 0 {
+                assert_eq!(lanes.records(), one.records(), "lane 0 is recorded");
+                assert_eq!(lanes.end_of(ffn), one.end_of(ffn));
+            }
+        }
+        assert_eq!(lanes.records().len(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "negative duration")]
+    fn a_negative_duration_in_any_lane_is_rejected() {
+        let mut sim = EventSim::<2>::default();
+        sim.reset(1);
+        sim.submit("x", COMPUTE, Lanes([1.0, -1.0]), &[]);
     }
 
     #[test]

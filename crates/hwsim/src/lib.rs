@@ -11,7 +11,8 @@
 //!   efficiency profile (eager / FlashAttention / FlashInfer);
 //! * [`event`] — a two-stream discrete-event simulator (compute stream +
 //!   copy stream) with dependencies, the substrate for the asynchronous
-//!   prefetch dataflow of Section 5;
+//!   prefetch dataflow of Section 5 — one timeline, or `W` of one op
+//!   graph side by side in [`Lanes`];
 //! * [`transfer`] — CPU↔GPU transfer timing;
 //! * [`link`] — inter-replica interconnect classes (NVLink/InfiniBand/
 //!   Ethernet) pricing the prefill→decode KV hop in disaggregated
@@ -34,7 +35,7 @@ pub mod transfer;
 pub use cost::{EngineProfile, KernelCost};
 pub use device::DeviceSpec;
 pub use energy::EnergyModel;
-pub use event::{EventSim, OpLabel, OpRecord, StreamId};
+pub use event::{EventSim, Lanes, OpLabel, OpRecord, StreamId};
 pub use fleet::{Fleet, FleetSlot, ReplicaRole};
 pub use link::LinkSpec;
 pub use transfer::TransferEngine;

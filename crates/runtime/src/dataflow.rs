@@ -9,7 +9,7 @@
 
 use crate::costs::CostModel;
 use serde::{Deserialize, Serialize};
-use spec_hwsim::event::{EventSim, OpHandle, OpLabel, COMPUTE, COPY};
+use spec_hwsim::event::{EventSim, Lanes, OpHandle, OpLabel, COMPUTE, COPY};
 use spec_hwsim::{DeviceSpec, EngineProfile, KernelCost};
 
 /// Which dataflow the step uses (Fig. 7 (a)–(e)).
@@ -105,51 +105,99 @@ pub fn step_timeline(
     p: &StepParams,
 ) -> (EventSim, StepBreakdown) {
     let mut sim = EventSim::default();
-    let bd = step_timeline_into(&mut sim, kind, cm, profile, dev, p);
+    let [bd] = step_timeline_into(&mut sim, kind, cm, profile, dev, &[*p]);
     (sim, bd)
 }
 
-/// [`step_timeline`] laid out on a caller-owned simulator (reset
-/// first): the body behind every step price and every drawn timeline.
-/// Ops carry `Copy` labels and dependencies are slices, so a caller that
-/// reuses `sim` prices a step without allocating.
-pub fn step_timeline_into(
-    sim: &mut EventSim,
+/// `f` of every lane's step.
+fn per_lane<const W: usize>(steps: &[StepParams; W], f: impl Fn(&StepParams) -> f64) -> Lanes<W> {
+    Lanes::from_fn(|i| f(&steps[i]))
+}
+
+/// Per-category busy times of `W` steps, lane by lane.
+#[derive(Default)]
+struct LaneBreakdown<const W: usize> {
+    retrieval: Lanes<W>,
+    transfer: Lanes<W>,
+    attention: Lanes<W>,
+    other_compute: Lanes<W>,
+    bytes_transferred: Lanes<W>,
+}
+
+/// [`step_timeline`] for `W` steps of one batch at once, laid out on a
+/// caller-owned simulator (reset first): the body behind every step
+/// price and every drawn timeline. Ops carry `Copy` labels and
+/// dependencies are slices, so a caller that reuses `sim` prices steps
+/// without allocating.
+///
+/// What depends on the batch only — `r`, `candidate_bytes`, `budget`,
+/// `reuse`, read from `steps[0]` and equal in every lane — is priced
+/// once; what depends on the length — `s_total`, `s_attended`,
+/// `candidates`, `l_cpu` and the durations and bytes derived from them —
+/// per lane, and a branch on a lane's bytes is a select. Lane `i` then
+/// runs exactly the scalar operations of a one-lane call on `steps[i]`,
+/// so breakdown `i` has its bits; lane 0 is the one a recording `sim`
+/// draws.
+pub fn step_timeline_into<const W: usize>(
+    sim: &mut EventSim<W>,
     kind: DataflowKind,
     cm: &CostModel,
     profile: &EngineProfile,
     dev: &DeviceSpec,
-    p: &StepParams,
-) -> StepBreakdown {
+    steps: &[StepParams; W],
+) -> [StepBreakdown; W] {
+    let p = &steps[0];
+    debug_assert!(
+        steps.iter().all(|q| (q.r, q.budget) == (p.r, p.budget)
+            && q.candidate_bytes.to_bits() == p.candidate_bytes.to_bits()
+            && q.reuse.to_bits() == p.reuse.to_bits()),
+        "the lanes of one timeline are steps of one batch"
+    );
     let layers = cm.config().layers;
     sim.reset(2);
-    let mut bd = StepBreakdown::default();
+    let mut bd = LaneBreakdown::<W>::default();
     let op = OpLabel::layer;
 
     let t = |c: KernelCost| profile.op_time(c, dev);
     let proj_t = t(cm.layer_projections(p.r));
-    let attn_t = t(cm.layer_attention(p.r, p.s_attended, profile.attn_byte_multiplier));
+    let attn_t = per_lane(steps, |q| {
+        t(cm.layer_attention(p.r, q.s_attended, profile.attn_byte_multiplier))
+    });
     let ffn_t = t(cm.layer_ffn(p.r));
-    let retrieve_t = t(cm.retrieval_op(p.r, p.candidates, p.candidate_bytes));
+    let retrieve_t = || {
+        per_lane(steps, |q| {
+            t(cm.retrieval_op(p.r, q.candidates, p.candidate_bytes))
+        })
+    };
 
     // Per-layer transfer bytes for an offloaded layer.
     let fetch_bytes = |entries: usize, fraction: f64| -> f64 {
         p.r as f64 * cm.kv_bytes_layer(entries) * fraction
     };
-    let is_cpu_layer = |l: usize| l >= layers - p.l_cpu;
+    // A transfer of `bytes`, or nothing when there are none.
+    let pcie_if_any = |bytes: f64| {
+        if bytes > 0.0 {
+            dev.pcie_time(bytes)
+        } else {
+            0.0
+        }
+    };
+    let first_cpu_layer: [usize; W] = std::array::from_fn(|i| layers - steps[i].l_cpu);
+    let is_cpu_layer = |l: usize| -> [bool; W] { std::array::from_fn(|i| l >= first_cpu_layer[i]) };
 
     match kind {
         DataflowKind::PrefetchFullKv => {
+            // An offloaded layer prefetches its whole cache; a resident
+            // one still pays a transfer's latency for zero bytes.
+            let full = per_lane(steps, |q| fetch_bytes(q.s_total, 1.0));
+            let (full_t, empty_t) = (full.map(|b| dev.pcie_time(b)), dev.pcie_time(0.0));
             let mut prev_attn = None;
             for l in 0..layers {
-                let bytes = if is_cpu_layer(l) {
-                    fetch_bytes(p.s_total, 1.0)
-                } else {
-                    0.0
-                };
-                let fetch = sim.submit(op(l, "kv_prefetch"), COPY, dev.pcie_time(bytes), &[]);
-                bd.transfer += dev.pcie_time(bytes);
-                bd.bytes_transferred += bytes;
+                let cpu = is_cpu_layer(l);
+                let fetch_t = Lanes::from_fn(|i| if cpu[i] { full_t[i] } else { empty_t });
+                let fetch = sim.submit(op(l, "kv_prefetch"), COPY, fetch_t, &[]);
+                bd.transfer += fetch_t;
+                bd.bytes_transferred += full.or_zero(cpu);
                 let pj = match prev_attn {
                     Some(prev) => sim.submit(op(l, "proj"), COMPUTE, proj_t, &[prev, fetch]),
                     None => sim.submit(op(l, "proj"), COMPUTE, proj_t, &[fetch]),
@@ -162,33 +210,21 @@ pub fn step_timeline_into(
             }
         }
         DataflowKind::FetchSparseKv => {
+            let retrieve_t = retrieve_t();
+            // Only the budgeted prefix selection crosses PCIe; newly
+            // generated KV pairs are retained on the GPU (Challenge 2
+            // costs attention growth, not transfer growth).
+            let bytes = per_lane(steps, |q| fetch_bytes(p.budget.min(q.s_attended), 1.0));
+            let fetch_t = bytes.map(pcie_if_any);
             let mut prev = None;
             for l in 0..layers {
                 let pj = sim.submit(op(l, "proj"), COMPUTE, proj_t, prev.as_slice());
                 let re = sim.submit(op(l, "retrieve"), COMPUTE, retrieve_t, &[pj]);
                 bd.retrieval += retrieve_t;
-                // Only the budgeted prefix selection crosses PCIe; newly
-                // generated KV pairs are retained on the GPU (Challenge 2
-                // costs attention growth, not transfer growth).
-                let bytes = if is_cpu_layer(l) {
-                    fetch_bytes(p.budget.min(p.s_attended), 1.0)
-                } else {
-                    0.0
-                };
-                let ft = sim.submit(
-                    op(l, "kv_fetch"),
-                    COPY,
-                    if bytes > 0.0 {
-                        dev.pcie_time(bytes)
-                    } else {
-                        0.0
-                    },
-                    &[re],
-                );
-                if bytes > 0.0 {
-                    bd.transfer += dev.pcie_time(bytes);
-                    bd.bytes_transferred += bytes;
-                }
+                let cpu = is_cpu_layer(l);
+                let ft = sim.submit(op(l, "kv_fetch"), COPY, fetch_t.or_zero(cpu), &[re]);
+                bd.transfer += fetch_t.or_zero(cpu);
+                bd.bytes_transferred += bytes.or_zero(cpu);
                 let at = sim.submit(op(l, "attn"), COMPUTE, attn_t, &[ft]);
                 let ff = sim.submit(op(l, "ffn"), COMPUTE, ffn_t, &[at]);
                 bd.attention += attn_t;
@@ -199,30 +235,19 @@ pub fn step_timeline_into(
         DataflowKind::PrefetchSparseKv => {
             // Layer l's retrieval is issued speculatively during layer
             // l-1's compute, so its fetch overlaps one layer of compute.
+            let retrieve_t = retrieve_t();
+            let bytes = per_lane(steps, |q| fetch_bytes(p.budget.min(q.s_attended), 1.0));
+            let fetch_t = bytes.map(pcie_if_any);
             let mut prev: Option<OpHandle> = None;
             let mut pending_fetch: Option<OpHandle> = None;
             for l in 0..layers {
                 let re = sim.submit(op(l, "retrieve"), COMPUTE, retrieve_t, prev.as_slice());
                 bd.retrieval += retrieve_t;
-                let bytes = if is_cpu_layer(l) {
-                    fetch_bytes(p.budget.min(p.s_attended), 1.0)
-                } else {
-                    0.0
-                };
-                let next_fetch = sim.submit(
-                    op(l, "kv_prefetch"),
-                    COPY,
-                    if bytes > 0.0 {
-                        dev.pcie_time(bytes)
-                    } else {
-                        0.0
-                    },
-                    &[re],
-                );
-                if bytes > 0.0 {
-                    bd.transfer += dev.pcie_time(bytes);
-                    bd.bytes_transferred += bytes;
-                }
+                let cpu = is_cpu_layer(l);
+                let next_fetch =
+                    sim.submit(op(l, "kv_prefetch"), COPY, fetch_t.or_zero(cpu), &[re]);
+                bd.transfer += fetch_t.or_zero(cpu);
+                bd.bytes_transferred += bytes.or_zero(cpu);
                 let pj = sim.submit(op(l, "proj"), COMPUTE, proj_t, &[re]);
                 // Attention waits on the fetch issued in the *previous*
                 // layer's shadow when available (speculative hit).
@@ -236,33 +261,21 @@ pub fn step_timeline_into(
             }
         }
         DataflowKind::PrefetchSparseV => {
-            let recon_t = t(cm.k_reconstruct(p.r, p.s_attended));
+            let retrieve_t = retrieve_t();
+            let recon_t = per_lane(steps, |q| t(cm.k_reconstruct(p.r, q.s_attended)));
+            // V of the budgeted prefix selection only (half the KV
+            // bytes); generated KV stays GPU-resident.
+            let bytes = per_lane(steps, |q| fetch_bytes(p.budget.min(q.s_attended), 0.5));
+            let fetch_t = bytes.map(pcie_if_any);
             let mut prev = None;
             for l in 0..layers {
                 let pj = sim.submit(op(l, "proj"), COMPUTE, proj_t, prev.as_slice());
                 let re = sim.submit(op(l, "retrieve"), COMPUTE, retrieve_t, &[pj]);
                 bd.retrieval += retrieve_t;
-                // V of the budgeted prefix selection only (half the KV
-                // bytes); generated KV stays GPU-resident.
-                let bytes = if is_cpu_layer(l) {
-                    fetch_bytes(p.budget.min(p.s_attended), 0.5)
-                } else {
-                    0.0
-                };
-                let vf = sim.submit(
-                    op(l, "v_fetch"),
-                    COPY,
-                    if bytes > 0.0 {
-                        dev.pcie_time(bytes)
-                    } else {
-                        0.0
-                    },
-                    &[re],
-                );
-                if bytes > 0.0 {
-                    bd.transfer += dev.pcie_time(bytes);
-                    bd.bytes_transferred += bytes;
-                }
+                let cpu = is_cpu_layer(l);
+                let vf = sim.submit(op(l, "v_fetch"), COPY, fetch_t.or_zero(cpu), &[re]);
+                bd.transfer += fetch_t.or_zero(cpu);
+                bd.bytes_transferred += bytes.or_zero(cpu);
                 let kr = sim.submit(op(l, "k_recons"), COMPUTE, recon_t, &[re]);
                 bd.other_compute += recon_t;
                 let at = sim.submit(op(l, "attn"), COMPUTE, attn_t, &[vf, kr]);
@@ -274,26 +287,20 @@ pub fn step_timeline_into(
         }
         DataflowKind::SpeContext => {
             // Retrieval head runs once, before the LLM step.
-            let head_t = t(cm.retrieval_head_step(p.r, p.s_total));
+            let head_t = per_lane(steps, |q| t(cm.retrieval_head_step(p.r, q.s_total)));
             let head = sim.submit("retrieval_head", COMPUTE, head_t, &[]);
             bd.retrieval += head_t;
             // All fetches are known immediately; elastic loading moves
             // only the non-reused fraction of the budget — the same bytes
             // for every offloaded layer, so they are priced once.
-            let bytes = fetch_bytes(p.budget.min(p.s_total), (1.0 - p.reuse as f64).max(0.0));
-            let fetch_t = if bytes > 0.0 {
-                dev.pcie_time(bytes)
-            } else {
-                0.0
-            };
+            let reloaded = (1.0 - p.reuse as f64).max(0.0);
+            let bytes = per_lane(steps, |q| fetch_bytes(p.budget.min(q.s_total), reloaded));
+            let fetch_t = bytes.map(pcie_if_any);
             for l in 0..layers {
-                let offloaded = is_cpu_layer(l) && bytes > 0.0;
-                let fetch_t = if offloaded { fetch_t } else { 0.0 };
-                sim.submit(op(l, "kv_prefetch"), COPY, fetch_t, &[head]);
-                if offloaded {
-                    bd.transfer += fetch_t;
-                    bd.bytes_transferred += bytes;
-                }
+                let cpu = is_cpu_layer(l);
+                sim.submit(op(l, "kv_prefetch"), COPY, fetch_t.or_zero(cpu), &[head]);
+                bd.transfer += fetch_t.or_zero(cpu);
+                bd.bytes_transferred += bytes.or_zero(cpu);
             }
             let mut prev = head;
             for l in 0..layers {
@@ -312,8 +319,15 @@ pub fn step_timeline_into(
     let lm_t = t(cm.lm_head(p.r));
     sim.submit("lm_head", COMPUTE, lm_t, &[]);
     bd.other_compute += lm_t;
-    bd.total = sim.makespan();
-    bd
+    let total = sim.makespans();
+    std::array::from_fn(|i| StepBreakdown {
+        total: total[i],
+        retrieval: bd.retrieval[i],
+        transfer: bd.transfer[i],
+        attention: bd.attention[i],
+        other_compute: bd.other_compute[i],
+        bytes_transferred: bd.bytes_transferred[i],
+    })
 }
 
 #[cfg(test)]

@@ -32,7 +32,9 @@ pub use scheduler::{
     PreemptionPolicy, QueueDiscipline, Request, RestorableRequest, ScheduleReport, Scheduler,
     SchedulerConfig,
 };
-pub use serving::{MemoryPolicy, ServingSim, StepCache, SystemKind, ThroughputReport, Workload};
+pub use serving::{
+    MemoryPolicy, ServingSim, StepCache, SystemKind, ThroughputReport, Workload, STEP_BLOCK,
+};
 // The role enum lives beside the fleet model in `spec_hwsim`; re-export
 // it so scheduler users name it without a second import.
 pub use spec_hwsim::ReplicaRole;

@@ -11,10 +11,12 @@
 //! [`ServingSim::step_time`] lays one step out on a price-only event
 //! simulator (about a microsecond: op ends and a makespan, no labelled
 //! records, one buffer), [`ServingSim::step_time_cached`] memoizes it in
-//! a [`StepCache`] — a direct-indexed `[batch][seq_len]` table — and
-//! [`ServingSim::walk_steps`] reads that table in place for a batch whose
-//! length grows by one per iteration, so the millions of decode
-//! iterations of a simulated trace each cost an indexed load.
+//! a [`StepCache`] — a direct-indexed `[batch][seq_len]` table filled
+//! [`STEP_BLOCK`] consecutive lengths per miss, laid out side by side on
+//! one timeline — and [`ServingSim::walk_steps`] reads that table in
+//! place for a batch whose length grows by one per iteration, so the
+//! millions of decode iterations of a simulated trace each cost an
+//! indexed load.
 
 use crate::adaptive::Thresholds;
 use crate::costs::{CostModel, PreprocessKind};
@@ -195,10 +197,24 @@ impl ThroughputReport {
 /// Sequence lengths per page of a [`StepCache`] table (4 KiB of `f64`).
 const STEP_PAGE: usize = 512;
 
+/// Consecutive sequence lengths a [`StepCache`] miss prices at once: the
+/// aligned block `[s - s % STEP_BLOCK, s - s % STEP_BLOCK + STEP_BLOCK)`
+/// around the missed length `s`, laid out as the lanes of one timeline.
+/// A step price is one dependent chain of ~130 compare-and-adds, so
+/// sixteen independent lengths side by side cost about two and a half
+/// lengths, not sixteen; and a quiet run's mean length rises by one per
+/// iteration, so the run reads the rest of the block. (8 / 16 / 32 were
+/// measured; see `docs/perf/simulator.md`.)
+pub const STEP_BLOCK: usize = 16;
+
 /// Lengths and batch sizes from here up are priced without memoizing, so
 /// a hostile request length cannot size a table.
 const STEP_CACHE_MAX_LEN: usize = 1 << 26;
 const STEP_CACHE_MAX_BATCH: usize = 1 << 16;
+
+// A block never crosses a page, nor the table's last length.
+const _: () =
+    assert!(STEP_PAGE.is_multiple_of(STEP_BLOCK) && STEP_CACHE_MAX_LEN.is_multiple_of(STEP_BLOCK));
 
 /// What one batch size has priced so far: Algorithm 1's thresholds (they
 /// depend on the memory model, the batch size and the budget only) and
@@ -230,9 +246,12 @@ struct CacheStamp {
 /// memory policy. Entries are exact — the index fully determines the
 /// timeline for a fixed simulator — so hits are bit-for-bit identical to
 /// recomputation, and nothing is computed or allocated before the first
-/// lookup. A miss prices the step on a price-only timeline scratch the
-/// cache owns (op ends and a makespan, no labelled records) and
-/// allocates nothing beyond the table's own pages.
+/// lookup. A miss prices the whole aligned [`STEP_BLOCK`] of lengths
+/// around it, one lane each, on a price-only timeline scratch the cache
+/// owns (op ends and a makespan, no labelled records) and allocates
+/// nothing beyond the table's own pages. Because blocks are aligned, a
+/// table's contents depend only on which blocks were visited, never on
+/// the order of the visits.
 ///
 /// A table belongs to whoever owns the simulators, not to an engine:
 /// because entries are exact, every engine running a clone of one
@@ -254,7 +273,7 @@ pub struct StepCache {
     filled_under: Option<(CacheStamp, EngineProfile)>,
     batches: Vec<BatchSteps>,
     priced: usize,
-    timeline: EventSim,
+    timeline: EventSim<STEP_BLOCK>,
     /// Memoized prefill times by prompt length — the scheduler
     /// re-prefills identical prompt lengths on every admission.
     prefill: std::collections::HashMap<usize, f64>,
@@ -278,7 +297,9 @@ impl StepCache {
         Self::default()
     }
 
-    /// Number of distinct steps priced since the cache was last emptied.
+    /// Number of priced entries — distinct `(batch, length)` steps —
+    /// since the cache was last emptied. A miss prices a whole block, so
+    /// this counts whole blocks: a multiple of [`STEP_BLOCK`].
     pub fn len(&self) -> usize {
         self.priced
     }
@@ -384,22 +405,21 @@ impl ServingSim {
     /// follows the system's default policy at this point.
     pub fn step_time(&self, system: SystemKind, r: usize, s: usize, prefill_len: usize) -> f64 {
         let l_cpu = self.policy_l_cpu(system.default_policy(), r, s, &mut None);
-        let mut timeline = EventSim::price_only();
-        self.step_breakdown(
-            &mut timeline,
+        let [bd] = self.step_breakdowns(
+            &mut EventSim::price_only(),
             &system.profile(),
             system,
             r,
-            s,
-            prefill_len,
-            l_cpu,
-        )
-        .total
+            [(s, prefill_len, l_cpu)],
+        );
+        bd.total
     }
 
     /// Memoized [`ServingSim::step_time`] — the per-iteration hook the
     /// continuous-batching scheduler and the `spec_serve` replica wrapper
-    /// drive. A hit is a stamp compare and two indexed loads; see
+    /// drive. A hit is a stamp compare and two indexed loads; a miss
+    /// prices the aligned [`STEP_BLOCK`] of lengths around `s`, each at
+    /// the scheduler's split (`prefill_len ==` its length). See
     /// [`StepCache`] for what is memoized and when the cache empties
     /// itself.
     pub fn step_time_cached(
@@ -424,25 +444,27 @@ impl ServingSim {
             cache.batches.resize_with(r + 1, BatchSteps::default);
         }
         let batch = &mut cache.batches[r];
-        let l_cpu = self.policy_l_cpu(system.default_policy(), r, s, &mut batch.thresholds);
+        let first = s - s % STEP_BLOCK;
+        let policy = system.default_policy();
+        let lanes = std::array::from_fn(|i| {
+            let s = first + i;
+            (s, s, self.policy_l_cpu(policy, r, s, &mut batch.thresholds))
+        });
         let (_, profile) = cache.filled_under.as_ref().expect("stamped above");
-        let t = self
-            .step_breakdown(
-                &mut cache.timeline,
-                profile,
-                system,
-                r,
-                s,
-                prefill_len,
-                l_cpu,
-            )
-            .total;
+        let block = self.step_breakdowns(&mut cache.timeline, profile, system, r, lanes);
         if batch.pages.len() <= page {
             batch.pages.resize_with(page + 1, || None);
         }
-        batch.pages[page].get_or_insert_with(|| Box::new([f64::NAN; STEP_PAGE]))[slot] = t;
-        cache.priced += 1;
-        t
+        let prices = batch.pages[page].get_or_insert_with(|| Box::new([f64::NAN; STEP_PAGE]));
+        let first_slot = first % STEP_PAGE;
+        for (price, bd) in prices[first_slot..first_slot + STEP_BLOCK]
+            .iter_mut()
+            .zip(&block)
+        {
+            *price = bd.total;
+        }
+        cache.priced += STEP_BLOCK;
+        prices[slot]
     }
 
     /// The scheduler's quiet run: `visit` receives
@@ -454,8 +476,9 @@ impl ServingSim {
     /// run of consecutive priced lengths (at most one 512-entry page)
     /// and `visit` is fed straight from the page. An unpriced slot, or a
     /// batch or length no table is sized for, goes through
-    /// [`ServingSim::step_time_cached`] — one step, then the walk
-    /// resumes — so that stays the only path that prices anything.
+    /// [`ServingSim::step_time_cached`] — one step (in a table, its whole
+    /// block is priced), then the walk resumes — so that stays the only
+    /// path that prices anything.
     pub fn walk_steps(
         &self,
         cache: &mut StepCache,
@@ -540,67 +563,72 @@ impl ServingSim {
         }
     }
 
-    /// The fully-determined step timeline at an explicit offload depth,
-    /// laid out on `timeline`.
-    #[allow(clippy::too_many_arguments)]
-    fn step_breakdown(
+    /// The fully-determined timelines of `W` steps of batch `r`, one per
+    /// `(s, prefill_len, l_cpu)` — length, prompt split and offload
+    /// depth — laid out side by side on `timeline`.
+    fn step_breakdowns<const W: usize>(
         &self,
-        timeline: &mut EventSim,
+        timeline: &mut EventSim<W>,
         profile: &EngineProfile,
         system: SystemKind,
         r: usize,
-        s: usize,
-        prefill_len: usize,
-        l_cpu: usize,
-    ) -> StepBreakdown {
-        let generated = s.saturating_sub(prefill_len);
-        let (kind, s_att, candidates, candidate_bytes) =
-            self.system_step_shape(system, s, prefill_len, generated);
-        let params = StepParams {
-            r,
-            s_total: s,
-            s_attended: s_att,
-            candidates,
-            candidate_bytes,
-            l_cpu,
-            budget: self.budget,
-            reuse: self.elastic_reuse,
+        lanes: [(usize, usize, usize); W],
+    ) -> [StepBreakdown; W] {
+        let steps = lanes.map(|(s, prefill_len, l_cpu)| {
+            let (s_attended, candidates, candidate_bytes) =
+                self.system_step_shape(system, s, prefill_len);
+            StepParams {
+                r,
+                s_total: s,
+                s_attended,
+                candidates,
+                candidate_bytes,
+                l_cpu,
+                budget: self.budget,
+                reuse: self.elastic_reuse,
+            }
+        });
+        let kind = match system {
+            SystemKind::FullEager | SystemKind::FullFlash | SystemKind::FullFlashInfer => {
+                DataflowKind::PrefetchFullKv
+            }
+            SystemKind::Quest | SystemKind::ClusterKv => DataflowKind::FetchSparseKv,
+            SystemKind::ShadowKv => DataflowKind::PrefetchSparseV,
+            SystemKind::SpeContext => DataflowKind::SpeContext,
         };
-        step_timeline_into(timeline, kind, &self.cm, profile, &self.dev, &params)
+        step_timeline_into(timeline, kind, &self.cm, profile, &self.dev, &steps)
     }
 
-    /// The per-system dataflow shape at a point in the generation.
+    /// The per-system step shape at a point in the generation: positions
+    /// attended, retrieval candidates, bytes per candidate.
     fn system_step_shape(
         &self,
         system: SystemKind,
         s: usize,
         prefill_len: usize,
-        generated: usize,
-    ) -> (DataflowKind, usize, usize, f64) {
+    ) -> (usize, usize, f64) {
         let cfg = self.cm.config();
+        let generated = s.saturating_sub(prefill_len);
         match system {
             SystemKind::FullEager | SystemKind::FullFlash | SystemKind::FullFlashInfer => {
-                (DataflowKind::PrefetchFullKv, s, 0, 0.0)
+                (s, 0, 0.0)
             }
             SystemKind::Quest => (
-                DataflowKind::FetchSparseKv,
                 (self.budget + generated).min(s),
                 prefill_len / 16,
                 4.0 * cfg.head_dim as f64,
             ),
             SystemKind::ClusterKv => (
-                DataflowKind::FetchSparseKv,
                 (self.budget + generated).min(s),
                 prefill_len / 16,
                 2.0 * cfg.head_dim as f64,
             ),
             SystemKind::ShadowKv => (
-                DataflowKind::PrefetchSparseV,
                 (self.budget + generated).min(s),
                 prefill_len,
                 cfg.head_dim as f64 / 2.0 + 4.0,
             ),
-            SystemKind::SpeContext => (DataflowKind::SpeContext, self.budget.min(s), 0, 0.0),
+            SystemKind::SpeContext => (self.budget.min(s), 0, 0.0),
         }
     }
 
@@ -678,7 +706,14 @@ impl ServingSim {
         let mut timeline = EventSim::price_only();
         let mut step_at = |s: usize| -> StepBreakdown {
             let l_cpu = l_cpu_at(s).unwrap_or(cfg.layers);
-            self.step_breakdown(&mut timeline, &profile, system, r, s, w.input_len, l_cpu)
+            let [bd] = self.step_breakdowns(
+                &mut timeline,
+                &profile,
+                system,
+                r,
+                [(s, w.input_len, l_cpu)],
+            );
+            bd
         };
 
         // Sample points: stride plus adaptive-threshold crossings.
@@ -883,14 +918,18 @@ mod tests {
         let mut cache = StepCache::new();
         let before = sim.step_time_cached(&mut cache, system, r, s, s);
         assert_eq!(before, sim.step_time(system, r, s, s));
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.len(), STEP_BLOCK, "one block");
         // Flipping the public knob between two calls must not serve the
         // stale entry.
         sim.elastic_reuse = 0.0;
         let after = sim.step_time_cached(&mut cache, system, r, s, s);
         assert_eq!(after, sim.step_time(system, r, s, s));
         assert!(after > before, "refetching everything costs more");
-        assert_eq!(cache.len(), 1, "the stale entry is gone, not kept beside");
+        assert_eq!(
+            cache.len(),
+            STEP_BLOCK,
+            "the stale block is gone, not kept beside"
+        );
         // Nor may another simulator, or another system, inherit entries.
         let edge = ServingSim::new(
             ModelConfig::reasoning_llama3_2_1b(),
@@ -900,13 +939,16 @@ mod tests {
         for (sim, system) in [(&edge, system), (&sim, SystemKind::FullFlashInfer)] {
             let cached = sim.step_time_cached(&mut cache, system, 1, 4096, 4096);
             assert_eq!(cached, sim.step_time(system, 1, 4096, 4096));
-            assert_eq!(cache.len(), 1);
+            assert_eq!(cache.len(), STEP_BLOCK);
         }
-        // A clone is the same simulator: it keeps hitting.
+        // A clone is the same simulator: it hits the block the original
+        // priced and adds its own beside it.
         let clone = edge.clone();
         edge.step_time_cached(&mut cache, system, 1, 4096, 4096);
         clone.step_time_cached(&mut cache, system, 1, 4097, 4097);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.len(), STEP_BLOCK);
+        clone.step_time_cached(&mut cache, system, 1, 4096 + STEP_BLOCK, 4096 + STEP_BLOCK);
+        assert_eq!(cache.len(), 2 * STEP_BLOCK);
     }
 
     #[test]
@@ -920,12 +962,12 @@ mod tests {
         assert!(cache.is_empty());
         let whole = sim.step_time_cached(&mut cache, SystemKind::Quest, 1, 8192, 8192);
         assert_ne!(split, whole);
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.len(), STEP_BLOCK);
         // A length no table should be sized for.
         let huge = STEP_CACHE_MAX_LEN + 5;
         let t = sim.step_time_cached(&mut cache, SystemKind::SpeContext, 1, huge, huge);
         assert_eq!(t, sim.step_time(SystemKind::SpeContext, 1, huge, huge));
-        assert_eq!(cache.len(), 1, "not memoized");
+        assert_eq!(cache.len(), STEP_BLOCK, "not memoized");
     }
 
     /// `n` consecutive prices from `s` on, through the walk.
@@ -955,17 +997,20 @@ mod tests {
                 .map(|s| sim.step_time_cached(&mut looked, system, r, s, s).to_bits())
                 .collect();
             // Cold table, a table with holes, a fully priced table: the
-            // walk crosses two page edges each time.
+            // walk crosses two page edges each time. It starts and ends
+            // inside a block, so it prices the blocks that cover it.
+            let covered =
+                (from + n).div_ceil(STEP_BLOCK) * STEP_BLOCK - from / STEP_BLOCK * STEP_BLOCK;
             let mut cache = StepCache::new();
-            for s in (from..from + n).step_by(7) {
+            for s in (from..from + n).step_by(37) {
                 sim.step_time_cached(&mut cache, system, r, s, s);
             }
             let holes = cache.len();
             assert_eq!(walked(&sim, &mut cache, system, r, from, n), expect);
-            assert_eq!(cache.len(), n, "the walk priced exactly the holes");
-            assert!(holes < n);
+            assert_eq!(cache.len(), covered, "the walk priced exactly the holes");
+            assert!(holes < covered);
             assert_eq!(walked(&sim, &mut cache, system, r, from, n), expect);
-            assert_eq!(cache.len(), n, "a priced row is only read");
+            assert_eq!(cache.len(), covered, "a priced row is only read");
             assert_eq!(
                 walked(&sim, &mut StepCache::new(), system, r, from, n),
                 expect
@@ -985,7 +1030,7 @@ mod tests {
         let after = walked(&sim, &mut cache, system, r, s, 3);
         assert_ne!(before, after, "a changed stamp must not serve stale pages");
         assert_eq!(after[0], sim.step_time(system, r, s, s).to_bits());
-        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.len(), STEP_BLOCK, "three lengths of one block");
         // Past the table's bounds every step is priced directly.
         let huge = STEP_CACHE_MAX_LEN - 1;
         let edge = walked(&sim, &mut cache, system, 1, huge, 3);
@@ -993,7 +1038,11 @@ mod tests {
             .map(|s| sim.step_time(system, 1, s, s).to_bits())
             .collect();
         assert_eq!(edge, direct);
-        assert_eq!(cache.len(), 4, "only the last in-bounds length is memoized");
+        assert_eq!(
+            cache.len(),
+            2 * STEP_BLOCK,
+            "only the last in-bounds length's block is memoized"
+        );
     }
 
     #[test]

@@ -184,6 +184,10 @@ fn decode_iterations_on_a_warm_cache_allocate_nothing() {
     for _ in 0..12_500 {
         scheduler.step(&mut warm, &mut cache);
     }
+    // A miss prices a whole block of lengths. The block holding the
+    // length before the run's first is already in the table and 10 000
+    // lengths further on is 625 blocks further on, so the run adds
+    // exactly 625 blocks.
     assert_eq!(
         cache.len() - priced,
         10_000,

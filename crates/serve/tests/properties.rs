@@ -275,6 +275,11 @@ fn oversized_requests_reject_cluster_wide() {
 /// A homogeneous fleet fills one table, and that table holds the union
 /// of what its replicas priced — fewer entries than four private tables,
 /// because identical neighbours revisit each other's batch compositions.
+/// A miss prices the aligned block of lengths around it, so "what a
+/// replica priced" is a set of blocks; the blocks are aligned, so a
+/// table's contents depend only on which blocks were visited, not on the
+/// order of the visits — which is why one table filled by the fleet's
+/// interleaved run equals one filled by the replicas' slices in turn.
 #[test]
 fn a_homogeneous_fleet_shares_one_step_table() {
     let trace = make_tenanted_trace(5, 64, 8.0);
@@ -310,7 +315,7 @@ fn a_homogeneous_fleet_shares_one_step_table() {
     assert_eq!(
         c.step_tables()[0].len(),
         union.len(),
-        "the shared table holds each distinct (batch, length) once"
+        "the shared table holds each visited (batch, length block) once"
     );
     assert!(
         union.len() < private_total,
