@@ -5,7 +5,9 @@
 //! triple loop at the shapes the chunked prefill issues, that prefill
 //! whole against the token-at-a-time loop it replaced, and the decode
 //! step's in-place attention against the gather it replaced, the
-//! retrieval head's key sweep over int8 blocks against f32 ones, and the
+//! retrieval head's appends through one projection of its heads side by
+//! side against one per head, its key sweep over int8 blocks against f32
+//! ones, and the
 //! overlap count by merge against the hash set it replaced, the union
 //! and overlap of consecutive selections by bitmap against the merges
 //! they replaced; and the
@@ -165,6 +167,12 @@ const VECMAT_SHAPES: [(usize, usize); 4] = [(64, 64), (64, 128), (128, 64), (64,
 const PREFILL: &str = "prefill/windowed96+4/4096";
 const PREFILL_ORACLE: &str = "prefill_oracle/windowed96+4/4096";
 
+/// Appends of the retrieval-head comparison, a `prompt_32k_2k` prompt, and
+/// its two sides: the head as shipped and the per-head twin.
+const HEAD_APPENDS: usize = 4096;
+const HEAD_APPEND: &str = "retrieval_head/append/4096";
+const HEAD_APPEND_PER_HEAD: &str = "retrieval_head/append_per_head/4096";
+
 fn bench_kernels(c: &mut Criterion) {
     let mut rng = SimRng::seed(0xBE7C);
     let scores: Vec<f32> = (0..16_384).map(|_| rng.normal()).collect();
@@ -277,6 +285,53 @@ fn bench_kernels(c: &mut Criterion) {
     head.append_all(&emb, &mut state);
     c.bench_function("retrieval_head/head_scores/8x16@16384", |b| {
         b.iter(|| head.head_scores(black_box(emb.row(16_383)), &state))
+    });
+
+    // A `prompt_32k_2k` prompt's appends into a fresh state: the head's one
+    // projection of the heads side by side beside one `vecmat` per head.
+    let layer = &engine.dlm().model().weights().layers[0];
+    let append_per_head = |keys: &mut Vec<QuantKeyBlocks>, normed: &mut Vec<f32>| {
+        keys.clear();
+        keys.resize(layer.wk.len(), QuantKeyBlocks::new(layer.wk[0].cols()));
+        let mut key = vec![0.0; layer.wk[0].cols()];
+        for r in 0..HEAD_APPENDS {
+            ops::rmsnorm_into(normed, black_box(emb.row(r)), &layer.norm_attn, 1e-6);
+            for (wk, keys) in layer.wk.iter().zip(keys.iter_mut()) {
+                wk.vecmat_into(normed, &mut key);
+                keys.push(&key);
+            }
+        }
+    };
+    let append_all = || {
+        let mut state = head.new_state();
+        for r in 0..HEAD_APPENDS {
+            head.append(black_box(emb.row(r)), &mut state);
+        }
+        state
+    };
+    let (mut twin, mut normed) = (Vec::new(), Vec::new());
+    append_per_head(&mut twin, &mut normed);
+    let shipped = append_all();
+    for (h, twin) in twin.iter().enumerate() {
+        let got = shipped.keys(h);
+        for p in 0..HEAD_APPENDS {
+            assert_eq!(
+                got.scale(p).to_bits(),
+                twin.scale(p).to_bits(),
+                "head {h}: the fused and per-head appends scale position {p} differently"
+            );
+            assert!(
+                (0..layer.wk[h].cols()).all(|d| got.level(p, d) == twin.level(p, d)),
+                "head {h}: the fused and per-head appends quantize position {p} differently"
+            );
+        }
+    }
+    c.bench_function(HEAD_APPEND, |b| b.iter(|| append_all().len()));
+    c.bench_function(HEAD_APPEND_PER_HEAD, |b| {
+        b.iter(|| {
+            append_per_head(&mut twin, &mut normed);
+            twin[0].len()
+        })
     });
 
     for (rows, cols) in VECMAT_SHAPES {
@@ -1313,8 +1368,9 @@ fn write_summary(c: &Criterion) {
         _ => f64::NAN,
     };
     let tile_speedup = best_ratio(c, VALUE_TILE_BRANCHY, VALUE_TILE);
+    let append_speedup = best_ratio(c, HEAD_APPEND_PER_HEAD, HEAD_APPEND);
     json.push_str(&format!(
-        "\n  }},\n  \"prefill_speedup_vs_oracle\": {prefill_speedup:.2},\n  \"value_tile_speedup_vs_branchy\": {tile_speedup:.2},\n"
+        "\n  }},\n  \"prefill_speedup_vs_oracle\": {prefill_speedup:.2},\n  \"value_tile_speedup_vs_branchy\": {tile_speedup:.2},\n  \"head_append_speedup_vs_per_head\": {append_speedup:.2},\n"
     ));
     let walk_speedup = best_ratio(c, STEP_HIT_LOOKUP, STEP_HIT_WALK);
     let miss_speedup = best_ratio(c, STEP_MISS_RECORDED, STEP_MISS);
@@ -1410,6 +1466,7 @@ fn write_summary(c: &Criterion) {
     }
     println!("[prefill speedup vs token-at-a-time] {prefill_speedup:.2}");
     println!("[value tile speedup vs per-row zero test] {tile_speedup:.2}");
+    println!("[head append speedup vs one vecmat a head] {append_speedup:.2}");
     println!("[step-table walk speedup vs lookup] {walk_speedup:.2}");
     println!("[step miss speedup vs recorded timeline] {miss_speedup:.2}");
     println!("[step block speedup vs one price a length] {block_speedup:.2}");

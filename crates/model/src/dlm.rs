@@ -13,7 +13,7 @@
 //! knob degrades fidelity so experiments can sweep alignment quality.
 
 use crate::config::{AttentionKind, SimGeometry};
-use crate::transformer::Model;
+use crate::transformer::{side_by_side, Model};
 use crate::weights::{LayerWeights, ModelWeights};
 use spec_tensor::topk::ForwardScratch;
 use spec_tensor::{ops, Matrix, QuantKeyBlocks, SimRng};
@@ -187,8 +187,8 @@ impl Dlm {
             geom: *self.model.geometry(),
             teacher_geom: self.teacher_geom,
             embedding: w.embedding.clone(),
-            wq: layer.wq.clone(),
-            wk: layer.wk.clone(),
+            wq: side_by_side(&layer.wq),
+            wk: side_by_side(&layer.wk),
             norm_attn: layer.norm_attn.clone(),
             rope_scale: self.model.rope_scale(),
             use_rope: false,
@@ -207,13 +207,22 @@ impl Dlm {
 /// values, no FFN, no LM head) and produces head-level attention weights
 /// that the selection mapping (in `spec-retrieval`) converts to KV
 /// indices.
+///
+/// Each projection is stored once, as one `hidden x q_heads * head_dim`
+/// matrix with the heads' columns side by side (head `h` is columns
+/// `h * head_dim..`), so a token's keys, or its queries, are one
+/// `vecmat`: a head's own `hidden x head_dim` product is a single
+/// `hidden`-deep dependent add chain per lane, latency-bound, where the
+/// eight heads side by side keep the vector ports busy. A column sums the
+/// same terms in the same order whichever matrix it stands in, so every
+/// key and query has the per-head products' bits.
 #[derive(Debug, Clone)]
 pub struct RetrievalHead {
     geom: SimGeometry,
     teacher_geom: SimGeometry,
     embedding: Matrix,
-    wq: Vec<Matrix>,
-    wk: Vec<Matrix>,
+    wq: Matrix,
+    wk: Matrix,
     norm_attn: Vec<f32>,
     rope_scale: f32,
     /// Whether to rotate queries/keys positionally. The fitted projections
@@ -235,8 +244,8 @@ pub struct RetrievalHead {
 pub struct RetrievalHeadState {
     keys: Vec<QuantKeyBlocks>,
     /// [`RetrievalHead::append`]'s buffers, refilled by every call: the
-    /// normalized embedding, one head's key row and (positional scoring
-    /// only) the position's rotations.
+    /// normalized embedding, the heads' key rows side by side and
+    /// (positional scoring only) the position's rotations.
     normed: Vec<f32>,
     key: Vec<f32>,
     rope: Vec<(f32, f32)>,
@@ -246,6 +255,15 @@ impl RetrievalHeadState {
     /// Number of cached positions.
     pub fn len(&self) -> usize {
         self.keys.first().map_or(0, QuantKeyBlocks::len)
+    }
+
+    /// Head `h`'s int8 key cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `h` is not a head.
+    pub fn keys(&self, h: usize) -> &QuantKeyBlocks {
+        &self.keys[h]
     }
 
     /// True when no positions are cached.
@@ -277,9 +295,7 @@ impl RetrievalHead {
 
     /// Parameter count of the head, excluding the (shared) embedding.
     pub fn param_count_non_embedding(&self) -> usize {
-        self.wq.iter().map(Matrix::len).sum::<usize>()
-            + self.wk.iter().map(Matrix::len).sum::<usize>()
-            + self.norm_attn.len()
+        self.wq.len() + self.wk.len() + self.norm_attn.len()
     }
 
     /// Sets the YaRN context-extension scale.
@@ -328,9 +344,9 @@ impl RetrievalHead {
         } = state;
         ops::rmsnorm_into(normed, emb, &self.norm_attn, 1e-6);
         self.rope_table_into(pos, rope);
-        key.resize(self.geom.head_dim, 0.0);
-        for (wk, keys) in self.wk.iter().zip(keys) {
-            wk.vecmat_into(normed, key);
+        key.resize(self.wk.cols(), 0.0);
+        self.wk.vecmat_into(normed, key);
+        for (key, keys) in key.chunks_exact_mut(self.geom.head_dim).zip(keys) {
             if self.use_rope {
                 ops::rope_apply(key, rope);
             }
@@ -367,10 +383,10 @@ impl RetrievalHead {
         if fw.queries.shape() != (self.geom.q_heads, self.geom.head_dim) {
             fw.queries = Matrix::zeros(self.geom.q_heads, self.geom.head_dim);
         }
-        for (h, wq) in self.wq.iter().enumerate() {
-            let q = fw.queries.row_mut(h);
-            wq.vecmat_into(&fw.normed, q);
-            if self.use_rope {
+        let queries = fw.queries.as_mut_slice();
+        self.wq.vecmat_into(&fw.normed, queries);
+        if self.use_rope {
+            for q in queries.chunks_exact_mut(self.geom.head_dim) {
                 ops::rope_apply(q, &fw.rope);
             }
         }
@@ -654,7 +670,9 @@ mod tests {
     #[test]
     fn incremental_state_matches_batch_scoring() {
         let t = teacher(AttentionKind::Mqa);
-        let head = Dlm::distill(&t, DistillOptions::default()).to_retrieval_head();
+        let dlm = Dlm::distill(&t, DistillOptions::default());
+        let head = dlm.to_retrieval_head();
+        let lw = &dlm.model().weights().layers[0];
         // A context inside one key block, and one whose appends cross a
         // block boundary with a query asked mid-block.
         for n in [12, spec_tensor::keyblocks::KEY_BLOCK + 7] {
@@ -678,16 +696,81 @@ mod tests {
             // give the same bits.
             let norm = |r: usize| ops::rmsnorm(emb.row(r), &head.norm_attn, 1e-6);
             for (h, got) in inc.iter().enumerate() {
-                let q = head.wq[h].vecmat(&norm(n - 1));
+                let q = lw.wq[h].vecmat(&norm(n - 1));
                 let mut want: Vec<f32> = (0..n)
                     .map(|r| {
-                        let key = QuantVec::quantize(&head.wk[h].vecmat(&norm(r)), BitWidth::Int8);
+                        let key = QuantVec::quantize(&lw.wk[h].vecmat(&norm(r)), BitWidth::Int8);
                         let levels = (0..q.len()).map(|d| q[d] * f32::from(key.level(d)));
                         levels.fold(-0.0, |acc, x| acc + x) * key.scale()
                     })
                     .collect();
                 ops::softmax_rows_inplace(&mut want, n, 1.0 / (q.len() as f32).sqrt());
                 assert_eq!(got, &want, "head {h} of a {n}-token context");
+            }
+        }
+    }
+
+    /// The head keeps each projection once, the heads side by side. On the
+    /// benchmark's geometry (eight heads of 16), every key `append` caches
+    /// — its levels and scale — and every row of `queries_into` are the
+    /// eight per-head `vecmat`s of the DLM's own weights, bit for bit, at
+    /// every dispatch tier, with content-only scoring and with positional
+    /// scoring under a RoPE scale other than one, over appends that cross
+    /// a key block.
+    #[test]
+    fn fused_projections_are_the_per_head_vecmats_at_every_tier() {
+        use spec_tensor::dispatch;
+        use spec_tensor::keyblocks::KEY_BLOCK;
+        let geom = crate::config::ModelConfig::deepseek_distill_llama_8b().sim_geometry();
+        let dlm = Dlm::distill(&Model::new(geom, 0x5EED), DistillOptions::default());
+        let lw = &dlm.model().weights().layers[0];
+        let (heads, d) = (geom.q_heads, geom.head_dim);
+        assert_eq!((lw.wq.len(), lw.wk.len()), (8, 8));
+        let tokens: Vec<usize> = (0..KEY_BLOCK + 9)
+            .map(|i| (i * 37 + 5) % geom.vocab)
+            .collect();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for use_rope in [false, true] {
+            let mut head = dlm.to_retrieval_head();
+            head.set_use_rope(use_rope);
+            head.set_rope_scale(4.0);
+            let emb = head.embed_tokens(&tokens);
+            // Head `w`'s product of row `r`, rotated to `r` when positional.
+            let project = |w: &Matrix, r: usize| {
+                let mut v = w.vecmat(&ops::rmsnorm(emb.row(r), &lw.norm_attn, 1e-6));
+                if use_rope {
+                    ops::rope_apply(&mut v, &ops::rope_table(d, r, geom.rope_base, 4.0));
+                }
+                v
+            };
+            for &tier in dispatch::available_tiers() {
+                dispatch::with_tier(tier, || {
+                    let what = format!("tier {tier}, use_rope {use_rope}");
+                    let mut state = head.new_state();
+                    let mut want = vec![QuantKeyBlocks::new(d); heads];
+                    let mut fw = ForwardScratch::default();
+                    for r in 0..emb.rows() {
+                        head.append(emb.row(r), &mut state);
+                        for (wk, want) in lw.wk.iter().zip(&mut want) {
+                            want.push(&project(wk, r));
+                        }
+                        head.queries_into(emb.row(r), &state, &mut fw);
+                        for (h, wq) in lw.wq.iter().enumerate() {
+                            let got = bits(fw.queries.row(h));
+                            assert_eq!(got, bits(&project(wq, r)), "{what}: query {h} at {r}");
+                        }
+                    }
+                    for (h, want) in want.iter().enumerate() {
+                        let got = state.keys(h);
+                        assert_eq!(got.len(), want.len(), "{what}: head {h}");
+                        for p in 0..want.len() {
+                            let scales = (got.scale(p).to_bits(), want.scale(p).to_bits());
+                            assert_eq!(scales.0, scales.1, "{what}: head {h} scale {p}");
+                            let same = (0..d).all(|i| got.level(p, i) == want.level(p, i));
+                            assert!(same, "{what}: head {h} levels {p}");
+                        }
+                    }
+                });
             }
         }
     }
@@ -705,7 +788,9 @@ mod tests {
         use spec_tensor::matrix::dot;
         let geom = crate::config::ModelConfig::deepseek_distill_llama_8b().sim_geometry();
         let t = Model::new(geom, 0x5EED);
-        let head = Dlm::distill(&t, DistillOptions::default()).to_retrieval_head();
+        let dlm = Dlm::distill(&t, DistillOptions::default());
+        let head = dlm.to_retrieval_head();
+        let lw = &dlm.model().weights().layers[0];
         let probe = crate::probe::probe_direction(&t, 30).direction;
         let (group, budget) = (geom.group_size(), 256);
         let select = |scores: &[Vec<f32>]| -> Vec<Vec<usize>> {
@@ -745,7 +830,7 @@ mod tests {
                 let normed: Vec<Vec<f32>> = (0..emb.rows())
                     .map(|r| ops::rmsnorm(emb.row(r), &head.norm_attn, 1e-6))
                     .collect();
-                let keys: Vec<Vec<Vec<f32>>> = head
+                let keys: Vec<Vec<Vec<f32>>> = lw
                     .wk
                     .iter()
                     .map(|wk| normed.iter().map(|x| wk.vecmat(x)).collect())
@@ -758,7 +843,7 @@ mod tests {
                     let int8 = head.head_scores(emb.row(n - 1), &state);
                     let f32_scores: Vec<Vec<f32>> = (0..geom.q_heads)
                         .map(|h| {
-                            let q = head.wq[h].vecmat(&normed[n - 1]);
+                            let q = lw.wq[h].vecmat(&normed[n - 1]);
                             let mut s: Vec<f32> = keys[h][..n].iter().map(|k| dot(&q, k)).collect();
                             ops::softmax_rows_inplace(&mut s, n, 1.0 / (q.len() as f32).sqrt());
                             s

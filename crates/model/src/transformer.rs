@@ -21,6 +21,7 @@ use crate::weights::{LayerWeights, ModelWeights};
 use spec_tensor::ops::BlockAttention;
 use spec_tensor::topk::{ForwardScratch, SelectScratch};
 use spec_tensor::{ops, KeyBlocks, Matrix, SimRng};
+use std::ops::Range;
 
 /// How prefill attention is computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,18 +193,27 @@ pub struct Model {
 /// A layer's per-head projections as one matrix, `Q | K | V` (see
 /// [`Model`]).
 fn fuse_projections(geom: &SimGeometry, lw: &LayerWeights) -> Matrix {
-    let heads: Vec<&Matrix> = if geom.attention == AttentionKind::Mla {
-        lw.wq.iter().collect()
+    if geom.attention == AttentionKind::Mla {
+        side_by_side(&lw.wq)
     } else {
-        lw.wq.iter().chain(&lw.wk).chain(&lw.wv).collect()
-    };
-    let mut fused = Vec::with_capacity(geom.hidden * heads.len() * geom.head_dim);
-    for r in 0..geom.hidden {
+        side_by_side(lw.wq.iter().chain(&lw.wk).chain(&lw.wv))
+    }
+}
+
+/// Projections with the same input as one matrix, their columns side by
+/// side in the order given: a product's column segments are the separate
+/// products, bit for bit.
+pub(crate) fn side_by_side<'a>(heads: impl IntoIterator<Item = &'a Matrix>) -> Matrix {
+    let heads: Vec<&Matrix> = heads.into_iter().collect();
+    let rows = heads.first().map_or(0, |m| m.rows());
+    let cols = heads.iter().map(|m| m.cols()).sum();
+    let mut fused = Vec::with_capacity(rows * cols);
+    for r in 0..rows {
         for head in &heads {
             fused.extend_from_slice(head.row(r));
         }
     }
-    Matrix::from_vec(geom.hidden, heads.len() * geom.head_dim, fused)
+    Matrix::from_vec(rows, cols, fused)
 }
 
 impl Model {
@@ -276,16 +286,25 @@ impl Model {
     /// block's rows, the block's K/V rows are appended to the cache from
     /// the projection's column segments, and attention is one kernel per
     /// KV head ([`ops::attend_block`], reading queries and cache in
-    /// place). The final norm and `lm_head` run for the last position
-    /// only. Every float — the returned logits and hidden state, and each
+    /// place).
+    ///
+    /// A prefill's outputs are every layer's K/V and the final position's
+    /// logits, so the last layer computes only what those read: every
+    /// block still gets its projection, RoPE and K/V append, but its
+    /// attention, `wo` and FFN — and then the final norm and `lm_head` —
+    /// run for the prompt's final position alone, in the final block.
+    ///
+    /// Every float — the returned logits and hidden state, and each
     /// cached K/V (or latent) entry — has the bits that feeding the
     /// positions one at a time through [`step`](Self::step) produces
     /// (`tests/prefill_equivalence.rs` holds it to that loop): a `matmul`
-    /// row is the `vecmat` of that row, and `attend_block` keeps the
-    /// addition order of `ops::attention_weights` / `ops::weighted_sum`.
+    /// row is the `vecmat` of that row, `attend_block` keeps the addition
+    /// order of `ops::attention_weights` / `ops::weighted_sum`, and what
+    /// it computes for a row does not depend on the block's other rows.
     ///
-    /// The block buffers are allocated once and reused by every block and
-    /// layer; under a window none of them is sized by the prompt.
+    /// The block buffers are reused by every block and layer, reshaped
+    /// only when a block's row count changes; under a window none of them
+    /// is sized by the prompt.
     ///
     /// # Panics
     ///
@@ -315,22 +334,21 @@ impl Model {
         };
         for b0 in (0..emb.rows()).step_by(PREFILL_CHUNK) {
             let b1 = (b0 + PREFILL_CHUNK).min(emb.rows());
+            let rows = b1 - b0;
             h.clear();
             h.extend_from_slice(&emb.as_slice()[b0 * hidden..b1 * hidden]);
-            if normed.rows() != b1 - b0 {
-                normed = Matrix::zeros(b1 - b0, hidden);
-                concat = Matrix::zeros(b1 - b0, geom.q_heads * d);
-            }
+            fit_rows(&mut normed, rows, hidden);
             rope.clear();
             rope.extend(
                 (b0..b1).map(|pos| ops::rope_table(d, pos, geom.rope_base, self.rope_scale)),
             );
-            for ((lw, fused), layer) in self
+            for (l, ((lw, fused), layer)) in self
                 .weights
                 .layers
                 .iter()
                 .zip(&self.fused)
                 .zip(&mut kv.layers)
+                .enumerate()
             {
                 rmsnorm_rows(&mut normed, &h, &lw.norm_attn);
                 let mut proj = normed.matmul(fused);
@@ -359,11 +377,25 @@ impl Model {
                         latent.push_rows(&normed.matmul(down));
                     }
                 }
+                // The block rows whose attention and FFN something reads:
+                // every row feeds the next layer, but only the prompt's
+                // final row of the last layer feeds the logits. The
+                // residual and the buffers below shrink to those rows.
+                let live = if l + 1 < geom.layers {
+                    0..rows
+                } else if b1 < emb.rows() {
+                    continue;
+                } else {
+                    rows - 1..rows
+                };
+                h.drain(..live.start * hidden);
+                fit_rows(&mut normed, live.len(), hidden);
+                fit_rows(&mut concat, live.len(), geom.q_heads * d);
                 self.attend_block(
                     lw,
                     layer,
                     &proj,
-                    b0,
+                    (b0, live),
                     (window, sinks),
                     &mut work,
                     &mut concat,
@@ -384,9 +416,10 @@ impl Model {
         (kv, StepOutput { logits, hidden })
     }
 
-    /// Prefill attention of one layer for the block of positions starting
-    /// at `b0` — one row of `proj` (whose leading columns are the heads'
-    /// queries) and of `out` each — whose K/V rows `layer` already holds.
+    /// Prefill attention of one layer for rows `rows` of the block of
+    /// positions starting at `b0` — row `r` reads row `r` of `proj` (whose
+    /// leading columns are the heads' queries) in place and writes row
+    /// `r - rows.start` of `out` — whose K/V rows `layer` already holds.
     /// Position `pos` attends cache rows `[0, min(sinks, lo))` and
     /// `[lo, pos]`, `lo = pos - window` clamped at 0.
     #[allow(clippy::too_many_arguments)]
@@ -395,23 +428,26 @@ impl Model {
         lw: &LayerWeights,
         layer: &LayerKv,
         proj: &Matrix,
-        b0: usize,
+        (b0, rows): (usize, Range<usize>),
         (window, sinks): (usize, usize),
         work: &mut AttendWork,
         out: &mut Matrix,
     ) {
         let width = self.geom.group_size() * self.geom.head_dim;
-        let (rows, out_stride) = out.shape();
+        let out_stride = out.cols();
+        assert_eq!(out.rows(), rows.len(), "one output row a block row");
+        let start = b0 + rows.start;
+        let queries = &proj.as_slice()[rows.start * proj.cols()..];
         let mut attend = |hh: usize, keys: &Matrix, values: &Matrix, cut: usize| {
             let block = BlockAttention {
-                queries: &proj.as_slice()[hh * width..],
+                queries: &queries[hh * width..],
                 q_stride: proj.cols(),
                 heads: self.geom.group_size(),
                 keys,
                 values,
                 cut,
-                start: b0,
-                rows,
+                start,
+                rows: rows.len(),
                 window,
                 sinks,
             };
@@ -429,7 +465,7 @@ impl Model {
             // start — are up-projected once per head for the whole block
             // (Fig. 5(e)).
             LayerKv::Latent { latent } => {
-                let lo0 = b0.saturating_sub(window);
+                let lo0 = start.saturating_sub(window);
                 let kept = sinks.min(lo0);
                 let latent_width = latent.cols();
                 let mut c = std::mem::take(&mut work.latent);
@@ -730,6 +766,14 @@ impl Model {
 /// block stays far below `spec_tensor::gemm`'s thread fan-out threshold
 /// and the block buffers stay under 150 KB.
 const PREFILL_CHUNK: usize = 64;
+
+/// Makes `m` a `rows x cols` matrix, keeping it (and its contents) when it
+/// already is one.
+fn fit_rows(m: &mut Matrix, rows: usize, cols: usize) {
+    if m.shape() != (rows, cols) {
+        *m = Matrix::zeros(rows, cols);
+    }
+}
 
 /// `out.row(i) = rmsnorm(row i of xs)` for a flat row-major `xs`.
 fn rmsnorm_rows(out: &mut Matrix, xs: &[f32], weight: &[f32]) {

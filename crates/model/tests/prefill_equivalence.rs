@@ -142,9 +142,9 @@ fn modes() -> Vec<PrefillMode> {
 /// Lengths either side of one and two block boundaries x every mode; the
 /// two RoPE scales alternate over the grid, so each length, window and
 /// sink count meets both.
-fn fixed_grid(kind: AttentionKind) {
+fn fixed_grid(geom: SimGeometry) {
     let mut models = [1.0, 4.0].map(|rope_scale| {
-        let mut model = Model::new(SimGeometry::tiny(kind), 0x5EED);
+        let mut model = Model::new(geom, 0x5EED);
         model.set_rope_scale(rope_scale);
         model
     });
@@ -158,22 +158,38 @@ fn fixed_grid(kind: AttentionKind) {
 
 #[test]
 fn fixed_grid_mha() {
-    fixed_grid(AttentionKind::Mha);
+    fixed_grid(SimGeometry::tiny(AttentionKind::Mha));
 }
 
 #[test]
 fn fixed_grid_gqa() {
-    fixed_grid(AttentionKind::Gqa);
+    fixed_grid(SimGeometry::tiny(AttentionKind::Gqa));
 }
 
 #[test]
 fn fixed_grid_mqa() {
-    fixed_grid(AttentionKind::Mqa);
+    fixed_grid(SimGeometry::tiny(AttentionKind::Mqa));
 }
 
 #[test]
 fn fixed_grid_mla() {
-    fixed_grid(AttentionKind::Mla);
+    fixed_grid(SimGeometry::tiny(AttentionKind::Mla));
+}
+
+/// The DLM's depth, one layer, where the layer the prefill prunes — its
+/// attention, `wo` and FFN computed for the prompt's final row alone —
+/// is the only layer: every cached K/V row and the logits come from it.
+/// Each attention family x the fixed grid. Two pruning mistakes fail it,
+/// as they fail every test in this file: attending the block's first row
+/// instead of its last, and skipping the final row's FFN.
+#[test]
+fn fixed_grid_one_layer() {
+    for kind in KINDS {
+        fixed_grid(SimGeometry {
+            layers: 1,
+            ..SimGeometry::tiny(kind)
+        });
+    }
 }
 
 /// The benchmark's geometry and prefill mode (8 query heads in groups of

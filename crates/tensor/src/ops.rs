@@ -446,13 +446,6 @@ const WS_COLS: usize = 16;
 /// walk — one independent add chain per head and lane; an edge tile runs
 /// [`weighted_sum`]'s loop on `out` itself. Same additions either way.
 ///
-/// `out[j] += sum_i weights[j * stride + i] * rows[i]` for the `d`-wide
-/// rows the iterator yields, in its order: the value tile,
-/// the body of the prefill's and the decode step's value pass. A full
-/// `WS_HEADS x WS_COLS` tile of `out` stays in registers across the whole
-/// walk — one independent add chain per head and lane; an edge tile runs
-/// [`weighted_sum`]'s loop on `out` itself. Same additions either way.
-///
 /// [`weighted_sum`] skips a weight that is exactly zero, and beside a
 /// non-finite value row the skip is visible (`0 * inf` is `NaN`), so the
 /// tile keeps it — but not per row: tested in the walk it costs, per head
