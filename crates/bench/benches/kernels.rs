@@ -58,7 +58,7 @@ use spec_runtime::{
     StepCache, SystemKind, Thresholds,
 };
 use spec_tensor::kmeans::nearest_centroid;
-use spec_tensor::lut::{I8Lut, QueryLut};
+use spec_tensor::lut::QueryLut;
 use spec_tensor::quant::{BitWidth, QuantVec};
 use spec_tensor::topk::{top_k_mass, top_k_positions, PosBitSet, RankScratch, SelectScratch};
 use spec_tensor::{ops, stats, KeyBlocks, Matrix, QuantKeyBlocks, SimRng};
@@ -581,12 +581,10 @@ fn bench_selection(c: &mut Criterion) {
 
 /// LUT-quantized scoring at the ShadowKV shape: one query scoring a
 /// 16K-key int4 shadow (dim 64). The LUT path gathers precomputed
-/// products; the reference unpacks/converts/multiplies per element. For
-/// int8 both sides of the LUT-vs-arithmetic trade are reported: the
-/// widened-multiply kernel (`dot_i8_fma`, the production path behind
-/// `QuantVec::dot`) and the 256-entry true LUT (`dot_i8_table`, which
-/// thrashes L1 at this dim — kept to keep that claim measured, not
-/// assumed). Every pair is asserted bit-equal before timing.
+/// products; the reference unpacks/converts/multiplies per element. Int8
+/// keys are scored by the widened-multiply kernel (`dot_i8_fma`, the
+/// production path behind `QuantVec::dot`). Every pair is asserted
+/// bit-equal before timing.
 fn bench_lut(c: &mut Criterion) {
     let mut rng = SimRng::seed(0x10_07);
     const CTX: usize = 16_384;
@@ -625,7 +623,6 @@ fn bench_lut(c: &mut Criterion) {
         })
     });
 
-    let i8lut = I8Lut::build(&query);
     let want_i8: Vec<f32> = keys_i8.iter().map(|k| k.dot_reference(&query)).collect();
     spec_tensor::quant::dot_i8_batch_into(&query, &keys_i8, &mut out);
     assert_eq!(
@@ -633,21 +630,8 @@ fn bench_lut(c: &mut Criterion) {
         want_i8.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         "int8 widened batch kernel diverged from reference"
     );
-    for k in keys_i8.iter().take(64) {
-        assert_eq!(
-            i8lut.dot_i8(k).to_bits(),
-            k.dot_reference(&query).to_bits(),
-            "int8 table diverged from reference"
-        );
-    }
     c.bench_function("lut/dot_i8_fma/16384x64", |b| {
         b.iter(|| spec_tensor::quant::dot_i8_batch_into(&query, black_box(&keys_i8), &mut out))
-    });
-    c.bench_function("lut/dot_i8_table/16384x64", |b| {
-        b.iter(|| {
-            out.clear();
-            out.extend(black_box(&keys_i8).iter().map(|k| i8lut.dot_i8(k)));
-        })
     });
     c.bench_function("lut/dot_i8_reference/16384x64", |b| {
         b.iter(|| {
@@ -1558,8 +1542,7 @@ fn selection_speedups(c: &Criterion) -> Vec<(String, f64)> {
 }
 
 /// LUT-path / reference ratios for quantized scoring at the 16K shadow
-/// shape: the int4 gather kernel and both int8 contenders (the widened
-/// multiply that production uses, and the L1-thrashing true table).
+/// shape: the int4 gather kernel and the int8 widened multiply.
 fn lut_speedups(c: &Criterion) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     let mut push = |label: &str, old: Option<f64>, new: Option<f64>| {
@@ -1576,11 +1559,6 @@ fn lut_speedups(c: &Criterion) -> Vec<(String, f64)> {
         "dot_i8_fma",
         c.mean_ns("lut/dot_i8_reference/16384x64"),
         c.mean_ns("lut/dot_i8_fma/16384x64"),
-    );
-    push(
-        "dot_i8_table",
-        c.mean_ns("lut/dot_i8_reference/16384x64"),
-        c.mean_ns("lut/dot_i8_table/16384x64"),
     );
     out
 }

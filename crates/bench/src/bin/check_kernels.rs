@@ -22,11 +22,8 @@
 //! 5x one price per length (the price-only miss beside the recording one
 //! is reported, not floored). It also fails on a summary without its
 //! provenance: commit, SIMD tier, CPU vendor / family / model and
-//! microarchitecture label. (The int8 entries are
-//! report-only: at cache-sized dims the 256-entry table thrashes L1 and
-//! the widened multiply sits at parity with the already-ILP-bound
-//! reference — the bench keeps both sides of that trade measured, not
-//! assumed.)
+//! microarchitecture label. (The int8 entries are report-only: the
+//! widened multiply sits at parity with the already-ILP-bound reference.)
 
 use serde::Value;
 use std::process::ExitCode;
@@ -53,7 +50,6 @@ const EXPECTED_ENTRIES: &[&str] = &[
     "lut/dot_i4/16384x64",
     "lut/dot_i4_reference/16384x64",
     "lut/dot_i8_fma/16384x64",
-    "lut/dot_i8_table/16384x64",
     "lut/dot_i8_reference/16384x64",
     // The two data-structure passes of a SpeContext decode step. The
     // elastic entry hands every layer the same lists, as the decode loop
@@ -157,11 +153,11 @@ const EXPECTED_SPEEDUPS: &[&str] = &[
 ];
 
 /// Keys of the `lut_speedup_vs_reference` map that must be present and
-/// at least 1.0. `dot_i8_fma` and `dot_i8_table` are deliberately
-/// absent from the floor set (presence-checked via `EXPECTED_ENTRIES`
-/// only): at dim 64 the int8 reference loop is already ILP-bound across
-/// keys, so both contenders sit at ~parity — the bench reports that
-/// trade instead of pretending a floor.
+/// at least 1.0. `dot_i8_fma` is deliberately absent from the floor set
+/// (presence-checked via `EXPECTED_ENTRIES` only): at dim 64 the int8
+/// reference loop is already ILP-bound across keys, so the widened
+/// multiply sits at ~parity — the bench reports it instead of pretending
+/// a floor.
 const EXPECTED_LUT_SPEEDUPS: &[&str] = &["dot_i4"];
 
 /// The floor for the ordered partial select (`top_k_desc`) against the

@@ -22,8 +22,11 @@
 //! free-running pair, (c), (d)), held unmodified. Every session here is
 //! single-call; what a second call continues from is pinned in `engine.rs`.
 //!
-//! CI also runs this file at `SPEC_THREADS=1` and `SPEC_SIMD=scalar`: the
-//! constants hold at any thread count and SIMD tier.
+//! CI also runs this file at `SPEC_SIMD=scalar`: the constants hold at
+//! any SIMD tier. Nothing here reaches a worker pool: ClusterKV's k-means
+//! over these prompts (at most 96 points of dim 8) stays below its
+//! 2^17-multiply-add fan-out, which only `spec_tensor`'s `determinism.rs`
+//! sweeps exercise, via `with_threads`.
 
 use spec_model::{AttentionKind, LayerSelector, Model, ModelKv, PrefillMode, SimGeometry};
 use spec_retrieval::clusterkv::ClusterKvSelector;

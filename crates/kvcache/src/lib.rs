@@ -4,8 +4,6 @@
 //! this crate models the *physical* side the paper's system contributions
 //! manipulate:
 //!
-//! * [`store`] — a tiered KV store that tracks which layer's cache lives in
-//!   which memory tier (GPU HBM vs CPU DRAM) and byte-accurate sizes;
 //! * [`pages`] — the paged layout and per-page min/max metadata vectors
 //!   used by the Quest baseline;
 //! * [`budget`] — budgeted per-head selection buffers (the GPU-resident
@@ -20,10 +18,8 @@ pub mod alloc;
 pub mod budget;
 pub mod elastic;
 pub mod pages;
-pub mod store;
 
 pub use alloc::{AllocId, AllocPolicy, BlockAllocator};
 pub use budget::BudgetBuffer;
 pub use elastic::{DiffPlan, ResidentSet};
 pub use pages::{PageTable, PAGE_SIZE_DEFAULT};
-pub use store::{KvStore, MemoryTier, TierStats};

@@ -762,9 +762,8 @@ impl Model {
 }
 
 /// Positions per prefill block. A 4096-token prefill measured flat within
-/// noise from 32 to 512 (64 and 128 read best); at 64 every gemm of the
-/// block stays far below `spec_tensor::gemm`'s thread fan-out threshold
-/// and the block buffers stay under 150 KB.
+/// noise from 32 to 512 (64 and 128 read best); at 64 the block buffers
+/// stay under 150 KB.
 const PREFILL_CHUNK: usize = 64;
 
 /// Makes `m` a `rows x cols` matrix, keeping it (and its contents) when it

@@ -9,9 +9,9 @@
 //! shipped step is held to it **bit for bit** — logits, hidden state, the
 //! appended cache rows, and under a trace every recorded weight and
 //! position — across attention families and sparse, dense and mixed
-//! plans. CI runs this suite at `SPEC_THREADS=1` and `SPEC_SIMD=scalar` as
-//! well: decode attention shares the prefill's kernel bodies, so one
-//! scalar-tier lane covers both.
+//! plans. CI runs this suite at `SPEC_SIMD=scalar` as well: decode
+//! attention shares the prefill's kernel bodies, so one scalar-tier lane
+//! covers both.
 
 use proptest::prelude::*;
 use spec_model::{

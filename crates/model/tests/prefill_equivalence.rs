@@ -9,9 +9,8 @@
 //! cached K/V (or latent) float of every layer — across attention
 //! families, exact and windowed modes, prompt lengths either side of the
 //! block boundaries, windows and sink counts either side of every clamp,
-//! and both RoPE scales. CI runs this suite under `SPEC_THREADS` = 1 / 4
-//! and `SPEC_SIMD=scalar` as well: the block gemms must stay serial and
-//! tier-invariant.
+//! and both RoPE scales. CI runs this suite under `SPEC_SIMD=scalar` as
+//! well: the block gemms must stay tier-invariant.
 
 use proptest::prelude::*;
 use spec_model::{
@@ -193,10 +192,10 @@ fn fixed_grid_one_layer() {
 }
 
 /// The benchmark's geometry and prefill mode (8 query heads in groups of
-/// 4, `head_dim` 16, four layers), at every SIMD tier and with worker
-/// threads allowed; a decode step from either cache then agrees too.
+/// 4, `head_dim` 16, four layers), at every SIMD tier; a decode step from
+/// either cache then agrees too.
 #[test]
-fn bench_geometry_windowed_prefill_matches_at_every_tier_and_thread_count() {
+fn bench_geometry_windowed_prefill_matches_at_every_tier() {
     let geom = ModelConfig::deepseek_distill_llama_8b().sim_geometry();
     let model = Model::new(geom, 0xBE7C);
     let emb = prompt(&model, 600, 1);
@@ -206,16 +205,9 @@ fn bench_geometry_windowed_prefill_matches_at_every_tier_and_thread_count() {
     };
     let want = prefill_oracle(&model, &emb, mode);
     let want_next = model.decode_step(emb.row(7), 600, &mut want.0.clone());
-    let mut runs: Vec<_> = dispatch::available_tiers()
-        .iter()
-        .map(|&tier| (tier, 1))
-        .collect();
-    runs.push((dispatch::active_tier(), 4));
-    for (tier, threads) in runs {
-        let mut got = dispatch::with_tier(tier, || {
-            spec_parallel::with_threads(threads, || model.prefill_embeddings(&emb, mode))
-        });
-        let what = format!("tier {tier} threads {threads}");
+    for &tier in dispatch::available_tiers() {
+        let mut got = dispatch::with_tier(tier, || model.prefill_embeddings(&emb, mode));
+        let what = format!("tier {tier}");
         assert_same_prefill(&got, &want, &what);
         let next = model.decode_step(emb.row(7), 600, &mut got.0);
         assert_bits_eq(&next.logits, &want_next.logits, &format!("{what}: decode"));

@@ -1,8 +1,11 @@
 //! Deterministic parallel compute substrate for the SpeContext workspace.
 //!
 //! A hand-rolled scoped worker pool over [`std::thread::scope`] (the build
-//! environment has no crates.io access, so no rayon). Every primitive in
-//! this crate upholds one contract:
+//! environment has no crates.io access, so no rayon). It has two users:
+//! the figure and table benches fan their config sweeps out through
+//! [`par_map`], and `spec_tensor`'s k-means assignment sweep fans out
+//! through [`par_map_range`] from 2^17 distance multiply-adds. Every
+//! primitive in this crate upholds one contract:
 //!
 //! > **Results are bit-for-bit identical at 1 or N threads.**
 //!
@@ -32,8 +35,8 @@
 //! is always the `threads == 1` specialization of the same code).
 //!
 //! Workers inherit the caller's thread budget **divided by the worker
-//! count** (at least 1), so nested fan-outs — a parallel kernel called
-//! from inside a parallel sweep — degrade to serial instead of
+//! count** (at least 1), so nested fan-outs — a figure sweep's worker
+//! running ClusterKV's k-means — degrade to serial instead of
 //! oversubscribing the machine.
 //!
 //! # Example
@@ -174,67 +177,6 @@ where
     par_map_range(items.len(), |i| f(&items[i]))
 }
 
-/// Hands each worker one contiguous, chunk-aligned *band* of `data`.
-///
-/// `data` is interpreted as consecutive chunks of `chunk_len` elements
-/// (the last chunk may be shorter); `f` is invoked once per band with
-/// the index of the band's first chunk and the band slice. Workers own
-/// disjoint bands, so `f` may freely mutate its slice.
-///
-/// The caller must ensure `f`'s effect on a chunk does not depend on the
-/// band it landed in — under that contract the result is independent of
-/// the thread count. Use [`par_chunks_mut`] when no per-band setup (e.g.
-/// packing a shared operand once per band) is needed.
-///
-/// # Panics
-///
-/// Panics if `chunk_len == 0` and `data` is nonempty.
-pub fn par_bands_mut<T, F>(data: &mut [T], chunk_len: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    if data.is_empty() {
-        return;
-    }
-    assert!(chunk_len > 0, "chunk_len must be positive");
-    let chunks = data.len().div_ceil(chunk_len);
-    let budget = max_threads();
-    let threads = budget.min(chunks);
-    if threads <= 1 {
-        f(0, data);
-        return;
-    }
-    let parts = bands(chunks, threads);
-    let child_budget = worker_budget(budget, parts.len());
-    std::thread::scope(|s| {
-        let mut rest = data;
-        for band in parts {
-            let len = (band.len() * chunk_len).min(rest.len());
-            let (mine, tail) = rest.split_at_mut(len);
-            rest = tail;
-            let f = &f;
-            s.spawn(move || with_threads(child_budget, || f(band.start, mine)));
-        }
-    });
-}
-
-/// Applies `f` to every `chunk_len`-sized chunk of `data` in parallel
-/// (the last chunk may be shorter). `f` receives the chunk index and the
-/// chunk; chunks are disjoint, so the result is identical to the serial
-/// `data.chunks_mut(chunk_len).enumerate()` loop at any thread count.
-pub fn par_chunks_mut<T, F>(data: &mut [T], chunk_len: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    par_bands_mut(data, chunk_len, |first, band| {
-        for (i, chunk) in band.chunks_mut(chunk_len).enumerate() {
-            f(first + i, chunk);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,39 +210,6 @@ mod tests {
     fn par_map_range_empty_and_single() {
         assert!(par_map_range(0, |i| i).is_empty());
         assert_eq!(par_map_range(1, |i| i + 5), vec![5]);
-    }
-
-    #[test]
-    fn par_chunks_mut_writes_every_chunk_once() {
-        for t in [1usize, 2, 5, 8] {
-            let mut data = vec![0u32; 23];
-            with_threads(t, || {
-                par_chunks_mut(&mut data, 4, |idx, chunk| {
-                    for v in chunk.iter_mut() {
-                        *v += 1 + idx as u32;
-                    }
-                });
-            });
-            for (i, v) in data.iter().enumerate() {
-                assert_eq!(*v, 1 + (i / 4) as u32, "threads={t} elem={i}");
-            }
-        }
-    }
-
-    #[test]
-    fn par_bands_mut_chunk_aligned_and_disjoint() {
-        for t in [1usize, 2, 3, 4, 9] {
-            let mut data = vec![0u8; 30];
-            with_threads(t, || {
-                par_bands_mut(&mut data, 4, |first, band| {
-                    assert_eq!(first * 4 % 4, 0);
-                    for v in band.iter_mut() {
-                        *v += 1;
-                    }
-                });
-            });
-            assert!(data.iter().all(|&v| v == 1), "threads={t}");
-        }
     }
 
     #[test]

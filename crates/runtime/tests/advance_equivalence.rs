@@ -30,8 +30,8 @@
 //! its head (a head only leaves a queue into the batch, or out of an
 //! engine whose batch is empty).
 //!
-//! No dispatched kernel and no worker pool is involved: the suite runs
-//! the same at every `SPEC_SIMD` / `SPEC_THREADS`.
+//! No dispatched kernel is involved: the suite runs the same at every
+//! `SPEC_SIMD` tier.
 
 use proptest::prelude::*;
 use spec_hwsim::DeviceSpec;

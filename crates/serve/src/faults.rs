@@ -12,7 +12,7 @@
 //! into a deterministic event timeline on the simulated clock: every
 //! random quantity is drawn from [`SimRng`] streams forked from the
 //! plan seed per replica, so identical plans produce byte-identical
-//! timelines at any `SPEC_THREADS`.
+//! timelines.
 //!
 //! The empty plan ([`FaultPlan::none`]) schedules nothing, retries
 //! nothing and sheds nothing — it is what `Cluster::run` hands the

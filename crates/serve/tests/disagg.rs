@@ -12,9 +12,8 @@
 //!    over a free interconnect reproduces the 1-replica monolithic
 //!    cluster's per-request floats exactly: the KV hop is priced, never
 //!    recomputed, so a free hop must be invisible.
-//! 3. **Thread invariance** — the two-stage path (routing, handoff
-//!    delivery, billing) is serial by construction, so reports do not
-//!    depend on the worker-pool width.
+//! 3. **Determinism** — the two-stage path (routing, handoff delivery,
+//!    billing) gives the same report on a repeat run.
 //! 4. **Closed-loop sources** drive a split fleet to completion (this
 //!    combination used to be refused with an assert).
 
@@ -162,24 +161,18 @@ proptest! {
         }
     }
 
-    /// Invariant 3: the two-stage path is worker-pool-width invariant
-    /// (the simulator is serial now, so this pins repeat determinism).
+    /// Invariant 3: the two-stage path is deterministic.
     #[test]
-    fn two_stage_report_is_thread_count_invariant(
+    fn two_stage_report_is_deterministic(
         seed in 0u64..1000,
         count in 4usize..16,
     ) {
         let trace = make_trace(seed, count, 4.0, true);
-        let run = |threads: usize| {
-            spec_parallel::with_threads(threads, || {
-                split(1, 2, LinkSpec::infiniband(), RouterKind::LeastOutstanding)
-                    .run(&trace, &SloSpec::default())
-            })
+        let run = || {
+            split(1, 2, LinkSpec::infiniband(), RouterKind::LeastOutstanding)
+                .run(&trace, &SloSpec::default())
         };
-        let reference = run(1);
-        for t in [4usize, 7] {
-            prop_assert_eq!(&run(t), &reference, "threads={}", t);
-        }
+        prop_assert_eq!(&run(), &run());
     }
 }
 
@@ -237,8 +230,7 @@ fn zero_cost_link_split_matches_monolithic_on_serial_traces() {
 
 /// Invariant 4: a closed-loop source on a 1-prefill + 1-decode fleet.
 /// Every turn is prefilled, hopped and decoded before its session's
-/// next turn departs, every session runs out its turns, and the outcome
-/// does not depend on the worker-pool width.
+/// next turn departs and every session runs out its turns.
 #[test]
 fn closed_loop_source_runs_every_session_to_completion_on_a_split_fleet() {
     let cfg = ClosedLoopConfig::new(5, 3)
@@ -249,15 +241,10 @@ fn closed_loop_source_runs_every_session_to_completion_on_a_split_fleet() {
             Workload::new(1024, 256, 1),
         ])
         .seed(9);
-    let run = |threads: usize| {
-        spec_parallel::with_threads(threads, || {
-            let mut source = cfg.source();
-            let out = split(1, 1, LinkSpec::infiniband(), RouterKind::LeastOutstanding)
-                .run_source_traced(&mut source, &SloSpec::default());
-            (out, source.remaining_hint())
-        })
-    };
-    let ((report, events), remaining) = run(1);
+    let mut source = cfg.source();
+    let (report, _events) = split(1, 1, LinkSpec::infiniband(), RouterKind::LeastOutstanding)
+        .run_source_traced(&mut source, &SloSpec::default());
+    let remaining = source.remaining_hint();
     assert_eq!(report.completed, 15, "5 sessions × 3 turns");
     assert_eq!(report.rejected, 0);
     assert_eq!(remaining, Some(0), "every session ran out its turns");
@@ -270,11 +257,4 @@ fn closed_loop_source_runs_every_session_to_completion_on_a_split_fleet() {
     let decoded = &report.replicas[1].report.completed;
     assert_eq!(decoded.len(), 15);
     assert!(decoded.iter().all(|c| c.request.arrival < c.first_token));
-    for threads in [4usize, 7] {
-        assert_eq!(
-            run(threads),
-            ((report.clone(), events.clone()), remaining),
-            "threads={threads}"
-        );
-    }
 }

@@ -4,8 +4,7 @@
 //!    bit-identical to `Cluster::run`, reports and event streams alike:
 //!    the fault machinery prices at exactly zero when unused.
 //! 2. **Determinism** — identical `FaultPlan` + seed produce
-//!    byte-identical event streams and `ClusterReport`s at
-//!    `SPEC_THREADS` ∈ {1, 4, 7}.
+//!    byte-identical event streams and `ClusterReport`s on a repeat run.
 //! 3. **Conservation** — under any plan, every submitted request is
 //!    completed, rejected, dead-lettered or shed, exactly once.
 //! 4. **Recovery policy** — health-aware routing strictly beats
@@ -15,8 +14,7 @@
 //!    outstanding work.
 //! 5. **Combinations that used to abort** — health-aware routing on a
 //!    split fleet (PR 12's reproducer) and a closed-loop source under
-//!    crashes and shedding run to completion, conserve, and stay
-//!    thread-invariant.
+//!    crashes and shedding run to completion and conserve.
 
 use proptest::prelude::*;
 use spec_hwsim::{fleet, DeviceSpec, Fleet, LinkSpec, ReplicaRole};
@@ -419,20 +417,15 @@ fn health_aware_routing_on_a_split_fleet_conserves_and_never_delivers_to_prefill
         ("seed 3, stragglers off", chaos(3)),
     ];
     for (label, plan) in plans {
-        let run = |threads: usize| {
-            spec_parallel::with_threads(threads, || {
-                Cluster::from_fleet_slots(
-                    &ModelConfig::deepseek_distill_llama_8b(),
-                    &slots,
-                    2048,
-                    SystemKind::SpeContext,
-                    cfg.clone(),
-                    RouterKind::LeastOutstanding.build(),
-                )
-                .run_fault_plan_traced(&trace, &SloSpec::new(10.0, 0.02), &plan)
-            })
-        };
-        let (report, events) = run(1);
+        let (report, events) = Cluster::from_fleet_slots(
+            &ModelConfig::deepseek_distill_llama_8b(),
+            &slots,
+            2048,
+            SystemKind::SpeContext,
+            cfg.clone(),
+            RouterKind::LeastOutstanding.build(),
+        )
+        .run_fault_plan_traced(&trace, &SloSpec::new(10.0, 0.02), &plan);
         assert_conserved(&report, trace.len(), label);
         assert!(report.faults.crashes > 10, "{label}: the plan must crash");
         assert!(report.handoffs.count > 0, "{label}");
@@ -445,11 +438,6 @@ fn health_aware_routing_on_a_split_fleet_conserves_and_never_delivers_to_prefill
                     e.replica
                 );
             }
-        }
-        for threads in [4usize, 7] {
-            let (r, e) = run(threads);
-            assert_eq!(r, report, "{label}: report at SPEC_THREADS={threads}");
-            assert_eq!(e, events, "{label}: events at SPEC_THREADS={threads}");
         }
     }
 }
@@ -477,18 +465,13 @@ fn closed_loop_source_under_crash_and_shedding_conserves_and_ends_refused_sessio
         .health_aware(true)
         .seed(3);
     plan.kv_loss_prob = 1.0;
-    let run = |threads: usize| {
-        spec_parallel::with_threads(threads, || {
-            let mut source = cfg.source();
-            let out = cluster(2, RouterKind::LeastOutstanding, None).run_faulted_traced(
-                &mut source,
-                &SloSpec::default(),
-                &plan,
-            );
-            (out, source.aborted_sessions())
-        })
-    };
-    let ((report, events), aborted) = run(1);
+    let mut source = cfg.source();
+    let (report, events) = cluster(2, RouterKind::LeastOutstanding, None).run_faulted_traced(
+        &mut source,
+        &SloSpec::default(),
+        &plan,
+    );
+    let aborted = source.aborted_sessions();
     // What the source issued: every fresh turn either arrives or sheds.
     let issued = events
         .iter()
@@ -509,9 +492,6 @@ fn closed_loop_source_under_crash_and_shedding_conserves_and_ends_refused_sessio
         report.faults.shed + report.faults.dead_lettered
     );
     assert!(issued < 40, "ended sessions issue no further turns");
-    for threads in [4usize, 7] {
-        assert_eq!(run(threads), ((report.clone(), events.clone()), aborted));
-    }
 }
 
 fn fault_event_names(events: &[Event]) -> Vec<&'static str> {
@@ -538,9 +518,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Identical plan + seed → byte-identical event streams and reports
-    /// at SPEC_THREADS ∈ {1, 4, 7}; conservation holds throughout.
+    /// on a repeat run; conservation holds throughout.
     #[test]
-    fn faulted_runs_are_deterministic_and_thread_invariant(
+    fn faulted_runs_are_deterministic(
         seed in 0u64..1000,
         mtbf in 2.0f64..8.0,
         mttr in 0.5f64..2.0,
@@ -562,20 +542,16 @@ proptest! {
             plan = plan.shed(ShedPolicy::new(24).weights(vec![(0, 2), (1, 1)]));
         }
         let reqs = tenanted_trace(5.0, 30, seed ^ 0xABCD);
-        let run = |threads: usize| {
-            spec_parallel::with_threads(threads, || {
-                cluster(3, RouterKind::LeastOutstanding, None)
-                    .run_fault_plan_traced(&reqs, &SloSpec::default(), &plan)
-            })
+        let run = || {
+            cluster(3, RouterKind::LeastOutstanding, None)
+                .run_fault_plan_traced(&reqs, &SloSpec::default(), &plan)
         };
-        let (report, events) = run(1);
+        let (report, events) = run();
         assert_conserved(&report, 30, "proptest");
         prop_assert!(report.faults.crashes > 0 || report.makespan < mtbf);
-        for threads in [4usize, 7] {
-            let (r, e) = run(threads);
-            prop_assert_eq!(&r, &report, "report at SPEC_THREADS={}", threads);
-            prop_assert_eq!(&e, &events, "events at SPEC_THREADS={}", threads);
-        }
+        let (r, e) = run();
+        prop_assert_eq!(&r, &report, "report on a repeat run");
+        prop_assert_eq!(&e, &events, "events on a repeat run");
         // The fault lifecycle must actually be visible in telemetry when
         // the summary says something happened.
         if report.faults.crashes > 0 {

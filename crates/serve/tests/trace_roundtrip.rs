@@ -4,7 +4,7 @@
 //!
 //! 1. **Round-trip** — record → encode → decode → replay yields the
 //!    identical `ClusterRequest` stream, and cluster runs over a replay
-//!    produce identical `SloReport`s, at any `SPEC_THREADS`.
+//!    produce identical `SloReport`s.
 //! 2. **Layout** — the on-disk encoding is pinned byte-for-byte by a
 //!    golden test, so a codec change cannot silently invalidate
 //!    committed traces.
@@ -89,8 +89,7 @@ proptest! {
     }
 
     /// Cluster runs over a replayed trace are deterministic: identical
-    /// `ClusterReport`s (hence identical `SloReport`s) across replays
-    /// and across worker thread counts.
+    /// `ClusterReport`s (hence identical `SloReport`s) across replays.
     #[test]
     fn replayed_runs_produce_identical_slo_reports(
         seed in 0u64..200,
@@ -102,19 +101,15 @@ proptest! {
             .count(count)
             .seed(seed);
         let bytes = encode(generate(&cfg, &mut SimRng::seed(seed)));
-        let run = |threads: usize| -> ClusterReport {
-            spec_parallel::with_threads(threads, || {
-                let mut replay = ReplayArrivals::new(bytes.clone()).unwrap();
-                cluster(replicas).run_source(&mut replay, &SloSpec::default())
-            })
+        let run = || -> ClusterReport {
+            let mut replay = ReplayArrivals::new(bytes.clone()).unwrap();
+            cluster(replicas).run_source(&mut replay, &SloSpec::default())
         };
-        let reference = run(1);
+        let reference = run();
         prop_assert_eq!(reference.completed + reference.rejected, count);
-        for threads in [1usize, 4, 7] {
-            let report = run(threads);
-            prop_assert_eq!(&report, &reference, "threads={}", threads);
-            prop_assert_eq!(&report.slo, &reference.slo);
-        }
+        let report = run();
+        prop_assert_eq!(&report, &reference);
+        prop_assert_eq!(&report.slo, &reference.slo);
     }
 
     /// The streaming source is byte-identical to the eager generator

@@ -262,10 +262,9 @@ impl<S: TelemetrySink> TelemetrySink for Option<S> {
 
 /// A sink that buffers every event in emission order, optionally
 /// stamping a fixed replica index on each — the per-replica buffer that
-/// makes cluster tracing SPEC_THREADS-invariant: each replica's local
-/// stream is deterministic regardless of which worker thread advanced
-/// it, and [`merge_streams`] interleaves the buffers by a total order
-/// that never consults thread identity.
+/// makes cluster tracing deterministic: each replica's local stream is
+/// its own, and [`merge_streams`] interleaves the buffers by a total
+/// order of simulated time and replica index.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecordingSink {
     tag: Option<u32>,
@@ -327,10 +326,9 @@ impl TelemetrySink for RecordingSink {
 /// ordered by `(tick, stream index, within-stream emission order)`.
 ///
 /// Stream index — the buffer's position in `streams` — must itself be
-/// thread-invariant (replica index, with any cluster-scope buffer at a
-/// fixed position); given that, the merged order is identical at any
-/// SPEC_THREADS because no key depends on which thread produced an
-/// event. Per-stream tick monotonicity is *not* assumed (enqueues are
+/// fixed (replica index, with any cluster-scope buffer at a fixed
+/// position); given that, the merged order is identical on every run.
+/// Per-stream tick monotonicity is *not* assumed (enqueues are
 /// stamped at arrival time while the replica clock may already have
 /// overshot), hence a full stable sort rather than a k-way merge.
 pub fn merge_streams(streams: Vec<Vec<Event>>) -> Vec<Event> {

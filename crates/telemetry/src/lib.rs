@@ -8,8 +8,7 @@
 //! byte-identical). Handing in a [`RecordingSink`] instead captures the
 //! full per-request journey — queue → admit → preempt → checkpoint →
 //! restore → first token → complete — stamped with simulated ticks,
-//! never wall clock, so recorded streams are deterministic and
-//! SPEC_THREADS-invariant.
+//! never wall clock, so recorded streams are deterministic.
 //!
 //! What you can do with a recorded stream:
 //!

@@ -13,15 +13,16 @@
 //! Every output element accumulates its `k` products in **ascending `k`
 //! order** — panel by panel, then element by element inside the panel —
 //! which is exactly the order of the reference triple loop
-//! ([`Matrix::matmul_naive`]). Parallelism only partitions output rows
-//! into disjoint contiguous bands (`spec_parallel::par_bands_mut`), and a
-//! band's results do not depend on its boundaries, so the product is
-//! bit-for-bit identical to the reference at any thread count, including
-//! the serial path. A band's tiling runs on the workspace
+//! ([`Matrix::matmul_naive`]), so the product is bit-for-bit identical to
+//! the reference. The tiling runs on the workspace
 //! [`dispatch`](crate::dispatch) registry (scalar/AVX2/AVX-512/NEON
-//! variants of one body, entered once per band and panel), so the same
-//! bits also hold at every SIMD tier and under a forced
-//! `SPEC_SIMD=scalar`.
+//! variants of one body, entered once per panel), so the same bits also
+//! hold at every SIMD tier and under a forced `SPEC_SIMD=scalar`.
+//!
+//! The kernel is serial. The largest product the workspace issues is a
+//! 64-row prefill block against a 64 x 384 weight, about 2^20.6
+//! multiply-adds, below the ~2^22 at which a scoped spawn of two workers
+//! breaks even.
 
 use crate::Matrix;
 
@@ -35,12 +36,6 @@ const KC: usize = 256;
 /// Below this many multiply-adds the reference loop wins (no packing,
 /// no tile setup).
 const BLOCKED_MIN_MULADDS: usize = 16 * 1024;
-/// Below this many multiply-adds the scoped-spawn overhead of going
-/// parallel outweighs the work: a spawn costs ~100 µs and a million
-/// multiply-adds ~60 µs. Measured break-even on two cores (`m x 64 x 128`,
-/// two workers ÷ one, best of 200): 1.26–1.60 at 2^20, 1.33–1.67 at 2^21,
-/// 0.96–1.08 at 2^22, 0.87–0.90 at 2^23, 0.77–0.81 at 2^24.
-const PAR_MIN_MULADDS: usize = 1 << 23;
 
 /// Shape-dispatched product; see [`Matrix::matmul`] for the contract.
 pub(crate) fn matmul_dispatch(a: &Matrix, b: &Matrix) -> Matrix {
@@ -52,41 +47,29 @@ pub(crate) fn matmul_dispatch(a: &Matrix, b: &Matrix) -> Matrix {
     if m == 1 {
         return vecmat_fast(a, b);
     }
-    let muladds = m * n * k;
-    if muladds < BLOCKED_MIN_MULADDS {
+    if m * n * k < BLOCKED_MIN_MULADDS {
         return a.matmul_naive(b);
     }
     let mut out = Matrix::zeros(m, n);
-    let parallel = muladds >= PAR_MIN_MULADDS && spec_parallel::max_threads() > 1;
-    blocked(a, b, &mut out, parallel);
+    blocked(a, b, &mut out);
     out
 }
 
-/// The blocked product: per KC-deep panel, `B` is packed **once** into a
-/// shared read-only buffer, then the output rows are tiled — serially or
-/// fanned out over disjoint row bands (workers read the same packed
-/// panel, so no packing work is duplicated).
-fn blocked(a: &Matrix, b: &Matrix, out: &mut Matrix, parallel: bool) {
+/// The blocked product: per KC-deep panel, `B` is packed **once**, then
+/// every output row is tiled against it.
+fn blocked(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     let n = b.cols();
     let k_total = a.cols();
     let strips = n.div_ceil(NR);
     let mut panel = vec![0.0f32; KC.min(k_total) * strips * NR];
-    // Resolved here, on the caller's thread, for every band and panel.
     let tier = crate::dispatch::active_tier();
     let mut kb = 0;
     while kb < k_total {
         let kc = KC.min(k_total - kb);
         pack_b(&mut panel, b, kb, kc);
         let panel = &panel[..strips * kc * NR];
-        let tile = |first_row: usize, band: &mut [f32]| {
-            let a = &a.as_slice()[first_row * k_total + kb..];
-            band_tiles::dispatch(tier, a, k_total, panel, kc, band, n);
-        };
-        if parallel {
-            spec_parallel::par_bands_mut(out.as_mut_slice(), n, tile);
-        } else {
-            tile(0, out.as_mut_slice());
-        }
+        let a = &a.as_slice()[kb..];
+        panel_tiles::dispatch(tier, a, k_total, panel, kc, out.as_mut_slice(), n);
         kb += kc;
     }
 }
@@ -97,50 +80,33 @@ fn blocked(a: &Matrix, b: &Matrix, out: &mut Matrix, parallel: bool) {
 fn matvec_fast(a: &Matrix, b: &Matrix) -> Matrix {
     let col = b.as_slice();
     let mut out = Matrix::zeros(a.rows(), 1);
-    let run = |first: usize, band: &mut [f32]| {
-        for (i, slot) in band.iter_mut().enumerate() {
-            *slot = crate::matrix::dot(a.row(first + i), col);
-        }
-    };
-    if a.rows() * a.cols() < PAR_MIN_MULADDS {
-        run(0, out.as_mut_slice());
-    } else {
-        spec_parallel::par_bands_mut(out.as_mut_slice(), 1, run);
+    for (i, slot) in out.as_mut_slice().iter_mut().enumerate() {
+        *slot = crate::matrix::dot(a.row(i), col);
     }
     out
 }
 
 /// `a * B` where `a` is a single row: ascending-`k` axpy over the rows
-/// of `B`. Workers own disjoint column segments; each segment still
-/// walks `k` in ascending order.
+/// of `B`.
 fn vecmat_fast(a: &Matrix, b: &Matrix) -> Matrix {
     let x = a.row(0);
     let n = b.cols();
     let mut out = Matrix::zeros(1, n);
-    let run = |first_chunk: usize, seg: &mut [f32]| {
-        let first_col = first_chunk * NR;
-        for (k, &xv) in x.iter().enumerate() {
-            let brow = &b.as_slice()[k * n + first_col..k * n + first_col + seg.len()];
-            for (o, &w) in seg.iter_mut().zip(brow) {
-                *o += xv * w;
-            }
+    for (k, &xv) in x.iter().enumerate() {
+        let brow = &b.as_slice()[k * n..(k + 1) * n];
+        for (o, &w) in out.as_mut_slice().iter_mut().zip(brow) {
+            *o += xv * w;
         }
-    };
-    if a.cols() * n < PAR_MIN_MULADDS {
-        run(0, out.as_mut_slice());
-    } else {
-        spec_parallel::par_bands_mut(out.as_mut_slice(), NR, run);
     }
     out
 }
 
 crate::dispatch_kernel! {
-    /// Tiles one contiguous band of output rows against the packed
-    /// `kc`-deep `panel`, MR x NR register tiles. `a` starts at the band's
-    /// first row and the panel's first `k`: row `r`'s factors are
-    /// `a[r * lda..][..kc]`.
+    /// Tiles every output row in `rows_out` against the packed `kc`-deep
+    /// `panel`, MR x NR register tiles. `a` starts at the first row and
+    /// the panel's first `k`: row `r`'s factors are `a[r * lda..][..kc]`.
     ///
-    /// The tier is resolved once per band and panel, not once per tile:
+    /// The tier is resolved once per panel, not once per tile:
     /// the strip and row-tile loops run inside the dispatched body with
     /// [`micro_full`] / [`micro_edge`] inlined, so a 4 x 16 tile of ~256
     /// cycles no longer pays a `#[target_feature]` call of its own. Every
@@ -148,15 +114,15 @@ crate::dispatch_kernel! {
     /// lanes one instruction covers, each output element still receives
     /// the identical sequence of `+= a*b` operations (no FMA contraction,
     /// no reassociation) — so every tier produces the same bits.
-    band_tiles(a: &[f32], lda: usize, panel: &[f32], kc: usize, band: &mut [f32], n: usize) {
-        let rows = band.len() / n;
+    panel_tiles(a: &[f32], lda: usize, panel: &[f32], kc: usize, rows_out: &mut [f32], n: usize) {
+        let rows = rows_out.len() / n;
         for i0 in (0..rows).step_by(MR) {
             let mr = MR.min(rows - i0);
             // An edge tile repeats its last row to fill the array; only
             // the first `mr` are read.
             let a_rows: [&[f32]; MR] =
                 std::array::from_fn(|r| &a[(i0 + r.min(mr - 1)) * lda..][..kc]);
-            let out = &mut band[i0 * n..(i0 + mr) * n];
+            let out = &mut rows_out[i0 * n..(i0 + mr) * n];
             for (strip, j0) in panel.chunks_exact(kc * NR).zip((0..).step_by(NR)) {
                 let nr = NR.min(n - j0);
                 if mr == MR && nr == NR {
@@ -256,35 +222,12 @@ mod tests {
             (33, 128, 65),
             (64, 64, 64),
             (130, 257, 50),
+            (530, 128, 125),
         ] {
             let a = rng.normal_matrix(m, k, 1.0);
             let b = rng.normal_matrix(k, n, 1.0);
             assert_bitwise_eq(&a.matmul(&b), &a.matmul_naive(&b), &format!("{m}x{k}x{n}"));
         }
-    }
-
-    #[test]
-    fn blocked_is_thread_count_invariant() {
-        let mut rng = SimRng::seed(0x6E45);
-        let a = rng.normal_matrix(37, 190, 1.0);
-        let b = rng.normal_matrix(190, 53, 1.0);
-        let reference = spec_parallel::with_threads(1, || a.matmul(&b));
-        for t in [2usize, 3, 7] {
-            let got = spec_parallel::with_threads(t, || a.matmul(&b));
-            assert_bitwise_eq(&got, &reference, &format!("threads={t}"));
-        }
-    }
-
-    #[test]
-    fn forced_parallel_band_path_matches() {
-        // The band path itself, whatever PAR_MIN_MULADDS says; `k` spans
-        // two panels and five workers leave ragged bands.
-        let mut rng = SimRng::seed(0x6E46);
-        let a = rng.normal_matrix(128, 300, 1.0);
-        let b = rng.normal_matrix(300, 70, 1.0);
-        let mut got = Matrix::zeros(128, 70);
-        spec_parallel::with_threads(5, || blocked(&a, &b, &mut got, true));
-        assert_bitwise_eq(&got, &a.matmul_naive(&b), "forced parallel");
     }
 
     #[test]

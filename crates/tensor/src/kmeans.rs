@@ -141,8 +141,22 @@ pub fn kmeans(points: &Matrix, config: KMeansConfig, rng: &mut SimRng) -> KMeans
     }
 }
 
-/// Below this many distance muladds per assignment sweep, the serial
-/// loop beats the scoped-spawn overhead.
+/// Below this many distance muladds per assignment sweep, the sweep runs
+/// serially. A whole ClusterKV run (k = n/16, dim 16, 15 iterations,
+/// best of 5) on a 2-vCPU host:
+///
+/// | points | sweep muladds | 1 thread | 2 threads |
+/// |---|---|---|---|
+/// | 512 | 2^18 | 1.17 ms | 1.18 ms |
+/// | 1024 | 2^20 | 4.7 ms | 3.15 ms |
+/// | 2048 | 2^22 | 18.4 ms | 11.5 ms |
+/// | 4096 | 2^24 | 73 ms | 42–46 ms |
+///
+/// Two workers break even at 2^18 and pay from 2^20. The threshold sits
+/// below break-even, at 2^17, so that `determinism.rs`'s sweeps (up to
+/// 200 x 40 x 24, about 2^17.6) take the band path. By the 512-point
+/// row, a spawn costs about what half a 2^18 sweep does (~40 µs), so a
+/// sweep at 2^17 loses ~20 µs to it.
 const PAR_ASSIGN_MIN: usize = 1 << 17;
 
 /// The nearest centroid of every row of `points`, in row order

@@ -5,17 +5,18 @@
 //! algorithms (`spec-retrieval`) and the workload scorers all run on the
 //! dense [`Matrix`] type and the kernels defined here.
 //!
-//! The kernels are allocation-explicit and deterministic. The large
-//! sweeps — [`Matrix::matmul`] (cache-blocked, B-packed; see [`gemm`])
-//! and the k-means assignment — run on the `spec_parallel` worker pool
-//! over disjoint output bands, so results are **bit-for-bit identical at
-//! any thread count** (`SPEC_THREADS` env var; default: all available
-//! cores); the per-element kernels (softmax and SiLU over a libm-free
-//! [`ops::exp`], key scoring and the attention value pass over ranges or
-//! an index list, [`Matrix::vecmat_into`], the set top-k) are one body
-//! per [`dispatch`] tier and identical at every `SPEC_SIMD` tier.
-//! Architectural fidelity — which tokens get selected, how much data
-//! moves — still comes first; both only make the sweeps finish sooner.
+//! The kernels are allocation-explicit and deterministic.
+//! [`Matrix::matmul`] (cache-blocked, B-packed; see [`gemm`]) and the
+//! per-element kernels (softmax and SiLU over a libm-free [`ops::exp`],
+//! key scoring and the attention value pass over ranges or an index list,
+//! [`Matrix::vecmat_into`], the set top-k) are serial, one body per
+//! [`dispatch`] tier and identical at every `SPEC_SIMD` tier. Only the
+//! k-means assignment sweep fans out, on the workspace's worker pool over
+//! disjoint point bands (see [`kmeans`]), so its results are
+//! **bit-for-bit identical at any thread count** (`SPEC_THREADS` env var; default: all available
+//! cores). Architectural fidelity — which tokens get selected, how much
+//! data moves — still comes first; both only make the sweeps finish
+//! sooner.
 //!
 //! # Example
 //!

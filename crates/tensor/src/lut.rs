@@ -17,13 +17,6 @@
 //! (ShadowKV scores the whole context), so the build cost vanishes.
 //! [`QueryLut::scores_into`] is the batched entry point.
 //!
-//! For int8 the table would need 256 entries per element (`256 * dim`
-//! floats — a dim-64 query's table is 64 KiB, the whole L1 cache), so
-//! gathers thrash and arithmetic wins: the production int8 path is the
-//! widened multiply kernel behind [`QuantVec::dot`], while
-//! [`I8Lut`] keeps the true-LUT variant alive so the `kernels` bench can
-//! keep reporting both sides of that trade.
-//!
 //! # Determinism contract
 //!
 //! Table entries are the *same* f32 products the reference computes
@@ -217,62 +210,6 @@ impl QueryLut {
     }
 }
 
-/// The int8 true-LUT variant: a 256-entry table per query element.
-///
-/// Kept so the `kernels` bench can report the LUT-vs-arithmetic trade at
-/// int8 honestly — the table is 1 KiB *per element*, so on cached CPUs
-/// the widened multiply kernel behind [`QuantVec::dot`] wins and is what
-/// production scoring uses. Bit-identical to the reference all the same.
-#[derive(Debug, Clone, Default)]
-pub struct I8Lut {
-    /// `len x 256` row-major: `table[i * 256 + byte] = query[i] * (byte as i8)`.
-    table: Vec<f32>,
-    len: usize,
-}
-
-impl I8Lut {
-    /// Builds the table for `query` (`256 * len` multiplies — see the
-    /// type docs for why this rarely pays off).
-    pub fn build(query: &[f32]) -> Self {
-        let mut table = Vec::with_capacity(query.len() * 256);
-        for &q in query {
-            table.extend((0..=255u8).map(|b| q * (b as i8 as f32)));
-        }
-        Self {
-            table,
-            len: query.len(),
-        }
-    }
-
-    /// Number of query elements the table covers.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when built over an empty query.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// LUT dot of one int8 key: one byte-indexed gather per element,
-    /// folded in ascending order; bit-identical to
-    /// `key.dot_reference(query)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is not int8 or its length differs from the
-    /// table's.
-    pub fn dot_i8(&self, key: &QuantVec) -> f32 {
-        assert_eq!(key.width(), BitWidth::Int8, "I8Lut scores int8 keys");
-        assert_eq!(key.len(), self.len, "lut dot length mismatch");
-        let mut acc = 0.0f32;
-        for (i, &byte) in key.packed().iter().enumerate() {
-            acc += self.table[i * 256 + byte as usize];
-        }
-        acc * key.scale()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,13 +244,6 @@ mod tests {
                 lut.dot_i4(&key).to_bits(),
                 key.dot_reference(&query).to_bits(),
                 "len {n}"
-            );
-            let key8 = QuantVec::quantize(&xs, BitWidth::Int8);
-            let lut8 = I8Lut::build(&query);
-            assert_eq!(
-                lut8.dot_i8(&key8).to_bits(),
-                key8.dot_reference(&query).to_bits(),
-                "i8 len {n}"
             );
         }
     }

@@ -241,12 +241,10 @@ impl Matrix {
     /// triple loop (tiny shapes), and the cache-blocked kernel in
     /// [`gemm`](crate::gemm) — all of which accumulate every output
     /// element over `k` in ascending order, so the result is bit-for-bit
-    /// identical across dispatch choices *and* across thread counts (the
-    /// blocked kernel parallelizes over disjoint row bands; see
-    /// `spec_parallel`). The blocked kernel resolves the SIMD tier once
-    /// per call and enters its dispatched body once per row band and
-    /// `k` panel: the register tiles of a band run inside it, so a gemm of
-    /// the prefill's size (64 x 64 x 192) is one dispatch, not 192.
+    /// identical across dispatch choices. The blocked kernel resolves the
+    /// SIMD tier once per call and enters its dispatched body once per `k`
+    /// panel: the register tiles run inside it, so a gemm of the prefill's
+    /// size (64 x 64 x 192) is one dispatch, not 192.
     ///
     /// # Panics
     ///
@@ -264,7 +262,7 @@ impl Matrix {
     /// accumulating each output element over `k` in ascending order.
     ///
     /// This is the kernel [`matmul`](Self::matmul) is property-tested
-    /// against (bit-for-bit, at every thread count) and the baseline the
+    /// against (bit-for-bit, at every SIMD tier) and the baseline the
     /// `kernels` bench reports speedups over. Prefer [`matmul`]
     /// everywhere else.
     ///

@@ -1,18 +1,17 @@
-//! The determinism contract of the parallel kernels: `matmul` and the
-//! k-means assignment sweep (and `softmax_rows`, which stopped fanning
-//! out: one kernel call over all rows) must match their
-//! serial references **bit-for-bit** across random shapes and
-//! `SPEC_THREADS ∈ {1, 2, 7}` (pinned per run via
+//! The determinism contract of the sweep kernels: `matmul` and
+//! `softmax_rows` (serial, one kernel call over all rows) must match their
+//! serial references **bit-for-bit** across random shapes, and the k-means
+//! assignment sweep — the one kernel that fans out — must do so at
+//! `SPEC_THREADS ∈ {1, 2, 7}` as well (pinned per run via
 //! `spec_parallel::with_threads`, which takes precedence over the env
-//! var). CI runs this suite under several `SPEC_THREADS` values as well,
-//! exercising the env-var path end to end.
+//! var).
 
 use proptest::prelude::*;
 use spec_tensor::kmeans::{self, KMeansConfig};
 use spec_tensor::{ops, SimRng};
 
-/// The thread counts the contract is checked at: serial, even, and an
-/// odd count that leaves ragged band remainders.
+/// The thread counts the k-means contract is checked at: serial, even,
+/// and an odd count that leaves ragged band remainders.
 const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
 
 fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
@@ -29,9 +28,9 @@ fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `matmul` equals the reference triple loop at every thread count,
-    /// across shapes that straddle the naive/blocked dispatch boundary
-    /// and every tile edge case.
+    /// `matmul` equals the reference triple loop across shapes that
+    /// straddle the naive/blocked dispatch boundary and every tile edge
+    /// case.
     #[test]
     fn matmul_matches_reference_bitwise(
         shape in (1usize..48, 1usize..48, 1usize..48, any::<u64>())
@@ -40,21 +39,16 @@ proptest! {
         let mut rng = SimRng::seed(seed);
         let a = rng.normal_matrix(m, k, 1.0);
         let b = rng.normal_matrix(k, n, 1.0);
-        let reference = a.matmul_naive(&b);
-        for t in THREAD_COUNTS {
-            let got = spec_parallel::with_threads(t, || a.matmul(&b));
-            assert_bits_eq(
-                got.as_slice(),
-                reference.as_slice(),
-                &format!("matmul {m}x{k}x{n} threads={t}"),
-            );
-        }
+        assert_bits_eq(
+            a.matmul(&b).as_slice(),
+            a.matmul_naive(&b).as_slice(),
+            &format!("matmul {m}x{k}x{n}"),
+        );
     }
 
     /// `softmax_rows` — every row in one kernel call — equals softmaxing
-    /// each row on its own, whatever the thread count (it has no fan-out
-    /// left to differ by: at ~1 ns an element even 2^17 elements are less
-    /// work than one scoped spawn).
+    /// each row on its own (it has no fan-out: at ~1 ns an element even
+    /// 2^17 elements are less work than one scoped spawn).
     #[test]
     fn softmax_rows_matches_serial_bitwise(
         shape in (1usize..96, 1usize..300, any::<u64>())
@@ -65,14 +59,11 @@ proptest! {
         for r in 0..reference.rows() {
             ops::softmax_inplace(reference.row_mut(r));
         }
-        for t in THREAD_COUNTS {
-            let got = spec_parallel::with_threads(t, || ops::softmax_rows(&m));
-            assert_bits_eq(
-                got.as_slice(),
-                reference.as_slice(),
-                &format!("softmax_rows {rows}x{cols} threads={t}"),
-            );
-        }
+        assert_bits_eq(
+            ops::softmax_rows(&m).as_slice(),
+            reference.as_slice(),
+            &format!("softmax_rows {rows}x{cols}"),
+        );
     }
 
     /// The k-means assignment sweep (`assign_all`) equals the serial
@@ -105,32 +96,13 @@ proptest! {
     }
 }
 
-/// A shape big enough to force the parallel row-band matmul path
-/// (`>= 2^23` mul-adds), so multi-worker banding really runs under the
-/// non-unit thread counts.
-#[test]
-fn large_matmul_takes_parallel_path_and_matches() {
-    let mut rng = SimRng::seed(0xD0_0D);
-    let a = rng.normal_matrix(530, 128, 1.0);
-    let b = rng.normal_matrix(128, 125, 1.0);
-    let reference = a.matmul_naive(&b);
-    for t in THREAD_COUNTS {
-        let got = spec_parallel::with_threads(t, || a.matmul(&b));
-        assert_bits_eq(
-            got.as_slice(),
-            reference.as_slice(),
-            &format!("threads={t}"),
-        );
-    }
-}
-
 /// The premise of the chunked prefill: row `i` of `a.matmul(&b)` is
 /// `b.vecmat(a.row(i))` bit for bit, so a block of positions can go
 /// through one gemm where a decode step goes through one `vecmat` each.
 /// It holds on every dispatch path — the single-row fast path, the
 /// reference loop below the blocked threshold, the blocked tiles above it
-/// (a 1-row tail tile and a second `k` panel included), at every thread
-/// count and SIMD tier — and although `vecmat` skips inputs that are
+/// (a 1-row tail tile and a second `k` panel included), at every SIMD
+/// tier — and although `vecmat` skips inputs that are
 /// exactly zero: an accumulator that started at `+0.0` is never `-0.0`, so
 /// adding `±0.0 * w` leaves it as it was for any finite `w`.
 #[test]
@@ -157,17 +129,13 @@ fn matmul_rows_match_vecmat_across_dispatch_paths() {
         a.row_mut(m / 2)[..k / 2].fill(-0.0);
         a.row_mut(m - 1).fill(if m % 2 == 0 { 0.0 } else { -0.0 });
         for &tier in spec_tensor::dispatch::available_tiers() {
-            for t in THREAD_COUNTS {
-                let got = spec_tensor::dispatch::with_tier(tier, || {
-                    spec_parallel::with_threads(t, || a.matmul(&b))
-                });
-                for i in 0..m {
-                    assert_bits_eq(
-                        got.row(i),
-                        &b.vecmat(a.row(i)),
-                        &format!("{m}x{k}x{n} row {i} tier {tier} threads={t}"),
-                    );
-                }
+            let got = spec_tensor::dispatch::with_tier(tier, || a.matmul(&b));
+            for i in 0..m {
+                assert_bits_eq(
+                    got.row(i),
+                    &b.vecmat(a.row(i)),
+                    &format!("{m}x{k}x{n} row {i} tier {tier}"),
+                );
             }
         }
     }
@@ -216,14 +184,10 @@ fn degenerate_shapes_match() {
         let mut rng = SimRng::seed((m * 31 + k * 7 + n) as u64);
         let a = rng.normal_matrix(m, k, 1.0);
         let b = rng.normal_matrix(k, n, 1.0);
-        let reference = a.matmul_naive(&b);
-        for t in THREAD_COUNTS {
-            let got = spec_parallel::with_threads(t, || a.matmul(&b));
-            assert_bits_eq(
-                got.as_slice(),
-                reference.as_slice(),
-                &format!("{m}x{k}x{n} threads={t}"),
-            );
-        }
+        assert_bits_eq(
+            a.matmul(&b).as_slice(),
+            a.matmul_naive(&b).as_slice(),
+            &format!("{m}x{k}x{n}"),
+        );
     }
 }
