@@ -12,8 +12,10 @@
 //! (against rank-then-mark) or the polynomial-`exp` softmax (against the
 //! libm one) drops under 2x at 4224 positions, when the decode step's
 //! in-place attention drops under 1.5x gather-then-attend at 260 of 2304
-//! positions, when the value tile drops under 1.2x its twin that tests
-//! every weight for zero, when the retrieval head's int8 key sweep drops
+//! positions (2.6x for a summary made on the AVX-512 tier, where the QK
+//! transposes its key rows in registers), when the value tile drops under
+//! 1.2x its twin that tests every weight for zero, when the retrieval
+//! head's int8 key sweep drops
 //! under 1.5x the f32 one at 4224 positions, the merge-counted overlap
 //! under 4x the hash set at either union size or the bitmap union and
 //! overlap under 5x the merges they replaced, when the simulator's
@@ -212,6 +214,15 @@ const SOFTMAX_MIN_SPEEDUP: f64 = 2.0;
 /// host.
 const ATTEND_MIN_SPEEDUP: f64 = 1.5;
 
+/// [`ATTEND_MIN_SPEEDUP`] for a summary whose provenance names the AVX-512
+/// tier, where the QK transposes sixteen listed key rows at a time in
+/// registers instead of staging them into the tile by scatter (the one
+/// kernel whose tier changes how it moves its data, so the one floor set
+/// by tier). Measured 3.25x there (34.7 against 112.6 µs), against 2.35x
+/// for the staged tile in the summary before the transpose, which this
+/// floor fails; the margin is a fifth of the measurement.
+const ATTEND_AVX512_MIN_SPEEDUP: f64 = 2.6;
+
 /// The floor for the retrieval head's int8 key sweep
 /// (`QuantKeyBlocks::dots_into`, 8 heads) against the f32 one at 4224
 /// positions, rotating through 16 sessions' caches so that neither stays
@@ -302,6 +313,12 @@ fn check(doc: &Value) -> Result<Vec<String>, String> {
         }
     }
     let mut report = vec![format!("provenance: {}", origin.join(" / "))];
+    let attend_floor = if matches!(provenance.get_field("simd_tier"), Ok(Value::Str(t)) if t == "avx512")
+    {
+        ATTEND_AVX512_MIN_SPEEDUP
+    } else {
+        ATTEND_MIN_SPEEDUP
+    };
 
     let entries = match doc.get_field("entries").map_err(|e| e.to_string())? {
         Value::Seq(items) => items,
@@ -369,11 +386,7 @@ fn check(doc: &Value) -> Result<Vec<String>, String> {
             MARK_TOP_K_MIN_SPEEDUP,
         ),
         ("softmax_speedup_vs_libm", "4224", SOFTMAX_MIN_SPEEDUP),
-        (
-            "attend_speedup_vs_gathered",
-            "260of2304",
-            ATTEND_MIN_SPEEDUP,
-        ),
+        ("attend_speedup_vs_gathered", "260of2304", attend_floor),
         (
             "head_sweep_int8_speedup_vs_f32",
             "4224",

@@ -29,13 +29,23 @@
 //!
 //! # The determinism contract
 //!
-//! Every dispatched kernel in the workspace compiles **one shared body**
-//! per tier (see [`dispatch_kernel!`](crate::dispatch_kernel)): wider
-//! registers change how many lanes one instruction covers, never the
-//! sequence of floating-point operations each output element receives.
-//! All tiers are therefore bit-for-bit identical to the retained scalar
-//! `*_reference` implementations, which the `simd_dispatch` property
-//! suite pins across every available tier.
+//! Every dispatched kernel in the workspace has **one shared arithmetic**:
+//! wider registers change how many lanes one instruction covers, never
+//! the sequence of floating-point operations each output element
+//! receives. All tiers are therefore bit-for-bit identical to the
+//! retained scalar `*_reference` implementations, which the
+//! `simd_dispatch` property suite pins across every available tier.
+//!
+//! Almost every kernel gets that by compiling one shared *body* per tier
+//! (see [`dispatch_kernel!`](crate::dispatch_kernel)) and leaving the
+//! data movement to the compiler. One does not: `ops::indexed_dots`' AVX-512
+//! tier, for key rows a multiple of 16 wide, moves the listed rows into
+//! its lanes with explicit `core::arch` shuffles (a 16x16 register
+//! transpose), because the shared body's staging — each key element
+//! stored into its lane of a tile — compiles to two scatters a row there,
+//! ~4/5 of the decode step's QK. Its multiplies and adds are the shared
+//! body's, one lane per listed row, in the same order, so it returns the
+//! same bits; the shared body is what every other tier and width runs.
 
 use std::cell::Cell;
 use std::sync::OnceLock;

@@ -521,13 +521,25 @@ fn weighted_tiles<'a>(
 /// `out[j * positions.len() + i] = dot(query j, keys.row(positions[i]))`
 /// — head-major, ready for one [`softmax_rows_inplace`] call.
 ///
-/// The keys stay where the cache holds them, row-major. Up to
-/// [`KEY_BLOCK`] listed rows at a time are staged dimension-major in
-/// `tile` (the `KeyBlocks` chunk, built per call instead of stored) and
-/// scored with that layout's loop, lanes across positions, so every score
-/// has [`matrix::dot`](crate::matrix::dot)'s bits at every dispatch tier,
-/// whatever order the list is in. `tile` is work space: resized as
-/// needed, contents meaningless afterwards.
+/// The keys stay where the cache holds them, row-major, and are scored
+/// lanes across positions — each score accumulated from `-0.0` with its
+/// products in ascending dimension, so every score has
+/// [`matrix::dot`](crate::matrix::dot)'s bits at every dispatch tier,
+/// whatever order the list is in. How the listed rows reach the lanes
+/// depends on what the call can observe:
+///
+/// - On the AVX-512 tier, with `keys.cols()` a multiple of 16, sixteen
+///   listed rows at a time are loaded a 16-float slab each and transposed
+///   in registers into sixteen dimension vectors, which the query heads
+///   multiply and add straight into their scores. Staging the rows into a
+///   tile instead compiles to two scatters a row there, ~4/5 of the
+///   kernel's time.
+/// - Everywhere else up to [`KEY_BLOCK`] listed rows at a time are staged
+///   dimension-major in `tile` (the `KeyBlocks` chunk, built per call
+///   instead of stored) and scored with that layout's loop.
+///
+/// `tile` is work space: resized as needed, contents meaningless
+/// afterwards.
 ///
 /// # Panics
 ///
@@ -552,15 +564,176 @@ pub fn indexed_dots(
         queries.len() / d * positions.len(),
         "score length mismatch"
     );
+    // Sized whichever body runs: a call allocates the same at every tier.
     tile.resize(d * KEY_BLOCK, 0.0);
-    indexed_block_dots::dispatch(
-        crate::dispatch::active_tier(),
-        queries,
-        keys.as_slice(),
-        positions,
-        tile,
-        out,
-    );
+    let tier = crate::dispatch::active_tier();
+    #[cfg(target_arch = "x86_64")]
+    if tier == crate::dispatch::SimdTier::Avx512 && d.is_multiple_of(transposed::LANES) {
+        // SAFETY: `active_tier` is clamped to the tiers this CPU runs, so
+        // it has AVX-512F, and `assert_in_bounds` above has checked that
+        // every position names a row of `keys`.
+        unsafe { transposed::indexed_dots(queries, keys.as_slice(), d, positions, out) };
+        return;
+    }
+    indexed_block_dots::dispatch(tier, queries, keys.as_slice(), positions, tile, out);
+}
+
+/// [`indexed_dots`]' AVX-512 body: the listed key rows transposed sixteen
+/// at a time in registers, the one kernel in the crate that moves its
+/// data with explicit `core::arch` shuffles. Its arithmetic is
+/// [`block_acc`]'s per lane — `acc = acc + q[d] * k[d]` from `-0.0`, `d`
+/// ascending, a separate multiply and add — so it returns the tile
+/// body's bits; only the staging differs. The portable staging stores
+/// each key element into its lane of the tile, which the compiler turns
+/// into scatters; a 16x16 transpose of the rows as loaded is 64 register
+/// shuffles, and the dots never leave registers.
+#[cfg(target_arch = "x86_64")]
+mod transposed {
+    use std::arch::x86_64::*;
+
+    /// Rows per chunk and floats per slab: one `zmm`.
+    pub(super) const LANES: usize = 16;
+
+    /// Query heads scored per transpose: four accumulators, four
+    /// independent add chains across the sixteen dimension vectors.
+    const HEADS: usize = 4;
+
+    /// `out[h * positions.len() + i] = dot(query h, key row positions[i])`
+    /// of the row-major `d`-wide `keys`, `d` a multiple of [`LANES`]. A
+    /// short last chunk fills its unused lanes with its own first row and
+    /// drops them.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have AVX-512F, and every position must name a row of
+    /// `keys` (`p < keys.len() / d`): the rows are loaded unchecked.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn indexed_dots(
+        queries: &[f32],
+        keys: &[f32],
+        d: usize,
+        positions: &[usize],
+        out: &mut [f32],
+    ) {
+        let len = positions.len();
+        let heads = queries.len() / d;
+        for (chunk, at) in positions.chunks(LANES).zip((0..).step_by(LANES)) {
+            let rows: [*const f32; LANES] = std::array::from_fn(|i| {
+                let p = chunk.get(i).unwrap_or(&chunk[0]);
+                // SAFETY: `p` names a row of `keys` (this function's
+                // contract), so the offset stays inside the slice.
+                unsafe { keys.as_ptr().add(p * d) }
+            });
+            // The listed lanes; `chunk.len() <= 16`, so the shift fits.
+            let mask = ((1u32 << chunk.len()) - 1) as __mmask16;
+            let mut h = 0;
+            while h < heads {
+                let (queries, out) = (&queries[h * d..], &mut out[h * len + at..]);
+                // SAFETY: each of `rows` starts a `d`-float row of `keys`.
+                unsafe {
+                    if heads - h >= HEADS {
+                        group_dots::<HEADS>(queries, d, &rows, len, mask, out);
+                        h += HEADS;
+                    } else {
+                        group_dots::<1>(queries, d, &rows, len, mask, out);
+                        h += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The scores of the first `H` query heads of `queries` against one
+    /// chunk of key rows: head `j`'s go to `out[j * len..]`, the lanes
+    /// `mask` sets.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have AVX-512F, and each of `rows` must point at `d`
+    /// readable floats.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn group_dots<const H: usize>(
+        queries: &[f32],
+        d: usize,
+        rows: &[*const f32; LANES],
+        len: usize,
+        mask: __mmask16,
+        out: &mut [f32],
+    ) {
+        let mut acc = [_mm512_set1_ps(-0.0); H];
+        for slab in (0..d).step_by(LANES) {
+            // SAFETY: `slab + 16 <= d`, as `d` is a multiple of 16, and
+            // each row holds `d` floats (this function's contract).
+            let dims = transpose(rows.map(|row| unsafe { _mm512_loadu_ps(row.add(slab)) }));
+            let q: [&[f32; LANES]; H] = std::array::from_fn(|j| {
+                queries[j * d + slab..][..LANES]
+                    .try_into()
+                    .expect("a slab is 16 floats")
+            });
+            for (acc, q) in acc.iter_mut().zip(q) {
+                for (dim, &q) in dims.iter().zip(q) {
+                    *acc = _mm512_add_ps(*acc, _mm512_mul_ps(_mm512_set1_ps(q), *dim));
+                }
+            }
+        }
+        for (j, acc) in acc.into_iter().enumerate() {
+            let lanes = &mut out[j * len..][..mask.count_ones() as usize];
+            // SAFETY: `mask` sets the low `lanes.len()` lanes only, and the
+            // store touches no lane it clears.
+            unsafe { _mm512_mask_storeu_ps(lanes.as_mut_ptr(), mask, acc) };
+        }
+    }
+
+    /// The 16x16 transpose: `out[c]` lane `r` is `rows[r]` lane `c`.
+    /// Interleave pairs of rows, then pairs of pairs (a 4x4 transpose in
+    /// each 128-bit lane), then regroup the 128-bit lanes in two rounds.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn transpose(r: [__m512; LANES]) -> [__m512; LANES] {
+        // Lane L of t[2i] is rows 2i, 2i+1 at columns 4L, 4L+1
+        // interleaved; t[2i+1] at 4L+2, 4L+3.
+        let t: [__m512; LANES] = std::array::from_fn(|k| {
+            let (a, b) = (r[k & !1], r[k | 1]);
+            if k % 2 == 0 {
+                _mm512_unpacklo_ps(a, b)
+            } else {
+                _mm512_unpackhi_ps(a, b)
+            }
+        });
+        // Lane L of u[4g+j] is column 4L+j of rows 4g..4g+4.
+        let u: [__m512; LANES] = std::array::from_fn(|k| {
+            let (g, j) = (k & !3, k & 3);
+            let (a, b) = (t[g + (j >> 1)], t[g + 2 + (j >> 1)]);
+            if j % 2 == 0 {
+                _mm512_shuffle_ps::<0x44>(a, b)
+            } else {
+                _mm512_shuffle_ps::<0xEE>(a, b)
+            }
+        });
+        // v[j] / v[4+j]: 128-bit lanes 0, 1 / 2, 3 of u[j] then u[4+j];
+        // v[8+j] / v[12+j]: the same of u[8+j] then u[12+j].
+        let v: [__m512; LANES] = std::array::from_fn(|k| {
+            let (a, b) = (u[(k & 8) + (k & 3)], u[(k & 8) + 4 + (k & 3)]);
+            if k & 4 == 0 {
+                _mm512_shuffle_f32x4::<0x44>(a, b)
+            } else {
+                _mm512_shuffle_f32x4::<0xEE>(a, b)
+            }
+        });
+        // Column 4L+j takes 128-bit lane L of u[j], u[4+j], u[8+j], u[12+j]:
+        // even / odd lanes of v[j] and v[8+j] for L = 0 / 1, of v[4+j] and
+        // v[12+j] for L = 2 / 3.
+        std::array::from_fn(|c| {
+            let (l, j) = (c >> 2, c & 3);
+            let (a, b) = (v[(l & 2) * 2 + j], v[8 + (l & 2) * 2 + j]);
+            if l % 2 == 0 {
+                _mm512_shuffle_f32x4::<0x88>(a, b)
+            } else {
+                _mm512_shuffle_f32x4::<0xDD>(a, b)
+            }
+        })
+    }
 }
 
 crate::dispatch_kernel! {

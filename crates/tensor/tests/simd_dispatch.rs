@@ -591,9 +591,10 @@ fn block_attention_matches_the_scalar_specification_at_every_tier() {
 }
 
 /// List lengths either side of every chunk edge of the indexed kernels
-/// (16 lanes, the 64-row tile), a decode step's budget and a dense step
-/// over a 4 K context.
-const LIST_LENGTHS: [usize; 11] = [0, 1, 15, 16, 17, 63, 64, 65, 129, 260, 4353];
+/// (16 lanes, the AVX-512 QK's 16-row transpose — once and twice — and the
+/// 64-row tile), a decode step's budget and a dense step over a 4 K
+/// context.
+const LIST_LENGTHS: [usize; 14] = [0, 1, 15, 16, 17, 31, 32, 33, 63, 64, 65, 129, 260, 4353];
 
 /// Index lists of `n` positions into `rows >= 2 * n` cache rows: ascending
 /// with gaps (a selection), contiguous (dense attention), descending, and
@@ -617,16 +618,30 @@ fn index_lists(n: usize, rows: usize, rng: &mut SimRng) -> Vec<(&'static str, Ve
 
 /// `(query heads in the group, head_dim)`: the engine's group of 4 x 16,
 /// MHA's single head, a group wider than the value tile's 4 heads, a
-/// `head_dim` that leaves the value tile an edge, and the paper's 64.
-const GROUP_SHAPES: [(usize, usize); 5] = [(4, 16), (1, 16), (8, 24), (4, 64), (1, 24)];
+/// `head_dim` that leaves the value tile an edge, the paper's 64, MQA's
+/// whole group at the engine's width, and two 16-wide slabs a key summed
+/// across slabs (the AVX-512 QK takes widths that are multiples of 16, so
+/// 24 runs the tile body at every tier).
+const GROUP_SHAPES: [(usize, usize); 7] = [
+    (4, 16),
+    (1, 16),
+    (8, 24),
+    (4, 64),
+    (1, 24),
+    (8, 16),
+    (2, 32),
+];
 
 /// The decode step's two indexed kernels read the cache in place through
 /// an index list and must return the scalar specification's bits at every
 /// tier: `indexed_dots` is `matrix::dot` per (head, listed row) — a row of
 /// `-0.0` products included, where only `Iterator::sum`'s `-0.0` start
-/// keeps the sign — and `indexed_weighted_sums` is `ops::weighted_sum` per
-/// head over the gathered rows, with the weights a masked softmax leaves:
-/// exact zeros where a score was `-inf`, and exactly 1 on a list of one.
+/// keeps the sign; the gapped list ends on that row, the cache's last, so
+/// a short chunk that filled its spare lanes with a row it does not list
+/// would read past the matrix or score wrong — and `indexed_weighted_sums`
+/// is `ops::weighted_sum` per head over the gathered rows, with the weights
+/// a masked softmax leaves: exact zeros where a score was `-inf`, and
+/// exactly 1 on a list of one.
 #[test]
 fn indexed_attention_kernels_match_the_scalar_specification_at_every_tier() {
     for n in LIST_LENGTHS {
