@@ -18,7 +18,8 @@
 //! the quiet run's walk against the per-step lookup, misses priced a
 //! block of lanes at a time against one price per length and against a
 //! recording timeline, and one engine's `advance_until` over the
-//! committed trace's prefix.
+//! committed trace's prefix. Last, `spec_parallel::join`'s hand-off and
+//! a decode step with its KV-head halves on two threads against one.
 //!
 //! Everything that selects from scores is timed over a [`Rotation`] of 64
 //! distinct inputs, not one: a sort's branch sequence on a single
@@ -63,6 +64,8 @@ use spec_tensor::quant::{BitWidth, QuantVec};
 use spec_tensor::topk::{top_k_mass, top_k_positions, PosBitSet, RankScratch, SelectScratch};
 use spec_tensor::{ops, stats, KeyBlocks, Matrix, QuantKeyBlocks, SimRng};
 use std::hint::black_box;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 
 /// Distinct inputs a selection bench cycles through, one per iteration.
 const ROTATION: usize = 64;
@@ -172,6 +175,15 @@ const PREFILL_ORACLE: &str = "prefill_oracle/windowed96+4/4096";
 const HEAD_APPENDS: usize = 4096;
 const HEAD_APPEND: &str = "retrieval_head/append/4096";
 const HEAD_APPEND_PER_HEAD: &str = "retrieval_head/append_per_head/4096";
+
+/// Cached positions of the decode-step comparison: a late `reason_2k_16k`
+/// step (budget 256 + the forced ends, 2304 positions).
+const DECODE_CACHED: usize = 2304;
+
+/// The decode-step comparison's two sides and the join round trip.
+const DECODE_STEP_SPLIT: &str = "decode_step/split";
+const DECODE_STEP_SERIAL: &str = "decode_step/serial";
+const JOIN_ROUNDTRIP: &str = "join/roundtrip";
 
 fn bench_kernels(c: &mut Criterion) {
     let mut rng = SimRng::seed(0xBE7C);
@@ -977,6 +989,85 @@ fn bench_forward(c: &mut Criterion) {
     });
 }
 
+/// `spec_parallel::join`'s hand-off, and a decode step through it.
+///
+/// `join/roundtrip` is one join whose `b` waits (a bounded spin) until the
+/// helper has started `a`: a post, the helper's pick-up, an empty `a` and
+/// its completion, as a split step pays them. `decode_step/{split,serial}`
+/// is a `reason_2k_16k` step late in the op, 2304 positions cached: the
+/// retrieval head's select and the model's forward under the selection,
+/// then the step's K/V rows taken back. `split` runs on this thread, where
+/// the helper may take each KV-head half; `serial` on a pool worker, whose
+/// joins run inline.
+fn bench_split(c: &mut Criterion) {
+    c.bench_function(JOIN_ROUNDTRIP, |b| {
+        b.iter(|| {
+            let started = AtomicBool::new(false);
+            spec_parallel::join(
+                || started.store(true, Ordering::Release),
+                || {
+                    // Bounded: inline (one CPU), `a` runs after this.
+                    for _ in 0..100_000 {
+                        if started.load(Ordering::Acquire) {
+                            break;
+                        }
+                        std::hint::spin_loop();
+                    }
+                },
+            )
+        })
+    });
+
+    let engine = spec_bench::sim_engine(
+        &ModelConfig::deepseek_distill_llama_8b(),
+        spec_bench::to_sim(2048),
+        0x5EED,
+    );
+    let model = engine.model();
+    let geom = model.geometry();
+    let mut rng = SimRng::seed(0xDEC0);
+    let tokens: Vec<usize> = (0..=DECODE_CACHED).map(|_| rng.below(geom.vocab)).collect();
+    let emb = model.embed_tokens(&tokens);
+    let prompt = Matrix::from_vec(
+        DECODE_CACHED,
+        geom.hidden,
+        emb.as_slice()[..DECODE_CACHED * geom.hidden].to_vec(),
+    );
+    let (kv, _) = model.prefill_embeddings(&prompt, engine.config().prefill_mode);
+    let mut retriever = engine.retriever();
+    for row in 0..DECODE_CACHED {
+        retriever.observe(emb.row(row));
+    }
+    let x = emb.row(DECODE_CACHED);
+    let step = |c: &mut Criterion, name: &str| {
+        let (mut kv, mut scratch) = (kv.clone(), SelectScratch::new());
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let mut selection = retriever.select_scratch(black_box(x), geom, &mut scratch);
+                let out = model.step(
+                    x,
+                    DECODE_CACHED,
+                    &mut kv,
+                    &mut selection,
+                    &mut scratch,
+                    None,
+                );
+                kv.truncate(DECODE_CACHED);
+                out.logits[0]
+            })
+        });
+    };
+    step(c, DECODE_STEP_SPLIT);
+    let c = Mutex::new(c);
+    spec_parallel::with_threads(2, || {
+        spec_parallel::par_map_range(2, |worker| {
+            if worker == 0 {
+                step(&mut c.lock().expect("one worker"), DECODE_STEP_SERIAL);
+            }
+        })
+    });
+}
+
 /// Cached positions of the head-sweep comparison: a `reason_2k_16k` step
 /// midway and at its end, and a `prompt_32k_2k` step.
 const SWEEP_LENS: [usize; 3] = [1280, 2304, 4224];
@@ -1356,6 +1447,10 @@ fn write_summary(c: &Criterion) {
     json.push_str(&format!(
         "\n  }},\n  \"prefill_speedup_vs_oracle\": {prefill_speedup:.2},\n  \"value_tile_speedup_vs_branchy\": {tile_speedup:.2},\n  \"head_append_speedup_vs_per_head\": {append_speedup:.2},\n"
     ));
+    let split_speedup = best_ratio(c, DECODE_STEP_SERIAL, DECODE_STEP_SPLIT);
+    json.push_str(&format!(
+        "  \"decode_step_split_speedup_vs_serial\": {split_speedup:.2},\n"
+    ));
     let walk_speedup = best_ratio(c, STEP_HIT_LOOKUP, STEP_HIT_WALK);
     let miss_speedup = best_ratio(c, STEP_MISS_RECORDED, STEP_MISS);
     let block_speedup = best_ratio(c, STEP_PRICE, STEP_MISS);
@@ -1451,6 +1546,7 @@ fn write_summary(c: &Criterion) {
     println!("[prefill speedup vs token-at-a-time] {prefill_speedup:.2}");
     println!("[value tile speedup vs per-row zero test] {tile_speedup:.2}");
     println!("[head append speedup vs one vecmat a head] {append_speedup:.2}");
+    println!("[decode step split speedup vs serial] {split_speedup:.2}");
     println!("[step-table walk speedup vs lookup] {walk_speedup:.2}");
     println!("[step miss speedup vs recorded timeline] {miss_speedup:.2}");
     println!("[step block speedup vs one price a length] {block_speedup:.2}");
@@ -1575,6 +1671,7 @@ fn main() {
     bench_prefill(&mut c);
     bench_attend(&mut c);
     bench_forward(&mut c);
+    bench_split(&mut c);
     bench_retrieval_side(&mut c);
     bench_serving(&mut c);
     write_summary(&c);

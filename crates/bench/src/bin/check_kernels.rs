@@ -22,9 +22,11 @@
 //! step-table walk drops under 2x the per-step lookup, or when its misses
 //! — a block of lengths priced as the lanes of one timeline — drop under
 //! 5x one price per length (the price-only miss beside the recording one
-//! is reported, not floored). It also fails on a summary without its
-//! provenance: commit, SIMD tier, CPU vendor / family / model and
-//! microarchitecture label. (The int8 entries are report-only: the
+//! is reported, not floored), or when a decode step split by KV head
+//! across two threads drops under 1.2x the same step on one, where the
+//! provenance shows two CPUs or more. It also fails on a summary without
+//! its provenance: commit, SIMD tier, CPU vendor / family / model,
+//! microarchitecture label and CPU count. (The int8 entries are report-only: the
 //! widened multiply sits at parity with the already-ILP-bound reference.)
 
 use serde::Value;
@@ -139,6 +141,12 @@ const EXPECTED_ENTRIES: &[&str] = &[
     "serving/step_price/specontext",
     "serving/step_miss_recorded/specontext",
     "scheduler/advance_until/sample512",
+    // `spec_parallel::join`'s hand-off, and a late `reason_2k_16k` decode
+    // step (select + forward) with its KV-head halves on two threads and
+    // on one.
+    "join/roundtrip",
+    "decode_step/split",
+    "decode_step/serial",
 ];
 
 /// Keys of the `selection_speedup_vs_reference` map that must be present
@@ -277,6 +285,15 @@ const STEP_WALK_MIN_SPEEDUP: f64 = 2.0;
 /// whose simulator code is baseline x86-64.
 const STEP_BLOCK_MIN_SPEEDUP: f64 = 5.0;
 
+/// The floor for a decode step whose KV-head halves `spec_parallel::join`
+/// splits across two threads against the same step on one (best samples;
+/// 2304 positions cached, the retrieval head's select and the forward),
+/// held only for a summary whose provenance shows at least two CPUs.
+/// Measured 1.37x (78.0 against 106.8 µs) on the 2-vCPU AVX-512 build
+/// host, a hand-off (`join/roundtrip`) costing 0.54 µs there; on one CPU
+/// both sides run the same serial code.
+const SPLIT_MIN_SPEEDUP: f64 = 1.2;
+
 /// Fields the summary's `provenance` object must carry, and whether each
 /// is a string (else a number).
 const PROVENANCE_FIELDS: &[(&str, bool)] = &[
@@ -286,6 +303,7 @@ const PROVENANCE_FIELDS: &[(&str, bool)] = &[
     ("cpu_family", false),
     ("cpu_model", false),
     ("microarch", true),
+    ("cpus", false),
 ];
 
 fn numeric(v: &Value, what: &str) -> Result<f64, String> {
@@ -313,6 +331,10 @@ fn check(doc: &Value) -> Result<Vec<String>, String> {
         }
     }
     let mut report = vec![format!("provenance: {}", origin.join(" / "))];
+    let cpus = numeric(
+        provenance.get_field("cpus").map_err(|e| e.to_string())?,
+        "cpus",
+    )?;
     let attend_floor = if matches!(provenance.get_field("simd_tier"), Ok(Value::Str(t)) if t == "avx512")
     {
         ATTEND_AVX512_MIN_SPEEDUP
@@ -441,6 +463,10 @@ fn check(doc: &Value) -> Result<Vec<String>, String> {
         ("step_walk_speedup_vs_lookup", Some(STEP_WALK_MIN_SPEEDUP)),
         ("step_block_speedup_vs_single", Some(STEP_BLOCK_MIN_SPEEDUP)),
         ("step_miss_speedup_vs_recorded", None),
+        (
+            "decode_step_split_speedup_vs_serial",
+            (cpus >= 2.0).then_some(SPLIT_MIN_SPEEDUP),
+        ),
     ] {
         let v = doc.get_field(key).map_err(|_| format!("missing `{key}`"))?;
         let ratio = numeric(v, &format!("`{key}`"))?;

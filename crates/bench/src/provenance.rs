@@ -1,8 +1,8 @@
 //! What produced a bench artifact: the commit, the SIMD tier the kernels
 //! dispatched to, and the CPU they ran on — vendor, family and model as
-//! `cpuid` reports them, plus a microarchitecture label looked up from
-//! family and model, so two timing files can be told apart without
-//! asking who ran them where.
+//! `cpuid` reports them, a microarchitecture label looked up from family
+//! and model, and how many CPUs the process could use — so two timing
+//! files can be told apart without asking who ran them where.
 
 use std::path::Path;
 use std::process::Command;
@@ -24,6 +24,11 @@ pub struct Provenance {
     pub cpu_model: u32,
     /// The codename table's label for the three above, or `"unknown"`.
     pub microarch: &'static str,
+    /// [`std::thread::available_parallelism`]: the CPUs the affinity mask
+    /// and cgroup quota leave the process (1 if unknown). A split that
+    /// hands half its work to `spec_parallel::join`'s helper can pay only
+    /// where this is at least 2.
+    pub cpus: usize,
 }
 
 impl Provenance {
@@ -39,14 +44,15 @@ impl Provenance {
             cpu_family,
             cpu_model,
             microarch,
+            cpus: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         }
     }
 
     /// The record as a JSON object.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"git_sha\": \"{}\", \"simd_tier\": \"{}\", \"cpu_vendor\": \"{}\", \"cpu_family\": {}, \"cpu_model\": {}, \"microarch\": \"{}\"}}",
-            self.git_sha, self.simd_tier, self.cpu_vendor, self.cpu_family, self.cpu_model, self.microarch
+            "{{\"git_sha\": \"{}\", \"simd_tier\": \"{}\", \"cpu_vendor\": \"{}\", \"cpu_family\": {}, \"cpu_model\": {}, \"microarch\": \"{}\", \"cpus\": {}}}",
+            self.git_sha, self.simd_tier, self.cpu_vendor, self.cpu_family, self.cpu_model, self.microarch, self.cpus
         )
     }
 }
@@ -170,9 +176,11 @@ mod tests {
             "cpu_family",
             "cpu_model",
             "microarch",
+            "cpus",
         ] {
             assert!(doc.get_field(key).is_ok(), "missing {key}");
         }
         assert!(!p.git_sha.is_empty());
+        assert!(p.cpus >= 1);
     }
 }

@@ -14,22 +14,31 @@
 use spec_model::{ModelConfig, PrefillMode};
 use specontext_core::engine::{Engine, EngineConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-thread_local! {
-    /// Allocations made by this thread (the harness's other threads keep
-    /// their own count).
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
+/// Whether allocations are being counted, and how many have been while
+/// they were: by every thread, so that what `spec_parallel::join`'s
+/// helper allocates for a half of a step counts too. The file holds one
+/// test, so while it is armed no other test is allocating.
+static ARMED: AtomicBool = AtomicBool::new(false);
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 struct Counting;
 
+impl Counting {
+    fn count() {
+        if ARMED.load(Ordering::Relaxed) {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
 // SAFETY: every call is forwarded to `System` unchanged; the only extra
-// work is a bump of a const-initialized, destructor-free thread-local
-// cell, which neither allocates nor can be torn down mid-call.
+// work is a load and an increment of two static atomics, which neither
+// allocate nor can be torn down mid-call.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        Self::count();
         System.alloc(layout)
     }
 
@@ -38,7 +47,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        Self::count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -46,11 +55,15 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Runs `f` and returns its result with the allocations it made.
+/// Runs `f` and returns its result with the allocations made while it
+/// ran, on any thread. A `join` returns only after its helper half has,
+/// so everything a step's halves allocate is in the count.
 fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.with(Cell::get);
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
     let out = f();
-    (out, ALLOCATIONS.with(Cell::get) - before)
+    ARMED.store(false, Ordering::SeqCst);
+    (out, ALLOCATIONS.load(Ordering::SeqCst) - before)
 }
 
 #[test]

@@ -70,6 +70,25 @@ impl ModelKv {
     pub fn seq_len(&self) -> usize {
         self.layers.first().map_or(0, LayerKv::seq_len)
     }
+
+    /// Drops every position from `len` on, in every layer: a decode step
+    /// taken back (its K/V rows, or latent row, appended by the step).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds the cached length.
+    pub fn truncate(&mut self, len: usize) {
+        for layer in &mut self.layers {
+            match layer {
+                LayerKv::PerHead { keys, values } => {
+                    for m in keys.iter_mut().chain(values) {
+                        m.truncate_rows(len);
+                    }
+                }
+                LayerKv::Latent { latent } => latent.truncate_rows(len),
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -82,6 +101,32 @@ mod tests {
         let kv = ModelKv::empty(&geom);
         assert_eq!(kv.seq_len(), 0);
         assert_eq!(kv.layers.len(), geom.layers);
+    }
+
+    #[test]
+    fn truncate_takes_back_a_step() {
+        for kind in [AttentionKind::Gqa, AttentionKind::Mla] {
+            let geom = SimGeometry::tiny(kind);
+            let model = crate::Model::new(geom, 3);
+            let emb = model.embed_tokens(&[1, 2, 3]);
+            let (mut kv, _) = model.prefill_embeddings(&emb, crate::PrefillMode::Exact);
+            let before = kv.clone();
+            let rows = |kv: &ModelKv| -> Vec<Vec<f32>> {
+                kv.layers
+                    .iter()
+                    .flat_map(|layer| match layer {
+                        LayerKv::PerHead { keys, values } => keys.iter().chain(values).collect(),
+                        LayerKv::Latent { latent } => vec![latent],
+                    })
+                    .map(|m| m.as_slice().to_vec())
+                    .collect()
+            };
+            model.decode_step(emb.row(0), 3, &mut kv);
+            assert_eq!(kv.seq_len(), 4);
+            kv.truncate(3);
+            assert_eq!(kv.seq_len(), 3);
+            assert_eq!(rows(&kv), rows(&before));
+        }
     }
 
     #[test]

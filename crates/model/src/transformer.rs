@@ -19,8 +19,8 @@ use crate::config::{AttentionKind, SimGeometry};
 use crate::kv::{LayerKv, ModelKv};
 use crate::weights::{LayerWeights, ModelWeights};
 use spec_tensor::ops::BlockAttention;
-use spec_tensor::topk::{ForwardScratch, SelectScratch};
-use spec_tensor::{ops, KeyBlocks, Matrix, SimRng};
+use spec_tensor::topk::{AttendScratch, ForwardScratch, SelectScratch};
+use spec_tensor::{dispatch, ops, KeyBlocks, Matrix, SimRng};
 use std::ops::Range;
 
 /// How prefill attention is computed.
@@ -328,9 +328,9 @@ impl Model {
         let mut concat = Matrix::default();
         let mut rope = Vec::with_capacity(PREFILL_CHUNK);
         let mut work = AttendWork {
-            span: KeyBlocks::new(d),
-            scores: Vec::new(),
+            halves: [AttendHalf::new(d), AttendHalf::new(d)],
             latent: Vec::new(),
+            spare: Vec::new(),
         };
         for b0 in (0..emb.rows()).step_by(PREFILL_CHUNK) {
             let b1 = (b0 + PREFILL_CHUNK).min(emb.rows());
@@ -422,6 +422,11 @@ impl Model {
     /// `r - rows.start` of `out` — whose K/V rows `layer` already holds.
     /// Position `pos` attends cache rows `[0, min(sinks, lo))` and
     /// `[lo, pos]`, `lo = pos - window` clamped at 0.
+    ///
+    /// The KV heads split in two halves, each with its own work space, and
+    /// [`dispatch::join`] may run the second on the helper thread. The
+    /// first writes its columns of `out` in place; the second writes a
+    /// block of its own, copied into its columns afterwards.
     #[allow(clippy::too_many_arguments)]
     fn attend_block(
         &self,
@@ -433,52 +438,81 @@ impl Model {
         work: &mut AttendWork,
         out: &mut Matrix,
     ) {
+        let kv_heads = self.geom.kv_heads;
         let width = self.geom.group_size() * self.geom.head_dim;
         let out_stride = out.cols();
         assert_eq!(out.rows(), rows.len(), "one output row a block row");
         let start = b0 + rows.start;
         let queries = &proj.as_slice()[rows.start * proj.cols()..];
-        let mut attend = |hh: usize, keys: &Matrix, values: &Matrix, cut: usize| {
-            let block = BlockAttention {
-                queries: &queries[hh * width..],
-                q_stride: proj.cols(),
-                heads: self.geom.group_size(),
-                keys,
-                values,
-                cut,
-                start,
-                rows: rows.len(),
-                window,
-                sinks,
-            };
-            let out = &mut out.as_mut_slice()[hh * width..];
-            ops::attend_block(&block, &mut work.span, &mut work.scores, out, out_stride);
-        };
-        match layer {
-            LayerKv::PerHead { keys, values } => {
-                for (hh, (keys, values)) in keys.iter().zip(values).enumerate() {
-                    attend(hh, keys, values, 0);
-                }
-            }
-            // The latent rows the block attends between them — the sinks
-            // below every window, then everything from the first window's
-            // start — are up-projected once per head for the whole block
-            // (Fig. 5(e)).
-            LayerKv::Latent { latent } => {
-                let lo0 = start.saturating_sub(window);
-                let kept = sinks.min(lo0);
-                let latent_width = latent.cols();
-                let mut c = std::mem::take(&mut work.latent);
+        let AttendWork {
+            halves: [first, second],
+            latent,
+            spare,
+        } = work;
+        // The latent rows the block attends between them — the sinks
+        // below every window, then everything from the first window's
+        // start — which MLA up-projects per head for the whole block
+        // (Fig. 5(e)); the other families attend their cache in place.
+        let lo0 = start.saturating_sub(window);
+        let kept = sinks.min(lo0);
+        let c = match layer {
+            LayerKv::PerHead { .. } => None,
+            LayerKv::Latent { latent: cache } => {
+                let latent_width = cache.cols();
+                let mut c = std::mem::take(latent);
                 c.clear();
-                c.extend_from_slice(&latent.as_slice()[..kept * latent_width]);
-                c.extend_from_slice(&latent.as_slice()[lo0 * latent_width..]);
-                let c = Matrix::from_vec(c.len() / latent_width, latent_width, c);
-                for hh in 0..self.geom.kv_heads {
-                    let (k, v) = (c.matmul(&lw.wk[hh]), c.matmul(&lw.wv[hh]));
-                    attend(hh, &k, &v, lo0 - kept);
-                }
-                work.latent = c.into_vec();
+                c.extend_from_slice(&cache.as_slice()[..kept * latent_width]);
+                c.extend_from_slice(&cache.as_slice()[lo0 * latent_width..]);
+                Some(Matrix::from_vec(c.len() / latent_width, latent_width, c))
             }
+        };
+        // KV heads `heads` into `out`, a row every `out_stride` floats,
+        // the first head's columns first.
+        let attend = |heads: Range<usize>, half: &mut AttendHalf, out: &mut [f32], out_stride| {
+            for hh in heads.clone() {
+                let up;
+                let (keys, values, cut) = match (layer, &c) {
+                    (LayerKv::PerHead { keys, values }, _) => (&keys[hh], &values[hh], 0),
+                    (LayerKv::Latent { .. }, c) => {
+                        let c = c.as_ref().expect("built above");
+                        up = (c.matmul(&lw.wk[hh]), c.matmul(&lw.wv[hh]));
+                        (&up.0, &up.1, lo0 - kept)
+                    }
+                };
+                let block = BlockAttention {
+                    queries: &queries[hh * width..],
+                    q_stride: proj.cols(),
+                    heads: self.geom.group_size(),
+                    keys,
+                    values,
+                    cut,
+                    start,
+                    rows: rows.len(),
+                    window,
+                    sinks,
+                };
+                let out = &mut out[(hh - heads.start) * width..];
+                ops::attend_block(&block, &mut half.span, &mut half.scores, out, out_stride);
+            }
+        };
+        let mid = kv_heads.div_ceil(2);
+        if mid == kv_heads {
+            attend(0..kv_heads, first, out.as_mut_slice(), out_stride);
+        } else {
+            let spare_stride = (kv_heads - mid) * width;
+            // Sized, not refilled: the kernel writes every element.
+            spare.resize(rows.len() * spare_stride, 0.0);
+            dispatch::join(
+                || attend(mid..kv_heads, second, spare, spare_stride),
+                || attend(0..mid, first, out.as_mut_slice(), out_stride),
+            );
+            let rows = out.as_mut_slice().chunks_exact_mut(out_stride);
+            for (row, theirs) in rows.zip(spare.chunks_exact(spare_stride)) {
+                row[mid * width..].copy_from_slice(theirs);
+            }
+        }
+        if let Some(c) = c {
+            *latent = c.into_vec();
         }
     }
 
@@ -681,6 +715,12 @@ impl Model {
     /// that is `ops::attention_weights` then `ops::weighted_sum` over the
     /// gathered rows, bit for bit. With `trace`, the weight rows and the
     /// list are copied out per query head.
+    ///
+    /// The KV heads split in two halves, each with its own
+    /// `fw.attend` work space and its own span of `fw.concat`, and
+    /// [`dispatch::join`] may run the second half on the helper thread.
+    /// The halves write nothing in common, so the split moves no bit; the
+    /// second half's trace entries are appended after the first's.
     fn attention(
         &self,
         lw: &LayerWeights,
@@ -690,14 +730,16 @@ impl Model {
         fw: &mut ForwardScratch,
         trace: Option<&mut StepTrace>,
     ) {
-        let (d, group) = (self.geom.head_dim, self.geom.group_size());
+        let (d, group, kv_heads) = (
+            self.geom.head_dim,
+            self.geom.group_size(),
+            self.geom.kv_heads,
+        );
         let scale = 1.0 / (d as f32).sqrt();
         let seq_len = layer.seq_len();
         let ForwardScratch {
             queries,
-            positions,
-            scores,
-            tile,
+            attend: [first, second],
             concat,
             ..
         } = fw;
@@ -711,55 +753,92 @@ impl Model {
                 t.positions.last_mut().expect(entry),
             )
         });
-        if selection.is_none() {
-            positions.clear();
-            positions.extend(0..seq_len);
-        }
-        for hh in 0..self.geom.kv_heads {
-            if let Some(heads) = &selection {
+        // KV heads `heads` into `out`, their span of the concatenation.
+        let half = |heads: Range<usize>,
+                    work: &mut AttendScratch,
+                    out: &mut [f32],
+                    mut recorded: Option<LayerRecord<'_>>| {
+            let AttendScratch {
+                positions,
+                scores,
+                tile,
+            } = work;
+            if selection.is_none() {
                 positions.clear();
-                positions.extend_from_slice(&heads[hh]);
-                // The search below trusts the order; that the positions
-                // are cached is the kernels' check, in every build.
-                debug_assert!(
-                    positions.windows(2).all(|w| w[0] < w[1]),
-                    "layer selection for KV head {hh} is not strictly ascending"
-                );
-                // The current position must always be attended; every
-                // cached position is below it, so the list stays sorted.
-                if positions.binary_search(&pos).is_err() && pos < seq_len {
-                    positions.push(pos);
+                positions.extend(0..seq_len);
+            }
+            for hh in heads.clone() {
+                if let Some(heads) = &selection {
+                    positions.clear();
+                    positions.extend_from_slice(&heads[hh]);
+                    // The search below trusts the order; that the
+                    // positions are cached is the kernels' check, in every
+                    // build.
+                    debug_assert!(
+                        positions.windows(2).all(|w| w[0] < w[1]),
+                        "layer selection for KV head {hh} is not strictly ascending"
+                    );
+                    // The current position must always be attended; every
+                    // cached position is below it, so the list stays
+                    // sorted.
+                    if positions.binary_search(&pos).is_err() && pos < seq_len {
+                        positions.push(pos);
+                    }
+                }
+                let len = positions.len();
+                // MLA up-projects only the attended latent rows (Fig.
+                // 5(e)) and attends all of what that gives; the other
+                // families attend the listed rows of the cache itself.
+                let up;
+                let (keys, values, rows): (&Matrix, &Matrix, &[usize]) = match layer {
+                    LayerKv::PerHead { keys, values } => (&keys[hh], &values[hh], positions),
+                    LayerKv::Latent { latent } => {
+                        let c = latent.gather_rows(positions);
+                        let all: Vec<usize> = (0..len).collect();
+                        up = (c.matmul(&lw.wk[hh]), c.matmul(&lw.wv[hh]), all);
+                        (&up.0, &up.1, &up.2)
+                    }
+                };
+                let at = (hh - heads.start) * group * d;
+                let span = &queries.as_slice()[hh * group * d..][..group * d];
+                // Sized, not refilled: the scores kernel writes every
+                // element.
+                scores.resize(group * len, 0.0);
+                ops::indexed_dots(span, keys, rows, tile, scores);
+                ops::softmax_rows_inplace(scores, len, scale);
+                ops::indexed_weighted_sums(scores, values, rows, &mut out[at..at + group * d]);
+                if let Some((weights, attended)) = &mut recorded {
+                    for q in 0..group {
+                        weights.push(scores[q * len..(q + 1) * len].to_vec());
+                        attended.push(positions.clone());
+                    }
                 }
             }
-            let len = positions.len();
-            // MLA up-projects only the attended latent rows (Fig. 5(e)) and
-            // attends all of what that gives; the other families attend
-            // the listed rows of the cache itself.
-            let up;
-            let (keys, values, rows): (&Matrix, &Matrix, &[usize]) = match layer {
-                LayerKv::PerHead { keys, values } => (&keys[hh], &values[hh], positions),
-                LayerKv::Latent { latent } => {
-                    let c = latent.gather_rows(positions);
-                    let all: Vec<usize> = (0..len).collect();
-                    up = (c.matmul(&lw.wk[hh]), c.matmul(&lw.wv[hh]), all);
-                    (&up.0, &up.1, &up.2)
-                }
-            };
-            let span = hh * group * d..(hh + 1) * group * d;
-            // Sized, not refilled: the scores kernel writes every element.
-            scores.resize(group * len, 0.0);
-            ops::indexed_dots(&queries.as_slice()[span.clone()], keys, rows, tile, scores);
-            ops::softmax_rows_inplace(scores, len, scale);
-            ops::indexed_weighted_sums(scores, values, rows, &mut concat[span]);
-            if let Some((weights, attended)) = &mut recorded {
-                for q in 0..group {
-                    weights.push(scores[q * len..(q + 1) * len].to_vec());
-                    attended.push(positions.clone());
-                }
-            }
+        };
+        let mid = kv_heads.div_ceil(2);
+        // A second half (none under MQA) records into lists of its own.
+        let mut theirs = (mid < kv_heads && recorded.is_some()).then(|| (Vec::new(), Vec::new()));
+        let mine = recorded.as_mut().map(|(w, p)| (&mut **w, &mut **p));
+        if mid == kv_heads {
+            half(0..kv_heads, first, concat, mine);
+            return;
+        }
+        let (low, high) = concat.split_at_mut(mid * group * d);
+        let record = theirs.as_mut().map(|(w, p)| (w, p));
+        dispatch::join(
+            || half(mid..kv_heads, second, high, record),
+            || half(0..mid, first, low, mine),
+        );
+        if let (Some((weights, attended)), Some((w, p))) = (recorded, theirs) {
+            weights.extend(w);
+            attended.extend(p);
         }
     }
 }
+
+/// One layer's trace entry being filled: its weight rows and their
+/// attended positions, a query head each.
+type LayerRecord<'a> = (&'a mut Vec<Vec<f32>>, &'a mut Vec<Vec<usize>>);
 
 /// Positions per prefill block. A 4096-token prefill measured flat within
 /// noise from 32 to 512 (64 and 128 read best); at 64 the block buffers
@@ -782,13 +861,29 @@ fn rmsnorm_rows(out: &mut Matrix, xs: &[f32], weight: &[f32]) {
     }
 }
 
-/// Attention's work space across a prefill's blocks: one KV head's staged
-/// key span, a query group's score rows, and (MLA) the latent rows a
-/// block attends.
+/// Attention's work space across a prefill's blocks: for each half of the
+/// KV heads, one KV head's staged key span and a query group's score
+/// rows; (MLA) the latent rows a block attends; and the second half's
+/// output block.
 struct AttendWork {
+    halves: [AttendHalf; 2],
+    latent: Vec<f32>,
+    spare: Vec<f32>,
+}
+
+/// One half's share of [`AttendWork`].
+struct AttendHalf {
     span: KeyBlocks,
     scores: Vec<f32>,
-    latent: Vec<f32>,
+}
+
+impl AttendHalf {
+    fn new(head_dim: usize) -> Self {
+        Self {
+            span: KeyBlocks::new(head_dim),
+            scores: Vec::new(),
+        }
+    }
 }
 
 fn add_assign(acc: &mut [f32], xs: &[f32]) {

@@ -9,9 +9,11 @@
 //! shipped step is held to it **bit for bit** — logits, hidden state, the
 //! appended cache rows, and under a trace every recorded weight and
 //! position — across attention families and sparse, dense and mixed
-//! plans. CI runs this suite at `SPEC_SIMD=scalar` as well: decode
-//! attention shares the prefill's kernel bodies, so one scalar-tier lane
-//! covers both.
+//! plans — and with the step's KV-head halves split across two threads
+//! and run on one. CI runs this suite at `SPEC_SIMD=scalar` as well:
+//! decode attention shares the prefill's kernel bodies, so one
+//! scalar-tier lane covers both; and at `SPEC_THREADS=1`, where no half
+//! leaves the caller.
 
 use proptest::prelude::*;
 use spec_model::{
@@ -118,6 +120,20 @@ fn oracle_step(
     (StepOutput { logits, hidden }, trace)
 }
 
+/// `f` where every `spec_parallel::join` runs both halves inline: on a
+/// pool worker, which never hands a half to the helper thread, at the
+/// caller's SIMD tier. Beside a run on the test's own thread, where the
+/// helper may take a half, it compares the split with the serial loop.
+fn inline<R: Send>(f: impl Fn() -> R + Sync) -> R {
+    let tier = dispatch::active_tier();
+    let runs = spec_parallel::with_threads(2, || {
+        spec_parallel::par_map_range(2, |worker| {
+            (worker == 0).then(|| dispatch::with_tier(tier, &f))
+        })
+    });
+    runs.into_iter().flatten().next().expect("worker 0 ran f")
+}
+
 fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
     assert_eq!(got.len(), want.len(), "{what}: length");
     for (i, (g, w)) in got.iter().zip(want).enumerate() {
@@ -162,8 +178,9 @@ fn random_plan(geom: &SimGeometry, cached: usize, rng: &mut SimRng) -> SparsePla
 }
 
 /// Decodes `steps` tokens after a `prompt_len`-token prefill, each step
-/// three ways from the same cache — the oracle, the shipped step traced
-/// and untraced — and holds all three to the same bits.
+/// four ways from the same cache — the oracle, the shipped step traced
+/// and untraced, and untraced with its KV-head halves on one thread —
+/// and holds all four to the same bits.
 fn check(model: &Model, prompt_len: usize, steps: usize, seed: u64) {
     let geom = model.geometry();
     let mut rng = SimRng::seed(seed);
@@ -197,7 +214,22 @@ fn check(model: &Model, prompt_len: usize, steps: usize, seed: u64) {
             &mut scratch,
             Some(&mut trace),
         );
+        let serial = inline(|| {
+            let mut kv = kv.clone();
+            let out = model.step(x, pos, &mut kv, &mut &plan, &mut SelectScratch::new(), None);
+            (out, kv)
+        });
         let plain = model.step(x, pos, &mut kv, &mut &plan, &mut scratch, None);
+        assert_bits_eq(
+            &plain.logits,
+            &serial.0.logits,
+            &format!("{what}: serial logits"),
+        );
+        assert_bits_eq(
+            &plain.hidden,
+            &serial.0.hidden,
+            &format!("{what}: serial hidden"),
+        );
 
         for (got, how) in [(&traced, "traced"), (&plain, "untraced")] {
             assert_bits_eq(&got.logits, &want.logits, &format!("{what} {how} logits"));
@@ -211,7 +243,11 @@ fn check(model: &Model, prompt_len: usize, steps: usize, seed: u64) {
                 assert_bits_eq(g, w, &format!("{what}: layer {l} head {q} weights"));
             }
         }
-        for (other, how) in [(&kv_traced, "traced"), (&kv_oracle, "oracle")] {
+        for (other, how) in [
+            (&kv_traced, "traced"),
+            (&kv_oracle, "oracle"),
+            (&serial.1, "serial"),
+        ] {
             for (i, (got, want)) in cache_rows(&kv).iter().zip(cache_rows(other)).enumerate() {
                 assert_eq!(got.shape(), want.shape(), "{what}: cache {i} vs {how}");
                 assert_bits_eq(

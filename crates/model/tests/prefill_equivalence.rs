@@ -9,8 +9,10 @@
 //! cached K/V (or latent) float of every layer — across attention
 //! families, exact and windowed modes, prompt lengths either side of the
 //! block boundaries, windows and sink counts either side of every clamp,
-//! and both RoPE scales. CI runs this suite under `SPEC_SIMD=scalar` as
-//! well: the block gemms must stay tier-invariant.
+//! and both RoPE scales — and the prefill's attention split by KV head
+//! across two threads equals it run on one. CI runs this suite under
+//! `SPEC_SIMD=scalar` as well (the block gemms must stay tier-invariant)
+//! and under `SPEC_THREADS=1`.
 
 use proptest::prelude::*;
 use spec_model::{
@@ -50,6 +52,20 @@ fn prefill_oracle(model: &Model, emb: &Matrix, mode: PrefillMode) -> (ModelKv, S
         last = Some(model.step(emb.row(pos), pos, &mut kv, &mut &plan, &mut scratch, None));
     }
     (kv, last.expect("nonempty prompt"))
+}
+
+/// `f` where every `spec_parallel::join` runs both halves inline: on a
+/// pool worker, which never hands a half to the helper thread, at the
+/// caller's SIMD tier. Beside a run on the test's own thread, where the
+/// helper may take a half, it compares the split with the serial loop.
+fn inline<R: Send>(f: impl Fn() -> R + Sync) -> R {
+    let tier = dispatch::active_tier();
+    let runs = spec_parallel::with_threads(2, || {
+        spec_parallel::par_map_range(2, |worker| {
+            (worker == 0).then(|| dispatch::with_tier(tier, &f))
+        })
+    });
+    runs.into_iter().flatten().next().expect("worker 0 ran f")
 }
 
 fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
@@ -118,11 +134,10 @@ fn check(model: &Model, len: usize, mode: PrefillMode, salt: usize) {
         model.geometry().attention,
         model.rope_scale()
     );
-    assert_same_prefill(
-        &model.prefill_embeddings(&emb, mode),
-        &prefill_oracle(model, &emb, mode),
-        &what,
-    );
+    let got = model.prefill_embeddings(&emb, mode);
+    assert_same_prefill(&got, &prefill_oracle(model, &emb, mode), &what);
+    let serial = inline(|| model.prefill_embeddings(&emb, mode));
+    assert_same_prefill(&serial, &got, &format!("{what} serial"));
 }
 
 /// Every mode the fixed grid covers: exact, and windows {0, 1, below the

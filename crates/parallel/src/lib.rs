@@ -1,43 +1,72 @@
 //! Deterministic parallel compute substrate for the SpeContext workspace.
 //!
-//! A hand-rolled scoped worker pool over [`std::thread::scope`] (the build
-//! environment has no crates.io access, so no rayon). It has two users:
-//! the figure and table benches fan their config sweeps out through
-//! [`par_map`], and `spec_tensor`'s k-means assignment sweep fans out
-//! through [`par_map_range`] from 2^17 distance multiply-adds. Every
-//! primitive in this crate upholds one contract:
+//! Two mechanisms, neither from crates.io (the build environment has no
+//! access, so no rayon):
+//!
+//! * **[`join`]** splits one piece of work in two: `join(a, b)` runs `b`
+//!   on the caller while one process-wide helper thread, spawned on first
+//!   use, may take `a`. A decode step and a prefill block split their
+//!   retrieval select and attention by KV head through it. Its rules:
+//!   - **Claim-back.** If the helper has not started `a` by the time `b`
+//!     is done, the caller takes `a` back and runs it, so a descheduled
+//!     helper never stalls a step.
+//!   - **One slot.** A job is posted with a CAS from idle, and the slot
+//!     stays held until its caller has collected the job: any other
+//!     `join` meanwhile — another thread's, a nested one, one on the
+//!     helper — runs both halves inline, as does every `join` when the
+//!     process allows fewer than two threads (`SPEC_THREADS=1`, one
+//!     CPU) and every `join` on a pool worker.
+//!   - **Park.** After its last job the helper spins for a bounded window
+//!     (a millisecond, longer than the gaps between a decode loop's
+//!     joins), then parks; `join` unparks it but never waits for it.
+//!   - **Panics** in either half are caught and resumed on the caller
+//!     only after both halves have settled, so `a` may borrow the
+//!     caller's stack.
+//!
+//!   A hand-off costs well under a microsecond, where a scoped spawn
+//!   costs tens. [`join_counts`] reports the hand-offs and claim-backs.
+//! * **A scoped worker pool** over [`std::thread::scope`], which the
+//!   figure and table benches fan their config sweeps out through
+//!   ([`par_map`]), as does `spec_tensor`'s k-means assignment sweep from
+//!   2^17 distance multiply-adds ([`par_map_range`]).
+//!
+//! Every primitive in this crate upholds one contract:
 //!
 //! > **Results are bit-for-bit identical at 1 or N threads.**
 //!
 //! That holds because work is partitioned into *contiguous index bands*
-//! and every output slot is written by exactly one worker — no shared
-//! accumulators, no reduction trees, no work stealing. Changing the
-//! thread count only changes band boundaries, never the per-element
-//! computation or the order results are assembled in. Floating-point
-//! reductions that must stay deterministic (e.g. k-means inertia) are
-//! folded serially, in index order, over the parallel-computed parts.
+//! (or, for `join`, two halves) and every output slot is written by
+//! exactly one worker — no shared accumulators, no reduction trees, no
+//! work stealing. Changing the thread count only changes band boundaries
+//! or which thread runs a half, never the per-element computation or the
+//! order results are assembled in. Floating-point reductions that must
+//! stay deterministic (e.g. k-means inertia) are folded serially, in
+//! index order, over the parallel-computed parts.
 //!
 //! # Thread count
 //!
-//! Workers per call = `min(max_threads(), work items)`, where
-//! [`max_threads`] resolves, in order:
+//! The process allows [`process_threads`] threads: the `SPEC_THREADS`
+//! environment variable (parsed once; `0` or garbage falls through), else
+//! [`std::thread::available_parallelism`]. `join` uses the helper when
+//! that is at least 2.
 //!
-//! 1. a thread-local [`with_threads`] override (used by the determinism
-//!    property tests to sweep thread counts inside one process),
-//! 2. the `SPEC_THREADS` environment variable (parsed once; `0` or
-//!    garbage falls through),
-//! 3. [`std::thread::available_parallelism`].
+//! The pool's workers per call = `min(max_threads(), work items)`, where
+//! [`max_threads`] is a thread-local [`with_threads`] override (used by
+//! the determinism property tests to sweep thread counts inside one
+//! process, and by `bench_e2e`) if one is installed, else
+//! `process_threads()`. The override sizes the pool only.
 //!
-//! Workers are spawned per call inside a [`std::thread::scope`], which is
-//! what keeps the API safe to use with borrowed data; spawn cost is tens
-//! of microseconds, so callers gate parallel dispatch on a work-size
-//! threshold and fall back to the serial path below it (the serial path
-//! is always the `threads == 1` specialization of the same code).
+//! Pool workers are spawned per call inside a [`std::thread::scope`],
+//! which is what keeps the API safe to use with borrowed data; spawn cost
+//! is tens of microseconds, so callers gate parallel dispatch on a
+//! work-size threshold and fall back to the serial path below it (the
+//! serial path is always the `threads == 1` specialization of the same
+//! code).
 //!
 //! Workers inherit the caller's thread budget **divided by the worker
 //! count** (at least 1), so nested fan-outs — a figure sweep's worker
 //! running ClusterKV's k-means — degrade to serial instead of
-//! oversubscribing the machine.
+//! oversubscribing the machine, and their joins run inline.
 //!
 //! # Example
 //!
@@ -54,39 +83,58 @@ use std::cell::Cell;
 use std::ops::Range;
 use std::sync::OnceLock;
 
+mod join;
+
+pub use join::{join, join_counts, JoinCounts};
+
 thread_local! {
     /// Per-thread override installed by [`with_threads`]; 0 = unset.
     static THREAD_OVERRIDE: Cell<usize> = const { Cell::new(0) };
+    /// Set on the pool's workers.
+    static POOL_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// `SPEC_THREADS`, parsed once per process.
-fn env_threads() -> Option<usize> {
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    *ENV.get_or_init(|| {
+/// The threads the process allows: `SPEC_THREADS` (`0` or garbage falls
+/// through), then [`std::thread::available_parallelism`] (1 if
+/// unavailable). Resolved once per process — the CPU count reads the
+/// affinity mask and cgroup quota, too slow and allocating for the
+/// [`join`] on every step that asks. `join` uses its helper when this is
+/// at least 2.
+pub fn process_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
         std::env::var("SPEC_THREADS")
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
             .filter(|&n| n > 0)
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(std::num::NonZeroUsize::get)
+                    .unwrap_or(1)
+            })
     })
 }
 
-/// The maximum number of worker threads a parallel primitive may use.
+/// The maximum number of worker threads the pool's fan-outs
+/// ([`par_map`], [`par_map_range`]) may use.
 ///
-/// Resolution order: [`with_threads`] override, then `SPEC_THREADS`, then
-/// [`std::thread::available_parallelism`] (1 if unavailable).
+/// Resolution order: [`with_threads`] override, then
+/// [`process_threads`].
 pub fn max_threads() -> usize {
     let over = THREAD_OVERRIDE.with(Cell::get);
     if over > 0 {
         return over;
     }
-    env_threads().unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    })
+    process_threads()
 }
 
-/// Runs `f` with [`max_threads`] pinned to `n` on the current thread.
+/// Whether this thread is one of the pool's workers.
+fn on_pool_worker() -> bool {
+    POOL_WORKER.with(Cell::get)
+}
+
+/// Runs `f` with [`max_threads`] pinned to `n` on the current thread. It
+/// sizes the pool's fan-outs; [`join`] follows [`process_threads`].
 ///
 /// The override is thread-local, so concurrent tests cannot race on it
 /// (pool workers receive their own divided budget at spawn; see the
@@ -148,7 +196,10 @@ where
             .map(|band| {
                 let band = band.clone();
                 let f = &f;
-                s.spawn(move || with_threads(child_budget, || band.map(f).collect::<Vec<R>>()))
+                s.spawn(move || {
+                    POOL_WORKER.with(|w| w.set(true));
+                    with_threads(child_budget, || band.map(f).collect::<Vec<R>>())
+                })
             })
             .collect();
         for h in handles {

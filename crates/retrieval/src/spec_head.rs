@@ -26,7 +26,8 @@ use spec_model::{
     AttentionKind, LayerKv, LayerSelector, RetrievalHead, RetrievalHeadState, SimGeometry,
     SparsePlan,
 };
-use spec_tensor::topk::SelectScratch;
+use spec_tensor::dispatch;
+use spec_tensor::topk::{PosBitSet, RankScratch, ScoreArena, SelectHalf, SelectScratch};
 use spec_tensor::Matrix;
 
 /// Mapping granularity of retrieval-head weights onto the LLM.
@@ -95,21 +96,24 @@ impl SpecSelection {
     /// so a scorer that computes them there (the retriever) never holds a
     /// score vector of its own.
     ///
-    /// Serial on the caller's warm scratch at any length: one KV head's
-    /// pool-and-assemble is tens of microseconds at 4 K positions, less
-    /// than the scoped spawn a per-head fan-out would cost.
+    /// At [`MappingLevel::Head`] the KV heads split in two halves, each
+    /// scoring its DLM heads, then pooling and assembling its KV heads'
+    /// lists on its own buffers (the second on `scratch.second`), and
+    /// [`dispatch::join`] may run the second half on the helper thread.
+    /// Each list is what the serial loop computed, bit for bit.
     fn map_scores(
         seq_len: usize,
         geom: &SimGeometry,
         cfg: &SelectorConfig,
         level: MappingLevel,
         scratch: &mut SelectScratch,
-        score_into: impl Fn(usize, &mut Vec<f32>),
+        score_into: impl Fn(usize, &mut Vec<f32>) + Sync,
     ) -> Self {
         let SelectScratch {
             scores: arena,
             rank,
             marks,
+            second,
             ..
         } = scratch;
         let per_head: Vec<Vec<usize>> = match level {
@@ -120,12 +124,35 @@ impl SpecSelection {
                 };
                 let kv_heads = geom.kv_heads;
                 assert_eq!(geom.q_heads / group, kv_heads, "group mapping mismatch");
-                (0..kv_heads)
-                    .map(|hh| {
+                // KV heads `first..` into `lists`, on one half's buffers.
+                let select = |first: usize,
+                              lists: &mut [Vec<usize>],
+                              arena: &mut ScoreArena,
+                              rank: &mut RankScratch,
+                              marks: &mut PosBitSet| {
+                    for (hh, list) in (first..).zip(lists) {
                         arena.pool_group_max(hh * group..(hh + 1) * group, &score_into);
-                        assemble_budgeted_selection(&arena.pooled, seq_len, cfg, rank, marks).0
-                    })
-                    .collect()
+                        *list =
+                            assemble_budgeted_selection(&arena.pooled, seq_len, cfg, rank, marks).0;
+                    }
+                };
+                let mut per_head = vec![Vec::new(); kv_heads];
+                let mid = kv_heads.div_ceil(2);
+                let (low, high) = per_head.split_at_mut(mid);
+                if high.is_empty() {
+                    select(0, low, arena, rank, marks);
+                } else {
+                    let SelectHalf {
+                        scores: their_arena,
+                        rank: their_rank,
+                        marks: their_marks,
+                    } = second;
+                    dispatch::join(
+                        || select(mid, high, their_arena, their_rank, their_marks),
+                        || select(0, low, arena, rank, marks),
+                    );
+                }
+                per_head
             }
             MappingLevel::Batch => {
                 arena.pool_group_max(0..geom.q_heads, &score_into);

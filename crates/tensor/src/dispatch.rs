@@ -202,6 +202,21 @@ pub fn with_tier<R>(tier: SimdTier, f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// [`spec_parallel::join`] with `a` at the caller's [`active_tier`]: the
+/// helper thread that may run it does not see the caller's [`with_tier`]
+/// override, and a half split off a kernel's caller must dispatch as the
+/// caller does. Every tier gives the same bits; what this keeps is which
+/// tier's code a forced-tier test exercises.
+pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    RA: Send,
+    B: FnOnce() -> RB,
+{
+    let tier = active_tier();
+    spec_parallel::join(|| with_tier(tier, a), b)
+}
+
 /// Whether the active tier covers AVX2 — the question the pre-registry
 /// call sites (`gemm`, Quest page scoring) used to answer with their own
 /// `is_x86_feature_detected!` caches.

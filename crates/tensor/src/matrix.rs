@@ -226,6 +226,18 @@ impl Matrix {
 
     /// Appends `rows` rows of `cols` elements, row-major in `data`.
     #[inline]
+    /// Keeps the first `rows` rows and drops the rest, keeping the
+    /// capacity: undoes [`push_row`](Self::push_row)s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` exceeds the row count.
+    pub fn truncate_rows(&mut self, rows: usize) {
+        assert!(rows <= self.rows, "cannot truncate to more rows");
+        self.data.truncate(rows * self.cols);
+        self.rows = rows;
+    }
+
     fn append(&mut self, data: &[f32], cols: usize, rows: usize) {
         if self.rows == 0 && self.cols == 0 {
             self.cols = cols;

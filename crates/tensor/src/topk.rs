@@ -96,6 +96,9 @@ pub struct SelectScratch {
     pub rank: RankScratch,
     /// Bitset over cache positions.
     pub marks: PosBitSet,
+    /// The same three for the second half of a selection split by KV
+    /// head (`spec_parallel::join`), which may run on another thread.
+    pub second: SelectHalf,
     /// The forward pass's own buffers. The scratch is the one workspace a
     /// decode loop threads through every step, so they ride in it;
     /// selectors leave them alone.
@@ -107,6 +110,18 @@ impl SelectScratch {
     pub fn new() -> Self {
         Self::default()
     }
+}
+
+/// A score arena, top-k workspace and bitset: what one half of a
+/// selection split by KV head pools, ranks and marks in.
+#[derive(Debug, Clone, Default)]
+pub struct SelectHalf {
+    /// Pooled scores.
+    pub scores: ScoreArena,
+    /// Top-k workspace.
+    pub rank: RankScratch,
+    /// Bitset over cache positions.
+    pub marks: PosBitSet,
 }
 
 /// Buffers of one decode step's forward pass (`spec_model`'s
@@ -127,12 +142,9 @@ pub struct ForwardScratch {
     /// into `queries`, the K and V rows on their way into the cache (MLA:
     /// the latent row).
     pub proj: Vec<f32>,
-    /// The positions one KV head attends.
-    pub positions: Vec<usize>,
-    /// A query group's attention scores, then weights, head-major.
-    pub scores: Vec<f32>,
-    /// `ops::indexed_dots`' key tile.
-    pub tile: Vec<f32>,
+    /// Attention's work space, one for each half of the KV heads (the
+    /// step splits them across two threads with `spec_parallel::join`).
+    pub attend: [AttendScratch; 2],
     /// The heads' attention outputs side by side.
     pub concat: Vec<f32>,
     /// A block's output (`wo`, `w_down`) before it joins the residual.
@@ -141,6 +153,18 @@ pub struct ForwardScratch {
     pub gate: Vec<f32>,
     /// The FFN's up projection.
     pub up: Vec<f32>,
+}
+
+/// One KV head's attention work space in a decode step, reused by every
+/// head of its half of the step.
+#[derive(Debug, Clone, Default)]
+pub struct AttendScratch {
+    /// The positions the KV head attends.
+    pub positions: Vec<usize>,
+    /// Its query group's attention scores, then weights, head-major.
+    pub scores: Vec<f32>,
+    /// `ops::indexed_dots`' key tile.
+    pub tile: Vec<f32>,
 }
 
 /// Reusable score buffers for the GQA group-max reduction.
