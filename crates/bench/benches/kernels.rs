@@ -18,8 +18,9 @@
 //! the quiet run's walk against the per-step lookup, misses priced a
 //! block of lanes at a time against one price per length and against a
 //! recording timeline, and one engine's `advance_until` over the
-//! committed trace's prefix. Last, `spec_parallel::join`'s hand-off and
-//! a decode step with its KV-head halves on two threads against one.
+//! committed trace's prefix. Last, `spec_parallel::join`'s hand-off, a
+//! two-item `par_map` over it, and a decode step with its KV-head halves
+//! on two threads against one.
 //!
 //! Everything that selects from scores is timed over a [`Rotation`] of 64
 //! distinct inputs, not one: a sort's branch sequence on a single
@@ -180,10 +181,12 @@ const HEAD_APPEND_PER_HEAD: &str = "retrieval_head/append_per_head/4096";
 /// step (budget 256 + the forced ends, 2304 positions).
 const DECODE_CACHED: usize = 2304;
 
-/// The decode-step comparison's two sides and the join round trip.
+/// The decode-step comparison's two sides, the join round trip and a
+/// two-item `par_map`.
 const DECODE_STEP_SPLIT: &str = "decode_step/split";
 const DECODE_STEP_SERIAL: &str = "decode_step/serial";
 const JOIN_ROUNDTRIP: &str = "join/roundtrip";
+const PAR_MAP_2: &str = "par_map/2_items";
 
 fn bench_kernels(c: &mut Criterion) {
     let mut rng = SimRng::seed(0xBE7C);
@@ -993,12 +996,15 @@ fn bench_forward(c: &mut Criterion) {
 ///
 /// `join/roundtrip` is one join whose `b` waits (a bounded spin) until the
 /// helper has started `a`: a post, the helper's pick-up, an empty `a` and
-/// its completion, as a split step pays them. `decode_step/{split,serial}`
+/// its completion, as a split step pays them. `par_map/2_items` is a
+/// `par_map_range` of two empty items at two leaves: one join over them
+/// (the helper's leaf usually claimed back, the items being empty), the
+/// two leaves' vectors and their concatenation. `decode_step/{split,serial}`
 /// is a `reason_2k_16k` step late in the op, 2304 positions cached: the
 /// retrieval head's select and the model's forward under the selection,
 /// then the step's K/V rows taken back. `split` runs on this thread, where
-/// the helper may take each KV-head half; `serial` on a pool worker, whose
-/// joins run inline.
+/// the helper may take each KV-head half; `serial` inside a `par_map`
+/// item, whose joins run inline.
 fn bench_split(c: &mut Criterion) {
     c.bench_function(JOIN_ROUNDTRIP, |b| {
         b.iter(|| {
@@ -1016,6 +1022,9 @@ fn bench_split(c: &mut Criterion) {
                 },
             )
         })
+    });
+    c.bench_function(PAR_MAP_2, |b| {
+        b.iter(|| spec_parallel::with_threads(2, || spec_parallel::par_map_range(2, black_box)))
     });
 
     let engine = spec_bench::sim_engine(

@@ -141,10 +141,11 @@ const EXPECTED_ENTRIES: &[&str] = &[
     "serving/step_price/specontext",
     "serving/step_miss_recorded/specontext",
     "scheduler/advance_until/sample512",
-    // `spec_parallel::join`'s hand-off, and a late `reason_2k_16k` decode
-    // step (select + forward) with its KV-head halves on two threads and
-    // on one.
+    // `spec_parallel::join`'s hand-off, a two-item `par_map` over it (no
+    // floor), and a late `reason_2k_16k` decode step (select + forward)
+    // with its KV-head halves on two threads and on one.
     "join/roundtrip",
+    "par_map/2_items",
     "decode_step/split",
     "decode_step/serial",
 ];

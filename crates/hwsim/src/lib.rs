@@ -13,7 +13,6 @@
 //!   copy stream) with dependencies, the substrate for the asynchronous
 //!   prefetch dataflow of Section 5 — one timeline, or `W` of one op
 //!   graph side by side in [`Lanes`];
-//! * [`transfer`] — CPU↔GPU transfer timing;
 //! * [`link`] — inter-replica interconnect classes (NVLink/InfiniBand/
 //!   Ethernet) pricing the prefill→decode KV hop in disaggregated
 //!   fleets;
@@ -25,17 +24,13 @@
 
 pub mod cost;
 pub mod device;
-pub mod energy;
 pub mod event;
 pub mod fleet;
 pub mod gantt;
 pub mod link;
-pub mod transfer;
 
 pub use cost::{EngineProfile, KernelCost};
 pub use device::DeviceSpec;
-pub use energy::EnergyModel;
 pub use event::{EventSim, Lanes, OpLabel, OpRecord, StreamId};
 pub use fleet::{Fleet, FleetSlot, ReplicaRole};
 pub use link::LinkSpec;
-pub use transfer::TransferEngine;

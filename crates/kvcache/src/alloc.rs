@@ -1,29 +1,13 @@
-//! Block-based KV memory allocator.
+//! Paged KV memory allocator.
 //!
-//! Models the difference between HF-eager-style *contiguous*
-//! preallocation (each request reserves max-context KV up front) and
-//! vLLM/FlashInfer-style *paged* allocation (fixed-size blocks allocated
-//! on demand). This is the mechanism behind the serving simulator's
-//! batch caps: eager runs out of reservable memory long before paged
-//! allocators do, which is why the paper's Table 3 runs eager at batch 4.
+//! vLLM/FlashInfer-style *paged* allocation: fixed-size token blocks
+//! allocated on demand against a byte capacity. A serving replica
+//! mirrors its running batch into one to decide what fits. The eager
+//! baseline's batch cap of 4 in the paper's Table 3 does not come from
+//! here: it is a constant of `spec_runtime::serving::SystemKind::max_batch`.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-
-/// Allocation discipline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum AllocPolicy {
-    /// Reserve the maximum context's KV bytes at admission.
-    ContiguousReserve {
-        /// Max context tokens reserved per request.
-        max_context: usize,
-    },
-    /// Allocate fixed-size token blocks on demand.
-    Paged {
-        /// Tokens per block.
-        block_tokens: usize,
-    },
-}
 
 /// A request's allocation handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -32,7 +16,7 @@ pub struct AllocId(pub usize);
 /// The allocator: tracks bytes against a capacity.
 #[derive(Debug, Clone)]
 pub struct BlockAllocator {
-    policy: AllocPolicy,
+    block_tokens: usize,
     bytes_per_token: u64,
     capacity: u64,
     used: u64,
@@ -42,15 +26,16 @@ pub struct BlockAllocator {
 }
 
 impl BlockAllocator {
-    /// Creates an allocator over `capacity` bytes of KV memory.
+    /// Creates an allocator of `block_tokens`-token blocks over
+    /// `capacity` bytes of KV memory.
     ///
     /// # Panics
     ///
     /// Panics if `bytes_per_token == 0`.
-    pub fn new(policy: AllocPolicy, bytes_per_token: u64, capacity: u64) -> Self {
+    pub fn new(block_tokens: usize, bytes_per_token: u64, capacity: u64) -> Self {
         assert!(bytes_per_token > 0, "bytes per token must be positive");
         Self {
-            policy,
+            block_tokens,
             bytes_per_token,
             capacity,
             used: 0,
@@ -72,16 +57,6 @@ impl BlockAllocator {
     /// Bytes currently held.
     pub fn used_bytes(&self) -> u64 {
         self.used
-    }
-
-    /// Bytes still available.
-    pub fn free_bytes(&self) -> u64 {
-        self.capacity - self.used
-    }
-
-    /// Live allocations.
-    pub fn live_count(&self) -> usize {
-        self.live.len()
     }
 
     /// Admits a request with an initial `tokens`-token cache.
@@ -127,24 +102,8 @@ impl BlockAllocator {
         self.used -= bytes;
     }
 
-    /// Internal fragmentation: reserved-but-unused bytes across live
-    /// allocations (the contiguous policy's waste).
-    pub fn internal_fragmentation(&self) -> u64 {
-        self.live
-            .values()
-            .map(|&(tokens, bytes)| bytes - tokens as u64 * self.bytes_per_token)
-            .sum()
-    }
-
     fn bytes_for(&self, tokens: usize) -> u64 {
-        match self.policy {
-            AllocPolicy::ContiguousReserve { max_context } => {
-                max_context.max(tokens) as u64 * self.bytes_per_token
-            }
-            AllocPolicy::Paged { block_tokens } => {
-                (tokens.div_ceil(block_tokens) * block_tokens) as u64 * self.bytes_per_token
-            }
-        }
+        (tokens.div_ceil(self.block_tokens) * self.block_tokens) as u64 * self.bytes_per_token
     }
 }
 
@@ -156,7 +115,7 @@ mod tests {
 
     #[test]
     fn paged_admits_many_short_requests() {
-        let mut a = BlockAllocator::new(AllocPolicy::Paged { block_tokens: 16 }, BPT, 1_000_000);
+        let mut a = BlockAllocator::new(16, BPT, 1_000_000);
         let mut ids = Vec::new();
         while let Some(id) = a.admit(100) {
             ids.push(id);
@@ -169,41 +128,8 @@ mod tests {
     }
 
     #[test]
-    fn contiguous_reserve_admits_far_fewer() {
-        let mut paged =
-            BlockAllocator::new(AllocPolicy::Paged { block_tokens: 16 }, BPT, 1_000_000);
-        let mut contig = BlockAllocator::new(
-            AllocPolicy::ContiguousReserve { max_context: 800 },
-            BPT,
-            1_000_000,
-        );
-        let mut np = 0;
-        while paged.admit(100).is_some() {
-            np += 1;
-        }
-        let mut nc = 0;
-        while contig.admit(100).is_some() {
-            nc += 1;
-        }
-        assert!(np > 4 * nc, "paged {np} vs contiguous {nc}");
-    }
-
-    #[test]
-    fn growth_within_reservation_is_free_for_contiguous() {
-        let mut a = BlockAllocator::new(
-            AllocPolicy::ContiguousReserve { max_context: 500 },
-            BPT,
-            1_000_000,
-        );
-        let id = a.admit(100).unwrap();
-        let before = a.used_bytes();
-        assert!(a.grow(id, 300));
-        assert_eq!(a.used_bytes(), before, "growth inside the reservation");
-    }
-
-    #[test]
     fn paged_growth_allocates_blocks() {
-        let mut a = BlockAllocator::new(AllocPolicy::Paged { block_tokens: 16 }, BPT, 1_000_000);
+        let mut a = BlockAllocator::new(16, BPT, 1_000_000);
         let id = a.admit(16).unwrap();
         let before = a.used_bytes();
         assert!(a.grow(id, 1));
@@ -212,31 +138,24 @@ mod tests {
 
     #[test]
     fn release_returns_bytes() {
-        let mut a = BlockAllocator::new(AllocPolicy::Paged { block_tokens: 8 }, BPT, 100_000);
+        let mut a = BlockAllocator::new(8, BPT, 100_000);
         let id = a.admit(64).unwrap();
         assert!(a.used_bytes() > 0);
         a.release(id);
         assert_eq!(a.used_bytes(), 0);
-        assert_eq!(a.live_count(), 0);
     }
 
     #[test]
     fn fragmentation_measured_correctly() {
-        let mut a = BlockAllocator::new(
-            AllocPolicy::ContiguousReserve { max_context: 1000 },
-            BPT,
-            10_000_000,
-        );
-        a.admit(100).unwrap();
-        assert_eq!(a.internal_fragmentation(), 900 * BPT);
-        let mut p = BlockAllocator::new(AllocPolicy::Paged { block_tokens: 16 }, BPT, 10_000_000);
+        // 100 tokens take seven 16-token blocks: 12 tokens' bytes unused.
+        let mut p = BlockAllocator::new(16, BPT, 10_000_000);
         p.admit(100).unwrap();
-        assert_eq!(p.internal_fragmentation(), 12 * BPT); // 112 - 100
+        assert_eq!(p.used_bytes() - 100 * BPT, 12 * BPT);
     }
 
     #[test]
     fn failed_growth_leaves_state_unchanged() {
-        let mut a = BlockAllocator::new(AllocPolicy::Paged { block_tokens: 8 }, BPT, 10_000);
+        let mut a = BlockAllocator::new(8, BPT, 10_000);
         let id = a.admit(8).unwrap();
         let before = a.used_bytes();
         assert!(!a.grow(id, 1000));

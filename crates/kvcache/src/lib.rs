@@ -11,15 +11,15 @@
 //! * [`elastic`] — the set-difference planner of Section 5.4: given last
 //!   step's resident selection and this step's requirement, compute the
 //!   minimal transfer plan (`S_now − S_last` in, `S_last − S_now` out);
-//! * [`alloc`] — block-based KV memory allocation (contiguous-reserve vs
-//!   paged), the mechanism behind the serving batch caps.
+//! * [`alloc`] — paged KV memory allocation, which a serving replica
+//!   mirrors its running batch into.
 
 pub mod alloc;
 pub mod budget;
 pub mod elastic;
 pub mod pages;
 
-pub use alloc::{AllocId, AllocPolicy, BlockAllocator};
+pub use alloc::{AllocId, BlockAllocator};
 pub use budget::BudgetBuffer;
 pub use elastic::{DiffPlan, ResidentSet};
 pub use pages::{PageTable, PAGE_SIZE_DEFAULT};

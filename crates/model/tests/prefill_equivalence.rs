@@ -54,8 +54,8 @@ fn prefill_oracle(model: &Model, emb: &Matrix, mode: PrefillMode) -> (ModelKv, S
     (kv, last.expect("nonempty prompt"))
 }
 
-/// `f` where every `spec_parallel::join` runs both halves inline: on a
-/// pool worker, which never hands a half to the helper thread, at the
+/// `f` where every `spec_parallel::join` runs both halves inline: inside
+/// a `par_map` item, which never hands a half to a helper thread, at the
 /// caller's SIMD tier. Beside a run on the test's own thread, where the
 /// helper may take a half, it compares the split with the serial loop.
 fn inline<R: Send>(f: impl Fn() -> R + Sync) -> R {

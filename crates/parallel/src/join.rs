@@ -1,12 +1,14 @@
-//! [`join`]: two closures, the second on the caller, the first handed to
-//! one process-wide helper thread — or taken back by the caller when the
-//! helper has not started it by the time the second is done.
+//! [`join`]: two closures, the second on the caller, the first posted to
+//! the first idle one of `process_threads() − 1` slots, each served by
+//! its own persistent helper thread — or taken back by the caller when
+//! that helper has not started it by the time the second is done.
 //!
-//! The helper is spawned by the first `join` that can use it and lives
-//! for the rest of the process. It owns nothing: a job is a pointer to
-//! the caller's closure on the caller's stack, passed through one slot.
+//! A slot's helper is spawned by the first `join` that posts to it and
+//! lives for the rest of the process. It owns nothing: a job is a pointer
+//! to the caller's closure on the caller's stack, passed through the
+//! slot.
 //!
-//! # The slot
+//! # A slot
 //!
 //! One state word moves a job through
 //!
@@ -17,10 +19,11 @@
 //! IDLE <--------------- caller, once the job is settled (claimed back and run, or DONE)
 //! ```
 //!
-//! Only a caller that wins `IDLE -> HELD` posts, so there is one job at a
-//! time, and the slot stays out of `IDLE` until that caller has collected
-//! it: every other `join` meanwhile — another thread's, one nested in
-//! either half, one made on the helper — runs inline.
+//! Only a caller that wins `IDLE -> HELD` posts, so a slot holds one job
+//! at a time, and it stays out of `IDLE` until that caller has collected
+//! it. A `join` tries the slots in order and runs inline when it wins
+//! none. `tests/interleavings.rs` checks every schedule of a
+//! state-machine model of these steps, the park handshake included.
 
 use std::cell::UnsafeCell;
 use std::panic::{self, AssertUnwindSafe};
@@ -35,11 +38,11 @@ const POSTED: u8 = 2;
 const RUNNING: u8 = 3;
 const DONE: u8 = 4;
 
-/// How long the helper spins for its next job after the last one before
+/// How long a helper spins for its next job after the last one before
 /// it parks. A decode step's joins come 10–40 µs apart and a prefill's
 /// attention joins one every ~300 µs (a block's gemms lie between them),
-/// so the window covers both; an idle process gives up one core for a
-/// millisecond after its last join, then none.
+/// so the window covers both; each helper holds a core for a millisecond
+/// after its last job, then none.
 const IDLE_SPIN: Duration = Duration::from_millis(1);
 
 /// A type-erased pointer to a [`StackJob`] and the function that runs it.
@@ -49,7 +52,7 @@ struct JobRef {
     run: unsafe fn(*const ()),
 }
 
-/// The one job slot, and the helper that serves it.
+/// A job slot, and the helper that serves it.
 #[repr(align(64))]
 struct Slot {
     state: AtomicU8,
@@ -58,10 +61,16 @@ struct Slot {
     job: UnsafeCell<Option<JobRef>>,
     /// Set by the helper just before it parks.
     sleeping: AtomicBool,
+    /// Spawned on the first post; `None` if the spawn failed, and then
+    /// every `join` that wins this slot releases it and runs inline. The
+    /// helper is detached on purpose: it lives as long as the process,
+    /// and nothing it runs can unwind out of it (a job's panic is caught
+    /// into the job's result).
+    helper: OnceLock<Option<Thread>>,
 }
 
 /// Jobs posted, and how many of those their caller took back: on a line
-/// of their own, away from the state the helper spins on.
+/// of their own, away from the states the helpers spin on.
 #[repr(align(64))]
 struct Counts {
     posted: AtomicU64,
@@ -83,72 +92,91 @@ static COUNTS: Counts = Counts {
 // read it).
 unsafe impl Sync for Slot {}
 
-static SLOT: Slot = Slot {
-    state: AtomicU8::new(IDLE),
-    job: UnsafeCell::new(None),
-    sleeping: AtomicBool::new(false),
-};
+/// The process's slots, one fewer than the threads it allows.
+fn slots() -> &'static [Slot] {
+    static SLOTS: OnceLock<&'static [Slot]> = OnceLock::new();
+    SLOTS.get_or_init(|| {
+        let slots = (1..crate::process_threads()).map(|_| Slot {
+            state: AtomicU8::new(IDLE),
+            job: UnsafeCell::new(None),
+            sleeping: AtomicBool::new(false),
+            helper: OnceLock::new(),
+        });
+        Box::leak(slots.collect())
+    })
+}
 
-/// The helper thread, spawned on first use; `None` if the spawn failed,
-/// and then every `join` runs inline. It is detached on purpose: it lives
-/// as long as the process, and nothing it runs can unwind out of it (a
-/// job's panic is caught into the job's result).
-fn helper() -> Option<&'static Thread> {
-    static HELPER: OnceLock<Option<Thread>> = OnceLock::new();
-    HELPER
-        .get_or_init(|| {
+/// The first slot this thread wins `IDLE -> HELD`, with its helper;
+/// `None` inside a `par_map` item or when every slot is held.
+fn hold() -> Option<(&'static Slot, &'static Thread)> {
+    if crate::in_par_map_item() {
+        return None;
+    }
+    slots().iter().find_map(|slot| {
+        slot.state
+            .compare_exchange(IDLE, HELD, Ordering::Acquire, Ordering::Relaxed)
+            .ok()?;
+        let helper = slot.helper.get_or_init(|| {
             thread::Builder::new()
                 .name("spec_parallel helper".into())
-                .spawn(serve)
+                .spawn(move || slot.serve())
                 .ok()
                 .map(|handle| handle.thread().clone())
-        })
-        .as_ref()
+        });
+        if helper.is_none() {
+            slot.state.store(IDLE, Ordering::Release);
+        }
+        Some((slot, helper.as_ref()?))
+    })
 }
 
-/// The helper's loop: wait for a post, run it, mark it done.
-fn serve() {
-    loop {
-        wait_for_post();
-        if SLOT
-            .state
-            .compare_exchange(POSTED, RUNNING, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            continue; // its caller took it back first
+impl Slot {
+    /// The helper's loop: wait for a post, run it, mark it done.
+    fn serve(&self) {
+        loop {
+            self.wait_for_post();
+            if self
+                .state
+                .compare_exchange(POSTED, RUNNING, Ordering::Acquire, Ordering::Relaxed)
+                .is_err()
+            {
+                continue; // its caller took it back first
+            }
+            // SAFETY: the CAS above made this thread the job's only runner
+            // and synchronised with the post (see `Slot`); the caller does
+            // not return before `DONE`, so the job's frame is alive
+            // throughout.
+            unsafe {
+                let job = (*self.job.get()).expect("a posted slot holds a job");
+                (job.run)(job.data);
+            }
+            self.state.store(DONE, Ordering::Release);
         }
-        // SAFETY: the CAS above made this thread the job's only runner
-        // and synchronised with the post (see `Slot`); the caller does not
-        // return before `DONE`, so the job's frame is alive throughout.
-        unsafe {
-            let job = (*SLOT.job.get()).expect("a posted slot holds a job");
-            (job.run)(job.data);
-        }
-        SLOT.state.store(DONE, Ordering::Release);
     }
-}
 
-/// Spins until a job is posted, parking once [`IDLE_SPIN`] has passed
-/// without one.
-fn wait_for_post() {
-    let mut since = Instant::now();
-    let mut spins = 0u32;
-    while SLOT.state.load(Ordering::Acquire) != POSTED {
-        std::hint::spin_loop();
-        spins = spins.wrapping_add(1);
-        if !spins.is_multiple_of(256) || since.elapsed() < IDLE_SPIN {
-            continue;
+    /// Spins until a job is posted, parking once [`IDLE_SPIN`] has passed
+    /// without one.
+    fn wait_for_post(&self) {
+        let mut since = Instant::now();
+        let mut spins = 0u32;
+        while self.state.load(Ordering::Acquire) != POSTED {
+            std::hint::spin_loop();
+            spins = spins.wrapping_add(1);
+            if !spins.is_multiple_of(256) || since.elapsed() < IDLE_SPIN {
+                continue;
+            }
+            // A poster stores `POSTED` then reads `sleeping`; this stores
+            // `sleeping` then reads the state. Both SeqCst, so one of the
+            // two reads sees the other's store: no post is slept through.
+            // A wake that comes before `park` leaves its token, so `park`
+            // returns.
+            self.sleeping.store(true, Ordering::SeqCst);
+            if self.state.load(Ordering::SeqCst) != POSTED {
+                thread::park();
+            }
+            self.sleeping.store(false, Ordering::SeqCst);
+            since = Instant::now();
         }
-        // A poster stores `POSTED` then reads `sleeping`; this stores
-        // `sleeping` then reads the state. Both SeqCst, so one of the two
-        // reads sees the other's store: no post is slept through. A wake
-        // that comes before `park` leaves its token, so `park` returns.
-        SLOT.sleeping.store(true, Ordering::SeqCst);
-        if SLOT.state.load(Ordering::SeqCst) != POSTED {
-            thread::park();
-        }
-        SLOT.sleeping.store(false, Ordering::SeqCst);
-        since = Instant::now();
     }
 }
 
@@ -179,25 +207,18 @@ impl<F: FnOnce() -> R, R> StackJob<F, R> {
     }
 }
 
-/// Whether a `join` on this thread may post to the helper: the process
-/// allows two threads, and this is not a pool worker (whose siblings
-/// already hold the cores). A `join` on the helper finds the slot held.
-fn may_post() -> bool {
-    !crate::on_pool_worker() && crate::process_threads() >= 2
-}
-
 /// Runs `a` and `b` and returns both results; `b` on the calling thread,
-/// `a` on the process-wide helper thread if the helper is free.
+/// `a` on the helper of the first idle slot, if there is one.
 ///
 /// After `b` returns, a caller whose `a` the helper has not started takes
 /// it back and runs it itself, so a descheduled helper never stalls the
 /// caller for longer than `a` takes. Both halves run inline — `b`, then
-/// `a` — when the process allows fewer than two threads (`SPEC_THREADS=1`,
-/// or one CPU as [`std::thread::available_parallelism`] sees it), on a
-/// [`par_map_range`](crate::par_map_range) worker, on the helper itself,
-/// and whenever another `join` holds the helper: another thread's, or one
-/// this call is nested in. The thread-local [`with_threads`](crate::with_threads)
-/// budget sizes the pool's fan-outs and does not reach the helper.
+/// `a` — when the process allows one thread (`SPEC_THREADS=1`, or one CPU
+/// as [`std::thread::available_parallelism`] sees it), inside a
+/// [`par_map`](crate::par_map) item, and whenever every slot is held:
+/// by other threads' joins, or by the ones this call is nested in. The
+/// thread-local [`with_threads`](crate::with_threads) override caps
+/// `par_map`'s leaves and does not reach `join`.
 ///
 /// Either way both halves run to completion. A panic in either is caught
 /// and resumed on the caller once both have settled (`b`'s first if both
@@ -223,24 +244,16 @@ where
     RA: Send,
     B: FnOnce() -> RB,
 {
-    let helper = match may_post().then(helper).flatten() {
-        Some(helper) => helper,
-        None => return inline(a, b),
-    };
-    if SLOT
-        .state
-        .compare_exchange(IDLE, HELD, Ordering::Acquire, Ordering::Relaxed)
-        .is_err()
-    {
+    let Some((slot, helper)) = hold() else {
         return inline(a, b);
-    }
+    };
     let job = StackJob {
         func: UnsafeCell::new(Some(a)),
         result: UnsafeCell::new(None),
     };
     // SAFETY (the whole protocol, argued once):
-    // - One slot, posted with a CAS from `IDLE`: this thread alone owns it
-    //   from here until its `IDLE` store below.
+    // - `hold` won the slot with a CAS from `IDLE`: this thread alone owns
+    //   it from here until its `IDLE` store below.
     // - `job` — `a` and its result — stays in this frame, and nothing
     //   below returns or unwinds before the job has settled: `b` runs
     //   under `catch_unwind`; then either this thread wins `POSTED ->
@@ -252,14 +265,14 @@ where
     //   after both halves have settled, `rayon::join`'s rule.
     // - `A: Send` and `RA: Send` because `a` may run, and its result be
     //   made, on the helper. `b` never leaves this thread.
-    unsafe { *SLOT.job.get() = Some(job.job_ref()) };
+    unsafe { *slot.job.get() = Some(job.job_ref()) };
     COUNTS.posted.fetch_add(1, Ordering::Relaxed);
-    SLOT.state.store(POSTED, Ordering::SeqCst);
-    if SLOT.sleeping.load(Ordering::SeqCst) {
+    slot.state.store(POSTED, Ordering::SeqCst);
+    if slot.sleeping.load(Ordering::SeqCst) {
         helper.unpark();
     }
     let rb = panic::catch_unwind(AssertUnwindSafe(b));
-    if SLOT
+    if slot
         .state
         .compare_exchange(POSTED, HELD, Ordering::Acquire, Ordering::Relaxed)
         .is_ok()
@@ -269,7 +282,7 @@ where
         unsafe { StackJob::<A, RA>::run(&job as *const StackJob<A, RA> as *const ()) };
     } else {
         let mut spins = 0u32;
-        while SLOT.state.load(Ordering::Acquire) != DONE {
+        while slot.state.load(Ordering::Acquire) != DONE {
             std::hint::spin_loop();
             spins = spins.wrapping_add(1);
             if spins.is_multiple_of(1024) {
@@ -277,7 +290,7 @@ where
             }
         }
     }
-    SLOT.state.store(IDLE, Ordering::Release);
+    slot.state.store(IDLE, Ordering::Release);
     let ra = job.result.into_inner().expect("a settled job has a result");
     settle(ra, rb)
 }
@@ -395,17 +408,8 @@ mod tests {
         false
     }
 
-    #[test]
-    fn a_budget_of_one_runs_both_halves_on_the_caller() {
-        if in_child_at_one_thread("join::tests::a_budget_of_one_runs_both_halves_on_the_caller") {
-            assert_eq!(crate::process_threads(), 1);
-            for _ in 0..100 {
-                let (a, b) = join(me, me);
-                assert_eq!((a, b), (me(), me()));
-            }
-        }
-    }
-
+    /// A join inside a `par_map` item runs both halves on the item's
+    /// thread, whichever thread runs the item.
     #[test]
     fn pool_workers_run_both_halves_themselves() {
         let seen = crate::with_threads(2, || {
@@ -415,6 +419,17 @@ mod tests {
             })
         });
         assert_eq!(seen, vec![(true, true); 2]);
+    }
+
+    #[test]
+    fn a_budget_of_one_runs_both_halves_on_the_caller() {
+        if in_child_at_one_thread("join::tests::a_budget_of_one_runs_both_halves_on_the_caller") {
+            assert_eq!(crate::process_threads(), 1);
+            for _ in 0..100 {
+                let (a, b) = join(me, me);
+                assert_eq!((a, b), (me(), me()));
+            }
+        }
     }
 
     /// A panic in one half reaches the caller with its payload, after the
@@ -461,28 +476,26 @@ mod tests {
         }
     }
 
+    /// Four leaves two joins deep: the sums are right and each leaf runs
+    /// once whatever the slots. With one slot (two threads), a nested
+    /// join finds it held, so each inner join runs on its outer half's
+    /// thread; with more, an inner join may take another slot.
     fn nested_round() {
         let xs: Vec<u64> = (0..4096).collect();
-        let sum = |s: &[u64]| s.iter().sum::<u64>();
-        let (lo, hi) = xs.split_at(2048);
-        let ((a, a_ids), (b, b_ids)) = join(
-            || {
-                let outer = me();
-                let (x, y) = hi.split_at(1024);
-                let ((p, pid), (q, qid)) = join(|| (sum(x), me()), || (sum(y), me()));
-                (p + q, [outer, pid, qid])
-            },
-            || {
-                let outer = me();
-                let (x, y) = lo.split_at(1024);
-                let ((p, pid), (q, qid)) = join(|| (sum(x), me()), || (sum(y), me()));
-                (p + q, [outer, pid, qid])
-            },
-        );
-        assert_eq!(a + b, sum(&xs));
-        // Where the helper took the outer `a`, it was held through both
-        // halves: each inner join ran on the thread of its outer half.
-        if a_ids[0] != b_ids[0] {
+        let runs: [AtomicUsize; 4] = Default::default();
+        let sum = |leaf: usize| {
+            runs[leaf].fetch_add(1, Ordering::Relaxed);
+            (xs[leaf * 1024..][..1024].iter().sum::<u64>(), me())
+        };
+        let half = |lo: usize| {
+            let outer = me();
+            let ((p, pid), (q, qid)) = join(|| sum(lo + 1), || sum(lo));
+            (p + q, [outer, pid, qid])
+        };
+        let ((a, a_ids), (b, b_ids)) = join(|| half(2), || half(0));
+        assert_eq!(a + b, xs.iter().sum::<u64>());
+        assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1));
+        if crate::process_threads() == 2 && a_ids[0] != b_ids[0] {
             for ids in [a_ids, b_ids] {
                 assert!(ids.iter().all(|&id| id == ids[0]), "{ids:?}");
             }

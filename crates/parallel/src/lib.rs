@@ -1,44 +1,46 @@
 //! Deterministic parallel compute substrate for the SpeContext workspace.
 //!
-//! Two mechanisms, neither from crates.io (the build environment has no
-//! access, so no rayon):
+//! One way off the calling thread, not from crates.io (the build
+//! environment has no access, so no rayon): **[`join`]**. `join(a, b)`
+//! runs `b` on the caller and posts `a` to the first idle one of
+//! `process_threads() − 1` slots, each served by its own persistent
+//! helper thread, spawned on first use. A decode step and a prefill block
+//! split their retrieval select and attention by KV head through it; its
+//! rules:
 //!
-//! * **[`join`]** splits one piece of work in two: `join(a, b)` runs `b`
-//!   on the caller while one process-wide helper thread, spawned on first
-//!   use, may take `a`. A decode step and a prefill block split their
-//!   retrieval select and attention by KV head through it. Its rules:
-//!   - **Claim-back.** If the helper has not started `a` by the time `b`
-//!     is done, the caller takes `a` back and runs it, so a descheduled
-//!     helper never stalls a step.
-//!   - **One slot.** A job is posted with a CAS from idle, and the slot
-//!     stays held until its caller has collected the job: any other
-//!     `join` meanwhile — another thread's, a nested one, one on the
-//!     helper — runs both halves inline, as does every `join` when the
-//!     process allows fewer than two threads (`SPEC_THREADS=1`, one
-//!     CPU) and every `join` on a pool worker.
-//!   - **Park.** After its last job the helper spins for a bounded window
-//!     (a millisecond, longer than the gaps between a decode loop's
-//!     joins), then parks; `join` unparks it but never waits for it.
-//!   - **Panics** in either half are caught and resumed on the caller
-//!     only after both halves have settled, so `a` may borrow the
-//!     caller's stack.
+//! - **Claim-back.** If the slot's helper has not started `a` by the time
+//!   `b` is done, the caller takes `a` back and runs it, so a descheduled
+//!   helper never stalls a step.
+//! - **Slots.** A job is posted with a CAS from idle, and its slot stays
+//!   held until its caller has collected the job. A `join` that finds
+//!   every slot held — other threads', ones it is nested in — runs both
+//!   halves inline, as does every `join` when the process allows one
+//!   thread (`SPEC_THREADS=1`, one CPU) and every `join` inside a
+//!   [`par_map`] item.
+//! - **Park.** After its last job a helper spins for a bounded window (a
+//!   millisecond, longer than the gaps between a decode loop's joins),
+//!   then parks; `join` unparks it but never waits for it.
+//! - **Panics** in either half are caught and resumed on the caller only
+//!   after both halves have settled, so `a` may borrow the caller's stack.
 //!
-//!   A hand-off costs well under a microsecond, where a scoped spawn
-//!   costs tens. [`join_counts`] reports the hand-offs and claim-backs.
-//! * **A scoped worker pool** over [`std::thread::scope`], which the
-//!   figure and table benches fan their config sweeps out through
-//!   ([`par_map`]), as does `spec_tensor`'s k-means assignment sweep from
-//!   2^17 distance multiply-adds ([`par_map_range`]).
+//! A hand-off costs well under a microsecond. [`join_counts`] reports the
+//! hand-offs and claim-backs. `tests/interleavings.rs` enumerates every
+//! schedule of a state-machine model of the slot protocol.
+//!
+//! [`par_map`] and [`par_map_range`] are built on it: `0..n` is halved
+//! recursively through `join` into `min(max_threads(), n)` contiguous
+//! leaves, concatenated in index order. The figure and table benches fan
+//! their config sweeps out through them, as does `spec_tensor`'s k-means
+//! assignment sweep from 2^17 distance multiply-adds.
 //!
 //! Every primitive in this crate upholds one contract:
 //!
 //! > **Results are bit-for-bit identical at 1 or N threads.**
 //!
-//! That holds because work is partitioned into *contiguous index bands*
-//! (or, for `join`, two halves) and every output slot is written by
-//! exactly one worker — no shared accumulators, no reduction trees, no
-//! work stealing. Changing the thread count only changes band boundaries
-//! or which thread runs a half, never the per-element computation or the
+//! That holds because every output slot is written by exactly one
+//! closure call — no shared accumulators, no reduction trees, no work
+//! stealing. Changing the thread count only changes leaf boundaries or
+//! which thread runs a half, never the per-element computation or the
 //! order results are assembled in. Floating-point reductions that must
 //! stay deterministic (e.g. k-means inertia) are folded serially, in
 //! index order, over the parallel-computed parts.
@@ -47,26 +49,18 @@
 //!
 //! The process allows [`process_threads`] threads: the `SPEC_THREADS`
 //! environment variable (parsed once; `0` or garbage falls through), else
-//! [`std::thread::available_parallelism`]. `join` uses the helper when
-//! that is at least 2.
+//! [`std::thread::available_parallelism`]. `join` has one slot fewer.
 //!
-//! The pool's workers per call = `min(max_threads(), work items)`, where
-//! [`max_threads`] is a thread-local [`with_threads`] override (used by
-//! the determinism property tests to sweep thread counts inside one
-//! process, and by `bench_e2e`) if one is installed, else
-//! `process_threads()`. The override sizes the pool only.
+//! A `par_map` call's leaves = `min(max_threads(), items)`, where
+//! [`max_threads`] is 1 inside a `par_map` item, else a thread-local
+//! [`with_threads`] override (used by the determinism property tests to
+//! sweep thread counts inside one process, and by `bench_e2e`) if one is
+//! installed, else `process_threads()`. The override caps the leaves only; a `join` made
+//! outside a `par_map` item follows the process.
 //!
-//! Pool workers are spawned per call inside a [`std::thread::scope`],
-//! which is what keeps the API safe to use with borrowed data; spawn cost
-//! is tens of microseconds, so callers gate parallel dispatch on a
-//! work-size threshold and fall back to the serial path below it (the
-//! serial path is always the `threads == 1` specialization of the same
-//! code).
-//!
-//! Workers inherit the caller's thread budget **divided by the worker
-//! count** (at least 1), so nested fan-outs — a figure sweep's worker
-//! running ClusterKV's k-means — degrade to serial instead of
-//! oversubscribing the machine, and their joins run inline.
+//! Fan-outs and joins inside a `par_map` item run inline on the item's
+//! thread, so nested fan-outs — a figure sweep's item running ClusterKV's
+//! k-means — stay serial instead of oversubscribing the machine.
 //!
 //! # Example
 //!
@@ -82,6 +76,7 @@
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::OnceLock;
+use std::thread::LocalKey;
 
 mod join;
 
@@ -90,16 +85,15 @@ pub use join::{join, join_counts, JoinCounts};
 thread_local! {
     /// Per-thread override installed by [`with_threads`]; 0 = unset.
     static THREAD_OVERRIDE: Cell<usize> = const { Cell::new(0) };
-    /// Set on the pool's workers.
-    static POOL_WORKER: Cell<bool> = const { Cell::new(false) };
+    /// Set while this thread runs a [`par_map_range`] item.
+    static IN_ITEM: Cell<bool> = const { Cell::new(false) };
 }
 
 /// The threads the process allows: `SPEC_THREADS` (`0` or garbage falls
 /// through), then [`std::thread::available_parallelism`] (1 if
 /// unavailable). Resolved once per process — the CPU count reads the
 /// affinity mask and cgroup quota, too slow and allocating for the
-/// [`join`] on every step that asks. `join` uses its helper when this is
-/// at least 2.
+/// [`join`] on every step that asks. `join` has one slot fewer.
 pub fn process_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| {
@@ -115,12 +109,14 @@ pub fn process_threads() -> usize {
     })
 }
 
-/// The maximum number of worker threads the pool's fan-outs
-/// ([`par_map`], [`par_map_range`]) may use.
+/// The most leaves a [`par_map`] / [`par_map_range`] call is split into.
 ///
-/// Resolution order: [`with_threads`] override, then
-/// [`process_threads`].
+/// Resolution order: 1 inside a `par_map` item, then the [`with_threads`]
+/// override, then [`process_threads`].
 pub fn max_threads() -> usize {
+    if in_par_map_item() {
+        return 1;
+    }
     let over = THREAD_OVERRIDE.with(Cell::get);
     if over > 0 {
         return over;
@@ -128,93 +124,72 @@ pub fn max_threads() -> usize {
     process_threads()
 }
 
-/// Whether this thread is one of the pool's workers.
-fn on_pool_worker() -> bool {
-    POOL_WORKER.with(Cell::get)
+/// Whether this thread is running a [`par_map_range`] item.
+fn in_par_map_item() -> bool {
+    IN_ITEM.with(Cell::get)
+}
+
+/// Runs `f` with the thread-local `key` set to `value`, restoring the
+/// previous value on exit, including on panic.
+fn with_local<T: Copy, R>(key: &'static LocalKey<Cell<T>>, value: T, f: impl FnOnce() -> R) -> R {
+    struct Restore<T: Copy + 'static>(&'static LocalKey<Cell<T>>, T);
+    impl<T: Copy> Drop for Restore<T> {
+        fn drop(&mut self) {
+            self.0.with(|c| c.set(self.1));
+        }
+    }
+    let _restore = Restore(key, key.with(|c| c.replace(value)));
+    f()
 }
 
 /// Runs `f` with [`max_threads`] pinned to `n` on the current thread. It
-/// sizes the pool's fan-outs; [`join`] follows [`process_threads`].
+/// caps the leaves of `par_map` calls; [`join`] follows
+/// [`process_threads`].
 ///
-/// The override is thread-local, so concurrent tests cannot race on it
-/// (pool workers receive their own divided budget at spawn; see the
-/// module docs). Restores the previous value on exit, including on
-/// panic.
+/// The override is thread-local, so concurrent tests cannot race on it.
+/// Restores the previous value on exit, including on panic.
 ///
 /// # Panics
 ///
 /// Panics if `n == 0`.
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     assert!(n > 0, "thread count must be at least 1");
-    struct Restore(usize);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            THREAD_OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(THREAD_OVERRIDE.with(|c| c.replace(n)));
-    f()
-}
-
-/// Splits `0..n` into `parts` contiguous ranges whose lengths differ by
-/// at most one, in index order.
-fn bands(n: usize, parts: usize) -> Vec<Range<usize>> {
-    let parts = parts.clamp(1, n.max(1));
-    let base = n / parts;
-    let extra = n % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for p in 0..parts {
-        let len = base + usize::from(p < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    out
+    with_local(&THREAD_OVERRIDE, n, f)
 }
 
 /// Maps `f` over `0..n`, returning results in index order.
 ///
-/// Each index is computed by exactly one worker and results are
-/// assembled band-by-band in index order, so the output is identical to
-/// the serial `(0..n).map(f).collect()` at any thread count.
+/// `0..n` is halved recursively through [`join`] into
+/// `min(max_threads(), n)` contiguous leaves — one inside a `par_map`
+/// item — and the leaves are concatenated in index order, so the output
+/// is identical to the serial `(0..n).map(f).collect()` at any thread
+/// count. A panicking item's payload reaches the caller.
 pub fn par_map_range<R, F>(n: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let budget = max_threads();
-    let threads = budget.min(n.max(1));
-    if threads <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let parts = bands(n, threads);
-    let child_budget = worker_budget(budget, parts.len());
-    let mut out = Vec::with_capacity(n);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = parts
-            .iter()
-            .map(|band| {
-                let band = band.clone();
-                let f = &f;
-                s.spawn(move || {
-                    POOL_WORKER.with(|w| w.set(true));
-                    with_threads(child_budget, || band.map(f).collect::<Vec<R>>())
-                })
-            })
-            .collect();
-        for h in handles {
-            out.extend(h.join().expect("spec_parallel worker panicked"));
-        }
-    });
-    out
+    leaves_of(0..n, max_threads().min(n), &f)
 }
 
-/// The thread budget each of `workers` workers inherits: the caller's
-/// budget divided evenly, at least 1. Nested parallel calls inside a
-/// worker therefore cannot oversubscribe the machine — a fan-out that
-/// already saturates the budget runs its inner fan-outs serially.
-fn worker_budget(budget: usize, workers: usize) -> usize {
-    (budget / workers.max(1)).max(1)
+/// `range` mapped through `f` as `leaves` contiguous leaves: the right
+/// part offered to a helper, the left run here.
+fn leaves_of<R, F>(range: Range<usize>, leaves: usize, f: &F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    if leaves <= 1 {
+        return with_local(&IN_ITEM, true, || range.map(f).collect());
+    }
+    let left = leaves / 2;
+    let mid = range.start + range.len() * left / leaves;
+    let (right, mut out) = join(
+        || leaves_of(mid..range.end, leaves - left, f),
+        || leaves_of(range.start..mid, left, f),
+    );
+    out.extend(right);
+    out
 }
 
 /// Maps `f` over a slice, returning results in item order. See
@@ -231,29 +206,50 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{self, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::thread::{self, ThreadId};
 
+    fn me() -> ThreadId {
+        thread::current().id()
+    }
+
+    /// The leaves `par_map` splits `0..n` into — its bands — cover every
+    /// index exactly once, in order, for any leaf count.
     #[test]
     fn bands_cover_exactly_once() {
         for n in [0usize, 1, 2, 7, 64, 65] {
             for parts in [1usize, 2, 3, 7, 64, 100] {
-                let bs = bands(n, parts);
-                let mut seen = 0;
-                for b in &bs {
-                    assert_eq!(b.start, seen, "contiguous");
-                    seen = b.end;
-                }
-                assert_eq!(seen, n, "n={n} parts={parts}");
+                let calls: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let got = leaves_of(0..n, parts, &|i| {
+                    calls[i].fetch_add(1, Ordering::Relaxed);
+                    i
+                });
+                assert_eq!(got, (0..n).collect::<Vec<_>>(), "n={n} parts={parts}");
+                assert!(
+                    calls.iter().all(|c| c.load(Ordering::Relaxed) == 1),
+                    "n={n} parts={parts}"
+                );
             }
         }
     }
 
     #[test]
     fn par_map_matches_serial_at_any_thread_count() {
-        let items: Vec<u64> = (0..97).collect();
-        let serial: Vec<u64> = items.iter().map(|x| x * x + 1).collect();
-        for t in [1usize, 2, 3, 7, 16] {
-            let got = with_threads(t, || par_map(&items, |x| x * x + 1));
-            assert_eq!(got, serial, "threads={t}");
+        for n in [0u64, 1, 2, 3, 7, 64, 65, 97] {
+            let items: Vec<u64> = (0..n).collect();
+            let serial: Vec<u64> = items.iter().map(|x| x * x + 1).collect();
+            for t in [1usize, 2, 3, 7, 16] {
+                let calls = AtomicUsize::new(0);
+                let got = with_threads(t, || {
+                    par_map(&items, |x| {
+                        calls.fetch_add(1, Ordering::Relaxed);
+                        x * x + 1
+                    })
+                });
+                assert_eq!(got, serial, "n={n} threads={t}");
+                assert_eq!(calls.into_inner(), items.len(), "n={n} threads={t}");
+            }
         }
     }
 
@@ -264,14 +260,51 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_item_reaches_the_caller_with_its_payload() {
+        for t in [1usize, 2, 7] {
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+                with_threads(t, || {
+                    par_map_range(16, |i| {
+                        if i == 11 {
+                            panic!("item 11");
+                        }
+                        i
+                    })
+                })
+            }));
+            let payload = outcome.expect_err("the panic reaches the caller");
+            assert_eq!(
+                payload.downcast_ref::<&str>().copied(),
+                Some("item 11"),
+                "threads={t}"
+            );
+            assert!(!in_par_map_item(), "the item flag is restored on unwind");
+        }
+    }
+
+    #[test]
     fn workers_inherit_divided_budget() {
-        // 4 workers out of a budget of 8 → each sees a budget of 2, so a
-        // nested fan-out cannot oversubscribe the caller's allowance.
+        // Whatever the caller's budget and however many items share it,
+        // an item's own budget is one leaf, so a nested fan-out cannot
+        // oversubscribe the caller's allowance.
         let seen = with_threads(8, || par_map_range(4, |_| max_threads()));
-        assert_eq!(seen, vec![2, 2, 2, 2]);
-        // Saturated: 7 workers from a budget of 7 → nested calls serial.
-        let seen = with_threads(7, || par_map_range(7, |_| max_threads()));
+        assert_eq!(seen, vec![1; 4]);
+        let seen = with_threads(7, || par_map_range(7, |_| with_threads(7, max_threads)));
         assert_eq!(seen, vec![1; 7]);
+        assert_eq!(with_threads(7, max_threads), 7, "restored after the items");
+    }
+
+    #[test]
+    fn fan_outs_and_joins_inside_an_item_run_on_its_thread() {
+        let seen = with_threads(4, || {
+            par_map_range(4, |_| {
+                let inner = with_threads(4, || par_map_range(8, |_| me()));
+                let (a, b) = join(me, me);
+                inner.iter().all(|&id| id == me()) && (a, b) == (me(), me())
+            })
+        });
+        assert_eq!(seen, vec![true; 4]);
+        assert!(!in_par_map_item());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! group of identically pricing replicas instead of one per replica.
 
 use crate::router::{ReplicaHealth, ReplicaSnapshot};
-use spec_kvcache::{AllocId, AllocPolicy, BlockAllocator};
+use spec_kvcache::{AllocId, BlockAllocator};
 use spec_runtime::{
     Admission, BatchState, CompletedRequest, CrashedWork, HandoffRecord, ReplicaRole, Request,
     Scheduler, SchedulerConfig, ServingSim, StepCache, SystemKind,
@@ -88,11 +88,7 @@ impl Replica {
         Self {
             scheduler: Scheduler::new(sim, system, cfg),
             state,
-            kv: BlockAllocator::new(
-                AllocPolicy::Paged { block_tokens: 16 },
-                bytes_per_token,
-                capacity,
-            ),
+            kv: BlockAllocator::new(16, bytes_per_token, capacity),
             kv_held: Vec::new(),
             kv_token_cap,
             device,

@@ -21,8 +21,9 @@
 //!
 //! The kernel is serial. The largest product the workspace issues is a
 //! 64-row prefill block against a 64 x 384 weight, about 2^20.6
-//! multiply-adds, below the ~2^22 at which a scoped spawn of two workers
-//! breaks even.
+//! multiply-adds, below the ~2^22 at which two workers broke even when
+//! each was a scoped spawn. Split over `spec_parallel::join`'s persistent
+//! helpers, the break-even is unmeasured.
 
 use crate::Matrix;
 

@@ -82,7 +82,7 @@ pub fn kmeans(points: &Matrix, config: KMeansConfig, rng: &mut SimRng) -> KMeans
     for it in 0..config.max_iters {
         iterations = it + 1;
         // Assignment step: each point's nearest centroid is independent,
-        // so it fans out over `spec_parallel` (disjoint index bands); the
+        // so it fans out over `spec_parallel` (contiguous leaves); the
         // inertia is then folded serially in point order, keeping the sum
         // bit-for-bit identical at any thread count.
         let assigned = assign_all(points, &centroids);
@@ -142,29 +142,31 @@ pub fn kmeans(points: &Matrix, config: KMeansConfig, rng: &mut SimRng) -> KMeans
 }
 
 /// Below this many distance muladds per assignment sweep, the sweep runs
-/// serially. A whole ClusterKV run (k = n/16, dim 16, 15 iterations,
-/// best of 5) on a 2-vCPU host:
+/// serially. Above it, `par_map_range` splits the points into
+/// `max_threads()` contiguous leaves and offers all but one to
+/// `spec_parallel::join`'s persistent helpers, a hand-off of well under a
+/// microsecond. A whole ClusterKV run (k = n/16, dim 16, 15 iterations)
+/// on a 2-vCPU host, best of 66 runs a cell:
 ///
 /// | points | sweep muladds | 1 thread | 2 threads |
 /// |---|---|---|---|
-/// | 512 | 2^18 | 1.17 ms | 1.18 ms |
-/// | 1024 | 2^20 | 4.7 ms | 3.15 ms |
-/// | 2048 | 2^22 | 18.4 ms | 11.5 ms |
-/// | 4096 | 2^24 | 73 ms | 42–46 ms |
+/// | 512 | 2^18 | 1.30 ms | 0.81 ms |
+/// | 1024 | 2^20 | 7.33 ms | 4.26 ms |
+/// | 2048 | 2^22 | 27.6 ms | 17.0 ms |
+/// | 4096 | 2^24 | 115 ms | 66 ms |
 ///
-/// Two workers break even at 2^18 and pay from 2^20. The threshold sits
-/// below break-even, at 2^17, so that `determinism.rs`'s sweeps (up to
-/// 200 x 40 x 24, about 2^17.6) take the band path. By the 512-point
-/// row, a spawn costs about what half a 2^18 sweep does (~40 µs), so a
-/// sweep at 2^17 loses ~20 µs to it.
+/// Two threads pay from the smallest row, so the break-even lies at or
+/// below 2^18. The threshold sits at 2^17 so that `determinism.rs`'s
+/// sweeps (up to 200 x 40 x 24, about 2^17.6) take the parallel path;
+/// moving it lower waits for a measurement of sweeps below 2^18.
 const PAR_ASSIGN_MIN: usize = 1 << 17;
 
 /// The nearest centroid of every row of `points`, in row order
-/// (parallel over disjoint row bands for large sweeps; identical to the
-/// serial per-row loop at any thread count).
+/// (parallel over contiguous row leaves for large sweeps; identical to
+/// the serial per-row loop at any thread count).
 pub fn assign_all(points: &Matrix, centroids: &Matrix) -> Vec<(usize, f32)> {
     let work = points.rows() * points.cols() * centroids.rows();
-    if work < PAR_ASSIGN_MIN || spec_parallel::max_threads() == 1 {
+    if work < PAR_ASSIGN_MIN {
         return (0..points.rows())
             .map(|i| nearest_centroid(points.row(i), centroids))
             .collect();

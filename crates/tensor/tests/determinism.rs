@@ -11,7 +11,7 @@ use spec_tensor::kmeans::{self, KMeansConfig};
 use spec_tensor::{ops, SimRng};
 
 /// The thread counts the k-means contract is checked at: serial, even,
-/// and an odd count that leaves ragged band remainders.
+/// and an odd count that splits into leaves of uneven size.
 const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
 
 fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
@@ -47,8 +47,8 @@ proptest! {
     }
 
     /// `softmax_rows` — every row in one kernel call — equals softmaxing
-    /// each row on its own (it has no fan-out: at ~1 ns an element even
-    /// 2^17 elements are less work than one scoped spawn).
+    /// each row on its own (it has no fan-out: at ~1 ns an element, a
+    /// fan-out broke even only at 2^20 elements).
     #[test]
     fn softmax_rows_matches_serial_bitwise(
         shape in (1usize..96, 1usize..300, any::<u64>())
