@@ -3,8 +3,9 @@
 //! assignment, elastic set-difference planning, and the matmuls of the
 //! simulated forward pass — the blocked kernel against the reference
 //! triple loop at the shapes the chunked prefill issues, that prefill
-//! whole against the token-at-a-time loop it replaced, and the decode
-//! step's in-place attention against the gather it replaced, the
+//! whole against the token-at-a-time loop it replaced and against itself
+//! with every join inline, and the decode step's in-place attention
+//! against the gather it replaced, the
 //! retrieval head's appends through one projection of its heads side by
 //! side against one per head, its key sweep over int8 blocks against f32
 //! ones, and the
@@ -166,9 +167,13 @@ const ATTEND_SHAPES: [(&str, usize, usize); 3] = [
 /// and `lm_head`.
 const VECMAT_SHAPES: [(usize, usize); 4] = [(64, 64), (64, 128), (128, 64), (64, 512)];
 
-/// The two sides of the prefill comparison, at the benchmark's
-/// `prompt_32k_2k` shape: 4096 tokens, window 96 + 4 sinks.
+/// The sides of the prefill comparisons, at the benchmark's
+/// `prompt_32k_2k` shape: 4096 tokens, window 96 + 4 sinks. The prefill
+/// as shipped (its attention and row-wise work split across two threads
+/// where the process allows two), the same prefill inside a `par_map`
+/// item, where every join runs inline, and the token-at-a-time loop.
 const PREFILL: &str = "prefill/windowed96+4/4096";
+const PREFILL_SERIAL: &str = "prefill/serial/4096";
 const PREFILL_ORACLE: &str = "prefill_oracle/windowed96+4/4096";
 
 /// Appends of the retrieval-head comparison, a `prompt_32k_2k` prompt, and
@@ -702,7 +707,8 @@ fn prefill_oracle(
 }
 
 /// The chunked, layer-major prefill against the token-at-a-time loop at
-/// the engine's geometry.
+/// the engine's geometry, and against itself inside a `par_map` item
+/// (`prefill/serial`), as `decode_step/{split,serial}` compare a step.
 fn bench_prefill(c: &mut Criterion) {
     let model = Model::new(
         ModelConfig::deepseek_distill_llama_8b().sim_geometry(),
@@ -733,6 +739,17 @@ fn bench_prefill(c: &mut Criterion) {
     });
     c.bench_function(PREFILL_ORACLE, |b| {
         b.iter(|| prefill_oracle(&model, black_box(&emb), window, sinks))
+    });
+    let c = Mutex::new(c);
+    spec_parallel::with_threads(2, || {
+        spec_parallel::par_map_range(2, |worker| {
+            if worker == 0 {
+                let mut c = c.lock().expect("one worker");
+                c.bench_function(PREFILL_SERIAL, |b| {
+                    b.iter(|| model.prefill_embeddings(black_box(&emb), mode))
+                });
+            }
+        })
     });
 }
 
@@ -1457,8 +1474,14 @@ fn write_summary(c: &Criterion) {
         "\n  }},\n  \"prefill_speedup_vs_oracle\": {prefill_speedup:.2},\n  \"value_tile_speedup_vs_branchy\": {tile_speedup:.2},\n  \"head_append_speedup_vs_per_head\": {append_speedup:.2},\n"
     ));
     let split_speedup = best_ratio(c, DECODE_STEP_SERIAL, DECODE_STEP_SPLIT);
+    // Means, as for the oracle ratio: a sample is a whole prefill, and the
+    // serial side's best swung 72-112 ms across four runs on one host.
+    let prefill_split_speedup = match (c.mean_ns(PREFILL_SERIAL), c.mean_ns(PREFILL)) {
+        (Some(serial), Some(split)) => serial / split,
+        _ => f64::NAN,
+    };
     json.push_str(&format!(
-        "  \"decode_step_split_speedup_vs_serial\": {split_speedup:.2},\n"
+        "  \"decode_step_split_speedup_vs_serial\": {split_speedup:.2},\n  \"prefill_split_speedup_vs_serial\": {prefill_split_speedup:.2},\n"
     ));
     let walk_speedup = best_ratio(c, STEP_HIT_LOOKUP, STEP_HIT_WALK);
     let miss_speedup = best_ratio(c, STEP_MISS_RECORDED, STEP_MISS);
@@ -1556,6 +1579,7 @@ fn write_summary(c: &Criterion) {
     println!("[value tile speedup vs per-row zero test] {tile_speedup:.2}");
     println!("[head append speedup vs one vecmat a head] {append_speedup:.2}");
     println!("[decode step split speedup vs serial] {split_speedup:.2}");
+    println!("[prefill split speedup vs serial] {prefill_split_speedup:.2}");
     println!("[step-table walk speedup vs lookup] {walk_speedup:.2}");
     println!("[step miss speedup vs recorded timeline] {miss_speedup:.2}");
     println!("[step block speedup vs one price a length] {block_speedup:.2}");

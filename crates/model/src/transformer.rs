@@ -288,6 +288,14 @@ impl Model {
     /// KV head ([`ops::attend_block`], reading queries and cache in
     /// place).
     ///
+    /// Two threads share a block where the process allows two, through
+    /// [`dispatch::join`]: attention splits by KV head, and the row-wise
+    /// work between two attentions — `wo`, the FFN, the next layer's norm,
+    /// projection and RoPE — splits by block rows, one join a block and
+    /// layer ([`row_stretch_split`](Self::row_stretch_split)), each half
+    /// with gemms of its own over weights its core's cache already holds.
+    /// The caller appends the K/V rows after the join, in row order.
+    ///
     /// A prefill's outputs are every layer's K/V and the final position's
     /// logits, so the last layer computes only what those read: every
     /// block still gets its projection, RoPE and K/V append, but its
@@ -321,10 +329,12 @@ impl Model {
         };
         let mut kv = ModelKv::empty(geom);
         // Block buffers, reused by every block and layer: the residual
-        // stream, its normalization, the heads' attention outputs side by
-        // side, the per-position rotations, and attention's work space.
+        // stream, the projection block (MLA: and its latent rows), the
+        // heads' attention outputs side by side, the per-position
+        // rotations, attention's work space and each side's row buffers.
         let mut h: Vec<f32> = Vec::with_capacity(PREFILL_CHUNK * hidden);
-        let mut normed = Matrix::default();
+        let mut proj = Matrix::default();
+        let mut latent_rows = Matrix::default();
         let mut concat = Matrix::default();
         let mut rope = Vec::with_capacity(PREFILL_CHUNK);
         let mut work = AttendWork {
@@ -332,39 +342,35 @@ impl Model {
             latent: Vec::new(),
             spare: Vec::new(),
         };
+        let mut sides = [RowWork::default(), RowWork::default()];
+        let proj_width = self.fused[0].cols();
+        let latent_width = self.weights.layers[0]
+            .w_down_latent
+            .as_ref()
+            .map_or(0, Matrix::cols);
         for b0 in (0..emb.rows()).step_by(PREFILL_CHUNK) {
             let b1 = (b0 + PREFILL_CHUNK).min(emb.rows());
             let rows = b1 - b0;
             h.clear();
             h.extend_from_slice(&emb.as_slice()[b0 * hidden..b1 * hidden]);
-            fit_rows(&mut normed, rows, hidden);
+            fit_rows(&mut proj, rows, proj_width);
+            fit_rows(&mut latent_rows, rows, latent_width);
+            fit_rows(&mut concat, rows, geom.q_heads * d);
             rope.clear();
             rope.extend(
                 (b0..b1).map(|pos| ops::rope_table(d, pos, geom.rope_base, self.rope_scale)),
             );
-            for (l, ((lw, fused), layer)) in self
-                .weights
-                .layers
-                .iter()
-                .zip(&self.fused)
-                .zip(&mut kv.layers)
-                .enumerate()
-            {
-                rmsnorm_rows(&mut normed, &h, &lw.norm_attn);
-                let mut proj = normed.matmul(fused);
+            let first = BlockRows {
+                h: &mut h,
+                attn: &[],
+                rope: &rope,
+                proj: proj.as_mut_slice(),
+                latent: latent_rows.as_mut_slice(),
+            };
+            self.row_stretch_split(None, 0, first, &mut sides);
+            for (l, (lw, layer)) in self.weights.layers.iter().zip(&mut kv.layers).enumerate() {
                 match layer {
                     LayerKv::PerHead { keys, values } => {
-                        // Queries and keys are the leading segments.
-                        let roped = (geom.q_heads + geom.kv_heads) * d;
-                        for (row, table) in proj
-                            .as_mut_slice()
-                            .chunks_exact_mut(fused.cols())
-                            .zip(&rope)
-                        {
-                            for head in row[..roped].chunks_exact_mut(d) {
-                                ops::rope_apply(head, table);
-                            }
-                        }
                         for (hh, (keys, values)) in keys.iter_mut().zip(values).enumerate() {
                             let k = (geom.q_heads + hh) * d;
                             let v = k + geom.kv_heads * d;
@@ -372,48 +378,119 @@ impl Model {
                             values.push_cols(&proj, v..v + d);
                         }
                     }
-                    LayerKv::Latent { latent } => {
-                        let down = lw.w_down_latent.as_ref().expect("MLA weights");
-                        latent.push_rows(&normed.matmul(down));
-                    }
+                    LayerKv::Latent { latent } => latent.push_rows(&latent_rows),
                 }
-                // The block rows whose attention and FFN something reads:
-                // every row feeds the next layer, but only the prompt's
-                // final row of the last layer feeds the logits. The
-                // residual and the buffers below shrink to those rows.
-                let live = if l + 1 < geom.layers {
-                    0..rows
-                } else if b1 < emb.rows() {
-                    continue;
-                } else {
-                    rows - 1..rows
-                };
-                h.drain(..live.start * hidden);
-                fit_rows(&mut normed, live.len(), hidden);
-                fit_rows(&mut concat, live.len(), geom.q_heads * d);
-                self.attend_block(
-                    lw,
-                    layer,
-                    &proj,
-                    (b0, live),
-                    (window, sinks),
-                    &mut work,
-                    &mut concat,
-                );
-                add_assign(&mut h, concat.matmul(&lw.wo).as_slice());
-                rmsnorm_rows(&mut normed, &h, &lw.norm_ffn);
-                let mut gate = normed.matmul(&lw.w_gate);
-                ops::silu_inplace(gate.as_mut_slice());
-                let up = normed.matmul(&lw.w_up);
-                for (g, u) in gate.as_mut_slice().iter_mut().zip(up.as_slice()) {
-                    *g *= u;
+                let reach = (window, sinks);
+                if l + 1 < geom.layers {
+                    let out = &mut concat;
+                    self.attend_block(lw, layer, &proj, (b0, 0..rows), reach, &mut work, out);
+                    let next = BlockRows {
+                        h: &mut h,
+                        attn: concat.as_slice(),
+                        rope: &rope,
+                        proj: proj.as_mut_slice(),
+                        latent: latent_rows.as_mut_slice(),
+                    };
+                    self.row_stretch_split(Some(lw), l + 1, next, &mut sides);
+                } else if b1 == emb.rows() {
+                    // The prompt's final row of the last layer is the only
+                    // one the logits read: its attention, `wo` and FFN run
+                    // for that row alone, on the residual shrunk to it.
+                    // Earlier blocks stop at the last layer's K/V append.
+                    h.drain(..(rows - 1) * hidden);
+                    fit_rows(&mut concat, 1, geom.q_heads * d);
+                    let (live, out) = (rows - 1..rows, &mut concat);
+                    self.attend_block(lw, layer, &proj, (b0, live), reach, &mut work, out);
+                    let last = BlockRows {
+                        h: &mut h,
+                        attn: concat.as_slice(),
+                        rope: &[],
+                        proj: &mut [],
+                        latent: &mut [],
+                    };
+                    self.row_stretch(Some(lw), None, last, &mut sides[0]);
                 }
-                add_assign(&mut h, gate.matmul(&lw.w_down).as_slice());
             }
         }
         let hidden = ops::rmsnorm(&h[h.len() - hidden..], &self.weights.norm_final, 1e-6);
         let logits = self.weights.lm_head.vecmat(&hidden);
         (kv, StepOutput { logits, hidden })
+    }
+
+    /// [`row_stretch`](Self::row_stretch) over a block's rows, split in
+    /// two: rows `[0, half)` on the caller and `[half, rows)` through
+    /// [`dispatch::join`], which may run them on the helper thread. Each
+    /// side reads and writes only its own rows, and what a row gets does
+    /// not depend on the others (see [`BlockRows`]), so the split moves no
+    /// bit. A block under [`SPLIT_MIN_ROWS`] rows runs on the caller.
+    fn row_stretch_split(
+        &self,
+        post: Option<&LayerWeights>,
+        next: usize,
+        block: BlockRows<'_>,
+        [first, second]: &mut [RowWork; 2],
+    ) {
+        let rows = block.h.len() / self.geom.hidden;
+        if rows < SPLIT_MIN_ROWS {
+            return self.row_stretch(post, Some(next), block, first);
+        }
+        let (low, high) = block.split_at(rows, rows / 2);
+        dispatch::join(
+            || self.row_stretch(post, Some(next), high, second),
+            || self.row_stretch(post, Some(next), low, first),
+        );
+    }
+
+    /// The prefill's row-wise work from one layer's attention output to
+    /// the next layer's attention input, for the rows `block` holds.
+    /// `post` (the layer whose attention output is `block.attn`): `wo` and
+    /// the residual, `norm_ffn`, the SiLU-gated FFN and the residual.
+    /// `next` (a layer index): its `norm_attn` and fused `Q | K | V`
+    /// projection into `block.proj`, queries and keys rotated (MLA: the
+    /// queries unrotated, and the latent down-projection into
+    /// `block.latent`).
+    fn row_stretch(
+        &self,
+        post: Option<&LayerWeights>,
+        next: Option<usize>,
+        block: BlockRows<'_>,
+        work: &mut RowWork,
+    ) {
+        let hidden = self.geom.hidden;
+        let rows = block.h.len() / hidden;
+        let RowWork { attn, normed } = work;
+        fit_rows(normed, rows, hidden);
+        let h = block.h;
+        if let Some(lw) = post {
+            fit_rows(attn, rows, block.attn.len() / rows);
+            attn.as_mut_slice().copy_from_slice(block.attn);
+            add_assign(h, attn.matmul(&lw.wo).as_slice());
+            rmsnorm_rows(normed, h, &lw.norm_ffn);
+            let mut gate = normed.matmul(&lw.w_gate);
+            ops::silu_inplace(gate.as_mut_slice());
+            let up = normed.matmul(&lw.w_up);
+            for (g, u) in gate.as_mut_slice().iter_mut().zip(up.as_slice()) {
+                *g *= u;
+            }
+            add_assign(h, gate.matmul(&lw.w_down).as_slice());
+        }
+        let Some(l) = next else { return };
+        let (lw, fused) = (&self.weights.layers[l], &self.fused[l]);
+        rmsnorm_rows(normed, h, &lw.norm_attn);
+        block.proj.copy_from_slice(normed.matmul(fused).as_slice());
+        match &lw.w_down_latent {
+            Some(down) => block.latent.copy_from_slice(normed.matmul(down).as_slice()),
+            None => {
+                // Queries and keys are the leading segments.
+                let d = self.geom.head_dim;
+                let roped = (self.geom.q_heads + self.geom.kv_heads) * d;
+                for (row, table) in block.proj.chunks_exact_mut(fused.cols()).zip(block.rope) {
+                    for head in row[..roped].chunks_exact_mut(d) {
+                        ops::rope_apply(head, table);
+                    }
+                }
+            }
+        }
     }
 
     /// Prefill attention of one layer for rows `rows` of the block of
@@ -844,6 +921,60 @@ type LayerRecord<'a> = (&'a mut Vec<Vec<f32>>, &'a mut Vec<Vec<usize>>);
 /// noise from 32 to 512 (64 and 128 read best); at 64 the block buffers
 /// stay under 150 KB.
 const PREFILL_CHUNK: usize = 64;
+
+/// Block rows below which [`Model::row_stretch_split`] runs on the caller
+/// alone: a side of a few rows is too little work for a hand-off.
+const SPLIT_MIN_ROWS: usize = 8;
+
+/// Some rows of a prefill block, in every buffer the row-wise stretch
+/// touches: the residual stream, the attention output (read), the
+/// per-position rotations, the projection block and (MLA) its latent rows.
+/// The stretch's every step — the norms, the gemms (a `matmul` row is the
+/// `vecmat` of that row on every dispatch path), RoPE, SiLU and the
+/// residual adds — is per row, so rows taken apart get the bits they get
+/// together.
+struct BlockRows<'a> {
+    h: &'a mut [f32],
+    attn: &'a [f32],
+    rope: &'a [Vec<(f32, f32)>],
+    proj: &'a mut [f32],
+    latent: &'a mut [f32],
+}
+
+impl<'a> BlockRows<'a> {
+    /// Rows `[0, at)` and `[at, rows)` of these `rows` rows.
+    fn split_at(self, rows: usize, at: usize) -> (Self, Self) {
+        let (h, h2) = self.h.split_at_mut(at * (self.h.len() / rows));
+        let (attn, attn2) = self.attn.split_at(at * (self.attn.len() / rows));
+        let (rope, rope2) = self.rope.split_at(at);
+        let (proj, proj2) = self.proj.split_at_mut(at * (self.proj.len() / rows));
+        let (latent, latent2) = self.latent.split_at_mut(at * (self.latent.len() / rows));
+        (
+            Self {
+                h,
+                attn,
+                rope,
+                proj,
+                latent,
+            },
+            Self {
+                h: h2,
+                attn: attn2,
+                rope: rope2,
+                proj: proj2,
+                latent: latent2,
+            },
+        )
+    }
+}
+
+/// One side's buffers for the row-wise stretch: its rows of the attention
+/// output, as the `wo` gemm's operand, and their normalization.
+#[derive(Default)]
+struct RowWork {
+    attn: Matrix,
+    normed: Matrix,
+}
 
 /// Makes `m` a `rows x cols` matrix, keeping it (and its contents) when it
 /// already is one.

@@ -9,10 +9,11 @@
 //! cached K/V (or latent) float of every layer — across attention
 //! families, exact and windowed modes, prompt lengths either side of the
 //! block boundaries, windows and sink counts either side of every clamp,
-//! and both RoPE scales — and the prefill's attention split by KV head
-//! across two threads equals it run on one. CI runs this suite under
-//! `SPEC_SIMD=scalar` as well (the block gemms must stay tier-invariant)
-//! and under `SPEC_THREADS=1`.
+//! and both RoPE scales — and the prefill split across two threads (its
+//! attention by KV head, its row-wise work by block rows) equals it run
+//! on one. CI runs this suite under `SPEC_SIMD=scalar` as well (the block
+//! gemms must stay tier-invariant), under `SPEC_THREADS=1` and under
+//! `SPEC_THREADS=7` (the halves post to any of six slots).
 
 use proptest::prelude::*;
 use spec_model::{
@@ -155,14 +156,25 @@ fn modes() -> Vec<PrefillMode> {
 
 /// Lengths either side of one and two block boundaries x every mode; the
 /// two RoPE scales alternate over the grid, so each length, window and
-/// sink count meets both.
+/// sink count meets both. The prefill splits a block's row-wise work in
+/// two halves from 8 rows: `CHUNK + 5` ends on a block below that, run
+/// whole, and `2 * CHUNK + 9` on one split unevenly (4 rows and 5), as
+/// `CHUNK - 1` is (31 and 32).
 fn fixed_grid(geom: SimGeometry) {
     let mut models = [1.0, 4.0].map(|rope_scale| {
         let mut model = Model::new(geom, 0x5EED);
         model.set_rope_scale(rope_scale);
         model
     });
-    for len in [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3] {
+    for len in [
+        1,
+        CHUNK - 1,
+        CHUNK,
+        CHUNK + 1,
+        CHUNK + 5,
+        2 * CHUNK + 3,
+        2 * CHUNK + 9,
+    ] {
         for (salt, mode) in modes().into_iter().enumerate() {
             check(&models[0], len, mode, salt);
             models.swap(0, 1);

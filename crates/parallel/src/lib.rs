@@ -214,10 +214,10 @@ mod tests {
         thread::current().id()
     }
 
-    /// The leaves `par_map` splits `0..n` into — its bands — cover every
-    /// index exactly once, in order, for any leaf count.
+    /// The leaves `par_map` splits `0..n` into cover every index exactly
+    /// once, in order, for any leaf count.
     #[test]
-    fn bands_cover_exactly_once() {
+    fn leaves_cover_exactly_once() {
         for n in [0usize, 1, 2, 7, 64, 65] {
             for parts in [1usize, 2, 3, 7, 64, 100] {
                 let calls: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
@@ -283,7 +283,7 @@ mod tests {
     }
 
     #[test]
-    fn workers_inherit_divided_budget() {
+    fn an_items_budget_is_one() {
         // Whatever the caller's budget and however many items share it,
         // an item's own budget is one leaf, so a nested fan-out cannot
         // oversubscribe the caller's allowance.

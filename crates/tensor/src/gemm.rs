@@ -22,8 +22,16 @@
 //! The kernel is serial. The largest product the workspace issues is a
 //! 64-row prefill block against a 64 x 384 weight, about 2^20.6
 //! multiply-adds, below the ~2^22 at which two workers broke even when
-//! each was a scoped spawn. Split over `spec_parallel::join`'s persistent
-//! helpers, the break-even is unmeasured.
+//! each was a scoped spawn. Splitting the row tiles over
+//! `spec_parallel::join`'s persistent helper, both halves sharing one
+//! packed panel, gained nothing either: a 64 x 64 x 192 product read
+//! 32.9 -> 44.2 µs best in one round and 45.7 -> 44.3 in the next, and the
+//! prefill was no faster with it, because the panel and the A rows cross
+//! cores on every call. Two independent 64 x 64 x 192 products under one
+//! `join` read 1.5-1.6x, so the prefill splits above the kernel instead:
+//! each half of a block's rows runs its own gemms, packing its own panels
+//! from weights its core's cache already holds
+//! (`Model::prefill_embeddings`).
 
 use crate::Matrix;
 
