@@ -12,7 +12,6 @@
 use serde::{Deserialize, Serialize};
 use spec_hwsim::{DeviceSpec, EngineProfile};
 use spec_model::ModelConfig;
-use spec_runtime::adaptive::Thresholds;
 use spec_runtime::costs::CostModel;
 use spec_runtime::dataflow::{step_timeline, DataflowKind, StepParams};
 use spec_runtime::memory::MemoryModel;
@@ -180,20 +179,10 @@ pub fn ablation_best_batch(
         .expect("at least one batch candidate")
 }
 
-/// The thresholds SpeContext compiles for a workload (exposed for the
-/// Fig. 11 narration and the examples).
-pub fn stage3_thresholds(
-    cfg: &ModelConfig,
-    dev: &DeviceSpec,
-    requests: usize,
-    budget: usize,
-) -> Thresholds {
-    Thresholds::compute(&MemoryModel::new(cfg, dev), requests, budget)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spec_runtime::adaptive::Thresholds;
 
     fn setup() -> (ModelConfig, DeviceSpec, Workload) {
         (
@@ -272,7 +261,7 @@ mod tests {
     #[test]
     fn thresholds_exposed_for_reporting() {
         let (cfg, dev, _) = setup();
-        let th = stage3_thresholds(&cfg, &dev, 16, 2048);
+        let th = Thresholds::compute(&MemoryModel::new(&cfg, &dev), 16, 2048);
         assert_eq!(th.values.len(), cfg.layers + 1);
     }
 }

@@ -33,15 +33,6 @@ impl KernelCost {
         }
     }
 
-    /// Adds another kernel's cost (fused: launches don't add).
-    pub fn fuse(self, other: KernelCost) -> Self {
-        Self {
-            flops: self.flops + other.flops,
-            bytes: self.bytes + other.bytes,
-            launches: self.launches.max(other.launches),
-        }
-    }
-
     /// Sequential composition (launches add).
     pub fn then(self, other: KernelCost) -> Self {
         Self {
@@ -153,13 +144,11 @@ mod tests {
     }
 
     #[test]
-    fn fuse_and_then_compose_costs() {
+    fn then_composes_costs() {
         let a = KernelCost::new(10.0, 20.0);
         let b = KernelCost::new(1.0, 2.0);
-        let fused = a.fuse(b);
-        assert_eq!(fused.launches, 1.0);
-        assert_eq!(fused.flops, 11.0);
         let seq = a.then(b);
         assert_eq!(seq.launches, 2.0);
+        assert_eq!(seq.flops, 11.0);
     }
 }

@@ -372,16 +372,6 @@ impl<const W: usize> EventSim<W> {
             .map(|r| r.end - r.start)
             .sum()
     }
-
-    /// Fraction of the makespan during which `stream` was busy.
-    pub fn utilization(&self, stream: StreamId) -> f64 {
-        let ms = self.makespan();
-        if ms == 0.0 {
-            0.0
-        } else {
-            self.busy_time(stream) / ms
-        }
-    }
 }
 
 #[cfg(test)]
@@ -422,7 +412,6 @@ mod tests {
             sim.submit(OpLabel::layer(i, "t"), COPY, 0.4, &[]);
         }
         assert!(sim.makespan() >= sim.busy_time(COMPUTE).max(sim.busy_time(COPY)) - 1e-12);
-        assert!(sim.utilization(COPY) <= 1.0 + 1e-12);
     }
 
     #[test]

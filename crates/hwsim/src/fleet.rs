@@ -114,16 +114,6 @@ impl Fleet {
         self.slots.is_empty()
     }
 
-    /// Total GPU memory across the fleet, bytes.
-    pub fn total_gpu_mem(&self) -> u64 {
-        self.slots.iter().map(|s| s.device.gpu_mem_bytes).sum()
-    }
-
-    /// Total peak FP16 throughput across the fleet, FLOP/s.
-    pub fn total_flops(&self) -> f64 {
-        self.slots.iter().map(|s| s.device.gpu_flops).sum()
-    }
-
     /// Total rental price across the fleet, USD per hour.
     pub fn hourly_cost(&self) -> f64 {
         self.slots.iter().map(|s| s.device.hourly_cost).sum()
@@ -166,10 +156,9 @@ mod tests {
             .with(DeviceSpec::a100_80g(), 2)
             .with(DeviceSpec::rtx4090(), 1);
         assert_eq!(
-            fleet.total_gpu_mem(),
-            2 * DeviceSpec::a100_80g().gpu_mem_bytes + DeviceSpec::rtx4090().gpu_mem_bytes
+            fleet.hourly_cost(),
+            2.0 * DeviceSpec::a100_80g().hourly_cost + DeviceSpec::rtx4090().hourly_cost
         );
-        assert!(fleet.total_flops() > DeviceSpec::a100_80g().gpu_flops);
         assert!(!fleet.is_empty());
     }
 

@@ -72,11 +72,6 @@ impl LinkSpec {
     pub fn time(&self, bytes: f64) -> f64 {
         self.latency + bytes / self.bandwidth
     }
-
-    /// Whether this link prices every transfer at exactly zero seconds.
-    pub fn is_free(&self) -> bool {
-        self.latency == 0.0 && self.bandwidth == f64::INFINITY
-    }
 }
 
 #[cfg(test)]
@@ -108,10 +103,9 @@ mod tests {
     #[test]
     fn zero_cost_link_is_exactly_free() {
         let free = LinkSpec::zero_cost();
-        assert!(free.is_free());
         assert_eq!(free.time(0.0), 0.0);
         assert_eq!(free.time(1.0), 0.0);
         assert_eq!(free.time(1e15), 0.0);
-        assert!(!LinkSpec::nvlink().is_free());
+        assert!(LinkSpec::nvlink().time(0.0) > 0.0);
     }
 }

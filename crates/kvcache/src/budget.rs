@@ -1,10 +1,11 @@
 //! Budgeted per-head selection buffers.
 //!
-//! A [`BudgetBuffer`] bundles one [`ResidentSet`] per (layer, KV head):
-//! the GPU-side slot arrays that hold the currently selected KV entries
-//! for sparse attention. The runtime drives it once per decode step with
-//! the retrieval head's selections and reads back aggregate transfer
-//! volumes for the performance model.
+//! A [`BudgetBuffer`] holds one [`ResidentSet`] per KV head: the
+//! GPU-side slot arrays that hold the currently selected KV entries for
+//! sparse attention. Every layer reads the same speculative selection, so
+//! every layer's sets are these. The runtime drives it once per decode
+//! step with the retrieval head's selection and reads back aggregate
+//! transfer volumes, over all layers, for the performance model.
 
 use crate::elastic::{PlanScratch, ResidentSet};
 use serde::{Deserialize, Serialize};
@@ -30,24 +31,19 @@ impl StepTransfer {
     }
 }
 
-/// Per-(layer, head) resident sets under a shared per-head budget.
+/// Per-KV-head resident sets under a shared per-head budget, for every
+/// layer at once.
 ///
-/// A speculative selection hands every layer the same lists, so the
-/// layers' sets stay equal step after step. A layer whose sets equal the
-/// layer's below it **follows** that layer: it keeps no sets of its own,
-/// [`head`](Self::head) answers with its leader's, and its step is its
-/// leader's — one plan per distinct (resident state, selection), nothing
-/// copied. A follower handed lists of its own takes a copy of its
-/// leader's sets at that step and plans for itself from then on, until
-/// its sets equal the layer's below it again.
+/// A speculative selection is made once per step and hands every layer
+/// the same lists (Section 5, Fig. 7), so the layers' sets are equal step
+/// after step: the buffer keeps one set per KV head, plans it once a step,
+/// and counts that plan's moves once per layer. [`step`](Self::step)
+/// refuses a layer handed lists of its own.
 #[derive(Debug, Clone)]
 pub struct BudgetBuffer {
-    /// `sets[l]` are layer `l`'s while it leads; stale (allocation kept
-    /// for the next divergence) while `follows[l]`.
-    sets: Vec<Vec<ResidentSet>>,
-    /// `follows[l]`: layer `l`'s sets are layer `l - 1`'s (never set for
-    /// layer 0), which may follow in turn.
-    follows: Vec<bool>,
+    /// One set per KV head, shared by every layer.
+    sets: Vec<ResidentSet>,
+    layers: usize,
     budget: usize,
     /// The buffers every set plans and applies in, so that
     /// [`step`](Self::step) allocates nothing while positions stay below
@@ -57,8 +53,8 @@ pub struct BudgetBuffer {
 }
 
 impl BudgetBuffer {
-    /// Creates empty buffers: `layers x kv_heads` resident sets of
-    /// `budget` slots each.
+    /// Creates empty buffers for `layers` layers of `kv_heads` resident
+    /// sets of `budget` slots each.
     ///
     /// # Panics
     ///
@@ -66,11 +62,8 @@ impl BudgetBuffer {
     pub fn new(layers: usize, kv_heads: usize, budget: usize) -> Self {
         assert!(layers > 0 && kv_heads > 0, "dimensions must be positive");
         Self {
-            sets: (0..layers)
-                .map(|_| (0..kv_heads).map(|_| ResidentSet::new(budget)).collect())
-                .collect(),
-            // Empty sets are equal sets.
-            follows: (0..layers).map(|l| l > 0).collect(),
+            sets: (0..kv_heads).map(|_| ResidentSet::new(budget)).collect(),
+            layers,
             budget,
             scratch: PlanScratch::new(budget),
         }
@@ -83,87 +76,61 @@ impl BudgetBuffer {
 
     /// Number of layers.
     pub fn layers(&self) -> usize {
-        self.sets.len()
+        self.layers
     }
 
     /// Number of KV heads per layer.
     pub fn kv_heads(&self) -> usize {
-        self.sets.first().map_or(0, Vec::len)
+        self.sets.len()
     }
 
-    /// The layer whose sets `layer` reads: itself, or the nearest layer
-    /// below it that follows no one.
-    fn leader(&self, layer: usize) -> usize {
-        let following = self.follows[..=layer].iter().rev();
-        layer - following.take_while(|&&f| f).count()
-    }
-
-    /// Access one head's resident set.
+    /// Access one head's resident set — the same set for every layer.
     ///
     /// # Panics
     ///
     /// Panics if indices are out of range.
     pub fn head(&self, layer: usize, kv_head: usize) -> &ResidentSet {
-        &self.sets[self.leader(layer)][kv_head]
+        assert!(layer < self.layers, "layer {layer} out of range");
+        &self.sets[kv_head]
     }
 
     /// Plans and applies the selections for one decode step.
     /// `selections[layer][kv_head]` are the wanted positions; a layer's
     /// lists may be owned (`Vec<Vec<usize>>`) or borrowed
-    /// (`&[Vec<usize>]`), so a caller whose layers share one selection
-    /// lends it to every layer. Returns the aggregate transfer volume.
-    ///
-    /// One plan is made per distinct (resident state, selection) among
-    /// neighbouring layers: a layer following the one before it and
-    /// handed the same lists — every layer but the first under a
-    /// speculative selection, which is identical across layers — shares
-    /// that layer's new state and counts instead of planning them again.
+    /// (`&[Vec<usize>]`), so a caller lends its one selection to every
+    /// layer. Every layer must be handed the same lists; the sets are
+    /// planned once and the transfer volume is that plan's times
+    /// `layers`.
     ///
     /// # Panics
     ///
-    /// Panics if the selection shape does not match the buffer shape or a
-    /// selection exceeds the budget.
+    /// Panics if the selection shape does not match the buffer shape, a
+    /// layer is handed lists other than layer 0's, or a selection exceeds
+    /// the budget.
     pub fn step<S: AsRef<[Vec<usize>]>>(&mut self, selections: &[S]) -> StepTransfer {
-        assert_eq!(selections.len(), self.layers(), "layer count mismatch");
-        // A follower handed lists of its own leads from here: it starts
-        // from the state it shared, before any layer moves on.
-        for layer in (1..self.layers()).rev() {
-            let (own, below) = (selections[layer].as_ref(), selections[layer - 1].as_ref());
-            if self.follows[layer] && !same_lists(own, below) {
-                let leader = self.leader(layer - 1);
-                let (below, own) = self.sets.split_at_mut(layer);
-                own[0].clone_from(&below[leader]);
-                self.follows[layer] = false;
-            }
-        }
-        let mut agg = StepTransfer::default();
-        // What the last layer that planned moved; its followers move the
-        // same.
+        assert_eq!(selections.len(), self.layers, "layer count mismatch");
+        let heads = selections[0].as_ref();
+        assert_eq!(heads.len(), self.kv_heads(), "head count mismatch");
+        // By address first, so layers lent one selection cost no
+        // comparison, then by value.
+        assert!(
+            selections[1..]
+                .iter()
+                .all(|s| std::ptr::eq(s.as_ref(), heads) || s.as_ref() == heads),
+            "every layer must be handed the same lists"
+        );
         let mut moved = StepTransfer::default();
-        for (layer, heads) in selections.iter().enumerate() {
-            let heads = heads.as_ref();
-            assert_eq!(heads.len(), self.kv_heads(), "head count mismatch");
-            if !self.follows[layer] {
-                moved = StepTransfer::default();
-                for (set, wanted) in self.sets[layer].iter_mut().zip(heads) {
-                    set.advance(wanted, &mut self.scratch);
-                    moved.fetched_entries += self.scratch.fetch.len() as u64;
-                    moved.reused_entries += self.scratch.reused as u64;
-                }
-                self.follows[layer] =
-                    layer > 0 && self.sets[layer] == self.sets[self.leader(layer - 1)];
-            }
-            agg.fetched_entries += moved.fetched_entries;
-            agg.reused_entries += moved.reused_entries;
+        for (set, wanted) in self.sets.iter_mut().zip(heads) {
+            set.advance(wanted, &mut self.scratch);
+            moved.fetched_entries += self.scratch.fetch.len() as u64;
+            moved.reused_entries += self.scratch.reused as u64;
         }
-        agg
+        let layers = self.layers as u64;
+        StepTransfer {
+            fetched_entries: moved.fetched_entries * layers,
+            reused_entries: moved.reused_entries * layers,
+        }
     }
-}
-
-/// Whether two layers are handed the same lists: by address first, so
-/// layers lent one selection cost no comparison, then by value.
-fn same_lists(a: &[Vec<usize>], b: &[Vec<usize>]) -> bool {
-    std::ptr::eq(a, b) || a == b
 }
 
 #[cfg(test)]

@@ -72,7 +72,7 @@ impl DiffPlan {
 /// rs.apply(&p2);
 /// assert!(rs.contains(9));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ResidentSet {
     /// slot -> position (usize::MAX = empty slot).
     slots: Vec<usize>,
@@ -88,25 +88,6 @@ pub struct ResidentSet {
 impl PartialEq for ResidentSet {
     fn eq(&self, other: &Self) -> bool {
         self.slots == other.slots
-    }
-}
-
-/// By hand for `clone_from`, which the derive would leave allocating:
-/// [`BudgetBuffer`](crate::BudgetBuffer) copies one layer's sets over
-/// another's when the two part.
-impl Clone for ResidentSet {
-    fn clone(&self) -> Self {
-        Self {
-            slots: self.slots.clone(),
-            resident: self.resident.clone(),
-            occupied: self.occupied,
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.slots.clone_from(&source.slots);
-        self.resident.clone_from(&source.resident);
-        self.occupied = source.occupied;
     }
 }
 

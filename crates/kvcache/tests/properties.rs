@@ -178,47 +178,6 @@ fn assert_same_state(rs: &ResidentSet, oracle: &OracleSet, probes: &[usize]) {
     }
 }
 
-/// The `BudgetBuffer` whose followers copied: a layer in the state of the
-/// one before it and handed the same lists `clone_from`s that layer's
-/// new sets every step instead of reading them in place.
-struct CopyingBuffer {
-    sets: Vec<Vec<ResidentSet>>,
-    follows: Vec<bool>,
-}
-
-impl CopyingBuffer {
-    fn new(layers: usize, kv_heads: usize, budget: usize) -> Self {
-        let heads = || (0..kv_heads).map(|_| ResidentSet::new(budget)).collect();
-        Self {
-            sets: (0..layers).map(|_| heads()).collect(),
-            follows: (0..layers).map(|l| l > 0).collect(),
-        }
-    }
-
-    /// `(fetched, reused)` over all layers and heads.
-    fn step(&mut self, selections: &[Vec<Vec<usize>>]) -> (u64, u64) {
-        let (mut agg, mut moved) = ((0, 0), (0, 0));
-        for (layer, heads) in selections.iter().enumerate() {
-            let (done, rest) = self.sets.split_at_mut(layer);
-            let sets = &mut rest[0];
-            if self.follows[layer] && *heads == selections[layer - 1] {
-                sets.clone_from(&done[layer - 1]);
-            } else {
-                moved = (0, 0);
-                for (set, wanted) in sets.iter_mut().zip(heads) {
-                    let plan = set.plan(wanted);
-                    moved.0 += plan.fetch.len() as u64;
-                    moved.1 += plan.reused.len() as u64;
-                    set.apply(&plan);
-                }
-                self.follows[layer] = layer > 0 && *sets == done[layer - 1];
-            }
-            agg = (agg.0 + moved.0, agg.1 + moved.1);
-        }
-        agg
-    }
-}
-
 proptest! {
     /// Applying a plan always makes exactly the wanted set resident
     /// (plus possibly stale entries when under budget — the wanted set
@@ -325,87 +284,35 @@ proptest! {
         }
     }
 
-    /// `BudgetBuffer::step` plans once for neighbouring layers in the same
-    /// state handed the same lists. Against `layers x kv_heads`
-    /// independent `ResidentSet`s driven set by set, over runs whose
-    /// layers agree, diverge for a stretch (one layer handed a list of
-    /// its own) and agree again: the same totals every step, and every
-    /// head's positions and slot assignment identical after it.
+    /// An L-layer `BudgetBuffer` plans one set per KV head and counts its
+    /// moves once per layer: against a 1-layer buffer handed the same
+    /// lists, exactly L times its `StepTransfer` every step, and
+    /// `head(l, h)` — positions and slots — the 1-layer buffer's head for
+    /// every `l`.
     #[test]
-    fn buffer_step_shares_plans_only_between_equal_layers(
-        steps in prop::collection::vec((model_step(), model_step(), model_step()), 1..16),
-        split in (0usize..16, 0usize..4, 0usize..3),
+    fn buffer_step_counts_one_plan_per_layer(
+        steps in prop::collection::vec((model_step(), model_step()), 1..16),
+        layers in 1usize..6,
     ) {
-        const LAYERS: usize = 3;
-        let (from, len, odd_layer) = split;
-        let mut buffer = BudgetBuffer::new(LAYERS, 2, MODEL_BUDGET);
-        let mut sets: Vec<Vec<ResidentSet>> = (0..LAYERS)
-            .map(|_| (0..2).map(|_| ResidentSet::new(MODEL_BUDGET)).collect())
-            .collect();
+        let mut buffer = BudgetBuffer::new(layers, 2, MODEL_BUDGET);
+        let mut single = BudgetBuffer::new(1, 2, MODEL_BUDGET);
         let mut wanted = [Vec::new(), Vec::new()];
-        let mut own = Vec::new();
-        for (i, (a, b, c)) in steps.into_iter().enumerate() {
+        for (i, (a, b)) in steps.into_iter().enumerate() {
             wanted[0] = next_wanted(&wanted[0], a.0, a.1, a.2);
             wanted[1] = next_wanted(&wanted[1], b.0, b.1, b.2);
-            own = next_wanted(&own, c.0, c.1, c.2);
-            let mut selections = vec![wanted.to_vec(); LAYERS];
-            if (from..from + len).contains(&i) {
-                selections[odd_layer][i % 2] = own.clone();
-            }
-            let moved = buffer.step(&selections);
-            let (mut fetched, mut reused) = (0, 0);
-            for (l, layer) in sets.iter_mut().enumerate() {
-                for (h, set) in layer.iter_mut().enumerate() {
-                    let plan = set.plan(&selections[l][h]);
-                    fetched += plan.fetch.len() as u64;
-                    reused += plan.reused.len() as u64;
-                    set.apply(&plan);
-                    let got = buffer.head(l, h);
-                    prop_assert_eq!(got.positions(), set.positions(), "step {} layer {} head {}", i, l, h);
-                    for pos in 0..MODEL_UNIVERSE {
-                        prop_assert_eq!(got.slot_of(pos), set.slot_of(pos), "step {} layer {} head {}", i, l, h);
-                    }
-                }
-            }
-            prop_assert_eq!((moved.fetched_entries, moved.reused_entries), (fetched, reused));
-        }
-    }
-
-    /// A `BudgetBuffer` whose followers borrow their leader's sets answers,
-    /// step by step, what one whose followers copy them answers: the same
-    /// `StepTransfer` and the same `head(l, h)` — positions and slots —
-    /// for every layer. Four layers, so a follower's leader may itself
-    /// follow; two layers each handed lists of their own for a stretch
-    /// (the stretches may overlap, touch or be empty), so a layer leaves
-    /// its leader while the layers above keep following *it*, and takes
-    /// its leader back once their sets agree again.
-    #[test]
-    fn borrowing_followers_match_copying_followers(
-        steps in prop::collection::vec((model_step(), model_step(), model_step()), 1..20),
-        first in (0usize..20, 0usize..5, 0usize..4),
-        second in (0usize..20, 0usize..5, 0usize..4),
-    ) {
-        const LAYERS: usize = 4;
-        let mut borrowing = BudgetBuffer::new(LAYERS, 2, MODEL_BUDGET);
-        let mut copying = CopyingBuffer::new(LAYERS, 2, MODEL_BUDGET);
-        let mut wanted = [Vec::new(), Vec::new()];
-        let mut own = Vec::new();
-        for (i, (a, b, c)) in steps.into_iter().enumerate() {
-            wanted[0] = next_wanted(&wanted[0], a.0, a.1, a.2);
-            wanted[1] = next_wanted(&wanted[1], b.0, b.1, b.2);
-            own = next_wanted(&own, c.0, c.1, c.2);
-            let mut selections = vec![wanted.to_vec(); LAYERS];
-            for (from, len, odd_layer) in [first, second] {
-                if (from..from + len).contains(&i) {
-                    selections[odd_layer][i % 2] = own.clone();
-                }
-            }
-            let moved = borrowing.step(&selections);
-            let want = copying.step(&selections);
-            prop_assert_eq!((moved.fetched_entries, moved.reused_entries), want, "step {}", i);
-            for l in 0..LAYERS {
+            let moved = buffer.step(&vec![&wanted[..]; layers]);
+            let one = single.step(&[&wanted[..]]);
+            let l = layers as u64;
+            prop_assert_eq!(
+                (moved.fetched_entries, moved.reused_entries),
+                (l * one.fetched_entries, l * one.reused_entries),
+                "step {}", i
+            );
+            for l in 0..layers {
                 for h in 0..2 {
-                    prop_assert_eq!(borrowing.head(l, h), &copying.sets[l][h], "step {} layer {} head {}", i, l, h);
+                    let (got, want) = (buffer.head(l, h), single.head(0, h));
+                    prop_assert_eq!(got, want, "step {} layer {} head {}", i, l, h);
+                    prop_assert_eq!(got.positions(), want.positions());
                 }
             }
         }
@@ -478,28 +385,20 @@ proptest! {
     }
 
     /// `BudgetBuffer::step` over borrowed per-layer views — every layer
-    /// lent one selection, a layer lent its own for a stretch — reports
-    /// what it reports over owned copies of the same lists, and leaves
-    /// every head in the same state.
+    /// lent one selection — reports what it reports over owned copies of
+    /// the same lists, and leaves every head in the same state.
     #[test]
     fn buffer_step_over_borrowed_views_matches_owned_copies(
-        steps in prop::collection::vec((model_step(), model_step(), model_step()), 1..16),
-        split in (0usize..16, 0usize..5, 0usize..4),
+        steps in prop::collection::vec((model_step(), model_step()), 1..16),
     ) {
         const LAYERS: usize = 4;
-        let (from, len, odd_layer) = split;
         let mut lent = BudgetBuffer::new(LAYERS, 2, MODEL_BUDGET);
         let mut owning = BudgetBuffer::new(LAYERS, 2, MODEL_BUDGET);
-        let (mut shared, mut own) = (vec![Vec::new(), Vec::new()], Vec::new());
-        for (i, (a, b, c)) in steps.into_iter().enumerate() {
+        let mut shared = vec![Vec::new(), Vec::new()];
+        for (i, (a, b)) in steps.into_iter().enumerate() {
             shared[0] = next_wanted(&shared[0], a.0, a.1, a.2);
             shared[1] = next_wanted(&shared[1], b.0, b.1, b.2);
-            own = next_wanted(&own, c.0, c.1, c.2);
-            let odd = vec![shared[0].clone(), own.clone()];
-            let mut views: Vec<&[Vec<usize>]> = vec![&shared; LAYERS];
-            if (from..from + len).contains(&i) {
-                views[odd_layer] = &odd;
-            }
+            let views: Vec<&[Vec<usize>]> = vec![&shared; LAYERS];
             let owned: Vec<Vec<Vec<usize>>> = views.iter().map(|v| v.to_vec()).collect();
             let moved = lent.step(&views);
             let want = owning.step(&owned);
@@ -619,4 +518,16 @@ proptest! {
             }
         }
     }
+}
+
+/// One speculative selection serves every layer; a layer handed lists of
+/// its own is refused rather than planned apart.
+#[test]
+#[should_panic(expected = "every layer must be handed the same lists")]
+fn buffer_step_refuses_a_layer_with_lists_of_its_own() {
+    let mut buffer = BudgetBuffer::new(3, 2, 4);
+    let shared = [vec![0, 1], vec![2, 3]];
+    buffer.step(&[&shared[..], &shared[..], &shared[..]]);
+    let own = [vec![0, 1], vec![2, 5]];
+    buffer.step(&[&shared[..], &own[..], &shared[..]]);
 }

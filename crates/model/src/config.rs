@@ -148,75 +148,6 @@ impl ModelConfig {
         }
     }
 
-    /// Llama-2-7B-style MHA geometry, used to exercise the MHA selection
-    /// path of the retrieval head (paper Fig. 5(b)).
-    pub fn llama2_7b_mha() -> Self {
-        Self {
-            name: "Llama2-7B (MHA)".into(),
-            attention: AttentionKind::Mha,
-            layers: 32,
-            hidden: 4096,
-            q_heads: 32,
-            kv_heads: 32,
-            head_dim: 128,
-            mla_latent: 0,
-            ffn_dim: 11008,
-            vocab: 32_000,
-            rope_base: 10_000.0,
-            train_context: 4096,
-            param_bytes: 13_500_000_000,
-        }
-    }
-
-    /// An MQA variant (single shared KV head), exercising Fig. 5(d).
-    pub fn mqa_7b() -> Self {
-        Self {
-            name: "MQA-7B".into(),
-            attention: AttentionKind::Mqa,
-            layers: 32,
-            hidden: 4096,
-            q_heads: 32,
-            kv_heads: 1,
-            head_dim: 128,
-            mla_latent: 0,
-            ffn_dim: 11008,
-            vocab: 32_000,
-            rope_base: 10_000.0,
-            train_context: 8192,
-            param_bytes: 13_000_000_000,
-        }
-    }
-
-    /// A DeepSeek-V3-style MLA geometry (latent cache), exercising
-    /// Fig. 5(e). Scaled to 8B-class for comparability.
-    pub fn mla_8b() -> Self {
-        Self {
-            name: "MLA-8B".into(),
-            attention: AttentionKind::Mla,
-            layers: 32,
-            hidden: 4096,
-            q_heads: 32,
-            kv_heads: 32,
-            head_dim: 128,
-            mla_latent: 512,
-            ffn_dim: 12288,
-            vocab: 128_256,
-            rope_base: 10_000.0,
-            train_context: 131_072,
-            param_bytes: 16_000_000_000,
-        }
-    }
-
-    /// All presets evaluated anywhere in the paper.
-    pub fn paper_presets() -> Vec<ModelConfig> {
-        vec![
-            Self::llama3_1_8b(),
-            Self::deepseek_distill_llama_8b(),
-            Self::qwen3_8b(),
-            Self::reasoning_llama3_2_1b(),
-        ]
-    }
-
     /// The GQA/MQA group size `α` (Table 1): query heads per KV head.
     /// Returns 1 for MHA and MLA.
     pub fn group_size(&self) -> usize {
@@ -238,21 +169,6 @@ impl ModelConfig {
     /// Bytes of KV cache for a full sequence across all layers.
     pub fn kv_bytes_total(&self, seq_len: usize) -> u64 {
         self.kv_bytes_per_token_layer() * self.layers as u64 * seq_len as u64
-    }
-
-    /// Analytic non-embedding parameter count of a full EAGLE-3-style DLM
-    /// for this model: one decoder layer plus the LM head.
-    /// (The embedding is shared with the base model and excluded, matching
-    /// how the paper counts the ">90% reduction" of Section 4.)
-    pub fn dlm_params_non_embedding(&self) -> u64 {
-        let h = self.hidden as u64;
-        let qd = (self.q_heads * self.head_dim) as u64;
-        let kvd = (self.kv_heads * self.head_dim) as u64;
-        let layer = h * qd      // W_q
-            + 2 * h * kvd       // W_k, W_v
-            + qd * h            // W_o
-            + 3 * h * self.ffn_dim as u64; // gate/up/down
-        layer + h * self.vocab as u64 // LM head
     }
 
     /// Analytic parameter count of the pruned retrieval head
@@ -410,6 +326,42 @@ impl SimGeometry {
 mod tests {
     use super::*;
 
+    /// Every preset evaluated anywhere in the paper.
+    fn paper_presets() -> [ModelConfig; 4] {
+        [
+            ModelConfig::llama3_1_8b(),
+            ModelConfig::deepseek_distill_llama_8b(),
+            ModelConfig::qwen3_8b(),
+            ModelConfig::reasoning_llama3_2_1b(),
+        ]
+    }
+
+    /// Llama3.1-8B's geometry under another attention layout (Fig. 5(b),
+    /// (d), (e)): `kv_heads` KV heads, an MLA latent of `mla_latent`.
+    fn with_attention(attention: AttentionKind, kv_heads: usize, mla_latent: usize) -> ModelConfig {
+        ModelConfig {
+            attention,
+            kv_heads,
+            mla_latent,
+            ..ModelConfig::llama3_1_8b()
+        }
+    }
+
+    /// Analytic non-embedding parameter count of a full EAGLE-3-style DLM
+    /// for `cfg`: one decoder layer plus the LM head. (The embedding is
+    /// shared with the base model and excluded, matching how the paper
+    /// counts the ">90% reduction" of Section 4.)
+    fn dlm_params_non_embedding(cfg: &ModelConfig) -> u64 {
+        let h = cfg.hidden as u64;
+        let qd = (cfg.q_heads * cfg.head_dim) as u64;
+        let kvd = (cfg.kv_heads * cfg.head_dim) as u64;
+        let layer = h * qd      // W_q
+            + 2 * h * kvd       // W_k, W_v
+            + qd * h            // W_o
+            + 3 * h * cfg.ffn_dim as u64; // gate/up/down
+        layer + h * cfg.vocab as u64 // LM head
+    }
+
     #[test]
     fn llama_group_size_is_four() {
         assert_eq!(ModelConfig::llama3_1_8b().group_size(), 4);
@@ -417,13 +369,13 @@ mod tests {
 
     #[test]
     fn mqa_group_size_is_all_heads() {
-        assert_eq!(ModelConfig::mqa_7b().group_size(), 32);
+        assert_eq!(with_attention(AttentionKind::Mqa, 1, 0).group_size(), 32);
     }
 
     #[test]
     fn mha_and_mla_group_size_is_one() {
-        assert_eq!(ModelConfig::llama2_7b_mha().group_size(), 1);
-        assert_eq!(ModelConfig::mla_8b().group_size(), 1);
+        assert_eq!(with_attention(AttentionKind::Mha, 32, 0).group_size(), 1);
+        assert_eq!(with_attention(AttentionKind::Mla, 32, 512).group_size(), 1);
     }
 
     #[test]
@@ -436,14 +388,14 @@ mod tests {
 
     #[test]
     fn mla_caches_latent_only() {
-        let cfg = ModelConfig::mla_8b();
+        let cfg = with_attention(AttentionKind::Mla, 32, 512);
         let full = 2 * 2 * (cfg.kv_heads * cfg.head_dim) as u64;
         assert!(cfg.kv_bytes_per_token_layer() < full / 4);
     }
 
     #[test]
     fn sim_geometry_preserves_attention_kind_and_alpha() {
-        for cfg in ModelConfig::paper_presets() {
+        for cfg in paper_presets() {
             let sim = cfg.sim_geometry();
             assert_eq!(sim.attention, cfg.attention);
             sim.validate().expect("sim geometry must validate");
@@ -485,7 +437,7 @@ mod tests {
     fn retrieval_head_prunes_over_90_percent_at_real_scale() {
         // Paper Section 4/7.4: >90% parameter reduction; head ~60MB fp16.
         for cfg in [ModelConfig::llama3_1_8b(), ModelConfig::qwen3_8b()] {
-            let dlm = cfg.dlm_params_non_embedding() as f64;
+            let dlm = dlm_params_non_embedding(&cfg) as f64;
             let head = cfg.retrieval_head_params() as f64;
             assert!(1.0 - head / dlm > 0.9, "{}: {}", cfg.name, 1.0 - head / dlm);
             let head_mb = head * 2.0 / 1e6;
@@ -495,10 +447,8 @@ mod tests {
 
     #[test]
     fn presets_have_distinct_names() {
-        let names: std::collections::HashSet<String> = ModelConfig::paper_presets()
-            .into_iter()
-            .map(|c| c.name)
-            .collect();
+        let names: std::collections::HashSet<String> =
+            paper_presets().into_iter().map(|c| c.name).collect();
         assert_eq!(names.len(), 4);
     }
 }

@@ -45,14 +45,12 @@ impl Default for DistillOptions {
 #[derive(Debug, Clone)]
 pub struct Dlm {
     model: Model,
-    teacher_geom: SimGeometry,
 }
 
 impl Dlm {
     /// Distills a one-layer LM from the teacher.
     pub fn distill(teacher: &Model, options: DistillOptions) -> Self {
-        let tg = *teacher.geometry();
-        let mut geom = tg;
+        let mut geom = *teacher.geometry();
         geom.layers = 1;
         // The DLM always uses MHA internally: one KV head per query head,
         // so its attention weights expose a full head-level signal that the
@@ -73,7 +71,6 @@ impl Dlm {
 
         Self {
             model: Model::from_weights(geom, weights),
-            teacher_geom: tg,
         }
     }
 
@@ -167,11 +164,6 @@ impl Dlm {
         &self.model
     }
 
-    /// Geometry of the teacher this DLM was distilled from.
-    pub fn teacher_geometry(&self) -> &SimGeometry {
-        &self.teacher_geom
-    }
-
     /// Non-embedding parameter count (decoder layer + LM head), the
     /// quantity the paper's ">90% reduction" refers to.
     pub fn param_count_non_embedding(&self) -> usize {
@@ -185,19 +177,11 @@ impl Dlm {
         let layer = &w.layers[0];
         RetrievalHead {
             geom: *self.model.geometry(),
-            teacher_geom: self.teacher_geom,
             embedding: w.embedding.clone(),
             wq: side_by_side(&layer.wq),
             wk: side_by_side(&layer.wk),
             norm_attn: layer.norm_attn.clone(),
-            rope_scale: self.model.rope_scale(),
-            use_rope: false,
         }
-    }
-
-    /// Enables YaRN-style context extension on the DLM.
-    pub fn set_rope_scale(&mut self, scale: f32) {
-        self.model.set_rope_scale(scale);
     }
 }
 
@@ -216,20 +200,17 @@ impl Dlm {
 /// eight heads side by side keep the vector ports busy. A column sums the
 /// same terms in the same order whichever matrix it stands in, so every
 /// key and query has the per-head products' bits.
+///
+/// Scoring is content-only: the fitted projections live in an SVD basis
+/// where the teacher's RoPE pairing does not apply, so queries and keys
+/// are not rotated.
 #[derive(Debug, Clone)]
 pub struct RetrievalHead {
     geom: SimGeometry,
-    teacher_geom: SimGeometry,
     embedding: Matrix,
     wq: Matrix,
     wk: Matrix,
     norm_attn: Vec<f32>,
-    rope_scale: f32,
-    /// Whether to rotate queries/keys positionally. The fitted projections
-    /// live in an SVD basis where the teacher's RoPE pairing does not
-    /// apply, so content-only scoring (false, the default) is the faithful
-    /// mode; positional scoring is available for ablations.
-    use_rope: bool,
 }
 
 /// Incremental key-cache state for the retrieval head: one int8
@@ -244,11 +225,9 @@ pub struct RetrievalHead {
 pub struct RetrievalHeadState {
     keys: Vec<QuantKeyBlocks>,
     /// [`RetrievalHead::append`]'s buffers, refilled by every call: the
-    /// normalized embedding, the heads' key rows side by side and
-    /// (positional scoring only) the position's rotations.
+    /// normalized embedding and the heads' key rows side by side.
     normed: Vec<f32>,
     key: Vec<f32>,
-    rope: Vec<(f32, f32)>,
 }
 
 impl RetrievalHeadState {
@@ -298,18 +277,6 @@ impl RetrievalHead {
         self.wq.len() + self.wk.len() + self.norm_attn.len()
     }
 
-    /// Sets the YaRN context-extension scale.
-    pub fn set_rope_scale(&mut self, scale: f32) {
-        assert!(scale >= 1.0, "rope scale must be >= 1");
-        self.rope_scale = scale;
-    }
-
-    /// Enables positional (RoPE) scoring. See the `use_rope` field note:
-    /// content-only scoring is the default and the faithful mode.
-    pub fn set_use_rope(&mut self, on: bool) {
-        self.use_rope = on;
-    }
-
     /// Embeds tokens through the shared embedding.
     pub fn embed_tokens(&self, tokens: &[usize]) -> Matrix {
         self.embedding.gather_rows(tokens)
@@ -323,33 +290,14 @@ impl RetrievalHead {
         }
     }
 
-    /// The rotations of position `pos` into `table`, when scoring is
-    /// positional (`use_rope`); untouched otherwise.
-    fn rope_table_into(&self, pos: usize, table: &mut Vec<(f32, f32)>) {
-        if self.use_rope {
-            let (dim, base) = (self.geom.head_dim, self.geom.rope_base);
-            ops::rope_table_into(table, dim, pos, base, self.rope_scale);
-        }
-    }
-
     /// Appends one embedded token to the key cache. Allocates nothing but
     /// the cache's own (amortised) growth.
     pub fn append(&self, emb: &[f32], state: &mut RetrievalHeadState) {
-        let pos = state.len();
-        let RetrievalHeadState {
-            keys,
-            normed,
-            key,
-            rope,
-        } = state;
+        let RetrievalHeadState { keys, normed, key } = state;
         ops::rmsnorm_into(normed, emb, &self.norm_attn, 1e-6);
-        self.rope_table_into(pos, rope);
         key.resize(self.wk.cols(), 0.0);
         self.wk.vecmat_into(normed, key);
-        for (key, keys) in key.chunks_exact_mut(self.geom.head_dim).zip(keys) {
-            if self.use_rope {
-                ops::rope_apply(key, rope);
-            }
+        for (key, keys) in key.chunks_exact(self.geom.head_dim).zip(keys) {
             keys.push(key);
         }
     }
@@ -365,7 +313,7 @@ impl RetrievalHead {
     /// position, into `fw.queries`: row `h` is what head `h` scores its
     /// keys with ([`RetrievalHeadState::scores_into`]). The head's query
     /// projection is a forward pass of its own, ahead of the model's, so
-    /// it runs in the same buffers (`fw.normed`, `fw.rope`, `fw.queries`)
+    /// it runs in the same buffers (`fw.normed`, `fw.queries`)
     /// and a decode loop that keeps its scratch allocates nothing here.
     ///
     /// # Panics
@@ -379,17 +327,10 @@ impl RetrievalHead {
     ) {
         assert!(!state.is_empty(), "retrieval head has no cached keys");
         ops::rmsnorm_into(&mut fw.normed, query_emb, &self.norm_attn, 1e-6);
-        self.rope_table_into(state.len() - 1, &mut fw.rope);
         if fw.queries.shape() != (self.geom.q_heads, self.geom.head_dim) {
             fw.queries = Matrix::zeros(self.geom.q_heads, self.geom.head_dim);
         }
-        let queries = fw.queries.as_mut_slice();
-        self.wq.vecmat_into(&fw.normed, queries);
-        if self.use_rope {
-            for q in queries.chunks_exact_mut(self.geom.head_dim) {
-                ops::rope_apply(q, &fw.rope);
-            }
-        }
+        self.wq.vecmat_into(&fw.normed, fw.queries.as_mut_slice());
     }
 
     /// Head-level attention weights of the query embedding against the
@@ -409,25 +350,6 @@ impl RetrievalHead {
                 scores
             })
             .collect()
-    }
-
-    /// Convenience: scores a full context in one call, using the last
-    /// position as the query.
-    pub fn score_context(&self, emb: &Matrix) -> Vec<Vec<f32>> {
-        let mut state = self.new_state();
-        self.append_all(emb, &mut state);
-        self.head_scores(emb.row(emb.rows() - 1), &state)
-    }
-
-    /// Bytes of key cache per token held by the head: per head,
-    /// `head_dim` int8 levels and an `f32` scale.
-    pub fn key_cache_bytes_per_token(&self) -> usize {
-        self.geom.q_heads * (self.geom.head_dim + 4)
-    }
-
-    /// The teacher geometry (used by the selection mapping).
-    pub fn teacher_geometry(&self) -> &SimGeometry {
-        &self.teacher_geom
     }
 }
 
@@ -500,6 +422,14 @@ mod tests {
     use spec_tensor::stats;
     use spec_tensor::topk::top_k_indices;
 
+    /// Scores a full context in one call, using the last position as the
+    /// query.
+    fn score_context(head: &RetrievalHead, emb: &Matrix) -> Vec<Vec<f32>> {
+        let mut state = head.new_state();
+        head.append_all(emb, &mut state);
+        head.head_scores(emb.row(emb.rows() - 1), &state)
+    }
+
     fn teacher(kind: AttentionKind) -> Model {
         Model::new(SimGeometry::tiny(kind), 77)
     }
@@ -556,7 +486,7 @@ mod tests {
         let head = Dlm::distill(&t, DistillOptions::default()).to_retrieval_head();
         let tokens: Vec<usize> = (0..20).map(|i| i % 60).collect();
         let emb = head.embed_tokens(&tokens);
-        let scores = head.score_context(&emb);
+        let scores = score_context(&head, &emb);
         assert_eq!(scores.len(), head.num_heads());
         for s in &scores {
             assert_eq!(s.len(), 20);
@@ -618,7 +548,7 @@ mod tests {
         );
 
         // Head: max over heads (head-level retrieval pools per head).
-        let scores = head.score_context(&emb);
+        let scores = score_context(&head, &emb);
         let mut pooled = vec![0.0f32; n];
         for s in &scores {
             for (p, w) in pooled.iter_mut().zip(s) {
@@ -655,8 +585,8 @@ mod tests {
 
         let tokens: Vec<usize> = (0..40).map(|i| (i * 11) % 60).collect();
         let emb = t.embed_tokens(&tokens);
-        let sc = clean.score_context(&emb);
-        let sn = noisy.score_context(&emb);
+        let sc = score_context(&clean, &emb);
+        let sn = score_context(&noisy, &emb);
         // Across heads, the clean head should correlate with itself more
         // than the noisy head correlates with the clean one. Weak but
         // direction-checking assertion: distributions differ materially.
@@ -679,7 +609,7 @@ mod tests {
             let tokens: Vec<usize> = (0..n).map(|i| i % 60).collect();
             let emb = head.embed_tokens(&tokens);
 
-            let batch = head.score_context(&emb);
+            let batch = score_context(&head, &emb);
 
             let mut state = head.new_state();
             for r in 0..emb.rows() {
@@ -714,9 +644,7 @@ mod tests {
     /// benchmark's geometry (eight heads of 16), every key `append` caches
     /// — its levels and scale — and every row of `queries_into` are the
     /// eight per-head `vecmat`s of the DLM's own weights, bit for bit, at
-    /// every dispatch tier, with content-only scoring and with positional
-    /// scoring under a RoPE scale other than one, over appends that cross
-    /// a key block.
+    /// every dispatch tier, over appends that cross a key block.
     #[test]
     fn fused_projections_are_the_per_head_vecmats_at_every_tier() {
         use spec_tensor::dispatch;
@@ -730,48 +658,39 @@ mod tests {
             .map(|i| (i * 37 + 5) % geom.vocab)
             .collect();
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for use_rope in [false, true] {
-            let mut head = dlm.to_retrieval_head();
-            head.set_use_rope(use_rope);
-            head.set_rope_scale(4.0);
-            let emb = head.embed_tokens(&tokens);
-            // Head `w`'s product of row `r`, rotated to `r` when positional.
-            let project = |w: &Matrix, r: usize| {
-                let mut v = w.vecmat(&ops::rmsnorm(emb.row(r), &lw.norm_attn, 1e-6));
-                if use_rope {
-                    ops::rope_apply(&mut v, &ops::rope_table(d, r, geom.rope_base, 4.0));
+        let head = dlm.to_retrieval_head();
+        let emb = head.embed_tokens(&tokens);
+        // Head `w`'s product of row `r`.
+        let project =
+            |w: &Matrix, r: usize| w.vecmat(&ops::rmsnorm(emb.row(r), &lw.norm_attn, 1e-6));
+        for &tier in dispatch::available_tiers() {
+            dispatch::with_tier(tier, || {
+                let what = format!("tier {tier}");
+                let mut state = head.new_state();
+                let mut want = vec![QuantKeyBlocks::new(d); heads];
+                let mut fw = ForwardScratch::default();
+                for r in 0..emb.rows() {
+                    head.append(emb.row(r), &mut state);
+                    for (wk, want) in lw.wk.iter().zip(&mut want) {
+                        want.push(&project(wk, r));
+                    }
+                    head.queries_into(emb.row(r), &state, &mut fw);
+                    for (h, wq) in lw.wq.iter().enumerate() {
+                        let got = bits(fw.queries.row(h));
+                        assert_eq!(got, bits(&project(wq, r)), "{what}: query {h} at {r}");
+                    }
                 }
-                v
-            };
-            for &tier in dispatch::available_tiers() {
-                dispatch::with_tier(tier, || {
-                    let what = format!("tier {tier}, use_rope {use_rope}");
-                    let mut state = head.new_state();
-                    let mut want = vec![QuantKeyBlocks::new(d); heads];
-                    let mut fw = ForwardScratch::default();
-                    for r in 0..emb.rows() {
-                        head.append(emb.row(r), &mut state);
-                        for (wk, want) in lw.wk.iter().zip(&mut want) {
-                            want.push(&project(wk, r));
-                        }
-                        head.queries_into(emb.row(r), &state, &mut fw);
-                        for (h, wq) in lw.wq.iter().enumerate() {
-                            let got = bits(fw.queries.row(h));
-                            assert_eq!(got, bits(&project(wq, r)), "{what}: query {h} at {r}");
-                        }
+                for (h, want) in want.iter().enumerate() {
+                    let got = state.keys(h);
+                    assert_eq!(got.len(), want.len(), "{what}: head {h}");
+                    for p in 0..want.len() {
+                        let scales = (got.scale(p).to_bits(), want.scale(p).to_bits());
+                        assert_eq!(scales.0, scales.1, "{what}: head {h} scale {p}");
+                        let same = (0..d).all(|i| got.level(p, i) == want.level(p, i));
+                        assert!(same, "{what}: head {h} levels {p}");
                     }
-                    for (h, want) in want.iter().enumerate() {
-                        let got = state.keys(h);
-                        assert_eq!(got.len(), want.len(), "{what}: head {h}");
-                        for p in 0..want.len() {
-                            let scales = (got.scale(p).to_bits(), want.scale(p).to_bits());
-                            assert_eq!(scales.0, scales.1, "{what}: head {h} scale {p}");
-                            let same = (0..d).all(|i| got.level(p, i) == want.level(p, i));
-                            assert!(same, "{what}: head {h} levels {p}");
-                        }
-                    }
-                });
-            }
+                }
+            });
         }
     }
 
@@ -880,7 +799,7 @@ mod tests {
             let head = Dlm::distill(&t, DistillOptions::default()).to_retrieval_head();
             let tokens: Vec<usize> = (0..10).collect();
             let emb = head.embed_tokens(&tokens);
-            let scores = head.score_context(&emb);
+            let scores = score_context(&head, &emb);
             assert_eq!(scores.len(), t.geometry().q_heads, "{kind}");
         }
     }

@@ -30,7 +30,6 @@ pub mod config;
 pub mod dlm;
 pub mod kv;
 pub mod probe;
-pub mod sampling;
 pub mod transformer;
 pub mod weights;
 
@@ -38,7 +37,6 @@ pub use config::{AttentionKind, ModelConfig, SimGeometry};
 pub use dlm::{DistillOptions, Dlm, RetrievalHead, RetrievalHeadState};
 pub use kv::{LayerKv, ModelKv};
 pub use probe::{probe_direction, Probe};
-pub use sampling::Sampler;
 pub use transformer::{LayerSelector, Model, PrefillMode, SparsePlan, StepOutput, StepTrace};
 // Re-exported so `LayerSelector` implementors and callers name the
 // scratch type without a direct `spec_tensor` dependency.

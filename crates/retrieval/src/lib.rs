@@ -31,43 +31,3 @@ pub mod window;
 pub use common::{SelectionStats, SelectorConfig};
 pub use full::FullAttention;
 pub use spec_head::{MappingLevel, SpecSelection};
-
-/// Identifies a retrieval system in reports and benches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
-pub enum SystemId {
-    /// HuggingFace eager full attention.
-    FullEager,
-    /// Full attention with FlashAttention kernels.
-    FullFlash,
-    /// Full attention with FlashInfer kernels.
-    FullFlashInfer,
-    /// Sliding-window permanent eviction.
-    SlidingWindow,
-    /// StreamingLLM (sinks + window).
-    StreamingLlm,
-    /// Quest paged dynamic selection.
-    Quest,
-    /// ClusterKV clustered dynamic selection.
-    ClusterKv,
-    /// ShadowKV quantized-key dynamic selection.
-    ShadowKv,
-    /// SpeContext (this paper).
-    SpeContext,
-}
-
-impl std::fmt::Display for SystemId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            SystemId::FullEager => "Full Attn (Eager)",
-            SystemId::FullFlash => "Full Attn (Flash Attn)",
-            SystemId::FullFlashInfer => "Full Attn (FlashInfer)",
-            SystemId::SlidingWindow => "Sliding Window",
-            SystemId::StreamingLlm => "StreamingLLM",
-            SystemId::Quest => "Quest",
-            SystemId::ClusterKv => "ClusterKV",
-            SystemId::ShadowKv => "ShadowKV",
-            SystemId::SpeContext => "SpeContext (Ours)",
-        };
-        f.write_str(s)
-    }
-}

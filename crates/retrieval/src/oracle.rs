@@ -9,24 +9,6 @@ use spec_model::StepTrace;
 use spec_tensor::topk::PosBitSet;
 use spec_tensor::{stats, topk};
 
-/// Accumulated attention mass of an oracle top-`k` selection, averaged
-/// over all layers and query heads of a dense trace.
-pub fn oracle_mass_at(trace: &StepTrace, k: usize) -> f32 {
-    let mut total = 0.0;
-    let mut count = 0;
-    for layer in &trace.attn {
-        for head in layer {
-            total += topk::top_k_mass(head, k);
-            count += 1;
-        }
-    }
-    if count == 0 {
-        0.0
-    } else {
-        total / count as f32
-    }
-}
-
 /// Attention mass captured by an arbitrary per-head selection, averaged
 /// over layers and heads. `selection[kv_head]` holds positions; query
 /// head `q` uses `selection[q / group]`.
@@ -99,6 +81,14 @@ pub fn selection_hit_rate(
 mod tests {
     use super::*;
     use spec_model::{AttentionKind, Model, PrefillMode, SimGeometry, SparsePlan};
+
+    /// Accumulated attention mass of an oracle top-`k` selection, averaged
+    /// over all layers and query heads of a dense trace.
+    fn oracle_mass_at(trace: &StepTrace, k: usize) -> f32 {
+        let heads: Vec<&Vec<f32>> = trace.attn.iter().flatten().collect();
+        let total: f32 = heads.iter().map(|head| topk::top_k_mass(head, k)).sum();
+        total / heads.len() as f32
+    }
 
     fn dense_trace(n: usize) -> (Model, StepTrace) {
         let m = Model::new(SimGeometry::tiny(AttentionKind::Gqa), 61);

@@ -73,16 +73,6 @@ impl ShadowKvSelector {
         self.prefill_len
     }
 
-    /// Bytes held by the quantized shadow keys (GPU-resident footprint).
-    pub fn shadow_bytes(&self) -> usize {
-        self.shadow
-            .iter()
-            .flat_map(|l| l.iter())
-            .flat_map(|h| h.iter())
-            .map(QuantVec::storage_bytes)
-            .sum()
-    }
-
     /// The original selection path, kept as the property-test reference.
     pub fn select_reference(
         &self,
@@ -276,11 +266,16 @@ mod tests {
         // real head_dim (128) int4 shadows are ~7.5x smaller. Assert the
         // direction here and the real ratio arithmetically.
         let full_bytes = g.layers * g.kv_heads * 64 * g.head_dim * 4;
+        let shadow_bytes: usize = skv
+            .shadow
+            .iter()
+            .flatten()
+            .flatten()
+            .map(QuantVec::storage_bytes)
+            .sum();
         assert!(
-            skv.shadow_bytes() * 2 <= full_bytes,
-            "shadow {} vs full {}",
-            skv.shadow_bytes(),
-            full_bytes
+            shadow_bytes * 2 <= full_bytes,
+            "shadow {shadow_bytes} vs full {full_bytes}"
         );
         let real_shadow = spec_tensor::quant::BitWidth::Int4.storage_bytes(128) + 4;
         assert!(real_shadow * 7 < 128 * 4);

@@ -146,8 +146,8 @@ impl DecodeState {
                     retr.observe(x);
                     selection = retr.select_scratch(x, geom, &mut self.scratch);
                     // Elastic loading accounting. Every layer is lent
-                    // the same lists; the buffer still tracks
-                    // `layers × kv_heads` resident sets.
+                    // the same lists; the buffer plans its one set per
+                    // KV head once and counts it per layer.
                     let cfg = retr.config();
                     let buffer = self.buffer.get_or_insert_with(|| {
                         let slots = cfg.budget.max(1) + cfg.recent + cfg.sinks + 1;

@@ -55,7 +55,7 @@ impl MemoryModel {
     }
 
     /// Bytes of one token's K+V in one layer across heads: `4·H·D`.
-    pub fn kv_token_layer_bytes(&self) -> f64 {
+    fn kv_token_layer_bytes(&self) -> f64 {
         4.0 * (self.kv_heads * self.head_dim) as f64
     }
 
@@ -88,18 +88,6 @@ impl MemoryModel {
     /// Whether everything fits on the GPU at this batch and length.
     pub fn fits_all(&self, requests: usize, seq_len: usize) -> bool {
         self.m_all(requests, seq_len) <= self.gpu_mem as f64
-    }
-
-    /// Eq. 8: the largest `L_GPU` (fewest offloaded layers) satisfying
-    /// `M_part ≤ Mem_GPU`; `None` if even full offload does not fit.
-    pub fn min_offloaded_layers(
-        &self,
-        requests: usize,
-        seq_len: usize,
-        budget: usize,
-    ) -> Option<usize> {
-        (0..=self.layers)
-            .find(|&l_cpu| self.m_part(requests, seq_len, l_cpu, budget) <= self.gpu_mem as f64)
     }
 
     /// Transient bytes of eager prefill's materialized attention scores
@@ -161,17 +149,6 @@ mod tests {
         for l in 1..m.layers {
             let v = m.m_part(r, s, l, b);
             assert!(v < all && v > none);
-        }
-    }
-
-    #[test]
-    fn min_offloaded_layers_monotone_in_seq_len() {
-        let m = model();
-        let mut prev = 0;
-        for s in [4096, 16 * 1024, 64 * 1024, 120 * 1024] {
-            let l = m.min_offloaded_layers(16, s, 2048).expect("should fit");
-            assert!(l >= prev, "offload count must grow with S");
-            prev = l;
         }
     }
 

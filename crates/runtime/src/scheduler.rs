@@ -571,11 +571,6 @@ impl BatchState {
         std::mem::take(&mut self.handoffs)
     }
 
-    /// Whether any emitted handoff is still waiting for collection.
-    pub fn has_handoffs(&self) -> bool {
-        !self.handoffs.is_empty()
-    }
-
     /// Sets the straggler multiplier: prefill, decode iterations and KV
     /// checkpoint/restore transfers cost `scale`× their nominal time.
     /// The idle clock jump to the next arrival is *not* scaled (waiting
@@ -823,7 +818,7 @@ impl BatchState {
     }
 
     /// Consumes the state into `(completed, rejected)`.
-    pub fn into_outcome(self) -> (Vec<CompletedRequest>, usize) {
+    fn into_outcome(self) -> (Vec<CompletedRequest>, usize) {
         (self.completed, self.rejected.len())
     }
 
@@ -1966,10 +1961,9 @@ mod tests {
             s.step(&mut state, &mut cache);
         }
         assert!(state.completed().is_empty(), "prefill engines never finish");
-        assert!(state.has_handoffs());
         let handoffs = state.take_handoffs();
         assert_eq!(handoffs.len(), 3);
-        assert!(!state.has_handoffs(), "take_handoffs drains");
+        assert!(state.take_handoffs().is_empty(), "take_handoffs drains");
         // Resident KV under the sparse budget: 2048 input + 1 produced,
         // capped at the 2048-token budget.
         let per_token = s.sim().memory_model().kv_token_total_bytes();
@@ -1992,7 +1986,10 @@ mod tests {
             s.step(&mut state, &mut cache);
         }
         assert_eq!(state.completed().len(), 1);
-        assert!(!state.has_handoffs(), "one-token outputs never pay the hop");
+        assert!(
+            state.take_handoffs().is_empty(),
+            "one-token outputs never pay the hop"
+        );
     }
 
     #[test]

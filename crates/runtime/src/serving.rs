@@ -86,16 +86,10 @@ impl SystemKind {
         }
     }
 
-    /// Whether the system supports batched (multi-request) serving
-    /// (Quest and ClusterKV are single-request, Section 7.3.1).
-    pub fn supports_batching(&self) -> bool {
-        !matches!(self, SystemKind::Quest | SystemKind::ClusterKv)
-    }
-
     /// Whether the system keeps every generated token's KV attended on
     /// top of its budgeted prompt selection, so a step's price depends
     /// on where the prompt ended, not just on the total length.
-    pub fn retains_generated(&self) -> bool {
+    fn retains_generated(&self) -> bool {
         matches!(
             self,
             SystemKind::Quest | SystemKind::ClusterKv | SystemKind::ShadowKv
@@ -128,7 +122,7 @@ pub enum MemoryPolicy {
 
 impl SystemKind {
     /// Default memory policy per system.
-    pub fn default_policy(&self) -> MemoryPolicy {
+    fn default_policy(&self) -> MemoryPolicy {
         match self {
             SystemKind::SpeContext => MemoryPolicy::Adaptive,
             SystemKind::FullEager | SystemKind::FullFlash | SystemKind::FullFlashInfer => {

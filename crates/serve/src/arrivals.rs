@@ -130,7 +130,7 @@ impl TenantClass {
 /// The default session assignment: one session per four requests — the
 /// single helper every constructor and generator shares (it used to be
 /// duplicated across three constructors).
-pub fn default_sessions(count: usize) -> usize {
+fn default_sessions(count: usize) -> usize {
     (count / 4).max(1)
 }
 
@@ -162,7 +162,7 @@ pub struct TraceConfig {
     /// that class's own mixture (`shapes` above is ignored).
     pub tenants: Vec<TenantClass>,
     /// Number of distinct sessions to spread requests over; `None`
-    /// falls back to [`default_sessions`].
+    /// falls back to one session per four requests.
     pub sessions: Option<usize>,
     /// Number of requests to generate.
     pub count: usize,
@@ -232,7 +232,7 @@ impl TraceConfig {
         self
     }
 
-    /// Overrides the session count ([`default_sessions`] otherwise).
+    /// Overrides the session count (one per four requests otherwise).
     pub fn sessions(mut self, sessions: usize) -> Self {
         self.sessions = Some(sessions);
         self
@@ -251,8 +251,8 @@ impl TraceConfig {
     }
 
     /// The session count in effect: the explicit override or
-    /// [`default_sessions`].
-    pub fn effective_sessions(&self) -> usize {
+    /// `default_sessions`.
+    fn effective_sessions(&self) -> usize {
         self.sessions
             .unwrap_or_else(|| default_sessions(self.count))
     }
@@ -264,7 +264,7 @@ impl TraceConfig {
 
     /// A streaming source over this config drawing from an explicit RNG
     /// (continuing whatever stream the caller owns).
-    pub fn source_with(&self, rng: SimRng) -> GeneratedArrivals {
+    fn source_with(&self, rng: SimRng) -> GeneratedArrivals {
         GeneratedArrivals::new(self.clone(), rng)
     }
 }
@@ -404,7 +404,7 @@ impl GeneratedArrivals {
 
     /// Consumes the source, returning the RNG so a caller-threaded
     /// stream continues exactly where generation left off.
-    pub fn into_rng(self) -> SimRng {
+    fn into_rng(self) -> SimRng {
         self.rng
     }
 

@@ -654,11 +654,6 @@ impl Cluster {
         &self.step_tables
     }
 
-    /// The routing policy's name.
-    pub fn router_name(&self) -> &'static str {
-        self.router.name()
-    }
-
     /// Runs an arrival-ordered trace to completion under `slo`: the
     /// kernel over a pre-materialized slice, no faults, untraced.
     ///

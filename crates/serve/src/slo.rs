@@ -119,7 +119,7 @@ pub struct SloReport {
     /// Per-tenant breakdown, in tenant-id order. Tenant goodput sums to
     /// the fleet goodput (same makespan denominator, disjoint token
     /// sets); rejected requests are attributed to their tenants when the
-    /// caller provides the per-tenant counts ([`evaluate_tenanted`]).
+    /// caller provides the per-tenant counts ([`evaluate_faulted`]).
     pub per_tenant: Vec<TenantSlo>,
 }
 
@@ -209,7 +209,7 @@ fn slice_report(
 
 /// Evaluates completions against an SLO over a run of length `makespan`.
 /// Rejected requests drag fleet attainment but are not attributed to any
-/// tenant; use [`evaluate_tenanted`] when per-tenant rejection counts are
+/// tenant; use [`evaluate_faulted`] when per-tenant rejection counts are
 /// known.
 pub fn evaluate(
     completed: &[CompletedRequest],
@@ -224,7 +224,7 @@ pub fn evaluate(
 /// `rejected_by_tenant` is `(tenant, count)` pairs whose counts must sum
 /// to at most `rejected` (tenants of untracked rejections stay
 /// unattributed at fleet level).
-pub fn evaluate_tenanted(
+fn evaluate_tenanted(
     completed: &[CompletedRequest],
     rejected: usize,
     rejected_by_tenant: &[(u32, usize)],
@@ -249,12 +249,13 @@ fn tenant_count(pairs: &[(u32, usize)], tenant: u32) -> usize {
         .sum()
 }
 
-/// [`evaluate_tenanted`] with fault dispositions: dead-lettered and shed
+/// Evaluates completions against an SLO with rejections attributed to
+/// their tenants, and with fault dispositions: dead-lettered and shed
 /// requests join rejections in the submitted denominator (fleet-wide and
 /// per tenant), so attainment honestly reflects every terminal failure;
 /// retry attempts are carried through as counters. With the default
-/// [`FaultOutcomes`] this *is* `evaluate_tenanted` — same numbers, zero
-/// fault fields — which keeps no-fault reports bit-identical.
+/// [`FaultOutcomes`] the fault fields are zero and the numbers are the
+/// fault-free evaluation's, which keeps no-fault reports bit-identical.
 pub fn evaluate_faulted(
     completed: &[CompletedRequest],
     rejected: usize,

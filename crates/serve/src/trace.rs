@@ -171,7 +171,7 @@ pub struct TraceRecord {
 impl TraceRecord {
     /// The record as a [`ClusterRequest`] with the given id, arrival
     /// mapped back to seconds on the `tick_ns` grid.
-    pub fn to_request(&self, id: usize, tick_ns: u64) -> ClusterRequest {
+    fn to_request(self, id: usize, tick_ns: u64) -> ClusterRequest {
         ClusterRequest {
             request: Request::new(
                 id,

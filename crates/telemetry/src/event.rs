@@ -182,17 +182,6 @@ impl EventKind {
             EventKind::DrrDeficit { .. } => "drr_deficit",
         }
     }
-
-    /// Whether this is a per-tick gauge snapshot (vs. a lifecycle edge).
-    pub fn is_gauge(&self) -> bool {
-        matches!(
-            self,
-            EventKind::QueueDepth { .. }
-                | EventKind::RunningBatch { .. }
-                | EventKind::KvOccupancy { .. }
-                | EventKind::DrrDeficit { .. }
-        )
-    }
 }
 
 /// One telemetry event: a kind stamped with the simulated tick and the
@@ -305,11 +294,6 @@ impl RecordingSink {
     /// Consumes the recorder into its event buffer.
     pub fn into_events(self) -> Vec<Event> {
         self.events
-    }
-
-    /// Drains the buffer, leaving the recorder (and its tag) in place.
-    pub fn take_events(&mut self) -> Vec<Event> {
-        std::mem::take(&mut self.events)
     }
 }
 

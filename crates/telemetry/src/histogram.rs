@@ -8,7 +8,7 @@
 //! so a bucket's width is at most `lower_bound / 2^sub_bits` and any
 //! recorded value is off from its bucket midpoint by at most half that.
 
-use crate::event::{seconds_to_ticks, ticks_to_seconds, Event, EventKind, Tick};
+use crate::event::{ticks_to_seconds, Event, EventKind, Tick};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -101,7 +101,7 @@ impl LogHistogram {
     }
 
     /// The inclusive `[lo, hi]` value range of bucket `index`.
-    pub fn bucket_bounds(&self, index: usize) -> (u64, u64) {
+    fn bucket_bounds(&self, index: usize) -> (u64, u64) {
         let k = self.sub_bits;
         let sub_count = 1usize << k;
         if index < sub_count {
@@ -126,7 +126,7 @@ impl LogHistogram {
     }
 
     /// Records `n` occurrences of `value`.
-    pub fn record_n(&mut self, value: u64, n: u64) {
+    fn record_n(&mut self, value: u64, n: u64) {
         if n == 0 {
             return;
         }
@@ -137,11 +137,6 @@ impl LogHistogram {
         self.counts[index] += n;
         self.total += n;
         self.sum += value as f64 * n as f64;
-    }
-
-    /// Records a duration in seconds on the telemetry tick grid.
-    pub fn record_seconds(&mut self, seconds: f64) {
-        self.record(seconds_to_ticks(seconds));
     }
 
     /// Folds another shard's counts into this one.
@@ -185,15 +180,6 @@ impl LogHistogram {
     /// [`LogHistogram::percentile`] converted back to seconds.
     pub fn percentile_seconds(&self, p: f64) -> f64 {
         ticks_to_seconds(self.percentile(p))
-    }
-
-    /// The largest recorded bucket's upper bound (0 when empty).
-    pub fn max_value(&self) -> u64 {
-        self.counts
-            .iter()
-            .rposition(|&c| c > 0)
-            .map(|i| self.bucket_bounds(i).1)
-            .unwrap_or(0)
     }
 
     /// Kolmogorov–Smirnov-style distance: the maximum over bucket edges

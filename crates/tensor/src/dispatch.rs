@@ -217,13 +217,6 @@ where
     spec_parallel::join(|| with_tier(tier, a), b)
 }
 
-/// Whether the active tier covers AVX2 — the question the pre-registry
-/// call sites (`gemm`, Quest page scoring) used to answer with their own
-/// `is_x86_feature_detected!` caches.
-pub fn has_avx2() -> bool {
-    active_tier() >= SimdTier::Avx2
-}
-
 /// Defines a runtime-dispatched kernel: one shared `body`, compiled once
 /// per instruction-set tier (`#[target_feature]` variants of the exact
 /// same code), behind a `dispatch(tier, ...)` entry point.

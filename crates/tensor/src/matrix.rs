@@ -335,23 +335,6 @@ impl Matrix {
         Matrix::from_vec(self.rows, self.cols, data)
     }
 
-    /// Element-wise maximum of two matrices. Used for the GQA group-level
-    /// reduction of attention weights (paper Fig. 5(c)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn elementwise_max(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), other.shape(), "max shape mismatch");
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a.max(*b))
-            .collect();
-        Matrix::from_vec(self.rows, self.cols, data)
-    }
-
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f32 {
         self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
@@ -636,14 +619,6 @@ mod tests {
     fn push_rows_rejects_a_width_mismatch() {
         let mut m = Matrix::zeros(1, 2);
         m.push_rows(&Matrix::zeros(2, 3));
-    }
-
-    #[test]
-    fn elementwise_max_picks_larger() {
-        let a = Matrix::from_rows(&[&[1.0, 5.0]]);
-        let b = Matrix::from_rows(&[&[2.0, 3.0]]);
-        let m = a.elementwise_max(&b);
-        assert_eq!(m.row(0), &[2.0, 5.0]);
     }
 
     #[test]

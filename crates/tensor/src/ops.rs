@@ -383,16 +383,6 @@ pub fn rope_apply(xs: &mut [f32], table: &[(f32, f32)]) {
     }
 }
 
-/// Causal mask applied to a score row: positions greater than `pos` are set
-/// to `-inf` so softmax assigns them zero probability.
-pub fn causal_mask_row(scores: &mut [f32], pos: usize) {
-    for (i, v) in scores.iter_mut().enumerate() {
-        if i > pos {
-            *v = f32::NEG_INFINITY;
-        }
-    }
-}
-
 /// Scaled dot-product attention weights for a single query against a key
 /// matrix (`keys` is `len x dim`): `softmax(q K^T / sqrt(dim))`.
 ///
@@ -1076,8 +1066,8 @@ mod tests {
 
     #[test]
     fn causal_mask_zeroes_future() {
-        let mut scores = vec![1.0; 5];
-        causal_mask_row(&mut scores, 2);
+        // Positions after 2 masked to `-inf`, as a causal row is.
+        let mut scores = vec![1.0, 1.0, 1.0, f32::NEG_INFINITY, f32::NEG_INFINITY];
         softmax_inplace(&mut scores);
         assert_eq!(scores[3], 0.0);
         assert_eq!(scores[4], 0.0);

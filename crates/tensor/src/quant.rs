@@ -158,7 +158,7 @@ pub enum BitWidth {
 
 impl BitWidth {
     /// Maximum representable magnitude.
-    pub fn max_level(self) -> f32 {
+    fn max_level(self) -> f32 {
         match self {
             BitWidth::Int8 => 127.0,
             BitWidth::Int4 => 7.0,

@@ -55,11 +55,6 @@ impl SimRng {
         (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos()
     }
 
-    /// Normal sample with the given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f32, std: f32) -> f32 {
-        mean + std * self.normal()
-    }
-
     /// Uniform integer in `[0, n)`.
     ///
     /// # Panics
@@ -83,24 +78,6 @@ impl SimRng {
     /// A random normal matrix with entries `N(0, std^2)`.
     pub fn normal_matrix(&mut self, rows: usize, cols: usize, std: f32) -> crate::Matrix {
         crate::Matrix::from_vec(rows, cols, self.normal_vec(rows * cols, std))
-    }
-
-    /// Chooses `k` distinct indices from `[0, n)` (Floyd's algorithm),
-    /// returned sorted ascending.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k > n`.
-    pub fn sample_distinct(&mut self, n: usize, k: usize) -> Vec<usize> {
-        assert!(k <= n, "cannot sample {k} distinct values from {n}");
-        let mut chosen = std::collections::BTreeSet::new();
-        for j in n - k..n {
-            let t = self.below(j + 1);
-            if !chosen.insert(t) {
-                chosen.insert(j);
-            }
-        }
-        chosen.into_iter().collect()
     }
 
     /// Fisher–Yates shuffle.
@@ -158,22 +135,6 @@ mod tests {
         for _ in 0..100 {
             assert!(rng.below(7) < 7);
         }
-    }
-
-    #[test]
-    fn sample_distinct_is_distinct_and_sorted() {
-        let mut rng = SimRng::seed(9);
-        let s = rng.sample_distinct(100, 20);
-        assert_eq!(s.len(), 20);
-        assert!(s.windows(2).all(|w| w[0] < w[1]));
-        assert!(s.iter().all(|&i| i < 100));
-    }
-
-    #[test]
-    fn sample_distinct_full_range() {
-        let mut rng = SimRng::seed(9);
-        let s = rng.sample_distinct(5, 5);
-        assert_eq!(s, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -16,39 +16,6 @@ pub fn mean(xs: &[f32]) -> f32 {
     }
 }
 
-/// Population variance; `0.0` for slices shorter than 2.
-pub fn variance(xs: &[f32]) -> f32 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m) * (x - m)).sum::<f32>() / xs.len() as f32
-}
-
-/// Pearson correlation coefficient. Returns `0.0` when either input is
-/// constant (correlation undefined).
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn pearson(xs: &[f32], ys: &[f32]) -> f32 {
-    assert_eq!(xs.len(), ys.len(), "pearson length mismatch");
-    let (mx, my) = (mean(xs), mean(ys));
-    let mut cov = 0.0;
-    let mut vx = 0.0;
-    let mut vy = 0.0;
-    for (x, y) in xs.iter().zip(ys) {
-        cov += (x - mx) * (y - my);
-        vx += (x - mx) * (x - mx);
-        vy += (y - my) * (y - my);
-    }
-    if vx == 0.0 || vy == 0.0 {
-        0.0
-    } else {
-        cov / (vx.sqrt() * vy.sqrt())
-    }
-}
-
 /// Whether `xs` is strictly ascending — what a selection is by contract.
 fn is_ascending_set(xs: &[usize]) -> bool {
     xs.windows(2).all(|w| w[0] < w[1])
@@ -218,35 +185,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_variance_known() {
+    fn mean_known() {
         let xs = [1.0, 2.0, 3.0, 4.0];
         assert!((mean(&xs) - 2.5).abs() < 1e-6);
-        assert!((variance(&xs) - 1.25).abs() < 1e-6);
     }
 
     #[test]
     fn mean_empty_is_zero() {
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(variance(&[]), 0.0);
-    }
-
-    #[test]
-    fn pearson_perfect_positive() {
-        let xs = [1.0, 2.0, 3.0];
-        let ys = [2.0, 4.0, 6.0];
-        assert!((pearson(&xs, &ys) - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn pearson_perfect_negative() {
-        let xs = [1.0, 2.0, 3.0];
-        let ys = [3.0, 2.0, 1.0];
-        assert!((pearson(&xs, &ys) + 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn pearson_constant_input_is_zero() {
-        assert_eq!(pearson(&[1.0, 1.0], &[2.0, 3.0]), 0.0);
     }
 
     #[test]

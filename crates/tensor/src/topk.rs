@@ -453,7 +453,7 @@ impl PosBitSet {
     ///
     /// Panics if a set bit reaches past the set's length.
     #[inline]
-    pub fn mark_word(&mut self, pos: usize, bits: u64) {
+    fn mark_word(&mut self, pos: usize, bits: u64) {
         if bits == 0 {
             return;
         }

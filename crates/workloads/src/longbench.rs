@@ -105,7 +105,7 @@ impl TaskInstance {
     /// least as high as dense (renormalization concentrates mass), while
     /// dropping evidence zeroes it.
     /// Returns `(gold_saliences, distractor_saliences)`.
-    pub fn group_saliences(&self, trace: &StepTrace) -> (Vec<f32>, Vec<f32>) {
+    fn group_saliences(&self, trace: &StepTrace) -> (Vec<f32>, Vec<f32>) {
         let total = self.ctx.emb.rows() + 1;
         let gold = self
             .ctx
