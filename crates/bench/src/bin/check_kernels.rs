@@ -414,16 +414,18 @@ fn check(doc: &Value) -> Verdict {
         Err(e) => v.failures.push(e.to_string()),
     }
 
-    for (map, keys, name) in [
+    for (map, keys, name, prefix) in [
         (
             "selection_speedup_vs_reference",
             EXPECTED_SPEEDUPS,
             "selection speedup",
+            "",
         ),
         (
             "lut_speedup_vs_reference",
             EXPECTED_LUT_SPEEDUPS,
             "lut speedup",
+            "lut/",
         ),
     ] {
         let Some(speedups) = v.take(doc.get_field(map).map_err(|e| e.to_string())) else {
@@ -438,11 +440,7 @@ fn check(doc: &Value) -> Verdict {
             ) else {
                 continue;
             };
-            let label = if map == "lut_speedup_vs_reference" {
-                format!("lut/{key}")
-            } else {
-                key.to_string()
-            };
+            let label = format!("{prefix}{key}");
             if !ratio.is_finite() || ratio < 1.0 {
                 v.failures.push(format!(
                     "{name} `{key}` regressed: {ratio:.2}x < 1.0x vs reference"
@@ -451,10 +449,7 @@ fn check(doc: &Value) -> Verdict {
                 v.failures.push(format!(
                     "`top_k_indices` speedup {ratio:.2}x under the {TOP_K_MIN_SPEEDUP}x floor"
                 ));
-            } else if map == "lut_speedup_vs_reference"
-                && *key == "dot_i4"
-                && ratio < LUT_I4_MIN_SPEEDUP
-            {
+            } else if label == "lut/dot_i4" && ratio < LUT_I4_MIN_SPEEDUP {
                 v.failures.push(format!(
                     "`dot_i4` LUT speedup {ratio:.2}x under the {LUT_I4_MIN_SPEEDUP}x floor"
                 ));
