@@ -270,11 +270,12 @@ const GLUE_MIN_SPEEDUP: f64 = 5.0;
 /// against 392 ns in the committed run) on the AVX-512 build host.
 const VALUE_TILE_MIN_SPEEDUP: f64 = 1.2;
 
-/// The floor for `ServingSim::walk_steps` against one
-/// `step_time_cached` call per length over 4096 consecutive priced
-/// lengths of one batch (best samples). Measured 2.4 ns against 6.0 ns a
-/// hit, 2.5x, on the build host: the walk resolves stamp and page once
-/// per 512 lengths where the lookup re-derives both per call.
+/// The floor for reading the step table through `ServingSim::step_prices`
+/// against one `step_time_cached` call per length over 4096 consecutive
+/// priced lengths of one batch (best samples). Measured 2.4 ns against
+/// 6.0 ns a hit, 2.5x, on the build host with the closure walk it
+/// replaced: the walk resolves stamp and page once per 512 lengths where
+/// the lookup re-derives both per call.
 const STEP_WALK_MIN_SPEEDUP: f64 = 2.0;
 
 /// The floor for 512 cold consecutive lengths through

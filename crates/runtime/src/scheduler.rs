@@ -34,12 +34,14 @@
 //! maintained counters, and [`Scheduler::advance_until`] — the one loop
 //! behind [`Scheduler::run`] and the `spec_serve` replicas — runs the
 //! iterations between two composition changes as one *quiet run*: the
-//! [`StepCache`] row of the batch is walked in place, one indexed load
-//! and one float add per iteration (so every simulated float keeps its
-//! bits, `tests/goldens.rs`), and an admission sweep that falls inside
-//! the run is taken without leaving it when it provably closes — most
-//! often because the head it picks already carries the verdict "no
-//! eligible victim in this batch". [`Scheduler::step_traced`] is the
+//! [`StepCache`] row of the batch is walked in place, a page slice at a
+//! time, one load and one float add per iteration on a clock kept in a
+//! register (so every simulated float keeps its bits, `tests/goldens.rs`),
+//! and an admission sweep that falls inside the run is taken without
+//! leaving it when it provably closes — most often because the head it
+//! picks already carries the verdict "no eligible victim in this batch".
+//! Once a closed sweep shows that every later one closes too, until the
+//! next head arrives, those are counted, not run. [`Scheduler::step_traced`] is the
 //! specification: `tests/advance_equivalence.rs` holds the run to a loop
 //! of single steps, state and event stream, bit for bit.
 
@@ -1143,11 +1145,12 @@ impl Scheduler {
     /// clock moves: nobody produces a first token or finishes, and
     /// nothing outside can reach the state. Those iterations are one
     /// *quiet run*: the batch's mean length rises by exactly one per
-    /// iteration, so the run walks the batch's row of the step table in
-    /// place ([`ServingSim::walk_steps`]) — the clock advanced one
-    /// iteration at a time in the order single steps would (every
-    /// simulated float keeps its bits) — and the per-request and
-    /// per-tenant token counters are settled once at the end.
+    /// iteration, so the run reads the batch's row of the step table in
+    /// place, a page slice at a time ([`ServingSim::step_prices`]) — the
+    /// clock, kept in a register, advanced one iteration at a time in the
+    /// order single steps would (every simulated float keeps its bits) —
+    /// and the per-request and per-tenant token counters are settled
+    /// once at the end.
     ///
     /// An admission sweep that falls due inside a run (every
     /// `admission_stride`-th iteration) does not end it. The run takes
@@ -1156,9 +1159,16 @@ impl Scheduler {
     /// gauge transitions at the same ticks — and keeps going when the
     /// sweep provably closes: the queue is empty, no head has arrived,
     /// or the picked head carries the cached verdict "no eligible victim
-    /// in this batch" (`TenantQueue::no_victim_for`). Only a sweep that
-    /// might admit or preempt settles the counters and falls into the
-    /// ordinary decision. The clock test comes first: a sweep at a
+    /// in this batch" (`TenantQueue::no_victim_for`). Once a sweep closes
+    /// in a state no later sweep of the run can leave — under DRR, every
+    /// arrived head carries its verdict and its tenant's deficit covers
+    /// it; under FIFO, the pick and its verdict simply stay — the sweeps
+    /// up to the next head's arrival are counted, not run, and DRR's
+    /// rotation moves on by their count modulo the arrived tenants
+    /// ([`Scheduler::closed_sweeps`]); in that state no gauge can move,
+    /// so traced runs count them too. Only a sweep that might admit or
+    /// preempt settles the counters and falls into the ordinary
+    /// decision. The clock test comes first: a sweep at a
     /// boundary reached with `now >= t` belongs to the next call, after
     /// the caller has pushed whatever arrives at `t`.
     ///
@@ -1190,6 +1200,9 @@ impl Scheduler {
     /// [`Scheduler::advance_until`], which documents it. Returns the slot
     /// of the waiter an admission sweep inside the run picked and could
     /// not dismiss; the counters are settled, the caller places it.
+    ///
+    /// The clock lives in a [`RunClock`]: `state.now` is written before a
+    /// sweep or a gauge emission reads it, and at the end.
     fn quiet_run<S: TelemetrySink>(
         &self,
         state: &mut BatchState,
@@ -1199,42 +1212,55 @@ impl Scheduler {
         sink: &mut S,
     ) -> Option<usize> {
         let stride = self.cfg.admission_stride;
+        let mut closed = ClosedSweeps::NONE;
         // An open sweep at the run's first iteration comes first.
         if state.iter.is_multiple_of(stride) && !state.sweep_done {
             if let Some(slot) = self.sweep_in_run(state, sink) {
                 return Some(slot);
             }
+            closed = self.closed_sweeps(state);
         }
         let batch = state.running.len();
-        let scale = state.time_scale;
-        let mut until_sweep = stride - state.iter % stride;
+        let from = mean_len(&state.running);
+        let mut clock = RunClock {
+            now: state.now,
+            scale: state.time_scale,
+            t,
+            left: quiet,
+            until_sweep: stride - state.iter % stride,
+            stride,
+            closed,
+        };
         let mut waiter = None;
-        let mut done = 0;
-        self.sim.walk_steps(
-            cache,
-            self.system,
-            batch,
-            mean_len(&state.running),
-            |price| {
-                state.now += price * scale;
-                done += 1;
-                // Gauges can have moved before the run (work pushed
-                // since the last step) or at a sweep, which emits its
-                // own.
-                if done == 1 && sink.enabled() {
-                    state.emit_gauges(sink);
-                }
-                if done == quiet || state.now >= t {
-                    return false;
-                }
-                until_sweep -= 1;
-                if until_sweep == 0 {
-                    until_sweep = stride;
+        loop {
+            let done = quiet - clock.left;
+            let prices = self.sim.step_prices(cache, self.system, batch, from + done);
+            // Gauges can have moved before the run (work pushed since the
+            // last step), so a traced run's first iteration goes alone
+            // and emits them; a sweep emits its own.
+            let traced_first = done == 0 && sink.enabled();
+            let halt = clock.advance(if traced_first { &prices[..1] } else { prices });
+            if traced_first {
+                state.now = clock.now;
+                state.emit_gauges(sink);
+            }
+            match halt {
+                Halt::Slice => continue,
+                Halt::End => break,
+                Halt::Sweep => {
+                    state.now = clock.now;
+                    self.rotate_past(state, &mut clock.closed);
                     waiter = self.sweep_in_run(state, sink);
+                    if waiter.is_some() {
+                        break;
+                    }
+                    clock.closed = self.closed_sweeps(state);
                 }
-                waiter.is_none()
-            },
-        );
+            }
+        }
+        let done = quiet - clock.left;
+        state.now = clock.now;
+        self.rotate_past(state, &mut clock.closed);
         state.iter += done;
         state.sweep_done = false;
         for r in &mut state.running {
@@ -1242,6 +1268,76 @@ impl Scheduler {
             state.tenants[r.slot].served += done as u64;
         }
         waiter
+    }
+
+    /// Judged right after an in-run sweep that closed: until when every
+    /// later sweep of the run closes too, with no effect but DRR's
+    /// rotation — so the run counts those sweeps instead of running them.
+    ///
+    /// Inside a run the batch cannot change and nothing is pushed, so
+    /// the verdicts stand and the heads stay; only the clock moves, and
+    /// with it the set of arrived heads. While that set stays as it is,
+    /// FIFO picks the head the sweep just dismissed on its verdict every
+    /// time, changing nothing. DRR visits the arrived tenants in turn,
+    /// so it needs every arrived head to carry its `no_victim_for`
+    /// verdict and, with two or more of them, every such tenant's
+    /// deficit to cover its head's remaining output already: then each
+    /// sweep picks the next tenant in the rotation without granting a
+    /// quantum, and dismisses its head. An empty queue and a queue with
+    /// no head arrived have no arrived head at all. The state holds
+    /// until the earliest arrival among the heads still in the future; a
+    /// sweep whose clock reaches it runs.
+    fn closed_sweeps(&self, state: &BatchState) -> ClosedSweeps {
+        let drr = self.cfg.fair.discipline == QueueDiscipline::DeficitRoundRobin;
+        let now = state.now;
+        let (mut arrived, mut covered, mut until) = (0, true, f64::INFINITY);
+        for q in &state.tenants {
+            let Some(head) = q.queue.front() else {
+                continue;
+            };
+            if head.req.arrival > now {
+                until = until.min(head.req.arrival);
+                continue;
+            }
+            if drr && q.no_victim_for != Some(head.req.id) {
+                return ClosedSweeps::NONE;
+            }
+            arrived += 1;
+            covered &= q.deficit >= remaining_tokens(head) as u64;
+        }
+        // A lone arrived head is picked without a visit.
+        let rotating = drr && arrived > 1;
+        if rotating && !covered {
+            return ClosedSweeps::NONE;
+        }
+        ClosedSweeps {
+            until,
+            decided_at: now,
+            skipped: 0,
+            rotating,
+        }
+    }
+
+    /// Moves DRR's rotation past the sweeps `closed` counted: each one
+    /// visits the next arrived tenant — arrived by the clock the skip
+    /// was decided at — so the last visited is `skipped` places on,
+    /// modulo how many have arrived, and the count starts over. FIFO's
+    /// pick moves nothing.
+    fn rotate_past(&self, state: &mut BatchState, closed: &mut ClosedSweeps) {
+        let skipped = std::mem::take(&mut closed.skipped);
+        if !closed.rotating || skipped == 0 {
+            return;
+        }
+        let at = closed.decided_at;
+        let arrived = || state.tenants.iter().filter(|q| q.head_arrived(at));
+        let n = arrived().count();
+        // The first visit goes to the first arrived tenant past the last
+        // visited one, wrapping to the lowest.
+        let past = state
+            .drr_last
+            .map_or(0, |last| arrived().take_while(|q| q.tenant <= last).count());
+        let last = (past + skipped - 1) % n;
+        state.drr_last = arrived().nth(last).map(|q| q.tenant);
     }
 
     /// How many of the next decode iterations are guaranteed to change
@@ -1708,6 +1804,87 @@ fn mean_len(running: &[Running]) -> usize {
 
 fn remaining_tokens(entry: &QueueEntry) -> usize {
     entry.req.output_len.saturating_sub(entry.produced)
+}
+
+/// What a quiet run moves between two sweeps it runs: the clock, the
+/// iterations left, the way to the next sweep and the count of sweeps it
+/// closes without running them — kept in registers by
+/// [`RunClock::advance`], which has nothing else to do.
+struct RunClock {
+    now: f64,
+    scale: f64,
+    t: f64,
+    /// Iterations left in the run.
+    left: usize,
+    /// Iterations to the next admission sweep.
+    until_sweep: usize,
+    stride: usize,
+    closed: ClosedSweeps,
+}
+
+/// Why [`RunClock::advance`] stopped.
+enum Halt {
+    /// The prices ran out; the run goes on.
+    Slice,
+    /// A sweep is due that is not known to close.
+    Sweep,
+    /// The run's last iteration, or the clock reached `t`.
+    End,
+}
+
+impl RunClock {
+    /// One iteration per price, in order: the clock advances by the
+    /// scaled price; the run ends after its last iteration or once the
+    /// clock reaches `t` (tested first, as a single step would); a sweep
+    /// falling due below `closed.until` is counted, any other one halts.
+    /// Not inlined, so that its loop keeps the clock in a register
+    /// whatever the caller's register pressure.
+    #[inline(never)]
+    fn advance(&mut self, prices: &[f64]) -> Halt {
+        let (mut now, mut left, mut until_sweep) = (self.now, self.left, self.until_sweep);
+        let mut halt = Halt::Slice;
+        for &price in prices {
+            now += price * self.scale;
+            left -= 1;
+            if left == 0 || now >= self.t {
+                halt = Halt::End;
+                break;
+            }
+            until_sweep -= 1;
+            if until_sweep == 0 {
+                until_sweep = self.stride;
+                if now >= self.closed.until {
+                    halt = Halt::Sweep;
+                    break;
+                }
+                self.closed.skipped += 1;
+            }
+        }
+        (self.now, self.left, self.until_sweep) = (now, left, until_sweep);
+        halt
+    }
+}
+
+/// A quiet run's sweeps that close before they run — see
+/// [`Scheduler::closed_sweeps`].
+struct ClosedSweeps {
+    /// Sweeps whose clock is below this close (`-inf`: none do).
+    until: f64,
+    /// The clock of the sweep the skip was decided after.
+    decided_at: f64,
+    /// Sweeps counted so far.
+    skipped: usize,
+    /// Whether each counted sweep moves DRR's rotation one place on.
+    rotating: bool,
+}
+
+impl ClosedSweeps {
+    const NONE: Self = Self {
+        until: f64::NEG_INFINITY,
+        decided_at: f64::NEG_INFINITY,
+        skipped: 0,
+        rotating: false,
+    };
 }
 
 #[cfg(test)]

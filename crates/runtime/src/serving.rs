@@ -13,8 +13,8 @@
 //! records, one buffer), [`ServingSim::step_time_cached`] memoizes it in
 //! a [`StepCache`] — a direct-indexed `[batch][seq_len]` table filled
 //! [`STEP_BLOCK`] consecutive lengths per miss, laid out side by side on
-//! one timeline — and [`ServingSim::walk_steps`] reads that table in
-//! place for a batch whose length grows by one per iteration, so the
+//! one timeline — and [`ServingSim::step_prices`] hands out that table's
+//! page as a slice for a batch whose length grows by one per iteration, so the
 //! millions of decode iterations of a simulated trace each cost an
 //! indexed load.
 
@@ -206,18 +206,41 @@ pub const STEP_BLOCK: usize = 16;
 const STEP_CACHE_MAX_LEN: usize = 1 << 26;
 const STEP_CACHE_MAX_BATCH: usize = 1 << 16;
 
-// A block never crosses a page, nor the table's last length.
-const _: () =
-    assert!(STEP_PAGE.is_multiple_of(STEP_BLOCK) && STEP_CACHE_MAX_LEN.is_multiple_of(STEP_BLOCK));
+// A block never crosses a page, nor the table's last length, and a
+// page's blocks fit its `u32` of priced bits.
+const _: () = assert!(
+    STEP_PAGE.is_multiple_of(STEP_BLOCK)
+        && STEP_CACHE_MAX_LEN.is_multiple_of(STEP_BLOCK)
+        && STEP_PAGE / STEP_BLOCK <= u32::BITS as usize
+);
 
 /// What one batch size has priced so far: Algorithm 1's thresholds (they
 /// depend on the memory model, the batch size and the budget only) and
-/// the step latency per sequence length, in lazily allocated pages where
-/// NaN means "not priced yet".
+/// the step latency per sequence length, in lazily allocated pages.
 #[derive(Debug, Clone, Default)]
 struct BatchSteps {
     thresholds: Option<Thresholds>,
-    pages: Vec<Option<Box<[f64; STEP_PAGE]>>>,
+    pages: Vec<Option<Box<StepPage>>>,
+}
+
+/// [`STEP_PAGE`] consecutive lengths' step latencies and which of its
+/// blocks are priced, bit `b` for the block at `b * STEP_BLOCK`: a miss
+/// prices a block whole, so one bit tells for all its lengths, and the
+/// priced stretch from a length on is a count of trailing ones.
+#[derive(Debug, Clone)]
+struct StepPage {
+    prices: [f64; STEP_PAGE],
+    priced: u32,
+}
+
+impl StepPage {
+    /// How many lengths from `slot` on are priced without a gap, up to
+    /// the page's edge (0 when `slot`'s block is not priced).
+    fn priced_from(&self, slot: usize) -> usize {
+        let block = slot / STEP_BLOCK;
+        let blocks = (!(self.priced >> block)).trailing_zeros() as usize;
+        (blocks * STEP_BLOCK).saturating_sub(slot % STEP_BLOCK)
+    }
 }
 
 /// What a [`StepCache`] was filled under. Everything else a step price
@@ -268,6 +291,9 @@ pub struct StepCache {
     batches: Vec<BatchSteps>,
     priced: usize,
     timeline: EventSim<STEP_BLOCK>,
+    /// The one price [`ServingSim::step_prices`] hands out for a step no
+    /// table is sized for.
+    direct: f64,
     /// Memoized prefill times by prompt length — the scheduler
     /// re-prefills identical prompt lengths on every admission.
     prefill: std::collections::HashMap<usize, f64>,
@@ -280,6 +306,7 @@ impl Default for StepCache {
             batches: Vec::new(),
             priced: 0,
             timeline: EventSim::price_only(),
+            direct: f64::NAN,
             prefill: std::collections::HashMap::new(),
         }
     }
@@ -308,8 +335,8 @@ impl StepCache {
         r < STEP_CACHE_MAX_BATCH && s < STEP_CACHE_MAX_LEN
     }
 
-    /// The allocated page holding `(r, s)`, if any (NaN = not priced).
-    fn page(&self, r: usize, s: usize) -> Option<&[f64; STEP_PAGE]> {
+    /// The allocated page holding `(r, s)`, if any.
+    fn page(&self, r: usize, s: usize) -> Option<&StepPage> {
         self.batches.get(r)?.pages.get(s / STEP_PAGE)?.as_deref()
     }
 
@@ -431,8 +458,8 @@ impl ServingSim {
         }
         cache.restamp(self, system);
         let (page, slot) = (s / STEP_PAGE, s % STEP_PAGE);
-        if let Some(t) = cache.page(r, s).map(|p| p[slot]).filter(|t| !t.is_nan()) {
-            return t;
+        if let Some(p) = cache.page(r, s).filter(|p| p.priced_from(slot) > 0) {
+            return p.prices[slot];
         }
         if cache.batches.len() <= r {
             cache.batches.resize_with(r + 1, BatchSteps::default);
@@ -449,63 +476,54 @@ impl ServingSim {
         if batch.pages.len() <= page {
             batch.pages.resize_with(page + 1, || None);
         }
-        let prices = batch.pages[page].get_or_insert_with(|| Box::new([f64::NAN; STEP_PAGE]));
+        let page = batch.pages[page].get_or_insert_with(|| {
+            Box::new(StepPage {
+                prices: [f64::NAN; STEP_PAGE],
+                priced: 0,
+            })
+        });
         let first_slot = first % STEP_PAGE;
-        for (price, bd) in prices[first_slot..first_slot + STEP_BLOCK]
+        for (price, bd) in page.prices[first_slot..first_slot + STEP_BLOCK]
             .iter_mut()
             .zip(&block)
         {
             *price = bd.total;
         }
+        page.priced |= 1 << (first_slot / STEP_BLOCK);
         cache.priced += STEP_BLOCK;
-        prices[slot]
+        page.prices[slot]
     }
 
-    /// The scheduler's quiet run: `visit` receives
-    /// `step_time_cached(cache, system, r, s, s)`, then the same at
-    /// `s + 1`, `s + 2`, … for as long as it returns `true` — the prices
-    /// of a batch of `r` whose mean length grows by one per iteration.
+    /// The prices of a batch of `r` from length `s` on — what
+    /// `step_time_cached(cache, system, r, s', s')` returns at `s' = s`,
+    /// `s + 1`, … — as one slice of the table page holding `s`, ending at
+    /// the page's edge or at the first block not priced yet: a quiet run,
+    /// whose mean length rises by one per iteration, reads it in place
+    /// and asks again from where it stopped.
     ///
-    /// The table is read in place: stamp and page are resolved once per
-    /// run of consecutive priced lengths (at most one 512-entry page)
-    /// and `visit` is fed straight from the page. An unpriced slot, or a
-    /// batch or length no table is sized for, goes through
-    /// [`ServingSim::step_time_cached`] — one step (in a table, its whole
-    /// block is priced), then the walk resumes — so that stays the only
-    /// path that prices anything.
-    pub fn walk_steps(
+    /// The slice is never empty. A miss at `s` first prices its block
+    /// through [`ServingSim::step_time_cached`], which stays the only
+    /// path that prices anything; a batch or length no table is sized
+    /// for yields its one step, priced directly.
+    pub fn step_prices<'c>(
         &self,
-        cache: &mut StepCache,
+        cache: &'c mut StepCache,
         system: SystemKind,
         r: usize,
-        mut s: usize,
-        mut visit: impl FnMut(f64) -> bool,
-    ) {
-        loop {
-            if StepCache::indexes(r, s) {
-                cache.restamp(self, system);
-                if let Some(page) = cache.page(r, s) {
-                    let tail = &page[s % STEP_PAGE..];
-                    let mut walked = 0;
-                    for &t in tail.iter().take_while(|t| !t.is_nan()) {
-                        walked += 1;
-                        if !visit(t) {
-                            return;
-                        }
-                    }
-                    s += walked;
-                    if walked == tail.len() {
-                        // Walked off the page's edge: resolve the next.
-                        continue;
-                    }
-                }
-            }
-            let t = self.step_time_cached(cache, system, r, s, s);
-            s += 1;
-            if !visit(t) {
-                return;
-            }
+        s: usize,
+    ) -> &'c [f64] {
+        if !StepCache::indexes(r, s) {
+            cache.direct = self.step_time(system, r, s, s);
+            return std::slice::from_ref(&cache.direct);
         }
+        cache.restamp(self, system);
+        let slot = s % STEP_PAGE;
+        if cache.page(r, s).is_none_or(|p| p.priced_from(slot) == 0) {
+            self.step_time_cached(cache, system, r, s, s);
+        }
+        let cache: &'c StepCache = cache;
+        let page = cache.page(r, s).expect("priced above");
+        &page.prices[slot..slot + page.priced_from(slot)]
     }
 
     /// Prefill latency for one prompt of `input_len` tokens, memoized in
@@ -964,7 +982,8 @@ mod tests {
         assert_eq!(cache.len(), STEP_BLOCK, "not memoized");
     }
 
-    /// `n` consecutive prices from `s` on, through the walk.
+    /// `n` consecutive prices from `s` on, read the way a quiet run
+    /// reads them: slice after slice of the table.
     fn walked(
         sim: &ServingSim,
         cache: &mut StepCache,
@@ -974,10 +993,12 @@ mod tests {
         n: usize,
     ) -> Vec<u64> {
         let mut out = Vec::new();
-        sim.walk_steps(cache, sys, r, s, |t| {
-            out.push(t.to_bits());
-            out.len() < n
-        });
+        while out.len() < n {
+            let prices = sim.step_prices(cache, sys, r, s + out.len());
+            assert!(!prices.is_empty(), "a slice is never empty");
+            let take = prices.len().min(n - out.len());
+            out.extend(prices[..take].iter().map(|t| t.to_bits()));
+        }
         out
     }
 
@@ -1011,6 +1032,31 @@ mod tests {
             );
             // One visit is one step, wherever the walk stops.
             assert_eq!(walked(&sim, &mut cache, system, r, from, 1), expect[..1]);
+        }
+    }
+
+    #[test]
+    fn a_slice_ends_at_the_page_edge_or_the_first_unpriced_block() {
+        let sim = cloud_sim();
+        let (system, r) = (SystemKind::SpeContext, 2);
+        let mut cache = StepCache::new();
+        let mut slice = |s: usize| sim.step_prices(&mut cache, system, r, s).to_vec();
+        let (page, s) = (STEP_PAGE, STEP_PAGE + 3);
+        // A cold length prices its block and hands out the block's rest;
+        // the block after next priced by a lookup leaves a hole between.
+        assert_eq!(slice(s).len(), STEP_BLOCK - 3);
+        let after_next = page + 2 * STEP_BLOCK;
+        assert_eq!(slice(after_next).len(), STEP_BLOCK);
+        assert_eq!(slice(s).len(), STEP_BLOCK - 3, "stops at the hole");
+        // Filling the hole joins the three.
+        let filled = slice(page + STEP_BLOCK);
+        assert_eq!(filled.len(), 2 * STEP_BLOCK);
+        assert_eq!(slice(s).len(), 3 * STEP_BLOCK - 3);
+        // The page's last block ends at the page's edge.
+        assert_eq!(slice(2 * page - 1).len(), 1);
+        for (i, t) in filled.iter().enumerate() {
+            let s = page + STEP_BLOCK + i;
+            assert_eq!(t.to_bits(), sim.step_time(system, r, s, s).to_bits());
         }
     }
 

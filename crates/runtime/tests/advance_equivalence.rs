@@ -30,6 +30,17 @@
 //! its head (a head only leaves a queue into the batch, or out of an
 //! engine whose batch is empty).
 //!
+//! The sweeps a run counts instead of running (`drive_closed` steers
+//! into that state on purpose: FIFO and DRR, 2–4 verdicted tenants with
+//! deficits at and over their heads' cost, heads arriving inside a
+//! counted stretch, one arrived head without a verdict) are
+//! mutation-checked too — each of these fails the suite: rotating DRR
+//! by the count of counted sweeps instead of the count modulo the
+//! arrived tenants; counting sweeps past the next head's arrival;
+//! rotating under FIFO; entering the count with one arrived head
+//! unverdicted; and judging the verdicts by the heads arrived at an
+//! earlier sweep of the run rather than at the one just closed.
+//!
 //! No dispatched kernel is involved: the suite runs the same at every
 //! `SPEC_SIMD` tier.
 
@@ -433,6 +444,75 @@ fn the_verdict_is_only_ever_no_eligible_victim() {
         pair.advance(f64::INFINITY);
         pair.assert_same("the hog scenario's drain");
         assert_eq!(pair.fast.state.completed().len(), 3);
+    }
+}
+
+/// Scripts that live where the fast form counts sweeps instead of
+/// running them: a full batch of long generations no waiter may preempt,
+/// so every head a sweep places carries its "no eligible victim" verdict,
+/// and waiters of `waiting` tenants (2–4) whose deficits the rotation
+/// raises to exactly their heads' cost (tenant 3: one quantum, cost 64)
+/// or past it. Then heads arrive inside a counted stretch: a new tenant's
+/// head in the engine's future, without a verdict, whose first visit
+/// grants it its cost — so for a while exactly one arrived head lacks a
+/// verdict while the sweeps still close — and a second request behind a
+/// waiting head, which changes no head.
+fn drive_closed(discipline: QueueDiscipline, stride: usize, waiting: usize) {
+    let case = Case {
+        discipline,
+        preemption: PreemptionPolicy::None,
+        stride,
+        max_batch: 2,
+        role: ReplicaRole::Unified,
+        tenants: waiting,
+        hogs: false,
+    };
+    let context = |what: &str| format!("{what}, {waiting} waiting tenants, {case:?}");
+    let mut pair = Pair::new(&case);
+    pair.push(Admission::Fresh(Request::new(0, 7, 512, 900, 0.0)));
+    pair.push(Admission::Fresh(Request::new(1, 7, 600, 700, 0.0)));
+    pair.advance(0.01);
+    pair.assert_same(&context("the batch's admission"));
+    let now = pair.fast.state.now();
+    let waiters = [(3, 64), (9, 20), (1, 30), (5, 64)];
+    for (i, &(tenant, output_len)) in waiters[..waiting].iter().enumerate() {
+        pair.push(Admission::Fresh(Request::new(
+            10 + i,
+            tenant,
+            256,
+            output_len,
+            now,
+        )));
+    }
+    for cut in 1..=12 {
+        pair.advance(now + cut as f64 * 0.15);
+        pair.assert_same(&context(&format!("cut {cut} among verdicted waiters")));
+    }
+    let now = pair.fast.state.now();
+    pair.push(Admission::Fresh(Request::new(20, 11, 256, 40, now + 0.3)));
+    pair.push(Admission::Fresh(Request::new(21, 3, 256, 10, now + 0.7)));
+    for cut in 1..=12 {
+        pair.advance(now + cut as f64 * 0.25);
+        pair.assert_same(&context(&format!(
+            "cut {cut} after arrivals in a counted stretch"
+        )));
+    }
+    pair.advance(f64::INFINITY);
+    pair.assert_same(&context("the drain"));
+    assert_eq!(pair.fast.state.completed().len(), waiting + 4);
+}
+
+/// The sweeps a quiet run counts instead of running, under both
+/// disciplines, at strides that put a sweep on every iteration and
+/// between them.
+#[test]
+fn counted_sweeps_are_the_sweeps_they_stand_for() {
+    for discipline in DISCIPLINES {
+        for stride in [1, 2, 3, 4] {
+            for waiting in 2..=4 {
+                drive_closed(discipline, stride, waiting);
+            }
+        }
     }
 }
 

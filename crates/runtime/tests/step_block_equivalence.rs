@@ -22,7 +22,7 @@ use spec_runtime::{ServingSim, StepCache, SystemKind, Thresholds, STEP_BLOCK};
 const BUDGET: usize = 2048;
 
 /// Prices the block starting at `first` through one miss and checks every
-/// lane against `step_time`, and the walk against the lookups.
+/// lane against `step_time`, and the table's slice against the lookups.
 fn check_block(sim: &ServingSim, system: SystemKind, r: usize, first: usize) {
     assert!(first.is_multiple_of(STEP_BLOCK), "block starts are aligned");
     let mut cache = StepCache::new();
@@ -30,11 +30,10 @@ fn check_block(sim: &ServingSim, system: SystemKind, r: usize, first: usize) {
     let mid = first + STEP_BLOCK / 2;
     sim.step_time_cached(&mut cache, system, r, mid, mid);
     assert_eq!(cache.len(), STEP_BLOCK, "{system} r={r}: one block priced");
-    let mut walked = Vec::new();
-    sim.walk_steps(&mut cache, system, r, first, |t| {
-        walked.push(t.to_bits());
-        walked.len() < STEP_BLOCK
-    });
+    let walked: Vec<u64> = sim.step_prices(&mut cache, system, r, first)[..STEP_BLOCK]
+        .iter()
+        .map(|t| t.to_bits())
+        .collect();
     for (lane, s) in (first..first + STEP_BLOCK).enumerate() {
         let single = sim.step_time(system, r, s, s).to_bits();
         let cached = sim.step_time_cached(&mut cache, system, r, s, s).to_bits();
@@ -44,7 +43,7 @@ fn check_block(sim: &ServingSim, system: SystemKind, r: usize, first: usize) {
         );
         assert_eq!(
             walked[lane], single,
-            "{system}: the walk read another price"
+            "{system}: the slice holds another price"
         );
     }
     assert_eq!(

@@ -47,26 +47,64 @@ fn merge_shared(a: &[usize], b: &[usize]) -> usize {
     shared
 }
 
+/// Positions [`bitmap_hits`] marks on the stack: 8 K, one 1 KiB bitmap.
+const BITMAP_POSITIONS: usize = 8192;
+
+/// How many elements of `a` (repeats counted) appear in `b`, when `b` is
+/// ascending and ends below [`BITMAP_POSITIONS`]: `b` is marked in a
+/// bitmap on the stack — a word at a time in a register, stored as it
+/// grows, the way `SpecSelection::union_words_into` marks a head — and
+/// each element of `a` is one bit test. Unlike a merge, no step waits on
+/// the comparison before it. `None` when `b` does not qualify.
+fn bitmap_hits(a: &[usize], b: &[usize]) -> Option<usize> {
+    let &last = b.last()?;
+    if last >= BITMAP_POSITIONS {
+        return None;
+    }
+    let mut bitmap = [0u64; BITMAP_POSITIONS / 64];
+    let words = &mut bitmap[..=last / 64];
+    let (mut word, mut at, mut prev, mut ascending) = (0u64, usize::MAX, 0, true);
+    for &p in b {
+        ascending &= p >= prev;
+        prev = p;
+        // Only an unsorted `b` can pass `last`; its marks are dropped.
+        let p = p.min(last);
+        let (w, bit) = (p / 64, 1u64 << (p % 64));
+        word = bit | word & u64::from(w == at).wrapping_neg();
+        words[w] = word;
+        at = w;
+    }
+    ascending.then(|| {
+        a.iter()
+            .filter(|&&x| x <= last && words[x / 64] >> (x % 64) & 1 != 0)
+            .count()
+    })
+}
+
 /// `|a ∩ b| / |a|`: the fraction of `a` (repeats counted) that also
 /// appears in `b`.
 ///
 /// This is the paper's **hit rate** (Fig. 5a): the fraction of
 /// teacher-important tokens that the retrieval head also selects.
-/// Returns `1.0` when `a` is empty (nothing to hit). Two ascending lists
-/// — selections — are counted by one merge, in place; an unsorted or
-/// repeating `b` is sorted into a set first, an unsorted or repeating
-/// `a` (the evaluation code's top-k lists) looks each element up in it,
-/// and both count the same.
+/// Returns `1.0` when `a` is empty (nothing to hit). An ascending `b`
+/// within the first 8 K positions — a selection over the contexts the
+/// simulated models run — is marked in a bitmap and `a` looked up in it;
+/// otherwise two ascending lists are counted by one merge, in place, and
+/// an unsorted or repeating `b` is sorted into a set first, an unsorted
+/// or repeating `a` (the evaluation code's top-k lists) looks each
+/// element up in it. All count the same.
 pub fn hit_rate(a: &[usize], b: &[usize]) -> f32 {
     if a.is_empty() {
         return 1.0;
     }
-    let b = sorted_set(b);
-    let hits = if is_ascending_set(a) {
-        merge_shared(a, &b)
-    } else {
-        a.iter().filter(|x| b.binary_search(x).is_ok()).count()
-    };
+    let hits = bitmap_hits(a, b).unwrap_or_else(|| {
+        let b = sorted_set(b);
+        if is_ascending_set(a) {
+            merge_shared(a, &b)
+        } else {
+            a.iter().filter(|x| b.binary_search(x).is_ok()).count()
+        }
+    });
     hits as f32 / a.len() as f32
 }
 
