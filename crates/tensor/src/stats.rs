@@ -238,6 +238,11 @@ mod tests {
         assert!((hit_rate(&[1, 2, 3, 4], &[3, 4, 5, 6]) - 0.5).abs() < 1e-6);
         assert_eq!(hit_rate(&[], &[1]), 1.0);
         assert_eq!(hit_rate(&[1], &[]), 0.0);
+        // Either side of the bitmap's last position.
+        for last in [BITMAP_POSITIONS - 1, BITMAP_POSITIONS] {
+            let b = [5, 64, 4096, last];
+            assert_eq!(hit_rate(&[5, 63, last, last + 1], &b), 0.5);
+        }
     }
 
     #[test]

@@ -186,11 +186,20 @@ proptest! {
 
     /// The merge-counted overlap statistics return the hash-set ones'
     /// bits for every input, not only the ascending lists they are fast
-    /// on — including lists `shift` apart, which share nothing.
+    /// on — including lists `apart`, which share nothing, and lists
+    /// moved onto the edge of `hit_rate`'s 8 K-position bitmap and past
+    /// it, where it counts by merge instead.
     #[test]
-    fn overlap_merges_match_hash_sets(a in position_list(), b in position_list(), shift in 0usize..2) {
+    fn overlap_merges_match_hash_sets(
+        a in position_list(),
+        b in position_list(),
+        apart in any::<bool>(),
+        base in 0usize..3,
+    ) {
         use spec_tensor::stats;
-        let b: Vec<usize> = b.into_iter().map(|p| p + 100 * shift).collect();
+        let base = [0, 8192 - 30, 8192][base];
+        let a: Vec<usize> = a.into_iter().map(|p| p + base).collect();
+        let b: Vec<usize> = b.into_iter().map(|p| p + base + 100 * usize::from(apart)).collect();
         for (x, y) in [(&a, &b), (&b, &a), (&a, &a)] {
             prop_assert_eq!(stats::hit_rate(x, y).to_bits(), hashed::hit_rate(x, y).to_bits());
             prop_assert_eq!(stats::overlap_rate(x, y).to_bits(), hashed::hit_rate(x, y).to_bits());
