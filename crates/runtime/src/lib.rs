@@ -33,7 +33,8 @@ pub use scheduler::{
     SchedulerConfig,
 };
 pub use serving::{
-    MemoryPolicy, ServingSim, StepCache, SystemKind, ThroughputReport, Workload, STEP_BLOCK,
+    IdHasher, IdMap, MemoryPolicy, ServingSim, StepCache, SystemKind, ThroughputReport, Workload,
+    STEP_BLOCK,
 };
 // The role enum lives beside the fleet model in `spec_hwsim`; re-export
 // it so scheduler users name it without a second import.

@@ -25,7 +25,60 @@ use crate::memory::MemoryModel;
 use serde::{Deserialize, Serialize};
 use spec_hwsim::{DeviceSpec, EngineProfile, EventSim};
 use spec_model::ModelConfig;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// A map keyed by an integer the simulator hands out (a request id, a
+/// prompt length), hashed by one multiplication instead of SipHash.
+/// Such keys come from the simulator, not from an adversary, and no
+/// `IdMap` is ever iterated, so its order is never observed.
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// The [`IdMap`] hasher: each integer written is folded in as
+/// `(h.rotate_left(5) ^ x) · K` (FxHash's step), so a one-word key's hash
+/// is the key times an odd constant — its low bits a bijection of the
+/// key's low bits, its high bits mixing all of them.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl IdHasher {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+
+    #[inline(always)]
+    fn fold(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.fold(u64::from(b));
+        }
+    }
+
+    #[inline(always)]
+    fn write_u32(&mut self, x: u32) {
+        self.fold(u64::from(x));
+    }
+
+    #[inline(always)]
+    fn write_u64(&mut self, x: u64) {
+        self.fold(x);
+    }
+
+    #[inline(always)]
+    fn write_usize(&mut self, x: usize) {
+        self.fold(x as u64);
+    }
+
+    #[inline(always)]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// The systems of the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -296,7 +349,7 @@ pub struct StepCache {
     direct: f64,
     /// Memoized prefill times by prompt length — the scheduler
     /// re-prefills identical prompt lengths on every admission.
-    prefill: std::collections::HashMap<usize, f64>,
+    prefill: IdMap<usize, f64>,
 }
 
 impl Default for StepCache {
@@ -307,7 +360,7 @@ impl Default for StepCache {
             priced: 0,
             timeline: EventSim::price_only(),
             direct: f64::NAN,
-            prefill: std::collections::HashMap::new(),
+            prefill: IdMap::default(),
         }
     }
 }

@@ -70,14 +70,14 @@ use serde::{Deserialize, Serialize};
 use spec_hwsim::{DeviceSpec, FleetSlot, LinkSpec, ReplicaRole};
 use spec_model::ModelConfig;
 use spec_runtime::{
-    Admission, CompletedRequest, HandoffRecord, Request, ScheduleReport, SchedulerConfig,
+    Admission, CompletedRequest, HandoffRecord, IdMap, Request, ScheduleReport, SchedulerConfig,
     ServingSim, StepCache, SystemKind,
 };
 use spec_telemetry::{
     merge_streams, seconds_to_ticks, Event, EventKind, RecordingSink, TelemetrySink,
 };
 use spec_tensor::SimRng;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Queue-depth-driven scale-up/down.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -362,14 +362,14 @@ struct Run<'p> {
     scheduled: BTreeMap<EventKey, Scheduled>,
     next_seq: u64,
     /// Request id → crash-driven re-entries consumed so far.
-    attempts: HashMap<usize, u32>,
+    attempts: IdMap<usize, u32>,
     /// Request id → session, so a re-entry (retry or stage-2 routing of
     /// a handoff) sees the session key its first routing saw.
-    sessions: HashMap<usize, u64>,
+    sessions: IdMap<usize, u64>,
     /// Request id → original arrival, recorded the first time a request
     /// is restamped (retried, migrated or handed off), so the report's
     /// latency metrics span from first submission.
-    origins: HashMap<usize, f64>,
+    origins: IdMap<usize, f64>,
     dead_by_tenant: BTreeMap<u32, usize>,
     shed_by_tenant: BTreeMap<u32, usize>,
     retries_by_tenant: BTreeMap<u32, usize>,
@@ -394,9 +394,9 @@ impl<'p> Run<'p> {
             rng: SimRng::seed(plan.seed).fork(0xFA17),
             scheduled: BTreeMap::new(),
             next_seq: 0,
-            attempts: HashMap::new(),
-            sessions: HashMap::new(),
-            origins: HashMap::new(),
+            attempts: IdMap::default(),
+            sessions: IdMap::default(),
+            origins: IdMap::default(),
             dead_by_tenant: BTreeMap::new(),
             shed_by_tenant: BTreeMap::new(),
             retries_by_tenant: BTreeMap::new(),
