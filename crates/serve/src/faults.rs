@@ -416,6 +416,12 @@ pub struct FaultInjector {
     /// Injector-side down tracking, so scripted crashes that overlap an
     /// existing outage are dropped instead of double-scheduling restarts.
     down: Vec<bool>,
+    /// The index in `pending` of the next deliverable event, found by
+    /// the last [`peek_time`](Self::peek_time) and kept until the next
+    /// [`pop`](Self::pop) — the only call that changes `pending` or
+    /// `down` once the undeliverable events ahead are discarded — so
+    /// the event loop's peek per event scans the timeline once.
+    next: Option<usize>,
 }
 
 fn exp_draw(rng: &mut SimRng, mean: f64) -> f64 {
@@ -515,6 +521,7 @@ impl FaultInjector {
             stragglers: plan.stragglers.clone(),
             probation_s: plan.probation_s,
             down: vec![false; replicas],
+            next: None,
         }
     }
 
@@ -531,13 +538,16 @@ impl FaultInjector {
 
     /// When the next deliverable event fires, if any.
     pub(crate) fn peek_time(&mut self) -> Option<f64> {
-        self.discard_undeliverable();
-        self.min_index().map(|i| self.pending[i].at)
+        self.next_deliverable().map(|i| self.pending[i].at)
     }
 
-    /// Drops leading events that can no longer apply (a scripted crash
-    /// landing inside an existing outage).
-    fn discard_undeliverable(&mut self) {
+    /// The index of the next deliverable event: the one kept since the
+    /// last peek, else found by dropping the leading events that can no
+    /// longer apply (a scripted crash landing inside an existing outage).
+    fn next_deliverable(&mut self) -> Option<usize> {
+        if self.next.is_some() {
+            return self.next;
+        }
         while let Some(i) = self.min_index() {
             let ev = self.pending[i];
             if ev.action == FaultAction::Crash && self.down[ev.replica] {
@@ -560,9 +570,11 @@ impl FaultInjector {
                     self.pending.swap_remove(j);
                 }
             } else {
+                self.next = Some(i);
                 break;
             }
         }
+        self.next
     }
 
     /// Pops the next event, chaining the stochastic processes: a crash
@@ -570,8 +582,8 @@ impl FaultInjector {
     /// probation end and (under MTBF) draws the next crash; a window
     /// start under the random model draws the next window.
     pub(crate) fn pop(&mut self) -> Option<FaultEvent> {
-        self.discard_undeliverable();
-        let i = self.min_index()?;
+        let i = self.next_deliverable()?;
+        self.next = None;
         let ev = self.pending.swap_remove(i);
         match ev.action {
             FaultAction::Crash => self.down[ev.replica] = true,
@@ -668,6 +680,53 @@ mod tests {
             kinds,
             vec![(1.0, FaultAction::Crash), (11.0, FaultAction::Restart)]
         );
+    }
+
+    #[test]
+    fn peeking_before_each_pop_changes_no_event() {
+        // Overlapping scripted crashes on replica 0 — the crashes at 2 and
+        // 4 land inside the first outage and are discarded, each with the
+        // earliest restart after it (at 3, then at 11, which leaves the
+        // replica down until 24), and so is the crash at 12 — a
+        // back-to-back pair on replica 1, straggler windows and a
+        // probation window chained off each restart.
+        let plan = FaultPlan::none()
+            .crash_at(0, 1.0, 10.0)
+            .crash_at(0, 2.0, 1.0)
+            .crash_at(0, 4.0, 20.0)
+            .crash_at(1, 3.0, 2.0)
+            .crash_at(1, 5.0, 2.0)
+            .crash_at(0, 12.0, 1.0)
+            .straggler_at(1, 2.5, 4.0, 3.0)
+            .straggler_at(0, 1.0, 1.0, 2.0)
+            .probation(0.5);
+        let popped = |peeks: usize| {
+            let mut inj = FaultInjector::new(&plan, 2);
+            let mut seen = Vec::new();
+            loop {
+                let peeked: Vec<Option<f64>> = (0..peeks).map(|_| inj.peek_time()).collect();
+                let ev = inj.pop();
+                for at in peeked {
+                    assert_eq!(at, ev.map(|e| e.at), "a peek names the next pop's instant");
+                }
+                match ev {
+                    Some(ev) => seen.push(ev),
+                    None => return seen,
+                }
+            }
+        };
+        let alone = popped(0);
+        assert_eq!(
+            alone
+                .iter()
+                .filter(|e| e.action == FaultAction::Crash)
+                .count(),
+            3,
+            "three of replica 0's four crashes land inside an outage"
+        );
+        for peeks in 1..=3 {
+            assert_eq!(popped(peeks), alone, "{peeks} peeks before each pop");
+        }
     }
 
     #[test]
