@@ -54,8 +54,14 @@ use std::collections::VecDeque;
 
 /// Emits a scheduler-scope telemetry event at simulated time `now`.
 /// Scheduler code cannot know which replica it runs inside, so the
-/// replica field is 0; a tagged `RecordingSink` overwrites it.
+/// replica field is 0; a tagged `RecordingSink` overwrites it. A
+/// disabled sink returns before the event — and its tick, a rounding —
+/// is built.
+#[inline(always)]
 fn emit<S: TelemetrySink>(sink: &mut S, now: f64, kind: EventKind) {
+    if !sink.enabled() {
+        return;
+    }
     sink.emit(Event {
         tick: seconds_to_ticks(now),
         replica: 0,
