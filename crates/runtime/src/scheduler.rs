@@ -574,9 +574,10 @@ impl BatchState {
     }
 
     /// Drains the handoffs a `Prefill`-role engine has emitted since
-    /// the last call, in emission order.
-    pub fn take_handoffs(&mut self) -> Vec<HandoffRecord> {
-        std::mem::take(&mut self.handoffs)
+    /// the last call, in emission order, keeping the buffer for the
+    /// next ones.
+    pub fn drain_handoffs(&mut self) -> std::vec::Drain<'_, HandoffRecord> {
+        self.handoffs.drain(..)
     }
 
     /// Sets the straggler multiplier: prefill, decode iterations and KV
@@ -2144,9 +2145,9 @@ mod tests {
             s.step(&mut state, &mut cache);
         }
         assert!(state.completed().is_empty(), "prefill engines never finish");
-        let handoffs = state.take_handoffs();
+        let handoffs: Vec<_> = state.drain_handoffs().collect();
         assert_eq!(handoffs.len(), 3);
-        assert!(state.take_handoffs().is_empty(), "take_handoffs drains");
+        assert!(state.drain_handoffs().next().is_none(), "drain_handoffs drains");
         // Resident KV under the sparse budget: 2048 input + 1 produced,
         // capped at the 2048-token budget.
         let per_token = s.sim().memory_model().kv_token_total_bytes();
@@ -2170,7 +2171,7 @@ mod tests {
         }
         assert_eq!(state.completed().len(), 1);
         assert!(
-            state.take_handoffs().is_empty(),
+            state.drain_handoffs().next().is_none(),
             "one-token outputs never pay the hop"
         );
     }
@@ -2187,7 +2188,7 @@ mod tests {
         while prefill.has_work() {
             s.step(&mut prefill, &mut cache);
         }
-        let handoff = prefill.take_handoffs().pop().expect("one handoff");
+        let handoff = prefill.drain_handoffs().next().expect("one handoff");
         let (history, at) = (handoff.restorable, handoff.emitted);
         let fresh = Request::new(7, 3, 2048, 64, 0.25);
 

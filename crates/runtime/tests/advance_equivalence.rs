@@ -304,8 +304,8 @@ fn drive(case: &Case, seed: u64, ops: usize) -> usize {
                 }
             }
             7 if case.role == ReplicaRole::Prefill => {
-                let taken = pair.fast.state.take_handoffs();
-                let twin = pair.spec.state.take_handoffs();
+                let taken: Vec<_> = pair.fast.state.drain_handoffs().collect();
+                let twin: Vec<_> = pair.spec.state.drain_handoffs().collect();
                 assert_eq!(format!("{taken:?}"), format!("{twin:?}"), "{context}");
             }
             _ => {

@@ -908,7 +908,7 @@ impl Cluster {
     /// (Only prefill-role engines ever emit one.)
     fn collect_handoffs(&mut self, run: &mut Run) {
         for rep in &mut self.replicas {
-            for record in rep.take_handoffs() {
+            for record in rep.drain_handoffs() {
                 let key = EventKey {
                     at: record.emitted + self.link.time(record.kv_bytes),
                     class: EventClass::Handoff,

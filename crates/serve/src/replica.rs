@@ -153,9 +153,9 @@ impl Replica {
     }
 
     /// Drains the handoff records emitted since the last collection, in
-    /// emission order.
-    pub fn take_handoffs(&mut self) -> Vec<HandoffRecord> {
-        self.state.take_handoffs()
+    /// emission order, keeping the buffer for the next ones.
+    pub fn drain_handoffs(&mut self) -> std::vec::Drain<'_, HandoffRecord> {
+        self.state.drain_handoffs()
     }
 
     /// Jumps the engine clock forward to `t` without touching queued
@@ -530,9 +530,9 @@ mod tests {
         p.push(Admission::Fresh(req(0, 0.0)));
         p.advance_until(&mut cache, f64::INFINITY);
         assert!(p.completed().is_empty(), "prefill retires at first token");
-        let hs = p.take_handoffs();
+        let hs: Vec<_> = p.drain_handoffs().collect();
         assert_eq!(hs.len(), 1);
-        assert!(p.take_handoffs().is_empty(), "collection drains the buffer");
+        assert!(p.drain_handoffs().next().is_none(), "collection drains the buffer");
         let mut d = replica(SystemKind::SpeContext);
         d.set_role(ReplicaRole::Decode);
         d.push(Admission::Preloaded {
