@@ -506,6 +506,9 @@ pub struct BatchState {
     /// Handoffs a `Prefill`-role engine has emitted and nobody
     /// collected yet.
     handoffs: Vec<HandoffRecord>,
+    /// Bumped on every change to the running batch
+    /// ([`BatchState::batch_changed`]).
+    batch_epoch: u64,
 }
 
 impl Default for BatchState {
@@ -528,6 +531,7 @@ impl Default for BatchState {
             time_scale: 1.0,
             role: ReplicaRole::Unified,
             handoffs: Vec::new(),
+            batch_epoch: 0,
         }
     }
 }
@@ -645,11 +649,13 @@ impl BatchState {
         out
     }
 
-    /// Forgets every cached "no eligible victim" verdict. Called
-    /// wherever the running batch gains or loses a request — admission,
-    /// a preemption's removal, a completion or handoff retirement, a
+    /// Forgets every cached "no eligible victim" verdict and moves the
+    /// [batch epoch](BatchState::batch_epoch) on. Called wherever the
+    /// running batch gains or loses a request — admission, a
+    /// preemption's removal, a completion or handoff retirement, a
     /// crash — because a verdict is a statement about one batch.
     fn batch_changed(&mut self) {
+        self.batch_epoch = self.batch_epoch.wrapping_add(1);
         for q in &mut self.tenants {
             q.no_victim_for = None;
         }
@@ -803,6 +809,14 @@ impl BatchState {
     /// Queued + running requests — the router's load signal.
     pub fn outstanding(&self) -> usize {
         self.queued() + self.running.len()
+    }
+
+    /// A count of the changes to the running batch so far: while it
+    /// reads the same, [`BatchState::running_requests`] yields the same
+    /// requests, so a mirror of the batch synced at an epoch stays synced
+    /// until the epoch moves.
+    pub fn batch_epoch(&self) -> u64 {
+        self.batch_epoch
     }
 
     /// The requests currently decoding, in admission order.

@@ -31,6 +31,8 @@ pub struct Replica {
     /// The running batch as the allocator holds it: request id → hold,
     /// at most `max_batch` entries, diffed by linear scan.
     kv_held: Vec<(usize, KvHold)>,
+    /// The engine's batch epoch `kv_held` was last diffed at.
+    kv_epoch: u64,
     kv_token_cap: usize,
     device: String,
     /// Rental price of the underlying device, USD per hour (cost-aware
@@ -85,11 +87,13 @@ impl Replica {
         let hourly_cost = sim.device().hourly_cost;
         let mut state = BatchState::new();
         state.set_kv_token_cap(kv_token_cap);
+        let kv_epoch = state.batch_epoch();
         Self {
             scheduler: Scheduler::new(sim, system, cfg),
             state,
             kv: BlockAllocator::new(16, bytes_per_token, capacity),
             kv_held: Vec::new(),
+            kv_epoch,
             kv_token_cap,
             device,
             hourly_cost,
@@ -361,7 +365,32 @@ impl Replica {
     /// scheduled requests, release finished ones. Accounting only — the
     /// scheduler's own admission test stays authoritative, so a
     /// 1-replica cluster still reproduces `Scheduler::run` bit-for-bit.
+    /// The diff runs only when the engine's batch epoch has moved since
+    /// the last one; otherwise the batch, and so the mirror, is as it was.
     fn sync_kv(&mut self) {
+        let epoch = self.state.batch_epoch();
+        if epoch != self.kv_epoch {
+            self.kv_epoch = epoch;
+            self.diff_kv();
+        }
+        if self.telemetry.enabled() {
+            let used = self.kv.used_bytes();
+            if self.kv_gauge != Some(used) {
+                self.kv_gauge = Some(used);
+                self.telemetry.emit(Event {
+                    tick: seconds_to_ticks(self.state.now()),
+                    replica: 0, // restamped by the tagged sink
+                    kind: EventKind::KvOccupancy {
+                        used,
+                        capacity: self.kv.capacity_bytes(),
+                    },
+                });
+            }
+        }
+    }
+
+    /// The diff behind [`Replica::sync_kv`].
+    fn diff_kv(&mut self) {
         let (state, kv) = (&self.state, &mut self.kv);
         self.kv_held.retain(|&(id, hold)| {
             let running = state.running_requests().any(|r| r.id == id);
@@ -382,20 +411,6 @@ impl Replica {
                 .admit(tokens)
                 .map_or(KvHold::Overflow(tokens), KvHold::Live);
             self.kv_held.push((req.id, hold));
-        }
-        if self.telemetry.enabled() {
-            let used = self.kv.used_bytes();
-            if self.kv_gauge != Some(used) {
-                self.kv_gauge = Some(used);
-                self.telemetry.emit(Event {
-                    tick: seconds_to_ticks(self.state.now()),
-                    replica: 0, // restamped by the tagged sink
-                    kind: EventKind::KvOccupancy {
-                        used,
-                        capacity: self.kv.capacity_bytes(),
-                    },
-                });
-            }
         }
     }
 }
@@ -546,6 +561,118 @@ mod tests {
             hs[0].emitted,
             "first-token history survives the hop"
         );
+    }
+
+    /// Diffs `rep`'s KV mirror whatever its batch epoch says, and asserts
+    /// that the full re-sync found nothing to change: the same requests
+    /// held, the same bytes in use.
+    fn assert_mirror_is_resynced(rep: &mut Replica, context: &str) {
+        let mirror = |rep: &Replica| {
+            let held: Vec<usize> = rep.kv_held.iter().map(|&(id, _)| id).collect();
+            (held, rep.kv.used_bytes())
+        };
+        let skipped = mirror(rep);
+        rep.kv_epoch = rep.kv_epoch.wrapping_sub(1);
+        rep.sync_kv();
+        assert_eq!(skipped, mirror(rep), "{context}");
+    }
+
+    #[test]
+    fn epoch_skipped_kv_mirror_equals_a_full_resync() {
+        use spec_runtime::{FairConfig, PreemptionPolicy, QueueDiscipline};
+        // A faulted split fleet, driven by hand the way the cluster
+        // drives it: one prefill engine handing off to two decode
+        // engines, which crash (checkpoints restored on the other, lost
+        // work back through prefill) and restart. DRR with preemption
+        // over two tenants, so checkpoints exist to restore.
+        let cfg = SchedulerConfig {
+            max_batch: 4,
+            admission_stride: 4,
+            fair: FairConfig {
+                discipline: QueueDiscipline::DeficitRoundRobin,
+                weights: vec![(0, 4), (1, 1)],
+                preemption: PreemptionPolicy::DeficitRoundRobin,
+                ..FairConfig::default()
+            },
+        };
+        let sim = ServingSim::new(
+            ModelConfig::deepseek_distill_llama_8b(),
+            DeviceSpec::a100_80g(),
+            2048,
+        );
+        let engine = |role| {
+            let mut r = Replica::new(sim.clone(), SystemKind::SpeContext, cfg.clone());
+            r.set_role(role);
+            r
+        };
+        let mut fleet = [
+            engine(ReplicaRole::Prefill),
+            engine(ReplicaRole::Decode),
+            engine(ReplicaRole::Decode),
+        ];
+        // Per engine, the last instant work was pushed at: work goes in
+        // no earlier than that.
+        let mut last = [0.0f64; 3];
+        let mut at_or_after = |i: usize, at: f64| {
+            last[i] = last[i].max(at);
+            last[i]
+        };
+        let mut cache = StepCache::new();
+        let (mut t, mut next_id, mut crashes) = (0.0, 0, 0);
+        let mut checks = 0;
+        while t < 600.0 {
+            if next_id < 48 && t < 40.0 {
+                let (tenant, output_len) = ((next_id % 3 == 0) as u32, 8 + 24 * (next_id % 5));
+                let req = Request::new(next_id, tenant, 512 + 256 * (next_id % 7), output_len, t);
+                at_or_after(0, t);
+                fleet[0].push(Admission::Fresh(req));
+                next_id += 1;
+            }
+            for (i, rep) in fleet.iter_mut().enumerate() {
+                rep.advance_until(&mut cache, t);
+                assert_mirror_is_resynced(rep, &format!("advance of {i} to {t}"));
+                checks += 1;
+            }
+            let handoffs: Vec<HandoffRecord> = fleet[0].drain_handoffs().collect();
+            for (k, h) in handoffs.into_iter().enumerate() {
+                let to = 1 + (h.restorable.request.id + k) % 2;
+                let at = at_or_after(to, h.emitted);
+                fleet[to].push(Admission::Preloaded {
+                    handoff: h.restorable,
+                    at,
+                });
+            }
+            let step = (t / 0.5) as usize;
+            if step % 37 == 11 && crashes < 6 {
+                let (down, up) = (1 + crashes % 2, 2 - crashes % 2);
+                crashes += 1;
+                let work = fleet[down].crash();
+                assert_mirror_is_resynced(&mut fleet[down], &format!("crash of {down} at {t}"));
+                for checkpoint in work.checkpointed {
+                    let at = at_or_after(up, t);
+                    fleet[up].push(Admission::Restored { checkpoint, at });
+                    assert_mirror_is_resynced(&mut fleet[up], &format!("restore on {up} at {t}"));
+                }
+                for lost in work.lost {
+                    let arrival = at_or_after(0, t);
+                    fleet[0].push(Admission::Fresh(Request { arrival, ..lost }));
+                }
+            }
+            for (i, rep) in fleet.iter_mut().enumerate() {
+                if rep.is_down() && step % 37 == 14 {
+                    rep.restart(t, None);
+                    assert_mirror_is_resynced(rep, &format!("restart of {i} at {t}"));
+                }
+            }
+            t += 0.5;
+        }
+        for rep in &mut fleet {
+            rep.advance_until(&mut cache, f64::INFINITY);
+            assert_mirror_is_resynced(rep, "drain");
+        }
+        let done: usize = fleet.iter().map(|r| r.completed().len()).sum();
+        assert!(crashes >= 4 && checks > 1000, "{crashes} crashes, {checks} checks");
+        assert!(done > 24, "{done} completions");
     }
 
     #[test]
