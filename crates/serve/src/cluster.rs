@@ -1215,17 +1215,13 @@ impl Cluster {
             .iter()
             .map(Replica::now)
             .fold(0.0f64, f64::max);
-        let mut all: Vec<CompletedRequest> = self
+        // In fleet order: the SLO evaluation counts and summarizes, and
+        // a summary depends only on its sample's values.
+        let all: Vec<CompletedRequest> = self
             .replicas
             .iter()
             .flat_map(|r| r.completed().iter().copied().map(patch))
             .collect();
-        all.sort_by(|a, b| {
-            a.finish
-                .partial_cmp(&b.finish)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.request.id.cmp(&b.request.id))
-        });
         let rejected: usize = self.replicas.iter().map(Replica::rejected).sum();
         // Attribute rejections to tenants for the per-tenant SLO slices.
         let mut rejected_by_tenant: std::collections::BTreeMap<u32, usize> =

@@ -157,7 +157,8 @@ pub fn kl_divergence(p: &[f32], q: &[f32], eps: f32) -> f32 {
 /// Nearest-rank percentile of an unsorted sample, `p` in `[0, 1]`.
 /// `0.0` for an empty slice. The rank is `⌊n·p⌋` clamped to the last
 /// element, matching the serving reports' historical p95 definition so
-/// single-node and cluster latency numbers stay comparable.
+/// single-node and cluster latency numbers stay comparable. The sample
+/// is ordered by [`f64::total_cmp`] ([`sorted_by_total_cmp`]).
 ///
 /// # Panics
 ///
@@ -166,9 +167,60 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    rank_sorted(&sorted, p)
+    rank_sorted(&sorted_by_total_cmp(xs), p)
+}
+
+/// `xs` in ascending [`f64::total_cmp`] order, by one LSD radix sort:
+/// each value becomes a `u64` key whose unsigned order is `total_cmp`'s
+/// (a negative value's bits all flipped, a non-negative value's sign bit
+/// set), and the keys go through one stable counting pass per byte,
+/// skipping a byte every key shares — 8 passes at most, no comparison.
+///
+/// For finite samples without `-0.0` the order is the one a comparison
+/// sort on `<` gives, and equal values are equal bits, so the result is
+/// bit for bit that sort's. `total_cmp` also places what `<` cannot:
+/// `-0.0` sorts before `+0.0`, a NaN with its sign bit clear after
+/// `+∞`, and one with it set before `-∞`. The result depends only on
+/// the sample's values, never on their input order.
+fn sorted_by_total_cmp(xs: &[f64]) -> Vec<f64> {
+    const SIGN: u64 = 1 << 63;
+    let mut keys: Vec<u64> = xs
+        .iter()
+        .map(|x| {
+            let bits = x.to_bits();
+            bits ^ (((bits as i64) >> 63) as u64 | SIGN)
+        })
+        .collect();
+    let mut counts = [[0u32; 256]; 8];
+    for &key in &keys {
+        for (byte, count) in counts.iter_mut().enumerate() {
+            count[(key >> (8 * byte)) as usize & 0xff] += 1;
+        }
+    }
+    let mut spare = vec![0u64; keys.len()];
+    for (byte, count) in counts.iter().enumerate() {
+        if count.iter().any(|&c| c as usize == keys.len()) {
+            continue;
+        }
+        let mut next = [0u32; 256];
+        let mut at = 0;
+        for (start, &c) in next.iter_mut().zip(count) {
+            *start = at;
+            at += c;
+        }
+        for &key in &keys {
+            let digit = (key >> (8 * byte)) as usize & 0xff;
+            spare[next[digit] as usize] = key;
+            next[digit] += 1;
+        }
+        std::mem::swap(&mut keys, &mut spare);
+    }
+    keys.into_iter()
+        .map(|key| {
+            let flip = if key & SIGN != 0 { SIGN } else { u64::MAX };
+            f64::from_bits(key ^ flip)
+        })
+        .collect()
 }
 
 /// Nearest-rank lookup in an ascending-sorted non-empty sample — the one
@@ -193,13 +245,15 @@ pub struct PercentileSummary {
 }
 
 impl PercentileSummary {
-    /// Summarizes an unsorted sample; all zeros for an empty slice.
+    /// Summarizes an unsorted sample; all zeros for an empty slice. The
+    /// sample is ordered as [`percentile`] orders it and the mean summed
+    /// in that order, so the summary depends only on the sample's
+    /// values, not on their input order.
     pub fn from_samples(xs: &[f64]) -> Self {
         if xs.is_empty() {
             return Self::default();
         }
-        let mut sorted = xs.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        let sorted = sorted_by_total_cmp(xs);
         Self {
             mean: sorted.iter().sum::<f64>() / sorted.len() as f64,
             p50: rank_sorted(&sorted, 0.50),
@@ -281,6 +335,25 @@ mod tests {
         let xs: Vec<f64> = (0..40).map(|i| i as f64).collect();
         let idx = ((xs.len() as f64 * 0.95) as usize).min(xs.len() - 1);
         assert_eq!(percentile(&xs, 0.95), xs[idx]);
+    }
+
+    #[test]
+    fn nan_and_negative_zero_land_where_total_cmp_puts_them() {
+        // total_cmp: -NaN < -∞ < -1 < -0.0 < +0.0 < 1 < +∞ < +NaN.
+        let xs = [f64::NAN, 1.0, 0.0, f64::INFINITY, -0.0, -f64::NAN, -1.0, f64::NEG_INFINITY];
+        let at = |rank: usize| percentile(&xs, rank as f64 / xs.len() as f64).to_bits();
+        let order = [-f64::NAN, f64::NEG_INFINITY, -1.0, -0.0, 0.0, 1.0, f64::INFINITY, f64::NAN];
+        for (rank, want) in order.iter().enumerate() {
+            assert_eq!(at(rank), want.to_bits(), "rank {rank}");
+        }
+        // Whatever the input order, -0.0 is the lower of two zeros.
+        for zeros in [[0.0, -0.0], [-0.0, 0.0]] {
+            let s = PercentileSummary::from_samples(&zeros);
+            assert_eq!(percentile(&zeros, 0.0).to_bits(), (-0.0f64).to_bits());
+            assert_eq!(s.p50.to_bits(), 0.0f64.to_bits());
+            assert_eq!(s.mean.to_bits(), 0.0f64.to_bits());
+        }
+        assert!(PercentileSummary::from_samples(&xs).mean.is_nan());
     }
 
     #[test]

@@ -50,7 +50,77 @@ fn position_list() -> impl Strategy<Value = Vec<usize>> {
     })
 }
 
+/// A latency-like sample, 1–5 000 finite values drawn from five kinds:
+/// ties (a few values repeated, either sign), zeros of both signs,
+/// subnormals of both signs, uniform seconds, and arbitrary finite bit
+/// patterns (a non-finite draw becomes ±1e300).
+fn finite_samples() -> impl Strategy<Value = Vec<f64>> {
+    prop::collection::vec((any::<u64>(), 0u32..5), 1..5001).prop_map(|draws| {
+        draws
+            .into_iter()
+            .map(|(bits, kind)| {
+                let sign = if bits >> 63 == 1 { -1.0 } else { 1.0 };
+                match kind {
+                    0 => sign * [0.25, 1.5, 3.0, 1e-3][(bits % 4) as usize],
+                    1 => sign * 0.0,
+                    2 => f64::from_bits(bits & !(0x7ff << 52)),
+                    3 => (bits >> 11) as f64 / (1u64 << 53) as f64 * 9000.0,
+                    _ => Some(f64::from_bits(bits))
+                        .filter(|x| x.is_finite())
+                        .unwrap_or(sign * 1e300),
+                }
+            })
+            .collect()
+    })
+}
+
+/// What `stats::{percentile, PercentileSummary}` compute, over a
+/// comparison sort on `f64::total_cmp`.
+mod compared {
+    pub fn sorted(xs: &[f64]) -> Vec<f64> {
+        let mut sorted = xs.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        sorted
+    }
+
+    pub fn rank(sorted: &[f64], p: f64) -> f64 {
+        sorted[((sorted.len() as f64 * p) as usize).min(sorted.len() - 1)]
+    }
+}
+
 proptest! {
+    /// The radix-ordered summaries are a comparison sort's, bit for bit,
+    /// and do not depend on the sample's input order.
+    #[test]
+    fn latency_summaries_match_a_comparison_sort(
+        xs in finite_samples(),
+        p in 0.0f64..1.0,
+        rotate in any::<usize>(),
+    ) {
+        use spec_tensor::{stats, PercentileSummary};
+        let sorted = compared::sorted(&xs);
+        let summary = PercentileSummary::from_samples(&xs);
+        let want = [
+            sorted.iter().sum::<f64>() / sorted.len() as f64,
+            compared::rank(&sorted, 0.50),
+            compared::rank(&sorted, 0.95),
+            compared::rank(&sorted, 0.99),
+        ];
+        let got = [summary.mean, summary.p50, summary.p95, summary.p99];
+        prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
+        for p in [0.0, p, 1.0] {
+            prop_assert_eq!(stats::percentile(&xs, p).to_bits(), compared::rank(&sorted, p).to_bits());
+        }
+        let mut shuffled = xs.clone();
+        shuffled.rotate_left(rotate % xs.len());
+        shuffled.reverse();
+        let again = PercentileSummary::from_samples(&shuffled);
+        prop_assert_eq!(
+            [again.mean, again.p50, again.p95, again.p99].map(f64::to_bits),
+            got.map(f64::to_bits)
+        );
+    }
+
     #[test]
     fn softmax_is_a_distribution(xs in finite_vec(64)) {
         let mut v = xs.clone();
