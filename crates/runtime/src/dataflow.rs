@@ -137,7 +137,9 @@ struct LaneBreakdown<const W: usize> {
 /// per lane, and a branch on a lane's bytes is a select. Lane `i` then
 /// runs exactly the scalar operations of a one-lane call on `steps[i]`,
 /// so breakdown `i` has its bits; lane 0 is the one a recording `sim`
-/// draws.
+/// draws. Inlined into its callers, so a caller compiled for a wider
+/// SIMD tier lays the lanes out in that tier's registers.
+#[inline(always)]
 pub fn step_timeline_into<const W: usize>(
     sim: &mut EventSim<W>,
     kind: DataflowKind,

@@ -267,6 +267,28 @@ const _: () = assert!(
         && STEP_PAGE / STEP_BLOCK <= u32::BITS as usize
 );
 
+spec_tensor::dispatch_kernel! {
+    /// The step prices of one miss's [`STEP_BLOCK`] lanes, `(s,
+    /// prefill_len, l_cpu)` each, laid out on `timeline` by a body
+    /// compiled once per `spec_tensor::dispatch` tier — AVX-512, AVX2 or
+    /// scalar, `SPEC_SIMD` honoured — with [`step_timeline_into`] inlined
+    /// into it, so a lane's adds and maxes run sixteen to a few
+    /// instructions on the wide tiers. Each lane is its own chain of IEEE
+    /// adds and compares, never contracted, so every tier returns the
+    /// scalar tier's bits.
+    price_block(
+        sim: &ServingSim,
+        timeline: &mut EventSim<STEP_BLOCK>,
+        profile: &EngineProfile,
+        system: SystemKind,
+        r: usize,
+        lanes: [(usize, usize, usize); STEP_BLOCK],
+    ) -> [f64; STEP_BLOCK] {
+        sim.step_breakdowns(timeline, profile, system, r, lanes)
+            .map(|bd| bd.total)
+    }
+}
+
 /// What one batch size has priced so far: Algorithm 1's thresholds (they
 /// depend on the memory model, the batch size and the budget only) and
 /// the step latency per sequence length, in lazily allocated pages.
@@ -525,7 +547,15 @@ impl ServingSim {
             (s, s, self.policy_l_cpu(policy, r, s, &mut batch.thresholds))
         });
         let (_, profile) = cache.filled_under.as_ref().expect("stamped above");
-        let block = self.step_breakdowns(&mut cache.timeline, profile, system, r, lanes);
+        let block = price_block::dispatch(
+            spec_tensor::dispatch::active_tier(),
+            self,
+            &mut cache.timeline,
+            profile,
+            system,
+            r,
+            lanes,
+        );
         if batch.pages.len() <= page {
             batch.pages.resize_with(page + 1, || None);
         }
@@ -536,12 +566,7 @@ impl ServingSim {
             })
         });
         let first_slot = first % STEP_PAGE;
-        for (price, bd) in page.prices[first_slot..first_slot + STEP_BLOCK]
-            .iter_mut()
-            .zip(&block)
-        {
-            *price = bd.total;
-        }
+        page.prices[first_slot..first_slot + STEP_BLOCK].copy_from_slice(&block);
         page.priced |= 1 << (first_slot / STEP_BLOCK);
         cache.priced += STEP_BLOCK;
         page.prices[slot]
@@ -630,7 +655,9 @@ impl ServingSim {
 
     /// The fully-determined timelines of `W` steps of batch `r`, one per
     /// `(s, prefill_len, l_cpu)` — length, prompt split and offload
-    /// depth — laid out side by side on `timeline`.
+    /// depth — laid out side by side on `timeline`. Inlined, so a block
+    /// miss compiles it into each tier of [`price_block`].
+    #[inline(always)]
     fn step_breakdowns<const W: usize>(
         &self,
         timeline: &mut EventSim<W>,
