@@ -184,22 +184,22 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
 /// the sample's values, never on their input order.
 fn sorted_by_total_cmp(xs: &[f64]) -> Vec<f64> {
     const SIGN: u64 = 1 << 63;
-    let mut keys: Vec<u64> = xs
-        .iter()
-        .map(|x| {
-            let bits = x.to_bits();
-            bits ^ (((bits as i64) >> 63) as u64 | SIGN)
-        })
-        .collect();
+    let n = xs.len();
+    // The keys and the passes' spare buffer, in one allocation that the
+    // result is then made in.
+    let mut buf = vec![0u64; 2 * n];
+    let (mut keys, mut spare) = buf.split_at_mut(n);
     let mut counts = [[0u32; 256]; 8];
-    for &key in &keys {
+    for (key, x) in keys.iter_mut().zip(xs) {
+        let bits = x.to_bits();
+        *key = bits ^ (((bits as i64) >> 63) as u64 | SIGN);
         for (byte, count) in counts.iter_mut().enumerate() {
-            count[(key >> (8 * byte)) as usize & 0xff] += 1;
+            count[(*key >> (8 * byte)) as usize & 0xff] += 1;
         }
     }
-    let mut spare = vec![0u64; keys.len()];
+    let mut in_spare = false;
     for (byte, count) in counts.iter().enumerate() {
-        if count.iter().any(|&c| c as usize == keys.len()) {
+        if count.iter().any(|&c| c as usize == n) {
             continue;
         }
         let mut next = [0u32; 256];
@@ -208,14 +208,19 @@ fn sorted_by_total_cmp(xs: &[f64]) -> Vec<f64> {
             *start = at;
             at += c;
         }
-        for &key in &keys {
+        for &key in keys.iter() {
             let digit = (key >> (8 * byte)) as usize & 0xff;
             spare[next[digit] as usize] = key;
             next[digit] += 1;
         }
         std::mem::swap(&mut keys, &mut spare);
+        in_spare = !in_spare;
     }
-    keys.into_iter()
+    if in_spare {
+        buf.copy_within(n.., 0);
+    }
+    buf.truncate(n);
+    buf.into_iter()
         .map(|key| {
             let flip = if key & SIGN != 0 { SIGN } else { u64::MAX };
             f64::from_bits(key ^ flip)
