@@ -837,6 +837,10 @@ impl Cluster {
                 source.on_reject(&req);
             }
         }
+        // Re-entries are over: free their bookkeeping before the report
+        // allocates its own.
+        run.sessions = IdMap::default();
+        run.attempts = IdMap::default();
         let mut streams = Vec::new();
         if let Some(sink) = run.sink.take() {
             // Cluster-scope stream first, replica streams in fleet order.
