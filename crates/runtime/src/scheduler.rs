@@ -56,17 +56,21 @@ use std::collections::VecDeque;
 /// Scheduler code cannot know which replica it runs inside, so the
 /// replica field is 0; a tagged `RecordingSink` overwrites it. A
 /// disabled sink returns before the event — and its tick, a rounding —
-/// is built.
+/// is built: the event is built out of line, since inlined, the rounding
+/// was hoisted above the check and paid untraced too.
 #[inline(always)]
 fn emit<S: TelemetrySink>(sink: &mut S, now: f64, kind: EventKind) {
-    if !sink.enabled() {
-        return;
+    #[inline(never)]
+    fn record<S: TelemetrySink>(sink: &mut S, now: f64, kind: EventKind) {
+        sink.emit(Event {
+            tick: seconds_to_ticks(now),
+            replica: 0,
+            kind,
+        });
     }
-    sink.emit(Event {
-        tick: seconds_to_ticks(now),
-        replica: 0,
-        kind,
-    });
+    if sink.enabled() {
+        record(sink, now, kind);
+    }
 }
 
 /// One serving request.

@@ -409,13 +409,19 @@ impl<'p> Run<'p> {
     }
 
     /// Records a cluster-scope decision into the cluster event buffer.
+    /// The event is built out of line: inlined, its tick's rounding was
+    /// hoisted above the untraced check and paid on every decision.
     fn emit(&mut self, now: f64, replica: usize, kind: EventKind) {
-        if let Some(sink) = &mut self.sink {
+        #[inline(never)]
+        fn record(sink: &mut RecordingSink, now: f64, replica: usize, kind: EventKind) {
             sink.emit(Event {
                 tick: seconds_to_ticks(now),
                 replica: replica as u32,
                 kind,
             });
+        }
+        if let Some(sink) = &mut self.sink {
+            record(sink, now, replica, kind);
         }
     }
 

@@ -374,18 +374,25 @@ impl Replica {
             self.diff_kv();
         }
         if self.telemetry.enabled() {
-            let used = self.kv.used_bytes();
-            if self.kv_gauge != Some(used) {
-                self.kv_gauge = Some(used);
-                self.telemetry.emit(Event {
-                    tick: seconds_to_ticks(self.state.now()),
-                    replica: 0, // restamped by the tagged sink
-                    kind: EventKind::KvOccupancy {
-                        used,
-                        capacity: self.kv.capacity_bytes(),
-                    },
-                });
-            }
+            self.gauge_kv();
+        }
+    }
+
+    /// Emits the KV occupancy gauge if it moved (traced runs only; out of
+    /// line, so an untraced sync never computes the event's tick).
+    #[inline(never)]
+    fn gauge_kv(&mut self) {
+        let used = self.kv.used_bytes();
+        if self.kv_gauge != Some(used) {
+            self.kv_gauge = Some(used);
+            self.telemetry.emit(Event {
+                tick: seconds_to_ticks(self.state.now()),
+                replica: 0, // restamped by the tagged sink
+                kind: EventKind::KvOccupancy {
+                    used,
+                    capacity: self.kv.capacity_bytes(),
+                },
+            });
         }
     }
 
