@@ -29,16 +29,19 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A map keyed by an integer the simulator hands out (a request id, a
-/// prompt length), hashed by one multiplication instead of SipHash.
-/// Such keys come from the simulator, not from an adversary, and no
+/// A map keyed by an integer the simulator hands out or reads (a request
+/// id, a prompt length), hashed by one multiplication instead of SipHash.
+/// The hash is no defence against keys chosen to collide, so an `IdMap`
+/// is for a simulation's own bookkeeping, not for a service's input; no
 /// `IdMap` is ever iterated, so its order is never observed.
 pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// The [`IdMap`] hasher: each integer written is folded in as
-/// `(h.rotate_left(5) ^ x) · K` (FxHash's step), so a one-word key's hash
-/// is the key times an odd constant — its low bits a bijection of the
-/// key's low bits, its high bits mixing all of them.
+/// `(h.rotate_left(5) ^ x) · K` (FxHash's step), and the hash is that
+/// state rotated left by 26. The product's low bits depend only on the
+/// key's low bits — every multiple of 4096 would share them — while its
+/// high bits mix all of them; the rotation hands those to the low bits a
+/// `HashMap` picks its bucket by.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IdHasher(u64);
 
@@ -60,23 +63,13 @@ impl Hasher for IdHasher {
     }
 
     #[inline(always)]
-    fn write_u32(&mut self, x: u32) {
-        self.fold(u64::from(x));
-    }
-
-    #[inline(always)]
-    fn write_u64(&mut self, x: u64) {
-        self.fold(x);
-    }
-
-    #[inline(always)]
     fn write_usize(&mut self, x: usize) {
         self.fold(x as u64);
     }
 
     #[inline(always)]
     fn finish(&self) -> u64 {
-        self.0
+        self.0.rotate_left(26)
     }
 }
 
@@ -894,6 +887,20 @@ mod tests {
             DeviceSpec::a100_80g(),
             2048,
         )
+    }
+
+    #[test]
+    fn id_hashes_spread_round_keys_over_buckets() {
+        use std::hash::BuildHasher;
+        let hasher = BuildHasherDefault::<IdHasher>::default();
+        // Prompt lengths that are multiples of 4096 and consecutive ids,
+        // bucketed by the low 6 bits as a 64-bucket table would.
+        for keys in [(1..=64).map(|k| k * 4096).collect::<Vec<usize>>(), (0..64).collect()] {
+            let mut buckets: Vec<u64> = keys.iter().map(|&k| hasher.hash_one(k) & 63).collect();
+            buckets.sort_unstable();
+            buckets.dedup();
+            assert!(buckets.len() >= 32, "{} of 64 buckets used", buckets.len());
+        }
     }
 
     #[test]
