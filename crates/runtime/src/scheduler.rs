@@ -2165,7 +2165,10 @@ mod tests {
         assert!(state.completed().is_empty(), "prefill engines never finish");
         let handoffs: Vec<_> = state.drain_handoffs().collect();
         assert_eq!(handoffs.len(), 3);
-        assert!(state.drain_handoffs().next().is_none(), "drain_handoffs drains");
+        assert!(
+            state.drain_handoffs().next().is_none(),
+            "drain_handoffs drains"
+        );
         // Resident KV under the sparse budget: 2048 input + 1 produced,
         // capped at the 2048-token budget.
         let per_token = s.sim().memory_model().kv_token_total_bytes();

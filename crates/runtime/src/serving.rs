@@ -895,7 +895,10 @@ mod tests {
         let hasher = BuildHasherDefault::<IdHasher>::default();
         // Prompt lengths that are multiples of 4096 and consecutive ids,
         // bucketed by the low 6 bits as a 64-bucket table would.
-        for keys in [(1..=64).map(|k| k * 4096).collect::<Vec<usize>>(), (0..64).collect()] {
+        for keys in [
+            (1..=64).map(|k| k * 4096).collect::<Vec<usize>>(),
+            (0..64).collect(),
+        ] {
             let mut buckets: Vec<u64> = keys.iter().map(|&k| hasher.hash_one(k) & 63).collect();
             buckets.sort_unstable();
             buckets.dedup();

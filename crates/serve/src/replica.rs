@@ -554,7 +554,10 @@ mod tests {
         assert!(p.completed().is_empty(), "prefill retires at first token");
         let hs: Vec<_> = p.drain_handoffs().collect();
         assert_eq!(hs.len(), 1);
-        assert!(p.drain_handoffs().next().is_none(), "collection drains the buffer");
+        assert!(
+            p.drain_handoffs().next().is_none(),
+            "collection drains the buffer"
+        );
         let mut d = replica(SystemKind::SpeContext);
         d.set_role(ReplicaRole::Decode);
         d.push(Admission::Preloaded {
@@ -678,7 +681,10 @@ mod tests {
             assert_mirror_is_resynced(rep, "drain");
         }
         let done: usize = fleet.iter().map(|r| r.completed().len()).sum();
-        assert!(crashes >= 4 && checks > 1000, "{crashes} crashes, {checks} checks");
+        assert!(
+            crashes >= 4 && checks > 1000,
+            "{crashes} crashes, {checks} checks"
+        );
         assert!(done > 24, "{done} completions");
     }
 

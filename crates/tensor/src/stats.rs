@@ -345,9 +345,27 @@ mod tests {
     #[test]
     fn nan_and_negative_zero_land_where_total_cmp_puts_them() {
         // total_cmp: -NaN < -∞ < -1 < -0.0 < +0.0 < 1 < +∞ < +NaN.
-        let xs = [f64::NAN, 1.0, 0.0, f64::INFINITY, -0.0, -f64::NAN, -1.0, f64::NEG_INFINITY];
+        let xs = [
+            f64::NAN,
+            1.0,
+            0.0,
+            f64::INFINITY,
+            -0.0,
+            -f64::NAN,
+            -1.0,
+            f64::NEG_INFINITY,
+        ];
         let at = |rank: usize| percentile(&xs, rank as f64 / xs.len() as f64).to_bits();
-        let order = [-f64::NAN, f64::NEG_INFINITY, -1.0, -0.0, 0.0, 1.0, f64::INFINITY, f64::NAN];
+        let order = [
+            -f64::NAN,
+            f64::NEG_INFINITY,
+            -1.0,
+            -0.0,
+            0.0,
+            1.0,
+            f64::INFINITY,
+            f64::NAN,
+        ];
         for (rank, want) in order.iter().enumerate() {
             assert_eq!(at(rank), want.to_bits(), "rank {rank}");
         }
