@@ -33,8 +33,7 @@ pub use scheduler::{
     SchedulerConfig,
 };
 pub use serving::{
-    IdHasher, IdMap, MemoryPolicy, ServingSim, StepCache, SystemKind, ThroughputReport, Workload,
-    STEP_BLOCK,
+    IdMap, MemoryPolicy, ServingSim, StepCache, SystemKind, ThroughputReport, Workload, STEP_BLOCK,
 };
 // The role enum lives beside the fleet model in `spec_hwsim`; re-export
 // it so scheduler users name it without a second import.

@@ -158,7 +158,7 @@ pub fn kl_divergence(p: &[f32], q: &[f32], eps: f32) -> f32 {
 /// `0.0` for an empty slice. The rank is `⌊n·p⌋` clamped to the last
 /// element, matching the serving reports' historical p95 definition so
 /// single-node and cluster latency numbers stay comparable. The sample
-/// is ordered by [`f64::total_cmp`] ([`sorted_by_total_cmp`]).
+/// is ordered by [`f64::total_cmp`], by one radix sort.
 ///
 /// # Panics
 ///
