@@ -50,21 +50,27 @@ fn position_list() -> impl Strategy<Value = Vec<usize>> {
     })
 }
 
-/// A latency-like sample, 1–5 000 finite values drawn from five kinds:
+/// A latency-like sample, 1–5 000 finite values drawn from six kinds —
 /// ties (a few values repeated, either sign), zeros of both signs,
-/// subnormals of both signs, uniform seconds, and arbitrary finite bit
-/// patterns (a non-finite draw becomes ±1e300).
+/// subnormals of both signs, uniform seconds, neighbours (1.5 plus up to
+/// 199 ulps, equal but for their lowest byte) and arbitrary finite bit
+/// patterns (a non-finite draw becomes ±1e300) — mixed, or half the time
+/// all of one kind, so that some samples share all but one or two of
+/// their bytes and the radix sort runs an odd number of passes.
 fn finite_samples() -> impl Strategy<Value = Vec<f64>> {
-    prop::collection::vec((any::<u64>(), 0u32..5), 1..5001).prop_map(|draws| {
+    let draws = prop::collection::vec((any::<u64>(), 0u32..6), 1..5001);
+    (draws, 0u32..12).prop_map(|(draws, only)| {
         draws
             .into_iter()
             .map(|(bits, kind)| {
+                let kind = if only < 6 { only } else { kind };
                 let sign = if bits >> 63 == 1 { -1.0 } else { 1.0 };
                 match kind {
                     0 => sign * [0.25, 1.5, 3.0, 1e-3][(bits % 4) as usize],
                     1 => sign * 0.0,
                     2 => f64::from_bits(bits & !(0x7ff << 52)),
                     3 => (bits >> 11) as f64 / (1u64 << 53) as f64 * 9000.0,
+                    4 => f64::from_bits(1.5f64.to_bits() + bits % 200),
                     _ => Some(f64::from_bits(bits))
                         .filter(|x| x.is_finite())
                         .unwrap_or(sign * 1e300),
