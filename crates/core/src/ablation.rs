@@ -42,18 +42,6 @@ impl std::fmt::Display for AblationStage {
     }
 }
 
-impl AblationStage {
-    /// All stages in ladder order.
-    pub fn all() -> [AblationStage; 4] {
-        [
-            AblationStage::Hf,
-            AblationStage::C1,
-            AblationStage::C1C2,
-            AblationStage::C1C2C3,
-        ]
-    }
-}
-
 /// Estimates throughput for one ablation stage.
 pub fn ablation_throughput(
     stage: AblationStage,
@@ -199,7 +187,12 @@ mod tests {
         let (cfg, dev, w) = setup();
         let batches = [4usize, 8, 16, 32];
         let mut prev = 0.0;
-        for stage in AblationStage::all() {
+        for stage in [
+            AblationStage::Hf,
+            AblationStage::C1,
+            AblationStage::C1C2,
+            AblationStage::C1C2C3,
+        ] {
             let rep =
                 ablation_best_batch(stage, &cfg, &dev, w.input_len, w.output_len, 2048, &batches);
             assert!(!rep.oom, "{stage} OOM");

@@ -95,12 +95,6 @@ impl LongBenchOptions {
     }
 }
 
-/// Runs one system on one LongBench task, returning the mean score in
-/// `[0, 1]`.
-pub fn longbench_accuracy(engine: &Engine, system: EvalSystem, opt: &LongBenchOptions) -> f32 {
-    longbench_matrix(engine, &[system], &[opt.budget], opt)[0][0]
-}
-
 /// Evaluates a systems × budgets score matrix on a **shared** instance
 /// set (same contexts, same prefill) so columns are directly comparable —
 /// the structure of Fig. 8.
@@ -263,6 +257,11 @@ mod tests {
         })
     }
 
+    /// One system's mean score at `opt.budget`.
+    fn accuracy(engine: &Engine, system: EvalSystem, opt: &LongBenchOptions) -> f32 {
+        longbench_matrix(engine, &[system], &[opt.budget], opt)[0][0]
+    }
+
     fn opts(budget: usize) -> LongBenchOptions {
         LongBenchOptions {
             instances: 4,
@@ -275,15 +274,15 @@ mod tests {
     #[test]
     fn full_attention_is_the_ceiling() {
         let e = engine();
-        let full = longbench_accuracy(&e, EvalSystem::Full, &opts(32));
+        let full = accuracy(&e, EvalSystem::Full, &opts(32));
         assert!(full > 0.7, "full {full}");
     }
 
     #[test]
     fn specontext_tracks_full_at_reasonable_budget() {
         let e = engine();
-        let full = longbench_accuracy(&e, EvalSystem::Full, &opts(48));
-        let ours = longbench_accuracy(&e, EvalSystem::SpeContext, &opts(48));
+        let full = accuracy(&e, EvalSystem::Full, &opts(48));
+        let ours = accuracy(&e, EvalSystem::SpeContext, &opts(48));
         assert!(ours >= full - 0.3, "ours {ours} too far below full {full}");
     }
 
@@ -291,8 +290,8 @@ mod tests {
     fn accuracy_improves_with_budget() {
         // The headline property of Fig. 8.
         let e = engine();
-        let small = longbench_accuracy(&e, EvalSystem::SpeContext, &opts(8));
-        let large = longbench_accuracy(&e, EvalSystem::SpeContext, &opts(64));
+        let small = accuracy(&e, EvalSystem::SpeContext, &opts(8));
+        let large = accuracy(&e, EvalSystem::SpeContext, &opts(64));
         assert!(
             large >= small,
             "budget 64 ({large}) should not lose to budget 8 ({small})"
@@ -303,7 +302,7 @@ mod tests {
     fn all_systems_run_on_longbench() {
         let e = engine();
         for sys in EvalSystem::fig8_systems() {
-            let score = longbench_accuracy(&e, sys, &opts(24));
+            let score = accuracy(&e, sys, &opts(24));
             assert!((0.0..=1.0).contains(&score), "{sys}: {score}");
         }
     }

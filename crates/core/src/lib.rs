@@ -39,6 +39,6 @@ pub mod report;
 
 pub use ablation::AblationStage;
 pub use engine::{Engine, EngineConfig, Session};
-pub use evaluate::{longbench_accuracy, longwriter_scores, EvalSystem};
+pub use evaluate::{longwriter_scores, EvalSystem};
 pub use pareto::{pareto_frontier, ParetoPoint};
 pub use report::Table;

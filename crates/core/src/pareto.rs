@@ -16,7 +16,7 @@ pub struct ParetoPoint {
 impl ParetoPoint {
     /// True when `self` dominates `other` (at least as good on both axes,
     /// strictly better on one).
-    pub fn dominates(&self, other: &ParetoPoint) -> bool {
+    fn dominates(&self, other: &ParetoPoint) -> bool {
         self.accuracy >= other.accuracy
             && self.throughput >= other.throughput
             && (self.accuracy > other.accuracy || self.throughput > other.throughput)

@@ -32,15 +32,6 @@ impl KernelCost {
             launches: 1.0,
         }
     }
-
-    /// Sequential composition (launches add).
-    pub fn then(self, other: KernelCost) -> Self {
-        Self {
-            flops: self.flops + other.flops,
-            bytes: self.bytes + other.bytes,
-            launches: self.launches + other.launches,
-        }
-    }
 }
 
 /// An inference engine's achieved-efficiency profile.
@@ -141,14 +132,5 @@ mod tests {
         let comp = KernelCost::new(1e15, 1e3);
         let t_comp = p.op_time(comp, &dev);
         assert!(t_comp > dev.compute_time(1e15));
-    }
-
-    #[test]
-    fn then_composes_costs() {
-        let a = KernelCost::new(10.0, 20.0);
-        let b = KernelCost::new(1.0, 2.0);
-        let seq = a.then(b);
-        assert_eq!(seq.launches, 2.0);
-        assert_eq!(seq.flops, 11.0);
     }
 }

@@ -75,7 +75,7 @@ pub struct OpRecord {
 }
 
 /// One labelled interval on a stream — the timeline model shared by the
-/// ASCII gantt renderer ([`crate::gantt::render_spans`]) and the
+/// ASCII gantt renderer ([`crate::gantt::render`]) and the
 /// `spec_telemetry` Perfetto exporter: anything that can describe its
 /// activity as spans can be drawn by either backend.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -99,11 +99,6 @@ impl Span {
             end,
             label: label.into(),
         }
-    }
-
-    /// The interval's length, seconds.
-    pub fn duration(&self) -> f64 {
-        self.end - self.start
     }
 }
 

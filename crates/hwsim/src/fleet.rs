@@ -30,7 +30,7 @@ pub enum ReplicaRole {
 
 impl ReplicaRole {
     /// Short lowercase label for reports and traces.
-    pub fn name(&self) -> &'static str {
+    fn name(&self) -> &'static str {
         match self {
             ReplicaRole::Unified => "unified",
             ReplicaRole::Prefill => "prefill",
@@ -103,21 +103,6 @@ impl Fleet {
     pub fn build_slots(self) -> Vec<FleetSlot> {
         self.slots
     }
-
-    /// Number of replica slots so far.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether no replica slot has been added.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Total rental price across the fleet, USD per hour.
-    pub fn hourly_cost(&self) -> f64 {
-        self.slots.iter().map(|s| s.device.hourly_cost).sum()
-    }
 }
 
 /// `count` identical replicas — the common homogeneous cluster.
@@ -151,18 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn aggregates_sum_over_devices() {
-        let fleet = Fleet::new()
-            .with(DeviceSpec::a100_80g(), 2)
-            .with(DeviceSpec::rtx4090(), 1);
-        assert_eq!(
-            fleet.hourly_cost(),
-            2.0 * DeviceSpec::a100_80g().hourly_cost + DeviceSpec::rtx4090().hourly_cost
-        );
-        assert!(!fleet.is_empty());
-    }
-
-    #[test]
     fn empty_fleet_builds_empty() {
         assert!(Fleet::new().build().is_empty());
     }
@@ -187,14 +160,5 @@ mod tests {
         assert_eq!(slots[0].device.name, "H100-80GB");
         assert_eq!(ReplicaRole::default(), ReplicaRole::Unified);
         assert_eq!(ReplicaRole::Prefill.to_string(), "prefill");
-    }
-
-    #[test]
-    fn fleet_hourly_cost_sums_over_slots() {
-        let fleet = Fleet::new()
-            .with_role(DeviceSpec::h100_80g(), ReplicaRole::Prefill, 1)
-            .with_role(DeviceSpec::a100_80g(), ReplicaRole::Decode, 2);
-        let want = DeviceSpec::h100_80g().hourly_cost + 2.0 * DeviceSpec::a100_80g().hourly_cost;
-        assert!((fleet.hourly_cost() - want).abs() < 1e-12);
     }
 }

@@ -14,7 +14,7 @@ use crate::event::{EventSim, Span, StreamId};
 /// (after the last `.`); idle time is `.`. Spans shorter than one cell
 /// still paint one cell, so very short ops remain visible (at the cost
 /// of slight horizontal distortion).
-pub fn render_spans(spans: &[Span], streams: &[(StreamId, &str)], width: usize) -> String {
+fn render_spans(spans: &[Span], streams: &[(StreamId, &str)], width: usize) -> String {
     let width = width.max(10);
     let makespan = spans
         .iter()
@@ -54,8 +54,8 @@ pub fn render_spans(spans: &[Span], streams: &[(StreamId, &str)], width: usize) 
     out
 }
 
-/// Renders an event simulator's timeline: [`render_spans`] over
-/// [`EventSim::spans`].
+/// Renders an event simulator's timeline ([`EventSim::spans`]), one row
+/// per stream.
 pub fn render(sim: &EventSim, streams: &[(StreamId, &str)], width: usize) -> String {
     render_spans(&sim.spans(), streams, width)
 }

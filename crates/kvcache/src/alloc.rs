@@ -21,8 +21,8 @@ pub struct BlockAllocator {
     capacity: u64,
     used: u64,
     next_id: usize,
-    /// Per allocation: (tokens committed, bytes held).
-    live: HashMap<AllocId, (usize, u64)>,
+    /// Per allocation: the bytes it holds.
+    live: HashMap<AllocId, u64>,
 }
 
 impl BlockAllocator {
@@ -69,27 +69,8 @@ impl BlockAllocator {
         let id = AllocId(self.next_id);
         self.next_id += 1;
         self.used += bytes;
-        self.live.insert(id, (tokens, bytes));
+        self.live.insert(id, bytes);
         Some(id)
-    }
-
-    /// Extends an allocation by `extra` tokens. Returns `false` (leaving
-    /// the allocation unchanged) when growth does not fit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is unknown.
-    pub fn grow(&mut self, id: AllocId, extra: usize) -> bool {
-        let (tokens, bytes) = *self.live.get(&id).expect("unknown allocation");
-        let new_tokens = tokens + extra;
-        let new_bytes = self.bytes_for(new_tokens);
-        let delta = new_bytes.saturating_sub(bytes);
-        if self.used + delta > self.capacity {
-            return false;
-        }
-        self.used += delta;
-        self.live.insert(id, (new_tokens, new_bytes));
-        true
     }
 
     /// Releases an allocation.
@@ -98,7 +79,7 @@ impl BlockAllocator {
     ///
     /// Panics if the id is unknown.
     pub fn release(&mut self, id: AllocId) {
-        let (_, bytes) = self.live.remove(&id).expect("unknown allocation");
+        let bytes = self.live.remove(&id).expect("unknown allocation");
         self.used -= bytes;
     }
 
@@ -128,15 +109,6 @@ mod tests {
     }
 
     #[test]
-    fn paged_growth_allocates_blocks() {
-        let mut a = BlockAllocator::new(16, BPT, 1_000_000);
-        let id = a.admit(16).unwrap();
-        let before = a.used_bytes();
-        assert!(a.grow(id, 1));
-        assert_eq!(a.used_bytes(), before + 16 * BPT);
-    }
-
-    #[test]
     fn release_returns_bytes() {
         let mut a = BlockAllocator::new(8, BPT, 100_000);
         let id = a.admit(64).unwrap();
@@ -151,14 +123,5 @@ mod tests {
         let mut p = BlockAllocator::new(16, BPT, 10_000_000);
         p.admit(100).unwrap();
         assert_eq!(p.used_bytes() - 100 * BPT, 12 * BPT);
-    }
-
-    #[test]
-    fn failed_growth_leaves_state_unchanged() {
-        let mut a = BlockAllocator::new(8, BPT, 10_000);
-        let id = a.admit(8).unwrap();
-        let before = a.used_bytes();
-        assert!(!a.grow(id, 1000));
-        assert_eq!(a.used_bytes(), before);
     }
 }

@@ -44,7 +44,6 @@ pub struct BudgetBuffer {
     /// One set per KV head, shared by every layer.
     sets: Vec<ResidentSet>,
     layers: usize,
-    budget: usize,
     /// The buffers every set plans and applies in, so that
     /// [`step`](Self::step) allocates nothing while positions stay below
     /// `64 × budget` (the sets' and the scratch's bitmaps are reserved
@@ -64,23 +63,12 @@ impl BudgetBuffer {
         Self {
             sets: (0..kv_heads).map(|_| ResidentSet::new(budget)).collect(),
             layers,
-            budget,
             scratch: PlanScratch::new(budget),
         }
     }
 
-    /// The per-head budget.
-    pub fn budget(&self) -> usize {
-        self.budget
-    }
-
-    /// Number of layers.
-    pub fn layers(&self) -> usize {
-        self.layers
-    }
-
     /// Number of KV heads per layer.
-    pub fn kv_heads(&self) -> usize {
+    fn kv_heads(&self) -> usize {
         self.sets.len()
     }
 

@@ -33,17 +33,6 @@ impl DiffPlan {
     pub fn transfer_count(&self) -> usize {
         self.fetch.len()
     }
-
-    /// Fraction of the new selection served from residency (0..=1);
-    /// 1.0 when the selection is empty.
-    pub fn reuse_fraction(&self) -> f32 {
-        let total = self.fetch.len() + self.reused.len();
-        if total == 0 {
-            1.0
-        } else {
-            self.reused.len() as f32 / total as f32
-        }
-    }
 }
 
 /// The GPU-resident selection: budget slots holding KV positions.
@@ -397,7 +386,6 @@ mod tests {
         let plan = rs.plan(&[5, 1, 9]);
         assert_eq!(plan.fetch, vec![1, 5, 9]);
         assert_eq!(plan.reused, Vec::<usize>::new());
-        assert_eq!(plan.reuse_fraction(), 0.0);
     }
 
     #[test]
@@ -407,7 +395,6 @@ mod tests {
         rs.apply(&p);
         let p2 = rs.plan(&[3, 2, 1]);
         assert_eq!(p2.transfer_count(), 0);
-        assert_eq!(p2.reuse_fraction(), 1.0);
     }
 
     #[test]

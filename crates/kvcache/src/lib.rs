@@ -22,4 +22,4 @@ pub mod pages;
 pub use alloc::{AllocId, BlockAllocator};
 pub use budget::BudgetBuffer;
 pub use elastic::{DiffPlan, ResidentSet};
-pub use pages::{PageTable, PAGE_SIZE_DEFAULT};
+pub use pages::PageTable;

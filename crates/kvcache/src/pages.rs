@@ -8,9 +8,6 @@
 
 use spec_tensor::Matrix;
 
-/// Default tokens per page (Quest uses 16).
-pub const PAGE_SIZE_DEFAULT: usize = 16;
-
 /// Page metadata over a key matrix.
 #[derive(Debug, Clone)]
 pub struct PageTable {

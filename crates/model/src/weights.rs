@@ -24,7 +24,7 @@ pub struct SemanticChannel {
 
 impl SemanticChannel {
     /// Samples a channel for the geometry.
-    pub fn sample(geom: &SimGeometry, rng: &mut SimRng) -> Self {
+    fn sample(geom: &SimGeometry, rng: &mut SimRng) -> Self {
         let mut direction = rng.normal_vec(geom.hidden, 1.0);
         let norm = direction
             .iter()

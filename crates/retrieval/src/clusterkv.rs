@@ -66,11 +66,6 @@ impl ClusterKvSelector {
         }
     }
 
-    /// The prefill length captured at preprocessing time.
-    pub fn prefill_len(&self) -> usize {
-        self.prefill_len
-    }
-
     /// Walks clusters in descending score order, inserting members until
     /// the position budget fills (the final cluster is truncated
     /// mid-member-list). The shared [`mark_budgeted_group_walk`] handles

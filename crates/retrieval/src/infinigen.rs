@@ -62,11 +62,6 @@ impl InfiniGenSelector {
         }
     }
 
-    /// The prefill length captured at preprocessing time.
-    pub fn prefill_len(&self) -> usize {
-        self.prefill_len
-    }
-
     fn score_layer(
         &self,
         layer: usize,

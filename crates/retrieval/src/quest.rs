@@ -56,11 +56,6 @@ impl QuestSelector {
         }
     }
 
-    /// The prefill length captured at preprocessing time.
-    pub fn prefill_len(&self) -> usize {
-        self.prefill_len
-    }
-
     /// Per-head page selection for one layer from pooled page scores.
     ///
     /// Pages are walked in descending score order; each page's positions

@@ -68,11 +68,6 @@ impl ShadowKvSelector {
         }
     }
 
-    /// The prefill length captured at preprocessing time.
-    pub fn prefill_len(&self) -> usize {
-        self.prefill_len
-    }
-
     /// The original selection path, kept as the property-test reference.
     pub fn select_reference(
         &self,

@@ -101,11 +101,6 @@ impl AdaptiveManager {
         }
         events
     }
-
-    /// The thresholds driving this manager.
-    pub fn thresholds(&self) -> &Thresholds {
-        &self.thresholds
-    }
 }
 
 #[cfg(test)]

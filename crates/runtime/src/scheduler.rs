@@ -217,7 +217,7 @@ impl Default for FairConfig {
 
 impl FairConfig {
     /// The weight of `tenant` (1 unless listed).
-    pub fn weight(&self, tenant: u32) -> u32 {
+    fn weight(&self, tenant: u32) -> u32 {
         self.weights
             .iter()
             .find(|(t, _)| *t == tenant)
@@ -894,16 +894,6 @@ impl Scheduler {
         &self.sim
     }
 
-    /// The system being scheduled.
-    pub fn system(&self) -> SystemKind {
-        self.system
-    }
-
-    /// The scheduling configuration.
-    pub fn config(&self) -> &SchedulerConfig {
-        &self.cfg
-    }
-
     /// Runs the request trace to completion.
     ///
     /// # Panics
@@ -922,11 +912,7 @@ impl Scheduler {
     ///
     /// Panics if `requests` is empty or not sorted by arrival, or if
     /// the config's `admission_stride` is zero.
-    pub fn run_traced<S: TelemetrySink>(
-        &self,
-        requests: &[Request],
-        sink: &mut S,
-    ) -> ScheduleReport {
+    fn run_traced<S: TelemetrySink>(&self, requests: &[Request], sink: &mut S) -> ScheduleReport {
         assert!(!requests.is_empty(), "no requests");
         assert!(
             requests.windows(2).all(|w| w[0].arrival <= w[1].arrival),

@@ -333,7 +333,7 @@ impl GeneratedArrivals {
     /// Panics if the shape mixture is empty (`shapes` when `tenants` is
     /// empty, any class's `shapes` otherwise), if a tenant mix has zero
     /// total weight, or if any rate is non-positive.
-    pub fn new(cfg: TraceConfig, rng: SimRng) -> Self {
+    fn new(cfg: TraceConfig, rng: SimRng) -> Self {
         if cfg.tenants.is_empty() {
             assert!(!cfg.shapes.is_empty(), "no request shapes");
         } else {
@@ -641,8 +641,7 @@ struct ReadySession {
 /// Emitted arrival stamps are clamped to be nondecreasing: when a
 /// lagging replica's completion releases a turn whose departure instant
 /// precedes an arrival the cluster already routed, the turn enters the
-/// event stream at the later instant (counted in
-/// [`clamped`](ClosedLoopSource::clamped); rare, because the cluster's
+/// event stream at the later instant (rare, because the cluster's
 /// closed-loop event path interleaves replica micro-steps with
 /// completion feedback).
 #[derive(Debug, Clone)]
@@ -659,7 +658,6 @@ pub struct ClosedLoopSource {
     base_table: (Vec<usize>, usize),
     last_emitted: f64,
     next_id: usize,
-    clamped: usize,
     aborted_sessions: usize,
 }
 
@@ -670,7 +668,7 @@ impl ClosedLoopSource {
     ///
     /// Panics if `sessions` or `turns` is 0, the active shape mixture is
     /// empty, or `think_time_s`/`ramp_s` is negative.
-    pub fn new(cfg: ClosedLoopConfig) -> Self {
+    fn new(cfg: ClosedLoopConfig) -> Self {
         assert!(cfg.sessions > 0, "closed loop needs at least one session");
         assert!(cfg.turns > 0, "closed loop needs at least one turn");
         assert!(
@@ -731,15 +729,8 @@ impl ClosedLoopSource {
             base_table,
             last_emitted: 0.0,
             next_id: 0,
-            clamped: 0,
             aborted_sessions: 0,
         }
-    }
-
-    /// Arrivals whose stamp was clamped forward to keep the emitted
-    /// stream sorted.
-    pub fn clamped(&self) -> usize {
-        self.clamped
     }
 
     /// Sessions ended early because a request was rejected.
@@ -779,7 +770,6 @@ impl ArrivalSource for ClosedLoopSource {
         let session = ready.session as usize;
         let scheduled = f64::from_bits(ready.arrival_bits);
         let arrival = if scheduled < self.last_emitted {
-            self.clamped += 1;
             self.last_emitted
         } else {
             scheduled
@@ -839,7 +829,7 @@ impl ArrivalSource for ClosedLoopSource {
 ///
 /// # Panics
 ///
-/// Panics on the invalid configs [`GeneratedArrivals::new`] rejects.
+/// Panics on the invalid configs a [`GeneratedArrivals`] source rejects.
 pub fn generate(cfg: &TraceConfig, rng: &mut SimRng) -> Vec<ClusterRequest> {
     let mut source = GeneratedArrivals::new(cfg.clone(), rng.clone());
     let mut out = Vec::with_capacity(cfg.count);

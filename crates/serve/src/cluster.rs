@@ -647,11 +647,6 @@ impl Cluster {
         cluster
     }
 
-    /// The fleet, in replica order.
-    pub fn replicas(&self) -> &[Replica] {
-        &self.replicas
-    }
-
     /// The fleet's step-price tables, one per group of identically
     /// pricing replicas, in order of each group's first replica. A
     /// table's [`StepCache::len`] is the number of distinct
@@ -706,16 +701,6 @@ impl Cluster {
         plan: &FaultPlan,
     ) -> ClusterReport {
         self.run_faulted(&mut SliceSource::new(trace), slo, plan)
-    }
-
-    /// [`Cluster::run_fault_plan`], also returning the telemetry stream.
-    pub fn run_fault_plan_traced(
-        &mut self,
-        trace: &[ClusterRequest],
-        slo: &SloSpec,
-        plan: &FaultPlan,
-    ) -> (ClusterReport, Vec<Event>) {
-        self.run_faulted_traced(&mut SliceSource::new(trace), slo, plan)
     }
 
     /// Runs a streaming source under a [`FaultPlan`]: the kernel,
@@ -1823,7 +1808,7 @@ mod tests {
         let mut router = RouterKind::SessionAffinity.build();
         for cr in &reqs {
             let snaps: Vec<ReplicaSnapshot> = c2
-                .replicas()
+                .replicas
                 .iter()
                 .enumerate()
                 .map(|(i, r)| r.snapshot(i))

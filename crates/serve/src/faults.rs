@@ -230,13 +230,6 @@ impl FaultPlan {
         }
     }
 
-    /// Whether the plan can never perturb a run.
-    pub fn is_empty(&self) -> bool {
-        self.crashes == CrashModel::None
-            && self.stragglers == StragglerModel::None
-            && self.shed.is_none()
-    }
-
     /// Sets the seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -354,7 +347,8 @@ pub struct FaultSummary {
 /// What one fault-timeline event does to a replica.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum FaultAction {
-    /// The replica's process dies until the already-scheduled restart.
+    /// The replica's process dies; its restart is scheduled as the
+    /// crash is delivered.
     Crash,
     /// The replica comes back up (probation may follow).
     Restart,
@@ -400,21 +394,24 @@ struct ReplicaProcess {
 
 /// Materializes a [`FaultPlan`] into a deterministic event timeline.
 ///
-/// Scripted events are loaded up front; stochastic processes (MTBF
-/// crashes, random straggler windows) are chained lazily — popping a
-/// restart draws the next crash, popping a window start schedules its
-/// end and the next gap — from per-replica [`SimRng`] streams, so the
-/// draw sequence is a pure function of the plan and never of thread
+/// Scripted events are loaded up front; a crash carries its outage
+/// length and schedules its restart when it is delivered. Stochastic
+/// processes (MTBF crashes, random straggler windows) are chained
+/// lazily — popping a restart draws the next crash, popping a window
+/// end draws the next window — from per-replica [`SimRng`] streams, so
+/// the draw sequence is a pure function of the plan and never of thread
 /// interleaving. Events pop in `(time, replica, action-priority)` order.
 #[derive(Debug)]
 pub struct FaultInjector {
-    pending: Vec<FaultEvent>,
+    /// The events not yet delivered, each beside its outage length in
+    /// seconds (a crash's; 0 for every other action).
+    pending: Vec<(FaultEvent, f64)>,
     processes: Vec<ReplicaProcess>,
     crashes: CrashModel,
     stragglers: StragglerModel,
     probation_s: f64,
-    /// Injector-side down tracking, so scripted crashes that overlap an
-    /// existing outage are dropped instead of double-scheduling restarts.
+    /// Injector-side down tracking, so a scripted crash that lands inside
+    /// an outage is dropped; its restart was never scheduled.
     down: Vec<bool>,
     /// The index in `pending` of the next deliverable event, found by
     /// the last [`peek_time`](Self::peek_time) and kept until the next
@@ -422,6 +419,23 @@ pub struct FaultInjector {
     /// `down` once the undeliverable events ahead are discarded — so
     /// the event loop's peek per event scans the timeline once.
     next: Option<usize>,
+}
+
+/// Queues `action` on `replica` at `at`; `down_for` is a crash's outage
+/// length, 0 for every other action.
+fn schedule(
+    pending: &mut Vec<(FaultEvent, f64)>,
+    at: f64,
+    replica: usize,
+    action: FaultAction,
+    down_for: f64,
+) {
+    let ev = FaultEvent {
+        at,
+        replica,
+        action,
+    };
+    pending.push((ev, down_for));
 }
 
 fn exp_draw(rng: &mut SimRng, mean: f64) -> f64 {
@@ -444,54 +458,42 @@ impl FaultInjector {
         match &plan.crashes {
             CrashModel::None => {}
             CrashModel::Scripted(list) => {
-                for ev in list {
-                    if ev.replica < replicas {
-                        pending.push(FaultEvent {
-                            at: ev.at_s,
-                            replica: ev.replica,
-                            action: FaultAction::Crash,
-                        });
-                        pending.push(FaultEvent {
-                            at: ev.at_s + ev.down_for_s,
-                            replica: ev.replica,
-                            action: FaultAction::Restart,
-                        });
-                    }
+                for ev in list.iter().filter(|ev| ev.replica < replicas) {
+                    schedule(
+                        &mut pending,
+                        ev.at_s,
+                        ev.replica,
+                        FaultAction::Crash,
+                        ev.down_for_s,
+                    );
                 }
             }
             &CrashModel::Mtbf { mtbf_s, mttr_s } => {
                 for (i, p) in processes.iter_mut().enumerate() {
                     let at = exp_draw(&mut p.rng, mtbf_s);
                     let down_for = exp_draw(&mut p.rng, mttr_s);
-                    pending.push(FaultEvent {
-                        at,
-                        replica: i,
-                        action: FaultAction::Crash,
-                    });
-                    pending.push(FaultEvent {
-                        at: at + down_for,
-                        replica: i,
-                        action: FaultAction::Restart,
-                    });
+                    schedule(&mut pending, at, i, FaultAction::Crash, down_for);
                 }
             }
         }
         match &plan.stragglers {
             StragglerModel::None => {}
             StragglerModel::Scripted(list) => {
-                for w in list {
-                    if w.replica < replicas {
-                        pending.push(FaultEvent {
-                            at: w.at_s,
-                            replica: w.replica,
-                            action: FaultAction::StragglerStart(w.slowdown),
-                        });
-                        pending.push(FaultEvent {
-                            at: w.at_s + w.duration_s,
-                            replica: w.replica,
-                            action: FaultAction::StragglerEnd,
-                        });
-                    }
+                for w in list.iter().filter(|w| w.replica < replicas) {
+                    schedule(
+                        &mut pending,
+                        w.at_s,
+                        w.replica,
+                        FaultAction::StragglerStart(w.slowdown),
+                        0.0,
+                    );
+                    schedule(
+                        &mut pending,
+                        w.at_s + w.duration_s,
+                        w.replica,
+                        FaultAction::StragglerEnd,
+                        0.0,
+                    );
                 }
             }
             &StragglerModel::Random {
@@ -501,16 +503,20 @@ impl FaultInjector {
             } => {
                 for (i, p) in processes.iter_mut().enumerate() {
                     let at = exp_draw(&mut p.rng, mtbs_s);
-                    pending.push(FaultEvent {
+                    schedule(
+                        &mut pending,
                         at,
-                        replica: i,
-                        action: FaultAction::StragglerStart(slowdown),
-                    });
-                    pending.push(FaultEvent {
-                        at: at + duration_s,
-                        replica: i,
-                        action: FaultAction::StragglerEnd,
-                    });
+                        i,
+                        FaultAction::StragglerStart(slowdown),
+                        0.0,
+                    );
+                    schedule(
+                        &mut pending,
+                        at + duration_s,
+                        i,
+                        FaultAction::StragglerEnd,
+                        0.0,
+                    );
                 }
             }
         }
@@ -527,7 +533,7 @@ impl FaultInjector {
 
     fn min_index(&self) -> Option<usize> {
         (0..self.pending.len()).min_by(|&a, &b| {
-            let (ea, eb) = (&self.pending[a], &self.pending[b]);
+            let (ea, eb) = (&self.pending[a].0, &self.pending[b].0);
             ea.at
                 .partial_cmp(&eb.at)
                 .unwrap_or(std::cmp::Ordering::Equal)
@@ -538,37 +544,20 @@ impl FaultInjector {
 
     /// When the next deliverable event fires, if any.
     pub(crate) fn peek_time(&mut self) -> Option<f64> {
-        self.next_deliverable().map(|i| self.pending[i].at)
+        self.next_deliverable().map(|i| self.pending[i].0.at)
     }
 
     /// The index of the next deliverable event: the one kept since the
-    /// last peek, else found by dropping the leading events that can no
-    /// longer apply (a scripted crash landing inside an existing outage).
+    /// last peek, else found by dropping the leading crashes that land
+    /// inside an outage.
     fn next_deliverable(&mut self) -> Option<usize> {
         if self.next.is_some() {
             return self.next;
         }
         while let Some(i) = self.min_index() {
-            let ev = self.pending[i];
+            let ev = self.pending[i].0;
             if ev.action == FaultAction::Crash && self.down[ev.replica] {
                 self.pending.swap_remove(i);
-                // Its paired scripted restart would re-start the replica
-                // early; drop the earliest matching restart too.
-                if let Some(j) = (0..self.pending.len())
-                    .filter(|&j| {
-                        self.pending[j].replica == ev.replica
-                            && self.pending[j].action == FaultAction::Restart
-                            && self.pending[j].at >= ev.at
-                    })
-                    .min_by(|&a, &b| {
-                        self.pending[a]
-                            .at
-                            .partial_cmp(&self.pending[b].at)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                {
-                    self.pending.swap_remove(j);
-                }
             } else {
                 self.next = Some(i);
                 break;
@@ -577,62 +566,68 @@ impl FaultInjector {
         self.next
     }
 
-    /// Pops the next event, chaining the stochastic processes: a crash
-    /// marks the replica down; a restart marks it up, schedules the
-    /// probation end and (under MTBF) draws the next crash; a window
-    /// start under the random model draws the next window.
+    /// Pops the next event, chaining what it starts: a crash marks the
+    /// replica down and schedules its restart; a restart marks it up,
+    /// schedules the probation end and (under MTBF) draws the next
+    /// crash; a window end under the random model draws the next window.
     pub(crate) fn pop(&mut self) -> Option<FaultEvent> {
         let i = self.next_deliverable()?;
         self.next = None;
-        let ev = self.pending.swap_remove(i);
+        let (ev, down_for) = self.pending.swap_remove(i);
         match ev.action {
-            FaultAction::Crash => self.down[ev.replica] = true,
+            FaultAction::Crash => {
+                self.down[ev.replica] = true;
+                schedule(
+                    &mut self.pending,
+                    ev.at + down_for,
+                    ev.replica,
+                    FaultAction::Restart,
+                    0.0,
+                );
+            }
             FaultAction::Restart => {
                 self.down[ev.replica] = false;
                 if self.probation_s > 0.0 {
-                    self.pending.push(FaultEvent {
-                        at: ev.at + self.probation_s,
-                        replica: ev.replica,
-                        action: FaultAction::ProbationEnd,
-                    });
+                    let at = ev.at + self.probation_s;
+                    schedule(
+                        &mut self.pending,
+                        at,
+                        ev.replica,
+                        FaultAction::ProbationEnd,
+                        0.0,
+                    );
                 }
                 if let CrashModel::Mtbf { mtbf_s, mttr_s } = self.crashes {
                     let p = &mut self.processes[ev.replica];
                     let gap = exp_draw(&mut p.rng, mtbf_s);
                     let down_for = exp_draw(&mut p.rng, mttr_s);
-                    self.pending.push(FaultEvent {
-                        at: ev.at + gap,
-                        replica: ev.replica,
-                        action: FaultAction::Crash,
-                    });
-                    self.pending.push(FaultEvent {
-                        at: ev.at + gap + down_for,
-                        replica: ev.replica,
-                        action: FaultAction::Restart,
-                    });
+                    schedule(
+                        &mut self.pending,
+                        ev.at + gap,
+                        ev.replica,
+                        FaultAction::Crash,
+                        down_for,
+                    );
                 }
             }
             FaultAction::StragglerEnd => {
                 if let StragglerModel::Random {
-                    mtbs_s, duration_s, ..
+                    mtbs_s,
+                    duration_s,
+                    slowdown,
                 } = self.stragglers
                 {
-                    let slowdown = match self.stragglers {
-                        StragglerModel::Random { slowdown, .. } => slowdown,
-                        _ => unreachable!(),
-                    };
                     let p = &mut self.processes[ev.replica];
-                    let gap = exp_draw(&mut p.rng, mtbs_s);
-                    self.pending.push(FaultEvent {
-                        at: ev.at + gap,
-                        replica: ev.replica,
-                        action: FaultAction::StragglerStart(slowdown),
-                    });
-                    self.pending.push(FaultEvent {
-                        at: ev.at + gap + duration_s,
-                        replica: ev.replica,
-                        action: FaultAction::StragglerEnd,
-                    });
+                    let at = ev.at + exp_draw(&mut p.rng, mtbs_s);
+                    let start = FaultAction::StragglerStart(slowdown);
+                    schedule(&mut self.pending, at, ev.replica, start, 0.0);
+                    schedule(
+                        &mut self.pending,
+                        at + duration_s,
+                        ev.replica,
+                        FaultAction::StragglerEnd,
+                        0.0,
+                    );
                 }
             }
             FaultAction::StragglerStart(_) | FaultAction::ProbationEnd => {}
@@ -648,7 +643,6 @@ mod tests {
     #[test]
     fn empty_plan_schedules_nothing() {
         let plan = FaultPlan::none();
-        assert!(plan.is_empty());
         let mut inj = FaultInjector::new(&plan, 4);
         assert_eq!(inj.peek_time(), None);
         assert!(inj.pop().is_none());
@@ -683,13 +677,52 @@ mod tests {
     }
 
     #[test]
+    fn overlapping_scripted_crash_leaves_the_outage_at_its_length() {
+        // The crash at 4 lands inside the outage from 1 to 11 and is
+        // dropped; the first outage still ends at 11, so the crash at 12
+        // finds the replica up and is delivered.
+        let plan = FaultPlan::none()
+            .crash_at(0, 1.0, 10.0)
+            .crash_at(0, 4.0, 20.0)
+            .crash_at(0, 12.0, 1.0);
+        let mut inj = FaultInjector::new(&plan, 1);
+        let kinds: Vec<(f64, FaultAction)> = std::iter::from_fn(|| inj.pop())
+            .map(|e| (e.at, e.action))
+            .collect();
+        assert_eq!(
+            kinds,
+            vec![
+                (1.0, FaultAction::Crash),
+                (11.0, FaultAction::Restart),
+                (12.0, FaultAction::Crash),
+                (13.0, FaultAction::Restart),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_zero_length_outage_restarts_after_its_crash() {
+        // The restart shares its crash's instant and outranks a crash at
+        // equal times, but it is scheduled by the crash, so it cannot pop
+        // first and leave the replica down for good.
+        let plan = FaultPlan::none().crash_at(0, 1.0, 0.0);
+        let mut inj = FaultInjector::new(&plan, 1);
+        let kinds: Vec<(f64, FaultAction)> = std::iter::from_fn(|| inj.pop())
+            .map(|e| (e.at, e.action))
+            .collect();
+        assert_eq!(
+            kinds,
+            vec![(1.0, FaultAction::Crash), (1.0, FaultAction::Restart)]
+        );
+    }
+
+    #[test]
     fn peeking_before_each_pop_changes_no_event() {
         // Overlapping scripted crashes on replica 0 — the crashes at 2 and
-        // 4 land inside the first outage and are discarded, each with the
-        // earliest restart after it (at 3, then at 11, which leaves the
-        // replica down until 24), and so is the crash at 12 — a
-        // back-to-back pair on replica 1, straggler windows and a
-        // probation window chained off each restart.
+        // 4 land inside the first outage and are dropped, which leaves its
+        // restart at 11, so the crash at 12 is delivered — a back-to-back
+        // pair on replica 1, straggler windows and a probation window
+        // chained off each restart.
         let plan = FaultPlan::none()
             .crash_at(0, 1.0, 10.0)
             .crash_at(0, 2.0, 1.0)
@@ -721,8 +754,8 @@ mod tests {
                 .iter()
                 .filter(|e| e.action == FaultAction::Crash)
                 .count(),
-            3,
-            "three of replica 0's four crashes land inside an outage"
+            4,
+            "two of replica 0's four crashes land inside an outage"
         );
         for peeks in 1..=3 {
             assert_eq!(popped(peeks), alone, "{peeks} peeks before each pop");

@@ -124,11 +124,6 @@ impl Replica {
             .unwrap_or_default()
     }
 
-    /// The wrapped scheduler.
-    pub fn scheduler(&self) -> &Scheduler {
-        &self.scheduler
-    }
-
     /// The device this replica runs on.
     pub fn device(&self) -> &str {
         &self.device
@@ -244,11 +239,6 @@ impl Replica {
         self.state.set_time_scale(factor);
     }
 
-    /// The current straggler cost multiplier.
-    pub fn slowdown(&self) -> f64 {
-        self.state.time_scale()
-    }
-
     /// Host-side checkpoint size for a request with `produced` decoded
     /// tokens: its resident KV footprint under this replica's token cap.
     pub fn checkpoint_bytes(&self, req: &Request, produced: usize) -> u64 {
@@ -343,7 +333,7 @@ impl Replica {
 
     /// Committed KV demand (resident batch + queued backlog at final
     /// lengths, sparse-budget-capped per request) relative to capacity.
-    pub fn kv_pressure(&self) -> f64 {
+    fn kv_pressure(&self) -> f64 {
         let capacity = self.kv.capacity_bytes();
         if capacity == 0 {
             return f64::INFINITY;

@@ -60,7 +60,7 @@ pub struct ReplicaSnapshot {
 
 impl ReplicaSnapshot {
     /// Queued + running requests.
-    pub fn outstanding(&self) -> usize {
+    fn outstanding(&self) -> usize {
         self.queued + self.running
     }
 }
@@ -298,7 +298,7 @@ impl RouterKind {
 
     /// The policy's name — the single source the instances' `name()`
     /// delegates to.
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             RouterKind::RoundRobin => "round-robin",
             RouterKind::LeastOutstanding => "least-outstanding",

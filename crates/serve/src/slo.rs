@@ -207,40 +207,6 @@ fn slice_report(
     )
 }
 
-/// Evaluates completions against an SLO over a run of length `makespan`.
-/// Rejected requests drag fleet attainment but are not attributed to any
-/// tenant; use [`evaluate_faulted`] when per-tenant rejection counts are
-/// known.
-pub fn evaluate(
-    completed: &[CompletedRequest],
-    rejected: usize,
-    makespan: f64,
-    slo: &SloSpec,
-) -> SloReport {
-    evaluate_tenanted(completed, rejected, &[], makespan, slo)
-}
-
-/// [`evaluate`] with rejected requests attributed per tenant:
-/// `rejected_by_tenant` is `(tenant, count)` pairs whose counts must sum
-/// to at most `rejected` (tenants of untracked rejections stay
-/// unattributed at fleet level).
-fn evaluate_tenanted(
-    completed: &[CompletedRequest],
-    rejected: usize,
-    rejected_by_tenant: &[(u32, usize)],
-    makespan: f64,
-    slo: &SloSpec,
-) -> SloReport {
-    evaluate_faulted(
-        completed,
-        rejected,
-        rejected_by_tenant,
-        &FaultOutcomes::default(),
-        makespan,
-        slo,
-    )
-}
-
 fn tenant_count(pairs: &[(u32, usize)], tenant: u32) -> usize {
     pairs
         .iter()
@@ -362,12 +328,41 @@ mod tests {
         }
     }
 
+    /// A fault-free evaluation with rejections attributed per tenant.
+    fn evaluate_tenanted(
+        completed: &[CompletedRequest],
+        rejected: usize,
+        rejected_by_tenant: &[(u32, usize)],
+        makespan: f64,
+        slo: &SloSpec,
+    ) -> SloReport {
+        let outcomes = FaultOutcomes::default();
+        evaluate_faulted(
+            completed,
+            rejected,
+            rejected_by_tenant,
+            &outcomes,
+            makespan,
+            slo,
+        )
+    }
+
+    /// [`evaluate_tenanted`] with no rejection attributed to a tenant.
+    fn fault_free(
+        completed: &[CompletedRequest],
+        rejected: usize,
+        makespan: f64,
+        slo: &SloSpec,
+    ) -> SloReport {
+        evaluate_tenanted(completed, rejected, &[], makespan, slo)
+    }
+
     #[test]
     fn goodput_counts_only_attaining_requests() {
         let slo = SloSpec::new(1.0, 0.1);
         // First request: TTFT 0.5, TBT 0.05 — attains. Second: TTFT 5 — misses.
         let completed = [done(0, 0.0, 0.5, 5.5, 100), done(1, 0.0, 5.0, 10.0, 100)];
-        let rep = evaluate(&completed, 0, 10.0, &slo);
+        let rep = fault_free(&completed, 0, 10.0, &slo);
         assert_eq!(rep.completed, 2);
         assert!((rep.attainment - 0.5).abs() < 1e-9);
         assert!((rep.goodput_tokens_per_s - 10.0).abs() < 1e-9);
@@ -378,14 +373,14 @@ mod tests {
     fn rejected_requests_drag_attainment_down() {
         let slo = SloSpec::new(10.0, 1.0);
         let completed = [done(0, 0.0, 0.5, 1.5, 10)];
-        let rep = evaluate(&completed, 3, 2.0, &slo);
+        let rep = fault_free(&completed, 3, 2.0, &slo);
         assert!((rep.attainment - 0.25).abs() < 1e-9);
         assert_eq!(rep.rejected, 3);
     }
 
     #[test]
     fn empty_run_is_all_zeros() {
-        let rep = evaluate(&[], 0, 0.0, &SloSpec::default());
+        let rep = fault_free(&[], 0, 0.0, &SloSpec::default());
         assert_eq!(rep.completed, 0);
         assert_eq!(rep.attainment, 0.0);
         assert_eq!(rep.goodput_tokens_per_s, 0.0);
@@ -415,7 +410,7 @@ mod tests {
     #[test]
     fn zero_makespan_run_reports_zero_rates_not_inf() {
         let completed = [done(0, 0.0, 0.0, 0.0, 10)];
-        let rep = evaluate(&completed, 0, 0.0, &SloSpec::default());
+        let rep = fault_free(&completed, 0, 0.0, &SloSpec::default());
         assert_eq!(rep.goodput_tokens_per_s, 0.0);
         assert_eq!(rep.throughput_tokens_per_s, 0.0);
         assert!(rep.goodput_tokens_per_s.is_finite());
@@ -521,7 +516,7 @@ mod tests {
         let completed: Vec<CompletedRequest> = (0..100)
             .map(|i| done(i, 0.0, i as f64 * 0.01, 10.0, 50))
             .collect();
-        let rep = evaluate(&completed, 0, 10.0, &slo);
+        let rep = fault_free(&completed, 0, 10.0, &slo);
         assert!(rep.ttft.p99 >= rep.ttft.p50);
         assert!((rep.ttft.p99 - 0.99).abs() < 1e-9);
     }

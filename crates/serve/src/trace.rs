@@ -106,7 +106,7 @@ impl std::error::Error for TraceError {}
 
 /// Converts an arrival in seconds to grid ticks (round-to-nearest;
 /// monotone, so sorted seconds stay sorted ticks).
-pub fn seconds_to_ticks(seconds: f64, tick_ns: u64) -> u64 {
+fn seconds_to_ticks(seconds: f64, tick_ns: u64) -> u64 {
     (seconds * 1e9 / tick_ns as f64).round() as u64
 }
 
@@ -203,13 +203,12 @@ impl Default for TraceWriter {
 }
 
 impl TraceWriter {
-    /// A writer on the given arrival grid (use
-    /// [`DEFAULT_TICK_NS`] unless you know better).
+    /// A writer on the given arrival grid.
     ///
     /// # Panics
     ///
     /// Panics if `tick_ns` is zero.
-    pub fn new(tick_ns: u64) -> Self {
+    fn new(tick_ns: u64) -> Self {
         assert!(tick_ns > 0, "tick size must be positive");
         let mut buf = Vec::with_capacity(64);
         buf.extend_from_slice(&MAGIC);
@@ -253,17 +252,6 @@ impl TraceWriter {
         self.recorded
     }
 
-    /// Encoded size so far, bytes (header included).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been recorded yet (the header alone does not
-    /// count).
-    pub fn is_empty(&self) -> bool {
-        self.recorded == 0
-    }
-
     /// Average payload bytes per recorded request (header excluded).
     pub fn bytes_per_request(&self) -> f64 {
         if self.recorded == 0 {
@@ -295,7 +283,6 @@ pub struct TraceCursor<'a> {
     pos: usize,
     tick_ns: u64,
     ticks: u64,
-    decoded: usize,
 }
 
 impl<'a> TraceCursor<'a> {
@@ -331,18 +318,12 @@ impl<'a> TraceCursor<'a> {
             pos,
             tick_ns,
             ticks: 0,
-            decoded: 0,
         })
     }
 
     /// The arrival grid declared in the header, nanoseconds per tick.
     pub fn tick_ns(&self) -> u64 {
         self.tick_ns
-    }
-
-    /// Records decoded so far.
-    pub fn decoded(&self) -> usize {
-        self.decoded
     }
 
     /// Decodes the next record, `Ok(None)` at a clean end of buffer.
@@ -357,7 +338,6 @@ impl<'a> TraceCursor<'a> {
             .map_err(|_| TraceError::Overflow { offset: self.pos })?;
         let session = get_varint(self.bytes, &mut self.pos)?;
         self.ticks += delta;
-        self.decoded += 1;
         Ok(Some(TraceRecord {
             ticks: self.ticks,
             input_len,
@@ -537,11 +517,6 @@ impl<S: ArrivalSource> RecordingSource<S> {
         }
     }
 
-    /// The recorder so far (size/rate inspection mid-run).
-    pub fn writer(&self) -> &TraceWriter {
-        &self.writer
-    }
-
     /// Finishes, returning the encoded trace of everything consumed.
     pub fn into_bytes(self) -> Vec<u8> {
         self.writer.into_bytes()
@@ -680,7 +655,7 @@ mod tests {
         while let Some(cr) = tee.next_request() {
             consumed.push(cr);
         }
-        assert_eq!(tee.writer().recorded(), 50);
+        assert_eq!(consumed.len(), 50);
         let bytes = tee.into_bytes();
         let replayed = decode(&bytes).unwrap();
         assert_eq!(replayed.len(), consumed.len());

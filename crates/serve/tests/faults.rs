@@ -27,7 +27,7 @@ use spec_serve::cluster::{AutoscaleConfig, Cluster, ClusterConfig, ClusterReport
 use spec_serve::router::RouterKind;
 use spec_serve::slo::SloSpec;
 use spec_serve::trace::decode;
-use spec_serve::{FaultPlan, RetryPolicy, ShedPolicy};
+use spec_serve::{FaultPlan, RetryPolicy, ShedPolicy, SliceSource};
 use spec_telemetry::{Event, EventKind};
 use spec_tensor::SimRng;
 
@@ -115,8 +115,8 @@ fn empty_plan_traced_matches_run_traced_event_for_event() {
     let reqs = trace(3.0, 20, 17);
     let slo = SloSpec::default();
     let (ra, ea) = cluster(2, RouterKind::LeastKvPressure, None).run_traced(&reqs, &slo);
-    let (rb, eb) = cluster(2, RouterKind::LeastKvPressure, None).run_fault_plan_traced(
-        &reqs,
+    let (rb, eb) = cluster(2, RouterKind::LeastKvPressure, None).run_faulted_traced(
+        &mut SliceSource::new(&reqs),
         &slo,
         &FaultPlan::none(),
     );
@@ -133,7 +133,8 @@ fn crashed_replica_work_is_recovered_or_dead_lettered() {
         .health_aware(true)
         .seed(3);
     let mut c = cluster(2, RouterKind::LeastOutstanding, None);
-    let (report, events) = c.run_fault_plan_traced(&reqs, &SloSpec::default(), &plan);
+    let (report, events) =
+        c.run_faulted_traced(&mut SliceSource::new(&reqs), &SloSpec::default(), &plan);
     assert_eq!(report.faults.crashes, 1);
     assert_eq!(report.faults.recoveries, 1);
     assert_conserved(&report, 40, "single crash");
@@ -163,8 +164,11 @@ fn straggler_window_slows_then_releases_the_replica() {
     let slo = SloSpec::default();
     let healthy = cluster(2, RouterKind::RoundRobin, None).run(&reqs, &slo);
     let plan = FaultPlan::none().straggler_at(0, 0.0, 30.0, 6.0);
-    let (slowed, events) =
-        cluster(2, RouterKind::RoundRobin, None).run_fault_plan_traced(&reqs, &slo, &plan);
+    let (slowed, events) = cluster(2, RouterKind::RoundRobin, None).run_faulted_traced(
+        &mut SliceSource::new(&reqs),
+        &slo,
+        &plan,
+    );
     assert_eq!(slowed.faults.straggler_windows, 1);
     assert_conserved(&slowed, 16, "straggler");
     assert!(
@@ -269,7 +273,8 @@ fn sessions_repin_away_from_a_crash_and_hold_through_probation() {
         .health_aware(true)
         .seed(5);
     let mut c = cluster(2, RouterKind::SessionAffinity, None);
-    let (report, events) = c.run_fault_plan_traced(&reqs, &SloSpec::default(), &plan);
+    let (report, events) =
+        c.run_faulted_traced(&mut SliceSource::new(&reqs), &SloSpec::default(), &plan);
     assert_conserved(&report, 4, "session crash");
     let routed: Vec<(u64, u32)> = events
         .iter()
@@ -425,7 +430,11 @@ fn health_aware_routing_on_a_split_fleet_conserves_and_never_delivers_to_prefill
             cfg.clone(),
             RouterKind::LeastOutstanding.build(),
         )
-        .run_fault_plan_traced(&trace, &SloSpec::new(10.0, 0.02), &plan);
+        .run_faulted_traced(
+            &mut SliceSource::new(&trace),
+            &SloSpec::new(10.0, 0.02),
+            &plan,
+        );
         assert_conserved(&report, trace.len(), label);
         assert!(report.faults.crashes > 10, "{label}: the plan must crash");
         assert!(report.handoffs.count > 0, "{label}");
@@ -544,7 +553,7 @@ proptest! {
         let reqs = tenanted_trace(5.0, 30, seed ^ 0xABCD);
         let run = || {
             cluster(3, RouterKind::LeastOutstanding, None)
-                .run_fault_plan_traced(&reqs, &SloSpec::default(), &plan)
+                .run_faulted_traced(&mut SliceSource::new(&reqs), &SloSpec::default(), &plan)
         };
         let (report, events) = run();
         assert_conserved(&report, 30, "proptest");

@@ -20,7 +20,7 @@ use spec_serve::cluster::{AutoscaleConfig, Cluster, ClusterConfig, ClusterReport
 use spec_serve::router::RouterKind;
 use spec_serve::slo::SloSpec;
 use spec_serve::trace::ReplayArrivals;
-use spec_serve::{FaultPlan, RetryPolicy, ShedPolicy};
+use spec_serve::{FaultPlan, RetryPolicy, ShedPolicy, SliceSource};
 use spec_telemetry::{Event, EventKind};
 use spec_tensor::SimRng;
 
@@ -302,7 +302,8 @@ fn golden_g_faulted_split_fleet_prefix() {
         .retry(RetryPolicy::default())
         .shed(ShedPolicy::new(1_200).weights(vec![(0, 4), (1, 1)]))
         .probation(2.0);
-    let (report, events) = cluster.run_fault_plan_traced(&sample_prefix(), &gate_slo(), &plan);
+    let (report, events) =
+        cluster.run_faulted_traced(&mut SliceSource::new(&sample_prefix()), &gate_slo(), &plan);
     let counters = (
         report.completed,
         report.faults.crashes,

@@ -10,21 +10,21 @@ use std::fmt::Write as _;
 
 /// Counts one run's lifecycle edges and gauge peaks.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct RunSummary {
+struct RunSummary {
     /// Lifecycle edge counts, by event name.
-    pub edges: BTreeMap<&'static str, u64>,
+    edges: BTreeMap<&'static str, u64>,
     /// Peak wait-queue depth per tenant.
-    pub peak_queue_depth: BTreeMap<u32, u64>,
+    peak_queue_depth: BTreeMap<u32, u64>,
     /// Peak running-batch size.
-    pub peak_batch: u64,
+    peak_batch: u64,
     /// Peak KV occupancy, bytes (with its capacity).
-    pub peak_kv: (u64, u64),
+    peak_kv: (u64, u64),
     /// Last event tick, seconds.
-    pub span_seconds: f64,
+    span_seconds: f64,
 }
 
 /// Scans an event stream into a [`RunSummary`].
-pub fn summarize(events: &[Event]) -> RunSummary {
+fn summarize(events: &[Event]) -> RunSummary {
     let mut out = RunSummary::default();
     for event in events {
         out.span_seconds = out.span_seconds.max(ticks_to_seconds(event.tick));

@@ -108,50 +108,6 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// The request id, for lifecycle kinds.
-    pub fn request(&self) -> Option<u64> {
-        match *self {
-            EventKind::Arrived { request, .. }
-            | EventKind::Enqueued { request, .. }
-            | EventKind::Admitted { request, .. }
-            | EventKind::Preempted { request, .. }
-            | EventKind::CheckpointWritten { request, .. }
-            | EventKind::Restored { request, .. }
-            | EventKind::FirstToken { request, .. }
-            | EventKind::Completed { request, .. }
-            | EventKind::Rejected { request, .. }
-            | EventKind::RetryScheduled { request, .. }
-            | EventKind::RequestShed { request, .. }
-            | EventKind::CheckpointLost { request, .. }
-            | EventKind::DeadLettered { request, .. }
-            | EventKind::HandoffEmitted { request, .. }
-            | EventKind::HandoffDelivered { request, .. } => Some(request),
-            _ => None,
-        }
-    }
-
-    /// The tenant id, where the kind carries one.
-    pub fn tenant(&self) -> Option<u32> {
-        match *self {
-            EventKind::Arrived { tenant, .. }
-            | EventKind::Enqueued { tenant, .. }
-            | EventKind::Admitted { tenant, .. }
-            | EventKind::Preempted { tenant, .. }
-            | EventKind::Restored { tenant, .. }
-            | EventKind::FirstToken { tenant, .. }
-            | EventKind::Completed { tenant, .. }
-            | EventKind::Rejected { tenant, .. }
-            | EventKind::RetryScheduled { tenant, .. }
-            | EventKind::RequestShed { tenant, .. }
-            | EventKind::DeadLettered { tenant, .. }
-            | EventKind::HandoffEmitted { tenant, .. }
-            | EventKind::HandoffDelivered { tenant, .. }
-            | EventKind::QueueDepth { tenant, .. }
-            | EventKind::DrrDeficit { tenant, .. } => Some(tenant),
-            _ => None,
-        }
-    }
-
     /// A short stable name (Perfetto event names, dashboard rows).
     pub fn name(&self) -> &'static str {
         match self {
@@ -369,7 +325,13 @@ mod tests {
         let a = vec![ev(5, 0, 1), ev(5, 0, 2), ev(1, 0, 3)];
         let b = vec![ev(5, 1, 4), ev(0, 1, 5)];
         let merged = merge_streams(vec![a, b]);
-        let ids: Vec<u64> = merged.iter().filter_map(|e| e.kind.request()).collect();
+        let ids: Vec<u64> = merged
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Completed { request, .. } => Some(request),
+                _ => None,
+            })
+            .collect();
         // tick 0 → 5(b); tick 1 → 3(a); tick 5 → stream 0 first in
         // emission order (1, 2), then stream 1 (4).
         assert_eq!(ids, vec![5, 3, 1, 2, 4]);

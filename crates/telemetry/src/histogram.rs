@@ -57,11 +57,6 @@ impl LogHistogram {
         }
     }
 
-    /// The configured sub-bucket resolution.
-    pub fn sub_bits(&self) -> u32 {
-        self.sub_bits
-    }
-
     /// Worst-case relative half-width of any bucket: the bound on how
     /// far a reported percentile can sit from the exact sample value.
     pub fn relative_error(&self) -> f64 {
@@ -71,11 +66,6 @@ impl LogHistogram {
     /// Total recorded values.
     pub fn count(&self) -> u64 {
         self.total
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
     }
 
     /// Mean of recorded values (0 when empty).

@@ -29,10 +29,10 @@ pub mod event;
 pub mod histogram;
 pub mod perfetto;
 
-pub use dashboard::{render_dashboard, summarize, RunSummary};
+pub use dashboard::render_dashboard;
 pub use event::{
     merge_streams, seconds_to_ticks, ticks_to_seconds, Event, EventKind, NullSink, RecordingSink,
     TelemetrySink, Tick, TICK_NS,
 };
 pub use histogram::{completion_time_histograms, LogHistogram, DEFAULT_SUB_BITS};
-pub use perfetto::{export_trace, request_spans, RequestTimeline};
+pub use perfetto::export_trace;

@@ -23,17 +23,17 @@ use std::collections::BTreeMap;
 /// [`Span`] model plus the table mapping each span's [`StreamId`] back
 /// to the `(replica, tenant)` track it belongs to.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct RequestTimeline {
+struct RequestTimeline {
     /// Running segments (admit/restore → preempt/complete), in close
     /// order.
-    pub spans: Vec<Span>,
+    spans: Vec<Span>,
     /// `streams[span.stream.0] == (replica, tenant)`.
-    pub streams: Vec<(u32, u32)>,
+    streams: Vec<(u32, u32)>,
 }
 
 impl RequestTimeline {
     /// The `(replica, tenant)` track of `span`.
-    pub fn track(&self, span: &Span) -> (u32, u32) {
+    fn track(&self, span: &Span) -> (u32, u32) {
         self.streams[span.stream.0]
     }
 }
@@ -44,7 +44,7 @@ impl RequestTimeline {
 /// in sorted order, so the extraction is deterministic for a
 /// deterministic stream. Segments still open when the stream ends are
 /// dropped.
-pub fn request_spans(events: &[Event]) -> RequestTimeline {
+fn request_spans(events: &[Event]) -> RequestTimeline {
     let mut stream_of: BTreeMap<(u32, u32), usize> = BTreeMap::new();
     for event in events {
         if let EventKind::Admitted { tenant, .. } | EventKind::Restored { tenant, .. } = event.kind

@@ -55,16 +55,6 @@ impl KeyBlocks {
         }
     }
 
-    /// Number of cached positions.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no position is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Appends one key as the next position.
     ///
     /// # Panics
@@ -358,7 +348,7 @@ mod tests {
         assert!(out.is_empty());
         for (p, key) in keys.iter().enumerate() {
             blocks.push(key);
-            assert_eq!(blocks.len(), p + 1);
+            assert_eq!(blocks.len, p + 1);
         }
         blocks.dots_into(&query, &mut out);
         let want: Vec<f32> = keys.iter().map(|k| dot(&query, k)).collect();
@@ -386,7 +376,7 @@ mod tests {
         assert_eq!(out[..4], all[..4]);
         assert_eq!(out[4..], all[30..127]);
         blocks.clear();
-        assert!(blocks.is_empty());
+        assert_eq!(blocks.len, 0);
         blocks.push(&[1.0, 2.0, 3.0]);
         blocks.dots_into(&query, &mut all);
         assert_eq!(all, [dot(&query, &[1.0, 2.0, 3.0])]);

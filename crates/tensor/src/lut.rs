@@ -144,16 +144,6 @@ impl QueryLut {
         }
     }
 
-    /// Number of query elements the table covers.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when built over an empty query.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// LUT dot of one int4 key against the table's query: gathers
     /// instead of multiplies, bit-identical to
     /// `key.dot_reference(query)`.
@@ -194,13 +184,6 @@ impl QueryLut {
         for key in blocks.remainder() {
             out.push(self.dot_i4_at(tier, key));
         }
-    }
-
-    /// As [`scores_into`](Self::scores_into), allocating.
-    pub fn scores(&self, keys: &[QuantVec]) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.scores_into(keys, &mut out);
-        out
     }
 
     fn dot_i4_at(&self, tier: crate::dispatch::SimdTier, key: &QuantVec) -> f32 {
@@ -262,18 +245,14 @@ mod tests {
         for (a, b) in out.iter().zip(&want) {
             assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
         }
-        assert_eq!(lut.scores(&keys), out);
     }
 
     #[test]
     fn rebuild_reuses_and_resizes() {
         let mut lut = QueryLut::default();
-        assert!(lut.is_empty());
         lut.rebuild(&synth(16, 1));
-        assert_eq!(lut.len(), 16);
         let key = QuantVec::quantize(&synth(5, 2), BitWidth::Int4);
         lut.rebuild(&synth(5, 3));
-        assert_eq!(lut.len(), 5);
         let q = synth(5, 3);
         assert_eq!(lut.dot_i4(&key).to_bits(), key.dot_reference(&q).to_bits());
     }

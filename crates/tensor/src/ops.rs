@@ -854,7 +854,7 @@ impl BlockAttention<'_> {
     /// The cache rows the block's positions attend between them: the
     /// sinks below every window, then everything from the first
     /// position's window start to the last position.
-    pub fn attended(&self) -> [Range<usize>; 2] {
+    fn attended(&self) -> [Range<usize>; 2] {
         let lo0 = self.start.saturating_sub(self.window);
         [0..self.sinks.min(lo0), lo0..self.start + self.rows]
     }
@@ -865,7 +865,7 @@ impl BlockAttention<'_> {
 /// Row `r`'s `heads` outputs are written side by side at
 /// `out[r * out_stride..]`.
 ///
-/// The key rows the block attends ([`BlockAttention::attended`]) are
+/// The key rows the block attends (`BlockAttention::attended`) are
 /// staged dimension-major in `span` once; the kernel then walks the
 /// positions: [`KeyBlocks`]' ranged scores for each head into dense rows
 /// of `scores`, the grouped softmax over them, and the value tile over the

@@ -481,16 +481,6 @@ impl PosBitSet {
         self.marked
     }
 
-    /// The position capacity set by the last [`reset`](Self::reset).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no position can be marked.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// The marked positions, ascending, in an exact-size vector (the one
     /// unavoidable allocation: the selection the caller keeps).
     pub fn collect_sorted(&self) -> Vec<usize> {

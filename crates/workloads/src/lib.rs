@@ -23,4 +23,4 @@ pub mod needle;
 pub use context::{ContextBuilder, PlantedContext};
 pub use longbench::{LongBenchTask, TaskInstance, TaskKind};
 pub use longwriter::{score_generation, LongWriterScores, LongWriterTask};
-pub use needle::{DepthSweep, NeedleInstance, NeedleTask};
+pub use needle::{NeedleInstance, NeedleTask};

@@ -8,7 +8,6 @@
 //! sink-only policies fail at deep ones).
 
 use crate::context::ContextBuilder;
-use serde::{Deserialize, Serialize};
 use spec_model::{Model, StepTrace};
 use spec_tensor::SimRng;
 
@@ -21,15 +20,6 @@ pub struct NeedleInstance {
     pub needle: Vec<usize>,
     /// Depth fraction in `[0, 1]` (0 = context start).
     pub depth: f32,
-}
-
-/// Result of a depth sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DepthSweep {
-    /// Depth fractions probed.
-    pub depths: Vec<f32>,
-    /// Retrieval success (salience above threshold) per depth, in `[0,1]`.
-    pub recall: Vec<f32>,
 }
 
 /// Builds needle instances at controlled depths.
@@ -86,7 +76,7 @@ impl NeedleInstance {
     }
 
     /// The needle's salience ratio (see `longbench`).
-    pub fn salience(&self, trace: &StepTrace) -> f32 {
+    fn salience(&self, trace: &StepTrace) -> f32 {
         let set: std::collections::HashSet<usize> = self.needle.iter().copied().collect();
         let total_len = self.emb.rows() + 1;
         let mut total = 0.0;

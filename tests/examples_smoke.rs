@@ -1,7 +1,7 @@
 //! Smoke tests for the `examples/` directory.
 //!
-//! Compilation of all eight examples is gated by `cargo build --examples`
-//! in CI; these tests additionally exercise the quickstart and
+//! CI compiles all thirteen examples (`cargo build --examples`) and runs
+//! each of them; these tests additionally exercise the quickstart and
 //! cluster-serving examples' flows in-process so `cargo test` catches
 //! runtime regressions of the paths the examples walk (engine build,
 //! prefill, generate, transfer stats, the paper-scale config math, and
