@@ -386,12 +386,6 @@ pub(crate) struct FaultEvent {
     pub action: FaultAction,
 }
 
-/// Per-replica stochastic state for lazily generated processes.
-#[derive(Debug)]
-struct ReplicaProcess {
-    rng: SimRng,
-}
-
 /// Materializes a [`FaultPlan`] into a deterministic event timeline.
 ///
 /// Scripted events are loaded up front; a crash carries its outage
@@ -406,7 +400,8 @@ pub struct FaultInjector {
     /// The events not yet delivered, each beside its outage length in
     /// seconds (a crash's; 0 for every other action).
     pending: Vec<(FaultEvent, f64)>,
-    processes: Vec<ReplicaProcess>,
+    /// One stream per replica for its stochastic processes.
+    rngs: Vec<SimRng>,
     crashes: CrashModel,
     stragglers: StragglerModel,
     probation_s: f64,
@@ -421,58 +416,34 @@ pub struct FaultInjector {
     next: Option<usize>,
 }
 
-/// Queues `action` on `replica` at `at`; `down_for` is a crash's outage
-/// length, 0 for every other action.
-fn schedule(
-    pending: &mut Vec<(FaultEvent, f64)>,
-    at: f64,
-    replica: usize,
-    action: FaultAction,
-    down_for: f64,
-) {
-    let ev = FaultEvent {
-        at,
-        replica,
-        action,
-    };
-    pending.push((ev, down_for));
-}
-
-fn exp_draw(rng: &mut SimRng, mean: f64) -> f64 {
-    // Inverse-CDF with u in [0,1): 1-u is in (0,1], so ln is finite.
-    let u = f64::from(rng.uniform());
-    -(1.0 - u).max(1e-12).ln() * mean
-}
-
 impl FaultInjector {
     /// Builds the injector for a fleet of `replicas`.
     pub fn new(plan: &FaultPlan, replicas: usize) -> Self {
-        let mut processes: Vec<ReplicaProcess> = (0..replicas)
-            .map(|i| ReplicaProcess {
-                // Fresh parent per replica: the stream depends only on
-                // (seed, replica), never on construction order.
-                rng: SimRng::seed(plan.seed).fork(i as u64 + 1),
-            })
-            .collect();
-        let mut pending = Vec::new();
+        let mut inj = Self {
+            pending: Vec::new(),
+            // Fresh parent per replica: the stream depends only on
+            // (seed, replica), never on construction order.
+            rngs: (0..replicas)
+                .map(|i| SimRng::seed(plan.seed).fork(i as u64 + 1))
+                .collect(),
+            crashes: plan.crashes.clone(),
+            stragglers: plan.stragglers.clone(),
+            probation_s: plan.probation_s,
+            down: vec![false; replicas],
+            next: None,
+        };
         match &plan.crashes {
             CrashModel::None => {}
             CrashModel::Scripted(list) => {
                 for ev in list.iter().filter(|ev| ev.replica < replicas) {
-                    schedule(
-                        &mut pending,
-                        ev.at_s,
-                        ev.replica,
-                        FaultAction::Crash,
-                        ev.down_for_s,
-                    );
+                    inj.schedule(ev.at_s, ev.replica, FaultAction::Crash, ev.down_for_s);
                 }
             }
             &CrashModel::Mtbf { mtbf_s, mttr_s } => {
-                for (i, p) in processes.iter_mut().enumerate() {
-                    let at = exp_draw(&mut p.rng, mtbf_s);
-                    let down_for = exp_draw(&mut p.rng, mttr_s);
-                    schedule(&mut pending, at, i, FaultAction::Crash, down_for);
+                for i in 0..replicas {
+                    let at = inj.draw(i, mtbf_s);
+                    let down_for = inj.draw(i, mttr_s);
+                    inj.schedule(at, i, FaultAction::Crash, down_for);
                 }
             }
         }
@@ -480,20 +451,14 @@ impl FaultInjector {
             StragglerModel::None => {}
             StragglerModel::Scripted(list) => {
                 for w in list.iter().filter(|w| w.replica < replicas) {
-                    schedule(
-                        &mut pending,
-                        w.at_s,
+                    let (start, end) = (w.at_s, w.at_s + w.duration_s);
+                    inj.schedule(
+                        start,
                         w.replica,
                         FaultAction::StragglerStart(w.slowdown),
                         0.0,
                     );
-                    schedule(
-                        &mut pending,
-                        w.at_s + w.duration_s,
-                        w.replica,
-                        FaultAction::StragglerEnd,
-                        0.0,
-                    );
+                    inj.schedule(end, w.replica, FaultAction::StragglerEnd, 0.0);
                 }
             }
             &StragglerModel::Random {
@@ -501,34 +466,32 @@ impl FaultInjector {
                 duration_s,
                 slowdown,
             } => {
-                for (i, p) in processes.iter_mut().enumerate() {
-                    let at = exp_draw(&mut p.rng, mtbs_s);
-                    schedule(
-                        &mut pending,
-                        at,
-                        i,
-                        FaultAction::StragglerStart(slowdown),
-                        0.0,
-                    );
-                    schedule(
-                        &mut pending,
-                        at + duration_s,
-                        i,
-                        FaultAction::StragglerEnd,
-                        0.0,
-                    );
+                for i in 0..replicas {
+                    let at = inj.draw(i, mtbs_s);
+                    inj.schedule(at, i, FaultAction::StragglerStart(slowdown), 0.0);
+                    inj.schedule(at + duration_s, i, FaultAction::StragglerEnd, 0.0);
                 }
             }
         }
-        Self {
-            pending,
-            processes,
-            crashes: plan.crashes.clone(),
-            stragglers: plan.stragglers.clone(),
-            probation_s: plan.probation_s,
-            down: vec![false; replicas],
-            next: None,
-        }
+        inj
+    }
+
+    /// Queues `action` on `replica` at `at`; `down_for` is a crash's
+    /// outage length, 0 for every other action.
+    fn schedule(&mut self, at: f64, replica: usize, action: FaultAction, down_for: f64) {
+        let ev = FaultEvent {
+            at,
+            replica,
+            action,
+        };
+        self.pending.push((ev, down_for));
+    }
+
+    /// An exponential draw of mean `mean` from `replica`'s stream.
+    fn draw(&mut self, replica: usize, mean: f64) -> f64 {
+        // Inverse-CDF with u in [0,1): 1-u is in (0,1], so ln is finite.
+        let u = f64::from(self.rngs[replica].uniform());
+        -(1.0 - u).max(1e-12).ln() * mean
     }
 
     fn min_index(&self) -> Option<usize> {
@@ -574,40 +537,21 @@ impl FaultInjector {
         let i = self.next_deliverable()?;
         self.next = None;
         let (ev, down_for) = self.pending.swap_remove(i);
+        let r = ev.replica;
         match ev.action {
             FaultAction::Crash => {
-                self.down[ev.replica] = true;
-                schedule(
-                    &mut self.pending,
-                    ev.at + down_for,
-                    ev.replica,
-                    FaultAction::Restart,
-                    0.0,
-                );
+                self.down[r] = true;
+                self.schedule(ev.at + down_for, r, FaultAction::Restart, 0.0);
             }
             FaultAction::Restart => {
-                self.down[ev.replica] = false;
+                self.down[r] = false;
                 if self.probation_s > 0.0 {
-                    let at = ev.at + self.probation_s;
-                    schedule(
-                        &mut self.pending,
-                        at,
-                        ev.replica,
-                        FaultAction::ProbationEnd,
-                        0.0,
-                    );
+                    self.schedule(ev.at + self.probation_s, r, FaultAction::ProbationEnd, 0.0);
                 }
                 if let CrashModel::Mtbf { mtbf_s, mttr_s } = self.crashes {
-                    let p = &mut self.processes[ev.replica];
-                    let gap = exp_draw(&mut p.rng, mtbf_s);
-                    let down_for = exp_draw(&mut p.rng, mttr_s);
-                    schedule(
-                        &mut self.pending,
-                        ev.at + gap,
-                        ev.replica,
-                        FaultAction::Crash,
-                        down_for,
-                    );
+                    let gap = self.draw(r, mtbf_s);
+                    let down_for = self.draw(r, mttr_s);
+                    self.schedule(ev.at + gap, r, FaultAction::Crash, down_for);
                 }
             }
             FaultAction::StragglerEnd => {
@@ -617,17 +561,9 @@ impl FaultInjector {
                     slowdown,
                 } = self.stragglers
                 {
-                    let p = &mut self.processes[ev.replica];
-                    let at = ev.at + exp_draw(&mut p.rng, mtbs_s);
-                    let start = FaultAction::StragglerStart(slowdown);
-                    schedule(&mut self.pending, at, ev.replica, start, 0.0);
-                    schedule(
-                        &mut self.pending,
-                        at + duration_s,
-                        ev.replica,
-                        FaultAction::StragglerEnd,
-                        0.0,
-                    );
+                    let at = ev.at + self.draw(r, mtbs_s);
+                    self.schedule(at, r, FaultAction::StragglerStart(slowdown), 0.0);
+                    self.schedule(at + duration_s, r, FaultAction::StragglerEnd, 0.0);
                 }
             }
             FaultAction::StragglerStart(_) | FaultAction::ProbationEnd => {}
