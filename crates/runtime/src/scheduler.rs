@@ -1147,7 +1147,7 @@ impl Scheduler {
     /// (`f64::INFINITY` drains it) — exactly
     /// `while state.has_work() && state.now() < t { step_traced }`, one
     /// micro-step may overshoot `t` — and the loop every driver shares:
-    /// [`Scheduler::run_traced`] and the `spec_serve` replicas. The loop
+    /// [`Scheduler::run`] and the `spec_serve` replicas. The loop
     /// of single steps is the specification; this is its fast form, held
     /// to it state for state and event for event by
     /// `tests/advance_equivalence.rs`.

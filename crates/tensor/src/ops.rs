@@ -835,8 +835,8 @@ pub struct BlockAttention<'a> {
     /// Its values, the same rows as `keys`.
     pub values: &'a Matrix,
     /// Rows left out of `keys` and `values` between the sinks every
-    /// position of the block attends and the first window's start (see
-    /// [`attended`](Self::attended)): a cache row at or after that start
+    /// position of the block attends and the first window's start: a
+    /// cache row at or after that start
     /// is matrix row `position - cut`. Zero for a whole cache; MLA, which
     /// up-projects only what the block attends, cuts the whole gap.
     pub cut: usize,
