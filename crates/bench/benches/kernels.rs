@@ -494,7 +494,6 @@ fn bench_selection(c: &mut Criterion) {
         recent: 8,
         page_size: 16,
         tokens_per_cluster: 256,
-        ..SelectorConfig::with_budget(BUDGET)
     };
     let mut scratch = SelectScratch::new();
 

@@ -34,7 +34,6 @@ pub fn sim_engine(cfg: &ModelConfig, budget: usize, seed: u64) -> Engine {
             window: 96,
             sinks: 4,
         },
-        ..EngineConfig::default()
     })
 }
 

@@ -3,7 +3,6 @@
 use spec_model::{DistillOptions, Dlm, Model, ModelKv, PrefillMode, SimGeometry, StepOutput};
 use spec_retrieval::common::SelectorConfig;
 use spec_retrieval::spec_head::SpecContextRetriever;
-use spec_retrieval::MappingLevel;
 use spec_runtime::exec::{DecodeState, DecodeStrategy, GenerationResult};
 use spec_tensor::Matrix;
 
@@ -16,14 +15,6 @@ pub struct EngineConfig {
     pub seed: u64,
     /// KV retrieval budget `B`.
     pub budget: usize,
-    /// Always-kept sink positions (within budget).
-    pub sinks: usize,
-    /// Always-kept recent positions (within budget).
-    pub recent: usize,
-    /// Head-level vs batch-level mapping (paper uses head-level).
-    pub mapping: MappingLevel,
-    /// Distillation options for the DLM.
-    pub distill: DistillOptions,
     /// Prefill attention mode.
     pub prefill_mode: PrefillMode,
 }
@@ -34,24 +25,17 @@ impl Default for EngineConfig {
             geometry: SimGeometry::tiny(spec_model::AttentionKind::Gqa),
             seed: 0x5EED,
             budget: 64,
-            sinks: 4,
-            recent: 8,
-            mapping: MappingLevel::Head,
-            distill: DistillOptions::default(),
             prefill_mode: PrefillMode::Exact,
         }
     }
 }
 
 impl EngineConfig {
-    /// The selector configuration implied by this engine config.
+    /// The selector configuration implied by this engine config: its
+    /// budget, with [`SelectorConfig::with_budget`]'s sinks and recent
+    /// window.
     pub fn selector_config(&self) -> SelectorConfig {
-        SelectorConfig {
-            budget: self.budget,
-            sinks: self.sinks,
-            recent: self.recent,
-            ..SelectorConfig::with_budget(self.budget)
-        }
+        SelectorConfig::with_budget(self.budget)
     }
 }
 
@@ -64,14 +48,14 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Builds the teacher, distills the DLM and prunes the retrieval head.
+    /// Builds the teacher and distills the DLM at the default fidelity.
     ///
     /// # Panics
     ///
     /// Panics if the geometry fails validation.
     pub fn build(config: EngineConfig) -> Self {
         let model = Model::new(config.geometry, config.seed);
-        let dlm = Dlm::distill(&model, config.distill);
+        let dlm = Dlm::distill(&model, DistillOptions::default());
         Self { model, dlm, config }
     }
 
@@ -97,9 +81,8 @@ impl Engine {
 
     /// A fresh retriever with an overridden KV budget (evaluation sweeps).
     pub fn retriever_with_budget(&self, budget: usize) -> SpecContextRetriever {
-        let mut cfg = self.config.selector_config();
-        cfg.budget = budget;
-        SpecContextRetriever::new(self.dlm.to_retrieval_head(), cfg, self.config.mapping)
+        let cfg = SelectorConfig::with_budget(budget);
+        SpecContextRetriever::new(self.dlm.to_retrieval_head(), cfg)
     }
 
     /// Opens a generation session.

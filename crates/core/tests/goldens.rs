@@ -1,5 +1,5 @@
 //! Golden pins for the engine path: the decode step, the generation loop,
-//! the session, the accuracy harness and speculative decoding.
+//! the session and the accuracy harness.
 //!
 //! The in-crate suites compare one entry point with another (dense ≡
 //! full selector, traced ≡ untraced). With one step body and one loop
@@ -19,7 +19,7 @@
 //! half only) and traced sessions, in (b) the teacher-forced pair of the
 //! SpeContext row. Every pin of a run that never scores the head, and
 //! every other SpeContext pin ((a)'s other nine, the 8 K session, (b)'s
-//! free-running pair, (c), (d)), held unmodified. Every session here is
+//! free-running pair, (c)), held unmodified. Every session here is
 //! single-call; what a second call continues from is pinned in `engine.rs`.
 //!
 //! CI also runs this file at `SPEC_SIMD=scalar`: the constants hold at
@@ -38,7 +38,6 @@ use spec_retrieval::window::StreamingLlm;
 use spec_runtime::exec::{
     generate_free_running, generate_teacher_forced, DecodeStrategy, GenerationResult,
 };
-use spec_runtime::spec_decode::SpeculativeDecoder;
 use spec_workloads::longbench::TaskKind;
 use specontext_core::engine::{Engine, EngineConfig};
 use specontext_core::evaluate::{
@@ -412,25 +411,4 @@ fn golden_c_accuracy_harness() {
         pin(15548134581105812281, 3687364345902767773),
         "longwriter scores"
     );
-}
-
-/// (d) Speculative decoding, dense and sparse verification.
-#[test]
-fn golden_d_speculative_decoding() {
-    let e = engine(AttentionKind::Gqa);
-    let (kv0, first) = prefilled(e.model());
-    let dec = SpeculativeDecoder::new(e.model(), e.dlm(), 3);
-
-    let mut got = Vec::new();
-    for sparse in [false, true] {
-        let mut retr = observed_retriever(&e);
-        let mut kv = kv0.clone();
-        let res = dec.generate(&mut kv, sparse.then_some(&mut retr), first, 20);
-        let mut h = Fnv::new();
-        h.indices(&res.tokens);
-        h.indices(&[res.rounds, res.accepted, res.drafted, kv.seq_len()]);
-        h.word(retr.observed() as u64);
-        got.push(h.0);
-    }
-    assert_eq!(got, [11059570157850294911, 14694844424001125451]);
 }

@@ -24,21 +24,19 @@ pub struct DistillOptions {
     /// Relative Gaussian noise added to the fitted projections
     /// (0.0 = best achievable alignment, 1.0 = mostly noise).
     pub noise: f32,
-    /// Subspace-iteration rounds for the rank factorization.
-    pub iters: usize,
-    /// RNG seed for noise.
-    pub seed: u64,
 }
 
 impl Default for DistillOptions {
     fn default() -> Self {
-        Self {
-            noise: 0.05,
-            iters: 6,
-            seed: 0xD15711,
-        }
+        Self { noise: 0.05 }
     }
 }
+
+/// Subspace-iteration rounds for the rank factorization.
+const DISTILL_ITERS: usize = 6;
+
+/// RNG seed of the DLM's initial weights and of the distillation noise.
+const DISTILL_SEED: u64 = 0xD15711;
 
 /// The distilled LM: a complete one-layer LM (embedding, decoder layer,
 /// LM head) in the teacher's hidden space.
@@ -59,7 +57,7 @@ impl Dlm {
         geom.kv_heads = geom.q_heads;
         geom.mla_latent = 0;
 
-        let mut rng = SimRng::seed(options.seed);
+        let mut rng = SimRng::seed(DISTILL_SEED);
         let mut weights = ModelWeights::init(&geom, &mut rng.fork(1));
         // Share the teacher's embedding (EAGLE reuses the base embedding).
         weights.embedding = teacher.weights().embedding.clone();
@@ -107,7 +105,7 @@ impl Dlm {
             }
             m.scale(1.0 / tg.layers as f32);
 
-            let (mut a, mut b) = factor_rank_d(&m, d, options.iters, &mut rng.fork(10 + q as u64));
+            let (mut a, mut b) = factor_rank_d(&m, d, DISTILL_ITERS, &mut rng.fork(10 + q as u64));
             if options.noise > 0.0 {
                 perturb(&mut a, options.noise, &mut rng.fork(100 + q as u64));
                 perturb(&mut b, options.noise, &mut rng.fork(200 + q as u64));
@@ -502,14 +500,7 @@ mod tests {
     #[test]
     fn distilled_head_aligns_with_teacher_focus_on_salient_inputs() {
         let t = teacher(AttentionKind::Gqa);
-        let head = Dlm::distill(
-            &t,
-            DistillOptions {
-                noise: 0.0,
-                ..Default::default()
-            },
-        )
-        .to_retrieval_head();
+        let head = Dlm::distill(&t, DistillOptions { noise: 0.0 }).to_retrieval_head();
         let probe = crate::probe::probe_direction(&t, 30);
 
         let n = 64;
@@ -566,22 +557,8 @@ mod tests {
     #[test]
     fn noise_degrades_alignment() {
         let t = teacher(AttentionKind::Gqa);
-        let clean = Dlm::distill(
-            &t,
-            DistillOptions {
-                noise: 0.0,
-                ..Default::default()
-            },
-        )
-        .to_retrieval_head();
-        let noisy = Dlm::distill(
-            &t,
-            DistillOptions {
-                noise: 3.0,
-                ..Default::default()
-            },
-        )
-        .to_retrieval_head();
+        let clean = Dlm::distill(&t, DistillOptions { noise: 0.0 }).to_retrieval_head();
+        let noisy = Dlm::distill(&t, DistillOptions { noise: 3.0 }).to_retrieval_head();
 
         let tokens: Vec<usize> = (0..40).map(|i| (i * 11) % 60).collect();
         let emb = t.embed_tokens(&tokens);

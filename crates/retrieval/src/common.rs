@@ -31,12 +31,6 @@ pub struct SelectorConfig {
     pub page_size: usize,
     /// ClusterKV: average tokens per cluster.
     pub tokens_per_cluster: usize,
-    /// SpeContext: EMA blend of the retrieval query with the running
-    /// context average (0 = raw token embedding, 1 = pure context EMA).
-    /// Models the DLM consuming the slowly-varying hidden state (EAGLE-3
-    /// feeds hidden features, not just the token), which is what makes
-    /// adjacent-step selections overlap strongly (Fig. 6(b)).
-    pub query_smoothing: f32,
 }
 
 impl SelectorConfig {
@@ -49,7 +43,6 @@ impl SelectorConfig {
             recent: 8,
             page_size: 16,
             tokens_per_cluster: 16,
-            query_smoothing: 0.5,
         }
     }
 }

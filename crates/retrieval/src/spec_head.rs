@@ -14,8 +14,11 @@
 //! * **MLA** (Fig. 5(e)): per head like MHA; the selection gathers latent
 //!   `c` rows, which are up-projected per head after the gather.
 //!
-//! A batch-level mapping (one shared selection for all heads) is provided
-//! for the Fig. 5(a) comparison — head-level wins.
+//! [`SpecContextRetriever`] always maps at head level, the paper's
+//! choice. A batch-level mapping (one shared selection for all heads) is
+//! reachable only through [`SpecSelection::from_head_scores`] and its
+//! `_scratch` / `_reference` twins, for the Fig. 5(a) comparison —
+//! head-level wins.
 
 use crate::common::{
     assemble_budgeted_selection, assemble_budgeted_selection_reference, group_max_scores,
@@ -343,7 +346,6 @@ pub struct SpecContextRetriever {
     head: RetrievalHead,
     state: RetrievalHeadState,
     cfg: SelectorConfig,
-    level: MappingLevel,
     /// Exponential moving average of observed embeddings — a stand-in for
     /// the DLM's hidden-state input (EAGLE-3 feeds hidden features), which
     /// varies slowly across adjacent tokens.
@@ -353,19 +355,25 @@ pub struct SpecContextRetriever {
 /// EMA decay for the context average.
 const EMA_DECAY: f32 = 0.9;
 
+/// How much of the retrieval query is the context EMA's direction rather
+/// than the token's (0 = raw token embedding, 1 = pure context EMA).
+/// Models the DLM consuming the slowly-varying hidden state (EAGLE-3
+/// feeds hidden features, not just the token), which is what makes
+/// adjacent-step selections overlap strongly (Fig. 6(b)).
+const QUERY_SMOOTHING: f32 = 0.5;
+
 fn norm(v: &[f32]) -> f32 {
     v.iter().map(|x| x * x).sum::<f32>().sqrt()
 }
 
 impl SpecContextRetriever {
     /// Creates a retriever around a pruned retrieval head.
-    pub fn new(head: RetrievalHead, cfg: SelectorConfig, level: MappingLevel) -> Self {
+    pub fn new(head: RetrievalHead, cfg: SelectorConfig) -> Self {
         let state = head.new_state();
         Self {
             head,
             state,
             cfg,
-            level,
             ema: Vec::new(),
         }
     }
@@ -392,7 +400,7 @@ impl SpecContextRetriever {
     /// embedding is `query_emb` (the token about to be fed to the LLM).
     ///
     /// The effective retrieval query blends the token embedding with the
-    /// context EMA per `cfg.query_smoothing`.
+    /// context EMA per `QUERY_SMOOTHING`.
     ///
     /// # Panics
     ///
@@ -425,14 +433,14 @@ impl SpecContextRetriever {
         let fw = &mut scratch.forward;
         let mut blended = std::mem::take(&mut fw.residual);
         blended.clear();
-        let lambda = self.cfg.query_smoothing.clamp(0.0, 1.0);
-        if lambda > 0.0 && !self.ema.is_empty() {
+        if !self.ema.is_empty() {
             // Blend unit directions: the head RMS-norms its query, so only
             // the direction matters, and the raw EMA norm is much smaller
             // than a token embedding's.
             let nq = norm(query_emb).max(1e-9);
             let ne = norm(&self.ema).max(1e-9);
             let pairs = query_emb.iter().zip(&self.ema);
+            let lambda = QUERY_SMOOTHING;
             blended.extend(pairs.map(|(q, e)| (1.0 - lambda) * q / nq + lambda * e / ne));
         } else {
             blended.extend_from_slice(query_emb);
@@ -446,7 +454,7 @@ impl SpecContextRetriever {
             self.state.len(),
             llm_geom,
             &self.cfg,
-            self.level,
+            MappingLevel::Head,
             scratch,
             |q, buf| self.state.scores_into(q, queries.row(q), buf),
         );
@@ -558,7 +566,7 @@ mod tests {
                 recent: 2,
                 ..SelectorConfig::with_budget(8)
             };
-            let mut retr = SpecContextRetriever::new(head, cfg, MappingLevel::Head);
+            let mut retr = SpecContextRetriever::new(head, cfg);
             let tokens: Vec<usize> = (0..24).collect();
             let emb = m.embed_tokens(&tokens);
             for r in 0..emb.rows() {
@@ -611,7 +619,7 @@ mod tests {
         // Fig. 6(b): consecutive decode steps select similar positions.
         let (m, head) = head_and_model(AttentionKind::Gqa);
         let cfg = SelectorConfig::with_budget(16);
-        let mut retr = SpecContextRetriever::new(head, cfg, MappingLevel::Head);
+        let mut retr = SpecContextRetriever::new(head, cfg);
         let tokens: Vec<usize> = (0..48).map(|i| (i * 5) % 60).collect();
         let emb = m.embed_tokens(&tokens);
         for r in 0..emb.rows() {

@@ -220,7 +220,6 @@ mod tests {
     use spec_retrieval::common::SelectorConfig;
     use spec_retrieval::full::FullAttention;
     use spec_retrieval::quest::QuestSelector;
-    use spec_retrieval::MappingLevel;
 
     fn setup() -> (Model, ModelKv, Matrix) {
         let m = Model::new(SimGeometry::tiny(AttentionKind::Gqa), 71);
@@ -254,7 +253,6 @@ mod tests {
                 recent: 2,
                 ..SelectorConfig::with_budget(12)
             },
-            MappingLevel::Head,
         );
         // The retrieval head must observe the prompt first.
         for r in 0..emb.rows() {

@@ -11,9 +11,14 @@
 //! * [`serving`] — end-to-end throughput estimation for a workload
 //!   `[input_len, output_len] × requests` on a device (Table 3, Fig. 10,
 //!   Fig. 11);
+//! * [`scheduler`] — the continuous-batching request scheduler (Fig. 3's
+//!   serving system), with tenants, preemption and prefill/decode roles;
 //! * [`exec`] — the functional decode executor that couples a real
 //!   (simulated) model, a retrieval algorithm and the elastic loading
 //!   buffers to produce *accuracy* results and transfer statistics.
+//!
+//! The distilled LM serves only as the retrieval head (Section 4): no
+//! module here drafts tokens with it.
 
 pub mod adaptive;
 pub mod costs;
@@ -22,7 +27,6 @@ pub mod exec;
 pub mod memory;
 pub mod scheduler;
 pub mod serving;
-pub mod spec_decode;
 
 pub use adaptive::{AdaptiveManager, Thresholds};
 pub use dataflow::{DataflowKind, StepBreakdown};

@@ -231,20 +231,22 @@ where
 /// let score = my_kernel::dispatch(tier, q, out);
 /// ```
 ///
-/// Expands to a module named after the kernel containing `scalar(...)`
-/// (the reference-tier entry point) and `dispatch(tier, ...)`, which
-/// clamps `tier` via [`dispatch::clamp`](crate::dispatch::clamp) and
-/// selects the matching variant; tiers the architecture lacks fall back
-/// to scalar. Because every tier compiles the identical body — and the
+/// Expands to a module named after the kernel whose one public item is
+/// `dispatch(tier, ...)`: it clamps `tier` via
+/// [`dispatch::clamp`](crate::dispatch::clamp) and runs the matching
+/// private variant; tiers the architecture lacks fall back to the scalar
+/// one. The scalar variant stays a function of its own rather than
+/// `body` inlined into `dispatch`, so each tier is one call from
+/// `dispatch`. Because every tier compiles the identical body — and the
 /// bodies are written so each output element sees the same sequence of
 /// floating-point operations regardless of lane width — all variants
-/// return bit-identical results.
+/// return bit-identical results. The return type is optional: a kernel
+/// without one returns `()`.
 #[macro_export]
 macro_rules! dispatch_kernel {
-    // Kernels without a return value.
     (
         $(#[$meta:meta])*
-        $vis:vis $name:ident($($arg:ident: $ty:ty),* $(,)?)
+        $vis:vis $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?
         $body:block
     ) => {
         $(#[$meta])*
@@ -255,91 +257,34 @@ macro_rules! dispatch_kernel {
 
             /// The shared kernel body; every tier compiles exactly this.
             #[inline(always)]
-            fn body($($arg: $ty),*) $body
+            fn body($($arg: $ty),*) $(-> $ret)? $body
 
             /// The scalar (reference-tier) variant.
-            pub fn scalar($($arg: $ty),*) {
+            fn scalar($($arg: $ty),*) $(-> $ret)? {
                 body($($arg),*)
             }
 
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
             #[target_feature(enable = "avx2")]
-            unsafe fn avx2($($arg: $ty),*) {
+            unsafe fn avx2($($arg: $ty),*) $(-> $ret)? {
                 body($($arg),*)
             }
 
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
             #[target_feature(enable = "avx512f")]
-            unsafe fn avx512($($arg: $ty),*) {
+            unsafe fn avx512($($arg: $ty),*) $(-> $ret)? {
                 body($($arg),*)
             }
 
             #[cfg(target_arch = "aarch64")]
             #[target_feature(enable = "neon")]
-            unsafe fn neon($($arg: $ty),*) {
+            unsafe fn neon($($arg: $ty),*) $(-> $ret)? {
                 body($($arg),*)
             }
 
             /// Runs the variant for `tier` (resolve it once per batch
             /// with `active_tier()`); unavailable tiers clamp down.
-            pub fn dispatch(tier: $crate::dispatch::SimdTier, $($arg: $ty),*) {
-                match $crate::dispatch::clamp(tier) {
-                    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-                    // SAFETY: `clamp` only returns runtime-detected tiers.
-                    $crate::dispatch::SimdTier::Avx512 => unsafe { avx512($($arg),*) },
-                    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-                    // SAFETY: as above.
-                    $crate::dispatch::SimdTier::Avx2 => unsafe { avx2($($arg),*) },
-                    #[cfg(target_arch = "aarch64")]
-                    // SAFETY: as above.
-                    $crate::dispatch::SimdTier::Neon => unsafe { neon($($arg),*) },
-                    _ => scalar($($arg),*),
-                }
-            }
-        }
-    };
-    // Kernels returning a value.
-    (
-        $(#[$meta:meta])*
-        $vis:vis $name:ident($($arg:ident: $ty:ty),* $(,)?) -> $ret:ty
-        $body:block
-    ) => {
-        $(#[$meta])*
-        #[allow(unused_qualifications)]
-        $vis mod $name {
-            #[allow(unused_imports)]
-            use super::*;
-
-            /// The shared kernel body; every tier compiles exactly this.
-            #[inline(always)]
-            fn body($($arg: $ty),*) -> $ret $body
-
-            /// The scalar (reference-tier) variant.
-            pub fn scalar($($arg: $ty),*) -> $ret {
-                body($($arg),*)
-            }
-
-            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            #[target_feature(enable = "avx2")]
-            unsafe fn avx2($($arg: $ty),*) -> $ret {
-                body($($arg),*)
-            }
-
-            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-            #[target_feature(enable = "avx512f")]
-            unsafe fn avx512($($arg: $ty),*) -> $ret {
-                body($($arg),*)
-            }
-
-            #[cfg(target_arch = "aarch64")]
-            #[target_feature(enable = "neon")]
-            unsafe fn neon($($arg: $ty),*) -> $ret {
-                body($($arg),*)
-            }
-
-            /// Runs the variant for `tier` (resolve it once per batch
-            /// with `active_tier()`); unavailable tiers clamp down.
-            pub fn dispatch(tier: $crate::dispatch::SimdTier, $($arg: $ty),*) -> $ret {
+            pub fn dispatch(tier: $crate::dispatch::SimdTier, $($arg: $ty),*) $(-> $ret)? {
                 match $crate::dispatch::clamp(tier) {
                     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
                     // SAFETY: `clamp` only returns runtime-detected tiers.

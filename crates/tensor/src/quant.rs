@@ -252,13 +252,8 @@ impl QuantVec {
     }
 
     /// Number of elements.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// True if the vector is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// The bit width used.

@@ -85,7 +85,7 @@ proptest! {
             recent: 2,
             ..SelectorConfig::with_budget(budget)
         };
-        let mut retr = SpecContextRetriever::new(head, cfg, MappingLevel::Head);
+        let mut retr = SpecContextRetriever::new(head, cfg);
         let tokens: Vec<usize> = (0..n).map(|i| i % 60).collect();
         let emb = model.embed_tokens(&tokens);
         for r in 0..emb.rows() {

@@ -1,11 +1,12 @@
 //! Smoke tests for the `examples/` directory.
 //!
-//! CI compiles all thirteen examples (`cargo build --examples`) and runs
-//! each of them; these tests additionally exercise the quickstart and
-//! cluster-serving examples' flows in-process so `cargo test` catches
-//! runtime regressions of the paths the examples walk (engine build,
-//! prefill, generate, transfer stats, the paper-scale config math, and
-//! the routed-fleet serving loop).
+//! CI compiles all twelve examples (`cargo build --examples`) and runs
+//! each of them, which the first test below holds true as examples come
+//! and go; the others exercise the quickstart and cluster-serving
+//! examples' flows in-process so `cargo test` catches runtime
+//! regressions of the paths the examples walk (engine build, prefill,
+//! generate, transfer stats, the paper-scale config math, and the
+//! routed-fleet serving loop).
 
 use specontext::core::engine::{Engine, EngineConfig};
 use specontext::hwsim::{DeviceSpec, Fleet};
@@ -16,6 +17,37 @@ use specontext::serve::cluster::{Cluster, ClusterConfig};
 use specontext::serve::router::RouterKind;
 use specontext::serve::slo::SloSpec;
 use specontext::tensor::SimRng;
+
+/// Every file in `examples/` has its own `cargo run --release --example`
+/// step in CI's workflow: an example nobody runs can rot, and a public
+/// function whose one caller is an example counts as used.
+#[test]
+fn ci_runs_every_example() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let ci = std::fs::read_to_string(root.join(".github/workflows/ci.yml")).expect("CI workflow");
+    let steps: Vec<&str> = ci
+        .lines()
+        .filter_map(|l| {
+            l.trim()
+                .strip_prefix("- run: cargo run --release --example ")
+        })
+        .map(str::trim)
+        .collect();
+    let mut missing = Vec::new();
+    for entry in std::fs::read_dir(root.join("examples")).expect("examples/") {
+        let path = entry.expect("examples/ entry").path();
+        if path.extension().is_some_and(|e| e == "rs") {
+            let name = path
+                .file_stem()
+                .and_then(|s| s.to_str())
+                .expect("UTF-8 name");
+            if !steps.contains(&name) {
+                missing.push(name.to_owned());
+            }
+        }
+    }
+    assert!(missing.is_empty(), "examples CI never runs: {missing:?}");
+}
 
 /// The quickstart example, end to end, with its printed quantities
 /// asserted instead of printed.
