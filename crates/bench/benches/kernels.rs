@@ -60,6 +60,7 @@ use spec_runtime::{
     FairConfig, PreemptionPolicy, QueueDiscipline, Request, Scheduler, SchedulerConfig, ServingSim,
     StepCache, SystemKind, Thresholds,
 };
+use spec_telemetry::{seconds_to_ticks, Tick};
 use spec_tensor::kmeans::nearest_centroid;
 use spec_tensor::lut::QueryLut;
 use spec_tensor::quant::{BitWidth, QuantVec};
@@ -1298,38 +1299,37 @@ fn bench_serving(c: &mut Criterion) {
 
     // A hit: consecutive lengths of one batch, as a quiet run meets them.
     let mut cache = StepCache::new();
-    let lookup = |cache: &mut StepCache| -> Vec<u64> {
+    let lookup = |cache: &mut StepCache| -> Vec<Tick> {
         lens.clone()
-            .map(|s| sim.step_time_cached(cache, system, r, s, s).to_bits())
+            .map(|s| sim.step_time_cached(cache, system, r, s, s))
             .collect()
     };
     let want = lookup(&mut cache);
-    // What a quiet run does: read the table a page slice at a time.
-    let mut got = Vec::with_capacity(lens.len());
-    while got.len() < lens.len() {
-        let prices = sim.step_prices(&mut cache, system, r, lens.start + got.len());
-        let take = prices.len().min(lens.len() - got.len());
-        got.extend(prices[..take].iter().map(|t| t.to_bits()));
-    }
-    // Same prices; check, don't trust.
-    assert_eq!(got, want, "the walk diverged from the lookup");
+    // What a quiet run does: read the stretch's ticks off the blocks'
+    // running sums, and stop where a deadline falls.
+    let n = lens.len();
+    let total: Tick = want.iter().sum();
+    let walk = |cache: &mut StepCache, need| sim.run_ticks(cache, system, r, lens.start, n, need);
+    // Same ticks; check, don't trust.
+    assert_eq!(
+        walk(&mut cache, Tick::MAX),
+        (n, total),
+        "the walk diverged from the lookup"
+    );
+    let half: Tick = want[..n / 2].iter().sum();
+    assert_eq!(
+        walk(&mut cache, half),
+        (n / 2, half),
+        "the walk stopped elsewhere"
+    );
     c.bench_function(STEP_HIT_WALK, |b| {
-        b.iter(|| {
-            let (mut sum, mut s) = (0.0, black_box(lens.start));
-            while s < lens.end {
-                let prices = sim.step_prices(&mut cache, system, r, s);
-                let take = prices.len().min(lens.end - s);
-                sum += prices[..take].iter().sum::<f64>();
-                s += take;
-            }
-            sum
-        })
+        b.iter(|| walk(&mut cache, black_box(Tick::MAX)))
     });
     c.bench_function(STEP_HIT_LOOKUP, |b| {
         b.iter(|| {
             black_box(lens.clone())
                 .map(|s| sim.step_time_cached(&mut cache, system, r, s, s))
-                .sum::<f64>()
+                .sum::<Tick>()
         })
     });
 
@@ -1366,9 +1366,9 @@ fn bench_serving(c: &mut Criterion) {
     let mut cold = StepCache::new();
     for s in miss_lens.clone() {
         let priced = sim.step_time_cached(&mut cold, system, r, s, s);
-        assert_eq!(priced.to_bits(), recorded(s).to_bits(), "miss price at {s}");
+        assert_eq!(priced, seconds_to_ticks(recorded(s)), "miss price at {s}");
         let single = sim.step_time(system, r, s, s);
-        assert_eq!(priced.to_bits(), single.to_bits(), "block lane at {s}");
+        assert_eq!(priced, seconds_to_ticks(single), "block lane at {s}");
     }
     c.bench_function(STEP_MISS, |b| {
         b.iter_batched(
@@ -1377,7 +1377,7 @@ fn bench_serving(c: &mut Criterion) {
                 miss_lens
                     .clone()
                     .map(|s| sim.step_time_cached(&mut cold, system, r, s, s))
-                    .sum::<f64>()
+                    .sum::<Tick>()
             },
             BatchSize::SmallInput,
         )

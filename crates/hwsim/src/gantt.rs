@@ -1,7 +1,7 @@
 //! ASCII Gantt rendering of span timelines.
 //!
 //! Turns a list of [`Span`]s — from an
-//! [`EventSim`](crate::event::EventSim) record list or any other
+//! [`EventSim`] record list or any other
 //! producer — into the kind of two-stream timeline diagram the paper
 //! draws in Fig. 7, so benches and examples can show *where* the overlap
 //! happens, not just the makespan.

@@ -17,7 +17,7 @@
 //!   Ethernet) pricing the prefill→decode KV hop in disaggregated
 //!   fleets;
 //! * [`fleet`] — replica slot lists with per-slot
-//!   [`ReplicaRole`](fleet::ReplicaRole)s and fleet-level $/hour.
+//!   [`ReplicaRole`]s and fleet-level $/hour.
 //!
 //! Everything is in SI seconds and bytes; no wall-clock measurement is
 //! involved, so results are exactly reproducible.

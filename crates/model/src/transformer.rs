@@ -280,7 +280,7 @@ impl Model {
     /// Runs prefill over pre-embedded inputs, returning the populated KV
     /// cache and the last position's step output.
     ///
-    /// The prompt is walked in blocks of [`PREFILL_CHUNK`] positions, and
+    /// The prompt is walked in blocks of `PREFILL_CHUNK` positions, and
     /// a block goes through the stack layer by layer: the fused `Q | K | V`
     /// projection and the FFN are one [`Matrix::matmul`] each over the
     /// block's rows, the block's K/V rows are appended to the cache from
@@ -292,7 +292,7 @@ impl Model {
     /// [`dispatch::join`]: attention splits by KV head, and the row-wise
     /// work between two attentions — `wo`, the FFN, the next layer's norm,
     /// projection and RoPE — splits by block rows, one join a block and
-    /// layer ([`row_stretch_split`](Self::row_stretch_split)), each half
+    /// layer (`row_stretch_split`), each half
     /// with gemms of its own over weights its core's cache already holds.
     /// The caller appends the K/V rows after the join, in row order.
     ///

@@ -33,43 +33,64 @@
 //! by tenant id (a running request carries its slot), queue totals are
 //! maintained counters, and [`Scheduler::advance_until`] — the one loop
 //! behind [`Scheduler::run`] and the `spec_serve` replicas — runs the
-//! iterations between two composition changes as one *quiet run*: the
-//! [`StepCache`] row of the batch is walked in place, a page slice at a
-//! time, one load and one float add per iteration on a clock kept in a
-//! register (so every simulated float keeps its bits, `tests/goldens.rs`),
-//! and an admission sweep that falls inside the run is taken without
-//! leaving it when it provably closes — most often because the head it
-//! picks already carries the verdict "no eligible victim in this batch".
-//! Once a closed sweep shows that every later one closes too, until the
-//! next head arrives, those are counted, not run. [`Scheduler::step_traced`] is the
+//! iterations between two composition changes as one *quiet run*. The
+//! clock counts integer ticks of [`spec_telemetry::TICK_NS`] and the
+//! [`StepCache`] keeps each block of step prices as running sums, so a
+//! stretch of the run costs one difference per block
+//! ([`ServingSim::run_ticks`]), not an add per iteration; an admission
+//! sweep that falls inside the run is taken without leaving it when it
+//! provably closes — most often because the head it picks already
+//! carries the verdict "no eligible victim in this batch". Once a closed
+//! sweep shows that every later one closes too, until the next head
+//! arrives, those are counted, not run. [`Scheduler::step_traced`] is the
 //! specification: `tests/advance_equivalence.rs` holds the run to a loop
 //! of single steps, state and event stream, bit for bit.
+//!
+//! # Simulated time
+//!
+//! The public surface speaks seconds (`f64`): [`Request::arrival`],
+//! [`BatchState::now`], the `t` of [`Scheduler::advance_until`] and every
+//! report. Inside, the clock is a [`Tick`] count. Durations — a step, a
+//! prefill, a KV transfer — are rounded to the nearest tick once, where
+//! they are priced. Instants from outside — arrivals, deadlines, skip
+//! targets — enter at the first tick at or after them, so that comparing
+//! one with the clock reads the same in ticks as in seconds. A
+//! straggler's [`BatchState::set_time_scale`] scales the device work
+//! charged since the clock last jumped or changed scale, rounded once:
+//! a run charged whole lands on the tick its steps charged one by one
+//! land on, at any scale.
 
 use crate::serving::{ServingSim, StepCache, SystemKind, Workload};
 use serde::{Deserialize, Serialize};
 use spec_hwsim::ReplicaRole;
-use spec_telemetry::{seconds_to_ticks, Event, EventKind, NullSink, TelemetrySink};
+use spec_telemetry::{
+    seconds_to_ticks, ticks_to_seconds, Event, EventKind, NullSink, TelemetrySink, Tick,
+};
 use spec_tensor::PercentileSummary;
 use std::collections::VecDeque;
 
-/// Emits a scheduler-scope telemetry event at simulated time `now`.
-/// Scheduler code cannot know which replica it runs inside, so the
-/// replica field is 0; a tagged `RecordingSink` overwrites it. A
-/// disabled sink returns before the event — and its tick, a rounding —
-/// is built: the event is built out of line, since inlined, the rounding
-/// was hoisted above the check and paid untraced too.
-#[inline(always)]
-fn emit<S: TelemetrySink>(sink: &mut S, now: f64, kind: EventKind) {
-    #[inline(never)]
-    fn record<S: TelemetrySink>(sink: &mut S, now: f64, kind: EventKind) {
+/// Emits a scheduler-scope telemetry event at the clock's tick. Scheduler
+/// code cannot know which replica it runs inside, so the replica field is
+/// 0; a tagged `RecordingSink` overwrites it.
+fn emit<S: TelemetrySink>(sink: &mut S, tick: Tick, kind: EventKind) {
+    if sink.enabled() {
         sink.emit(Event {
-            tick: seconds_to_ticks(now),
+            tick,
             replica: 0,
             kind,
         });
     }
-    if sink.enabled() {
-        record(sink, now, kind);
+}
+
+/// The first tick at or after `t` seconds: where an instant from outside
+/// enters the clock, so that the clock is below `tick_at(t)` exactly when
+/// [`BatchState::now`] is below `t`.
+fn tick_at(t: f64) -> Tick {
+    let k = seconds_to_ticks(t);
+    if k < Tick::MAX && ticks_to_seconds(k) < t {
+        k + 1
+    } else {
+        k
     }
 }
 
@@ -332,6 +353,8 @@ struct Running {
 #[derive(Debug, Clone, Copy)]
 struct QueueEntry {
     req: Request,
+    /// `req.arrival` on the clock.
+    at: Tick,
     /// Global push sequence — the FIFO discipline's ordering key.
     seq: u64,
     /// Tokens already produced before the last checkpoint (0 = fresh).
@@ -382,8 +405,8 @@ struct TenantQueue {
 
 impl TenantQueue {
     /// Whether the head of the queue has arrived by `now`.
-    fn head_arrived(&self, now: f64) -> bool {
-        self.queue.front().is_some_and(|e| e.req.arrival <= now)
+    fn head_arrived(&self, now: Tick) -> bool {
+        self.queue.front().is_some_and(|e| e.at <= now)
     }
 }
 
@@ -491,7 +514,13 @@ pub struct BatchState {
     running: Vec<Running>,
     completed: Vec<CompletedRequest>,
     rejected: Vec<Request>,
-    now: f64,
+    /// The clock: `base` plus the device work charged since, scaled by
+    /// `time_scale` and rounded once ([`BatchState::charge`]).
+    now: Tick,
+    /// The clock when it last jumped or changed scale.
+    base: Tick,
+    /// Nominal (unscaled) ticks of device work charged since `base`.
+    charged: Tick,
     iter: usize,
     /// Whether the admission sweep for the current iteration already
     /// closed (hit a future arrival, a full batch, or an empty queue).
@@ -525,7 +554,9 @@ impl Default for BatchState {
             running: Vec::new(),
             completed: Vec::new(),
             rejected: Vec::new(),
-            now: 0.0,
+            now: 0,
+            base: 0,
+            charged: 0,
             iter: 0,
             sweep_done: false,
             last_arrival: 0.0,
@@ -591,9 +622,11 @@ impl BatchState {
     /// Sets the straggler multiplier: prefill, decode iterations and KV
     /// checkpoint/restore transfers cost `scale`× their nominal time.
     /// The idle clock jump to the next arrival is *not* scaled (waiting
-    /// is not compute). The default 1.0 is exact — `x * 1.0 == x`
-    /// bit-for-bit — so an engine that never straggles is bit-identical
-    /// to one without the knob.
+    /// is not compute). A change of scale rebases the clock: the work
+    /// charged from then on is scaled as one sum and rounded to the tick
+    /// once (the module's "Simulated time"). At the default 1.0 the clock
+    /// adds integer ticks, so an engine that never straggles is
+    /// bit-identical to one without the knob.
     ///
     /// # Panics
     ///
@@ -603,15 +636,72 @@ impl BatchState {
             scale.is_finite() && scale > 0.0,
             "time_scale must be finite and positive, got {scale}"
         );
-        self.time_scale = scale;
+        if scale != self.time_scale {
+            self.rebase(self.now);
+            self.time_scale = scale;
+        }
     }
 
     /// Jumps the clock forward to `t` if it lags behind (restart after a
     /// crash outage: the engine was down, not computing).
     pub fn skip_to(&mut self, t: f64) {
-        if t > self.now {
-            self.now = t;
+        let at = tick_at(t);
+        if at > self.now {
+            self.rebase(at);
         }
+    }
+
+    /// Charges `nominal` ticks of device work. The clock reads `base`
+    /// plus the scaled sum of the work charged since, rounded once: so it
+    /// does not matter how that work is split into charges — a quiet run
+    /// charged whole lands where its steps charged one by one land — and
+    /// at scale 1 this is integer addition.
+    fn charge(&mut self, nominal: Tick) {
+        self.charged += nominal;
+        self.now = self.base + self.scaled(self.charged);
+    }
+
+    /// `nominal` ticks of work at the current scale.
+    fn scaled(&self, nominal: Tick) -> Tick {
+        if self.time_scale == 1.0 {
+            nominal
+        } else {
+            (nominal as f64 * self.time_scale).round() as Tick
+        }
+    }
+
+    /// Puts the clock at `at` and starts charging afresh from there: a
+    /// jump (waiting, not computing) or a change of scale.
+    fn rebase(&mut self, at: Tick) {
+        (self.now, self.base, self.charged) = (at, at, 0);
+    }
+
+    /// How many nominal ticks must still be charged before the clock
+    /// reads `stop` or later: 0 if it already does, `Tick::MAX` for a
+    /// `stop` it never reaches.
+    fn work_until(&self, stop: Tick) -> Tick {
+        if stop <= self.now {
+            return 0;
+        }
+        if stop == Tick::MAX {
+            return Tick::MAX;
+        }
+        let wall = stop - self.base;
+        let total = if self.time_scale == 1.0 {
+            wall
+        } else {
+            // The least `x` with `scaled(x) >= wall`: the inverse's
+            // guess, then corrected against the rounding.
+            let mut x = ((wall as f64 - 0.5) / self.time_scale).ceil().max(0.0) as Tick;
+            while self.scaled(x) < wall {
+                x += 1;
+            }
+            while x > 0 && self.scaled(x - 1) >= wall {
+                x -= 1;
+            }
+            x
+        };
+        total - self.charged
     }
 
     /// Simulates a process crash: tears all queued and running work out
@@ -711,6 +801,7 @@ impl BatchState {
             self.last_arrival
         );
         self.last_arrival = req.arrival;
+        let at = tick_at(at);
         let seq = self.next_seq;
         self.next_seq += 1;
         let slot = self.slot_of(req.tenant);
@@ -718,6 +809,7 @@ impl BatchState {
             slot,
             QueueEntry {
                 req,
+                at,
                 seq,
                 produced: history.produced,
                 start: history.start,
@@ -729,7 +821,7 @@ impl BatchState {
         );
         emit(
             sink,
-            req.arrival,
+            at,
             EventKind::Enqueued {
                 request: req.id as u64,
                 tenant: req.tenant,
@@ -797,7 +889,7 @@ impl BatchState {
 
     /// The engine's local clock, seconds.
     pub fn now(&self) -> f64 {
-        self.now
+        ticks_to_seconds(self.now)
     }
 
     /// Queued (not yet admitted or checkpointed) requests.
@@ -850,12 +942,12 @@ impl BatchState {
     }
 
     /// The earliest head arrival across tenant queues.
-    fn earliest_head_arrival(&self) -> Option<f64> {
+    fn earliest_head_arrival(&self) -> Option<Tick> {
         self.tenants
             .iter()
             .filter_map(|q| q.queue.front())
-            .map(|e| e.req.arrival)
-            .min_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
+            .map(|e| e.at)
+            .min()
     }
 
     /// Emits per-tick gauges (queue depths, DRR deficits, batch size)
@@ -923,7 +1015,7 @@ impl Scheduler {
             state.push_traced(Admission::Fresh(*req), sink);
         }
         self.advance_until(&mut state, &mut StepCache::new(), f64::INFINITY, sink);
-        let makespan = state.now;
+        let makespan = state.now();
         let (completed, rejected) = state.into_outcome();
         ScheduleReport::from_completed(completed, makespan, rejected)
     }
@@ -944,17 +1036,18 @@ impl Scheduler {
         let mut running: Vec<Running> = Vec::new();
         let mut completed: Vec<CompletedRequest> = Vec::new();
         let mut rejected = 0usize;
-        let mut now = 0.0f64;
+        let mut now: Tick = 0;
         let mut iter = 0usize;
         let mut cache = StepCache::new();
         while !queue.is_empty() || !running.is_empty() {
             if iter.is_multiple_of(self.cfg.admission_stride) {
                 // Admission sweep: pull every admissible head.
                 while let Some(&head) = queue.front() {
-                    if head.arrival > now && running.is_empty() {
-                        now = head.arrival;
+                    let arrival = tick_at(head.arrival);
+                    if arrival > now && running.is_empty() {
+                        now = arrival;
                     }
-                    if head.arrival > now || running.len() >= self.cfg.max_batch {
+                    if arrival > now || running.len() >= self.cfg.max_batch {
                         break;
                     }
                     if !self.admissible(&running, &head) {
@@ -971,7 +1064,7 @@ impl Scheduler {
                         req: head,
                         slot: 0,
                         produced: 0,
-                        start: now,
+                        start: ticks_to_seconds(now),
                         first_token: None,
                         preemptions: 0,
                     });
@@ -983,10 +1076,11 @@ impl Scheduler {
             }
             now += self.iteration_time(&running, &mut cache);
             iter += 1;
+            let secs = ticks_to_seconds(now);
             for r in running.iter_mut() {
                 r.produced += 1;
                 if r.first_token.is_none() {
-                    r.first_token = Some(now);
+                    r.first_token = Some(secs);
                 }
             }
             running.retain(|r| {
@@ -995,7 +1089,7 @@ impl Scheduler {
                         request: r.req,
                         start: r.start,
                         first_token: r.first_token.expect("token after iteration"),
-                        finish: now,
+                        finish: secs,
                         preemptions: r.preemptions,
                     });
                     false
@@ -1004,7 +1098,7 @@ impl Scheduler {
                 }
             });
         }
-        ScheduleReport::from_completed(completed, now, rejected)
+        ScheduleReport::from_completed(completed, ticks_to_seconds(now), rejected)
     }
 
     /// Executes one scheduling micro-step: a single admission decision
@@ -1059,14 +1153,15 @@ impl Scheduler {
             return;
         }
         // One decode iteration for the whole batch.
-        state.now += self.iteration_time(&state.running, cache) * state.time_scale;
+        let nominal = self.iteration_time(&state.running, cache);
+        state.charge(nominal);
         state.iter += 1;
         state.sweep_done = false;
-        let now = state.now;
+        let (now, secs) = (state.now, state.now());
         for r in state.running.iter_mut() {
             r.produced += 1;
             if r.first_token.is_none() {
-                r.first_token = Some(now);
+                r.first_token = Some(secs);
                 emit(
                     sink,
                     now,
@@ -1090,7 +1185,7 @@ impl Scheduler {
                     request: r.req,
                     start: r.start,
                     first_token: r.first_token.expect("token after iteration"),
-                    finish: now,
+                    finish: secs,
                     preemptions: r.preemptions,
                 });
                 emit(
@@ -1118,7 +1213,7 @@ impl Scheduler {
                         first_token: r.first_token,
                         preemptions: r.preemptions,
                     },
-                    emitted: now,
+                    emitted: secs,
                     kv_bytes,
                 });
                 emit(
@@ -1156,12 +1251,15 @@ impl Scheduler {
     /// clock moves: nobody produces a first token or finishes, and
     /// nothing outside can reach the state. Those iterations are one
     /// *quiet run*: the batch's mean length rises by exactly one per
-    /// iteration, so the run reads the batch's row of the step table in
-    /// place, a page slice at a time ([`ServingSim::step_prices`]) — the
-    /// clock, kept in a register, advanced one iteration at a time in the
-    /// order single steps would (every simulated float keeps its bits) —
-    /// and the per-request and per-tenant token counters are settled
-    /// once at the end.
+    /// iteration, so the run reads the batch's row of the step table,
+    /// whose blocks hold running sums of tick prices
+    /// ([`ServingSim::run_ticks`]): a stretch whose end is known — the
+    /// run's last iteration, or the next sweep that will run — costs one
+    /// difference per block, and "until the clock reaches `t`" is a walk
+    /// over block partials and a search inside one block. The clock is
+    /// charged once per stretch, which lands where single steps land
+    /// ([`BatchState::set_time_scale`]), and the per-request and
+    /// per-tenant token counters are settled once at the end.
     ///
     /// An admission sweep that falls due inside a run (every
     /// `admission_stride`-th iteration) does not end it. The run takes
@@ -1174,14 +1272,14 @@ impl Scheduler {
     /// in a state no later sweep of the run can leave — under DRR, every
     /// arrived head carries its verdict and its tenant's deficit covers
     /// it; under FIFO, the pick and its verdict simply stay — the sweeps
-    /// up to the next head's arrival are counted, not run, and DRR's
-    /// rotation moves on by their count modulo the arrived tenants
-    /// ([`Scheduler::closed_sweeps`]); in that state no gauge can move,
-    /// so traced runs count them too. Only a sweep that might admit or
-    /// preempt settles the counters and falls into the ordinary
-    /// decision. The clock test comes first: a sweep at a
-    /// boundary reached with `now >= t` belongs to the next call, after
-    /// the caller has pushed whatever arrives at `t`.
+    /// up to the next head's arrival are counted, by division, not run,
+    /// and DRR's rotation moves on by their count modulo the arrived
+    /// tenants; in that state no gauge can move, so traced runs count
+    /// them too. Only a sweep that might admit or preempt settles the
+    /// counters and falls into the ordinary decision. The clock test
+    /// comes first: a sweep at a boundary reached with `now >= t`
+    /// belongs to the next call, after the caller has pushed whatever
+    /// arrives at `t`.
     ///
     /// # Panics
     ///
@@ -1193,6 +1291,7 @@ impl Scheduler {
         t: f64,
         sink: &mut S,
     ) {
+        let t = tick_at(t);
         while state.has_work() && state.now < t {
             let quiet = self.quiet_iterations(state);
             if quiet == 0 {
@@ -1212,13 +1311,15 @@ impl Scheduler {
     /// of the waiter an admission sweep inside the run picked and could
     /// not dismiss; the counters are settled, the caller places it.
     ///
-    /// The clock lives in a [`RunClock`]: `state.now` is written before a
-    /// sweep or a gauge emission reads it, and at the end.
+    /// The run goes in stretches. A stretch ends at the run's last
+    /// iteration, at the next sweep that will run, or, while sweeps
+    /// close, once the clock reaches `closed.until`; and in any case once
+    /// it reaches `t`. The sweeps a stretch passed closed and are counted.
     fn quiet_run<S: TelemetrySink>(
         &self,
         state: &mut BatchState,
         cache: &mut StepCache,
-        t: f64,
+        t: Tick,
         quiet: usize,
         sink: &mut S,
     ) -> Option<usize> {
@@ -1233,45 +1334,61 @@ impl Scheduler {
         }
         let batch = state.running.len();
         let from = mean_len(&state.running);
-        let mut clock = RunClock {
-            now: state.now,
-            scale: state.time_scale,
-            t,
-            left: quiet,
-            until_sweep: stride - state.iter % stride,
-            stride,
-            closed,
-        };
+        // Iterations run so far, and the iteration after which the next
+        // sweep falls due.
+        let (mut done, mut sweep) = (0, stride - state.iter % stride);
         let mut waiter = None;
         loop {
-            let done = quiet - clock.left;
-            let prices = self.sim.step_prices(cache, self.system, batch, from + done);
+            let (mut end, stop) = if state.now >= closed.until {
+                (quiet.min(sweep), t)
+            } else {
+                (quiet, t.min(closed.until))
+            };
             // Gauges can have moved before the run (work pushed since the
             // last step), so a traced run's first iteration goes alone
             // and emits them; a sweep emits its own.
             let traced_first = done == 0 && sink.enabled();
-            let halt = clock.advance(if traced_first { &prices[..1] } else { prices });
             if traced_first {
-                state.now = clock.now;
+                end = 1;
+            }
+            let (steps, spent) = self.sim.run_ticks(
+                cache,
+                self.system,
+                batch,
+                from + done,
+                end - done,
+                state.work_until(stop),
+            );
+            state.charge(spent);
+            done += steps;
+            if traced_first {
                 state.emit_gauges(sink);
             }
-            match halt {
-                Halt::Slice => continue,
-                Halt::End => break,
-                Halt::Sweep => {
-                    state.now = clock.now;
-                    self.rotate_past(state, &mut clock.closed);
-                    waiter = self.sweep_in_run(state, sink);
-                    if waiter.is_some() {
-                        break;
-                    }
-                    clock.closed = self.closed_sweeps(state);
+            // The sweeps before the stretch's last iteration closed: the
+            // clock was below `closed.until` there.
+            if done > sweep {
+                let passed = (done - 1 - sweep) / stride + 1;
+                closed.skipped += passed;
+                sweep += passed * stride;
+            }
+            if done == quiet || state.now >= t {
+                break;
+            }
+            if done == sweep {
+                sweep += stride;
+                if state.now < closed.until {
+                    closed.skipped += 1;
+                    continue;
                 }
+                self.rotate_past(state, &mut closed);
+                waiter = self.sweep_in_run(state, sink);
+                if waiter.is_some() {
+                    break;
+                }
+                closed = self.closed_sweeps(state);
             }
         }
-        let done = quiet - clock.left;
-        state.now = clock.now;
-        self.rotate_past(state, &mut clock.closed);
+        self.rotate_past(state, &mut closed);
         state.iter += done;
         state.sweep_done = false;
         for r in &mut state.running {
@@ -1301,13 +1418,13 @@ impl Scheduler {
     fn closed_sweeps(&self, state: &BatchState) -> ClosedSweeps {
         let drr = self.cfg.fair.discipline == QueueDiscipline::DeficitRoundRobin;
         let now = state.now;
-        let (mut arrived, mut covered, mut until) = (0, true, f64::INFINITY);
+        let (mut arrived, mut covered, mut until) = (0, true, Tick::MAX);
         for q in &state.tenants {
             let Some(head) = q.queue.front() else {
                 continue;
             };
-            if head.req.arrival > now {
-                until = until.min(head.req.arrival);
+            if head.at > now {
+                until = until.min(head.at);
                 continue;
             }
             if drr && q.no_victim_for != Some(head.req.id) {
@@ -1432,7 +1549,7 @@ impl Scheduler {
         if state.running.is_empty() {
             let earliest = state.earliest_head_arrival().expect("queued work");
             if earliest > state.now {
-                state.now = earliest;
+                state.rebase(earliest);
             }
         }
         for q in &mut state.tenants {
@@ -1504,7 +1621,8 @@ impl Scheduler {
                 },
             );
         } else if entry.produced == 0 {
-            state.now += self.prefill_time(&entry.req, cache) * state.time_scale;
+            let nominal = self.prefill_time(&entry.req, cache);
+            state.charge(nominal);
             emit(
                 sink,
                 state.now,
@@ -1514,7 +1632,7 @@ impl Scheduler {
                 },
             );
         } else {
-            state.now += self.kv_transfer_time(&entry.req, entry.produced) * state.time_scale;
+            state.charge(self.kv_transfer_time(&entry.req, entry.produced));
             emit(
                 sink,
                 state.now,
@@ -1528,7 +1646,7 @@ impl Scheduler {
             req: entry.req,
             slot,
             produced: entry.produced,
-            start: entry.start.unwrap_or(state.now),
+            start: entry.start.unwrap_or(state.now()),
             first_token: entry.first_token,
             preemptions: entry.preemptions,
         });
@@ -1575,13 +1693,14 @@ impl Scheduler {
         // Checkpoint: save the victim's resident KV over PCIe and park
         // it at the front of its tenant queue (it resumes before that
         // tenant's fresh arrivals).
-        state.now += self.kv_transfer_time(&victim.req, victim.produced) * state.time_scale;
+        state.charge(self.kv_transfer_time(&victim.req, victim.produced));
         state.running.remove(victim_idx);
         state.batch_changed();
         state.enqueue(
             victim.slot,
             QueueEntry {
                 req: victim.req,
+                at: tick_at(victim.req.arrival),
                 seq: 0, // resumes first under FIFO too: it predates the queue
                 produced: victim.produced,
                 start: Some(victim.start),
@@ -1778,24 +1897,25 @@ impl Scheduler {
     }
 
     /// The one-way PCIe time to move `req`'s resident KV at the memory
-    /// model's bytes/token — paid once to checkpoint and once to
-    /// restore.
-    fn kv_transfer_time(&self, req: &Request, produced: usize) -> f64 {
+    /// model's bytes/token, in ticks — paid once to checkpoint and once
+    /// to restore.
+    fn kv_transfer_time(&self, req: &Request, produced: usize) -> Tick {
         let bytes = self.resident_tokens(req, produced) as f64
             * self.sim.memory_model().kv_token_total_bytes();
-        self.sim.device().pcie_time(bytes)
+        seconds_to_ticks(self.sim.device().pcie_time(bytes))
     }
 
-    /// Prefill latency for one prompt, memoized per prompt length.
-    fn prefill_time(&self, req: &Request, cache: &mut StepCache) -> f64 {
+    /// Prefill latency for one prompt in ticks, memoized per prompt
+    /// length.
+    fn prefill_time(&self, req: &Request, cache: &mut StepCache) -> Tick {
         self.sim
             .prefill_time_cached(cache, self.system, req.input_len)
     }
 
-    /// Iteration latency at the current batch composition: the per-step
-    /// dataflow timeline at the batch's mean sequence length, memoized
-    /// across iterations through the run's step cache.
-    fn iteration_time(&self, running: &[Running], cache: &mut StepCache) -> f64 {
+    /// Iteration latency at the current batch composition, in ticks: the
+    /// per-step dataflow timeline at the batch's mean sequence length,
+    /// memoized across iterations through the run's step cache.
+    fn iteration_time(&self, running: &[Running], cache: &mut StepCache) -> Tick {
         let mean_len = mean_len(running);
         self.sim
             .step_time_cached(cache, self.system, running.len(), mean_len, mean_len)
@@ -1817,72 +1937,13 @@ fn remaining_tokens(entry: &QueueEntry) -> usize {
     entry.req.output_len.saturating_sub(entry.produced)
 }
 
-/// What a quiet run moves between two sweeps it runs: the clock, the
-/// iterations left, the way to the next sweep and the count of sweeps it
-/// closes without running them — kept in registers by
-/// [`RunClock::advance`], which has nothing else to do.
-struct RunClock {
-    now: f64,
-    scale: f64,
-    t: f64,
-    /// Iterations left in the run.
-    left: usize,
-    /// Iterations to the next admission sweep.
-    until_sweep: usize,
-    stride: usize,
-    closed: ClosedSweeps,
-}
-
-/// Why [`RunClock::advance`] stopped.
-enum Halt {
-    /// The prices ran out; the run goes on.
-    Slice,
-    /// A sweep is due that is not known to close.
-    Sweep,
-    /// The run's last iteration, or the clock reached `t`.
-    End,
-}
-
-impl RunClock {
-    /// One iteration per price, in order: the clock advances by the
-    /// scaled price; the run ends after its last iteration or once the
-    /// clock reaches `t` (tested first, as a single step would); a sweep
-    /// falling due below `closed.until` is counted, any other one halts.
-    /// Not inlined, so that its loop keeps the clock in a register
-    /// whatever the caller's register pressure.
-    #[inline(never)]
-    fn advance(&mut self, prices: &[f64]) -> Halt {
-        let (mut now, mut left, mut until_sweep) = (self.now, self.left, self.until_sweep);
-        let mut halt = Halt::Slice;
-        for &price in prices {
-            now += price * self.scale;
-            left -= 1;
-            if left == 0 || now >= self.t {
-                halt = Halt::End;
-                break;
-            }
-            until_sweep -= 1;
-            if until_sweep == 0 {
-                until_sweep = self.stride;
-                if now >= self.closed.until {
-                    halt = Halt::Sweep;
-                    break;
-                }
-                self.closed.skipped += 1;
-            }
-        }
-        (self.now, self.left, self.until_sweep) = (now, left, until_sweep);
-        halt
-    }
-}
-
 /// A quiet run's sweeps that close before they run — see
 /// [`Scheduler::closed_sweeps`].
 struct ClosedSweeps {
-    /// Sweeps whose clock is below this close (`-inf`: none do).
-    until: f64,
+    /// Sweeps whose clock is below this close (0: none do).
+    until: Tick,
     /// The clock of the sweep the skip was decided after.
-    decided_at: f64,
+    decided_at: Tick,
     /// Sweeps counted so far.
     skipped: usize,
     /// Whether each counted sweep moves DRR's rotation one place on.
@@ -1891,8 +1952,8 @@ struct ClosedSweeps {
 
 impl ClosedSweeps {
     const NONE: Self = Self {
-        until: f64::NEG_INFINITY,
-        decided_at: f64::NEG_INFINITY,
+        until: 0,
+        decided_at: 0,
         skipped: 0,
         rotating: false,
     };
@@ -1910,6 +1971,27 @@ mod tests {
             DeviceSpec::a100_80g(),
             2048,
         )
+    }
+
+    #[test]
+    fn an_instant_enters_the_clock_at_the_first_tick_at_or_after_it() {
+        for t in [
+            0.0,
+            1e-7,
+            1e-6,
+            0.123_456_789,
+            0.3,
+            8_806.133_020_335_95,
+            1e6 + 0.5e-6,
+        ] {
+            let k = tick_at(t);
+            assert!(ticks_to_seconds(k) >= t, "{t} entered at {k}, before it");
+            assert!(
+                k == 0 || ticks_to_seconds(k - 1) < t,
+                "{t} entered at {k}, a tick late"
+            );
+        }
+        assert_eq!(tick_at(f64::INFINITY), Tick::MAX);
     }
 
     fn trace(n: usize, spacing: f64) -> Vec<Request> {

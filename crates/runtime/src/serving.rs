@@ -11,12 +11,13 @@
 //! [`ServingSim::step_time`] lays one step out on a price-only event
 //! simulator (about a microsecond: op ends and a makespan, no labelled
 //! records, one buffer), [`ServingSim::step_time_cached`] memoizes it in
-//! a [`StepCache`] — a direct-indexed `[batch][seq_len]` table filled
-//! [`STEP_BLOCK`] consecutive lengths per miss, laid out side by side on
-//! one timeline — and [`ServingSim::step_prices`] hands out that table's
-//! page as a slice for a batch whose length grows by one per iteration, so the
-//! millions of decode iterations of a simulated trace each cost an
-//! indexed load.
+//! a [`StepCache`] — a direct-indexed `[batch][seq_len]` table of
+//! integer [ticks](spec_telemetry::TICK_NS) filled [`STEP_BLOCK`]
+//! consecutive lengths per miss, laid out side by side on one timeline,
+//! and kept as each block's running sums — and [`ServingSim::run_ticks`]
+//! reads a batch whose length grows by one per iteration off those sums:
+//! the millions of decode iterations of a simulated trace cost a few
+//! loads per block, not an add each.
 
 use crate::adaptive::Thresholds;
 use crate::costs::{CostModel, PreprocessKind};
@@ -25,6 +26,7 @@ use crate::memory::MemoryModel;
 use serde::{Deserialize, Serialize};
 use spec_hwsim::{DeviceSpec, EngineProfile, EventSim};
 use spec_model::ModelConfig;
+use spec_telemetry::{seconds_to_ticks, Tick};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -234,7 +236,7 @@ impl ThroughputReport {
     }
 }
 
-/// Sequence lengths per page of a [`StepCache`] table (4 KiB of `f64`).
+/// Sequence lengths per page of a [`StepCache`] table (4 KiB of ticks).
 const STEP_PAGE: usize = 512;
 
 /// Consecutive sequence lengths a [`StepCache`] miss prices at once: the
@@ -292,22 +294,30 @@ struct BatchSteps {
 }
 
 /// [`STEP_PAGE`] consecutive lengths' step latencies and which of its
-/// blocks are priced, bit `b` for the block at `b * STEP_BLOCK`: a miss
-/// prices a block whole, so one bit tells for all its lengths, and the
-/// priced stretch from a length on is a count of trailing ones.
+/// blocks are priced, bit `b` for the block at `b * STEP_BLOCK`. A miss
+/// prices a block whole, so one bit tells for all its lengths, and each
+/// slot holds its block's running sum: the ticks of the block's steps up
+/// to and including its own. A block's sums need no other block, so the
+/// table's contents do not depend on the order its blocks were priced in.
 #[derive(Debug, Clone)]
 struct StepPage {
-    prices: [f64; STEP_PAGE],
+    sums: [Tick; STEP_PAGE],
     priced: u32,
 }
 
 impl StepPage {
-    /// How many lengths from `slot` on are priced without a gap, up to
-    /// the page's edge (0 when `slot`'s block is not priced).
-    fn priced_from(&self, slot: usize) -> usize {
-        let block = slot / STEP_BLOCK;
-        let blocks = (!(self.priced >> block)).trailing_zeros() as usize;
-        (blocks * STEP_BLOCK).saturating_sub(slot % STEP_BLOCK)
+    /// Whether the block holding `slot` is priced.
+    fn is_priced(&self, slot: usize) -> bool {
+        self.priced >> (slot / STEP_BLOCK) & 1 == 1
+    }
+
+    /// The running sum of `slot`'s block just before `slot`.
+    fn sum_before(&self, slot: usize) -> Tick {
+        if slot.is_multiple_of(STEP_BLOCK) {
+            0
+        } else {
+            self.sums[slot - 1]
+        }
     }
 }
 
@@ -326,12 +336,13 @@ struct CacheStamp {
 /// constantly.
 ///
 /// The table is direct-indexed by what varies between the scheduler's
-/// iterations, `[batch][seq_len]`, and stores the 8-byte step latency
-/// only; the offload depth is a function of the two under the default
-/// memory policy. Entries are exact — the index fully determines the
-/// timeline for a fixed simulator — so hits are bit-for-bit identical to
-/// recomputation, and nothing is computed or allocated before the first
-/// lookup. A miss prices the whole aligned [`STEP_BLOCK`] of lengths
+/// iterations, `[batch][seq_len]`, and stores 8 bytes a length: the step
+/// latency rounded to the nearest tick, kept as its block's running sum
+/// (see [`ServingSim::run_ticks`]); the offload depth is a function of
+/// the two under the default memory policy. Entries are exact — the
+/// index fully determines the timeline for a fixed simulator, and a hit
+/// is `seconds_to_ticks(step_time(..))` — and nothing is computed or
+/// allocated before the first lookup. A miss prices the whole aligned [`STEP_BLOCK`] of lengths
 /// around it, one lane each, on a price-only timeline scratch the cache
 /// owns (op ends and a makespan, no labelled records) and allocates
 /// nothing beyond the table's own pages. Because blocks are aligned, a
@@ -359,12 +370,9 @@ pub struct StepCache {
     batches: Vec<BatchSteps>,
     priced: usize,
     timeline: EventSim<STEP_BLOCK>,
-    /// The one price [`ServingSim::step_prices`] hands out for a step no
-    /// table is sized for.
-    direct: f64,
     /// Memoized prefill times by prompt length — the scheduler
     /// re-prefills identical prompt lengths on every admission.
-    prefill: IdMap<usize, f64>,
+    prefill: IdMap<usize, Tick>,
 }
 
 impl Default for StepCache {
@@ -374,7 +382,6 @@ impl Default for StepCache {
             batches: Vec::new(),
             priced: 0,
             timeline: EventSim::price_only(),
-            direct: f64::NAN,
             prefill: IdMap::default(),
         }
     }
@@ -519,13 +526,13 @@ impl ServingSim {
         self.step_breakdowns(timeline, profile, system, r, [lane])
     }
 
-    /// Memoized [`ServingSim::step_time`] — the per-iteration hook the
-    /// continuous-batching scheduler and the `spec_serve` replica wrapper
-    /// drive. A hit is a stamp compare and two indexed loads; a miss
-    /// prices the aligned [`STEP_BLOCK`] of lengths around `s`, each at
-    /// the scheduler's split (`prefill_len ==` its length). See
-    /// [`StepCache`] for what is memoized and when the cache empties
-    /// itself.
+    /// Memoized [`ServingSim::step_time`], in ticks — the per-iteration
+    /// hook of the continuous-batching scheduler's single steps: exactly
+    /// `seconds_to_ticks(step_time(system, r, s, prefill_len))`. A hit is
+    /// a stamp compare and a few indexed loads; a miss prices the aligned
+    /// [`STEP_BLOCK`] of lengths around `s`, each at the scheduler's split
+    /// (`prefill_len ==` its length). See [`StepCache`] for what is
+    /// memoized and when the cache empties itself.
     pub fn step_time_cached(
         &self,
         cache: &mut StepCache,
@@ -533,101 +540,154 @@ impl ServingSim {
         r: usize,
         s: usize,
         prefill_len: usize,
-    ) -> f64 {
+    ) -> Tick {
         let memoizable =
             StepCache::indexes(r, s) && (prefill_len == s || !system.retains_generated());
         if !memoizable {
-            return self.step_time(system, r, s, prefill_len);
+            return seconds_to_ticks(self.step_time(system, r, s, prefill_len));
         }
-        cache.restamp(self, system);
-        let (page, slot) = (s / STEP_PAGE, s % STEP_PAGE);
-        if let Some(p) = cache.page(r, s).filter(|p| p.priced_from(slot) > 0) {
-            return p.prices[slot];
-        }
-        if cache.batches.len() <= r {
-            cache.batches.resize_with(r + 1, BatchSteps::default);
-        }
-        let batch = &mut cache.batches[r];
-        let first = s - s % STEP_BLOCK;
-        let policy = system.default_policy();
-        let lanes = std::array::from_fn(|i| {
-            let s = first + i;
-            (s, s, self.policy_l_cpu(policy, r, s, &mut batch.thresholds))
-        });
-        let (_, profile) = cache.filled_under.as_ref().expect("stamped above");
-        let block = price_block::dispatch(
-            spec_tensor::dispatch::active_tier(),
-            self,
-            &mut cache.timeline,
-            profile,
-            system,
-            r,
-            lanes,
-        );
-        if batch.pages.len() <= page {
-            batch.pages.resize_with(page + 1, || None);
-        }
-        let page = batch.pages[page].get_or_insert_with(|| {
-            Box::new(StepPage {
-                prices: [f64::NAN; STEP_PAGE],
-                priced: 0,
-            })
-        });
-        let first_slot = first % STEP_PAGE;
-        page.prices[first_slot..first_slot + STEP_BLOCK].copy_from_slice(&block);
-        page.priced |= 1 << (first_slot / STEP_BLOCK);
-        cache.priced += STEP_BLOCK;
-        page.prices[slot]
+        let page = self.priced_page(cache, system, r, s);
+        let slot = s % STEP_PAGE;
+        page.sums[slot] - page.sum_before(slot)
     }
 
-    /// The prices of a batch of `r` from length `s` on — what
-    /// `step_time_cached(cache, system, r, s', s')` returns at `s' = s`,
-    /// `s + 1`, … — as one slice of the table page holding `s`, ending at
-    /// the page's edge or at the first block not priced yet: a quiet run,
-    /// whose mean length rises by one per iteration, reads it in place
-    /// and asks again from where it stopped.
-    ///
-    /// The slice is never empty. A miss at `s` first prices its block
-    /// through [`ServingSim::step_time_cached`], which stays the only
-    /// path that prices anything; a batch or length no table is sized
-    /// for yields its one step, priced directly.
-    pub fn step_prices<'c>(
+    /// The table page holding `(r, s)` with `s`'s block priced: a miss
+    /// prices the block's lanes on one timeline, rounds each to the tick
+    /// grid — so every SIMD tier, whose lanes agree bit for bit, stores the
+    /// same ticks — and stores the block's running sums.
+    fn priced_page<'c>(
         &self,
         cache: &'c mut StepCache,
         system: SystemKind,
         r: usize,
         s: usize,
-    ) -> &'c [f64] {
-        if !StepCache::indexes(r, s) {
-            cache.direct = self.step_time(system, r, s, s);
-            return std::slice::from_ref(&cache.direct);
-        }
+    ) -> &'c StepPage {
         cache.restamp(self, system);
-        let slot = s % STEP_PAGE;
-        if cache.page(r, s).is_none_or(|p| p.priced_from(slot) == 0) {
-            self.step_time_cached(cache, system, r, s, s);
+        let (page, slot) = (s / STEP_PAGE, s % STEP_PAGE);
+        if cache.page(r, s).is_none_or(|p| !p.is_priced(slot)) {
+            if cache.batches.len() <= r {
+                cache.batches.resize_with(r + 1, BatchSteps::default);
+            }
+            let batch = &mut cache.batches[r];
+            let first = s - s % STEP_BLOCK;
+            let policy = system.default_policy();
+            let lanes = std::array::from_fn(|i| {
+                let s = first + i;
+                (s, s, self.policy_l_cpu(policy, r, s, &mut batch.thresholds))
+            });
+            let (_, profile) = cache.filled_under.as_ref().expect("stamped above");
+            let block = price_block::dispatch(
+                spec_tensor::dispatch::active_tier(),
+                self,
+                &mut cache.timeline,
+                profile,
+                system,
+                r,
+                lanes,
+            );
+            if batch.pages.len() <= page {
+                batch.pages.resize_with(page + 1, || None);
+            }
+            let page = batch.pages[page].get_or_insert_with(|| {
+                Box::new(StepPage {
+                    sums: [0; STEP_PAGE],
+                    priced: 0,
+                })
+            });
+            let first_slot = first % STEP_PAGE;
+            let mut sum = 0;
+            for (entry, price) in page.sums[first_slot..first_slot + STEP_BLOCK]
+                .iter_mut()
+                .zip(block)
+            {
+                sum += seconds_to_ticks(price);
+                *entry = sum;
+            }
+            page.priced |= 1 << (first_slot / STEP_BLOCK);
+            cache.priced += STEP_BLOCK;
         }
         let cache: &'c StepCache = cache;
-        let page = cache.page(r, s).expect("priced above");
-        &page.prices[slot..slot + page.priced_from(slot)]
+        cache.page(r, s).expect("priced above")
     }
 
-    /// Prefill latency for one prompt of `input_len` tokens, memoized in
-    /// `cache` under the same stamp as its steps — admission re-prefills
-    /// identical prompt lengths constantly.
+    /// A quiet run read off the step table: a batch of `r` whose length
+    /// rises by one per iteration, from `s` on, for at most `n` steps
+    /// (`n >= 1`), stopping after the first step by which the ticks spent
+    /// reach `need`. Returns how many steps ran (at least one) and their
+    /// ticks, which equal the sum of [`ServingSim::step_time_cached`] over
+    /// those lengths.
+    ///
+    /// A block's running sums give the ticks of any stretch inside it as
+    /// one difference, so a walk costs a few loads per block — one block
+    /// partial summed per block — and one search inside the block where
+    /// `need` is reached. Blocks not priced yet are priced as it goes,
+    /// through the same miss as [`ServingSim::step_time_cached`]; a batch
+    /// or length no table is sized for is priced directly, a step at a
+    /// time.
+    pub fn run_ticks(
+        &self,
+        cache: &mut StepCache,
+        system: SystemKind,
+        r: usize,
+        s: usize,
+        n: usize,
+        need: Tick,
+    ) -> (usize, Tick) {
+        debug_assert!(n > 0, "a run has a step");
+        let (mut done, mut spent) = (0, 0);
+        while done < n {
+            let at = s + done;
+            if !StepCache::indexes(r, at) {
+                spent += seconds_to_ticks(self.step_time(system, r, at, at));
+                done += 1;
+                if spent >= need {
+                    break;
+                }
+                continue;
+            }
+            // The priced blocks of this page from `at` on; the loop comes
+            // back for a block still to price and for the next page.
+            let page = self.priced_page(cache, system, r, at);
+            let mut slot = at % STEP_PAGE;
+            let last = STEP_PAGE.min(slot + (n - done));
+            while slot < last && page.is_priced(slot) {
+                let end = last.min(slot - slot % STEP_BLOCK + STEP_BLOCK);
+                let before = page.sum_before(slot);
+                let partial = page.sums[end - 1] - before;
+                if partial < need - spent {
+                    spent += partial;
+                    done += end - slot;
+                    slot = end;
+                    continue;
+                }
+                // `need` falls inside this block: the first step whose
+                // running sum reaches it.
+                let want = need - spent + before;
+                let k = slot + page.sums[slot..end].partition_point(|&sum| sum < want);
+                spent += page.sums[k] - before;
+                return (done + k + 1 - slot, spent);
+            }
+        }
+        (done, spent)
+    }
+
+    /// Prefill latency for one prompt of `input_len` tokens, in ticks,
+    /// memoized in `cache` under the same stamp as its steps — admission
+    /// re-prefills identical prompt lengths constantly.
     pub fn prefill_time_cached(
         &self,
         cache: &mut StepCache,
         system: SystemKind,
         input_len: usize,
-    ) -> f64 {
+    ) -> Tick {
         cache.restamp(self, system);
         if let Some(&t) = cache.prefill.get(&input_len) {
             return t;
         }
-        let t = self
-            .throughput(system, &Workload::new(input_len, 1, 1))
-            .prefill_s;
+        let t = seconds_to_ticks(
+            self.throughput(system, &Workload::new(input_len, 1, 1))
+                .prefill_s,
+        );
         cache.prefill.insert(input_len, t);
         t
     }
@@ -1033,14 +1093,15 @@ mod tests {
         let (system, r, s) = (SystemKind::SpeContext, 16, 120 * 1024);
         let mut sim = cloud_sim();
         let mut cache = StepCache::new();
+        let ticks = |sim: &ServingSim| seconds_to_ticks(sim.step_time(system, r, s, s));
         let before = sim.step_time_cached(&mut cache, system, r, s, s);
-        assert_eq!(before, sim.step_time(system, r, s, s));
+        assert_eq!(before, ticks(&sim));
         assert_eq!(cache.len(), STEP_BLOCK, "one block");
         // Flipping the public knob between two calls must not serve the
         // stale entry.
         sim.elastic_reuse = 0.0;
         let after = sim.step_time_cached(&mut cache, system, r, s, s);
-        assert_eq!(after, sim.step_time(system, r, s, s));
+        assert_eq!(after, ticks(&sim));
         assert!(after > before, "refetching everything costs more");
         assert_eq!(
             cache.len(),
@@ -1055,7 +1116,10 @@ mod tests {
         );
         for (sim, system) in [(&edge, system), (&sim, SystemKind::FullFlashInfer)] {
             let cached = sim.step_time_cached(&mut cache, system, 1, 4096, 4096);
-            assert_eq!(cached, sim.step_time(system, 1, 4096, 4096));
+            assert_eq!(
+                cached,
+                seconds_to_ticks(sim.step_time(system, 1, 4096, 4096))
+            );
             assert_eq!(cache.len(), STEP_BLOCK);
         }
         // A clone is the same simulator: it hits the block the original
@@ -1075,7 +1139,8 @@ mod tests {
         // Quest's price depends on where the prompt ended: only the
         // scheduler's split is memoized.
         let split = sim.step_time_cached(&mut cache, SystemKind::Quest, 1, 8192, 2048);
-        assert_eq!(split, sim.step_time(SystemKind::Quest, 1, 8192, 2048));
+        let priced = |system, s, split| seconds_to_ticks(sim.step_time(system, 1, s, split));
+        assert_eq!(split, priced(SystemKind::Quest, 8192, 2048));
         assert!(cache.is_empty());
         let whole = sim.step_time_cached(&mut cache, SystemKind::Quest, 1, 8192, 8192);
         assert_ne!(split, whole);
@@ -1083,110 +1148,119 @@ mod tests {
         // A length no table should be sized for.
         let huge = STEP_CACHE_MAX_LEN + 5;
         let t = sim.step_time_cached(&mut cache, SystemKind::SpeContext, 1, huge, huge);
-        assert_eq!(t, sim.step_time(SystemKind::SpeContext, 1, huge, huge));
+        assert_eq!(t, priced(SystemKind::SpeContext, huge, huge));
         assert_eq!(cache.len(), STEP_BLOCK, "not memoized");
     }
 
-    /// `n` consecutive prices from `s` on, read the way a quiet run
-    /// reads them: slice after slice of the table.
-    fn walked(
+    /// The ticks of `n` steps from `s` on, one lookup a length.
+    fn looked_up(
         sim: &ServingSim,
         cache: &mut StepCache,
-        sys: SystemKind,
+        system: SystemKind,
         r: usize,
         s: usize,
         n: usize,
-    ) -> Vec<u64> {
-        let mut out = Vec::new();
-        while out.len() < n {
-            let prices = sim.step_prices(cache, sys, r, s + out.len());
-            assert!(!prices.is_empty(), "a slice is never empty");
-            let take = prices.len().min(n - out.len());
-            out.extend(prices[..take].iter().map(|t| t.to_bits()));
-        }
-        out
+    ) -> Vec<Tick> {
+        (s..s + n)
+            .map(|s| sim.step_time_cached(cache, system, r, s, s))
+            .collect()
     }
 
     #[test]
-    fn walk_feeds_the_lookups_prices_across_holes_and_page_edges() {
+    fn a_run_costs_the_sum_of_its_steps_within_across_blocks_and_pages() {
         let sim = cloud_sim();
-        for system in [SystemKind::SpeContext, SystemKind::ShadowKv] {
-            let (r, from, n) = (3, 2 * STEP_PAGE - 40, STEP_PAGE + 100);
-            let mut looked = StepCache::new();
-            let expect: Vec<u64> = (from..from + n)
-                .map(|s| sim.step_time_cached(&mut looked, system, r, s, s).to_bits())
-                .collect();
-            // Cold table, a table with holes, a fully priced table: the
-            // walk crosses two page edges each time. It starts and ends
-            // inside a block, so it prices the blocks that cover it.
-            let covered =
-                (from + n).div_ceil(STEP_BLOCK) * STEP_BLOCK - from / STEP_BLOCK * STEP_BLOCK;
-            let mut cache = StepCache::new();
-            for s in (from..from + n).step_by(37) {
-                sim.step_time_cached(&mut cache, system, r, s, s);
+        let (system, r) = (SystemKind::SpeContext, 3);
+        let page = STEP_PAGE;
+        let want = looked_up(&sim, &mut StepCache::new(), system, r, page - 40, 80);
+        let cost = |from: usize, to: usize| -> Tick {
+            want[from - (page - 40)..to - (page - 40)].iter().sum()
+        };
+        // `[a, b)` inside one block, from a block's start, up to a
+        // block's end, across blocks, and across the page edge — on a
+        // cold table, on one with the blocks priced out of order, and on
+        // a full one.
+        let spans = [
+            (page - 35, page - 33),
+            (page - 32, page - 20),
+            (page - 20, page - 16),
+            (page - 29, page - 3),
+            (page - 37, page + 5),
+            (page - 16, page + 16),
+            (page + 1, page + 39),
+        ];
+        let mut scattered = StepCache::new();
+        for s in [page + 20, page - 7, page + 3, page - 40] {
+            sim.step_time_cached(&mut scattered, system, r, s, s);
+        }
+        for cache in [&mut StepCache::new(), &mut scattered] {
+            for (a, b) in spans {
+                let n = b - a;
+                let run = sim.run_ticks(cache, system, r, a, n, Tick::MAX);
+                assert_eq!(run, (n, cost(a, b)), "[{a}, {b})");
             }
-            let holes = cache.len();
-            assert_eq!(walked(&sim, &mut cache, system, r, from, n), expect);
-            assert_eq!(cache.len(), covered, "the walk priced exactly the holes");
-            assert!(holes < covered);
-            assert_eq!(walked(&sim, &mut cache, system, r, from, n), expect);
-            assert_eq!(cache.len(), covered, "a priced row is only read");
-            assert_eq!(
-                walked(&sim, &mut StepCache::new(), system, r, from, n),
-                expect
-            );
-            // One visit is one step, wherever the walk stops.
-            assert_eq!(walked(&sim, &mut cache, system, r, from, 1), expect[..1]);
         }
+        let mut full = StepCache::new();
+        looked_up(&sim, &mut full, system, r, page - 48, 96);
+        let priced = full.len();
+        for (a, b) in spans {
+            let run = sim.run_ticks(&mut full, system, r, a, b - a, Tick::MAX);
+            assert_eq!(run, (b - a, cost(a, b)), "[{a}, {b}) on a full table");
+        }
+        assert_eq!(full.len(), priced, "a priced row is only read");
     }
 
     #[test]
-    fn a_slice_ends_at_the_page_edge_or_the_first_unpriced_block() {
+    fn a_run_stops_at_the_first_step_that_reaches_its_need() {
         let sim = cloud_sim();
-        let (system, r) = (SystemKind::SpeContext, 2);
+        let (system, r, from) = (SystemKind::ShadowKv, 2, STEP_PAGE - 21);
+        let prices = looked_up(&sim, &mut StepCache::new(), system, r, from, 60);
         let mut cache = StepCache::new();
-        let mut slice = |s: usize| sim.step_prices(&mut cache, system, r, s).to_vec();
-        let (page, s) = (STEP_PAGE, STEP_PAGE + 3);
-        // A cold length prices its block and hands out the block's rest;
-        // the block after next priced by a lookup leaves a hole between.
-        assert_eq!(slice(s).len(), STEP_BLOCK - 3);
-        let after_next = page + 2 * STEP_BLOCK;
-        assert_eq!(slice(after_next).len(), STEP_BLOCK);
-        assert_eq!(slice(s).len(), STEP_BLOCK - 3, "stops at the hole");
-        // Filling the hole joins the three.
-        let filled = slice(page + STEP_BLOCK);
-        assert_eq!(filled.len(), 2 * STEP_BLOCK);
-        assert_eq!(slice(s).len(), 3 * STEP_BLOCK - 3);
-        // The page's last block ends at the page's edge.
-        assert_eq!(slice(2 * page - 1).len(), 1);
-        for (i, t) in filled.iter().enumerate() {
-            let s = page + STEP_BLOCK + i;
-            assert_eq!(t.to_bits(), sim.step_time(system, r, s, s).to_bits());
+        let mut spent = 0;
+        for (j, &price) in prices.iter().enumerate() {
+            // Reached exactly at this step, and one tick short of it.
+            spent += price;
+            let run = sim.run_ticks(&mut cache, system, r, from, 60, spent);
+            assert_eq!(run, (j + 1, spent), "need {spent}");
+            let short = sim.run_ticks(&mut cache, system, r, from, 60, spent - price + 1);
+            assert_eq!(short, (j + 1, spent), "need {}", spent - price + 1);
         }
+        // A need already met still runs one step; a cap ends the run.
+        assert_eq!(
+            sim.run_ticks(&mut cache, system, r, from, 60, 0),
+            (1, prices[0])
+        );
+        assert_eq!(
+            sim.run_ticks(&mut cache, system, r, from, 7, Tick::MAX),
+            (7, prices[..7].iter().sum())
+        );
     }
 
     #[test]
-    fn walk_restamps_and_prices_oversized_steps_directly() {
+    fn a_run_restamps_and_prices_oversized_steps_directly() {
         let mut sim = cloud_sim();
         let (system, r, s) = (SystemKind::SpeContext, 16, 120 * 1024);
         let mut cache = StepCache::new();
-        let before = walked(&sim, &mut cache, system, r, s, 3);
+        let before = sim.run_ticks(&mut cache, system, r, s, 3, Tick::MAX);
         sim.elastic_reuse = 0.0;
-        let after = walked(&sim, &mut cache, system, r, s, 3);
+        let after = sim.run_ticks(&mut cache, system, r, s, 3, Tick::MAX);
         assert_ne!(before, after, "a changed stamp must not serve stale pages");
-        assert_eq!(after[0], sim.step_time(system, r, s, s).to_bits());
+        let priced = |sim: &ServingSim, r, s| seconds_to_ticks(sim.step_time(system, r, s, s));
+        assert_eq!(after.1, (s..s + 3).map(|s| priced(&sim, r, s)).sum());
         assert_eq!(cache.len(), STEP_BLOCK, "three lengths of one block");
         // Past the table's bounds every step is priced directly.
         let huge = STEP_CACHE_MAX_LEN - 1;
-        let edge = walked(&sim, &mut cache, system, 1, huge, 3);
-        let direct: Vec<u64> = (huge..huge + 3)
-            .map(|s| sim.step_time(system, 1, s, s).to_bits())
-            .collect();
-        assert_eq!(edge, direct);
+        let edge = sim.run_ticks(&mut cache, system, 1, huge, 3, Tick::MAX);
+        assert_eq!(edge.1, (huge..huge + 3).map(|s| priced(&sim, 1, s)).sum());
         assert_eq!(
             cache.len(),
             2 * STEP_BLOCK,
             "only the last in-bounds length's block is memoized"
+        );
+        let first = priced(&sim, 1, huge + 1);
+        assert_eq!(
+            sim.run_ticks(&mut cache, system, 1, huge + 1, 3, first),
+            (1, first),
+            "a directly priced step stops the run too"
         );
     }
 

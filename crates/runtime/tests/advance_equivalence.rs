@@ -51,7 +51,7 @@ use spec_runtime::{
     Admission, BatchState, FairConfig, PreemptionPolicy, QueueDiscipline, ReplicaRole, Request,
     RestorableRequest, Scheduler, SchedulerConfig, ServingSim, StepCache, SystemKind,
 };
-use spec_telemetry::RecordingSink;
+use spec_telemetry::{NullSink, RecordingSink};
 use spec_tensor::SimRng;
 
 const BUDGET: usize = 2048;
@@ -513,6 +513,124 @@ fn counted_sweeps_are_the_sweeps_they_stand_for() {
                 drive_closed(discipline, stride, waiting);
             }
         }
+    }
+}
+
+/// Straggler windows that open and close while a quiet run is under way:
+/// the clock is `base + round(scale × work charged since base)`, rebased
+/// at every change of scale, so a run charged a stretch at a time must
+/// land on the tick single steps land on — at scales whose products are
+/// not whole ticks, across sweeps that run and sweeps that are counted.
+#[test]
+fn straggler_windows_open_and_close_inside_quiet_runs() {
+    for discipline in DISCIPLINES {
+        for stride in [1, 3, 4] {
+            let case = Case {
+                discipline,
+                preemption: PreemptionPolicy::None,
+                stride,
+                max_batch: 3,
+                role: ReplicaRole::Unified,
+                tenants: 3,
+                hogs: false,
+            };
+            let context = |what: &str| format!("{what}, {case:?}");
+            let mut pair = Pair::new(&case);
+            pair.push(Admission::Fresh(Request::new(0, 7, 512, 1500, 0.0)));
+            pair.push(Admission::Fresh(Request::new(1, 7, 900, 1300, 0.0)));
+            pair.push(Admission::Fresh(Request::new(2, 9, 300, 1100, 0.0)));
+            // Waiters, some arriving inside the windows, so sweeps inside
+            // a run both close and run.
+            for (i, at) in [0.4, 1.9, 3.3].into_iter().enumerate() {
+                pair.push(Admission::Fresh(Request::new(10 + i, 3, 256, 50, at)));
+            }
+            // Cuts a few iterations apart, most of them between iteration
+            // boundaries and every third exactly on one — the instant a
+            // probe's single steps reach, where the run must stop at that
+            // step and not a step later; the scale changes at some of
+            // them, mid-run.
+            let scales = [1.5, 1.0, 2.5, 1.37, 1.0, 3.0, 1.5, 1.0];
+            let mut t: f64 = 0.0;
+            for cut in 0..64 {
+                t = if cut % 3 == 2 {
+                    let mut probe = pair.spec.state.clone();
+                    let mut cache = StepCache::new();
+                    for _ in 0..2 + cut % 7 {
+                        pair.scheduler
+                            .step_traced(&mut probe, &mut cache, &mut NullSink);
+                    }
+                    t.max(probe.now())
+                } else {
+                    t + 0.0731 + 0.0113 * (cut % 5) as f64
+                };
+                pair.advance(t);
+                pair.assert_same(&context(&format!("cut {cut}")));
+                if cut % 8 == 3 {
+                    let scale = scales[(cut / 8) % scales.len()];
+                    pair.each(|e| e.state.set_time_scale(scale));
+                }
+            }
+            pair.each(|e| e.state.set_time_scale(1.75));
+            pair.advance(f64::INFINITY);
+            pair.assert_same(&context("the drain at scale 1.75"));
+            assert_eq!(pair.fast.state.completed().len(), 6);
+        }
+    }
+}
+
+/// Idle jumps: an engine that runs dry jumps its clock to the next head's
+/// arrival, and a restart skips it to an instant, neither scaled — both
+/// rebase the clock, which enters each instant at the first tick at or
+/// after it. Work charged after a jump at a scale that is not whole must
+/// still land where single steps land.
+#[test]
+fn idle_jumps_rebase_the_clock() {
+    for stride in [1, 4] {
+        let case = Case {
+            discipline: QueueDiscipline::DeficitRoundRobin,
+            preemption: PreemptionPolicy::LongestFirst,
+            stride,
+            max_batch: 2,
+            role: ReplicaRole::Unified,
+            tenants: 2,
+            hogs: false,
+        };
+        let context = |what: &str| format!("{what}, {case:?}");
+        let mut pair = Pair::new(&case);
+        pair.each(|e| e.state.set_time_scale(1.5));
+        // Bursts separated by idle gaps, at instants off the tick grid.
+        let mut id = 0;
+        let mut at = 0.123_456_789;
+        for burst in 0..6 {
+            for k in 0..3 {
+                let tenant = if k == 1 { 3 } else { 7 };
+                pair.push(Admission::Fresh(Request::new(
+                    id,
+                    tenant,
+                    400,
+                    30 + 7 * k,
+                    at,
+                )));
+                id += 1;
+            }
+            // Cut inside the burst, then drain it: the engine idles.
+            pair.advance(at + 0.05);
+            pair.assert_same(&context(&format!("inside burst {burst}")));
+            pair.advance(f64::INFINITY);
+            pair.assert_same(&context(&format!("after burst {burst}")));
+            at = pair.fast.state.now() + 0.777_777_7 * (burst + 1) as f64;
+            if burst % 2 == 1 {
+                // A restart after an outage: skip to an instant off the
+                // grid, then work at another scale.
+                let restart = pair.fast.state.now() + 0.333_333_3;
+                pair.each(|e| e.state.skip_to(restart));
+                pair.assert_same(&context(&format!("the skip after burst {burst}")));
+                assert!(pair.fast.state.now() >= restart);
+                pair.each(|e| e.state.set_time_scale(2.5 - burst as f64 * 0.25));
+                at = at.max(pair.fast.state.now());
+            }
+        }
+        assert_eq!(pair.fast.state.completed().len(), id);
     }
 }
 

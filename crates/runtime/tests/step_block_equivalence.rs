@@ -1,28 +1,35 @@
 //! A step-table miss prices a block of lengths as the lanes of one
 //! timeline; each lane must be the price a one-step call computes, bit
-//! for bit.
+//! for bit, and the table must hold it as exactly that price's ticks.
 //!
 //! `ServingSim::step_time` lays one step out on a one-lane timeline and is
 //! what `goldens.rs` pins. A miss in `ServingSim::step_time_cached`
 //! prices the aligned `STEP_BLOCK` of lengths around it on a
 //! `STEP_BLOCK`-lane timeline — durations, transfer bytes and offload
 //! depth per lane, a select where the scalar body branches on a lane's
-//! bytes. Here every lane of a block is compared with `step_time` at its
+//! bytes — and stores each lane rounded to the tick grid. Here every
+//! lane of a block is compared with `seconds_to_ticks(step_time)` at its
 //! own length, for every system and batch 1–8, at block starts where the
 //! shape changes: the first block, either side of the budget, the last
 //! block of a table page, a long length, and blocks straddling an
-//! Algorithm 1 offload threshold, where `l_cpu` differs between lanes.
+//! Algorithm 1 offload threshold, where `l_cpu` differs between lanes. A
+//! lane one ulp off would almost always round to the same tick, so the
+//! table no longer shows a lane's bits; the lane body's bits are held to
+//! one-lane timelines, at the build's own tier, by
+//! `lanes_of_every_dataflow_match_one_lane_timelines` below.
 
 use spec_hwsim::{DeviceSpec, EngineProfile, EventSim};
 use spec_model::ModelConfig;
 use spec_runtime::costs::CostModel;
 use spec_runtime::dataflow::{step_timeline, step_timeline_into, DataflowKind, StepParams};
 use spec_runtime::{ServingSim, StepCache, SystemKind, Thresholds, STEP_BLOCK};
+use spec_telemetry::{seconds_to_ticks, Tick};
 
 const BUDGET: usize = 2048;
 
 /// Prices the block starting at `first` through one miss and checks every
-/// lane against `step_time`, and the table's slice against the lookups.
+/// lane against `step_time`'s ticks, and every stretch of the block the
+/// table walks against the lanes' sum.
 fn check_block(sim: &ServingSim, system: SystemKind, r: usize, first: usize) {
     assert!(first.is_multiple_of(STEP_BLOCK), "block starts are aligned");
     let mut cache = StepCache::new();
@@ -30,21 +37,28 @@ fn check_block(sim: &ServingSim, system: SystemKind, r: usize, first: usize) {
     let mid = first + STEP_BLOCK / 2;
     sim.step_time_cached(&mut cache, system, r, mid, mid);
     assert_eq!(cache.len(), STEP_BLOCK, "{system} r={r}: one block priced");
-    let walked: Vec<u64> = sim.step_prices(&mut cache, system, r, first)[..STEP_BLOCK]
-        .iter()
-        .map(|t| t.to_bits())
-        .collect();
+    let mut singles = Vec::new();
     for (lane, s) in (first..first + STEP_BLOCK).enumerate() {
-        let single = sim.step_time(system, r, s, s).to_bits();
-        let cached = sim.step_time_cached(&mut cache, system, r, s, s).to_bits();
+        let single = seconds_to_ticks(sim.step_time(system, r, s, s));
+        let cached = sim.step_time_cached(&mut cache, system, r, s, s);
         assert_eq!(
             cached, single,
             "{system}: lane {lane} of the block at {first} differs, r={r} s={s}"
         );
-        assert_eq!(
-            walked[lane], single,
-            "{system}: the slice holds another price"
-        );
+        singles.push(single);
+    }
+    for from in 0..STEP_BLOCK {
+        for n in 1..=STEP_BLOCK - from {
+            let walked = sim.run_ticks(&mut cache, system, r, first + from, n, Tick::MAX);
+            let sum: Tick = singles[from..from + n].iter().sum();
+            assert_eq!(
+                walked,
+                (n, sum),
+                "{system}: r={r} the table's sums over [{}, {})",
+                first + from,
+                first + from + n
+            );
+        }
     }
     assert_eq!(
         cache.len(),
@@ -56,9 +70,8 @@ fn check_block(sim: &ServingSim, system: SystemKind, r: usize, first: usize) {
     for s in [first, first + STEP_BLOCK - 1] {
         let split = s / 2;
         assert_eq!(
-            sim.step_time_cached(&mut cache, system, r, s, split)
-                .to_bits(),
-            sim.step_time(system, r, s, split).to_bits(),
+            sim.step_time_cached(&mut cache, system, r, s, split),
+            seconds_to_ticks(sim.step_time(system, r, s, split)),
             "{system}: r={r} s={s} split at {split}"
         );
     }

@@ -167,7 +167,7 @@ pub struct TraceConfig {
     /// Number of requests to generate.
     pub count: usize,
     /// Seed for [`TraceConfig::source`] (callers that thread their own
-    /// [`SimRng`] through [`generate`] / [`TraceConfig::source_with`]
+    /// [`SimRng`] through [`generate`] / `TraceConfig::source_with`
     /// ignore it).
     pub seed: u64,
 }

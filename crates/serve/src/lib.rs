@@ -9,14 +9,14 @@
 //! open-loop processes, recorded traces, closed-loop sessions — and
 //! accounts results against latency SLOs.
 //!
-//! * [`arrivals`] — the streaming [`ArrivalSource`](arrivals::ArrivalSource)
+//! * [`arrivals`] — the streaming [`ArrivalSource`]
 //!   API and its generators: Poisson, bursty (Markov-modulated), diurnal
 //!   and flash-crowd processes over the runtime's `Workload` shapes, plus
 //!   closed-loop sessions whose next request departs only after the
 //!   previous response; deterministic via `spec_tensor::SimRng`;
 //! * [`trace`] — compact binary traces (~10 bytes/request): record any
 //!   source, replay it bit-for-bit with O(1) memory;
-//! * [`characterize`] — one-pass trace characterization (tenant mix,
+//! * [`characterize`](mod@characterize) — one-pass trace characterization (tenant mix,
 //!   length histograms, burstiness, peak-to-mean) as markdown + JSON;
 //! * [`router`] — pluggable routing policies: round-robin,
 //!   least-outstanding, least-KV-pressure, session affinity, and

@@ -9,6 +9,10 @@
 //! recorded on the three-loop implementation the kernel replaced.
 //! Golden (b) was re-recorded once, for the one deliberate change: the
 //! fleet now advances to a fault's instant before the fault applies.
+//! All seven were re-recorded once more when the scheduler's clock moved
+//! to integer ticks (every step, prefill and transfer price rounded to
+//! the microsecond): (a) and (c)–(g) kept every decision and moved only
+//! instants, by at most 0.8 ms; (b) is the one run whose decisions moved.
 
 use spec_hwsim::{fleet, DeviceSpec, Fleet, LinkSpec, ReplicaRole};
 use spec_model::ModelConfig;
@@ -100,9 +104,9 @@ fn golden_a_open_loop_sample_trace() {
     assert_eq!(
         got,
         Golden {
-            report: 4378336565503469700,
+            report: 2683233818896216028,
             events: 63408,
-            stream: 10114716561508133957,
+            stream: 6618679274012302635,
         }
     );
 }
@@ -150,13 +154,17 @@ fn golden_b_faulted_split_fleet() {
     // (3942, 1607, 5549, 1307, 8767.82724305081) with report
     // 11791540808780660334 over 107142 events, stream
     // 14677427422617904870 — and the fold reproduced that bit for bit.
-    assert_eq!(counters, (3942, 1646, 5588, 1321, 8806.13302033595));
+    // On the float clock it read (3942, 1646, 5588, 1321,
+    // 8806.13302033595), report 7295266806554923399 over 107932 events;
+    // the tick clock's roundings move one sweep across a head's arrival at
+    // t ≈ 408 s, and the chaos run diverges from there.
+    assert_eq!(counters, (3942, 1648, 5590, 1325, 8806.708618));
     assert_eq!(
         golden((report, events)),
         Golden {
-            report: 7295266806554923399,
-            events: 107932,
-            stream: 17886562388056840075,
+            report: 3735408134989923011,
+            events: 108024,
+            stream: 17268109669951635175,
         }
     );
 }
@@ -178,9 +186,9 @@ fn golden_c_closed_loop() {
     assert_eq!(
         got,
         Golden {
-            report: 9828104608097989463,
+            report: 9092149104076901463,
             events: 487,
-            stream: 12172462355729326390,
+            stream: 2442377645487579667,
         }
     );
 }
@@ -213,9 +221,9 @@ fn golden_d_autoscaled() {
     assert_eq!(
         golden((report, events)),
         Golden {
-            report: 18140112482027126473,
+            report: 10597251840022910124,
             events: 1512,
-            stream: 15296613251305403697,
+            stream: 13508032966670016670,
         }
     );
 }
@@ -242,9 +250,9 @@ fn golden_e_homogeneous_fleet_prefix() {
     assert_eq!(
         got,
         Golden {
-            report: 5188651895283413804,
+            report: 4018050635621829297,
             events: 7537,
-            stream: 10706477566899937024,
+            stream: 12999392517806961581,
         }
     );
 }
@@ -269,9 +277,9 @@ fn golden_f_mixed_device_fleet_prefix() {
     assert_eq!(
         got,
         Golden {
-            report: 3769518673954146186,
+            report: 1544353056562509431,
             events: 8113,
-            stream: 10643722113097753749,
+            stream: 6341784970227580067,
         }
     );
 }
@@ -317,13 +325,13 @@ fn golden_g_faulted_split_fleet_prefix() {
             .sum::<usize>(),
         report.makespan,
     );
-    assert_eq!(counters, (486, 12, 205, 26, 691, 162, 1122.2114209655783));
+    assert_eq!(counters, (486, 12, 205, 26, 691, 162, 1122.211475));
     assert_eq!(
         golden((report, events)),
         Golden {
-            report: 2375845071385592991,
+            report: 14281011349898250868,
             events: 13487,
-            stream: 15722356816948950864,
+            stream: 11589704614792463788,
         }
     );
 }

@@ -1,10 +1,10 @@
 //! Cache-blocked, B-packed matrix-multiply kernel.
 //!
 //! Layout follows the classic GEBP decomposition: the `k` dimension is
-//! processed in [`KC`]-deep panels; each panel of `B` is packed into
-//! [`NR`]-column strips (contiguous per `k`, zero-padded at the right
+//! processed in `KC`-deep panels; each panel of `B` is packed into
+//! `NR`-column strips (contiguous per `k`, zero-padded at the right
 //! edge) so the micro-kernel streams it linearly; rows of the output are
-//! computed [`MR`] at a time with an `MR x NR` register-resident
+//! computed `MR` at a time with an `MR x NR` register-resident
 //! accumulator tile, which cuts the `B`-panel traffic by `MR` and keeps
 //! the output out of the inner loop entirely.
 //!

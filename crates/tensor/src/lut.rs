@@ -158,7 +158,7 @@ impl QueryLut {
 
     /// Scores many int4 keys against the table's query into a reused
     /// buffer (cleared first). The dispatch tier is resolved once for
-    /// the whole batch, and keys are scored [`LUT_LANES`] at a time so
+    /// the whole batch, and keys are scored `LUT_LANES` at a time so
     /// their (per-key sequential, mutually independent) fold chains
     /// overlap; this is the hot entry point for the retrieval selectors.
     ///

@@ -275,7 +275,7 @@ impl Matrix {
     ///
     /// This is the kernel [`matmul`](Self::matmul) is property-tested
     /// against (bit-for-bit, at every SIMD tier) and the baseline the
-    /// `kernels` bench reports speedups over. Prefer [`matmul`]
+    /// `kernels` bench reports speedups over. Prefer [`matmul`](Self::matmul)
     /// everywhere else.
     ///
     /// # Panics

@@ -118,7 +118,7 @@ crate::dispatch_kernel! {
 /// (cleared first): the production side of the int8 LUT-vs-arithmetic
 /// trade (see [`lut`](crate::lut) for why the true 256-entry table
 /// loses at cache-sized dims). The dispatch tier is resolved once, keys
-/// run [`QUANT_LANES`] at a time, and each result is bit-identical to
+/// run `QUANT_LANES` at a time, and each result is bit-identical to
 /// `key.dot_reference(query)`.
 ///
 /// # Panics
