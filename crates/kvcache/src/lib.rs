@@ -10,16 +10,12 @@
 //!   slots that hold the currently selected KV entries);
 //! * [`elastic`] — the set-difference planner of Section 5.4: given last
 //!   step's resident selection and this step's requirement, compute the
-//!   minimal transfer plan (`S_now − S_last` in, `S_last − S_now` out);
-//! * [`alloc`] — paged KV memory allocation, which a serving replica
-//!   mirrors its running batch into.
+//!   minimal transfer plan (`S_now − S_last` in, `S_last − S_now` out).
 
-pub mod alloc;
 pub mod budget;
 pub mod elastic;
 pub mod pages;
 
-pub use alloc::{AllocId, BlockAllocator};
 pub use budget::BudgetBuffer;
 pub use elastic::{DiffPlan, ResidentSet};
 pub use pages::PageTable;

@@ -539,9 +539,6 @@ pub struct BatchState {
     /// Handoffs a `Prefill`-role engine has emitted and nobody
     /// collected yet.
     handoffs: Vec<HandoffRecord>,
-    /// Bumped on every change to the running batch
-    /// ([`BatchState::batch_changed`]).
-    batch_epoch: u64,
 }
 
 impl Default for BatchState {
@@ -566,7 +563,6 @@ impl Default for BatchState {
             time_scale: 1.0,
             role: ReplicaRole::Unified,
             handoffs: Vec::new(),
-            batch_epoch: 0,
         }
     }
 }
@@ -743,13 +739,11 @@ impl BatchState {
         out
     }
 
-    /// Forgets every cached "no eligible victim" verdict and moves the
-    /// [batch epoch](BatchState::batch_epoch) on. Called wherever the
-    /// running batch gains or loses a request — admission, a
-    /// preemption's removal, a completion or handoff retirement, a
+    /// Forgets every cached "no eligible victim" verdict. Called
+    /// wherever the running batch gains or loses a request — admission,
+    /// a preemption's removal, a completion or handoff retirement, a
     /// crash — because a verdict is a statement about one batch.
     fn batch_changed(&mut self) {
-        self.batch_epoch = self.batch_epoch.wrapping_add(1);
         for q in &mut self.tenants {
             q.no_victim_for = None;
         }
@@ -907,14 +901,6 @@ impl BatchState {
         self.queued() + self.running.len()
     }
 
-    /// A count of the changes to the running batch so far: while it
-    /// reads the same, [`BatchState::running_requests`] yields the same
-    /// requests, so a mirror of the batch synced at an epoch stays synced
-    /// until the epoch moves.
-    pub fn batch_epoch(&self) -> u64 {
-        self.batch_epoch
-    }
-
     /// The requests currently decoding, in admission order.
     pub fn running_requests(&self) -> impl Iterator<Item = &Request> {
         self.running.iter().map(|r| &r.req)
@@ -984,6 +970,16 @@ impl Scheduler {
     /// The underlying serving simulator.
     pub fn sim(&self) -> &ServingSim {
         &self.sim
+    }
+
+    /// Most tokens of one request's KV kept resident: a sparse system
+    /// keeps at most its retrieval budget, a full system the whole
+    /// context ([`usize::MAX`]).
+    pub fn kv_token_cap(&self) -> usize {
+        match self.system {
+            SystemKind::SpeContext => self.sim.budget(),
+            _ => usize::MAX,
+        }
     }
 
     /// Runs the request trace to completion.
@@ -1885,15 +1881,9 @@ impl Scheduler {
     }
 
     /// Tokens of `req`'s KV resident on the GPU once `produced` tokens
-    /// exist — the checkpoint/restore transfer size. Sparse systems keep
-    /// at most the retrieval budget per request; full systems keep the
-    /// whole context.
+    /// exist — the checkpoint/restore transfer size.
     fn resident_tokens(&self, req: &Request, produced: usize) -> usize {
-        let total = req.input_len + produced;
-        match self.system {
-            SystemKind::SpeContext => total.min(self.sim.budget()),
-            _ => total,
-        }
+        (req.input_len + produced).min(self.kv_token_cap())
     }
 
     /// The one-way PCIe time to move `req`'s resident KV at the memory

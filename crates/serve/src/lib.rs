@@ -22,8 +22,8 @@
 //!   least-outstanding, least-KV-pressure, session affinity, and
 //!   weighted-tenant fleet partitioning;
 //! * [`replica`] — one serving engine: the runtime scheduler's stepping
-//!   core plus KV occupancy accounting through `spec_kvcache`'s block
-//!   allocator;
+//!   core plus KV occupancy, summed from the running batch in 16-token
+//!   pages;
 //! * [`cluster`] — the event kernel: take the next event (arrival,
 //!   fault, retry, handoff), advance the fleet to its instant, apply it
 //!   — routing, autoscaling on queue depth, feeding completions back to

@@ -5,35 +5,37 @@
 //! [`Scheduler::advance_until`] (or single [`Scheduler::step`]
 //! micro-steps under a closed-loop source) — so the cluster event loop
 //! can interleave request routing with engine progress at decision
-//! granularity. On top of the scheduler's logical state the replica
-//! mirrors its running batch into a [`BlockAllocator`] drawn from
-//! `spec_kvcache`, giving routers a byte-accurate KV-pressure signal
-//! that stays comparable across heterogeneous devices.
+//! granularity. The running batch is the replica's only KV account: its
+//! resident bytes are the batch's final lengths, capped per request by
+//! the scheduler and paged in 16-token pages, summed when asked. That
+//! gives routers a byte-accurate KV-pressure signal that stays
+//! comparable across heterogeneous devices.
 //!
 //! A replica does not own a step-price table: whoever drives it lends a
 //! [`StepCache`] to each advance, so the cluster can keep one table per
 //! group of identically pricing replicas instead of one per replica.
 
 use crate::router::{ReplicaHealth, ReplicaSnapshot};
-use spec_kvcache::{AllocId, BlockAllocator};
 use spec_runtime::{
     Admission, BatchState, CompletedRequest, CrashedWork, HandoffRecord, ReplicaRole, Request,
     Scheduler, SchedulerConfig, ServingSim, StepCache, SystemKind,
 };
 use spec_telemetry::{seconds_to_ticks, Event, EventKind, RecordingSink, TelemetrySink};
 
+/// Tokens in one KV page: a request's resident KV is counted in whole
+/// pages, as a paged (vLLM/FlashInfer-style) cache holds it.
+const KV_PAGE_TOKENS: usize = 16;
+
 /// One serving engine in the fleet.
 #[derive(Debug)]
 pub struct Replica {
     scheduler: Scheduler,
     state: BatchState,
-    kv: BlockAllocator,
-    /// The running batch as the allocator holds it: request id → hold,
-    /// at most `max_batch` entries, diffed by linear scan.
-    kv_held: Vec<(usize, KvHold)>,
-    /// The engine's batch epoch `kv_held` was last diffed at.
-    kv_epoch: u64,
-    kv_token_cap: usize,
+    /// One token's KV bytes, whole bytes.
+    kv_bytes_per_token: u64,
+    /// KV capacity in bytes: device memory left after weights and
+    /// runtime buffers.
+    kv_capacity: u64,
     device: String,
     /// Rental price of the underlying device, USD per hour (cost-aware
     /// autoscaling and the fleet cost report).
@@ -54,47 +56,27 @@ pub struct Replica {
     kv_gauge: Option<u64>,
 }
 
-/// How one running request's KV is on the books.
-#[derive(Debug, Clone, Copy)]
-enum KvHold {
-    /// Resident in the block allocator.
-    Live(AllocId),
-    /// The allocator could not admit it (its paged round-up needs
-    /// slightly more than the scheduler's admission arithmetic): this
-    /// many tokens, accounted arithmetically so pressure never
-    /// undercounts a loaded replica.
-    Overflow(usize),
-}
-
 impl Replica {
     /// Creates a replica for `system` on the given serving simulator.
     /// Its KV capacity is the device memory left after weights and
-    /// runtime buffers, managed as 16-token pages.
+    /// runtime buffers, counted in 16-token pages.
     pub fn new(sim: ServingSim, system: SystemKind, cfg: SchedulerConfig) -> Self {
         let mm = sim.memory_model();
         // One token's K+V across all layers plus the retrieval-head and
         // grouped-query terms of Eq. 6 — shared with the admission
         // arithmetic via the memory model.
-        let bytes_per_token = mm.kv_token_total_bytes().max(1.0) as u64;
-        let capacity = (mm.gpu_mem as f64 - mm.static_bytes()).max(0.0) as u64;
-        // Sparse systems keep at most `budget` tokens per request
-        // resident; full systems keep the whole context.
-        let kv_token_cap = match system {
-            SystemKind::SpeContext => sim.budget(),
-            _ => usize::MAX,
-        };
+        let kv_bytes_per_token = mm.kv_token_total_bytes().max(1.0) as u64;
+        let kv_capacity = (mm.gpu_mem as f64 - mm.static_bytes()).max(0.0) as u64;
         let device = sim.device().name.clone();
         let hourly_cost = sim.device().hourly_cost;
+        let scheduler = Scheduler::new(sim, system, cfg);
         let mut state = BatchState::new();
-        state.set_kv_token_cap(kv_token_cap);
-        let kv_epoch = state.batch_epoch();
+        state.set_kv_token_cap(scheduler.kv_token_cap());
         Self {
-            scheduler: Scheduler::new(sim, system, cfg),
+            scheduler,
             state,
-            kv: BlockAllocator::new(16, bytes_per_token, capacity),
-            kv_held: Vec::new(),
-            kv_epoch,
-            kv_token_cap,
+            kv_bytes_per_token,
+            kv_capacity,
             device,
             hourly_cost,
             active: true,
@@ -136,7 +118,7 @@ impl Replica {
 
     /// One token's KV bytes on this replica (warmup-transfer sizing).
     pub fn kv_bytes_per_token(&self) -> u64 {
-        self.kv.bytes_per_token()
+        self.kv_bytes_per_token
     }
 
     /// The phase this replica's engine runs ([`ReplicaRole::Unified`]
@@ -207,14 +189,14 @@ impl Replica {
     /// Crashes the replica at its current clock: tears all in-flight
     /// work out of the engine (running and queued requests are lost;
     /// queued-with-progress ones surface as restorable checkpoints),
-    /// releases the KV mirror, and freezes the engine until
+    /// which frees its resident KV, and freezes the engine until
     /// [`restart`](Self::restart). Completions and rejections recorded
     /// so far survive — they already happened.
     pub fn crash(&mut self) -> CrashedWork {
         self.down = true;
         self.probation_until = None;
         let work = self.state.crash_dump();
-        self.sync_kv();
+        self.gauge_kv();
         work
     }
 
@@ -242,8 +224,8 @@ impl Replica {
     /// Host-side checkpoint size for a request with `produced` decoded
     /// tokens: its resident KV footprint under this replica's token cap.
     pub fn checkpoint_bytes(&self, req: &Request, produced: usize) -> u64 {
-        let tokens = (req.input_len + produced).min(self.kv_token_cap);
-        tokens as u64 * self.kv.bytes_per_token()
+        let tokens = (req.input_len + produced).min(self.scheduler.kv_token_cap());
+        tokens as u64 * self.kv_bytes_per_token
     }
 
     /// The replica's local clock, seconds.
@@ -286,7 +268,7 @@ impl Replica {
 
     /// Advances the engine until its clock reaches `t` or it runs dry
     /// (`f64::INFINITY` runs all assigned work to completion), then
-    /// refreshes the KV occupancy mirror. One micro-step may overshoot
+    /// gauges the KV occupancy (traced runs). One micro-step may overshoot
     /// `t` (a decode iteration is atomic), exactly like the closed-loop
     /// scheduler. A crashed replica is frozen: its queued ghosts (blind
     /// routing) wait out the outage.
@@ -301,13 +283,13 @@ impl Replica {
         }
         self.scheduler
             .advance_until(&mut self.state, cache, t, &mut self.telemetry);
-        self.sync_kv();
+        self.gauge_kv();
     }
 
     /// One scheduler micro-step (closed-loop event granularity: the
     /// cluster interleaves single steps with completion feedback) priced
-    /// through the lent `cache`, then refreshes the KV occupancy mirror.
-    /// No-op when idle.
+    /// through the lent `cache`, then gauges the KV occupancy (traced
+    /// runs). No-op when idle.
     pub fn step_once(&mut self, cache: &mut StepCache) {
         if self.down {
             return;
@@ -316,7 +298,7 @@ impl Replica {
             self.scheduler
                 .step_traced(&mut self.state, cache, &mut self.telemetry);
         }
-        self.sync_kv();
+        self.gauge_kv();
     }
 
     /// Router-facing view of this replica.
@@ -334,45 +316,48 @@ impl Replica {
     /// Committed KV demand (resident batch + queued backlog at final
     /// lengths, sparse-budget-capped per request) relative to capacity.
     fn kv_pressure(&self) -> f64 {
-        let capacity = self.kv.capacity_bytes();
-        if capacity == 0 {
+        if self.kv_capacity == 0 {
             return f64::INFINITY;
         }
-        let overflow_tokens: usize = self
-            .kv_held
-            .iter()
-            .map(|&(_, hold)| match hold {
-                KvHold::Live(_) => 0,
-                KvHold::Overflow(tokens) => tokens,
-            })
-            .sum();
-        let unresident_bytes = (self.state.queued_kv_tokens() + overflow_tokens) as f64
-            * self.kv.bytes_per_token() as f64;
-        (self.kv.used_bytes() as f64 + unresident_bytes) / capacity as f64
+        let queued_bytes = self.state.queued_kv_tokens() as f64 * self.kv_bytes_per_token as f64;
+        (self.resident_bytes() as f64 + queued_bytes) / self.kv_capacity as f64
     }
 
-    /// Mirrors the running batch into the block allocator: admit newly
-    /// scheduled requests, release finished ones. Accounting only — the
+    /// KV bytes the running batch holds: each running request at its
+    /// final length, capped at the scheduler's per-request token cap,
+    /// rounded up to whole pages (at least one). Accounting only — the
     /// scheduler's own admission test stays authoritative, so a
     /// 1-replica cluster still reproduces `Scheduler::run` bit-for-bit.
-    /// The diff runs only when the engine's batch epoch has moved since
-    /// the last one; otherwise the batch, and so the mirror, is as it was.
-    fn sync_kv(&mut self) {
-        let epoch = self.state.batch_epoch();
-        if epoch != self.kv_epoch {
-            self.kv_epoch = epoch;
-            self.diff_kv();
-        }
+    ///
+    /// The scheduler admits on unpaged arithmetic, so a request whose
+    /// page round-up does not fit in the capacity left still counts
+    /// paged: the sum can exceed the capacity, and the pressure 1.
+    fn resident_bytes(&self) -> u64 {
+        let cap = self.scheduler.kv_token_cap();
+        self.state
+            .running_requests()
+            .map(|r| {
+                let tokens = (r.input_len + r.output_len).min(cap).max(1);
+                (tokens.div_ceil(KV_PAGE_TOKENS) * KV_PAGE_TOKENS) as u64 * self.kv_bytes_per_token
+            })
+            .sum()
+    }
+
+    /// Emits the KV occupancy gauge if it moved, after each change the
+    /// running batch can see (an advance, a step, a crash). Traced runs
+    /// only: an untraced replica sums its resident bytes only when a
+    /// router asks for its pressure.
+    fn gauge_kv(&mut self) {
         if self.telemetry.enabled() {
-            self.gauge_kv();
+            self.emit_kv_gauge();
         }
     }
 
-    /// Emits the KV occupancy gauge if it moved (traced runs only; out of
-    /// line, so an untraced sync never computes the event's tick).
+    /// The traced half of [`Replica::gauge_kv`], out of line so an
+    /// untraced advance never computes the event's tick.
     #[inline(never)]
-    fn gauge_kv(&mut self) {
-        let used = self.kv.used_bytes();
+    fn emit_kv_gauge(&mut self) {
+        let used = self.resident_bytes();
         if self.kv_gauge != Some(used) {
             self.kv_gauge = Some(used);
             self.telemetry.emit(Event {
@@ -380,34 +365,9 @@ impl Replica {
                 replica: 0, // restamped by the tagged sink
                 kind: EventKind::KvOccupancy {
                     used,
-                    capacity: self.kv.capacity_bytes(),
+                    capacity: self.kv_capacity,
                 },
             });
-        }
-    }
-
-    /// The diff behind [`Replica::sync_kv`].
-    fn diff_kv(&mut self) {
-        let (state, kv) = (&self.state, &mut self.kv);
-        self.kv_held.retain(|&(id, hold)| {
-            let running = state.running_requests().any(|r| r.id == id);
-            if let (false, KvHold::Live(alloc)) = (running, hold) {
-                kv.release(alloc);
-            }
-            running
-        });
-        for req in state.running_requests() {
-            if self.kv_held.iter().any(|&(id, _)| id == req.id) {
-                continue;
-            }
-            let tokens = (req.input_len + req.output_len).min(self.kv_token_cap);
-            // When the allocator refuses, the scheduler's admission stays
-            // authoritative; keep the demand on the books so
-            // LeastKvPressure sees the load.
-            let hold = kv
-                .admit(tokens)
-                .map_or(KvHold::Overflow(tokens), KvHold::Live);
-            self.kv_held.push((req.id, hold));
         }
     }
 }
@@ -462,7 +422,7 @@ mod tests {
         for i in 0..8 {
             r.push(Admission::Fresh(req(i, 0.0)));
         }
-        r.advance_until(&mut cache, 1e-9); // admit some work, sync the mirror
+        r.advance_until(&mut cache, 1e-9); // admit some work
         let loaded = r.kv_pressure();
         assert!(loaded > empty, "pressure {loaded} after load vs {empty}");
         r.advance_until(&mut cache, f64::INFINITY);
@@ -563,119 +523,33 @@ mod tests {
         );
     }
 
-    /// Diffs `rep`'s KV mirror whatever its batch epoch says, and asserts
-    /// that the full re-sync found nothing to change: the same requests
-    /// held, the same bytes in use.
-    fn assert_mirror_is_resynced(rep: &mut Replica, context: &str) {
-        let mirror = |rep: &Replica| {
-            let held: Vec<usize> = rep.kv_held.iter().map(|&(id, _)| id).collect();
-            (held, rep.kv.used_bytes())
-        };
-        let skipped = mirror(rep);
-        rep.kv_epoch = rep.kv_epoch.wrapping_sub(1);
-        rep.sync_kv();
-        assert_eq!(skipped, mirror(rep), "{context}");
-    }
-
     #[test]
-    fn epoch_skipped_kv_mirror_equals_a_full_resync() {
-        use spec_runtime::{FairConfig, PreemptionPolicy, QueueDiscipline};
-        // A faulted split fleet, driven by hand the way the cluster
-        // drives it: one prefill engine handing off to two decode
-        // engines, which crash (checkpoints restored on the other, lost
-        // work back through prefill) and restart. DRR with preemption
-        // over two tenants, so checkpoints exist to restore.
-        let cfg = SchedulerConfig {
-            max_batch: 4,
-            admission_stride: 4,
-            fair: FairConfig {
-                discipline: QueueDiscipline::DeficitRoundRobin,
-                weights: vec![(0, 4), (1, 1)],
-                preemption: PreemptionPolicy::DeficitRoundRobin,
-                ..FairConfig::default()
-            },
-        };
-        let sim = ServingSim::new(
-            ModelConfig::deepseek_distill_llama_8b(),
-            DeviceSpec::a100_80g(),
-            2048,
-        );
-        let engine = |role| {
-            let mut r = Replica::new(sim.clone(), SystemKind::SpeContext, cfg.clone());
-            r.set_role(role);
-            r
-        };
-        let mut fleet = [
-            engine(ReplicaRole::Prefill),
-            engine(ReplicaRole::Decode),
-            engine(ReplicaRole::Decode),
-        ];
-        // Per engine, the last instant work was pushed at: work goes in
-        // no earlier than that.
-        let mut last = [0.0f64; 3];
-        let mut at_or_after = |i: usize, at: f64| {
-            last[i] = last[i].max(at);
-            last[i]
-        };
+    fn resident_kv_is_the_running_batch_in_whole_pages() {
         let mut cache = StepCache::new();
-        let (mut t, mut next_id, mut crashes) = (0.0, 0, 0);
-        let mut checks = 0;
-        while t < 600.0 {
-            if next_id < 48 && t < 40.0 {
-                let (tenant, output_len) = ((next_id % 3 == 0) as u32, 8 + 24 * (next_id % 5));
-                let req = Request::new(next_id, tenant, 512 + 256 * (next_id % 7), output_len, t);
-                at_or_after(0, t);
-                fleet[0].push(Admission::Fresh(req));
-                next_id += 1;
-            }
-            for (i, rep) in fleet.iter_mut().enumerate() {
-                rep.advance_until(&mut cache, t);
-                assert_mirror_is_resynced(rep, &format!("advance of {i} to {t}"));
-                checks += 1;
-            }
-            let handoffs: Vec<HandoffRecord> = fleet[0].drain_handoffs().collect();
-            for (k, h) in handoffs.into_iter().enumerate() {
-                let to = 1 + (h.restorable.request.id + k) % 2;
-                let at = at_or_after(to, h.emitted);
-                fleet[to].push(Admission::Preloaded {
-                    handoff: h.restorable,
-                    at,
-                });
-            }
-            let step = (t / 0.5) as usize;
-            if step % 37 == 11 && crashes < 6 {
-                let (down, up) = (1 + crashes % 2, 2 - crashes % 2);
-                crashes += 1;
-                let work = fleet[down].crash();
-                assert_mirror_is_resynced(&mut fleet[down], &format!("crash of {down} at {t}"));
-                for checkpoint in work.checkpointed {
-                    let at = at_or_after(up, t);
-                    fleet[up].push(Admission::Restored { checkpoint, at });
-                    assert_mirror_is_resynced(&mut fleet[up], &format!("restore on {up} at {t}"));
-                }
-                for lost in work.lost {
-                    let arrival = at_or_after(0, t);
-                    fleet[0].push(Admission::Fresh(Request { arrival, ..lost }));
-                }
-            }
-            for (i, rep) in fleet.iter_mut().enumerate() {
-                if rep.is_down() && step % 37 == 14 {
-                    rep.restart(t, None);
-                    assert_mirror_is_resynced(rep, &format!("restart of {i} at {t}"));
-                }
-            }
-            t += 0.5;
+        // 100 tokens take seven 16-token pages: 112 tokens' bytes.
+        let mut full = replica(SystemKind::FullFlashInfer);
+        full.push(Admission::Fresh(Request::new(0, 0, 60, 40, 0.0)));
+        full.advance_until(&mut cache, 1e-9);
+        assert_eq!(full.state.running_len(), 1);
+        assert_eq!(full.resident_bytes(), 112 * full.kv_bytes_per_token());
+
+        // A sparse system keeps at most its budget resident per request.
+        let mut ours = replica(SystemKind::SpeContext);
+        let (bpt, budget) = (ours.kv_bytes_per_token(), 2048);
+        ours.push(Admission::Fresh(Request::new(0, 0, 4000, 100, 0.0)));
+        ours.advance_until(&mut cache, 1e-9);
+        assert_eq!(ours.state.running_len(), 1);
+        assert_eq!(ours.resident_bytes(), budget as u64 * bpt);
+
+        // Pressure is the resident bytes plus the queued backlog's, each
+        // queued request capped at the budget, over the capacity.
+        for i in 1..40 {
+            ours.push(Admission::Fresh(req(i, 0.0)));
         }
-        for rep in &mut fleet {
-            rep.advance_until(&mut cache, f64::INFINITY);
-            assert_mirror_is_resynced(rep, "drain");
-        }
-        let done: usize = fleet.iter().map(|r| r.completed().len()).sum();
-        assert!(
-            crashes >= 4 && checks > 1000,
-            "{crashes} crashes, {checks} checks"
-        );
-        assert!(done > 24, "{done} completions");
+        assert_eq!(ours.state.queued_kv_tokens(), 39 * budget);
+        let expected = ((budget as u64 * bpt) as f64 + (39 * budget) as f64 * bpt as f64)
+            / ours.kv_capacity as f64;
+        assert_eq!(ours.kv_pressure().to_bits(), expected.to_bits());
     }
 
     #[test]

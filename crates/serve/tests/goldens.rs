@@ -38,6 +38,10 @@ struct Golden {
     events: usize,
     /// FNV-1a over the event stream's `Debug` text.
     stream: u64,
+    /// FNV-1a over every KV occupancy gauge as `(tick, replica, used,
+    /// capacity)`, recorded when a block allocator still mirrored each
+    /// running batch: pins the gauge's bytes to the sum that replaced it.
+    kv: u64,
 }
 
 fn fnv1a(text: &str) -> u64 {
@@ -51,7 +55,18 @@ fn golden((report, events): (ClusterReport, Vec<Event>)) -> Golden {
         report: fnv1a(&format!("{report:?}")),
         events: events.len(),
         stream: fnv1a(&format!("{events:?}")),
+        kv: fnv1a(&format!("{:?}", kv_gauges(&events))),
     }
+}
+
+fn kv_gauges(events: &[Event]) -> Vec<(u64, u32, u64, u64)> {
+    events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::KvOccupancy { used, capacity } => Some((e.tick, e.replica, used, capacity)),
+            _ => None,
+        })
+        .collect()
 }
 
 /// `replay_gate`'s scheduler: DRR with preemption, so checkpoints and
@@ -107,6 +122,7 @@ fn golden_a_open_loop_sample_trace() {
             report: 2683233818896216028,
             events: 63408,
             stream: 6618679274012302635,
+            kv: 128435896440716715,
         }
     );
 }
@@ -165,6 +181,7 @@ fn golden_b_faulted_split_fleet() {
             report: 3735408134989923011,
             events: 108024,
             stream: 17268109669951635175,
+            kv: 12292046109033975730,
         }
     );
 }
@@ -189,6 +206,7 @@ fn golden_c_closed_loop() {
             report: 9092149104076901463,
             events: 487,
             stream: 2442377645487579667,
+            kv: 5968597624520574534,
         }
     );
 }
@@ -224,6 +242,7 @@ fn golden_d_autoscaled() {
             report: 10597251840022910124,
             events: 1512,
             stream: 13508032966670016670,
+            kv: 14345278203531791155,
         }
     );
 }
@@ -253,6 +272,7 @@ fn golden_e_homogeneous_fleet_prefix() {
             report: 4018050635621829297,
             events: 7537,
             stream: 12999392517806961581,
+            kv: 17096203651473722030,
         }
     );
 }
@@ -280,6 +300,7 @@ fn golden_f_mixed_device_fleet_prefix() {
             report: 1544353056562509431,
             events: 8113,
             stream: 6341784970227580067,
+            kv: 459980536824806980,
         }
     );
 }
@@ -332,6 +353,7 @@ fn golden_g_faulted_split_fleet_prefix() {
             report: 14281011349898250868,
             events: 13487,
             stream: 11589704614792463788,
+            kv: 2478264179762475296,
         }
     );
 }

@@ -101,7 +101,8 @@ pub enum EventKind {
     QueueDepth { tenant: u32, depth: u64 },
     /// Gauge: requests in the running batch.
     RunningBatch { size: u64 },
-    /// Gauge: KV block-allocator occupancy, bytes.
+    /// Gauge: KV bytes the running batch holds (each request paged to
+    /// 16 tokens, sparse-budget-capped) against the replica's capacity.
     KvOccupancy { used: u64, capacity: u64 },
     /// Gauge: one tenant's DRR deficit counter, tokens.
     DrrDeficit { tenant: u32, deficit: u64 },
